@@ -14,19 +14,21 @@ to right, is the value of xi.  The final compilation step intersects with
 the strict-ascending track order and then merges all tracks into the shared
 bit.  Only assignments with x1 < ... < xm are representable; pipelines that
 need other orderings split into order cases first.
+
+A Run leaf carries such a public automaton inside a formula; it is embedded
+as is, its mark bit fed by the OR of its variables' tracks, so an automaton
+the pipeline already holds never goes back through MSO.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
-                      ForallSO, Formula, Implies, In, Less, NameSupply, Not,
-                      Or, Pred, Signature, conj, disj, expand_macros,
-                      free_set_variables, free_variables, is_fo_name, mk_false,
-                      mk_true)
+from .formula import (And, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
+                      Formula, Implies, In, Less, NameSupply, Not, Or, Pred,
+                      Run, Signature, expand_macros, free_set_variables,
+                      free_variables, is_fo_name, run_binders)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -208,6 +210,23 @@ class _Builder:
             a.delta[2][letter] = 2
         return a
 
+    def run_leaf(self, dfa: Dfa, variables) -> _Auto:
+        """A public automaton on tracks: the mark bit it reads is the OR of
+        the variables' tracks, each of which carries a single mark."""
+        if dfa.sig != self.sig:
+            raise InputError("automaton leaf is over another signature")
+        fo = tuple(sorted(set(variables)))
+        nl = _n_letters(self.sig, fo, ())
+        self._check(dfa.n_states, nl)
+        k = self.sig.k
+        low = (1 << k) - 1
+        public = [(letter & low) | (letter > low) << k for letter in range(nl)]
+        a = _Auto(self.sig, fo, (), nl, dfa.init,
+                  [[row[p] for p in public] for row in dfa.delta], set(dfa.accepting))
+        for v in fo:
+            a = self.product(a, self.exactly_one(fo, (), v), "and")
+        return self.minimize(a)
+
     # ----- closure operations -----
 
     def extend(self, a: _Auto, fo_add=(), so_add=()) -> _Auto:
@@ -386,6 +405,8 @@ class _Builder:
                 return self.atom_pred(name, x)
             case In(s, x):
                 return self.atom_in(s, x)
+            case Run(dfa, vs, _):
+                return self.run_leaf(dfa, vs)
             case Not(g):
                 return self.complement(self.build(g))
             case And(l, r):
@@ -605,9 +626,9 @@ def dfa_to_formula(dfa: Dfa, variables=(), supply: NameSupply | None = None) -> 
     """A formula whose satisfying assignments are the accepted markings.
 
     For a marked automaton the free variables name the marks in ascending
-    order; a plain automaton yields a sentence.  The run is encoded by
-    ceil(log2 n) set variables holding the state bits after each position,
-    pinned down inductively, so the formula is costly to evaluate but exact.
+    order; a plain automaton yields a sentence.  This is the MSO export of
+    the leaf Run(dfa, variables), with its binder names drawn from supply;
+    pipelines keep the leaf itself, which compiles and evaluates directly.
     """
     variables = tuple(variables)
     if dfa.marked and len(set(variables)) != len(variables):
@@ -616,55 +637,4 @@ def dfa_to_formula(dfa: Dfa, variables=(), supply: NameSupply | None = None) -> 
         raise InputError("plain automaton takes no variables")
     if supply is None:
         supply = NameSupply(set(variables))
-    n = dfa.n_states
-    k = dfa.sig.k
-    nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    zs = [f"Z{j}" for j in range(nbits)]
-    p = supply.fresh("p")
-    q = supply.fresh("q")
-    r = supply.fresh("r")
-
-    def state_bits(var, state):
-        parts = []
-        for j in range(nbits):
-            atom = In(zs[j], var)
-            parts.append(atom if state >> j & 1 else Not(atom))
-        return conj(parts)
-
-    def letter_test(var, letter):
-        parts = []
-        for i, name in enumerate(dfa.sig.preds):
-            atom = Pred(name, var)
-            parts.append(atom if letter >> i & 1 else Not(atom))
-        if dfa.marked:
-            marked_here = disj([Equal(var, v) for v in variables])
-            if letter >> k & 1:
-                parts.append(marked_here)
-            else:
-                parts.append(Not(marked_here))
-        return conj(parts)
-
-    is_first = Not(ExistsFO(q, Less(q, p)))
-    is_last = Not(ExistsFO(q, Less(p, q)))
-    first_rule = ForallFO(p, Implies(
-        is_first,
-        disj([And(letter_test(p, a), state_bits(p, dfa.delta[dfa.init][a]))
-              for a in range(dfa.n_letters)])))
-    succ = And(Less(p, q), Not(ExistsFO(r, And(Less(p, r), Less(r, q)))))
-    step_rule = ForallFO(p, ForallFO(q, Implies(
-        succ,
-        disj([conj([state_bits(p, s), letter_test(q, a),
-                    state_bits(q, dfa.delta[s][a])])
-              for s in range(n) for a in range(dfa.n_letters)]))))
-    last_rule = ForallFO(p, Implies(
-        is_last,
-        disj([state_bits(p, s) for s in sorted(dfa.accepting)])))
-    run = conj([first_rule, step_rule, last_rule])
-    for z in reversed(zs):
-        run = ExistsSO(z, run)
-    empty = Not(ExistsFO(p, Equal(p, p)))
-    empty_ok = mk_true() if (dfa.init in dfa.accepting and not variables) else mk_false()
-    if variables:
-        # with at least one mark the word cannot be empty
-        return And(ExistsFO(p, Equal(p, p)), run)
-    return Or(And(empty, empty_ok), And(Not(empty), run))
+    return Run(dfa, variables, run_binders(supply)).mso()

@@ -19,6 +19,7 @@ being treated as a set variable.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -161,6 +162,94 @@ class AtLeast(Formula):
     count: int
     var: str
     body: Formula
+
+
+@dataclass(frozen=True)
+class Run(Formula):
+    """The automaton `dfa` accepts the word with exactly the positions of
+    `vars` marked.
+
+    `dfa` is a compiler.Dfa, marked or plain; a plain one takes no vars.
+    The marked positions form a set, so a name may repeat (as it does after
+    an order-case merge).  `binders` are the three first-order names that
+    the MSO export `mso()` quantifies; left empty, they are drawn fresh
+    against `vars`.
+    """
+
+    dfa: object
+    vars: tuple[str, ...]
+    binders: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", tuple(self.vars))
+        for v in self.vars:
+            if not is_fo_name(v):
+                raise InputError(f"bad variable name {v!r}")
+        if self.vars and not self.dfa.marked:
+            raise InputError("plain automaton takes no variables")
+        if not self.binders:
+            object.__setattr__(self, "binders", run_binders(NameSupply(self.vars)))
+        if len(self.binders) != 3:
+            raise InputError("a run leaf needs three binder names")
+
+    def mso(self) -> Formula:
+        """The same property as a plain MSO formula.
+
+        The run is encoded by ceil(log2 n) set variables holding the state
+        bits after each position, pinned down inductively, so the formula
+        is exact but costly to evaluate.
+        """
+        dfa, variables = self.dfa, self.vars
+        p, q, r = self.binders
+        n = dfa.n_states
+        k = dfa.sig.k
+        nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+        zs = [f"Z{j}" for j in range(nbits)]
+
+        def state_bits(var, state):
+            parts = []
+            for j in range(nbits):
+                atom = In(zs[j], var)
+                parts.append(atom if state >> j & 1 else Not(atom))
+            return conj(parts)
+
+        def letter_test(var, letter):
+            parts = []
+            for i, name in enumerate(dfa.sig.preds):
+                atom = Pred(name, var)
+                parts.append(atom if letter >> i & 1 else Not(atom))
+            if dfa.marked:
+                marked_here = disj([Equal(var, v) for v in variables])
+                if letter >> k & 1:
+                    parts.append(marked_here)
+                else:
+                    parts.append(Not(marked_here))
+            return conj(parts)
+
+        is_first = Not(ExistsFO(q, Less(q, p)))
+        is_last = Not(ExistsFO(q, Less(p, q)))
+        first_rule = ForallFO(p, Implies(
+            is_first,
+            disj([And(letter_test(p, a), state_bits(p, dfa.delta[dfa.init][a]))
+                  for a in range(dfa.n_letters)])))
+        succ = And(Less(p, q), Not(ExistsFO(r, And(Less(p, r), Less(r, q)))))
+        step_rule = ForallFO(p, ForallFO(q, Implies(
+            succ,
+            disj([conj([state_bits(p, s), letter_test(q, a),
+                        state_bits(q, dfa.delta[s][a])])
+                  for s in range(n) for a in range(dfa.n_letters)]))))
+        last_rule = ForallFO(p, Implies(
+            is_last,
+            disj([state_bits(p, s) for s in sorted(dfa.accepting)])))
+        run = conj([first_rule, step_rule, last_rule])
+        for z in reversed(zs):
+            run = ExistsSO(z, run)
+        empty = Not(ExistsFO(p, Equal(p, p)))
+        empty_ok = mk_true() if (dfa.init in dfa.accepting and not variables) else mk_false()
+        if variables:
+            # with at least one mark the word cannot be empty
+            return And(ExistsFO(p, Equal(p, p)), run)
+        return Or(And(empty, empty_ok), And(Not(empty), run))
 
 
 _TOKEN_RE = re.compile(r"->|[()<=~&|.]|\d+|[A-Za-z][A-Za-z0-9_]*")
@@ -329,6 +418,8 @@ def _render(f: Formula, ctx: int) -> str:
             s, prec = f"ALL {v}. " + _render(g, 0), 0
         case AtLeast(n, v, g):
             s, prec = f"atleast {n} {v}. " + _render(g, 0), 0
+        case Run():
+            return _render(f.mso(), ctx)
         case _:
             raise InputError(f"not a formula: {f!r}")
     if prec < ctx:
@@ -337,7 +428,9 @@ def _render(f: Formula, ctx: int) -> str:
 
 
 def render(f: Formula) -> str:
-    """Canonical text for f.  parse(render(f)) == f."""
+    """Canonical text for f.  parse(render(f)) == f, except that a Run leaf
+    renders as its MSO export, so with Run leaves parse(render(f)) is only
+    equivalent to f."""
     return _render(f, 0)
 
 
@@ -354,6 +447,10 @@ def free_variables(f: Formula) -> tuple[str, ...]:
             case Pred(_, v) | In(_, v):
                 if v not in bound and v not in out:
                     out.append(v)
+            case Run(_, vs, _):
+                for v in vs:
+                    if v not in bound and v not in out:
+                        out.append(v)
             case Not(g):
                 go(g, bound)
             case And(a, b) | Or(a, b) | Implies(a, b):
@@ -405,6 +502,10 @@ def all_vars(f: Formula) -> frozenset[str]:
             case In(s, v):
                 out.add(s)
                 out.add(v)
+            case Run():
+                # the names of the export, binders included, so fresh
+                # names avoid exactly what the rendered text holds
+                out.update(all_vars(node.mso()))
             case Not(g):
                 go(g)
             case And(a, b) | Or(a, b) | Implies(a, b):
@@ -421,7 +522,7 @@ def all_vars(f: Formula) -> frozenset[str]:
 
 def quantifier_rank(f: Formula) -> int:
     match f:
-        case Less() | Equal() | Pred() | In():
+        case Less() | Equal() | Pred() | In() | Run():
             return 0
         case Not(g):
             return quantifier_rank(g)
@@ -453,6 +554,11 @@ class NameSupply:
 
     def reserve(self, names):
         self._avoid.update(names)
+
+
+def run_binders(supply: NameSupply) -> tuple[str, str, str]:
+    """Fresh binder names for a Run leaf, drawn in dfa_to_formula's order."""
+    return tuple(supply.fresh(c) for c in "pqr")
 
 
 def substitute(f: Formula, mapping: dict[str, str], supply: NameSupply | None = None) -> Formula:
@@ -492,6 +598,11 @@ def _subst(f, m, supply):
             return Pred(p, m.get(v, v))
         case In(s, v):
             return In(s, m.get(v, v))
+        case Run(dfa, vs, binders):
+            # keep the export capture-free: a binder hit by a new name moves
+            targets = set(m.values())
+            return Run(dfa, tuple(m.get(v, v) for v in vs),
+                       tuple(supply.fresh(b) if b in targets else b for b in binders))
         case Not(g):
             return Not(_subst(g, m, supply))
         case And(a, b):
@@ -565,7 +676,7 @@ def expand_macros(f: Formula, supply: NameSupply | None = None) -> Formula:
 
 def _expand(f, supply):
     match f:
-        case Less() | Equal() | Pred() | In():
+        case Less() | Equal() | Pred() | In() | Run():
             return f
         case Not(g):
             return Not(_expand(g, supply))
@@ -686,6 +797,8 @@ def relativize(f: Formula, lo: str, hi: str, supply: NameSupply | None = None) -
                 return ExistsSO(s, And(subset(s), go(g)))
             case ForallSO(s, g):
                 return ForallSO(s, Implies(subset(s), go(g)))
+            case Run():
+                raise InputError("cannot relativize an automaton leaf")
         raise InputError(f"not a formula: {node!r}")
 
     def _avoid_bounds(v, g):

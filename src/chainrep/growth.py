@@ -17,8 +17,8 @@ from .formula import Formula, Signature, exists_wrap
 from .compiler import DEFAULT_STATE_BUDGET, compile as compile_dfa, shortest_accepted
 from .monoid import DEFAULT_MONOID_BUDGET, is_pumpable
 from .oracle import count_in_set, evaluate, satisfying_tuples
-from .reparam import (Disjunct, TypeAlgebra, _mentions_so, local_normal_form,
-                      minimal_reparameterization)
+from .reparam import (SET_NODES, Disjunct, TypeAlgebra, _mentions,
+                      local_normal_form, minimal_reparameterization)
 from .words import Word, all_words
 
 
@@ -202,7 +202,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
                                     "closed formula: shortest accepted word")
         return WitnessStructure(f, variables, got.word, got.marks, 1,
                                 "dimension 0: one satisfying tuple suffices")
-    if _mentions_so(rep.g):
+    if _mentions(rep.g, SET_NODES):
         raise ResourceLimitError(
             "the image map mentions set quantifiers; its fiber search "
             "does not finish in reasonable time", subject="oracle")

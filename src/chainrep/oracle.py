@@ -4,6 +4,12 @@ This module is the reference semantics.  It deliberately shares no machinery
 with the automaton pipeline: quantifiers loop over positions, set quantifiers
 loop over subset bitmasks, and the counting quantifier counts.  Everything
 else in the package is tested against it.
+
+An automaton leaf Run(dfa, vars), which the pipeline puts into the maps it
+builds, is evaluated by reading the word through the leaf's own transition
+table with the positions of vars marked.
+Nothing of the compiler is used for that: the leaf's automaton is part of
+the map under test, so a wrong one still fails the checks below.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .formula import (AtLeast, And, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
-                      free_set_variables, free_variables)
+                      Run, free_set_variables, free_variables)
 from .words import Word, all_words
 
 
@@ -52,6 +58,8 @@ def _free_map(f):
                 r = ((v,), ())
             case In(s, v):
                 r = ((v,), (s,))
+            case Run(_, vs, _):
+                r = (tuple(dict.fromkeys(vs)), ())
             case Not(g):
                 r = go(g)
             case And(a, b) | Or(a, b) | Implies(a, b):
@@ -75,7 +83,8 @@ def _free_map(f):
 
 
 class _Evaluator:
-    """Evaluation of one formula on one word, memoized per quantifier node.
+    """Evaluation of one formula on one word, memoized per quantifier node
+    and automaton leaf.
 
     A quantifier subformula's truth depends only on the values of its own
     free variables, so those values key a cache; repeated assignments (as in
@@ -150,6 +159,15 @@ class _Evaluator:
                         if hits >= n:
                             return True
                 return n == 0
+            case Run(dfa, vs, _):
+                if dfa.sig != word.sig:
+                    raise InputError("automaton leaf is over another signature")
+                marks = {_pos(fo, v, word) for v in vs}
+                mark_bit = 1 << word.sig.k
+                q = dfa.init
+                for p, mask in enumerate(word.letters):
+                    q = dfa.delta[q][mask | mark_bit if p in marks else mask]
+                return q in dfa.accepting
         raise InputError(f"not a formula: {f!r}")
 
 

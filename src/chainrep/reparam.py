@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
-                      Formula, In, NameSupply, Not, Or, Implies, Signature, all_vars,
-                      conj, disj, exists_wrap, free_variables, mk_false,
-                      order_case_split, substitute)
+                      Formula, In, NameSupply, Not, Or, Implies, Run, Signature,
+                      all_vars, conj, disj, exists_wrap, free_variables, mk_false,
+                      order_case_split, run_binders, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile as compile_dfa, dfa_empty,
-                       dfa_to_formula, minimize_dfa)
+                       minimize_dfa)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
                      ramsey_bound, transition_monoid)
 from .words import MarkedWord
@@ -421,7 +421,7 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
     parts = []
     for i in sorted(groups):
         guard_dfa = _type_tuple_dfa(algebra, groups[i], budget_states)
-        gamma = dfa_to_formula(guard_dfa, ys, supply)
+        gamma = Run(guard_dfa, ys, run_binders(supply))
         step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
         parts.append((gamma, _descend(step, sig, supply, budget_states, budget_monoid)))
@@ -466,14 +466,19 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     return combine_disjuncts(f, sig, xs, parts, supply)
 
 
-def _mentions_so(f: Formula) -> bool:
+SET_NODES = (ExistsSO, ForallSO, In)
+
+
+def _mentions(f: Formula, kinds) -> bool:
+    """Whether some node of f is an instance of one of the given classes."""
+    if isinstance(f, kinds):
+        return True
     match f:
-        case ExistsSO(_, _) | ForallSO(_, _) | In(_, _):
-            return True
-        case Not(g) | ExistsFO(_, g) | ForallFO(_, g) | AtLeast(_, _, g):
-            return _mentions_so(g)
+        case Not(g) | ExistsFO(_, g) | ForallFO(_, g) | AtLeast(_, _, g) \
+                | ExistsSO(_, g) | ForallSO(_, g):
+            return _mentions(g, kinds)
         case And(a, b) | Or(a, b) | Implies(a, b):
-            return _mentions_so(a) or _mentions_so(b)
+            return _mentions(a, kinds) or _mentions(b, kinds)
     return False
 
 
@@ -484,12 +489,24 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
     Checks, for growing i, the sentence "some word carries i distinct
     domain tuples sharing one image"; the first empty one pins the bound.
     Gives up (keeping the certificate) past the cap, when a check blows
-    the budget, or when the map mentions set quantifiers, whose product
-    constructions are too heavy for a best-effort tightening.
+    the budget, or when the map holds set quantifiers or automaton leaves,
+    whose copies make the product constructions too heavy for a best-effort
+    tightening.  Giving up is recorded as an "unrefined" provenance step.
     """
     k = len(rep.domain_vars)
-    if k == 0 or rep.bound <= 1 or _mentions_so(rep.g):
+    if k == 0 or rep.bound <= 1:
         return rep
+
+    def unrefined(why):
+        return Reparameterization(
+            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
+            rep.g, rep.bound,
+            Step("unrefined", f"bound {rep.bound} kept: {why}", (rep.provenance,)))
+
+    if _mentions(rep.g, SET_NODES):
+        return unrefined("the map has set quantifiers")
+    if _mentions(rep.g, Run):
+        return unrefined("the map has automaton leaves")
     budget_states = min(budget_states, _REFINE_STATE_BUDGET)
     supply = NameSupply(all_vars(rep.g) | set(rep.domain_vars) | set(rep.image_vars))
     xs = tuple(rep.domain_vars)
@@ -506,13 +523,16 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
         try:
             dfa = compile_dfa(sentence, rep.signature, (), budget_states)
         except ResourceLimitError:
-            return rep
+            return unrefined(f"the check for {i} preimages exceeded "
+                             f"{budget_states} states")
         if dfa_empty(dfa):
             return Reparameterization(
                 rep.source, rep.signature, rep.domain_vars, rep.image_vars,
                 rep.g, i - 1,
                 Step("refine", f"exact bound {i - 1}", (rep.provenance,)))
-    return rep
+    if hi == rep.bound:
+        return rep  # some fiber reaches the certificate, which is exact
+    return unrefined(f"fibers reach {hi} preimages, past the refine cap {cap}")
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,

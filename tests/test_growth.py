@@ -6,7 +6,7 @@ from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              growth_upper_check, no_decrement_witness,
                              pump_witness)
 from chainrep.oracle import count_in_set
-from conftest import battery
+from conftest import GROUP_TEXT, battery
 
 
 def test_growth_degree_matches_dimension():
@@ -97,3 +97,19 @@ def test_witness_dump_mentions_pool(sig1):
     w = no_decrement_witness(parse("P1(x)", sig1), sig1, ("x",), 2)
     text = w.dump()
     assert "pool" in text and "claimed" in text
+
+
+def test_lower_witness_guarded_map(sig1):
+    # the minimal map of the guard split holds automaton leaves; the
+    # witness search runs them directly
+    f = parse(GROUP_TEXT, sig1)
+    for n in (2, 4, 8):
+        w = growth_lower_witness(f, sig1, ("x", "y"), n)
+        assert w.claimed_tuple_count == n
+        assert w.oracle_count() >= n
+
+
+def test_lower_witness_refuses_set_quantified_map(sig1):
+    f = parse("EX X. (X(x) & P1(x))", sig1)
+    with pytest.raises(ResourceLimitError):
+        growth_lower_witness(f, sig1, ("x",), 2)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,16 +7,13 @@ from chainrep.errors import InputError
 from chainrep.formula import Signature, mk_false, parse, render
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
                              evaluate, satisfying_tuples)
-from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, combine_disjuncts,
-                              compose, decide_dimension, eliminable_pairs,
-                              eliminate_variable, local_normal_form,
-                              minimal_reparameterization)
+from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
+                              combine_disjuncts, compose, decide_dimension,
+                              eliminable_pairs, eliminate_variable,
+                              local_normal_form, minimal_reparameterization)
 from chainrep.words import MarkedWord, all_words
-from conftest import battery
+from conftest import GROUP_TEXT, battery
 
-# a formula whose two families disagree on which mark can go: the split
-# into guarded groups is the only route down to dimension 1
-GROUP_TEXT = "((~ex z. z < x) | (~ex z. y < z)) & x < y"
 # satisfiable only at the two ends of a word: dimension 0 with two fibers
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
 
@@ -52,8 +50,41 @@ def test_group_split(sig1):
     f = parse(GROUP_TEXT, sig1)
     rep = minimal_reparameterization(f, sig1, ("x", "y"))
     assert rep.dimension == 1
-    assert check_reparameterization(rep, 3)
-    assert check_canonical_form(rep, 3)
+    assert check_reparameterization(rep, 5)
+    assert check_canonical_form(rep, 5)
+    # guards are automaton leaves; the map text is their MSO export, the
+    # same text the guards had when they were built as formulas
+    text = render(rep.g)
+    assert len(text) == 27_433
+    assert hashlib.sha1(text.encode()).hexdigest() == \
+        "4950ea0f72dd1f7354073d4345f1864b68a39477"
+
+
+def test_skipped_refinement_is_recorded(sig1):
+    rep = minimal_reparameterization(parse(GROUP_TEXT, sig1), sig1, ("x", "y"))
+    assert rep.bound == 136
+    assert rep.provenance.kind == "unrefined"
+    assert "automaton leaves" in rep.provenance.detail
+    ends = parse("EX X. ((~ex z. z < x) | (~ex z. x < z))", sig1)
+    rep = minimal_reparameterization(ends, sig1, ("x",))
+    assert rep.provenance.kind == "unrefined"
+    assert "set quantifiers" in rep.provenance.detail
+
+
+def test_refine_gives_up_at_cap_and_budget(sig1):
+    raw = minimal_reparameterization(parse(ENDS_TEXT, sig1), sig1, ("x",),
+                                     refine=False)
+    assert raw.bound > 2
+    capped = _refine_bound(raw, 10**6, cap=1)
+    assert capped.bound == raw.bound
+    assert capped.provenance.kind == "unrefined"
+    assert "refine cap 1" in capped.provenance.detail
+    starved = _refine_bound(raw, 2, cap=8)
+    assert starved.bound == raw.bound
+    assert starved.provenance.kind == "unrefined"
+    assert "exceeded 2 states" in starved.provenance.detail
+    exact = _refine_bound(raw, 10**6, cap=8)
+    assert (exact.bound, exact.provenance.kind) == (2, "refine")
 
 
 def test_decide_dimension(sig1):

@@ -1,0 +1,116 @@
+"""The automaton leaf Run: compiler, oracle and formula walkers agree with
+its MSO export."""
+
+import itertools
+
+import pytest
+
+from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula
+from chainrep.errors import InputError
+from chainrep.formula import (And, NameSupply, Run, all_vars, ascending_chain,
+                              expand_macros, free_set_variables, free_variables,
+                              parse, quantifier_rank, relativize, render,
+                              run_binders, substitute)
+from chainrep.oracle import evaluate, satisfying_tuples
+from chainrep.randgen import formula_batch
+from chainrep.words import MarkedWord, all_words
+
+
+def marked_dfas():
+    for sig, fo, f in formula_batch(404, 20):
+        if fo:
+            yield sig, fo, compile(f, sig, fo)
+
+
+def assignments(word, variables):
+    for tup in itertools.product(range(len(word)), repeat=len(variables)):
+        yield dict(zip(variables, tup))
+
+
+def test_compile_embeds_the_automaton():
+    for sig, fo, dfa in marked_dfas():
+        assert dfa_equivalent(compile(Run(dfa, fo), sig, fo), dfa), fo
+
+
+def test_oracle_agrees_with_export():
+    # markings are ascending position tuples; the chain goes first so the
+    # costly export is evaluated on those alone
+    checked = 0
+    for sig, fo, dfa in marked_dfas():
+        chain = ascending_chain(fo)
+        leaf = And(chain, Run(dfa, fo))
+        export = And(chain, dfa_to_formula(dfa, fo))
+        for w in all_words(sig, 3):
+            got = satisfying_tuples(leaf, w, fo)
+            assert got == satisfying_tuples(export, w, fo), (fo, str(w))
+            assert got == [m for m in itertools.combinations(range(len(w)), len(fo))
+                           if dfa.run(MarkedWord(w, m))]
+            checked += 1
+    assert checked > 0
+
+
+def test_merged_variables_compile_and_evaluate_alike():
+    # order_case_split merges equal variables into one name; the leaf then
+    # marks a single position for both
+    for sig, fo, dfa in marked_dfas():
+        extra = fo[-1] + "1"
+        merges = [(fo + (extra,), {extra: fo[-1]}, fo)]
+        if len(fo) == 2:
+            merges.append((fo, {fo[1]: fo[0]}, fo[:1]))
+        for vs, mapping, left in merges:
+            leaf = substitute(Run(dfa, vs), mapping)
+            assert leaf.vars == tuple(mapping.get(v, v) for v in vs)
+            assert free_variables(leaf) == left
+            compiled = compile(leaf, sig, left)
+            if vs != fo:
+                # the repeated name marks nothing new
+                assert dfa_equivalent(compiled, dfa)
+            for w in all_words(sig, 4):
+                for env in assignments(w, left):
+                    got = evaluate(leaf, w, fo=env)
+                    marks = tuple(sorted(set(env.values())))
+                    if len(marks) == len(left):
+                        assert compiled.run(MarkedWord(w, marks)) == got
+                    else:
+                        assert not got
+
+
+def test_walkers(sig1):
+    dfa = compile(parse("x < y & P1(y)", sig1), sig1, ("x", "y"))
+    leaf = Run(dfa, ("x", "y", "x"))
+    assert free_variables(leaf) == ("x", "y")
+    assert free_set_variables(leaf) == ()
+    assert quantifier_rank(leaf) == 0
+    assert expand_macros(leaf) is leaf
+    assert leaf.binders == ("p0", "q0", "r0")
+    assert {"x", "y", "p0", "q0", "r0"} <= all_vars(leaf)
+    with pytest.raises(InputError):
+        relativize(leaf, "x", "y")
+    with pytest.raises(InputError):
+        Run(compile(parse("ex v. P1(v)", sig1), sig1), ("x",))
+
+
+def test_render_is_the_export(sig1):
+    dfa = compile(parse("x < y & P1(y)", sig1), sig1, ("x", "y"))
+    text = dfa_to_formula(dfa, ("x", "y"))
+    leaf = Run(dfa, ("x", "y"))
+    assert render(leaf) == render(text)
+    assert all_vars(leaf) == all_vars(text)
+    # binders drawn from a shared supply match the export drawn from it
+    a, b = NameSupply({"x", "y", "p0"}), NameSupply({"x", "y", "p0"})
+    drawn = Run(dfa, ("x", "y"), run_binders(a))
+    assert drawn.binders == ("p1", "q0", "r0")
+    assert render(drawn) == render(dfa_to_formula(dfa, ("x", "y"), b))
+    assert a.fresh("u") == b.fresh("u")
+    # in context it renders with the export's precedence
+    assert render(And(leaf, leaf)) == render(And(text, text))
+
+
+def test_substitution_keeps_the_export_capture_free(sig1):
+    dfa = compile(parse("x < y & P1(y)", sig1), sig1, ("x", "y"))
+    leaf = substitute(Run(dfa, ("x", "y")), {"x": "p0"})
+    assert leaf.vars == ("p0", "y") and "p0" not in leaf.binders
+    back = parse(render(leaf), sig1)
+    for w in all_words(sig1, 3):
+        for env in assignments(w, ("p0", "y")):
+            assert evaluate(back, w, fo=env) == evaluate(leaf, w, fo=env)
