@@ -17,15 +17,15 @@ from . import __version__
 from .compiler import DEFAULT_STATE_BUDGET, compile as compile_dfa
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import Signature, free_variables, parse, render
-from .growth import (brute_growth, growth_degree, growth_lower_witness,
-                     growth_upper_check, no_decrement_witness, pump_witness)
+from .growth import (brute_growth, growth_lower_witness, no_decrement_witness,
+                     pump_witness)
 from .interp import check_equivalence, parse_interpretation, reduce_interpretation
-from .monoid import DEFAULT_MONOID_BUDGET, ramsey_bound, transition_monoid
+from .monoid import DEFAULT_MONOID_BUDGET, ramsey_bound
 from .oracle import check_canonical_form, check_reparameterization, evaluate
 from .randgen import formula_batch
 from .reparam import (ERRATUM_NOTES, TypeAlgebra, eliminable_pairs,
                       local_normal_form, minimal_reparameterization)
-from .words import MarkedWord, Word, all_words
+from .words import MarkedWord, all_words
 
 # formulas with oracle-derived minimal dimensions, used by selftest
 BATTERY = (

@@ -6,7 +6,9 @@ closure operations (product, complement within valid markings, track
 projection with subset determinization, partition-refinement minimization)
 are applied bottom-up.  The invariant maintained throughout is that an
 automaton accepts exactly the encodings in which every first-order track
-carries a single mark and the formula holds.
+carries a single mark and the formula holds.  Projection, track merging
+and project_mark share one subset construction, which runs under the state
+budget.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -294,29 +296,33 @@ class _Builder:
         return self.minimize(out)
 
     def project(self, a: _Auto, kind: str, name: str) -> _Auto:
-        k = self.sig.k
         if kind == "fo":
             bit = a.fo_bit(name)
-            nfo = tuple(v for v in a.fo if v != name)
-            nso = a.so
+            fo, so = tuple(v for v in a.fo if v != name), a.so
         else:
             bit = a.so_bit(name)
-            nfo = a.fo
-            nso = tuple(s for s in a.so if s != name)
-        nl = a.n_letters >> 1
+            fo, so = a.fo, tuple(s for s in a.so if s != name)
         low = (1 << bit) - 1
-        expand = [(letter & low) | ((letter & ~low) << 1) for letter in range(nl)]
-        index = {frozenset({a.init}): 0}
-        order = [frozenset({a.init})]
+        groups = []
+        for letter in range(a.n_letters >> 1):
+            l0 = (letter & low) | ((letter & ~low) << 1)
+            groups.append((l0, l0 | 1 << bit))
+        return self.minimize(self.determinize(a, groups, fo, so))
+
+    def determinize(self, a: _Auto, groups, fo=(), so=()) -> _Auto:
+        """Subset construction in which new letter j reads any old letter in
+        groups[j]; the result is over the tracks fo and so, unminimized."""
+        nl = len(groups)
+        start = frozenset({a.init})
+        index = {start: 0}
+        order = [start]
         delta = []
         i = 0
         while i < len(order):
             cur = order[i]
             row = []
-            for letter in range(nl):
-                l0 = expand[letter]
-                l1 = l0 | (1 << bit)
-                t = frozenset(a.delta[q][l] for q in cur for l in (l0, l1))
+            for group in groups:
+                t = frozenset(a.delta[q][letter] for q in cur for letter in group)
                 if t not in index:
                     index[t] = len(order)
                     order.append(t)
@@ -325,8 +331,7 @@ class _Builder:
             delta.append(row)
             i += 1
         accepting = {i for i, s in enumerate(order) if s & a.accepting}
-        out = _Auto(self.sig, nfo, nso, nl, 0, delta, accepting)
-        return self.minimize(out)
+        return _Auto(self.sig, fo, so, nl, 0, delta, accepting)
 
     def minimize(self, a: _Auto) -> _Auto:
         # trim to reachable states first
@@ -430,42 +435,31 @@ class _Builder:
         raise InputError(f"cannot compile {f!r}")
 
     def to_public(self, a: _Auto, ordered_vars) -> Dfa:
-        k = self.sig.k
         if not ordered_vars:
             assert not a.fo and not a.so
-            a = self.minimize(a)
-            init, delta, accepting = _bfs_renumber(a.init, a.delta, a.accepting)
-            return Dfa(self.sig, False, init, delta, frozenset(accepting))
+            return self.publish(a, False)
         a = self.product(a, self.ascending(a.fo, a.so, ordered_vars), "and")
         a = self.minimize(a)
         # merge all tracks into the shared mark bit
-        nl = 1 << (k + 1)
+        k = self.sig.k
         track_mask = ((a.n_letters - 1) >> k) << k
-        groups: list[list[int]] = [[] for _ in range(nl)]
+        groups: list[list[int]] = [[] for _ in range(1 << (k + 1))]
         for letter in range(a.n_letters):
             lab = letter & ((1 << k) - 1)
             mark = 1 if letter & track_mask else 0
             groups[lab | mark << k].append(letter)
-        index = {frozenset({a.init}): 0}
-        order = [frozenset({a.init})]
-        delta = []
-        i = 0
-        while i < len(order):
-            cur = order[i]
-            row = []
-            for pub in range(nl):
-                t = frozenset(a.delta[q][letter] for q in cur for letter in groups[pub])
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                    self._check(len(order), nl)
-                row.append(index[t])
-            delta.append(row)
-            i += 1
-        accepting = {i for i, s in enumerate(order) if s & a.accepting}
-        out = self.minimize(_Auto(self.sig, (), (), nl, 0, delta, accepting))
-        init, delta2, acc2 = _bfs_renumber(out.init, out.delta, out.accepting)
-        return Dfa(self.sig, True, init, delta2, frozenset(acc2))
+        return self.publish(self.determinize(a, groups), True)
+
+    def publish(self, a: _Auto, marked: bool) -> Dfa:
+        """The minimal automaton of a, with states numbered in BFS order."""
+        out = self.minimize(a)
+        init, delta, accepting = _bfs_renumber(out.init, out.delta, out.accepting)
+        return Dfa(self.sig, marked, init, delta, frozenset(accepting))
+
+
+def _auto_of(dfa: Dfa) -> _Auto:
+    return _Auto(dfa.sig, (), (), dfa.n_letters, dfa.init,
+                 [list(row) for row in dfa.delta], set(dfa.accepting))
 
 
 def _bfs_renumber(init, delta, accepting):
@@ -513,12 +507,7 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Language-preserving minimization of an already built automaton."""
-    builder = _Builder(dfa.sig, budget_states)
-    a = _Auto(dfa.sig, (), (), dfa.n_letters, dfa.init,
-              [list(row) for row in dfa.delta], set(dfa.accepting))
-    out = builder.minimize(a)
-    init, delta, acc = _bfs_renumber(out.init, out.delta, out.accepting)
-    return Dfa(dfa.sig, dfa.marked, init, delta, frozenset(acc))
+    return _Builder(dfa.sig, budget_states).publish(_auto_of(dfa), dfa.marked)
 
 
 def dfa_empty(dfa: Dfa) -> bool:
@@ -598,28 +587,9 @@ def project_mark(dfa: Dfa) -> Dfa:
     if not dfa.marked:
         raise InputError("automaton has no mark bit")
     k = dfa.sig.k
-    nl = 1 << k
-    index = {frozenset({dfa.init}): 0}
-    order = [frozenset({dfa.init})]
-    delta = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for lab in range(nl):
-            t = frozenset(dfa.delta[q][letter] for q in cur
-                          for letter in (lab, lab | 1 << k))
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-            row.append(index[t])
-        delta.append(row)
-        i += 1
-    accepting = {i for i, s in enumerate(order) if s & dfa.accepting}
     builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET)
-    out = builder.minimize(_Auto(dfa.sig, (), (), nl, 0, delta, accepting))
-    init, delta2, acc2 = _bfs_renumber(out.init, out.delta, out.accepting)
-    return Dfa(dfa.sig, False, init, delta2, frozenset(acc2))
+    groups = [(lab, lab | 1 << k) for lab in range(1 << k)]
+    return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
 
 
 def dfa_to_formula(dfa: Dfa, variables=(), supply: NameSupply | None = None) -> Formula:

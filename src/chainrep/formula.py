@@ -552,9 +552,6 @@ class NameSupply:
                 self._avoid.add(cand)
                 return cand
 
-    def reserve(self, names):
-        self._avoid.update(names)
-
 
 def run_binders(supply: NameSupply) -> tuple[str, str, str]:
     """Fresh binder names for a Run leaf, drawn in dfa_to_formula's order."""
@@ -722,19 +719,6 @@ def lex_less(xs, ys) -> Formula:
     return disj(options)
 
 
-def lex_minimal(f: Formula, xs, supply: NameSupply | None = None) -> Formula:
-    """f holds at xs and no lex-smaller tuple satisfies f."""
-    xs = list(xs)
-    if len(set(xs)) != len(xs):
-        raise InputError("variables must be distinct")
-    if supply is None:
-        supply = NameSupply(all_vars(f) | set(xs))
-    ys = [supply.fresh("w") for _ in xs]
-    lower = substitute(f, dict(zip(xs, ys)), supply)
-    guard = Not(exists_wrap(ys, And(lower, lex_less(ys, xs))))
-    return And(f, guard)
-
-
 def ith_lex_selector(f: Formula, xs, i: int, supply: NameSupply | None = None) -> Formula:
     """f holds at xs and exactly i-1 lex-smaller tuples satisfy f."""
     if i < 1:
@@ -758,57 +742,6 @@ def ith_lex_selector(f: Formula, xs, i: int, supply: NameSupply | None = None) -
         parts.append(chain(i - 1))
     parts.append(Not(chain(i)))
     return conj(parts)
-
-
-def relativize(f: Formula, lo: str, hi: str, supply: NameSupply | None = None) -> Formula:
-    """Restrict every quantifier of f to the closed interval [lo, hi]."""
-    if supply is None:
-        supply = NameSupply(all_vars(f) | {lo, hi})
-
-    def within(v):
-        return And(Not(Less(v, lo)), Not(Less(hi, v)))
-
-    def subset(s):
-        p = supply.fresh("p")
-        return ForallFO(p, Implies(In(s, p), within(p)))
-
-    def go(node):
-        match node:
-            case Less() | Equal() | Pred() | In():
-                return node
-            case Not(g):
-                return Not(go(g))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Implies(a, b):
-                return Implies(go(a), go(b))
-            case ExistsFO(v, g):
-                v, g = _avoid_bounds(v, g)
-                return ExistsFO(v, And(within(v), go(g)))
-            case ForallFO(v, g):
-                v, g = _avoid_bounds(v, g)
-                return ForallFO(v, Implies(within(v), go(g)))
-            case AtLeast(n, v, g):
-                v, g = _avoid_bounds(v, g)
-                return AtLeast(n, v, And(within(v), go(g)))
-            case ExistsSO(s, g):
-                return ExistsSO(s, And(subset(s), go(g)))
-            case ForallSO(s, g):
-                return ForallSO(s, Implies(subset(s), go(g)))
-            case Run():
-                raise InputError("cannot relativize an automaton leaf")
-        raise InputError(f"not a formula: {node!r}")
-
-    def _avoid_bounds(v, g):
-        if v in (lo, hi):
-            nv = supply.fresh(v)
-            g = substitute(g, {v: nv}, supply)
-            v = nv
-        return v, g
-
-    return go(f)
 
 
 @dataclass(frozen=True)

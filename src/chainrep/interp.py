@@ -39,7 +39,7 @@ from .formula import (Formula, NameSupply, Signature, all_vars, conj, exists_wra
                       render, substitute)
 from .compiler import DEFAULT_STATE_BUDGET
 from .monoid import DEFAULT_MONOID_BUDGET
-from .oracle import CheckReport, evaluate, satisfying_tuples
+from .oracle import CheckReport, satisfying_tuples
 from .reparam import Reparameterization, minimal_reparameterization
 from .words import Word, all_words
 
@@ -273,15 +273,17 @@ class ReducedInterpretation:
             fiber.sort()
         return out
 
-    def bijection(self, word: Word, fibers=None) -> dict[Element, Element]:
-        """Reduced element -> source element, per the preimage bookkeeping."""
+    def bijection(self, structure: Structure,
+                  fibers: dict[str, dict[tuple, list[tuple]]]) -> dict[Element, Element]:
+        """Reduced element -> source element, per the preimage bookkeeping.
+
+        structure is the output of self.spec on a word, and fibers maps each
+        source component with copies to self.fibers of it on the same word.
+        """
         out: dict[Element, Element] = {}
-        cache: dict[str, dict] = dict(fibers) if fibers else {}
-        for name, tup in apply_interpretation(self.spec, word).elements:
+        for name, tup in structure.elements:
             part = self.part(name)
-            if part.source not in cache:
-                cache[part.source] = self.fibers(part.source, word)
-            fiber = cache[part.source].get(tup, [])
+            fiber = fibers[part.source].get(tup, [])
             if len(fiber) < part.index:
                 raise ChainrepError(
                     f"element {name}{tup} expects preimage {part.index}, "
@@ -381,30 +383,29 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     for name, arity in reduced.spec.arities().items():
         if src_arities.get(name) != arity:
             raise InputError("interpretations have different output signatures")
+    # components reduced to zero copies have no fibers; any element they
+    # still produce surfaces below as a missed source element
+    bounds: dict[str, int] = {}
+    for p in reduced.parts:
+        bounds.setdefault(p.source, p.rep.bound)
     words = 0
     max_fiber = 0
     for word in all_words(spec.signature, max_len):
         words += 1
         a = apply_interpretation(spec, word)
         b = apply_interpretation(reduced.spec, word)
-        # components reduced to zero copies have no fibers; any element they
-        # still produce surfaces below as a missed source element
-        with_parts = [c for c in spec.components
-                      if any(p.source == c.name for p in reduced.parts)]
-        fibers = {c.name: reduced.fibers(c.name, word) for c in with_parts}
+        fibers = {source: reduced.fibers(source, word) for source in bounds}
         try:
-            pi = reduced.bijection(word, fibers)
+            pi = reduced.bijection(b, fibers)
         except ChainrepError as e:
             return CheckReport(False, words, max_fiber, f"word {word}: {e}")
-        for c in with_parts:
-            sizes = [len(f) for f in fibers[c.name].values()]
+        for source, bound in bounds.items():
+            sizes = [len(f) for f in fibers[source].values()]
             if sizes:
                 max_fiber = max(max_fiber, max(sizes))
-                bound = next(p.rep.bound for p in reduced.parts
-                             if p.source == c.name)
                 if max(sizes) > bound:
                     return CheckReport(False, words, max_fiber,
-                                       f"word {word}: component {c.name!r} has a "
+                                       f"word {word}: component {source!r} has a "
                                        f"fiber of {max(sizes)}, bound {bound}")
         image = sorted(pi.values())
         if len(set(pi.values())) != len(pi):

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
                                dfa_equivalent, dfa_to_formula, minimize_dfa,
                                project_mark, shortest_accepted)
@@ -94,6 +96,13 @@ def test_project_mark(sig1):
     assert dfa_equivalent(plain, want)
 
 
+def test_project_mark_runs_under_the_state_budget(sig1, monkeypatch):
+    dfa = compile(parse("P1(x)", sig1), sig1, ("x",))
+    monkeypatch.setattr(compiler, "DEFAULT_STATE_BUDGET", 1)
+    with pytest.raises(ResourceLimitError):
+        project_mark(dfa)
+
+
 def test_minimize_dfa_preserves_language(sig1):
     dfa = compile(parse("P1(x) | x < x", sig1), sig1, ("x",))
     small = minimize_dfa(dfa)
@@ -113,3 +122,17 @@ def test_dfa_to_formula_round_trip(sig1, sig2):
 def test_random_formulas_agree(sig1):
     for sig, fo, f in formula_batch(404, 30):
         assert agree(f, sig, fo, max_len=3), render(f)
+
+
+def test_compiled_bytes_are_pinned():
+    # state numbering included: a refactoring of the compiler must keep
+    # every automaton it publishes byte for byte
+    dumps = []
+    for sig, fo, f in formula_batch(404, 50):
+        dfa = compile(f, sig, fo)
+        dumps.append(dfa.dump())
+        if dfa.marked:
+            dumps.append(project_mark(dfa).dump())
+    assert len(dumps) == 82
+    digest = hashlib.sha1("\n".join(dumps).encode()).hexdigest()
+    assert digest == "b93a6a6eb6d88fab603fa745f932f3c3a23a9d53"

@@ -4,7 +4,7 @@ import pytest
 
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
-from chainrep.interp import (Component, apply_interpretation, check_equivalence,
+from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
 from chainrep.words import Word
 
@@ -132,23 +132,55 @@ def test_reduce_unsat_component_vanishes(sig1):
     assert check_equivalence(spec, red, 3)
 
 
-def test_equivalence_detects_corruption():
+def _first_preimage_twice(red):
+    # both copies select the first preimage
+    ends1 = red.spec.component("ends.1")
+    components = tuple(dataclasses.replace(c, universe=ends1.universe)
+                       if c.name == "ends.2" else c for c in red.spec.components)
+    return dataclasses.replace(red, spec=dataclasses.replace(
+        red.spec, components=components))
+
+
+def _bound_one(red):
+    return dataclasses.replace(red, parts=tuple(
+        dataclasses.replace(p, rep=dataclasses.replace(p.rep, bound=1))
+        for p in red.parts))
+
+
+def _index_three(red):
+    return dataclasses.replace(red, parts=tuple(
+        dataclasses.replace(p, index=3) if p.name == "ends.2" else p
+        for p in red.parts))
+
+
+def _component_dropped(red):
+    return dataclasses.replace(red, spec=dataclasses.replace(
+        red.spec,
+        components=tuple(c for c in red.spec.components if c.name != "ends.2"),
+        rules=tuple(r for r in red.spec.rules if "ends.2" not in r.components)))
+
+
+def _rule_dropped(red):
+    return dataclasses.replace(red, spec=dataclasses.replace(
+        red.spec, rules=tuple(r for r in red.spec.rules
+                              if r.components != ("ends.1", "ends.2"))))
+
+
+@pytest.mark.parametrize("corrupt, failure", [
+    pytest.param(_first_preimage_twice, "expects preimage 2, fiber has 1",
+                 id="first-preimage-twice"),
+    pytest.param(_bound_one, "fiber of 2, bound 1", id="bound-1"),
+    pytest.param(_index_three, "expects preimage 3, fiber has 2", id="index-3"),
+    pytest.param(_component_dropped, "bijection misses source elements",
+                 id="component-dropped"),
+    pytest.param(_rule_dropped, "relation 'L' differs", id="rule-dropped"),
+])
+def test_equivalence_detects_corruption(corrupt, failure):
     spec = parse_interpretation(ENDS)
     red = reduce_interpretation(spec, 0)
-    fixed = []
-    for c in red.spec.components:
-        if c.name == "ends.2":
-            # corrupt the index formula: both copies now select the first
-            fixed.append(Component(c.name, c.dim,
-                                   red.spec.component("ends.1").universe,
-                                   c.variables))
-        else:
-            fixed.append(c)
-    bad = dataclasses.replace(red, spec=dataclasses.replace(
-        red.spec, components=tuple(fixed)))
-    report = check_equivalence(spec, bad, 3)
+    report = check_equivalence(spec, corrupt(red), 3)
     assert not report
-    assert report.failure
+    assert failure in report.failure
 
 
 def test_equivalence_spec_vs_itself():

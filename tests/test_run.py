@@ -9,7 +9,7 @@ from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula
 from chainrep.errors import InputError
 from chainrep.formula import (And, NameSupply, Run, all_vars, ascending_chain,
                               expand_macros, free_set_variables, free_variables,
-                              parse, quantifier_rank, relativize, render,
+                              parse, quantifier_rank, render,
                               run_binders, substitute)
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
@@ -84,8 +84,6 @@ def test_walkers(sig1):
     assert expand_macros(leaf) is leaf
     assert leaf.binders == ("p0", "q0", "r0")
     assert {"x", "y", "p0", "q0", "r0"} <= all_vars(leaf)
-    with pytest.raises(InputError):
-        relativize(leaf, "x", "y")
     with pytest.raises(InputError):
         Run(compile(parse("ex v. P1(v)", sig1), sig1), ("x",))
 
