@@ -8,7 +8,7 @@ from .errors import ChainrepError, InputError, ParseError, ResourceLimitError
 from .formula import Formula, Signature, free_variables, parse, render
 from .words import MarkedWord, Word, all_words
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile, dfa_empty,
-                       dfa_equivalent, dfa_to_formula, minimize_dfa,
+                       dfa_equivalent, dfa_to_formula, max_fiber, minimize_dfa,
                        project_mark, shortest_accepted)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable,
                      mark_shadow, ramsey_bound, transition_monoid)
@@ -29,7 +29,8 @@ __all__ = [
     "Formula", "Signature", "free_variables", "parse", "render",
     "MarkedWord", "Word", "all_words",
     "DEFAULT_STATE_BUDGET", "Dfa", "compile", "dfa_empty", "dfa_equivalent",
-    "dfa_to_formula", "minimize_dfa", "project_mark", "shortest_accepted",
+    "dfa_to_formula", "max_fiber", "minimize_dfa", "project_mark",
+    "shortest_accepted",
     "DEFAULT_MONOID_BUDGET", "TypeMonoid", "is_pumpable", "mark_shadow",
     "ramsey_bound", "transition_monoid",
     "CheckReport", "check_canonical_form", "check_reparameterization",

@@ -4,11 +4,17 @@ Internally the classical construction is used: every variable, first- or
 second-order, gets its own 0/1 track next to the label bits, and the usual
 closure operations (product, complement within valid markings, track
 projection with subset determinization, partition-refinement minimization)
-are applied bottom-up.  The invariant maintained throughout is that an
-automaton accepts exactly the encodings in which every first-order track
-carries a single mark and the formula holds.  Projection, track merging
-and project_mark share one subset construction, which runs under the state
-budget.
+are applied bottom-up.  The invariant maintained throughout is that the
+automaton built for a formula accepts exactly the encodings in which every
+first-order track of the formula carries a single mark and the formula
+holds.  Widening an automaton to more tracks only relabels its letters and
+leaves the new tracks unconstrained, so validity is enforced only where it
+would otherwise be lost: a disjunction enforces it on the tracks just one
+side has, a first-order quantifier on a variable its body does not mention,
+a complement and a Run leaf on all their tracks, and the final ascending
+pattern on the marked variables.  A conjunction needs nothing, as each side
+enforces its own tracks.  Projection, track merging and project_mark share
+one subset construction, which runs under the state budget.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -130,6 +136,9 @@ class _Builder:
     def __init__(self, sig: Signature, budget: int):
         self.sig = sig
         self.budget = budget
+        # built automata by formula node; they are never mutated, so the
+        # repeated subformulas of a map are built once
+        self.memo: dict[Formula, _Auto] = {}
 
     def _check(self, n: int, n_letters: int = 0):
         if n > self.budget:
@@ -225,35 +234,38 @@ class _Builder:
         public = [(letter & low) | (letter > low) << k for letter in range(nl)]
         a = _Auto(self.sig, fo, (), nl, dfa.init,
                   [[row[p] for p in public] for row in dfa.delta], set(dfa.accepting))
-        for v in fo:
-            a = self.product(a, self.exactly_one(fo, (), v), "and")
-        return self.minimize(a)
+        return self.valid(a, fo)
 
     # ----- closure operations -----
 
+    def valid(self, a: _Auto, tracks) -> _Auto:
+        """a restricted to a single mark on each of the first-order tracks."""
+        for v in tracks:
+            a = self.minimize(self.product(a, self.exactly_one(a.fo, a.so, v), "and"))
+        return a
+
     def extend(self, a: _Auto, fo_add=(), so_add=()) -> _Auto:
+        """a over more tracks, which it reads but leaves unconstrained."""
         nfo = tuple(sorted(set(a.fo) | set(fo_add)))
         nso = tuple(sorted(set(a.so) | set(so_add)))
         if nfo == a.fo and nso == a.so:
             return a
         nl = _n_letters(self.sig, nfo, nso)
+        self._check(a.n, nl)
         k = self.sig.k
+        # (bit in the new letter, bit in the old letter) of each old track
+        moves = [(k + nfo.index(v), k + j) for j, v in enumerate(a.fo)]
+        moves += [(k + len(nfo) + nso.index(s), k + len(a.fo) + j)
+                  for j, s in enumerate(a.so)]
         remap = []
         for letter in range(nl):
             old = letter & ((1 << k) - 1)
-            for j, v in enumerate(a.fo):
-                old |= (letter >> (k + nfo.index(v)) & 1) << (k + j)
-            for j, s in enumerate(a.so):
-                old |= (letter >> (k + len(nfo) + nso.index(s)) & 1) << (k + len(a.fo) + j)
+            for new_bit, old_bit in moves:
+                old |= (letter >> new_bit & 1) << old_bit
             remap.append(old)
-        out = _Auto(self.sig, nfo, nso, nl, a.init,
-                    [[a.delta[q][remap[letter]] for letter in range(nl)]
-                     for q in range(a.n)],
-                    set(a.accepting))
-        for v in nfo:
-            if v not in a.fo:
-                out = self.product(out, self.exactly_one(nfo, nso, v), "and")
-        return out
+        return _Auto(self.sig, nfo, nso, nl, a.init,
+                     [list(map(row.__getitem__, remap)) for row in a.delta],
+                     set(a.accepting))
 
     def align(self, a: _Auto, b: _Auto) -> tuple[_Auto, _Auto]:
         a2 = self.extend(a, b.fo, b.so)
@@ -269,15 +281,13 @@ class _Builder:
         i = 0
         while i < len(order):
             qa, qb = order[i]
-            row = []
-            for letter in range(nl):
-                t = (a.delta[qa][letter], b.delta[qb][letter])
+            pairs = list(zip(a.delta[qa], b.delta[qb]))
+            for t in dict.fromkeys(pairs):
                 if t not in index:
                     index[t] = len(order)
                     order.append(t)
                     self._check(len(order), nl)
-                row.append(index[t])
-            delta.append(row)
+            delta.append(list(map(index.__getitem__, pairs)))
             i += 1
         if op == "and":
             accepting = {i for i, (qa, qb) in enumerate(order)
@@ -291,9 +301,7 @@ class _Builder:
         out = _Auto(self.sig, a.fo, a.so, a.n_letters, a.init,
                     [row[:] for row in a.delta],
                     set(range(a.n)) - a.accepting)
-        for v in a.fo:
-            out = self.product(out, self.exactly_one(a.fo, a.so, v), "and")
-        return self.minimize(out)
+        return self.minimize(self.valid(out, a.fo))
 
     def project(self, a: _Auto, kind: str, name: str) -> _Auto:
         if kind == "fo":
@@ -339,14 +347,13 @@ class _Builder:
         seen = {a.init}
         i = 0
         while i < len(reach):
-            q = reach[i]
-            for t in a.delta[q]:
+            for t in dict.fromkeys(a.delta[reach[i]]):
                 if t not in seen:
                     seen.add(t)
                     reach.append(t)
             i += 1
         ids = {q: i for i, q in enumerate(reach)}
-        delta = [[ids[t] for t in a.delta[q]] for q in reach]
+        delta = [list(map(ids.__getitem__, a.delta[q])) for q in reach]
         accepting = {ids[q] for q in reach if q in a.accepting}
         n = len(reach)
         # Moore partition refinement
@@ -355,7 +362,7 @@ class _Builder:
             sigs = {}
             new = [0] * n
             for q in range(n):
-                key = (cls[q], tuple(cls[t] for t in delta[q]))
+                key = (cls[q], tuple(map(cls.__getitem__, delta[q])))
                 if key not in sigs:
                     sigs[key] = len(sigs)
                 new[q] = sigs[key]
@@ -372,8 +379,7 @@ class _Builder:
             # stable ids by first representative
             order = sorted(rep, key=lambda c: rep[c])
             newid = {c: i for i, c in enumerate(order)}
-            out_delta = [[newid[cls[delta[rep[c]][letter]]]
-                          for letter in range(a.n_letters)] for c in order]
+            out_delta = [[newid[cls[t]] for t in delta[rep[c]]] for c in order]
             out_acc = {newid[c] for c in order if rep[c] in accepting}
             out_init = newid[cls[ids[a.init]]]
         return _Auto(self.sig, a.fo, a.so, a.n_letters, out_init,
@@ -401,6 +407,12 @@ class _Builder:
     # ----- recursive construction -----
 
     def build(self, f: Formula) -> _Auto:
+        a = self.memo.get(f)
+        if a is None:
+            a = self.memo[f] = self._build(f)
+        return a
+
+    def _build(self, f: Formula) -> _Auto:
         match f:
             case Less(x, y):
                 return self.atom_less(x, y)
@@ -418,12 +430,16 @@ class _Builder:
                 a, b = self.align(self.build(l), self.build(r))
                 return self.minimize(self.product(a, b, "and"))
             case Or(l, r):
-                a, b = self.align(self.build(l), self.build(r))
-                return self.minimize(self.product(a, b, "or"))
+                a, b = self.build(l), self.build(r)
+                one_sided = sorted(set(a.fo) ^ set(b.fo))
+                a, b = self.align(a, b)
+                return self.valid(self.minimize(self.product(a, b, "or")), one_sided)
             case Implies(l, r):
                 return self.build(Or(Not(l), r))
             case ExistsFO(v, g):
-                a = self.extend(self.build(g), fo_add=(v,))
+                a = self.build(g)
+                if v not in a.fo:
+                    a = self.valid(self.extend(a, fo_add=(v,)), (v,))
                 return self.project(a, "fo", v)
             case ForallFO(v, g):
                 return self.build(Not(ExistsFO(v, Not(g))))
@@ -488,6 +504,15 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     set variables are not allowed.
     """
     marked_vars = tuple(marked_vars)
+    builder = _Builder(sig, budget_states)
+    a = builder.build(_checked(f, marked_vars))
+    a = builder.extend(a, fo_add=marked_vars)
+    return builder.to_public(a, marked_vars)
+
+
+def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
+    """f with macros expanded, after checking that its free variables are
+    among marked_vars, distinct first-order names."""
     for v in marked_vars:
         if not is_fo_name(v):
             raise InputError(f"bad marked variable {v!r}")
@@ -499,10 +524,61 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     extra = [v for v in free_variables(f) if v not in marked_vars]
     if extra:
         raise InputError(f"free variables {extra} are not marked")
+    return f
+
+
+def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
+              budget_states: int = DEFAULT_STATE_BUDGET) -> int:
+    """The largest number of xs tuples that share one ys tuple under g on
+    one word, counted up to cap.
+
+    g is built once over the xs and ys tracks.  A counting subset
+    construction then reads the label and ys bits of each letter and follows
+    every xs-bit variant of it at once: its states map the automaton states
+    from which acceptance is still reachable to the number of xs markings
+    reaching them, capped at cap.  The automaton is deterministic, so each
+    accepted run is one distinct xs tuple, and the largest accepted count is
+    the largest fiber.  The counting states run under the state budget.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    g = _checked(g, xs + ys)
     builder = _Builder(sig, budget_states)
-    a = builder.build(f)
-    a = builder.extend(a, fo_add=marked_vars)
-    return builder.to_public(a, marked_vars)
+    a = builder.build(g)
+    unused = [v for v in xs + ys if v not in a.fo]
+    a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
+    # a minimal automaton has at most one state that cannot accept: a sink
+    dead = {q for q, row in enumerate(a.delta)
+            if q not in a.accepting and set(row) == {q}}
+    variants = [0]
+    for v in xs:
+        variants += [x | 1 << a.fo_bit(v) for x in variants]
+    fixed = list(range(1 << sig.k))
+    for v in ys:
+        fixed += [f | 1 << a.fo_bit(v) for f in fixed]
+    groups = [[f | x for x in variants] for f in fixed]
+    start = ((a.init, 1),)
+    seen = {start}
+    order = [start]
+    best = 0
+    i = 0
+    while i < len(order) and best < cap:
+        cur = order[i]
+        best = max(best, min(cap, sum(c for q, c in cur if q in a.accepting)))
+        for group in groups:
+            counts: dict[int, int] = {}
+            for q, c in cur:
+                row = a.delta[q]
+                for letter in group:
+                    t = row[letter]
+                    if t not in dead:
+                        counts[t] = min(cap, counts.get(t, 0) + c)
+            t = tuple(sorted(counts.items()))
+            if t and t not in seen:
+                seen.add(t)
+                order.append(t)
+                builder._check(len(order))
+        i += 1
+    return best
 
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:

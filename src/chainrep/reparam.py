@@ -24,15 +24,15 @@ from .formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO, ForallS
                       all_vars, conj, disj, exists_wrap, free_variables, mk_false,
                       order_case_split, run_binders, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile as compile_dfa, dfa_empty,
-                       minimize_dfa)
+                       max_fiber, minimize_dfa)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
                      ramsey_bound, transition_monoid)
 from .words import MarkedWord
 
 DEFAULT_REFINE_CAP = 8
 
-# refinement compiles are best-effort: keep them cheap and fall back to the
-# certificate bound instead of grinding on guard-heavy maps
+# refinement is best-effort: keep it cheap and fall back to the certificate
+# bound instead of grinding on a heavy map
 _REFINE_STATE_BUDGET = 20_000
 
 # Two conventions in this module that are easy to get wrong, spelled out
@@ -486,15 +486,15 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
                   cap: int) -> Reparameterization:
     """Tighten the certificate bound to the exact maximal fiber size.
 
-    Checks, for growing i, the sentence "some word carries i distinct
-    domain tuples sharing one image"; the first empty one pins the bound.
-    Gives up (keeping the certificate) past the cap, when a check blows
-    the budget, or when the map holds set quantifiers or automaton leaves,
-    whose copies make the product constructions too heavy for a best-effort
-    tightening.  Giving up is recorded as an "unrefined" provenance step.
+    One counting pass over the automaton of the map (compiler.max_fiber)
+    finds the largest number of domain tuples that share one image on one
+    word, counted up to one past the cap; a count below that is the exact
+    bound.  Gives up (keeping the certificate) when fibers reach past the
+    cap or when the count blows the budget, and records that as an
+    "unrefined" provenance step.  A count that reaches the certificate
+    shows the certificate is exact.
     """
-    k = len(rep.domain_vars)
-    if k == 0 or rep.bound <= 1:
+    if not rep.domain_vars or rep.bound <= 1:
         return rep
 
     def unrefined(why):
@@ -503,33 +503,17 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
             rep.g, rep.bound,
             Step("unrefined", f"bound {rep.bound} kept: {why}", (rep.provenance,)))
 
-    if _mentions(rep.g, SET_NODES):
-        return unrefined("the map has set quantifiers")
-    if _mentions(rep.g, Run):
-        return unrefined("the map has automaton leaves")
     budget_states = min(budget_states, _REFINE_STATE_BUDGET)
-    supply = NameSupply(all_vars(rep.g) | set(rep.domain_vars) | set(rep.image_vars))
-    xs = tuple(rep.domain_vars)
     hi = min(cap + 1, rep.bound)
-    for i in range(2, hi + 1):
-        copies = [tuple(supply.fresh("x") for _ in xs) for _ in range(i)]
-        pieces = [substitute(rep.g, dict(zip(xs, cp)), supply) for cp in copies]
-        for a in range(i):
-            for b in range(a + 1, i):
-                pieces.append(disj([Not(Equal(copies[a][t], copies[b][t]))
-                                    for t in range(k)]))
-        flat = [v for cp in copies for v in cp]
-        sentence = exists_wrap(list(rep.image_vars) + flat, conj(pieces))
-        try:
-            dfa = compile_dfa(sentence, rep.signature, (), budget_states)
-        except ResourceLimitError:
-            return unrefined(f"the check for {i} preimages exceeded "
-                             f"{budget_states} states")
-        if dfa_empty(dfa):
-            return Reparameterization(
-                rep.source, rep.signature, rep.domain_vars, rep.image_vars,
-                rep.g, i - 1,
-                Step("refine", f"exact bound {i - 1}", (rep.provenance,)))
+    try:
+        most = max_fiber(rep.g, rep.signature, rep.domain_vars, rep.image_vars,
+                         hi, budget_states)
+    except ResourceLimitError:
+        return unrefined(f"the fiber count exceeded {budget_states} states")
+    if most < hi:
+        return Reparameterization(
+            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
+            rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
     if hi == rep.bound:
         return rep  # some fiber reaches the certificate, which is exact
     return unrefined(f"fibers reach {hi} preimages, past the refine cap {cap}")

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from chainrep.cli import main
+from conftest import GROUP_TEXT
 
 SUCC = """signature P1
 component pairs dim=2
@@ -30,6 +32,18 @@ def test_mindim_example(capsys):
     assert report["tool"]["name"] == "chainrep"
     assert report["tool"]["version"]
     assert report["config"]["seed"] == 0
+
+
+def test_mindim_refines_the_guard_split(capsys):
+    status, report, _ = run_json(capsys, "mindim", "--sig", "P1",
+                                 "--formula", GROUP_TEXT)
+    assert status == 0
+    assert report["result"]["dimension"] == 1
+    assert report["result"]["bound"] == 3
+    # the map text is the one the unrefined map had
+    text = report["result"]["map"]
+    assert hashlib.sha1(text.encode()).hexdigest() == \
+        "4950ea0f72dd1f7354073d4345f1864b68a39477"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
-                               dfa_equivalent, dfa_to_formula, minimize_dfa,
-                               project_mark, shortest_accepted)
+                               dfa_equivalent, dfa_to_formula, max_fiber,
+                               minimize_dfa, project_mark, shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import Signature, parse, render
 from chainrep.oracle import evaluate, satisfying_tuples
@@ -101,6 +101,48 @@ def test_project_mark_runs_under_the_state_budget(sig1, monkeypatch):
     monkeypatch.setattr(compiler, "DEFAULT_STATE_BUDGET", 1)
     with pytest.raises(ResourceLimitError):
         project_mark(dfa)
+
+
+def test_extend_checks_the_transition_cap(sig1, monkeypatch):
+    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET)
+    a = builder.build(parse("P1(x)", sig1))
+    monkeypatch.setattr(compiler, "_TRANSITION_CAP", a.n * a.n_letters)
+    with pytest.raises(ResourceLimitError) as e:
+        builder.extend(a, fo_add=("y",))
+    assert e.value.subject == "transitions"
+
+
+def test_extend_leaves_new_tracks_unconstrained(sig1):
+    # widening only relabels letters; validity of the new track comes from
+    # the operation that needs it
+    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET)
+    a = builder.build(parse("P1(x)", sig1))
+    wide = builder.extend(a, fo_add=("y",))
+    assert wide.fo == ("x", "y") and wide.n == a.n
+    y = 1 << wide.fo_bit("y")
+    for letter in range(a.n_letters):
+        for q in range(a.n):
+            assert wide.delta[q][letter] == wide.delta[q][letter | y]
+    # on the empty word no v can be marked, though the body that ignores v
+    # holds there
+    assert agree(parse("ex v. ~ex z. z = z", sig1), sig1, ())
+    assert agree(parse("ex v. ((~ex z. z = z) | P1(v))", sig1), sig1, ())
+
+
+def test_max_fiber_counts_preimages(sig1):
+    # one image for the two ends of a word, two for the rest
+    g = parse("(~ex z. z < x) | (~ex z. x < z)", sig1)
+    assert max_fiber(g, sig1, ("x",), (), cap=5) == 2
+    assert max_fiber(g, sig1, ("x",), (), cap=1) == 1
+    # x picks any position at or after y: unbounded fibers reach the cap
+    assert max_fiber(parse("y < x | y = x", sig1), sig1, ("x",), ("y",), cap=7) == 7
+    assert max_fiber(parse("x = y", sig1), sig1, ("x",), ("y",), cap=7) == 1
+    assert max_fiber(parse("x < x", sig1), sig1, ("x",), (), cap=7) == 0
+    with pytest.raises(ResourceLimitError):
+        max_fiber(parse("y < x", sig1), sig1, ("x",), ("y",), cap=50,
+                  budget_states=10)
+    with pytest.raises(InputError):
+        max_fiber(parse("x < z", sig1), sig1, ("x",), ("y",), cap=2)
 
 
 def test_minimize_dfa_preserves_language(sig1):

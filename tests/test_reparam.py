@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from chainrep.compiler import max_fiber
 from chainrep.errors import InputError
 from chainrep.formula import Signature, mk_false, parse, render
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
@@ -11,6 +12,7 @@ from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
                               combine_disjuncts, compose, decide_dimension,
                               eliminable_pairs, eliminate_variable,
                               local_normal_form, minimal_reparameterization)
+from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
 from conftest import GROUP_TEXT, battery
 
@@ -60,15 +62,39 @@ def test_group_split(sig1):
         "4950ea0f72dd1f7354073d4345f1864b68a39477"
 
 
+def test_guarded_and_set_maps_refine(sig1):
+    # automaton leaves and set quantifiers compile natively, so the fiber
+    # count reaches maps with either
+    for text, variables, want in ((GROUP_TEXT, ("x", "y"), 3),
+                                  ("EX X. (" + ENDS_TEXT + ")", ("x",), 2)):
+        rep = minimal_reparameterization(parse(text, sig1), sig1, variables)
+        assert (rep.bound, rep.provenance.kind) == (want, "refine"), text
+        report = check_reparameterization(rep, 5)
+        assert report and report.max_fiber == want, text
+
+
 def test_skipped_refinement_is_recorded(sig1):
-    rep = minimal_reparameterization(parse(GROUP_TEXT, sig1), sig1, ("x", "y"))
-    assert rep.bound == 136
+    f = parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1)
+    rep = minimal_reparameterization(f, sig1, ("x", "y", "z", "w"))
+    assert (rep.dimension, rep.bound) == (4, 75)
     assert rep.provenance.kind == "unrefined"
-    assert "automaton leaves" in rep.provenance.detail
-    ends = parse("EX X. ((~ex z. z < x) | (~ex z. x < z))", sig1)
-    rep = minimal_reparameterization(ends, sig1, ("x",))
-    assert rep.provenance.kind == "unrefined"
-    assert "set quantifiers" in rep.provenance.detail
+    assert "past the refine cap 8" in rep.provenance.detail
+
+
+def test_max_fiber_is_sound():
+    # the count never undercuts a fiber the oracle sees and never passes
+    # the certificate; only the bound may move
+    maps = [(sig, f, variables) for _, sig, f, variables, _ in battery()]
+    maps += [(sig, f, fo) for sig, fo, f in formula_batch(606, 40)]
+    for sig, f, variables in maps:
+        rep = minimal_reparameterization(f, sig, variables, refine=False)
+        if not rep.domain_vars:
+            continue
+        report = check_reparameterization(rep, 4)
+        assert report, render(f)
+        most = max_fiber(rep.g, sig, rep.domain_vars, rep.image_vars,
+                         rep.bound + 1)
+        assert report.max_fiber <= most <= rep.bound, render(f)
 
 
 def test_refine_gives_up_at_cap_and_budget(sig1):
