@@ -5,6 +5,16 @@ with the automaton pipeline: quantifiers loop over positions, set quantifiers
 loop over subset bitmasks, and the counting quantifier counts.  Everything
 else in the package is tested against it.
 
+Each formula object is compiled once per signature into a tree of closures,
+one per node, which every later call runs directly (Feeley and Lapalme,
+"Using closures for code generation", Computer Languages 1987).  The
+compiled program is found by the formula's id and lives exactly as long as
+the formula.  Quantifiers update the variable environment in place and
+restore it.  A quantifier or automaton leaf memoizes its truth by the values
+of its free variables; the memos last for one public call, on one word, and
+are emptied when it returns.  So one formula object is evaluated by one call
+at a time: the oracle is single-threaded.
+
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps it
 builds, is evaluated by reading the word through the leaf's own transition
 table with the positions of vars marked.
@@ -15,12 +25,16 @@ the map under test, so a wrong one still fails the checks below.
 from __future__ import annotations
 
 import itertools
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import eq, itemgetter, lt
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .formula import (AtLeast, And, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
-                      Run, free_set_variables, free_variables)
+                      Run, Signature)
 from .words import Word, all_words
 
 
@@ -31,144 +45,191 @@ def evaluate(f: Formula, word: Word, fo: dict[str, int] | None = None,
     fo maps first-order variables to positions, so maps set variables to
     subset bitmasks (bit p set when position p is in the set).
     """
-    return _Evaluator(f, word).run(fo or {}, so or {})
+    with _program(f, word.sig).on(word) as run:
+        return run(dict(fo or {}), dict(so or {}))
 
 
-def _pos(env, v, word):
+def _pos(env, v, n):
     try:
         p = env[v]
     except KeyError:
         raise InputError(f"unbound variable {v!r}") from None
-    if not 0 <= p < len(word):
+    if not 0 <= p < n:
         raise InputError(f"position {p} of {v!r} out of range")
     return p
 
 
-def _free_map(f):
-    """id(node) -> (free FO vars, free SO vars) for every subformula."""
-    out: dict[int, tuple] = {}
-
-    def go(node):
-        if id(node) in out:
-            return out[id(node)]
-        match node:
-            case Less(a, b) | Equal(a, b):
-                r = ((a,) if a == b else (a, b), ())
-            case Pred(_, v):
-                r = ((v,), ())
-            case In(s, v):
-                r = ((v,), (s,))
-            case Run(_, vs, _):
-                r = (tuple(dict.fromkeys(vs)), ())
-            case Not(g):
-                r = go(g)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                fa, sa = go(a)
-                fb, sb = go(b)
-                r = (fa + tuple(v for v in fb if v not in fa),
-                     sa + tuple(s for s in sb if s not in sa))
-            case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
-                fg, sg = go(g)
-                r = (tuple(x for x in fg if x != v), sg)
-            case ExistsSO(s, g) | ForallSO(s, g):
-                fg, sg = go(g)
-                r = (fg, tuple(x for x in sg if x != s))
-            case _:
-                raise InputError(f"not a formula: {node!r}")
-        out[id(node)] = r
-        return r
-
-    go(f)
-    return out
+_UNSET = object()
+# id(formula) -> its _Program; weakref.finalize drops the entry with the formula
+_PROGRAMS: dict[int, "_Program"] = {}
 
 
-class _Evaluator:
-    """Evaluation of one formula on one word, memoized per quantifier node
-    and automaton leaf.
+class _Program(NamedTuple):
+    """A formula compiled for words over one signature.
 
-    A quantifier subformula's truth depends only on the values of its own
-    free variables, so those values key a cache; repeated assignments (as in
-    satisfying_tuples, or clones introduced by selector macros) collapse to
-    one computation each instead of re-walking nested quantifiers.
+    `on(word)` loads the word for one public call and yields the closure
+    run(fo, so) -> bool; fo_vars and so_vars are the formula's free
+    variables in order of first occurrence.
     """
 
-    def __init__(self, f: Formula, word: Word):
-        self.f = f
-        self.word = word
-        self.fv = _free_map(f)
-        self.memo: dict[tuple, bool] = {}
+    sig: Signature
+    fo_vars: tuple[str, ...]
+    so_vars: tuple[str, ...]
+    on: Callable
 
-    def run(self, fo, so) -> bool:
-        return self._eval(self.f, fo, so)
 
-    def _quant_key(self, f, fo, so):
-        ffo, fso = self.fv[id(f)]
+def _program(f: Formula, sig: Signature) -> _Program:
+    prog = _PROGRAMS.get(id(f))
+    if prog is not None and prog.sig == sig:
+        return prog
+    new = _compile(f, sig)
+    if prog is None:
+        weakref.finalize(f, _PROGRAMS.pop, id(f), None)
+    _PROGRAMS[id(f)] = new
+    return new
+
+
+def _compile(f: Formula, sig: Signature) -> _Program:
+    """Compile f into closures fn(fo, so) -> bool.
+
+    The closures capture node fields, never a node, so the program does not
+    keep its formula alive.  They read the word's letters from this frame,
+    which on() sets for each public call.
+    """
+    letters: tuple[int, ...] = ()
+    n = 0
+    positions = range(0)
+    subsets = range(1)
+    used_memos: list[dict] = []
+
+    @contextmanager
+    def on(word):
+        nonlocal letters, n, positions, subsets
+        letters, n = word.letters, len(word)
+        positions, subsets = range(n), range(1 << n)
         try:
-            return (id(f), tuple(fo[v] for v in ffo), tuple(so[s] for s in fso))
-        except KeyError as e:
-            raise InputError(f"unbound variable {e.args[0]!r}") from None
+            yield run
+        finally:
+            for memo in used_memos:
+                memo.clear()
+            used_memos.clear()
 
-    def _eval(self, f, fo, so):
-        word = self.word
-        match f:
-            case Less(a, b):
-                return _pos(fo, a, word) < _pos(fo, b, word)
-            case Equal(a, b):
-                return _pos(fo, a, word) == _pos(fo, b, word)
+    def memoized(compute, fo_vars, so_vars):
+        # a subformula's truth depends only on the values of its own free
+        # variables, so repeated assignments (as in satisfying_tuples, or
+        # clones made by selector macros) are computed once per call
+        memo: dict = {}
+        fo_key = itemgetter(*fo_vars) if fo_vars else lambda fo: ()
+        so_key = itemgetter(*so_vars) if so_vars else None
+
+        def fn(fo, so):
+            try:
+                key = fo_key(fo) if so_key is None else (fo_key(fo), so_key(so))
+            except KeyError as e:
+                raise InputError(f"unbound variable {e.args[0]!r}") from None
+            hit = memo.get(key)
+            if hit is None:
+                if not memo:
+                    used_memos.append(memo)
+                hit = memo[key] = compute(fo, so)
+            return hit
+        return fn
+
+    def quantifier(v, body, need, want, over_sets):
+        # counts the values of v that make the body equal `want`, up to
+        # `need`: ex is (1, True), atleast c is (c, True), and all is
+        # (1, False), true when no such value exists
+        def fn(fo, so):
+            env, values = (so, subsets) if over_sets else (fo, positions)
+            old = env.get(v, _UNSET)
+            hits = 0
+            for value in values:
+                env[v] = value
+                if body(fo, so) == want:
+                    hits += 1
+                    if hits >= need:
+                        break
+            if old is _UNSET:
+                env.pop(v, None)
+            else:
+                env[v] = old
+            return (hits >= need) == want
+        return fn
+
+    def build(node, bound_fo, bound_so):
+        """(closure, free FO variables, free set variables) of node."""
+        match node:
+            case Less(a, b) | Equal(a, b):
+                op = lt if isinstance(node, Less) else eq
+                if a in bound_fo and b in bound_fo:
+                    fn = lambda fo, so: op(fo[a], fo[b])
+                else:
+                    fn = lambda fo, so: op(_pos(fo, a, n), _pos(fo, b, n))
+                return fn, (a,) if a == b else (a, b), ()
             case Pred(name, v):
-                return word.has(name, _pos(fo, v, word))
+                if name not in sig.preds:
+                    def fn(fo, so):
+                        _pos(fo, v, n)
+                        sig.index(name)  # raises: unknown predicate
+                else:
+                    bit = 1 << sig.index(name)
+                    if v in bound_fo:
+                        fn = lambda fo, so: letters[fo[v]] & bit != 0
+                    else:
+                        fn = lambda fo, so: letters[_pos(fo, v, n)] & bit != 0
+                return fn, (v,), ()
             case In(s, v):
-                if s not in so:
-                    raise InputError(f"unbound set variable {s!r}")
-                return bool(so[s] >> _pos(fo, v, word) & 1)
+                def fn(fo, so):
+                    if s not in so:
+                        raise InputError(f"unbound set variable {s!r}")
+                    return so[s] >> _pos(fo, v, n) & 1 == 1
+                return fn, (v,), (s,)
             case Not(g):
-                return not self._eval(g, fo, so)
-            case And(a, b):
-                return self._eval(a, fo, so) and self._eval(b, fo, so)
-            case Or(a, b):
-                return self._eval(a, fo, so) or self._eval(b, fo, so)
-            case Implies(a, b):
-                return not self._eval(a, fo, so) or self._eval(b, fo, so)
-        key = self._quant_key(f, fo, so)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self._quant(f, fo, so)
-            self.memo[key] = hit
-        return hit
-
-    def _quant(self, f, fo, so):
-        word = self.word
-        match f:
-            case ExistsFO(v, g):
-                return any(self._eval(g, {**fo, v: p}, so)
-                           for p in range(len(word)))
-            case ForallFO(v, g):
-                return all(self._eval(g, {**fo, v: p}, so)
-                           for p in range(len(word)))
-            case ExistsSO(s, g):
-                return any(self._eval(g, fo, {**so, s: m})
-                           for m in range(1 << len(word)))
-            case ForallSO(s, g):
-                return all(self._eval(g, fo, {**so, s: m})
-                           for m in range(1 << len(word)))
-            case AtLeast(n, v, g):
-                hits = 0
-                for p in range(len(word)):
-                    if self._eval(g, {**fo, v: p}, so):
-                        hits += 1
-                        if hits >= n:
-                            return True
-                return n == 0
+                fg, ffo, fso = build(g, bound_fo, bound_so)
+                return (lambda fo, so: not fg(fo, so)), ffo, fso
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                fa, afo, aso = build(a, bound_fo, bound_so)
+                fb, bfo, bso = build(b, bound_fo, bound_so)
+                if isinstance(node, And):
+                    fn = lambda fo, so: fa(fo, so) and fb(fo, so)
+                elif isinstance(node, Or):
+                    fn = lambda fo, so: fa(fo, so) or fb(fo, so)
+                else:
+                    fn = lambda fo, so: not fa(fo, so) or fb(fo, so)
+                return (fn, tuple(dict.fromkeys(afo + bfo)),
+                        tuple(dict.fromkeys(aso + bso)))
+            case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
+                body, ffo, fso = build(g, bound_fo | {v}, bound_so)
+                ffo = tuple(x for x in ffo if x != v)
+                if isinstance(node, AtLeast):
+                    fn = quantifier(v, body, node.count, True, False)
+                else:
+                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
+                return memoized(fn, ffo, fso), ffo, fso
+            case ExistsSO(s, g) | ForallSO(s, g):
+                body, ffo, fso = build(g, bound_fo, bound_so | {s})
+                fso = tuple(x for x in fso if x != s)
+                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
+                return memoized(fn, ffo, fso), ffo, fso
             case Run(dfa, vs, _):
-                if dfa.sig != word.sig:
-                    raise InputError("automaton leaf is over another signature")
-                marks = {_pos(fo, v, word) for v in vs}
-                mark_bit = 1 << word.sig.k
-                q = dfa.init
-                for p, mask in enumerate(word.letters):
-                    q = dfa.delta[q][mask | mark_bit if p in marks else mask]
-                return q in dfa.accepting
-        raise InputError(f"not a formula: {f!r}")
+                ffo = tuple(dict.fromkeys(vs))
+                same_sig = dfa.sig == sig
+                delta, accepting = dfa.delta, dfa.accepting
+                init, mark_bit = dfa.init, 1 << sig.k
+
+                def fn(fo, so):
+                    if not same_sig:
+                        raise InputError("automaton leaf is over another signature")
+                    marks = {_pos(fo, v, n) for v in vs}
+                    q = init
+                    for p, mask in enumerate(letters):
+                        q = delta[q][mask | mark_bit if p in marks else mask]
+                    return q in accepting
+                return memoized(fn, ffo, ()), ffo, ()
+        raise InputError(f"not a formula: {node!r}")
+
+    run, fo_vars, so_vars = build(f, frozenset(), frozenset())
+    return _Program(sig, fo_vars, so_vars, on)
 
 
 def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int, ...]]:
@@ -178,39 +239,31 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     Extra variables are allowed; missing ones are an error, as are free set
     variables.
     """
-    if free_set_variables(f):
+    prog = _program(f, word.sig)
+    if prog.so_vars:
         raise InputError("formula has free set variables")
-    if variables is None:
-        variables = free_variables(f)
-    variables = list(variables)
-    missing = [v for v in free_variables(f) if v not in variables]
+    variables = list(prog.fo_vars if variables is None else variables)
+    missing = [v for v in prog.fo_vars if v not in variables]
     if missing:
         raise InputError(f"unassigned free variables {missing}")
-    ev = _Evaluator(f, word)
-    out = []
-    for tup in itertools.product(range(len(word)), repeat=len(variables)):
-        if ev.run(dict(zip(variables, tup)), {}):
-            out.append(tup)
-    return out
+    with prog.on(word) as run:
+        return [tup for tup in itertools.product(range(len(word)), repeat=len(variables))
+                if run(dict(zip(variables, tup)), {})]
 
 
 def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     """Number of satisfying tuples drawn from the given position set."""
-    if free_set_variables(f):
+    prog = _program(f, word.sig)
+    if prog.so_vars:
         raise InputError("formula has free set variables")
-    if variables is None:
-        variables = free_variables(f)
-    variables = list(variables)
+    variables = list(prog.fo_vars if variables is None else variables)
     pool = sorted(set(positions))
     for p in pool:
         if not 0 <= p < len(word):
             raise InputError(f"position {p} out of range")
-    ev = _Evaluator(f, word)
-    hits = 0
-    for tup in itertools.product(pool, repeat=len(variables)):
-        if ev.run(dict(zip(variables, tup)), {}):
-            hits += 1
-    return hits
+    with prog.on(word) as run:
+        return sum(run(dict(zip(variables, tup)), {})
+                   for tup in itertools.product(pool, repeat=len(variables)))
 
 
 @dataclass(frozen=True)

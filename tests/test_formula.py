@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chainrep
 from chainrep.errors import InputError, ParseError
 from chainrep.formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
                               In, Less, NameSupply, Not, Or, Pred, Signature,
@@ -159,3 +166,24 @@ def test_signature_validation():
         Signature(("P1", "P1"))
     with pytest.raises(InputError):
         Signature(("lower",))
+
+
+def test_node_hash_is_kept_but_not_pickled(sig1):
+    text = "(ex z. (x < z & P1(z))) | ~(EX Z. Z(x))"
+    f = parse(text, sig1)
+    # the kept hash is the generated field hash, so set orders do not move
+    assert hash(f) == hash((f.left, f.right)) == hash(f)
+    # a pickle made under another hash seed must still hit equal keys here
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys\n"
+            "from chainrep.formula import Signature, parse\n"
+            f"f = parse({text!r}, Signature(('P1',)))\n"
+            "hash(f)\n"
+            "sys.stdout.buffer.write(pickle.dumps(f))\n")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(chainrep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True).stdout
+    g = pickle.loads(out)
+    assert g == f and {f: "hit"}[g] == "hit"
+    assert {f.left.body: "hit"}[g.left.body] == "hit"

@@ -1,9 +1,32 @@
+import ast
+import gc
+import hashlib
+import itertools
+import weakref
+from pathlib import Path
+
 import pytest
 
+from chainrep import oracle
 from chainrep.errors import InputError
 from chainrep.formula import parse
 from chainrep.oracle import count_in_set, evaluate, satisfying_tuples
-from chainrep.words import Word
+from chainrep.randgen import formula_batch
+from chainrep.reparam import minimal_reparameterization
+from chainrep.words import Word, all_words
+
+from conftest import GROUP_TEXT
+
+# formulas with set quantifiers, evaluated on every assignment of their free
+# variables
+SO_BATTERY = (
+    ("EX Z. all v. (Z(v) -> P1(v))", ()),
+    ("EX Z. (Z(x) & all v. (Z(v) -> P1(v)))", ("x",)),
+    ("EX Z. (Z(x) & ~Z(y))", ("x", "y")),
+    ("ALL Z. (Z(x) -> Z(y))", ("x", "y")),
+    ("ALL Z. ((Z(x) & all u. all v. ((Z(u) & u < v) -> Z(v))) -> Z(y))", ("x", "y")),
+    ("EX X. ((~ex z. z < x) | (~ex z. x < z))", ("x",)),
+)
 
 
 def test_atoms(sig1):
@@ -97,3 +120,88 @@ def test_memoization_respects_scope(sig1):
     assert got == [False, True, True, True]
     tuples = satisfying_tuples(f, w, ("x",))
     assert [t[0] for t in tuples] == [1, 2, 3]
+
+
+def test_oracle_answers_are_pinned(sig1):
+    # the hash of the answers of the uncompiled tree-walking evaluator: the
+    # compiled one must answer every call exactly as it did
+    lines = []
+    for sig, fo, f in formula_batch(505, 60):
+        for word in all_words(sig, 3):
+            lines.append(repr(satisfying_tuples(f, word, fo)))
+    for text, fo in SO_BATTERY:
+        f = parse(text, sig1)
+        for word in all_words(sig1, 4):
+            for tup in itertools.product(range(len(word)), repeat=len(fo)):
+                lines.append(repr(evaluate(f, word, dict(zip(fo, tup)))))
+    rep = minimal_reparameterization(parse(GROUP_TEXT, sig1), sig1, ("x", "y"))
+    for word in all_words(sig1, 4):
+        lines.append(repr(satisfying_tuples(rep.g, word,
+                                            rep.domain_vars + rep.image_vars)))
+    assert len(lines) == 4156
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "6aa725dd8e1704e804c4b07a38e01cd3eb8df85b"
+
+
+def test_errors_stay_lazy(sig1):
+    f = parse("P1(x) | P1(y)", sig1)
+    w = Word(sig1, (1, 0))
+    assert evaluate(f, w, fo={"x": 0})
+    with pytest.raises(InputError, match="unbound variable 'y'"):
+        evaluate(f, w, fo={"x": 1})
+
+
+def test_shadowed_variable_is_restored(sig1):
+    f = parse("(ex x. ~P1(x)) & P1(x)", sig1)
+    w = Word(sig1, (1, 0, 1))
+    assert [evaluate(f, w, fo={"x": p}) for p in range(3)] == [True, False, True]
+    assert satisfying_tuples(f, w) == [(0,), (2,)]
+
+
+def test_quantifiers_on_the_empty_word_keep_the_environment(sig1):
+    empty = Word(sig1, ())
+    fo, so = {"v": 7}, {"Z": 1}
+    # had a quantifier dropped v, the atom would report it unbound
+    with pytest.raises(InputError, match="position 7 of 'v' out of range"):
+        evaluate(parse("(all v. P1(v)) & v = v", sig1), empty, fo=fo)
+    with pytest.raises(InputError, match="unbound variable 'v'"):
+        evaluate(parse("(all v. P1(v)) & v = v", sig1), empty)
+    assert evaluate(parse("(ALL Z. ~ex v. Z(v)) & ~ex v. Z(v)", sig1), empty,
+                    fo=fo, so=so)
+    assert fo == {"v": 7} and so == {"Z": 1}
+
+
+def test_one_formula_on_words_of_changing_length(sig1):
+    # a memo left over from the previous word would answer for this one
+    texts = ("ex z. (x < z & P1(z)) & all z. (z < x -> ~P1(z))",
+             "all z. (P1(z) -> ex y. (z < y & ~P1(y)))")
+    kept = [parse(text, sig1) for text in texts]
+    for letters in ((1, 0, 1), (), (1,), (0, 1, 1)):
+        w = Word(sig1, letters)
+        for f, text in zip(kept, texts):
+            assert satisfying_tuples(f, w) == satisfying_tuples(parse(text, sig1), w)
+
+
+def test_program_lives_as_long_as_its_formula(sig1):
+    gc.collect()
+    before = len(oracle._PROGRAMS)
+    f = parse("ex z. (x < z & P1(z))", sig1)
+    assert satisfying_tuples(f, Word(sig1, (0, 1))) == [(0,)]
+    assert len(oracle._PROGRAMS) == before + 1
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert len(oracle._PROGRAMS) == before
+
+
+def test_oracle_never_imports_the_compiler():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module in ("formula", "words", "errors"), node.module
+            else:
+                assert not node.module.startswith("chainrep"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("chainrep") for a in node.names)
