@@ -84,14 +84,15 @@ class Dfa:
         elif self.marked:
             w = MarkedWord(w, ())
         q = self.init
+        delta = self.delta
         if self.marked:
             marks = set(w.marks)
+            bit = 1 << self.sig.k
             for i, mask in enumerate(w.word.letters):
-                letter = mask | ((i in marks) << self.sig.k)
-                q = self.delta[q][letter]
+                q = delta[q][mask | bit if i in marks else mask]
         else:
             for mask in w.letters:
-                q = self.delta[q][mask]
+                q = delta[q][mask]
         return q in self.accepting
 
     def dump(self) -> str:
@@ -136,9 +137,6 @@ class _Builder:
     def __init__(self, sig: Signature, budget: int):
         self.sig = sig
         self.budget = budget
-        # built automata by formula node; they are never mutated, so the
-        # repeated subformulas of a map are built once
-        self.memo: dict[Formula, _Auto] = {}
 
     def _check(self, n: int, n_letters: int = 0):
         if n > self.budget:
@@ -407,12 +405,6 @@ class _Builder:
     # ----- recursive construction -----
 
     def build(self, f: Formula) -> _Auto:
-        a = self.memo.get(f)
-        if a is None:
-            a = self.memo[f] = self._build(f)
-        return a
-
-    def _build(self, f: Formula) -> _Auto:
         match f:
             case Less(x, y):
                 return self.atom_less(x, y)

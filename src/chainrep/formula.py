@@ -76,30 +76,13 @@ class Signature:
 
 
 class Formula:
-    """Base class for AST nodes.
-
-    Nodes are immutable, so each keeps its hash once asked for it: the
-    generated field hash walks the whole subtree.  The kept value is left
-    out of pickles, since string hashes differ from process to process.
-    """
+    """Base class for AST nodes: frozen dataclasses compared and hashed by
+    their fields, so a hash walks the whole subtree."""
 
     __slots__ = ()
 
     def __str__(self):
         return render(self)
-
-    def _cached_hash(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._field_hash()
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
 
 @dataclass(frozen=True)
@@ -268,11 +251,6 @@ class Run(Formula):
             # with at least one mark the word cannot be empty
             return And(ExistsFO(p, Equal(p, p)), run)
         return Or(And(empty, empty_ok), And(Not(empty), run))
-
-
-# dataclass(frozen=True) gave each node class a field hash; keep it per node
-for _node in Formula.__subclasses__():
-    _node._field_hash, _node.__hash__ = _node.__hash__, Formula._cached_hash
 
 
 _TOKEN_RE = re.compile(r"->|[()<=~&|.]|\d+|[A-Za-z][A-Za-z0-9_]*")

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ChainrepError, InputError, ResourceLimitError
-from .formula import Formula, Signature, exists_wrap
+from .formula import Formula, Signature, exists_wrap, order_case_split
 from .compiler import DEFAULT_STATE_BUDGET, compile as compile_dfa, shortest_accepted
 from .monoid import DEFAULT_MONOID_BUDGET, is_pumpable
 from .oracle import count_in_set, evaluate, satisfying_tuples
@@ -195,13 +195,24 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     d = rep.dimension
     if d == 0:
         got = shortest_accepted(compile_dfa(f, sig, variables, budget_states))
+        construction = "dimension 0: one satisfying tuple suffices"
+        if got is None and k:
+            # every satisfying tuple lies on a diagonal: mark the class
+            # representatives of the first nonempty order case; the pool is
+            # the set of positions the tuple takes
+            for case in order_case_split(f, variables):
+                got = shortest_accepted(compile_dfa(
+                    case.formula, sig, case.representatives, budget_states))
+                if got is not None:
+                    pattern = "<".join("=".join(c) for c in case.classes)
+                    construction = f"dimension 0: one satisfying tuple in order case {pattern}"
+                    break
         if got is None:
             raise ChainrepError("satisfiable formula with empty automaton")
         if k == 0:
             return WitnessStructure(f, variables, got, (), 1,
                                     "closed formula: shortest accepted word")
-        return WitnessStructure(f, variables, got.word, got.marks, 1,
-                                "dimension 0: one satisfying tuple suffices")
+        return WitnessStructure(f, variables, got.word, got.marks, 1, construction)
     if _mentions(rep.g, SET_NODES):
         raise ResourceLimitError(
             "the image map mentions set quantifiers; its fiber search "

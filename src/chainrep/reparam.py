@@ -287,14 +287,17 @@ def compose(first: Reparameterization, second: Reparameterization) -> Reparamete
 
 def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
                       supply: NameSupply | None = None) -> Reparameterization:
-    """First-match union of guarded reparameterizations over one domain.
+    """Union of guarded reparameterizations over one domain.
 
-    parts are (guard, rep) pairs whose guards cover the source domain; the
-    j-th branch fires when its guard holds and no earlier one does.  All
-    branches share one image tuple of the widest width: narrower images are
-    padded by repeating their last variable, and a zero-width satisfiable
-    branch pins every image variable to the first domain variable.  Bounds
-    add up.
+    parts are (guard, rep) pairs whose guards cover the source domain and
+    are pairwise disjoint, so the j-th branch is just `guard_j & g_j`.
+    Both callers meet this: `_minrep` guards by order-case constraints, one
+    per weak ordering, and `_case_rep` by type-tuple automata of disjoint
+    family groups, since each marking has exactly one tuple of segment
+    types.  All branches share one image tuple of the widest width:
+    narrower images are padded by repeating their last variable, and a
+    zero-width satisfiable branch pins every image variable to the first
+    domain variable.  Bounds add up.
     """
     parts = list(parts)
     domain_vars = tuple(domain_vars)
@@ -313,18 +316,16 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     width = max(len(rep.image_vars) for _, rep in parts)
     ys = tuple(supply.fresh("y") for _ in range(width))
     branches = []
-    negs: list[Formula] = []
     total = 0
     children = []
     for guard, rep in parts:
         mj = len(rep.image_vars)
         gj = substitute(rep.g, dict(zip(rep.image_vars, ys[:mj])), supply) if mj else rep.g
-        pieces = list(negs) + [guard, gj]
+        pieces = [guard, gj]
         if mj < width:
             base = ys[mj - 1] if mj else domain_vars[0]
             pieces += [Equal(ys[t], base) for t in range(mj, width)]
         branches.append(conj(pieces))
-        negs.append(Not(guard))
         total += rep.bound
         children.append(rep.provenance)
     return Reparameterization(

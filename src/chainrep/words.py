@@ -15,13 +15,6 @@ from .errors import InputError
 from .formula import Signature
 
 
-def letter_mask(sig: Signature, names) -> int:
-    mask = 0
-    for name in names:
-        mask |= 1 << sig.index(name)
-    return mask
-
-
 def render_letter(sig: Signature, mask: int) -> str:
     if mask == 0:
         return "."
@@ -139,9 +132,3 @@ def all_words(sig: Signature, max_len: int, min_len: int = 0):
     for length in range(min_len, max_len + 1):
         for letters in itertools.product(range(base), repeat=length):
             yield Word(sig, letters)
-
-
-def all_markings(word: Word, arity: int):
-    """Yield every ascending tuple of `arity` positions of the word."""
-    for marks in itertools.combinations(range(len(word)), arity):
-        yield marks

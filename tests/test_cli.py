@@ -43,7 +43,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "4950ea0f72dd1f7354073d4345f1864b68a39477"
+        "ec18f25c42c880a408d28f76a9b51da00d882753"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):
@@ -126,6 +126,26 @@ def test_interp_reduce_insufficient_dim(tmp_path, capsys):
                            str(path), "--dim", "1")
     assert status == 2
     assert "pairs" in err
+
+
+def test_interp_reduce_refuses_too_many_copies(tmp_path, capsys):
+    # P1^4 keeps the certificate bound 75, past the component copy cap
+    path = tmp_path / "quad.interp"
+    path.write_text("signature P1\ncomponent quad dim=4\n"
+                    "universe P1(x)&P1(y)&P1(z)&P1(w)\n")
+    status, _, err = run(capsys, "interp-reduce", "--formula-file",
+                         str(path), "--dim", "4")
+    assert status == 3
+    assert "would split into 75 copies" in err
+
+
+def test_growth_on_a_diagonal_formula(capsys):
+    # every satisfying tuple has x = y, so no ascending tuple witnesses it
+    status, report, _ = run_json(capsys, "growth", "--sig", "P1",
+                                 "--formula", "x = y & all z. z = x")
+    assert status == 0
+    assert report["result"]["degree"] == 0
+    assert report["result"]["lower_witness"]["oracle_count"] >= 1
 
 
 def test_exit_codes(capsys):

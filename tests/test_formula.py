@@ -168,10 +168,10 @@ def test_signature_validation():
         Signature(("lower",))
 
 
-def test_node_hash_is_kept_but_not_pickled(sig1):
+def test_node_hash_is_the_field_hash_across_pickles(sig1):
     text = "(ex z. (x < z & P1(z))) | ~(EX Z. Z(x))"
     f = parse(text, sig1)
-    # the kept hash is the generated field hash, so set orders do not move
+    # a node hashes as the tuple of its fields, so set orders follow them
     assert hash(f) == hash((f.left, f.right)) == hash(f)
     # a pickle made under another hash seed must still hit equal keys here
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"

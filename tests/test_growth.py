@@ -6,6 +6,7 @@ from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              growth_upper_check, no_decrement_witness,
                              pump_witness)
 from chainrep.oracle import count_in_set
+from chainrep.randgen import formula_batch
 from conftest import GROUP_TEXT, battery
 
 
@@ -113,3 +114,15 @@ def test_lower_witness_refuses_set_quantified_map(sig1):
     f = parse("EX X. (X(x) & P1(x))", sig1)
     with pytest.raises(ResourceLimitError):
         growth_lower_witness(f, sig1, ("x",), 2)
+
+
+def test_lower_witness_on_diagonal_tuples(sig1):
+    # dimension 0 with every satisfying tuple on a diagonal: the ascending
+    # compile is empty, so the witness comes from an order case
+    batch = formula_batch(1, 150, rank=2)
+    cases = [batch[45], batch[78],
+             (sig1, ("x", "y"), parse("x = y & all z. z = x", sig1))]
+    for sig, variables, f in cases:
+        w = growth_lower_witness(f, sig, variables, 3)
+        assert w.claimed_tuple_count == 1
+        assert w.oracle_count() >= 1

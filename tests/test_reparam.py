@@ -54,12 +54,12 @@ def test_group_split(sig1):
     assert rep.dimension == 1
     assert check_reparameterization(rep, 5)
     assert check_canonical_form(rep, 5)
-    # guards are automaton leaves; the map text is their MSO export, the
-    # same text the guards had when they were built as formulas
+    # guards are automaton leaves, rendered as their MSO export; the map is
+    # the plain union of the disjoint guarded branches
     text = render(rep.g)
-    assert len(text) == 27_433
+    assert len(text) == 22_901
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "4950ea0f72dd1f7354073d4345f1864b68a39477"
+        "ec18f25c42c880a408d28f76a9b51da00d882753"
 
 
 def test_guarded_and_set_maps_refine(sig1):
@@ -79,6 +79,13 @@ def test_skipped_refinement_is_recorded(sig1):
     assert (rep.dimension, rep.bound) == (4, 75)
     assert rep.provenance.kind == "unrefined"
     assert "past the refine cap 8" in rep.provenance.detail
+    # the 75 order cases are glued as a plain union of disjoint branches
+    text = render(rep.g)
+    assert len(text) == 7_848
+    assert hashlib.sha1(text.encode()).hexdigest() == \
+        "b09ddb0b856fe39850a13c0fbf020391815f4a72"
+    assert check_reparameterization(rep, 2)
+    assert check_canonical_form(rep, 2)
 
 
 def test_max_fiber_is_sound():
