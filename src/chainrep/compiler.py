@@ -519,6 +519,17 @@ def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
     return f
 
 
+def _track_automaton(g: Formula, sig: Signature, tracks, budget_states: int):
+    """The builder and the minimal automaton of g with one track per variable
+    of tracks, each carrying a single mark."""
+    g = _checked(g, tracks)
+    builder = _Builder(sig, budget_states)
+    a = builder.build(g)
+    unused = [v for v in tracks if v not in a.fo]
+    a = builder.valid(builder.extend(a, fo_add=unused), unused)
+    return builder, builder.minimize(a)
+
+
 def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
               budget_states: int = DEFAULT_STATE_BUDGET) -> int:
     """The largest number of xs tuples that share one ys tuple under g on
@@ -533,11 +544,7 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
     the largest fiber.  The counting states run under the state budget.
     """
     xs, ys = tuple(xs), tuple(ys)
-    g = _checked(g, xs + ys)
-    builder = _Builder(sig, budget_states)
-    a = builder.build(g)
-    unused = [v for v in xs + ys if v not in a.fo]
-    a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
+    builder, a = _track_automaton(g, sig, xs + ys, budget_states)
     # a minimal automaton has at most one state that cannot accept: a sink
     dead = {q for q, row in enumerate(a.delta)
             if q not in a.accepting and set(row) == {q}}
@@ -571,6 +578,54 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
                 builder._check(len(order))
         i += 1
     return best
+
+
+def first_fiber(g: Formula, sig: Signature, xs, ys, word: Word, image,
+                budget_states: int = DEFAULT_STATE_BUDGET):
+    """The lexicographically least xs tuple that g relates to ys placed at
+    the positions image on word, or None when there is none.
+
+    g is built once over the xs and ys tracks, under the state budget.  The
+    xs are then fixed one at a time: a backward pass collects, per position,
+    the states from which the rest of the word can still accept with this
+    and the later xs left open, and a forward subset pass over the prefix
+    places the variable at the first position from which one of them is
+    reached.  The automaton keeps every track to a single mark, so an open
+    track is marked exactly once on any accepted run.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    try:
+        _, a = _track_automaton(g, sig, xs + ys, budget_states)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"fiber search: {e}", e.budget, e.subject) from e
+    letters = list(word.letters)
+    for v, p in zip(ys, image):
+        letters[p] |= 1 << a.fo_bit(v)
+    fiber = []
+    for i in range(len(xs) + 1):
+        later = [0]
+        for v in xs[i + 1:]:
+            later += [x | 1 << a.fo_bit(v) for x in later]
+        bit = 1 << a.fo_bit(xs[i]) if i < len(xs) else 0
+        live = [a.accepting]
+        for letter in reversed(letters):
+            after = live[-1]
+            reads = [letter | b | x for b in {0, bit} for x in later]
+            live.append({q for q, row in enumerate(a.delta)
+                         if any(row[r] in after for r in reads)})
+        live.reverse()
+        if a.init not in live[0]:
+            return None
+        if i == len(xs):
+            return tuple(fiber)
+        cur = {a.init}
+        j = 0
+        while not any(a.delta[q][letters[j] | bit | x] in live[j + 1]
+                      for q in cur for x in later):
+            cur = {a.delta[q][letters[j] | x] for q in cur for x in later}
+            j += 1
+        letters[j] |= bit
+        fiber.append(j)
 
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:

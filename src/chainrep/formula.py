@@ -66,10 +66,6 @@ class Signature:
             raise InputError(f"unknown predicate {name!r}") from None
 
     @classmethod
-    def of_size(cls, k: int) -> "Signature":
-        return cls(tuple(f"P{i + 1}" for i in range(k)))
-
-    @classmethod
     def from_text(cls, text: str) -> "Signature":
         names = [part.strip() for part in text.split(",") if part.strip()]
         return cls(tuple(names))

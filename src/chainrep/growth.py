@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ChainrepError, InputError, ResourceLimitError
+from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap, order_case_split
-from .compiler import DEFAULT_STATE_BUDGET, compile as compile_dfa, shortest_accepted
+from .compiler import (DEFAULT_STATE_BUDGET, compile as compile_dfa, first_fiber,
+                       shortest_accepted)
 from .monoid import DEFAULT_MONOID_BUDGET, is_pumpable
-from .oracle import count_in_set, evaluate, satisfying_tuples
-from .reparam import (SET_NODES, Disjunct, TypeAlgebra, _mentions,
-                      local_normal_form, minimal_reparameterization)
+from .oracle import count_in_set, satisfying_tuples
+from .reparam import Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization
 from .words import Word, all_words
 
 
@@ -182,6 +182,10 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     marks slides over n extra idempotent copies independently, and the
     fibers transport along.  The pool keeps, in every copy, the offsets one
     base fiber occupies, plus its fixed positions outside the copy runs.
+    That fiber, the lexicographically least domain tuple the map relates
+    to the base marks, is read off the map's automaton (compiler.first_fiber);
+    the whole witness is built on the automaton route, and oracle_count()
+    recounts it by enumeration.
     """
     variables = tuple(variables)
     k = len(variables)
@@ -213,10 +217,6 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
             return WitnessStructure(f, variables, got, (), 1,
                                     "closed formula: shortest accepted word")
         return WitnessStructure(f, variables, got.word, got.marks, 1, construction)
-    if _mentions(rep.g, SET_NODES):
-        raise ResourceLimitError(
-            "the image map mentions set quantifiers; its fiber search "
-            "does not finish in reasonable time", subject="oracle")
     psi = exists_wrap(rep.domain_vars, rep.g)
     algebra = TypeAlgebra.build(psi, sig, rep.image_vars, budget_states, budget_monoid)
     found = _all_pumpable_family(algebra)
@@ -230,13 +230,8 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     base_letters, base_geom = _blocks_word(monoid, fam, es, m)
     base = Word(sig, tuple(base_letters))
     marks = tuple(run + (r - 1) * unit for run, unit, _ in base_geom)
-    assign = dict(zip(rep.image_vars, marks))
-    fiber = None
-    for xs in itertools.product(range(len(base)), repeat=k):
-        assign.update(zip(rep.domain_vars, xs))
-        if evaluate(rep.g, base, fo=assign):
-            fiber = xs
-            break
+    fiber = first_fiber(rep.g, sig, rep.domain_vars, rep.image_vars, base, marks,
+                        budget_states)
     if fiber is None:
         raise ChainrepError("image family has no fiber on its base word")
     # classify the base fiber: offsets inside copy runs recur in every

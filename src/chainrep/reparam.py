@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
-                      Formula, In, NameSupply, Not, Or, Implies, Run, Signature,
-                      all_vars, conj, disj, exists_wrap, free_variables, mk_false,
-                      order_case_split, run_binders, substitute)
+from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars, conj,
+                      disj, exists_wrap, free_variables, mk_false, order_case_split,
+                      run_binders, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile as compile_dfa, dfa_empty,
                        max_fiber, minimize_dfa)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
@@ -431,10 +430,37 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
 
 def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
              budget_states: int, budget_monoid: int) -> Reparameterization:
-    """Recurse on the image of one elimination step and glue the maps."""
+    """Recurse on the image of one elimination step and glue the maps.
+
+    The step's domain tuples are ascending under the order case that guards
+    them, and their images are subsequences of them, so the ascending case
+    of the image, which holds every such image, is the only one that needs
+    a map.
+    """
     psi = exists_wrap(step.domain_vars, step.g)
-    inner = _minrep(psi, sig, step.image_vars, supply, budget_states, budget_monoid)
+    us = step.image_vars
+    if us:
+        inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi, supply,
+                             budget_states, budget_monoid)
+    else:
+        inner = _minrep(psi, sig, us, supply, budget_states, budget_monoid)
     return compose(step, inner)
+
+
+def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
+                 supply: NameSupply, budget_states: int,
+                 budget_monoid: int) -> Reparameterization | None:
+    """The map of one order case of f over xs, or None when the case is
+    empty.  classes are the case's equality classes in ascending order, and
+    case_formula mentions only their first members."""
+    reps = tuple(c[0] for c in classes)
+    dfa = compile_dfa(case_formula, sig, reps, budget_states)
+    if dfa_empty(dfa):
+        return None
+    inner = _case_rep(case_formula, sig, reps, supply, budget_states, budget_monoid, dfa)
+    pattern = "<".join("=".join(c) for c in classes)
+    return Reparameterization(f, sig, xs, inner.image_vars, inner.g, inner.bound,
+                              Step("case", pattern, (inner.provenance,)))
 
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
@@ -448,16 +474,10 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
                                   Step("base", "satisfiable sentence"))
     parts = []
     for case in order_case_split(f, xs):
-        dfa = compile_dfa(case.formula, sig, case.representatives, budget_states)
-        if dfa_empty(dfa):
-            continue
-        inner = _case_rep(case.formula, sig, case.representatives, supply,
-                          budget_states, budget_monoid, dfa)
-        pattern = "<".join("=".join(c) for c in case.classes)
-        lifted = Reparameterization(
-            f, sig, xs, inner.image_vars, inner.g, inner.bound,
-            Step("case", pattern, (inner.provenance,)))
-        parts.append((case.constraint, lifted))
+        lifted = _lifted_case(f, sig, xs, case.classes, case.formula, supply,
+                              budget_states, budget_monoid)
+        if lifted is not None:
+            parts.append((case.constraint, lifted))
     if not parts:
         return _unsat_rep(f, sig, xs)
     if len(parts) == 1:
@@ -465,22 +485,6 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
         return Reparameterization(f, sig, xs, rep.image_vars,
                                   And(guard, rep.g), rep.bound, rep.provenance)
     return combine_disjuncts(f, sig, xs, parts, supply)
-
-
-SET_NODES = (ExistsSO, ForallSO, In)
-
-
-def _mentions(f: Formula, kinds) -> bool:
-    """Whether some node of f is an instance of one of the given classes."""
-    if isinstance(f, kinds):
-        return True
-    match f:
-        case Not(g) | ExistsFO(_, g) | ForallFO(_, g) | AtLeast(_, _, g) \
-                | ExistsSO(_, g) | ForallSO(_, g):
-            return _mentions(g, kinds)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            return _mentions(a, kinds) or _mentions(b, kinds)
-    return False
 
 
 def _refine_bound(rep: Reparameterization, budget_states: int,
@@ -523,16 +527,15 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
                                budget_states: int = DEFAULT_STATE_BUDGET,
                                budget_monoid: int = DEFAULT_MONOID_BUDGET,
-                               refine: bool = True,
-                               refine_cap: int = DEFAULT_REFINE_CAP) -> Reparameterization:
+                               refine: bool = True) -> Reparameterization:
     """Minimal-dimension reparameterization of f over its marked variables.
 
     Splits into order cases, reduces each case by eliminating marks whose
     segment pairs cannot pump (splitting families by guards when they
     disagree on where), and recurses on the image.  The returned bound is a
     product/sum certificate; with refine it is tightened to the exact
-    maximal fiber size whenever that is at most refine_cap and the check
-    stays within budget.
+    maximal fiber size whenever that is at most DEFAULT_REFINE_CAP and the
+    count stays within budget.
     """
     if marked_vars is None:
         marked_vars = free_variables(f)
@@ -543,7 +546,7 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     supply = NameSupply(all_vars(f) | set(marked_vars))
     rep = _minrep(f, sig, marked_vars, supply, budget_states, budget_monoid)
     if refine and rep.bound > 1:
-        rep = _refine_bound(rep, budget_states, refine_cap)
+        rep = _refine_bound(rep, budget_states, DEFAULT_REFINE_CAP)
     return rep
 
 

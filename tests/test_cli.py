@@ -43,7 +43,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "ec18f25c42c880a408d28f76a9b51da00d882753"
+        "c24089a75e7ad41accd9245fb49c46f56edfa106"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):

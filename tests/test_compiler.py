@@ -145,6 +145,26 @@ def test_max_fiber_counts_preimages(sig1):
         max_fiber(parse("x < z", sig1), sig1, ("x",), ("y",), cap=2)
 
 
+def test_first_fiber_is_the_least_preimage(sig1):
+    # against the enumeration: the first xs tuple, in itertools.product
+    # order, that satisfies g with ys placed at the image
+    for sig, fo, g in formula_batch(11, 30, max_preds=1, rank=2):
+        for xs, ys in [(fo[:i], fo[i:]) for i in range(len(fo) + 1)]:
+            for w in all_words(sig, 3):
+                for image in itertools.product(range(len(w)), repeat=len(ys)):
+                    fixed = dict(zip(ys, image))
+                    want = next((t for t in itertools.product(range(len(w)), repeat=len(xs))
+                                 if evaluate(g, w, fo={**fixed, **dict(zip(xs, t))})), None)
+                    got = compiler.first_fiber(g, sig, xs, ys, w, image)
+                    assert got == want, (render(g), xs, w, image)
+    w = Word(sig1, (0,) * 5)
+    g = parse("x < y & y < z", sig1)
+    assert compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (3,)) == (0, 4)
+    assert compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (4,)) is None
+    with pytest.raises(ResourceLimitError, match="fiber search"):
+        compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (3,), budget_states=2)
+
+
 def test_minimize_dfa_preserves_language(sig1):
     dfa = compile(parse("P1(x) | x < x", sig1), sig1, ("x",))
     small = minimize_dfa(dfa)

@@ -1,12 +1,13 @@
 import pytest
 
-from chainrep.errors import ChainrepError, InputError, ResourceLimitError
-from chainrep.formula import parse
+from chainrep.errors import InputError
+from chainrep.formula import parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              growth_upper_check, no_decrement_witness,
                              pump_witness)
-from chainrep.oracle import count_in_set
+from chainrep.oracle import check_canonical_form, check_reparameterization, count_in_set
 from chainrep.randgen import formula_batch
+from chainrep.reparam import minimal_reparameterization
 from conftest import GROUP_TEXT, battery
 
 
@@ -110,10 +111,14 @@ def test_lower_witness_guarded_map(sig1):
         assert w.oracle_count() >= n
 
 
-def test_lower_witness_refuses_set_quantified_map(sig1):
+def test_lower_witness_on_set_quantified_map(sig1):
+    # the base fiber is read off the map's automaton, which compiles set
+    # quantifiers like any other node
     f = parse("EX X. (X(x) & P1(x))", sig1)
-    with pytest.raises(ResourceLimitError):
-        growth_lower_witness(f, sig1, ("x",), 2)
+    for n in (2, 4, 8):
+        w = growth_lower_witness(f, sig1, ("x",), n)
+        assert w.claimed_tuple_count == n
+        assert w.oracle_count() >= n
 
 
 def test_lower_witness_on_diagonal_tuples(sig1):
@@ -126,3 +131,24 @@ def test_lower_witness_on_diagonal_tuples(sig1):
         w = growth_lower_witness(f, sig, variables, 3)
         assert w.claimed_tuple_count == 1
         assert w.oracle_count() >= 1
+
+
+def test_random_formula_sweep():
+    # minimal maps and both growth sides on random formulas; the batch
+    # holds maps with set quantifiers (items 123, 141, 199, 204) and the
+    # dimension-0 formulas whose tuples all lie on a diagonal
+    batch = formula_batch(2, 225, rank=2)
+    diagonal = formula_batch(1, 150, rank=2)
+    cases = batch[:100] + [batch[i] for i in (123, 141, 199, 204)] \
+        + [diagonal[45], diagonal[78]]
+    for sig, variables, f in cases:
+        rep = minimal_reparameterization(f, sig, variables)
+        assert check_reparameterization(rep, 4), render(f)
+        assert check_canonical_form(rep, 4), render(f)
+        assert growth_upper_check(f, sig, variables, 4, 4), render(f)
+        if rep.bound == 0:
+            with pytest.raises(InputError):
+                growth_lower_witness(f, sig, variables, 4)
+            continue
+        w = growth_lower_witness(f, sig, variables, 4)
+        assert w.oracle_count() >= 4 ** rep.dimension, render(f)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chainrep import oracle
+from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
 from chainrep.formula import parse
 from chainrep.oracle import count_in_set, evaluate, satisfying_tuples
@@ -205,3 +205,26 @@ def test_oracle_never_imports_the_compiler():
                 assert not node.module.startswith("chainrep"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("chainrep") for a in node.names)
+
+
+def _oracle_imports(module):
+    """The names a module imports from the oracle, "oracle" for the module."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "oracle":
+                names |= {a.name for a in node.names}
+            elif any(a.name == "oracle" for a in node.names):
+                names.add("oracle")
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "oracle" for a in node.names):
+                names.add("oracle")
+    return names
+
+
+def test_pipeline_never_imports_the_oracle():
+    for module in (compiler, monoid, reparam):
+        assert not _oracle_imports(module), module.__name__
+    # growth counts by enumeration in brute_growth and in each witness's
+    # oracle_count(); its witnesses themselves come from the automata
+    assert _oracle_imports(growth) == {"count_in_set", "satisfying_tuples"}

@@ -57,9 +57,9 @@ def test_group_split(sig1):
     # guards are automaton leaves, rendered as their MSO export; the map is
     # the plain union of the disjoint guarded branches
     text = render(rep.g)
-    assert len(text) == 22_901
+    assert len(text) == 22_857
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "ec18f25c42c880a408d28f76a9b51da00d882753"
+        "c24089a75e7ad41accd9245fb49c46f56edfa106"
 
 
 def test_guarded_and_set_maps_refine(sig1):
