@@ -221,21 +221,30 @@ def _cmd_normalform(run: _Run):
     return run.report("normalform", result), 0
 
 
+def _witness_or_absent(build, *args, **budgets) -> dict:
+    """The witness build returns, or why the formula has none."""
+    try:
+        return _witness_dict(build(*args, **budgets))
+    except InputError as e:
+        return {"absent": str(e)}
+
+
 def _cmd_witness(run: _Run):
     sig = run.signature()
     f, variables = run.formula(sig)
     n = run.args.n if run.args.n is not None else 2
+    if n < 1:
+        raise InputError("witness needs --n of at least 1")
     budgets = dict(budget_states=run.args.budget_states,
                    budget_monoid=run.args.budget_monoid)
-    result = {}
+    result = {"growth_lower": _witness_or_absent(growth_lower_witness, f, sig,
+                                                 variables, n, **budgets)}
     if len(variables) == 1:
-        result["pumping"] = _witness_dict(pump_witness(f, sig, variables[0], n,
-                                                       **budgets))
-    if len(variables) >= 1:
-        result["no_decrement"] = _witness_dict(
-            no_decrement_witness(f, sig, variables, n, **budgets))
-    result["growth_lower"] = _witness_dict(
-        growth_lower_witness(f, sig, variables, max(n, 1), **budgets))
+        result["pumping"] = _witness_or_absent(pump_witness, f, sig, variables[0],
+                                               n, **budgets)
+    if variables:
+        result["no_decrement"] = _witness_or_absent(no_decrement_witness, f, sig,
+                                                    variables, n, **budgets)
     return run.report("witness", result), 0
 
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .formula import (And, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
-                      Formula, Implies, In, Less, NameSupply, Not, Or, Pred,
-                      Run, Signature, expand_macros, free_set_variables,
-                      free_variables, is_fo_name, run_binders)
+                      Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
+                      expand_macros, free_set_variables, free_variables,
+                      is_fo_name)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -156,21 +156,28 @@ class _Builder:
         delta = [[0] * nl for _ in range(n_states)]
         return _Auto(self.sig, tuple(fo), tuple(so), nl, init, delta, set(accepting))
 
-    def exactly_one(self, fo, so, v: str) -> _Auto:
-        """Valid marking of one first-order track: a single 1 on it."""
+    def single_mark(self, fo, so, marked, need: int = 0) -> _Auto:
+        """The tracks of the variables marked carry one mark each, all at
+        one position, where every bit of need is set as well."""
         a = self._fresh(fo, so, 3, 0, {1})
-        bit = a.fo_bit(v)
+        hit = 0
+        for v in marked:
+            hit |= 1 << a.fo_bit(v)
+        need |= hit
         for letter in range(a.n_letters):
-            hit = letter >> bit & 1
-            a.delta[0][letter] = 1 if hit else 0
-            a.delta[1][letter] = 2 if hit else 1
+            if letter & hit:
+                a.delta[0][letter] = 1 if letter & need == need else 2
+                a.delta[1][letter] = 2
+            else:
+                a.delta[0][letter] = 0
+                a.delta[1][letter] = 1
             a.delta[2][letter] = 2
         return a
 
     def atom_less(self, x: str, y: str) -> _Auto:
         fo = tuple(sorted({x, y}))
         if x == y:
-            a = self.exactly_one(fo, (), x)
+            a = self.single_mark(fo, (), (x,))
             a.accepting = set()
             return a
         a = self._fresh(fo, (), 4, 0, {2})
@@ -181,42 +188,6 @@ class _Builder:
             a.delta[1][letter] = 3 if hx else (2 if hy else 1)
             a.delta[2][letter] = 3 if (hx or hy) else 2
             a.delta[3][letter] = 3
-        return a
-
-    def atom_equal(self, x: str, y: str) -> _Auto:
-        if x == y:
-            return self.exactly_one((x,), (), x)
-        fo = tuple(sorted({x, y}))
-        a = self._fresh(fo, (), 3, 0, {1})
-        bx, by = a.fo_bit(x), a.fo_bit(y)
-        for letter in range(a.n_letters):
-            hx, hy = letter >> bx & 1, letter >> by & 1
-            a.delta[0][letter] = 1 if (hx and hy) else (2 if (hx or hy) else 0)
-            a.delta[1][letter] = 2 if (hx or hy) else 1
-            a.delta[2][letter] = 2
-        return a
-
-    def atom_pred(self, name: str, x: str) -> _Auto:
-        p = self.sig.index(name)
-        a = self._fresh((x,), (), 3, 0, {1})
-        bx = a.fo_bit(x)
-        for letter in range(a.n_letters):
-            hx = letter >> bx & 1
-            lab = letter >> p & 1
-            a.delta[0][letter] = (1 if lab else 2) if hx else 0
-            a.delta[1][letter] = 2 if hx else 1
-            a.delta[2][letter] = 2
-        return a
-
-    def atom_in(self, s: str, x: str) -> _Auto:
-        a = self._fresh((x,), (s,), 3, 0, {1})
-        bx, bs = a.fo_bit(x), a.so_bit(s)
-        for letter in range(a.n_letters):
-            hx = letter >> bx & 1
-            hs = letter >> bs & 1
-            a.delta[0][letter] = (1 if hs else 2) if hx else 0
-            a.delta[1][letter] = 2 if hx else 1
-            a.delta[2][letter] = 2
         return a
 
     def run_leaf(self, dfa: Dfa, variables) -> _Auto:
@@ -239,7 +210,7 @@ class _Builder:
     def valid(self, a: _Auto, tracks) -> _Auto:
         """a restricted to a single mark on each of the first-order tracks."""
         for v in tracks:
-            a = self.minimize(self.product(a, self.exactly_one(a.fo, a.so, v), "and"))
+            a = self.minimize(self.product(a, self.single_mark(a.fo, a.so, (v,)), "and"))
         return a
 
     def extend(self, a: _Auto, fo_add=(), so_add=()) -> _Auto:
@@ -340,6 +311,14 @@ class _Builder:
         return _Auto(self.sig, fo, so, nl, 0, delta, accepting)
 
     def minimize(self, a: _Auto) -> _Auto:
+        """The minimal automaton of a, its states in breadth-first order
+        from the initial state, letters in order.
+
+        The trim below numbers states breadth-first, and each class takes
+        the number of its first member.  A later member's successors lie in
+        the classes of the first member's, so the classes come out in the
+        breadth-first order of the quotient itself; publish relies on it.
+        """
         # trim to reachable states first
         reach = [a.init]
         seen = {a.init}
@@ -409,12 +388,13 @@ class _Builder:
             case Less(x, y):
                 return self.atom_less(x, y)
             case Equal(x, y):
-                return self.atom_equal(x, y)
+                return self.single_mark(tuple(sorted({x, y})), (), (x, y))
             case Pred(name, x):
-                return self.atom_pred(name, x)
+                return self.single_mark((x,), (), (x,), 1 << self.sig.index(name))
             case In(s, x):
-                return self.atom_in(s, x)
-            case Run(dfa, vs, _):
+                # the set track sits right after the one first-order track
+                return self.single_mark((x,), (s,), (x,), 1 << (self.sig.k + 1))
+            case Run(dfa, vs):
                 return self.run_leaf(dfa, vs)
             case Not(g):
                 return self.complement(self.build(g))
@@ -459,31 +439,16 @@ class _Builder:
         return self.publish(self.determinize(a, groups), True)
 
     def publish(self, a: _Auto, marked: bool) -> Dfa:
-        """The minimal automaton of a, with states numbered in BFS order."""
+        """The minimal automaton of a, numbered as minimize leaves it:
+        breadth-first from the initial state 0, letters in order."""
         out = self.minimize(a)
-        init, delta, accepting = _bfs_renumber(out.init, out.delta, out.accepting)
-        return Dfa(self.sig, marked, init, delta, frozenset(accepting))
+        return Dfa(self.sig, marked, out.init, tuple(map(tuple, out.delta)),
+                   frozenset(out.accepting))
 
 
 def _auto_of(dfa: Dfa) -> _Auto:
     return _Auto(dfa.sig, (), (), dfa.n_letters, dfa.init,
                  [list(row) for row in dfa.delta], set(dfa.accepting))
-
-
-def _bfs_renumber(init, delta, accepting):
-    order = [init]
-    ids = {init: 0}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for t in delta[q]:
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-        i += 1
-    out_delta = tuple(tuple(ids[t] for t in delta[q]) for q in order)
-    out_acc = {ids[q] for q in order if q in accepting}
-    return 0, out_delta, out_acc
 
 
 def compile(f: Formula, sig: Signature, marked_vars=(),
@@ -635,19 +600,7 @@ def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
 
 def dfa_empty(dfa: Dfa) -> bool:
     """True when the automaton accepts no word at all."""
-    seen = {dfa.init}
-    queue = [dfa.init]
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        if q in dfa.accepting:
-            return False
-        for t in dfa.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-        i += 1
-    return True
+    return shortest_accepted(dfa) is None
 
 
 def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
@@ -715,19 +668,16 @@ def project_mark(dfa: Dfa) -> Dfa:
     return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
 
 
-def dfa_to_formula(dfa: Dfa, variables=(), supply: NameSupply | None = None) -> Formula:
+def dfa_to_formula(dfa: Dfa, variables=()) -> Formula:
     """A formula whose satisfying assignments are the accepted markings.
 
     For a marked automaton the free variables name the marks in ascending
     order; a plain automaton yields a sentence.  This is the MSO export of
-    the leaf Run(dfa, variables), with its binder names drawn from supply;
-    pipelines keep the leaf itself, which compiles and evaluates directly.
+    the leaf Run(dfa, variables), which quantifies its own names, fresh
+    against variables; pipelines keep the leaf itself, which compiles and
+    evaluates directly.
     """
     variables = tuple(variables)
     if dfa.marked and len(set(variables)) != len(variables):
         raise InputError("variables must be distinct")
-    if not dfa.marked and variables:
-        raise InputError("plain automaton takes no variables")
-    if supply is None:
-        supply = NameSupply(set(variables))
-    return Run(dfa, variables, run_binders(supply)).mso()
+    return Run(dfa, variables).mso()

@@ -168,14 +168,12 @@ class Run(Formula):
 
     `dfa` is a compiler.Dfa, marked or plain; a plain one takes no vars.
     The marked positions form a set, so a name may repeat (as it does after
-    an order-case merge).  `binders` are the three first-order names that
-    the MSO export `mso()` quantifies; left empty, they are drawn fresh
-    against `vars`.
+    an order-case merge).  The leaf binds no variable: its only names are
+    `vars`, and the MSO export `mso()` draws its own.
     """
 
     dfa: object
     vars: tuple[str, ...]
-    binders: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -184,20 +182,19 @@ class Run(Formula):
                 raise InputError(f"bad variable name {v!r}")
         if self.vars and not self.dfa.marked:
             raise InputError("plain automaton takes no variables")
-        if not self.binders:
-            object.__setattr__(self, "binders", run_binders(NameSupply(self.vars)))
-        if len(self.binders) != 3:
-            raise InputError("a run leaf needs three binder names")
 
     def mso(self) -> Formula:
         """The same property as a plain MSO formula.
 
         The run is encoded by ceil(log2 n) set variables holding the state
         bits after each position, pinned down inductively, so the formula
-        is exact but costly to evaluate.
+        is exact but costly to evaluate.  Its first-order binders p, q, r
+        are fresh against vars, which are its only free variables, so the
+        export is capture-free in any context.
         """
         dfa, variables = self.dfa, self.vars
-        p, q, r = self.binders
+        supply = NameSupply(variables)
+        p, q, r = (supply.fresh(c) for c in "pqr")
         n = dfa.n_states
         k = dfa.sig.k
         nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
@@ -444,7 +441,7 @@ def free_variables(f: Formula) -> tuple[str, ...]:
             case Pred(_, v) | In(_, v):
                 if v not in bound and v not in out:
                     out.append(v)
-            case Run(_, vs, _):
+            case Run(_, vs):
                 for v in vs:
                     if v not in bound and v not in out:
                         out.append(v)
@@ -499,10 +496,8 @@ def all_vars(f: Formula) -> frozenset[str]:
             case In(s, v):
                 out.add(s)
                 out.add(v)
-            case Run():
-                # the names of the export, binders included, so fresh
-                # names avoid exactly what the rendered text holds
-                out.update(all_vars(node.mso()))
+            case Run(_, vs):
+                out.update(vs)
             case Not(g):
                 go(g)
             case And(a, b) | Or(a, b) | Implies(a, b):
@@ -550,11 +545,6 @@ class NameSupply:
                 return cand
 
 
-def run_binders(supply: NameSupply) -> tuple[str, str, str]:
-    """Fresh binder names for a Run leaf, drawn in dfa_to_formula's order."""
-    return tuple(supply.fresh(c) for c in "pqr")
-
-
 def substitute(f: Formula, mapping: dict[str, str], supply: NameSupply | None = None) -> Formula:
     """Rename free first-order variables, avoiding capture by renaming binders."""
     mapping = {k: v for k, v in mapping.items() if k != v}
@@ -592,11 +582,8 @@ def _subst(f, m, supply):
             return Pred(p, m.get(v, v))
         case In(s, v):
             return In(s, m.get(v, v))
-        case Run(dfa, vs, binders):
-            # keep the export capture-free: a binder hit by a new name moves
-            targets = set(m.values())
-            return Run(dfa, tuple(m.get(v, v) for v in vs),
-                       tuple(supply.fresh(b) if b in targets else b for b in binders))
+        case Run(dfa, vs):
+            return Run(dfa, tuple(m.get(v, v) for v in vs))
         case Not(g):
             return Not(_subst(g, m, supply))
         case And(a, b):

@@ -211,7 +211,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 fso = tuple(x for x in fso if x != s)
                 fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
                 return memoized(fn, ffo, fso), ffo, fso
-            case Run(dfa, vs, _):
+            case Run(dfa, vs):
                 ffo = tuple(dict.fromkeys(vs))
                 same_sig = dfa.sig == sig
                 delta, accepting = dfa.delta, dfa.accepting

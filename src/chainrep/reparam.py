@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars, conj,
                       disj, exists_wrap, free_variables, mk_false, order_case_split,
-                      run_binders, substitute)
+                      substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile as compile_dfa, dfa_empty,
                        max_fiber, minimize_dfa)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
@@ -421,7 +421,7 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
     parts = []
     for i in sorted(groups):
         guard_dfa = _type_tuple_dfa(algebra, groups[i], budget_states)
-        gamma = Run(guard_dfa, ys, run_binders(supply))
+        gamma = Run(guard_dfa, ys)
         step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
         parts.append((gamma, _descend(step, sig, supply, budget_states, budget_monoid)))

@@ -43,7 +43,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "c24089a75e7ad41accd9245fb49c46f56edfa106"
+        "f8dbd4a114442187fe71a2daea472e1aee0e05b5"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):
@@ -95,6 +95,32 @@ def test_witness_report(capsys):
     r = report["result"]
     assert set(r) == {"pumping", "no_decrement", "growth_lower"}
     assert r["no_decrement"]["oracle_count"] >= 4
+
+
+@pytest.mark.parametrize("formula, absent", [
+    # dimension 1 over two variables: no mark pumps in every family
+    ("x < y & ~ex z. (x < z & z < y)", {"no_decrement"}),
+    # dimension 2, but the ascending order case x<y is empty
+    ("P1(x) & y < x", {"no_decrement"}),
+    # dimension 0: nothing pumps
+    ("~ex z. z < x", {"pumping", "no_decrement"}),
+])
+def test_witness_reports_absent_witnesses(capsys, formula, absent):
+    status, report, _ = run_json(capsys, "witness", "--sig", "P1",
+                                 "--formula", formula, "--n", "2")
+    assert status == 0
+    r = report["result"]
+    assert {name for name, w in r.items() if "absent" in w} == absent
+    for name in absent:
+        assert r[name]["absent"]
+    lower = r["growth_lower"]
+    assert lower["oracle_count"] >= lower["claimed"] >= 1
+
+
+def test_witness_rejects_nonpositive_n(capsys):
+    status, out, err = run(capsys, "witness", "--sig", "P1",
+                           "--formula", "P1(x)", "--n", "0")
+    assert status == 2 and out == "" and "--n" in err
 
 
 def test_oracle_check_embeds_notes(capsys):
@@ -173,6 +199,8 @@ def test_selftest_deterministic(capsys):
     status2, out2, _ = run(capsys, "selftest", "--format", "json")
     assert status1 == status2 == 0
     assert out1 == out2
+    assert hashlib.sha1(out1.encode()).hexdigest() == \
+        "b7526ebc8b49a5ff147761f5bb50d8a477591298"
     report = json.loads(out1)
     assert report["result"]["ok"] is True
     names = [c["name"] for c in report["result"]["checks"]]

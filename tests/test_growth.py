@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from chainrep.errors import InputError
@@ -7,7 +9,7 @@ from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              pump_witness)
 from chainrep.oracle import check_canonical_form, check_reparameterization, count_in_set
 from chainrep.randgen import formula_batch
-from chainrep.reparam import minimal_reparameterization
+from chainrep.reparam import decide_dimension, minimal_reparameterization
 from conftest import GROUP_TEXT, battery
 
 
@@ -134,9 +136,10 @@ def test_lower_witness_on_diagonal_tuples(sig1):
 
 
 def test_random_formula_sweep():
-    # minimal maps and both growth sides on random formulas; the batch
-    # holds maps with set quantifiers (items 123, 141, 199, 204) and the
-    # dimension-0 formulas whose tuples all lie on a diagonal
+    # minimal maps, both growth sides, the decision procedure and the
+    # no-decrement witnesses on random formulas; the batch holds maps with
+    # set quantifiers (items 123, 141, 199, 204) and the dimension-0
+    # formulas whose tuples all lie on a diagonal
     batch = formula_batch(2, 225, rank=2)
     diagonal = formula_batch(1, 150, rank=2)
     cases = batch[:100] + [batch[i] for i in (123, 141, 199, 204)] \
@@ -146,9 +149,23 @@ def test_random_formula_sweep():
         assert check_reparameterization(rep, 4), render(f)
         assert check_canonical_form(rep, 4), render(f)
         assert growth_upper_check(f, sig, variables, 4, 4), render(f)
+        d = rep.dimension
+        assert decide_dimension(f, sig, variables, d), render(f)
+        assert d == 0 or not decide_dimension(f, sig, variables, d - 1), render(f)
         if rep.bound == 0:
             with pytest.raises(InputError):
                 growth_lower_witness(f, sig, variables, 4)
             continue
         w = growth_lower_witness(f, sig, variables, 4)
-        assert w.oracle_count() >= 4 ** rep.dimension, render(f)
+        assert w.oracle_count() >= 4 ** d, render(f)
+        # a witness that no mark can go exists, for some order of the
+        # marks, exactly when the dimension is the arity
+        found = 0
+        for order in itertools.permutations(variables):
+            try:
+                w = no_decrement_witness(f, sig, order, 2)
+            except InputError:
+                continue
+            assert w.oracle_count() >= w.claimed_tuple_count, render(f)
+            found += 1
+        assert bool(found) == (d == len(variables) > 0), render(f)

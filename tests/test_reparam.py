@@ -59,7 +59,7 @@ def test_group_split(sig1):
     text = render(rep.g)
     assert len(text) == 22_857
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "c24089a75e7ad41accd9245fb49c46f56edfa106"
+        "f8dbd4a114442187fe71a2daea472e1aee0e05b5"
 
 
 def test_guarded_and_set_maps_refine(sig1):

@@ -5,15 +5,17 @@ import itertools
 
 import pytest
 
-from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula
+from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula, max_fiber
 from chainrep.errors import InputError
-from chainrep.formula import (And, NameSupply, Run, all_vars, ascending_chain,
-                              expand_macros, free_set_variables, free_variables,
-                              parse, quantifier_rank, render,
-                              run_binders, substitute)
+from chainrep.formula import (And, Formula, Run, all_vars, ascending_chain, expand_macros,
+                              free_set_variables, free_variables, parse,
+                              quantifier_rank, render, substitute)
+from chainrep.growth import growth_lower_witness
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
+from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, all_words
+from conftest import GROUP_TEXT
 
 
 def marked_dfas():
@@ -82,8 +84,8 @@ def test_walkers(sig1):
     assert free_set_variables(leaf) == ()
     assert quantifier_rank(leaf) == 0
     assert expand_macros(leaf) is leaf
-    assert leaf.binders == ("p0", "q0", "r0")
-    assert {"x", "y", "p0", "q0", "r0"} <= all_vars(leaf)
+    # the leaf binds nothing: its names are its variables
+    assert all_vars(leaf) == {"x", "y"}
     with pytest.raises(InputError):
         Run(compile(parse("ex v. P1(v)", sig1), sig1), ("x",))
 
@@ -93,13 +95,10 @@ def test_render_is_the_export(sig1):
     text = dfa_to_formula(dfa, ("x", "y"))
     leaf = Run(dfa, ("x", "y"))
     assert render(leaf) == render(text)
-    assert all_vars(leaf) == all_vars(text)
-    # binders drawn from a shared supply match the export drawn from it
-    a, b = NameSupply({"x", "y", "p0"}), NameSupply({"x", "y", "p0"})
-    drawn = Run(dfa, ("x", "y"), run_binders(a))
-    assert drawn.binders == ("p1", "q0", "r0")
-    assert render(drawn) == render(dfa_to_formula(dfa, ("x", "y"), b))
-    assert a.fresh("u") == b.fresh("u")
+    assert set(free_variables(text)) == all_vars(leaf)
+    # the export picks its own binders, fresh against the variables
+    assert {"p0", "q0", "r0"} <= all_vars(text)
+    assert {"p1", "q0", "r0"} <= all_vars(dfa_to_formula(dfa, ("p0", "y")))
     # in context it renders with the export's precedence
     assert render(And(leaf, leaf)) == render(And(text, text))
 
@@ -107,8 +106,37 @@ def test_render_is_the_export(sig1):
 def test_substitution_keeps_the_export_capture_free(sig1):
     dfa = compile(parse("x < y & P1(y)", sig1), sig1, ("x", "y"))
     leaf = substitute(Run(dfa, ("x", "y")), {"x": "p0"})
-    assert leaf.vars == ("p0", "y") and "p0" not in leaf.binders
+    assert leaf.vars == ("p0", "y")
+    assert set(free_variables(leaf.mso())) == {"p0", "y"}
     back = parse(render(leaf), sig1)
     for w in all_words(sig1, 3):
         for env in assignments(w, ("p0", "y")):
             assert evaluate(back, w, fo=env) == evaluate(leaf, w, fo=env)
+
+
+def test_pipeline_never_exports_a_leaf(sig1, monkeypatch):
+    # the guard split's map holds Run leaves; building, refining and
+    # witnessing it works on the leaves themselves, never on their export
+    def refuse(self):
+        raise AssertionError("a Run leaf was exported to MSO")
+
+    monkeypatch.setattr(Run, "mso", refuse)
+    f = parse(GROUP_TEXT, sig1)
+    rep = minimal_reparameterization(f, sig1, ("x", "y"))
+    assert (rep.dimension, rep.bound) == (1, 3)
+    leaves = []
+
+    def collect(node):
+        if isinstance(node, Run):
+            leaves.append(node)
+        for child in vars(node).values():
+            if isinstance(child, Formula):
+                collect(child)
+
+    collect(rep.g)
+    assert leaves
+    for leaf in leaves:
+        assert all_vars(leaf) == set(leaf.vars)
+    assert max_fiber(rep.g, sig1, rep.domain_vars, rep.image_vars, cap=10) == 3
+    w = growth_lower_witness(f, sig1, ("x", "y"), 4)
+    assert w.oracle_count() >= w.claimed_tuple_count == 4
