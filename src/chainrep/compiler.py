@@ -24,12 +24,15 @@ bit.  Only assignments with x1 < ... < xm are representable; pipelines that
 need other orderings split into order cases first.
 
 A Run leaf carries such a public automaton inside a formula; it is embedded
-as is, its mark bit fed by the OR of its variables' tracks, so an automaton
-the pipeline already holds never goes back through MSO.
+as is, its mark bit fed by the OR of its variables' tracks, or, for an
+automaton with one track per variable, each mark bit by its variable's
+track, so an automaton the pipeline already holds never goes back through
+MSO.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
@@ -50,7 +53,8 @@ class Dfa:
     """Total deterministic automaton over label letters, optionally marked.
 
     Letters are integers: bits 0..k-1 are the labels in signature order;
-    for a marked automaton bit k is the shared mark bit.
+    a marked automaton has `tracks` mark bits from bit k on, one shared
+    mark bit unless it reads one track per variable.
     """
 
     sig: Signature
@@ -58,6 +62,7 @@ class Dfa:
     init: int
     delta: tuple[tuple[int, ...], ...]
     accepting: frozenset[int]
+    tracks: int = 1
 
     @property
     def n_states(self) -> int:
@@ -65,17 +70,21 @@ class Dfa:
 
     @property
     def n_letters(self) -> int:
-        return 1 << (self.sig.k + (1 if self.marked else 0))
+        return 1 << (self.sig.k + (self.tracks if self.marked else 0))
 
     def letter_name(self, letter: int) -> str:
         k = self.sig.k
         name = render_letter(self.sig, letter & ((1 << k) - 1))
-        if self.marked and letter >> k & 1:
-            name += "*"
+        if self.marked:
+            name += "".join("*" if self.tracks == 1 else f"*{j}"
+                            for j in range(self.tracks) if letter >> (k + j) & 1)
         return name
 
     def run(self, w) -> bool:
-        """Acceptance of a Word (or MarkedWord when the automaton is marked)."""
+        """Acceptance of a Word (or MarkedWord when the automaton is marked
+        with one shared mark bit)."""
+        if self.tracks != 1:
+            raise InputError("a marked word cannot fill one track per variable")
         if isinstance(w, MarkedWord):
             if not self.marked:
                 if w.marks:
@@ -191,8 +200,9 @@ class _Builder:
         return a
 
     def run_leaf(self, dfa: Dfa, variables) -> _Auto:
-        """A public automaton on tracks: the mark bit it reads is the OR of
-        the variables' tracks, each of which carries a single mark."""
+        """A public automaton on tracks, each carrying a single mark: its
+        shared mark bit reads the OR of the variables' tracks, or its j-th
+        mark bit the track of the j-th variable."""
         if dfa.sig != self.sig:
             raise InputError("automaton leaf is over another signature")
         fo = tuple(sorted(set(variables)))
@@ -200,7 +210,15 @@ class _Builder:
         self._check(dfa.n_states, nl)
         k = self.sig.k
         low = (1 << k) - 1
-        public = [(letter & low) | (letter > low) << k for letter in range(nl)]
+        # (bit of the variable's track, mark bit it feeds)
+        feeds = [(k + fo.index(v), k + (j if dfa.tracks > 1 else 0))
+                 for j, v in enumerate(variables)]
+        public = []
+        for letter in range(nl):
+            out = letter & low
+            for src, dst in feeds:
+                out |= (letter >> src & 1) << dst
+            public.append(out)
         a = _Auto(self.sig, fo, (), nl, dfa.init,
                   [[row[p] for p in public] for row in dfa.delta], set(dfa.accepting))
         return self.valid(a, fo)
@@ -438,12 +456,12 @@ class _Builder:
             groups[lab | mark << k].append(letter)
         return self.publish(self.determinize(a, groups), True)
 
-    def publish(self, a: _Auto, marked: bool) -> Dfa:
+    def publish(self, a: _Auto, marked: bool, tracks: int = 1) -> Dfa:
         """The minimal automaton of a, numbered as minimize leaves it:
         breadth-first from the initial state 0, letters in order."""
         out = self.minimize(a)
         return Dfa(self.sig, marked, out.init, tuple(map(tuple, out.delta)),
-                   frozenset(out.accepting))
+                   frozenset(out.accepting), tracks)
 
 
 def _auto_of(dfa: Dfa) -> _Auto:
@@ -545,6 +563,85 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
     return best
 
 
+def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
+              budget_states: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
+    """Automata over the tracks xs + ys, one per rank below bound: the i-th
+    accepts when g relates xs to ys and exactly i of the xs tuples that g
+    relates to ys are lexicographically smaller than xs.
+
+    g is built once over the xs and ys tracks.  A counting subset
+    construction runs it on each letter read and, as max_fiber does, on
+    every xs-bit variant of that letter: its states pair the state of the
+    main run with the number of candidate xs markings reaching each pair
+    (state, comparison with xs so far), capped at bound.  A letter that
+    sends the main run to its sink goes to one dead state, None.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    k, m = sig.k, len(xs)
+    less = (2,)
+
+    @functools.cache
+    def compare(cmp, main, cand):
+        # per coordinate: 0 no mark yet, 1 the main mark came first, 2 the
+        # candidate's did, 3 both at once; up to the first unequal one,
+        # which is final once all before it are equal (a larger candidate
+        # is dropped)
+        out = []
+        for j, s in enumerate(cmp):
+            s = s or (main >> j & 1) | (cand >> j & 1) << 1
+            if s in (1, 2):
+                if all(e == 3 for e in out):
+                    return less if s == 2 else None
+                return tuple(out + [s])
+            out.append(s)
+        return tuple(out)
+
+    try:
+        builder, a = _track_automaton(g, sig, xs + ys, budget_states)
+        sink = {q for q, row in enumerate(a.delta)
+                if q not in a.accepting and set(row) == {q}}
+
+        def spread(mask, variables):
+            return sum(1 << a.fo_bit(v) for j, v in enumerate(variables) if mask >> j & 1)
+
+        # the letter of a read on each letter of the result, and the bits
+        # of a that each set of xs coordinates marks
+        letters = [(letter & ((1 << k) - 1)) | spread(letter >> k, xs + ys)
+                   for letter in range(1 << (k + m + len(ys)))]
+        xbits = [spread(c, xs) for c in range(1 << m)]
+        start = (a.init, (((a.init, (0,) * m), 1),))
+        index, order, delta = {start: 0}, [start], []
+        while len(delta) < len(order):
+            cur = order[len(delta)]
+            row = []
+            for letter, inner in enumerate(letters):
+                nxt = None
+                if cur is not None and a.delta[cur[0]][inner] not in sink:
+                    base, main = inner & ~xbits[-1], letter >> k & ((1 << m) - 1)
+                    counts: dict = {}
+                    for (p, cmp), c in cur[1]:
+                        for cand, bits in enumerate(xbits):
+                            t, to = a.delta[p][base | bits], compare(cmp, main, cand)
+                            if t not in sink and to is not None:
+                                counts[t, to] = min(bound, counts.get((t, to), 0) + c)
+                    nxt = (a.delta[cur[0]][inner], tuple(sorted(counts.items())))
+                if nxt not in index:
+                    index[nxt] = len(order)
+                    order.append(nxt)
+                    builder._check(len(order), len(letters))
+                row.append(index[nxt])
+            delta.append(row)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"preimage ranks: {e}", e.budget, e.subject) from e
+    ranks = [None if st is None or st[0] not in a.accepting else
+             sum(c for (t, cmp), c in st[1] if t in a.accepting and cmp == less)
+             for st in order]
+    return [builder.publish(_Auto(sig, (), (), len(letters), 0, delta,
+                                  {q for q, r in enumerate(ranks) if r == i}),
+                            True, len(xs + ys))
+            for i in range(bound)]
+
+
 def first_fiber(g: Formula, sig: Signature, xs, ys, word: Word, image,
                 budget_states: int = DEFAULT_STATE_BUDGET):
     """The lexicographically least xs tuple that g relates to ys placed at
@@ -595,7 +692,7 @@ def first_fiber(g: Formula, sig: Signature, xs, ys, word: Word, image,
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Language-preserving minimization of an already built automaton."""
-    return _Builder(dfa.sig, budget_states).publish(_auto_of(dfa), dfa.marked)
+    return _Builder(dfa.sig, budget_states).publish(_auto_of(dfa), dfa.marked, dfa.tracks)
 
 
 def dfa_empty(dfa: Dfa) -> bool:
@@ -604,7 +701,7 @@ def dfa_empty(dfa: Dfa) -> bool:
 
 
 def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
-    if a.sig != b.sig or a.marked != b.marked:
+    if (a.sig, a.marked, a.tracks) != (b.sig, b.marked, b.tracks):
         raise InputError("automata are over different alphabets")
     seen = {(a.init, b.init)}
     queue = [(a.init, b.init)]
@@ -624,6 +721,8 @@ def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
 
 def shortest_accepted(dfa: Dfa):
     """Shortlex-first accepted word, as a Word or MarkedWord, or None."""
+    if dfa.tracks != 1:
+        raise InputError("a marked word cannot fill one track per variable")
     if dfa.init in dfa.accepting:
         path = []
     else:
@@ -659,12 +758,12 @@ def shortest_accepted(dfa: Dfa):
 
 
 def project_mark(dfa: Dfa) -> Dfa:
-    """Forget the mark bit: accept words that admit some accepted marking."""
+    """Forget the mark bits: accept words that admit some accepted marking."""
     if not dfa.marked:
         raise InputError("automaton has no mark bit")
     k = dfa.sig.k
     builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET)
-    groups = [(lab, lab | 1 << k) for lab in range(1 << k)]
+    groups = [[lab | m << k for m in range(1 << dfa.tracks)] for lab in range(1 << k)]
     return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
 
 
@@ -672,10 +771,12 @@ def dfa_to_formula(dfa: Dfa, variables=()) -> Formula:
     """A formula whose satisfying assignments are the accepted markings.
 
     For a marked automaton the free variables name the marks in ascending
-    order; a plain automaton yields a sentence.  This is the MSO export of
-    the leaf Run(dfa, variables), which quantifies its own names, fresh
-    against variables; pipelines keep the leaf itself, which compiles and
-    evaluates directly.
+    order, or, when it reads one track per variable, the j-th names the
+    mark on track j; a plain automaton yields a sentence.  This is the MSO
+    export of the leaf Run(dfa, variables), which quantifies its own names,
+    fresh against variables, and leaves out transitions into a rejecting
+    sink; pipelines keep the leaf itself, which compiles and evaluates
+    directly.
     """
     variables = tuple(variables)
     if dfa.marked and len(set(variables)) != len(variables):

@@ -163,13 +163,16 @@ class AtLeast(Formula):
 
 @dataclass(frozen=True)
 class Run(Formula):
-    """The automaton `dfa` accepts the word with exactly the positions of
-    `vars` marked.
+    """The automaton `dfa` accepts the word with the positions of `vars`
+    marked.
 
     `dfa` is a compiler.Dfa, marked or plain; a plain one takes no vars.
-    The marked positions form a set, so a name may repeat (as it does after
-    an order-case merge).  The leaf binds no variable: its only names are
-    `vars`, and the MSO export `mso()` draws its own.
+    The automaton decides how it reads them: with one mark bit
+    (`dfa.tracks == 1`) every variable marks that bit, so the marked
+    positions form a set and a name may repeat (as it does after an
+    order-case merge); with one track per variable the j-th variable marks
+    mark bit j.  The leaf binds no variable: its only names are `vars`,
+    and the MSO export `mso()` draws its own.
     """
 
     dfa: object
@@ -182,15 +185,20 @@ class Run(Formula):
                 raise InputError(f"bad variable name {v!r}")
         if self.vars and not self.dfa.marked:
             raise InputError("plain automaton takes no variables")
+        if self.dfa.tracks not in (1, len(self.vars)):
+            raise InputError(f"automaton reads {self.dfa.tracks} tracks, "
+                             f"leaf has {len(self.vars)} variables")
 
     def mso(self) -> Formula:
         """The same property as a plain MSO formula.
 
         The run is encoded by ceil(log2 n) set variables holding the state
         bits after each position, pinned down inductively, so the formula
-        is exact but costly to evaluate.  Its first-order binders p, q, r
-        are fresh against vars, which are its only free variables, so the
-        export is capture-free in any context.
+        is exact but costly to evaluate.  Transitions into a rejecting sink
+        are left out: a run that enters one has no encoding, as it has no
+        accepting end.  Its first-order binders p, q, r are fresh against
+        vars, which are its only free variables, so the export is
+        capture-free in any context.
         """
         dfa, variables = self.dfa, self.vars
         supply = NameSupply(variables)
@@ -199,6 +207,10 @@ class Run(Formula):
         k = dfa.sig.k
         nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
         zs = [f"Z{j}" for j in range(nbits)]
+        sinks = {s for s, row in enumerate(dfa.delta)
+                 if s not in dfa.accepting and set(row) == {s}}
+        # the variables each mark bit reads
+        feeds = [variables] if dfa.tracks == 1 else [(v,) for v in variables]
 
         def state_bits(var, state):
             parts = []
@@ -213,11 +225,9 @@ class Run(Formula):
                 atom = Pred(name, var)
                 parts.append(atom if letter >> i & 1 else Not(atom))
             if dfa.marked:
-                marked_here = disj([Equal(var, v) for v in variables])
-                if letter >> k & 1:
-                    parts.append(marked_here)
-                else:
-                    parts.append(Not(marked_here))
+                for j, feed in enumerate(feeds):
+                    here = disj([Equal(var, v) for v in feed])
+                    parts.append(here if letter >> (k + j) & 1 else Not(here))
             return conj(parts)
 
         is_first = Not(ExistsFO(q, Less(q, p)))
@@ -225,13 +235,14 @@ class Run(Formula):
         first_rule = ForallFO(p, Implies(
             is_first,
             disj([And(letter_test(p, a), state_bits(p, dfa.delta[dfa.init][a]))
-                  for a in range(dfa.n_letters)])))
+                  for a in range(dfa.n_letters) if dfa.delta[dfa.init][a] not in sinks])))
         succ = And(Less(p, q), Not(ExistsFO(r, And(Less(p, r), Less(r, q)))))
         step_rule = ForallFO(p, ForallFO(q, Implies(
             succ,
             disj([conj([state_bits(p, s), letter_test(q, a),
                         state_bits(q, dfa.delta[s][a])])
-                  for s in range(n) for a in range(dfa.n_letters)]))))
+                  for s in range(n) for a in range(dfa.n_letters)
+                  if dfa.delta[s][a] not in sinks]))))
         last_rule = ForallFO(p, Implies(
             is_last,
             disj([state_bits(p, s) for s in sorted(dfa.accepting)])))
@@ -396,10 +407,15 @@ def _render(f: Formula, ctx: int) -> str:
             s, prec = f"{name}({v})", 5
         case Not(g):
             s, prec = "~" + _render(g, 4), 4
-        case And(a, b):
-            s, prec = _render(a, 3) + " & " + _render(b, 4), 3
-        case Or(a, b):
-            s, prec = _render(a, 2) + " | " + _render(b, 3), 2
+        case And() | Or():
+            # walk a left-deep chain in a loop: conj and disj build long ones
+            op, prec = (" & ", 3) if isinstance(f, And) else (" | ", 2)
+            node, rights = f, []
+            while type(node) is type(f):
+                rights.append(node.right)
+                node = node.left
+            s = op.join([_render(node, prec)]
+                        + [_render(b, prec + 1) for b in reversed(rights)])
         case Implies(a, b):
             s, prec = _render(a, 2) + " -> " + _render(b, 1), 1
         case ExistsFO(v, g):
@@ -510,21 +526,6 @@ def all_vars(f: Formula) -> frozenset[str]:
 
     go(f)
     return frozenset(out)
-
-
-def quantifier_rank(f: Formula) -> int:
-    match f:
-        case Less() | Equal() | Pred() | In() | Run():
-            return 0
-        case Not(g):
-            return quantifier_rank(g)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            return max(quantifier_rank(a), quantifier_rank(b))
-        case ExistsFO(_, g) | ForallFO(_, g) | ExistsSO(_, g) | ForallSO(_, g):
-            return 1 + quantifier_rank(g)
-        case AtLeast(n, _, g):
-            return n + quantifier_rank(g)
-    raise InputError(f"not a formula: {f!r}")
 
 
 class NameSupply:
@@ -686,46 +687,6 @@ def _expand(f, supply):
             parts += [substitute(g, {v: w}, supply) for w in names]
             return exists_wrap(names, conj(parts))
     raise InputError(f"not a formula: {f!r}")
-
-
-def lex_less(xs, ys) -> Formula:
-    """Strict lexicographic comparison of two equal-length variable tuples."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise InputError("lex_less needs tuples of equal length")
-    if not xs:
-        return mk_false()
-    options = []
-    for i in range(len(xs)):
-        parts = [Equal(xs[j], ys[j]) for j in range(i)]
-        parts.append(Less(xs[i], ys[i]))
-        options.append(conj(parts))
-    return disj(options)
-
-
-def ith_lex_selector(f: Formula, xs, i: int, supply: NameSupply | None = None) -> Formula:
-    """f holds at xs and exactly i-1 lex-smaller tuples satisfy f."""
-    if i < 1:
-        raise InputError("index must be at least 1")
-    xs = list(xs)
-    if len(set(xs)) != len(xs):
-        raise InputError("variables must be distinct")
-    if supply is None:
-        supply = NameSupply(all_vars(f) | set(xs))
-
-    def chain(count):
-        tuples = [[supply.fresh("w") for _ in xs] for _ in range(count)]
-        parts = [substitute(f, dict(zip(xs, tup)), supply) for tup in tuples]
-        parts += [lex_less(a, b) for a, b in zip(tuples, tuples[1:])]
-        parts.append(lex_less(tuples[-1], xs))
-        flat = [v for tup in tuples for v in tup]
-        return exists_wrap(flat, conj(parts))
-
-    parts = [f]
-    if i > 1:
-        parts.append(chain(i - 1))
-    parts.append(Not(chain(i)))
-    return conj(parts)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,11 @@ vacuous atoms such as "x = x & ...".
 reduce_interpretation rebuilds an equivalent interpretation whose
 components all have dimension at most d, replacing each component q by
 copies (q, i): the i-th preimage, in position-lexicographic order, of an
-image of q's minimal reparameterization.  check_equivalence replays the
+image of q's minimal reparameterization.  The selector of copy (q, i) is an
+automaton leaf reading one track per domain and image variable, built by
+compiler.lex_ranks: it holds when the map relates the two tuples and
+exactly i-1 preimages of the image are lexicographically smaller.  A map
+with bound 1 is its own selector.  check_equivalence replays the
 bookkeeping as an explicit bijection on small words.
 """
 
@@ -34,10 +38,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ChainrepError, InputError, ResourceLimitError
-from .formula import (Formula, NameSupply, Signature, all_vars, conj, exists_wrap,
-                      free_set_variables, free_variables, ith_lex_selector, parse,
-                      render, substitute)
-from .compiler import DEFAULT_STATE_BUDGET
+from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
+                      free_set_variables, free_variables, parse, render, substitute)
+from .compiler import DEFAULT_STATE_BUDGET, lex_ranks
 from .monoid import DEFAULT_MONOID_BUDGET
 from .oracle import CheckReport, satisfying_tuples
 from .reparam import Reparameterization, minimal_reparameterization
@@ -324,11 +327,13 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
     for c in spec.components:
         rep = reps[c.name]
         copies[c.name] = []
-        supply = NameSupply(all_vars(rep.g) | set(rep.domain_vars) | set(rep.image_vars))
+        # a map with bound 1 is injective: its one copy needs no rank
+        tracks = rep.domain_vars + rep.image_vars
+        ranks = lex_ranks(rep.g, spec.signature, rep.domain_vars, rep.image_vars,
+                          rep.bound, budget_states) if rep.bound > 1 else []
         for i in range(1, rep.bound + 1):
             name = f"{c.name}.{i}"
-            selector = ith_lex_selector(rep.g, rep.domain_vars, i, supply) \
-                if rep.domain_vars else rep.g
+            selector = Run(ranks[i - 1], tracks) if ranks else rep.g
             universe = exists_wrap(rep.domain_vars, selector)
             parts.append(ReducedComponent(name, c.name, i, rep, selector))
             new_components.append(Component(name, rep.dimension, universe,

@@ -15,9 +15,10 @@ of its free variables; the memos last for one public call, on one word, and
 are emptied when it returns.  So one formula object is evaluated by one call
 at a time: the oracle is single-threaded.
 
-An automaton leaf Run(dfa, vars), which the pipeline puts into the maps it
-builds, is evaluated by reading the word through the leaf's own transition
-table with the positions of vars marked.
+An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
+selectors it builds, is evaluated by reading the word through the leaf's own
+transition table with the positions of vars marked, on one shared mark bit
+or on one track per variable, as the automaton reads them.
 Nothing of the compiler is used for that: the leaf's automaton is part of
 the map under test, so a wrong one still fails the checks below.
 """
@@ -116,8 +117,9 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     def memoized(compute, fo_vars, so_vars):
         # a subformula's truth depends only on the values of its own free
-        # variables, so repeated assignments (as in satisfying_tuples, or
-        # clones made by selector macros) are computed once per call
+        # variables, so repeated assignments (as in satisfying_tuples, which
+        # varies every variable while a quantifier reads few of them) are
+        # computed once per call
         memo: dict = {}
         fo_key = itemgetter(*fo_vars) if fo_vars else lambda fo: ()
         so_key = itemgetter(*so_vars) if so_vars else None
@@ -214,16 +216,19 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             case Run(dfa, vs):
                 ffo = tuple(dict.fromkeys(vs))
                 same_sig = dfa.sig == sig
-                delta, accepting = dfa.delta, dfa.accepting
-                init, mark_bit = dfa.init, 1 << sig.k
+                delta, accepting, init = dfa.delta, dfa.accepting, dfa.init
+                # the mark bit each variable sets: shared, or one per track
+                bits = [1 << (sig.k + (j if dfa.tracks > 1 else 0)) for j in range(len(vs))]
 
                 def fn(fo, so):
                     if not same_sig:
                         raise InputError("automaton leaf is over another signature")
-                    marks = {_pos(fo, v, n) for v in vs}
+                    marks = [0] * n
+                    for v, bit in zip(vs, bits):
+                        marks[_pos(fo, v, n)] |= bit
                     q = init
-                    for p, mask in enumerate(letters):
-                        q = delta[q][mask | mark_bit if p in marks else mask]
+                    for mask, mark in zip(letters, marks):
+                        q = delta[q][mask | mark]
                     return q in accepting
                 return memoized(fn, ffo, ()), ffo, ()
         raise InputError(f"not a formula: {node!r}")

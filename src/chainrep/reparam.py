@@ -28,8 +28,6 @@ from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow
                      ramsey_bound, transition_monoid)
 from .words import MarkedWord
 
-DEFAULT_REFINE_CAP = 8
-
 # refinement is best-effort: keep it cheap and fall back to the certificate
 # bound instead of grinding on a heavy map
 _REFINE_STATE_BUDGET = 20_000
@@ -487,41 +485,32 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     return combine_disjuncts(f, sig, xs, parts, supply)
 
 
-def _refine_bound(rep: Reparameterization, budget_states: int,
-                  cap: int) -> Reparameterization:
+def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameterization:
     """Tighten the certificate bound to the exact maximal fiber size.
 
     One counting pass over the automaton of the map (compiler.max_fiber)
     finds the largest number of domain tuples that share one image on one
-    word, counted up to one past the cap; a count below that is the exact
-    bound.  Gives up (keeping the certificate) when fibers reach past the
-    cap or when the count blows the budget, and records that as an
-    "unrefined" provenance step.  A count that reaches the certificate
-    shows the certificate is exact.
+    word, counted up to the certificate; a count below it is the exact
+    bound, and a count that reaches it shows the certificate is exact.
+    Gives up (keeping the certificate) when the count blows the budget,
+    and records that as an "unrefined" provenance step.
     """
     if not rep.domain_vars or rep.bound <= 1:
         return rep
-
-    def unrefined(why):
-        return Reparameterization(
-            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
-            rep.g, rep.bound,
-            Step("unrefined", f"bound {rep.bound} kept: {why}", (rep.provenance,)))
-
     budget_states = min(budget_states, _REFINE_STATE_BUDGET)
-    hi = min(cap + 1, rep.bound)
     try:
         most = max_fiber(rep.g, rep.signature, rep.domain_vars, rep.image_vars,
-                         hi, budget_states)
+                         rep.bound, budget_states)
     except ResourceLimitError:
-        return unrefined(f"the fiber count exceeded {budget_states} states")
-    if most < hi:
         return Reparameterization(
-            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
-            rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
-    if hi == rep.bound:
-        return rep  # some fiber reaches the certificate, which is exact
-    return unrefined(f"fibers reach {hi} preimages, past the refine cap {cap}")
+            rep.source, rep.signature, rep.domain_vars, rep.image_vars, rep.g, rep.bound,
+            Step("unrefined", f"bound {rep.bound} kept: the fiber count exceeded "
+                              f"{budget_states} states", (rep.provenance,)))
+    if most == rep.bound:
+        return rep
+    return Reparameterization(
+        rep.source, rep.signature, rep.domain_vars, rep.image_vars,
+        rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
@@ -534,8 +523,7 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     segment pairs cannot pump (splitting families by guards when they
     disagree on where), and recurses on the image.  The returned bound is a
     product/sum certificate; with refine it is tightened to the exact
-    maximal fiber size whenever that is at most DEFAULT_REFINE_CAP and the
-    count stays within budget.
+    maximal fiber size whenever the count stays within budget.
     """
     if marked_vars is None:
         marked_vars = free_variables(f)
@@ -546,7 +534,7 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     supply = NameSupply(all_vars(f) | set(marked_vars))
     rep = _minrep(f, sig, marked_vars, supply, budget_states, budget_monoid)
     if refine and rep.bound > 1:
-        rep = _refine_bound(rep, budget_states, DEFAULT_REFINE_CAP)
+        rep = _refine_bound(rep, budget_states)
     return rep
 
 

@@ -61,11 +61,6 @@ class Word:
     def has(self, name: str, pos: int) -> bool:
         return bool(self.letters[pos] >> self.sig.index(name) & 1)
 
-    def concat(self, other: "Word") -> "Word":
-        if other.sig != self.sig:
-            raise InputError("signature mismatch")
-        return Word(self.sig, self.letters + other.letters)
-
     @classmethod
     def parse(cls, text: str, sig: Signature) -> "Word":
         text = text.strip()

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chainrep import interp
 from chainrep.cli import main
 from conftest import GROUP_TEXT
 
@@ -43,7 +44,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "f8dbd4a114442187fe71a2daea472e1aee0e05b5"
+        "bc5f1959f763f1f15368f477e9915e6dc9e1e88d"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):
@@ -154,15 +155,28 @@ def test_interp_reduce_insufficient_dim(tmp_path, capsys):
     assert "pairs" in err
 
 
-def test_interp_reduce_refuses_too_many_copies(tmp_path, capsys):
-    # P1^4 keeps the certificate bound 75, past the component copy cap
+def test_interp_reduce_refuses_too_many_copies(tmp_path, capsys, monkeypatch):
+    # P1^3 has exact bound 6, past a copy cap of 5
+    monkeypatch.setattr(interp, "MAX_COMPONENT_COPIES", 5)
+    path = tmp_path / "cube.interp"
+    path.write_text("signature P1\ncomponent cube dim=3\n"
+                    "universe P1(x)&P1(y)&P1(z)\n")
+    status, _, err = run(capsys, "interp-reduce", "--formula-file",
+                         str(path), "--dim", "3")
+    assert status == 3
+    assert "would split into 6 copies" in err
+
+
+def test_interp_reduce_splits_p1_to_the_fourth(tmp_path, capsys):
+    # one copy per rank of the exact bound 36, each selected by an automaton
     path = tmp_path / "quad.interp"
     path.write_text("signature P1\ncomponent quad dim=4\n"
                     "universe P1(x)&P1(y)&P1(z)&P1(w)\n")
-    status, _, err = run(capsys, "interp-reduce", "--formula-file",
-                         str(path), "--dim", "4")
-    assert status == 3
-    assert "would split into 75 copies" in err
+    status, report, _ = run_json(capsys, "interp-reduce", "--formula-file",
+                                 str(path), "--dim", "4", "--max-len", "2")
+    assert status == 0
+    assert len(report["result"]["components"]) == 36
+    assert report["result"]["equivalence"]["ok"] is True
 
 
 def test_growth_on_a_diagonal_formula(capsys):

@@ -5,13 +5,17 @@ import pytest
 
 from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
-                               dfa_equivalent, dfa_to_formula, max_fiber,
+                               dfa_equivalent, dfa_to_formula, lex_ranks, max_fiber,
                                minimize_dfa, project_mark, shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import Signature, parse, render
+from chainrep.formula import Run, Signature, exists_wrap, parse, render
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
+from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, Word, all_words
+from conftest import GROUP_TEXT, battery
+
+ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
 
 
 def agree(f, sig, variables, max_len=4):
@@ -163,6 +167,65 @@ def test_first_fiber_is_the_least_preimage(sig1):
     assert compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (4,)) is None
     with pytest.raises(ResourceLimitError, match="fiber search"):
         compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (3,), budget_states=2)
+
+
+def ranked_maps():
+    """(sig, map, its preimage ranks) of every test map with bound > 1."""
+    sig1 = Signature(("P1",))
+    maps = [(sig, f, variables) for _, sig, f, variables, _ in battery()]
+    maps += [(sig1, parse(GROUP_TEXT, sig1), ("x", "y")),
+             (sig1, parse("EX X. (" + ENDS_TEXT + ")", sig1), ("x",))]
+    maps += [(sig, f, fo) for sig, fo, f in formula_batch(606, 40)]
+    for sig, f, variables in maps:
+        rep = minimal_reparameterization(f, sig, variables)
+        if rep.bound > 1:
+            yield sig, rep, lex_ranks(rep.g, sig, rep.domain_vars, rep.image_vars,
+                                      rep.bound)
+
+
+def test_lex_ranks_match_enumeration():
+    # the i-th rank holds exactly at the pairs g relates whose image has i
+    # lexicographically smaller preimages; the compiled existential
+    # projection of each rank agrees with the oracle's
+    checked = 0
+    for sig, rep, ranks in ranked_maps():
+        xs, ys = rep.domain_vars, rep.image_vars
+        k = len(xs)
+        assert len(ranks) == rep.bound
+        assert all(r.tracks == k + len(ys) for r in ranks)
+        for w in all_words(sig, 4):
+            pairs = satisfying_tuples(rep.g, w, xs + ys)
+            fibers: dict = {}
+            for t in pairs:
+                fibers.setdefault(t[k:], []).append(t[:k])
+            for i, rank in enumerate(ranks):
+                want = [t for t in pairs
+                        if sum(x < t[:k] for x in fibers[t[k:]]) == i]
+                assert satisfying_tuples(Run(rank, xs + ys), w, xs + ys) == want, \
+                    (render(rep.source), str(w), i)
+        for rank in ranks:
+            assert agree(exists_wrap(xs, Run(rank, xs + ys)), sig, ys), \
+                render(rep.source)
+        checked += 1
+    assert checked >= 3
+
+
+def test_lex_ranks_run_under_the_state_budget(sig1):
+    g = parse("x < y", sig1)
+    ranks = lex_ranks(g, sig1, ("x",), ("y",), 3)
+    assert [r.tracks for r in ranks] == [2, 2, 2]
+    # rank 0 is x at the first position: words of length 2 and more
+    assert dfa_equivalent(project_mark(ranks[0]),
+                          compile(parse("ex x. ex y. x < y", sig1), sig1))
+    assert dfa_equivalent(minimize_dfa(ranks[0]), ranks[0])
+    assert ranks[0].letter_name(0b111) == "P1*0*1"
+    with pytest.raises(InputError):
+        Run(ranks[0], ("x",))
+    with pytest.raises(InputError):
+        shortest_accepted(ranks[0])
+    # the map's own automaton fits in 5 states, the count does not
+    with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
+        lex_ranks(g, sig1, ("x",), ("y",), 3, budget_states=5)
 
 
 def test_minimize_dfa_preserves_language(sig1):

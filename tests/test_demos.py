@@ -15,7 +15,7 @@ DEMO_SHA1 = {
     "02_type_monoid.py": "264891576f203d73e5d190cbb1486dc2b935cc20",
     "03_minimal_dimension.py": "c231f097b6790d661f55f27fffee62335d7236ad",
     "04_growth_witnesses.py": "3a7bf8dfd1fc927a56a3c22d3b9251f31aa1e161",
-    "05_interpretation_reduction.py": "74f28749c22094a05346bc10a22e6a799f2fa84a",
+    "05_interpretation_reduction.py": "eb5fce7e02f50a48fe0f9a825c7989c48808c83b",
 }
 
 

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainrep
+from chainrep.compiler import Dfa
 from chainrep.errors import InputError, ParseError
 from chainrep.formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
-                              In, Less, NameSupply, Not, Or, Pred, Signature,
+                              In, Less, NameSupply, Not, Or, Pred, Run, Signature,
                               all_vars, conj, disj, exists_wrap, expand_macros,
-                              free_set_variables, free_variables,
-                              ith_lex_selector, lex_less, mk_false, mk_true,
+                              free_set_variables, free_variables, mk_false, mk_true,
                               order_case_split, parse, render, substitute)
 from chainrep.randgen import random_formula
-from chainrep.oracle import evaluate, satisfying_tuples
+from chainrep.oracle import evaluate
 from chainrep.words import Word
 import random
 
@@ -121,38 +121,22 @@ def test_order_case_split_counts(sig1):
     assert len(order_case_split(f, ("x", "y", "z"))) == 13
 
 
-def test_lex_less_semantics(sig1):
-    f = lex_less(("x", "y"), ("u", "v"))
-    w = Word(sig1, (0,) * 3)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    got = evaluate(f, w, fo={"x": a, "y": b, "u": c, "v": d})
-                    assert got == ((a, b) < (c, d))
-
-
-def test_ith_lex_selector(sig1):
-    f = parse("P1(x)", sig1)
-    w = Word(sig1, (1, 0, 1, 1))
-    hits = [t[0] for t in satisfying_tuples(f, w, ("x",))]
-    assert hits == [0, 2, 3]
-    for i in (1, 2, 3):
-        sel = ith_lex_selector(f, ("x",), i)
-        got = [t[0] for t in satisfying_tuples(sel, w, ("x",))]
-        assert got == [hits[i - 1]]
-    sel4 = ith_lex_selector(f, ("x",), 4)
-    assert satisfying_tuples(sel4, w, ("x",)) == []
-    with pytest.raises(InputError):
-        ith_lex_selector(f, ("x",), 0)
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(1, 2))
 def test_render_parse_round_trip(seed, n_preds):
     sig = Signature(tuple(f"P{i + 1}" for i in range(n_preds)))
     f = random_formula(random.Random(seed), sig, ("x", "y"), rank=3)
     assert parse(render(f), sig) == f
+
+
+def test_render_walks_long_chains(sig1):
+    # the export of a 300-state automaton is a disjunction of 1,200 steps,
+    # a left-deep chain far past the recursion limit; compare texts, as ==
+    # on trees this deep recurses too
+    cycle = tuple(tuple((q + 1) % 300 for _ in range(4)) for q in range(300))
+    text = render(Run(Dfa(sig1, True, 0, cycle, frozenset({0})), ("x",)))
+    assert len(text) == 234_892
+    assert render(parse(text, sig1)) == text
 
 
 def test_render_spacing_stable(sig1):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -7,6 +8,8 @@ from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
 from chainrep.words import Word
+from conftest import GROUP_TEXT
+from test_acceptance import SPECS
 
 SUCC = """
 signature P1
@@ -112,6 +115,32 @@ def test_reduce_with_multiple_copies():
     red = reduce_interpretation(spec, 0)
     assert [c.name for c in red.spec.components] == ["ends.1", "ends.2"]
     assert all(c.dim == 0 for c in red.spec.components)
+    assert check_equivalence(spec, red, 4)
+
+
+REDUCED_SHA1 = {
+    "successor pairs": (548, "81c5e00c4684ffa75160581297ea18e640477187"),
+    "labelled elements with marker": (335, "bba91df3bc241d9c999b55af1376b95fa036f4c8"),
+    "word endpoints": (5_990, "acd19c5e762c480d4b8a59d0e042ddedf24ada0b"),
+}
+
+
+@pytest.mark.parametrize("name, dim, text", SPECS, ids=[s[0] for s in SPECS])
+def test_reduced_specs_are_pinned(name, dim, text):
+    # the reduced spec's text, rank automata included, byte for byte
+    dump = reduce_interpretation(parse_interpretation(text), dim).spec.dump()
+    assert (len(dump), hashlib.sha1(dump.encode()).hexdigest()) == REDUCED_SHA1[name]
+
+
+def test_reduce_guard_split_selectors_stay_small():
+    # three copies selected by rank automata, not by chained copies of the
+    # map, which made this spec 1,957,112 characters long
+    spec = parse_interpretation(
+        f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n"
+        "relation R/2 on (g, g) := x < u & y = y & v = v\n")
+    red = reduce_interpretation(spec, 1)
+    assert [p.name for p in red.parts] == ["g.1", "g.2", "g.3"]
+    assert len(red.spec.dump()) < 100_000
     assert check_equivalence(spec, red, 4)
 
 

@@ -57,9 +57,9 @@ def test_group_split(sig1):
     # guards are automaton leaves, rendered as their MSO export; the map is
     # the plain union of the disjoint guarded branches
     text = render(rep.g)
-    assert len(text) == 22_857
+    assert len(text) == 14_649
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "f8dbd4a114442187fe71a2daea472e1aee0e05b5"
+        "bc5f1959f763f1f15368f477e9915e6dc9e1e88d"
 
 
 def test_guarded_and_set_maps_refine(sig1):
@@ -73,12 +73,13 @@ def test_guarded_and_set_maps_refine(sig1):
         assert report and report.max_fiber == want, text
 
 
-def test_skipped_refinement_is_recorded(sig1):
+def test_refinement_counts_up_to_the_certificate(sig1):
+    # the certificate is 75, one per order case; the exact count is 36
     f = parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1)
     rep = minimal_reparameterization(f, sig1, ("x", "y", "z", "w"))
-    assert (rep.dimension, rep.bound) == (4, 75)
-    assert rep.provenance.kind == "unrefined"
-    assert "past the refine cap 8" in rep.provenance.detail
+    assert (rep.dimension, rep.bound) == (4, 36)
+    assert rep.provenance.kind == "refine"
+    assert rep.provenance.children[0].kind == "combine"
     # the 75 order cases are glued as a plain union of disjoint branches
     text = render(rep.g)
     assert len(text) == 7_848
@@ -104,19 +105,16 @@ def test_max_fiber_is_sound():
         assert report.max_fiber <= most <= rep.bound, render(f)
 
 
-def test_refine_gives_up_at_cap_and_budget(sig1):
+def test_skipped_refinement_is_recorded(sig1):
+    # only the state budget can stop a refinement
     raw = minimal_reparameterization(parse(ENDS_TEXT, sig1), sig1, ("x",),
                                      refine=False)
     assert raw.bound > 2
-    capped = _refine_bound(raw, 10**6, cap=1)
-    assert capped.bound == raw.bound
-    assert capped.provenance.kind == "unrefined"
-    assert "refine cap 1" in capped.provenance.detail
-    starved = _refine_bound(raw, 2, cap=8)
+    starved = _refine_bound(raw, 2)
     assert starved.bound == raw.bound
     assert starved.provenance.kind == "unrefined"
     assert "exceeded 2 states" in starved.provenance.detail
-    exact = _refine_bound(raw, 10**6, cap=8)
+    exact = _refine_bound(raw, 10**6)
     assert (exact.bound, exact.provenance.kind) == (2, "refine")
 
 

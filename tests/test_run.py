@@ -9,7 +9,7 @@ from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula, max_fiber
 from chainrep.errors import InputError
 from chainrep.formula import (And, Formula, Run, all_vars, ascending_chain, expand_macros,
                               free_set_variables, free_variables, parse,
-                              quantifier_rank, render, substitute)
+                              render, substitute)
 from chainrep.growth import growth_lower_witness
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
@@ -82,7 +82,6 @@ def test_walkers(sig1):
     leaf = Run(dfa, ("x", "y", "x"))
     assert free_variables(leaf) == ("x", "y")
     assert free_set_variables(leaf) == ()
-    assert quantifier_rank(leaf) == 0
     assert expand_macros(leaf) is leaf
     # the leaf binds nothing: its names are its variables
     assert all_vars(leaf) == {"x", "y"}

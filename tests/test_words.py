@@ -19,12 +19,6 @@ def test_render_parse_round_trip(sig2):
     assert Word.parse("[]", sig2) == Word(sig2, ())
 
 
-def test_concat(sig1):
-    a = Word(sig1, (1,))
-    b = Word(sig1, (0, 1))
-    assert a.concat(b).letters == (1, 0, 1)
-
-
 def test_marked_word_validation(sig1):
     w = Word(sig1, (0, 1, 0))
     MarkedWord(w, (0, 2))
