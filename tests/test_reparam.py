@@ -106,7 +106,21 @@ def test_max_fiber_is_sound():
 
 
 def test_skipped_refinement_is_recorded(sig1):
-    # only the state budget can stop a refinement
+    # a starved count keeps the 75-case certificate of P1^4 and says why
+    f = parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1)
+    raw = minimal_reparameterization(f, sig1, ("x", "y", "z", "w"),
+                                     refine=False)
+    assert (raw.dimension, raw.bound) == (4, 75)
+    skipped = _refine_bound(raw, 2)
+    assert skipped.bound == 75
+    assert skipped.provenance.kind == "unrefined"
+    assert "bound 75 kept" in skipped.provenance.detail
+    assert skipped.provenance.children == (raw.provenance,)
+
+
+def test_refine_gives_up_at_cap_and_budget(sig1):
+    # the refine cap is gone: only the state budget can stop a refinement,
+    # and a count past any small cap goes through
     raw = minimal_reparameterization(parse(ENDS_TEXT, sig1), sig1, ("x",),
                                      refine=False)
     assert raw.bound > 2
