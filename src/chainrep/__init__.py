@@ -15,8 +15,7 @@ from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable,
 from .oracle import (CheckReport, check_canonical_form, check_reparameterization,
                      count_in_set, evaluate, satisfying_tuples)
 from .reparam import (Disjunct, Reparameterization, Step, TypeAlgebra,
-                      decide_dimension, eliminable_pairs, local_normal_form,
-                      minimal_reparameterization)
+                      eliminable_pairs, local_normal_form, minimal_reparameterization)
 from .growth import (WitnessStructure, brute_growth, growth_degree,
                      growth_lower_witness, growth_upper_check,
                      no_decrement_witness, pump_witness)
@@ -36,8 +35,7 @@ __all__ = [
     "CheckReport", "check_canonical_form", "check_reparameterization",
     "count_in_set", "evaluate", "satisfying_tuples",
     "Disjunct", "Reparameterization", "Step", "TypeAlgebra",
-    "decide_dimension", "eliminable_pairs", "local_normal_form",
-    "minimal_reparameterization",
+    "eliminable_pairs", "local_normal_form", "minimal_reparameterization",
     "WitnessStructure", "brute_growth", "growth_degree",
     "growth_lower_witness", "growth_upper_check", "no_decrement_witness",
     "pump_witness",

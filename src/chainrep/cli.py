@@ -468,6 +468,8 @@ def _apply_memory_cap():
         limit = int(mb) << 20
     except ValueError:
         raise InputError(f"CHAINREP_BUDGET_MB={mb!r} is not a number")
+    if limit <= 0:
+        raise InputError(f"CHAINREP_BUDGET_MB={mb!r} is not positive")
     try:
         import resource
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -482,6 +484,8 @@ def main(argv=None) -> int:
         _apply_memory_cap()
         if args.budget_states <= 0 or args.budget_monoid <= 0:
             raise InputError("budgets must be positive")
+        if args.max_len is not None and args.max_len < 0:
+            raise InputError("--max-len must be nonnegative")
         report, status = _COMMANDS[args.command](_Run(args))
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)

@@ -28,6 +28,10 @@ as is, its mark bit fed by the OR of its variables' tracks, or, for an
 automaton with one track per variable, each mark bit by its variable's
 track, so an automaton the pipeline already holds never goes back through
 MSO.
+
+A map's largest fiber and the lexicographic ranks of its preimages come
+from one counting construction over its automaton, preimage_ranks, which
+publishes rank automata only when asked for them.
 """
 
 from __future__ import annotations
@@ -513,68 +517,46 @@ def _track_automaton(g: Formula, sig: Signature, tracks, budget_states: int):
     return builder, builder.minimize(a)
 
 
-def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
-              budget_states: int = DEFAULT_STATE_BUDGET) -> int:
-    """The largest number of xs tuples that share one ys tuple under g on
-    one word, counted up to cap.
+@dataclass
+class PreimageRanks:
+    """The counting construction over a map's automaton, unpublished: state
+    q of delta accepts a pair at preimage rank ranks[q], counted up to cap,
+    and None marks the states that accept nothing."""
+
+    builder: _Builder
+    tracks: int
+    cap: int
+    delta: list[list[int]]
+    ranks: list[int | None]
+
+    @property
+    def largest_fiber(self) -> int:
+        """The largest fiber, counted up to cap: the largest rank + 1."""
+        return min(self.cap, max((r + 1 for r in self.ranks if r is not None), default=0))
+
+    def selectors(self, n: int) -> list[Dfa]:
+        """The published automata of the ranks below n <= cap."""
+        return [self.builder.publish(
+                    _Auto(self.builder.sig, (), (), len(self.delta[0]), 0, self.delta,
+                          {q for q, r in enumerate(self.ranks) if r == i}),
+                    True, self.tracks)
+                for i in range(n)]
+
+
+def preimage_ranks(g: Formula, sig: Signature, xs, ys, cap: int,
+                   budget_states: int = DEFAULT_STATE_BUDGET) -> PreimageRanks:
+    """The preimage ranks of g over the tracks xs + ys: a pair that g relates
+    has rank i when exactly i of the xs tuples that g relates to its ys are
+    lexicographically smaller than its xs.
 
     g is built once over the xs and ys tracks.  A counting subset
-    construction then reads the label and ys bits of each letter and follows
-    every xs-bit variant of it at once: its states map the automaton states
-    from which acceptance is still reachable to the number of xs markings
-    reaching them, capped at cap.  The automaton is deterministic, so each
-    accepted run is one distinct xs tuple, and the largest accepted count is
-    the largest fiber.  The counting states run under the state budget.
-    """
-    xs, ys = tuple(xs), tuple(ys)
-    builder, a = _track_automaton(g, sig, xs + ys, budget_states)
-    # a minimal automaton has at most one state that cannot accept: a sink
-    dead = {q for q, row in enumerate(a.delta)
-            if q not in a.accepting and set(row) == {q}}
-    variants = [0]
-    for v in xs:
-        variants += [x | 1 << a.fo_bit(v) for x in variants]
-    fixed = list(range(1 << sig.k))
-    for v in ys:
-        fixed += [f | 1 << a.fo_bit(v) for f in fixed]
-    groups = [[f | x for x in variants] for f in fixed]
-    start = ((a.init, 1),)
-    seen = {start}
-    order = [start]
-    best = 0
-    i = 0
-    while i < len(order) and best < cap:
-        cur = order[i]
-        best = max(best, min(cap, sum(c for q, c in cur if q in a.accepting)))
-        for group in groups:
-            counts: dict[int, int] = {}
-            for q, c in cur:
-                row = a.delta[q]
-                for letter in group:
-                    t = row[letter]
-                    if t not in dead:
-                        counts[t] = min(cap, counts.get(t, 0) + c)
-            t = tuple(sorted(counts.items()))
-            if t and t not in seen:
-                seen.add(t)
-                order.append(t)
-                builder._check(len(order))
-        i += 1
-    return best
-
-
-def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
-              budget_states: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
-    """Automata over the tracks xs + ys, one per rank below bound: the i-th
-    accepts when g relates xs to ys and exactly i of the xs tuples that g
-    relates to ys are lexicographically smaller than xs.
-
-    g is built once over the xs and ys tracks.  A counting subset
-    construction runs it on each letter read and, as max_fiber does, on
-    every xs-bit variant of that letter: its states pair the state of the
-    main run with the number of candidate xs markings reaching each pair
-    (state, comparison with xs so far), capped at bound.  A letter that
-    sends the main run to its sink goes to one dead state, None.
+    construction runs it on each letter read and on every xs-bit variant of
+    that letter: its states pair the state of the main run with the number
+    of candidate xs markings reaching each pair (state, comparison with xs
+    so far), capped at cap.  The automaton is deterministic, so each
+    accepted candidate run is one distinct xs tuple.  A letter that sends
+    the main run to its sink goes to one dead state, None.  The counting
+    states run under the state budget.
     """
     xs, ys = tuple(xs), tuple(ys)
     k, m = sig.k, len(xs)
@@ -623,7 +605,7 @@ def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
                         for cand, bits in enumerate(xbits):
                             t, to = a.delta[p][base | bits], compare(cmp, main, cand)
                             if t not in sink and to is not None:
-                                counts[t, to] = min(bound, counts.get((t, to), 0) + c)
+                                counts[t, to] = min(cap, counts.get((t, to), 0) + c)
                     nxt = (a.delta[cur[0]][inner], tuple(sorted(counts.items())))
                 if nxt not in index:
                     index[nxt] = len(order)
@@ -634,12 +616,25 @@ def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
     except ResourceLimitError as e:
         raise ResourceLimitError(f"preimage ranks: {e}", e.budget, e.subject) from e
     ranks = [None if st is None or st[0] not in a.accepting else
-             sum(c for (t, cmp), c in st[1] if t in a.accepting and cmp == less)
+             min(cap, sum(c for (t, cmp), c in st[1] if t in a.accepting and cmp == less))
              for st in order]
-    return [builder.publish(_Auto(sig, (), (), len(letters), 0, delta,
-                                  {q for q, r in enumerate(ranks) if r == i}),
-                            True, len(xs + ys))
-            for i in range(bound)]
+    return PreimageRanks(builder, len(xs + ys), cap, delta, ranks)
+
+
+def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
+              budget_states: int = DEFAULT_STATE_BUDGET) -> int:
+    """The largest number of xs tuples that share one ys tuple under g on
+    one word, counted up to cap: the lexicographically last of them has as
+    many smaller ones as the fiber has members but one, so this is the
+    largest preimage rank + 1."""
+    return preimage_ranks(g, sig, xs, ys, cap, budget_states).largest_fiber
+
+
+def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
+              budget_states: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
+    """Automata over the tracks xs + ys, one per rank below bound: the i-th
+    accepts the pairs of preimage rank i (preimage_ranks)."""
+    return preimage_ranks(g, sig, xs, ys, bound, budget_states).selectors(bound)
 
 
 def first_fiber(g: Formula, sig: Signature, xs, ys, word: Word, image,

@@ -24,11 +24,13 @@ vacuous atoms such as "x = x & ...".
 reduce_interpretation rebuilds an equivalent interpretation whose
 components all have dimension at most d, replacing each component q by
 copies (q, i): the i-th preimage, in position-lexicographic order, of an
-image of q's minimal reparameterization.  The selector of copy (q, i) is an
-automaton leaf reading one track per domain and image variable, built by
-compiler.lex_ranks: it holds when the map relates the two tuples and
-exactly i-1 preimages of the image are lexicographically smaller.  A map
-with bound 1 is its own selector.  check_equivalence replays the
+image of q's minimal reparameterization.  A map whose certificate bound
+exceeds 1 is built and counted once (reparam.refine_with_ranks): the count
+gives the exact bound and then the selectors.  The selector of copy (q, i)
+is an automaton leaf reading one track per domain and image variable,
+published from that count: it holds when the map relates the two tuples
+and exactly i-1 preimages of the image are lexicographically smaller.  A
+map with bound 1 is its own selector.  check_equivalence replays the
 bookkeeping as an explicit bijection on small words.
 """
 
@@ -40,10 +42,10 @@ from dataclasses import dataclass
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
                       free_set_variables, free_variables, parse, render, substitute)
-from .compiler import DEFAULT_STATE_BUDGET, lex_ranks
+from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks
 from .monoid import DEFAULT_MONOID_BUDGET
 from .oracle import CheckReport, satisfying_tuples
-from .reparam import Reparameterization, minimal_reparameterization
+from .reparam import Reparameterization, minimal_reparameterization, refine_with_ranks
 from .words import Word, all_words
 
 # components with more preimage copies than this produce unusably wide
@@ -303,19 +305,24 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
     Component q splits into (q, i) for i up to the preimage bound of a
     minimal reparameterization of its universe: the (q, i) elements are the
     images owning at least i preimages, standing for the i-th one.  Errors
-    when some universe needs dimension above d.
+    when some universe needs dimension above d; raises ResourceLimitError
+    when a component would split into more than MAX_COMPONENT_COPIES copies
+    or its preimage count exceeds budget_states.
     """
     if d < 0:
         raise InputError("dimension must be nonnegative")
     reps: dict[str, Reparameterization] = {}
+    ranks: dict[str, PreimageRanks] = {}
     for c in spec.components:
         rep = minimal_reparameterization(c.universe, spec.signature, c.variables,
                                          budget_states=budget_states,
-                                         budget_monoid=budget_monoid)
+                                         budget_monoid=budget_monoid, refine=False)
         if rep.dimension > d:
             raise InputError(
                 f"component {c.name!r} needs dimension {rep.dimension}, "
                 f"target is {d}")
+        if rep.bound > 1:
+            rep, ranks[c.name] = refine_with_ranks(rep, budget_states)
         if rep.bound > MAX_COMPONENT_COPIES:
             raise ResourceLimitError(
                 f"component {c.name!r} would split into {rep.bound} copies",
@@ -329,11 +336,10 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
         copies[c.name] = []
         # a map with bound 1 is injective: its one copy needs no rank
         tracks = rep.domain_vars + rep.image_vars
-        ranks = lex_ranks(rep.g, spec.signature, rep.domain_vars, rep.image_vars,
-                          rep.bound, budget_states) if rep.bound > 1 else []
+        selectors = ranks[c.name].selectors(rep.bound) if rep.bound > 1 else []
         for i in range(1, rep.bound + 1):
             name = f"{c.name}.{i}"
-            selector = Run(ranks[i - 1], tracks) if ranks else rep.g
+            selector = Run(selectors[i - 1], tracks) if selectors else rep.g
             universe = exists_wrap(rep.domain_vars, selector)
             parts.append(ReducedComponent(name, c.name, i, rep, selector))
             new_components.append(Component(name, rep.dimension, universe,

@@ -22,15 +22,11 @@ from .errors import InputError, ResourceLimitError
 from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars, conj,
                       disj, exists_wrap, free_variables, mk_false, order_case_split,
                       substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile as compile_dfa, dfa_empty,
-                       max_fiber, minimize_dfa)
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, compile as compile_dfa,
+                       dfa_empty, minimize_dfa, preimage_ranks)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
                      ramsey_bound, transition_monoid)
 from .words import MarkedWord
-
-# refinement is best-effort: keep it cheap and fall back to the certificate
-# bound instead of grinding on a heavy map
-_REFINE_STATE_BUDGET = 20_000
 
 # Two conventions in this module that are easy to get wrong, spelled out
 # because published variants of the misprinted form circulate.
@@ -485,32 +481,43 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     return combine_disjuncts(f, sig, xs, parts, supply)
 
 
-def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameterization:
-    """Tighten the certificate bound to the exact maximal fiber size.
+def refine_with_ranks(rep: Reparameterization,
+                      budget_states: int) -> tuple[Reparameterization, PreimageRanks]:
+    """rep with its certificate bound tightened to the exact maximal fiber
+    size, and the preimage ranks of its map that gave it.
 
-    One counting pass over the automaton of the map (compiler.max_fiber)
-    finds the largest number of domain tuples that share one image on one
-    word, counted up to the certificate; a count below it is the exact
-    bound, and a count that reaches it shows the certificate is exact.
-    Gives up (keeping the certificate) when the count blows the budget,
+    One counting construction over the automaton of the map
+    (compiler.preimage_ranks) ranks every preimage, counted up to the
+    certificate; the largest rank + 1 is the largest fiber, a count below
+    the certificate is the exact bound, and one that reaches it shows the
+    certificate is exact.  Raises ResourceLimitError when the count exceeds
+    the state budget.
+    """
+    ranks = preimage_ranks(rep.g, rep.signature, rep.domain_vars, rep.image_vars,
+                           rep.bound, budget_states)
+    most = ranks.largest_fiber
+    if most < rep.bound:
+        rep = Reparameterization(
+            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
+            rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
+    return rep, ranks
+
+
+def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameterization:
+    """rep refined as refine_with_ranks does, under the caller's state budget.
+
+    Gives up (keeping the certificate) when the count exceeds the budget,
     and records that as an "unrefined" provenance step.
     """
     if not rep.domain_vars or rep.bound <= 1:
         return rep
-    budget_states = min(budget_states, _REFINE_STATE_BUDGET)
     try:
-        most = max_fiber(rep.g, rep.signature, rep.domain_vars, rep.image_vars,
-                         rep.bound, budget_states)
-    except ResourceLimitError:
+        return refine_with_ranks(rep, budget_states)[0]
+    except ResourceLimitError as e:
         return Reparameterization(
             rep.source, rep.signature, rep.domain_vars, rep.image_vars, rep.g, rep.bound,
             Step("unrefined", f"bound {rep.bound} kept: the fiber count exceeded "
-                              f"{budget_states} states", (rep.provenance,)))
-    if most == rep.bound:
-        return rep
-    return Reparameterization(
-        rep.source, rep.signature, rep.domain_vars, rep.image_vars,
-        rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
+                              f"{e.budget} {e.subject}", (rep.provenance,)))
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
@@ -536,15 +543,3 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     if refine and rep.bound > 1:
         rep = _refine_bound(rep, budget_states)
     return rep
-
-
-def decide_dimension(f: Formula, sig: Signature, marked_vars, dim: int, *,
-                     budget_states: int = DEFAULT_STATE_BUDGET,
-                     budget_monoid: int = DEFAULT_MONOID_BUDGET) -> bool:
-    """Whether f admits a reparameterization of dimension at most dim."""
-    if dim < 0:
-        raise InputError("dimension must be nonnegative")
-    rep = minimal_reparameterization(f, sig, marked_vars, refine=False,
-                                     budget_states=budget_states,
-                                     budget_monoid=budget_monoid)
-    return rep.dimension <= dim

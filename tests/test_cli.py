@@ -177,6 +177,39 @@ def test_interp_reduce_splits_p1_to_the_fourth(tmp_path, capsys):
     assert status == 0
     assert len(report["result"]["components"]) == 36
     assert report["result"]["equivalence"]["ok"] is True
+    # selectors published from the count capped at the certificate 75 are
+    # the ones a count capped at the exact bound 36 gave
+    text = "\n".join(report["result"]["spec"])
+    assert (len(text), hashlib.sha1(text.encode()).hexdigest()) == \
+        (142_177, "fe611f5494d6ed009efb6148a73026cae80f7960")
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle-check", "--sig", "P1", "--formula", "x<y"),
+    ("growth", "--sig", "P1", "--formula", "x<y"),
+    ("interp-reduce", "--formula-file", "SPEC", "--dim", "1"),
+], ids=lambda argv: argv[0])
+def test_negative_max_len_is_bad_input(tmp_path, capsys, argv):
+    # a negative length checks no word, so every check would pass
+    path = tmp_path / "succ.interp"
+    path.write_text(SUCC)
+    status, out, err = run(capsys, *(str(path) if a == "SPEC" else a for a in argv),
+                           "--max-len", "-1")
+    assert status == 2 and "--max-len" in err and not out
+
+
+def test_decide_rejects_negative_dimension(capsys):
+    status, _, err = run(capsys, "decide", "--dim", "-1", "--sig", "P1",
+                         "--formula", "x<y")
+    assert status == 2 and "nonnegative" in err
+
+
+def test_nonpositive_memory_budget_is_bad_input(capsys, monkeypatch):
+    # only a negative value here: a zero cap must never reach setrlimit in
+    # the test process
+    monkeypatch.setenv("CHAINREP_BUDGET_MB", "-5")
+    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", "P1(x)")
+    assert status == 2 and "CHAINREP_BUDGET_MB" in err and not out
 
 
 def test_growth_on_a_diagonal_formula(capsys):

@@ -9,7 +9,7 @@ from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              pump_witness)
 from chainrep.oracle import check_canonical_form, check_reparameterization, count_in_set
 from chainrep.randgen import formula_batch
-from chainrep.reparam import decide_dimension, minimal_reparameterization
+from chainrep.reparam import minimal_reparameterization
 from conftest import GROUP_TEXT, battery
 
 
@@ -136,10 +136,10 @@ def test_lower_witness_on_diagonal_tuples(sig1):
 
 
 def test_random_formula_sweep():
-    # minimal maps, both growth sides, the decision procedure and the
-    # no-decrement witnesses on random formulas; the batch holds maps with
-    # set quantifiers (items 123, 141, 199, 204) and the dimension-0
-    # formulas whose tuples all lie on a diagonal
+    # minimal maps, both growth sides and the no-decrement witnesses on
+    # random formulas; the batch holds maps with set quantifiers (items 123,
+    # 141, 199, 204) and the dimension-0 formulas whose tuples all lie on a
+    # diagonal
     batch = formula_batch(2, 225, rank=2)
     diagonal = formula_batch(1, 150, rank=2)
     cases = batch[:100] + [batch[i] for i in (123, 141, 199, 204)] \
@@ -150,8 +150,6 @@ def test_random_formula_sweep():
         assert check_canonical_form(rep, 4), render(f)
         assert growth_upper_check(f, sig, variables, 4, 4), render(f)
         d = rep.dimension
-        assert decide_dimension(f, sig, variables, d), render(f)
-        assert d == 0 or not decide_dimension(f, sig, variables, d - 1), render(f)
         if rep.bound == 0:
             with pytest.raises(InputError):
                 growth_lower_witness(f, sig, variables, 4)

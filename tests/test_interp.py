@@ -3,10 +3,12 @@ import hashlib
 
 import pytest
 
+from chainrep import compiler
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
+from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word
 from conftest import GROUP_TEXT
 from test_acceptance import SPECS
@@ -132,16 +134,51 @@ def test_reduced_specs_are_pinned(name, dim, text):
     assert (len(dump), hashlib.sha1(dump.encode()).hexdigest()) == REDUCED_SHA1[name]
 
 
+GUARD_SPLIT = (f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n"
+               "relation R/2 on (g, g) := x < u & y = y & v = v\n")
+
+
 def test_reduce_guard_split_selectors_stay_small():
     # three copies selected by rank automata, not by chained copies of the
     # map, which made this spec 1,957,112 characters long
-    spec = parse_interpretation(
-        f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n"
-        "relation R/2 on (g, g) := x < u & y = y & v = v\n")
+    spec = parse_interpretation(GUARD_SPLIT)
     red = reduce_interpretation(spec, 1)
     assert [p.name for p in red.parts] == ["g.1", "g.2", "g.3"]
     assert len(red.spec.dump()) < 100_000
     assert check_equivalence(spec, red, 4)
+
+
+def test_reduce_builds_each_map_once(monkeypatch):
+    # one count over one build of the map gives both the exact bound and
+    # the selectors, with the bound and provenance the map has on its own
+    spec = parse_interpretation(GUARD_SPLIT)
+    builds = []
+    real = compiler._track_automaton
+
+    def track_automaton(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(compiler, "_track_automaton", track_automaton)
+    red = reduce_interpretation(spec, 1)
+    assert len(builds) == 1
+    c = spec.components[0]
+    want = minimal_reparameterization(c.universe, spec.signature, c.variables)
+    assert (want.bound, want.provenance.kind) == (3, "refine")
+    assert all((p.rep.bound, p.rep.provenance) == (want.bound, want.provenance)
+               for p in red.parts)
+
+
+def test_reduce_names_the_count_that_runs_out(sig1):
+    # the map of P1^2 fits in 10 states, its preimage count does not: on its
+    # own the map keeps its certificate, a reduction cannot
+    spec = parse_interpretation("signature P1\ncomponent sq dim=2\nuniverse P1(x)&P1(y)\n")
+    c = spec.components[0]
+    rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=10)
+    assert (rep.bound, rep.provenance.kind) == (3, "unrefined")
+    with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
+        reduce_interpretation(spec, 2, budget_states=10)
+    assert reduce_interpretation(spec, 2, budget_states=12).parts[0].rep.bound == 2
 
 
 def test_reduce_refuses_insufficient_dim():

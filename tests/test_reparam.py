@@ -9,9 +9,9 @@ from chainrep.formula import Signature, mk_false, parse, render
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
                              evaluate, satisfying_tuples)
 from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
-                              combine_disjuncts, compose, decide_dimension,
-                              eliminable_pairs, eliminate_variable,
-                              local_normal_form, minimal_reparameterization)
+                              combine_disjuncts, compose, eliminable_pairs,
+                              eliminate_variable, local_normal_form,
+                              minimal_reparameterization)
 from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
 from conftest import GROUP_TEXT, battery
@@ -130,15 +130,6 @@ def test_refine_gives_up_at_cap_and_budget(sig1):
     assert "exceeded 2 states" in starved.provenance.detail
     exact = _refine_bound(raw, 10**6)
     assert (exact.bound, exact.provenance.kind) == (2, "refine")
-
-
-def test_decide_dimension(sig1):
-    f = parse("x < y", sig1)
-    assert not decide_dimension(f, sig1, ("x", "y"), 1)
-    assert decide_dimension(f, sig1, ("x", "y"), 2)
-    assert decide_dimension(f, sig1, ("x", "y"), 3)
-    with pytest.raises(InputError):
-        decide_dimension(f, sig1, ("x", "y"), -1)
 
 
 def test_free_vars_must_be_marked(sig1):
