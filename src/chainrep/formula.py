@@ -704,33 +704,52 @@ class OrderCase:
     constraint: Formula
 
 
-def order_case_split(f: Formula, variables) -> list[OrderCase]:
+class OrderCaseSplit:
+    """The order cases of f over a variable tuple, built as they are visited.
+
+    Iteration substitutes one case at a time, so a caller that stops early
+    never builds the cases after it; len() counts the weak orderings
+    without building any.
+    """
+
+    def __init__(self, f: Formula, variables: tuple[str, ...]):
+        self.formula = f
+        self.variables = variables
+
+    def _ranks(self):
+        k = len(self.variables)
+        for ranks in itertools.product(range(k), repeat=k):
+            if len(set(ranks)) == max(ranks, default=-1) + 1:
+                yield ranks
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._ranks())
+
+    def __iter__(self):
+        f, variables = self.formula, self.variables
+        for ranks in self._ranks():
+            classes = tuple(tuple(v for v, r in zip(variables, ranks) if r == c)
+                            for c in range(max(ranks, default=-1) + 1))
+            reps = tuple(c[0] for c in classes)
+            mapping = {v: c[0] for c in classes for v in c[1:]}
+            case_formula = substitute(f, mapping) if mapping else f
+            eqs = [Equal(v, c[0]) for c in classes for v in c[1:]]
+            order = [Less(a, b) for a, b in zip(reps, reps[1:])]
+            yield OrderCase(classes, reps, case_formula, conj(eqs + order))
+
+
+def order_case_split(f: Formula, variables) -> OrderCaseSplit:
     """Split f along all weak orderings of the given variables.
 
     Every assignment of the variables matches the constraint of exactly one
     case, and on such assignments f agrees with the case formula, which
-    mentions only the representatives.
+    mentions only the representatives.  The cases come lazily, in the
+    lexicographic order of their rank tuples.
     """
-    variables = list(variables)
+    variables = tuple(variables)
     for v in variables:
         if not is_fo_name(v):
             raise InputError(f"bad variable name {v!r}")
     if len(set(variables)) != len(variables):
         raise InputError("variables must be distinct")
-    k = len(variables)
-    if k == 0:
-        return [OrderCase((), (), f, mk_true())]
-    cases = []
-    for ranks in itertools.product(range(k), repeat=k):
-        m = max(ranks) + 1
-        if len(set(ranks)) != m:
-            continue
-        classes = tuple(tuple(variables[i] for i in range(k) if ranks[i] == r)
-                        for r in range(m))
-        reps = tuple(c[0] for c in classes)
-        mapping = {v: c[0] for c in classes for v in c[1:]}
-        case_formula = substitute(f, mapping) if mapping else f
-        eqs = [Equal(v, c[0]) for c in classes for v in c[1:]]
-        order = [Less(a, b) for a, b in zip(reps, reps[1:])]
-        cases.append(OrderCase(classes, reps, case_formula, conj(eqs + order)))
-    return cases
+    return OrderCaseSplit(f, variables)

@@ -11,7 +11,11 @@ no smaller image can cover it.
 
 Most of the work happens per order case (a fixed weak ordering of the
 domain tuple), where satisfying assignments are strictly ascending markings
-of a word and the type algebra of segments applies.
+of a word and the type algebra of segments applies.  The cases are visited
+one at a time, and the first strict case (every class a singleton) that is
+rigid at full width ends the search: the dimension is then the arity k, and
+the identity map, reading the domain tuple in that case's ascending order,
+has bound 1.  Below full width the case maps are glued into one union.
 """
 
 from __future__ import annotations
@@ -392,7 +396,9 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
     rigid = next((d for d, e in zip(families, elim) if not e), None)
     if rigid is not None:
         # some family pumps at every mark: the tuple count already grows
-        # like n**kc, so the identity map is as small as it gets
+        # like n**kc, so the identity map is as small as it gets; for a
+        # strict case of the top-level formula, kc is the arity and
+        # _minrep stops here
         img = tuple(supply.fresh("y") for _ in range(kc))
         g = conj([case_formula] + [Equal(img[j], ys[j]) for j in range(kc)])
         return Reparameterization(
@@ -470,8 +476,19 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     for case in order_case_split(f, xs):
         lifted = _lifted_case(f, sig, xs, case.classes, case.formula, supply,
                               budget_states, budget_monoid)
-        if lifted is not None:
-            parts.append((case.constraint, lifted))
+        if lifted is None:
+            continue
+        if lifted.dimension == len(xs):
+            # only a strict case can keep width k, and only when rigid: the
+            # dimension is k, and the domain tuple read in this case's
+            # ascending order is its own image
+            ys = lifted.image_vars
+            g = conj([f] + [Equal(y, r) for y, r in zip(ys, case.representatives)])
+            return Reparameterization(
+                f, sig, xs, ys, g, 1,
+                Step("identity", f"width {len(xs)} is the arity: the image is the "
+                                 "domain tuple in ascending order", (lifted.provenance,)))
+        parts.append((case.constraint, lifted))
     if not parts:
         return _unsat_rep(f, sig, xs)
     if len(parts) == 1:
@@ -528,8 +545,11 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
 
     Splits into order cases, reduces each case by eliminating marks whose
     segment pairs cannot pump (splitting families by guards when they
-    disagree on where), and recurses on the image.  The returned bound is a
-    product/sum certificate; with refine it is tightened to the exact
+    disagree on where), and recurses on the image.  A strict case that
+    stays rigid at the full width k stops the split: the answer is the
+    identity map, image variables equal to the domain variables in that
+    case's ascending order, with bound 1.  Otherwise the returned bound is
+    a product/sum certificate; with refine it is tightened to the exact
     maximal fiber size whenever the count stays within budget.
     """
     if marked_vars is None:

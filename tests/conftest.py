@@ -35,3 +35,13 @@ def battery():
     for name, preds, text, variables, dim in BATTERY:
         sig = Signature.from_text(preds)
         yield name, sig, parse(text, sig), variables, dim
+
+
+def endpoints_text(variables):
+    """Every variable at an end of the word: dimension 0, and at most 2**k
+    tuples share the empty image, which is the exact bound."""
+    return " & ".join(f"((~ex q. q < {v}) | (~ex q. {v} < q))" for v in variables)
+
+
+# two labelled positions and the first position: dimension 2, exact bound 3
+FIRST_PAIR_TEXT = "P1(x)&P1(y)&(~ex q. q < v)"

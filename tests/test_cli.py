@@ -5,7 +5,7 @@ import pytest
 
 from chainrep import interp
 from chainrep.cli import main
-from conftest import GROUP_TEXT
+from conftest import GROUP_TEXT, endpoints_text
 
 SUCC = """signature P1
 component pairs dim=2
@@ -156,32 +156,31 @@ def test_interp_reduce_insufficient_dim(tmp_path, capsys):
 
 
 def test_interp_reduce_refuses_too_many_copies(tmp_path, capsys, monkeypatch):
-    # P1^3 has exact bound 6, past a copy cap of 5
+    # the endpoint triple has exact bound 8, past a copy cap of 5
     monkeypatch.setattr(interp, "MAX_COMPONENT_COPIES", 5)
-    path = tmp_path / "cube.interp"
-    path.write_text("signature P1\ncomponent cube dim=3\n"
-                    "universe P1(x)&P1(y)&P1(z)\n")
+    path = tmp_path / "ends.interp"
+    path.write_text("signature P1\ncomponent ends dim=3\n"
+                    f"universe {endpoints_text('xyz')}\n")
     status, _, err = run(capsys, "interp-reduce", "--formula-file",
-                         str(path), "--dim", "3")
+                         str(path), "--dim", "0")
     assert status == 3
-    assert "would split into 6 copies" in err
+    assert "would split into 8 copies" in err
 
 
-def test_interp_reduce_splits_p1_to_the_fourth(tmp_path, capsys):
-    # one copy per rank of the exact bound 36, each selected by an automaton
-    path = tmp_path / "quad.interp"
-    path.write_text("signature P1\ncomponent quad dim=4\n"
-                    "universe P1(x)&P1(y)&P1(z)&P1(w)\n")
+def test_interp_reduce_splits_the_endpoint_triple(tmp_path, capsys):
+    # one copy per rank of the exact bound 8, each selected by an automaton
+    path = tmp_path / "ends.interp"
+    path.write_text("signature P1\ncomponent ends dim=3\n"
+                    f"universe {endpoints_text('xyz')}\n")
     status, report, _ = run_json(capsys, "interp-reduce", "--formula-file",
-                                 str(path), "--dim", "4", "--max-len", "2")
+                                 str(path), "--dim", "0", "--max-len", "3")
     assert status == 0
-    assert len(report["result"]["components"]) == 36
+    assert len(report["result"]["components"]) == 8
     assert report["result"]["equivalence"]["ok"] is True
-    # selectors published from the count capped at the certificate 75 are
-    # the ones a count capped at the exact bound 36 gave
+    # the reduced spec, rank automata included, byte for byte
     text = "\n".join(report["result"]["spec"])
     assert (len(text), hashlib.sha1(text.encode()).hexdigest()) == \
-        (142_177, "fe611f5494d6ed009efb6148a73026cae80f7960")
+        (6_436, "810f5837c6f8c71dcec32eabffa16d1a4425d241")
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,8 +223,8 @@ def test_growth_on_a_diagonal_formula(capsys):
 def test_exit_codes(capsys):
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x <")
     assert status == 2 and "position" in err
-    status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x<y",
-                         "--budget-states", "4")
+    status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula",
+                         "x<y & y<z", "--budget-states", "4")
     assert status == 3 and "budget" in err
     status, _, err = run(capsys, "mindim", "--formula", "x<y")
     assert status == 2

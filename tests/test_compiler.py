@@ -13,7 +13,7 @@ from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, Word, all_words
-from conftest import GROUP_TEXT, battery
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text
 
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
 
@@ -174,7 +174,9 @@ def ranked_maps():
     sig1 = Signature(("P1",))
     maps = [(sig, f, variables) for _, sig, f, variables, _ in battery()]
     maps += [(sig1, parse(GROUP_TEXT, sig1), ("x", "y")),
-             (sig1, parse("EX X. (" + ENDS_TEXT + ")", sig1), ("x",))]
+             (sig1, parse("EX X. (" + ENDS_TEXT + ")", sig1), ("x",)),
+             (sig1, parse(endpoints_text("xy"), sig1), ("x", "y")),
+             (sig1, parse(FIRST_PAIR_TEXT, sig1), ("x", "y", "v"))]
     maps += [(sig, f, fo) for sig, fo, f in formula_batch(606, 40)]
     for sig, f, variables in maps:
         rep = minimal_reparameterization(f, sig, variables)

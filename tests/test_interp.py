@@ -10,7 +10,7 @@ from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word
-from conftest import GROUP_TEXT
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT
 from test_acceptance import SPECS
 
 SUCC = """
@@ -122,7 +122,7 @@ def test_reduce_with_multiple_copies():
 
 REDUCED_SHA1 = {
     "successor pairs": (548, "81c5e00c4684ffa75160581297ea18e640477187"),
-    "labelled elements with marker": (335, "bba91df3bc241d9c999b55af1376b95fa036f4c8"),
+    "labelled elements with marker": (269, "3ae0fd86175559b47cca1dc47c4591ef1ba517b8"),
     "word endpoints": (5_990, "acd19c5e762c480d4b8a59d0e042ddedf24ada0b"),
 }
 
@@ -170,15 +170,16 @@ def test_reduce_builds_each_map_once(monkeypatch):
 
 
 def test_reduce_names_the_count_that_runs_out(sig1):
-    # the map of P1^2 fits in 10 states, its preimage count does not: on its
-    # own the map keeps its certificate, a reduction cannot
-    spec = parse_interpretation("signature P1\ncomponent sq dim=2\nuniverse P1(x)&P1(y)\n")
+    # the map of two labelled positions and a first one fits in 12 states,
+    # its preimage count does not: on its own the map keeps its
+    # certificate, a reduction cannot
+    spec = parse_interpretation(f"signature P1\ncomponent c dim=3\nuniverse {FIRST_PAIR_TEXT}\n")
     c = spec.components[0]
-    rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=10)
-    assert (rep.bound, rep.provenance.kind) == (3, "unrefined")
+    rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=12)
+    assert (rep.bound, rep.provenance.kind) == (153, "unrefined")
     with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
-        reduce_interpretation(spec, 2, budget_states=10)
-    assert reduce_interpretation(spec, 2, budget_states=12).parts[0].rep.bound == 2
+        reduce_interpretation(spec, 2, budget_states=12)
+    assert reduce_interpretation(spec, 2, budget_states=14).parts[0].rep.bound == 3
 
 
 def test_reduce_refuses_insufficient_dim():

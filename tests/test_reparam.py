@@ -1,11 +1,15 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 
+from chainrep import reparam
 from chainrep.compiler import max_fiber
 from chainrep.errors import InputError
 from chainrep.formula import Signature, mk_false, parse, render
+from chainrep.growth import growth_lower_witness
+from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
                              evaluate, satisfying_tuples)
 from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
@@ -14,7 +18,7 @@ from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
                               minimal_reparameterization)
 from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
-from conftest import GROUP_TEXT, battery
+from conftest import GROUP_TEXT, battery, endpoints_text
 
 # satisfiable only at the two ends of a word: dimension 0 with two fibers
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
@@ -74,19 +78,20 @@ def test_guarded_and_set_maps_refine(sig1):
 
 
 def test_refinement_counts_up_to_the_certificate(sig1):
-    # the certificate is 75, one per order case; the exact count is 36
-    f = parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1)
-    rep = minimal_reparameterization(f, sig1, ("x", "y", "z", "w"))
-    assert (rep.dimension, rep.bound) == (4, 36)
+    # the endpoint triple's certificate is 13,940, summed over its order
+    # cases; the exact count is 8
+    f = parse(endpoints_text("xyz"), sig1)
+    rep = minimal_reparameterization(f, sig1, ("x", "y", "z"))
+    assert (rep.dimension, rep.bound) == (0, 8)
     assert rep.provenance.kind == "refine"
     assert rep.provenance.children[0].kind == "combine"
-    # the 75 order cases are glued as a plain union of disjoint branches
+    # the order cases are glued as a plain union of disjoint branches
     text = render(rep.g)
-    assert len(text) == 7_848
+    assert len(text) == 2_717
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "b09ddb0b856fe39850a13c0fbf020391815f4a72"
-    assert check_reparameterization(rep, 2)
-    assert check_canonical_form(rep, 2)
+        "8812ed0078d7cc8f620e8f91784a46cd9b9a1387"
+    assert check_reparameterization(rep, 3)
+    assert check_canonical_form(rep, 3)
 
 
 def test_max_fiber_is_sound():
@@ -106,16 +111,74 @@ def test_max_fiber_is_sound():
 
 
 def test_skipped_refinement_is_recorded(sig1):
-    # a starved count keeps the 75-case certificate of P1^4 and says why
-    f = parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1)
-    raw = minimal_reparameterization(f, sig1, ("x", "y", "z", "w"),
-                                     refine=False)
-    assert (raw.dimension, raw.bound) == (4, 75)
+    # a starved count keeps the endpoint triple's certificate and says why
+    f = parse(endpoints_text("xyz"), sig1)
+    raw = minimal_reparameterization(f, sig1, ("x", "y", "z"), refine=False)
+    assert (raw.dimension, raw.bound) == (0, 13_940)
     skipped = _refine_bound(raw, 2)
-    assert skipped.bound == 75
+    assert skipped.bound == 13_940
     assert skipped.provenance.kind == "unrefined"
-    assert "bound 75 kept" in skipped.provenance.detail
+    assert "bound 13940 kept" in skipped.provenance.detail
     assert skipped.provenance.children == (raw.provenance,)
+
+
+def test_full_width_is_the_identity(sig1, monkeypatch):
+    # a rigid strict order case keeps every coordinate: the map reads the
+    # domain tuple in that case's ascending order, with bound 1, and no
+    # later case is built (the first strict case is the 16th of 75 weak
+    # orderings at k = 4 and the 65th of 541 at k = 5)
+    visited = []
+    real = reparam._lifted_case
+
+    def lifted_case(*args):
+        visited.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reparam, "_lifted_case", lifted_case)
+    subjects = (("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw", 16),
+                ("P1(x)&P1(y)&P1(z)&P1(w)&P1(v)", "xyzwv", 65),
+                ("x<y & y<z & z<w & w<v", "xyzwv", 65),
+                ("P1(x) & y < x", "xy", 3))
+    for text, variables, cases in subjects:
+        f = parse(text, sig1)
+        visited.clear()
+        t0 = time.perf_counter()
+        rep = minimal_reparameterization(f, sig1, tuple(variables))
+        elapsed = time.perf_counter() - t0
+        assert (rep.dimension, rep.bound) == (len(variables), 1), text
+        assert rep.provenance.kind == "identity", text
+        assert rep.provenance.children[0].kind == "case", text
+        assert len(visited) == cases, text
+        assert elapsed < 5, text
+        # the chain has no satisfying tuple below length 5
+        assert check_reparameterization(rep, 3), text
+        assert check_canonical_form(rep, 3), text
+    assert render(rep.g) == "P1(x) & y < x & y0 = y & y1 = x"
+    # the image is ascending, as the image algebra needs
+    witness = growth_lower_witness(f, sig1, ("x", "y"), 3)
+    assert witness.oracle_count() >= 3 ** 2
+    quad = parse_interpretation("signature P1\ncomponent quad dim=4\n"
+                                "universe P1(x)&P1(y)&P1(z)&P1(w)\n")
+    red = reduce_interpretation(quad, 4)
+    assert [(p.name, p.rep.bound) for p in red.parts] == [("quad.1", 1)]
+    assert check_equivalence(quad, red, 3)
+
+
+# below full width the maps are the ones built before the full-width rule:
+# the count, total length and SHA-1 of their texts over seeds 1-3
+BELOW_FULL_WIDTH = (110, 3_046, "d85d5de6e36b5cb0e214e72b961fadc10ac26e7f")
+
+
+def test_maps_below_full_width_are_pinned():
+    texts = []
+    for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3)):
+        for sig, fo, f in formula_batch(seed, count, rank=rank):
+            rep = minimal_reparameterization(f, sig, fo, refine=False)
+            if rep.dimension < len(fo):
+                texts.append(render(rep.g))
+    blob = "\n".join(texts)
+    assert (len(texts), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \
+        BELOW_FULL_WIDTH
 
 
 def test_refine_gives_up_at_cap_and_budget(sig1):
