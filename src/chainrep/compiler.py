@@ -29,9 +29,11 @@ automaton with one track per variable, each mark bit by its variable's
 track, so an automaton the pipeline already holds never goes back through
 MSO.
 
-A map's largest fiber and the lexicographic ranks of its preimages come
-from one counting construction over its automaton, preimage_ranks, which
-publishes rank automata only when asked for them.
+A map is built once, by map_automaton, over one track per domain and
+image variable.  Its image, the lexicographically least fiber over an
+image tuple (first_fiber) and the counting construction that gives its
+largest fiber and its preimage ranks (preimage_ranks, which publishes rank
+automata only when asked for them) all read that one automaton.
 """
 
 from __future__ import annotations
@@ -263,30 +265,33 @@ class _Builder:
         b2 = self.extend(b, a.fo, a.so)
         return a2, b2
 
-    def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
-        assert a.fo == b.fo and a.so == b.so
-        nl = a.n_letters
-        index = {(a.init, b.init): 0}
-        order = [(a.init, b.init)]
-        delta = []
-        i = 0
-        while i < len(order):
-            qa, qb = order[i]
-            pairs = list(zip(a.delta[qa], b.delta[qb]))
-            for t in dict.fromkeys(pairs):
+    def explore(self, start, successors, n_letters: int = 0):
+        """Breadth-first search from start: the states in the order found
+        and, per state, the indices of the list successors(state) returns.
+        Each state found is counted against the state budget."""
+        index, order, delta = {start: 0}, [start], []
+        while len(delta) < len(order):
+            succ = successors(order[len(delta)])
+            for t in dict.fromkeys(succ):
                 if t not in index:
                     index[t] = len(order)
                     order.append(t)
-                    self._check(len(order), nl)
-            delta.append(list(map(index.__getitem__, pairs)))
-            i += 1
+                    self._check(len(order), n_letters)
+            delta.append(list(map(index.__getitem__, succ)))
+        return order, delta
+
+    def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
+        assert a.fo == b.fo and a.so == b.so
+        order, delta = self.explore(
+            (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])),
+            a.n_letters)
         if op == "and":
             accepting = {i for i, (qa, qb) in enumerate(order)
                          if qa in a.accepting and qb in b.accepting}
         else:
             accepting = {i for i, (qa, qb) in enumerate(order)
                          if qa in a.accepting or qb in b.accepting}
-        return _Auto(self.sig, a.fo, a.so, nl, 0, delta, accepting)
+        return _Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting)
 
     def complement(self, a: _Auto) -> _Auto:
         out = _Auto(self.sig, a.fo, a.so, a.n_letters, a.init,
@@ -311,26 +316,13 @@ class _Builder:
     def determinize(self, a: _Auto, groups, fo=(), so=()) -> _Auto:
         """Subset construction in which new letter j reads any old letter in
         groups[j]; the result is over the tracks fo and so, unminimized."""
-        nl = len(groups)
-        start = frozenset({a.init})
-        index = {start: 0}
-        order = [start]
-        delta = []
-        i = 0
-        while i < len(order):
-            cur = order[i]
-            row = []
-            for group in groups:
-                t = frozenset(a.delta[q][letter] for q in cur for letter in group)
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                    self._check(len(order), nl)
-                row.append(index[t])
-            delta.append(row)
-            i += 1
+        order, delta = self.explore(
+            frozenset({a.init}),
+            lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
+                         for group in groups],
+            len(groups))
         accepting = {i for i, s in enumerate(order) if s & a.accepting}
-        return _Auto(self.sig, fo, so, nl, 0, delta, accepting)
+        return _Auto(self.sig, fo, so, len(groups), 0, delta, accepting)
 
     def minimize(self, a: _Auto) -> _Auto:
         """The minimal automaton of a, its states in breadth-first order
@@ -506,15 +498,39 @@ def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
     return f
 
 
-def _track_automaton(g: Formula, sig: Signature, tracks, budget_states: int):
-    """The builder and the minimal automaton of g with one track per variable
-    of tracks, each carrying a single mark."""
-    g = _checked(g, tracks)
+@dataclass(frozen=True)
+class MapAutomaton:
+    """A map g built once: the minimal automaton of g over one track per
+    variable of xs + ys, each carrying a single mark, and its builder.  The
+    count, the fiber search and the image all read this one automaton."""
+
+    builder: _Builder
+    auto: _Auto
+    xs: tuple[str, ...]
+    ys: tuple[str, ...]
+
+    def image(self) -> Dfa:
+        """The public automaton of ex xs. g over the ys marks, the one
+        compile publishes for that formula."""
+        a = self.auto
+        for v in reversed(self.xs):
+            a = self.builder.project(a, "fo", v)
+        return self.builder.to_public(a, self.ys)
+
+
+def map_automaton(g: Formula, sig: Signature, xs, ys,
+                  budget_states: int = DEFAULT_STATE_BUDGET) -> MapAutomaton:
+    """The automaton of the map g from xs to ys, under the state budget."""
+    xs, ys = tuple(xs), tuple(ys)
+    g = _checked(g, xs + ys)
     builder = _Builder(sig, budget_states)
-    a = builder.build(g)
-    unused = [v for v in tracks if v not in a.fo]
-    a = builder.valid(builder.extend(a, fo_add=unused), unused)
-    return builder, builder.minimize(a)
+    try:
+        a = builder.build(g)
+        unused = [v for v in xs + ys if v not in a.fo]
+        a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"map automaton: {e}", e.budget, e.subject) from e
+    return MapAutomaton(builder, a, xs, ys)
 
 
 @dataclass
@@ -543,23 +559,21 @@ class PreimageRanks:
                 for i in range(n)]
 
 
-def preimage_ranks(g: Formula, sig: Signature, xs, ys, cap: int,
-                   budget_states: int = DEFAULT_STATE_BUDGET) -> PreimageRanks:
-    """The preimage ranks of g over the tracks xs + ys: a pair that g relates
-    has rank i when exactly i of the xs tuples that g relates to its ys are
+def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
+    """The preimage ranks of the map m: a pair that it relates has rank i
+    when exactly i of the xs tuples that it relates to its ys are
     lexicographically smaller than its xs.
 
-    g is built once over the xs and ys tracks.  A counting subset
-    construction runs it on each letter read and on every xs-bit variant of
-    that letter: its states pair the state of the main run with the number
-    of candidate xs markings reaching each pair (state, comparison with xs
-    so far), capped at cap.  The automaton is deterministic, so each
-    accepted candidate run is one distinct xs tuple.  A letter that sends
-    the main run to its sink goes to one dead state, None.  The counting
-    states run under the state budget.
+    A counting subset construction runs m's automaton on each letter read
+    and on every xs-bit variant of that letter: its states pair the state
+    of the main run with the number of candidate xs markings reaching each
+    pair (state, comparison with xs so far), capped at cap.  The automaton
+    is deterministic, so each accepted candidate run is one distinct xs
+    tuple.  A letter that sends the main run to its sink goes to one dead
+    state, None.  The counting states run under m's state budget.
     """
-    xs, ys = tuple(xs), tuple(ys)
-    k, m = sig.k, len(xs)
+    builder, a, xs, ys = m.builder, m.auto, m.xs, m.ys
+    k, n = builder.sig.k, len(xs)
     less = (2,)
 
     @functools.cache
@@ -578,41 +592,37 @@ def preimage_ranks(g: Formula, sig: Signature, xs, ys, cap: int,
             out.append(s)
         return tuple(out)
 
+    sink = {q for q, row in enumerate(a.delta)
+            if q not in a.accepting and set(row) == {q}}
+
+    def spread(mask, variables):
+        return sum(1 << a.fo_bit(v) for j, v in enumerate(variables) if mask >> j & 1)
+
+    # the letter of a read on each letter of the result, and the bits of a
+    # that each set of xs coordinates marks
+    letters = [(letter & ((1 << k) - 1)) | spread(letter >> k, xs + ys)
+               for letter in range(1 << (k + n + len(ys)))]
+    xbits = [spread(c, xs) for c in range(1 << n)]
+
+    def successors(cur):
+        row = []
+        for letter, inner in enumerate(letters):
+            nxt = None
+            if cur is not None and a.delta[cur[0]][inner] not in sink:
+                base, main = inner & ~xbits[-1], letter >> k & ((1 << n) - 1)
+                counts: dict = {}
+                for (p, cmp), c in cur[1]:
+                    for cand, bits in enumerate(xbits):
+                        t, to = a.delta[p][base | bits], compare(cmp, main, cand)
+                        if t not in sink and to is not None:
+                            counts[t, to] = min(cap, counts.get((t, to), 0) + c)
+                nxt = (a.delta[cur[0]][inner], tuple(sorted(counts.items())))
+            row.append(nxt)
+        return row
+
     try:
-        builder, a = _track_automaton(g, sig, xs + ys, budget_states)
-        sink = {q for q, row in enumerate(a.delta)
-                if q not in a.accepting and set(row) == {q}}
-
-        def spread(mask, variables):
-            return sum(1 << a.fo_bit(v) for j, v in enumerate(variables) if mask >> j & 1)
-
-        # the letter of a read on each letter of the result, and the bits
-        # of a that each set of xs coordinates marks
-        letters = [(letter & ((1 << k) - 1)) | spread(letter >> k, xs + ys)
-                   for letter in range(1 << (k + m + len(ys)))]
-        xbits = [spread(c, xs) for c in range(1 << m)]
-        start = (a.init, (((a.init, (0,) * m), 1),))
-        index, order, delta = {start: 0}, [start], []
-        while len(delta) < len(order):
-            cur = order[len(delta)]
-            row = []
-            for letter, inner in enumerate(letters):
-                nxt = None
-                if cur is not None and a.delta[cur[0]][inner] not in sink:
-                    base, main = inner & ~xbits[-1], letter >> k & ((1 << m) - 1)
-                    counts: dict = {}
-                    for (p, cmp), c in cur[1]:
-                        for cand, bits in enumerate(xbits):
-                            t, to = a.delta[p][base | bits], compare(cmp, main, cand)
-                            if t not in sink and to is not None:
-                                counts[t, to] = min(cap, counts.get((t, to), 0) + c)
-                    nxt = (a.delta[cur[0]][inner], tuple(sorted(counts.items())))
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                    builder._check(len(order), len(letters))
-                row.append(index[nxt])
-            delta.append(row)
+        order, delta = builder.explore((a.init, (((a.init, (0,) * n), 1),)),
+                                       successors, len(letters))
     except ResourceLimitError as e:
         raise ResourceLimitError(f"preimage ranks: {e}", e.budget, e.subject) from e
     ranks = [None if st is None or st[0] not in a.accepting else
@@ -627,36 +637,23 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
     one word, counted up to cap: the lexicographically last of them has as
     many smaller ones as the fiber has members but one, so this is the
     largest preimage rank + 1."""
-    return preimage_ranks(g, sig, xs, ys, cap, budget_states).largest_fiber
+    return preimage_ranks(map_automaton(g, sig, xs, ys, budget_states), cap).largest_fiber
 
 
-def lex_ranks(g: Formula, sig: Signature, xs, ys, bound: int,
-              budget_states: int = DEFAULT_STATE_BUDGET) -> list[Dfa]:
-    """Automata over the tracks xs + ys, one per rank below bound: the i-th
-    accepts the pairs of preimage rank i (preimage_ranks)."""
-    return preimage_ranks(g, sig, xs, ys, bound, budget_states).selectors(bound)
+def first_fiber(m: MapAutomaton, word: Word, image):
+    """The lexicographically least xs tuple that the map m relates to ys
+    placed at the positions image on word, or None when there is none.
 
-
-def first_fiber(g: Formula, sig: Signature, xs, ys, word: Word, image,
-                budget_states: int = DEFAULT_STATE_BUDGET):
-    """The lexicographically least xs tuple that g relates to ys placed at
-    the positions image on word, or None when there is none.
-
-    g is built once over the xs and ys tracks, under the state budget.  The
-    xs are then fixed one at a time: a backward pass collects, per position,
+    The xs are fixed one at a time: a backward pass collects, per position,
     the states from which the rest of the word can still accept with this
     and the later xs left open, and a forward subset pass over the prefix
     places the variable at the first position from which one of them is
     reached.  The automaton keeps every track to a single mark, so an open
     track is marked exactly once on any accepted run.
     """
-    xs, ys = tuple(xs), tuple(ys)
-    try:
-        _, a = _track_automaton(g, sig, xs + ys, budget_states)
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"fiber search: {e}", e.budget, e.subject) from e
+    a, xs = m.auto, m.xs
     letters = list(word.letters)
-    for v, p in zip(ys, image):
+    for v, p in zip(m.ys, image):
         letters[p] |= 1 << a.fo_bit(v)
     fiber = []
     for i in range(len(xs) + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap, order_case_split
 from .compiler import (DEFAULT_STATE_BUDGET, compile as compile_dfa, first_fiber,
-                       shortest_accepted)
+                       map_automaton, shortest_accepted)
 from .monoid import DEFAULT_MONOID_BUDGET, is_pumpable
 from .oracle import count_in_set, satisfying_tuples
 from .reparam import Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization
@@ -182,10 +182,11 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     marks slides over n extra idempotent copies independently, and the
     fibers transport along.  The pool keeps, in every copy, the offsets one
     base fiber occupies, plus its fixed positions outside the copy runs.
-    That fiber, the lexicographically least domain tuple the map relates
-    to the base marks, is read off the map's automaton (compiler.first_fiber);
-    the whole witness is built on the automaton route, and oracle_count()
-    recounts it by enumeration.
+    The map's automaton is built once (compiler.map_automaton): its image
+    gives the image algebra, and that fiber, the lexicographically least
+    domain tuple the map relates to the base marks, is read off it
+    (compiler.first_fiber).  The whole witness is built on the automaton
+    route, and oracle_count() recounts it by enumeration.
     """
     variables = tuple(variables)
     k = len(variables)
@@ -217,8 +218,9 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
             return WitnessStructure(f, variables, got, (), 1,
                                     "closed formula: shortest accepted word")
         return WitnessStructure(f, variables, got.word, got.marks, 1, construction)
-    psi = exists_wrap(rep.domain_vars, rep.g)
-    algebra = TypeAlgebra.build(psi, sig, rep.image_vars, budget_states, budget_monoid)
+    auto = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars, budget_states)
+    algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
+                                budget_states, budget_monoid, dfa=auto.image())
     found = _all_pumpable_family(algebra)
     if found is None:
         raise InputError("minimal image admits no family pumping at every mark")
@@ -230,8 +232,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     base_letters, base_geom = _blocks_word(monoid, fam, es, m)
     base = Word(sig, tuple(base_letters))
     marks = tuple(run + (r - 1) * unit for run, unit, _ in base_geom)
-    fiber = first_fiber(rep.g, sig, rep.domain_vars, rep.image_vars, base, marks,
-                        budget_states)
+    fiber = first_fiber(auto, base, marks)
     if fiber is None:
         raise ChainrepError("image family has no fiber on its base word")
     # classify the base fiber: offsets inside copy runs recur in every

@@ -25,13 +25,14 @@ reduce_interpretation rebuilds an equivalent interpretation whose
 components all have dimension at most d, replacing each component q by
 copies (q, i): the i-th preimage, in position-lexicographic order, of an
 image of q's minimal reparameterization.  A map whose certificate bound
-exceeds 1 is built and counted once (reparam.refine_with_ranks): the count
-gives the exact bound and then the selectors.  The selector of copy (q, i)
-is an automaton leaf reading one track per domain and image variable,
-published from that count: it holds when the map relates the two tuples
-and exactly i-1 preimages of the image are lexicographically smaller.  A
-map with bound 1 is its own selector.  check_equivalence replays the
-bookkeeping as an explicit bijection on small words.
+exceeds 1 is built once (compiler.map_automaton) and counted once
+(reparam.refine_with_ranks): the count gives the exact bound and then the
+selectors.  The selector of copy (q, i) is an automaton leaf reading one
+track per domain and image variable, published from that count: it holds
+when the map relates the two tuples and exactly i-1 preimages of the
+image are lexicographically smaller.  A map with bound 1 is its own
+selector.  check_equivalence replays the bookkeeping as an explicit
+bijection on small words.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ from .errors import InputError, ResourceLimitError
 from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars, conj,
                       disj, exists_wrap, free_variables, mk_false, order_case_split,
                       substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, compile as compile_dfa,
-                       dfa_empty, minimize_dfa, preimage_ranks)
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
+                       compile as compile_dfa, dfa_empty, map_automaton, minimize_dfa,
+                       preimage_ranks)
 from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
                      ramsey_bound, transition_monoid)
 from .words import MarkedWord
@@ -346,38 +347,25 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
     nl = 1 << (algebra.sig.k + 1)
     mark_bit = 1 << algebra.sig.k
     dead = "dead"
-    start = (0, m.identity, frozenset(range(len(families))))
-    index = {start: 0, dead: 1}
-    order = [start, dead]
-    rows = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
+
+    def successors(cur):
+        if cur == dead:
+            return [dead] * nl
+        seg, elem, alive = cur
         row = []
         for letter in range(nl):
-            if cur == dead:
-                row.append(1)
-                continue
-            seg, elem, alive = cur
             lab = letter & (mark_bit - 1)
-            if letter & mark_bit:
-                if seg == k:
-                    row.append(1)
-                    continue
-                alive2 = frozenset(d for d in alive if families[d][seg] == elem)
-                nxt = (seg + 1, m.letter_image[lab], alive2) if alive2 else dead
+            if not letter & mark_bit:
+                row.append((seg, m.multiply(elem, m.letter_image[lab]), alive))
+            elif seg == k:
+                row.append(dead)
             else:
-                nxt = (seg, m.multiply(elem, m.letter_image[lab]), alive)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                if len(order) > budget_states:
-                    raise ResourceLimitError(
-                        f"state budget exceeded ({len(order)} > {budget_states})",
-                        budget=budget_states, subject="states")
-            row.append(index[nxt])
-        rows.append(row)
-        i += 1
+                alive2 = frozenset(d for d in alive if families[d][seg] == elem)
+                row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
+        return row
+
+    order, rows = _Builder(algebra.sig, budget_states).explore(
+        (0, m.identity, frozenset(range(len(families)))), successors)
     accepting = frozenset(
         j for j, st in enumerate(order)
         if st != dead and st[0] == k and any(families[d][k] == st[1] for d in st[2]))
@@ -503,15 +491,16 @@ def refine_with_ranks(rep: Reparameterization,
     """rep with its certificate bound tightened to the exact maximal fiber
     size, and the preimage ranks of its map that gave it.
 
-    One counting construction over the automaton of the map
-    (compiler.preimage_ranks) ranks every preimage, counted up to the
-    certificate; the largest rank + 1 is the largest fiber, a count below
-    the certificate is the exact bound, and one that reaches it shows the
-    certificate is exact.  Raises ResourceLimitError when the count exceeds
-    the state budget.
+    The map's automaton is built once (compiler.map_automaton), and one
+    counting construction over it (compiler.preimage_ranks) ranks every
+    preimage, counted up to the certificate; the largest rank + 1 is the
+    largest fiber, a count below the certificate is the exact bound, and
+    one that reaches it shows the certificate is exact.  Raises
+    ResourceLimitError, naming the stage, when the build or the count
+    exceeds the state budget.
     """
-    ranks = preimage_ranks(rep.g, rep.signature, rep.domain_vars, rep.image_vars,
-                           rep.bound, budget_states)
+    ranks = preimage_ranks(map_automaton(rep.g, rep.signature, rep.domain_vars,
+                                         rep.image_vars, budget_states), rep.bound)
     most = ranks.largest_fiber
     if most < rep.bound:
         rep = Reparameterization(
@@ -523,8 +512,9 @@ def refine_with_ranks(rep: Reparameterization,
 def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameterization:
     """rep refined as refine_with_ranks does, under the caller's state budget.
 
-    Gives up (keeping the certificate) when the count exceeds the budget,
-    and records that as an "unrefined" provenance step.
+    Gives up (keeping the certificate) when the build or the count exceeds
+    the budget, and records that as an "unrefined" provenance step that
+    quotes the error.
     """
     if not rep.domain_vars or rep.bound <= 1:
         return rep
@@ -533,8 +523,7 @@ def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameteriza
     except ResourceLimitError as e:
         return Reparameterization(
             rep.source, rep.signature, rep.domain_vars, rep.image_vars, rep.g, rep.bound,
-            Step("unrefined", f"bound {rep.bound} kept: the fiber count exceeded "
-                              f"{e.budget} {e.subject}", (rep.provenance,)))
+            Step("unrefined", f"bound {rep.bound} kept: {e}", (rep.provenance,)))
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,

@@ -124,6 +124,16 @@ def test_witness_rejects_nonpositive_n(capsys):
     assert status == 2 and out == "" and "--n" in err
 
 
+def test_witness_names_the_stage_that_runs_out(capsys):
+    # the minimal map fits in 12 states, the automaton it is built into
+    # for the growth witness does not
+    status, out, err = run(capsys, "witness", "--sig", "P1",
+                           "--formula", "P1(x)&P1(y)&(~ex q. q < v)", "--n", "2",
+                           "--budget-states", "12")
+    assert status == 3 and not out
+    assert "map automaton: state budget exceeded (13 > 12)" in err
+
+
 def test_oracle_check_embeds_notes(capsys):
     status, report, _ = run_json(
         capsys, "oracle-check", "--sig", "P1", "--max-len", "3",

@@ -5,8 +5,9 @@ import pytest
 
 from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
-                               dfa_equivalent, dfa_to_formula, lex_ranks, max_fiber,
-                               minimize_dfa, project_mark, shortest_accepted)
+                               dfa_equivalent, dfa_to_formula, first_fiber, map_automaton,
+                               max_fiber, minimize_dfa, preimage_ranks, project_mark,
+                               shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import Run, Signature, exists_wrap, parse, render
 from chainrep.oracle import evaluate, satisfying_tuples
@@ -154,19 +155,20 @@ def test_first_fiber_is_the_least_preimage(sig1):
     # order, that satisfies g with ys placed at the image
     for sig, fo, g in formula_batch(11, 30, max_preds=1, rank=2):
         for xs, ys in [(fo[:i], fo[i:]) for i in range(len(fo) + 1)]:
+            m = map_automaton(g, sig, xs, ys)
             for w in all_words(sig, 3):
                 for image in itertools.product(range(len(w)), repeat=len(ys)):
                     fixed = dict(zip(ys, image))
                     want = next((t for t in itertools.product(range(len(w)), repeat=len(xs))
                                  if evaluate(g, w, fo={**fixed, **dict(zip(xs, t))})), None)
-                    got = compiler.first_fiber(g, sig, xs, ys, w, image)
-                    assert got == want, (render(g), xs, w, image)
+                    assert first_fiber(m, w, image) == want, (render(g), xs, w, image)
     w = Word(sig1, (0,) * 5)
     g = parse("x < y & y < z", sig1)
-    assert compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (3,)) == (0, 4)
-    assert compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (4,)) is None
-    with pytest.raises(ResourceLimitError, match="fiber search"):
-        compiler.first_fiber(g, sig1, ("x", "z"), ("y",), w, (3,), budget_states=2)
+    m = map_automaton(g, sig1, ("x", "z"), ("y",))
+    assert first_fiber(m, w, (3,)) == (0, 4)
+    assert first_fiber(m, w, (4,)) is None
+    with pytest.raises(ResourceLimitError, match="^map automaton: state budget"):
+        map_automaton(g, sig1, ("x", "z"), ("y",), budget_states=2)
 
 
 def ranked_maps():
@@ -181,17 +183,20 @@ def ranked_maps():
     for sig, f, variables in maps:
         rep = minimal_reparameterization(f, sig, variables)
         if rep.bound > 1:
-            yield sig, rep, lex_ranks(rep.g, sig, rep.domain_vars, rep.image_vars,
-                                      rep.bound)
+            m = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars)
+            yield sig, rep, m, preimage_ranks(m, rep.bound).selectors(rep.bound)
 
 
 def test_lex_ranks_match_enumeration():
     # the i-th rank holds exactly at the pairs g relates whose image has i
     # lexicographically smaller preimages; the compiled existential
-    # projection of each rank agrees with the oracle's
+    # projection of each rank agrees with the oracle's; the map's image is
+    # the automaton compile publishes for ex xs. g, byte for byte
     checked = 0
-    for sig, rep, ranks in ranked_maps():
+    for sig, rep, m, ranks in ranked_maps():
         xs, ys = rep.domain_vars, rep.image_vars
+        assert m.image().dump() == compile(exists_wrap(xs, rep.g), sig, ys).dump(), \
+            render(rep.source)
         k = len(xs)
         assert len(ranks) == rep.bound
         assert all(r.tracks == k + len(ys) for r in ranks)
@@ -214,7 +219,7 @@ def test_lex_ranks_match_enumeration():
 
 def test_lex_ranks_run_under_the_state_budget(sig1):
     g = parse("x < y", sig1)
-    ranks = lex_ranks(g, sig1, ("x",), ("y",), 3)
+    ranks = preimage_ranks(map_automaton(g, sig1, ("x",), ("y",)), 3).selectors(3)
     assert [r.tracks for r in ranks] == [2, 2, 2]
     # rank 0 is x at the first position: words of length 2 and more
     assert dfa_equivalent(project_mark(ranks[0]),
@@ -226,8 +231,9 @@ def test_lex_ranks_run_under_the_state_budget(sig1):
     with pytest.raises(InputError):
         shortest_accepted(ranks[0])
     # the map's own automaton fits in 5 states, the count does not
+    m = map_automaton(g, sig1, ("x",), ("y",), budget_states=5)
     with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
-        lex_ranks(g, sig1, ("x",), ("y",), 3, budget_states=5)
+        preimage_ranks(m, 3)
 
 
 def test_minimize_dfa_preserves_language(sig1):

@@ -1,16 +1,18 @@
+import hashlib
 import itertools
 
 import pytest
 
-from chainrep.errors import InputError
-from chainrep.formula import parse, render
+from chainrep import growth, reparam
+from chainrep.errors import ChainrepError, InputError
+from chainrep.formula import exists_wrap, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              growth_upper_check, no_decrement_witness,
                              pump_witness)
 from chainrep.oracle import check_canonical_form, check_reparameterization, count_in_set
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
-from conftest import GROUP_TEXT, battery
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery
 
 
 def test_growth_degree_matches_dimension():
@@ -167,3 +169,46 @@ def test_random_formula_sweep():
             assert w.oracle_count() >= w.claimed_tuple_count, render(f)
             found += 1
         assert bool(found) == (d == len(variables) > 0), render(f)
+
+
+def test_witness_builds_each_map_once(sig1, monkeypatch):
+    # the image algebra and the base fiber both read the one automaton of
+    # the map: ex xs. g is never compiled on its own
+    builds, compiled = [], []
+    real_build, real_compile = growth.map_automaton, reparam.compile_dfa
+
+    def map_automaton(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    def compile_dfa(f, *args):
+        compiled.append(f)
+        return real_compile(f, *args)
+
+    monkeypatch.setattr(growth, "map_automaton", map_automaton)
+    monkeypatch.setattr(reparam, "map_automaton", map_automaton)
+    monkeypatch.setattr(growth, "compile_dfa", compile_dfa)
+    monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
+    f = parse(FIRST_PAIR_TEXT, sig1)
+    w = growth_lower_witness(f, sig1, ("x", "y", "v"), 3)
+    assert w.oracle_count() >= 3 ** 2
+    assert len(builds) == 1
+    rep = minimal_reparameterization(f, sig1, ("x", "y", "v"), refine=False)
+    assert exists_wrap(rep.domain_vars, rep.g) not in compiled
+
+
+# the witnesses of formula_batch(3, 120) at n = 3, or the error text where
+# the witness raises: their count, total length and SHA-1
+WITNESS_DUMPS = (120, 20_179, "2e73a2905e8ee05c02e2429c0287d18c7cd43a43")
+
+
+def test_witness_dumps_are_pinned():
+    outs = []
+    for sig, variables, f in formula_batch(3, 120):
+        try:
+            outs.append(growth_lower_witness(f, sig, variables, 3).dump())
+        except ChainrepError as e:
+            outs.append(str(e))
+    blob = "\n".join(outs)
+    assert (len(outs), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \
+        WITNESS_DUMPS

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from chainrep import compiler
+from chainrep import reparam
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
@@ -153,13 +153,13 @@ def test_reduce_builds_each_map_once(monkeypatch):
     # the selectors, with the bound and provenance the map has on its own
     spec = parse_interpretation(GUARD_SPLIT)
     builds = []
-    real = compiler._track_automaton
+    real = reparam.map_automaton
 
-    def track_automaton(*args):
+    def map_automaton(*args):
         builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(compiler, "_track_automaton", track_automaton)
+    monkeypatch.setattr(reparam, "map_automaton", map_automaton)
     red = reduce_interpretation(spec, 1)
     assert len(builds) == 1
     c = spec.components[0]
@@ -169,15 +169,18 @@ def test_reduce_builds_each_map_once(monkeypatch):
                for p in red.parts)
 
 
-def test_reduce_names_the_count_that_runs_out(sig1):
-    # the map of two labelled positions and a first one fits in 12 states,
-    # its preimage count does not: on its own the map keeps its
-    # certificate, a reduction cannot
+def test_reduce_names_the_stage_that_runs_out(sig1):
+    # the automaton of the map of two labelled positions and a first one
+    # needs 14 states, its preimage count 11: at 12 states the build runs
+    # out, so on its own the map keeps its certificate, and a reduction,
+    # which cannot, names the build
     spec = parse_interpretation(f"signature P1\ncomponent c dim=3\nuniverse {FIRST_PAIR_TEXT}\n")
     c = spec.components[0]
     rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=12)
     assert (rep.bound, rep.provenance.kind) == (153, "unrefined")
-    with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
+    assert rep.provenance.detail == \
+        "bound 153 kept: map automaton: state budget exceeded (13 > 12)"
+    with pytest.raises(ResourceLimitError, match="^map automaton: state budget"):
         reduce_interpretation(spec, 2, budget_states=12)
     assert reduce_interpretation(spec, 2, budget_states=14).parts[0].rep.bound == 3
 

@@ -118,7 +118,8 @@ def test_skipped_refinement_is_recorded(sig1):
     skipped = _refine_bound(raw, 2)
     assert skipped.bound == 13_940
     assert skipped.provenance.kind == "unrefined"
-    assert "bound 13940 kept" in skipped.provenance.detail
+    assert skipped.provenance.detail == \
+        "bound 13940 kept: map automaton: state budget exceeded (3 > 2)"
     assert skipped.provenance.children == (raw.provenance,)
 
 
@@ -190,7 +191,9 @@ def test_refine_gives_up_at_cap_and_budget(sig1):
     starved = _refine_bound(raw, 2)
     assert starved.bound == raw.bound
     assert starved.provenance.kind == "unrefined"
-    assert "exceeded 2 states" in starved.provenance.detail
+    # the map's own automaton is what runs out, and the detail says so
+    assert starved.provenance.detail.startswith(
+        f"bound {raw.bound} kept: map automaton: state budget exceeded")
     exact = _refine_bound(raw, 10**6)
     assert (exact.bound, exact.provenance.kind) == (2, "refine")
 
