@@ -10,8 +10,8 @@ from .words import MarkedWord, Word, all_words
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, compile, dfa_empty,
                        dfa_equivalent, dfa_to_formula, max_fiber, minimize_dfa,
                        project_mark, shortest_accepted)
-from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable,
-                     mark_shadow, ramsey_bound, transition_monoid)
+from .monoid import (TypeMonoid, is_pumpable, mark_shadow, ramsey_bound,
+                     transition_monoid)
 from .oracle import (CheckReport, check_canonical_form, check_reparameterization,
                      count_in_set, evaluate, satisfying_tuples)
 from .reparam import (Disjunct, Reparameterization, Step, TypeAlgebra,
@@ -30,8 +30,8 @@ __all__ = [
     "DEFAULT_STATE_BUDGET", "Dfa", "compile", "dfa_empty", "dfa_equivalent",
     "dfa_to_formula", "max_fiber", "minimize_dfa", "project_mark",
     "shortest_accepted",
-    "DEFAULT_MONOID_BUDGET", "TypeMonoid", "is_pumpable", "mark_shadow",
-    "ramsey_bound", "transition_monoid",
+    "TypeMonoid", "is_pumpable", "mark_shadow", "ramsey_bound",
+    "transition_monoid",
     "CheckReport", "check_canonical_form", "check_reparameterization",
     "count_in_set", "evaluate", "satisfying_tuples",
     "Disjunct", "Reparameterization", "Step", "TypeAlgebra",

@@ -20,7 +20,7 @@ from .formula import Signature, free_variables, parse, render
 from .growth import (brute_growth, growth_lower_witness, no_decrement_witness,
                      pump_witness)
 from .interp import check_equivalence, parse_interpretation, reduce_interpretation
-from .monoid import DEFAULT_MONOID_BUDGET, ramsey_bound
+from .monoid import ramsey_bound
 from .oracle import check_canonical_form, check_reparameterization, evaluate
 from .randgen import formula_batch
 from .reparam import (ERRATUM_NOTES, TypeAlgebra, eliminable_pairs,
@@ -110,8 +110,7 @@ class _Run:
     def minrep(self, f, sig, variables, refine=True):
         rep = minimal_reparameterization(
             f, sig, variables, refine=refine,
-            budget_states=self.args.budget_states,
-            budget_monoid=self.args.budget_monoid)
+            budget_states=self.args.budget_states)
         if _mentions_eliminate(rep.provenance):
             self.notes.extend(n for n in ERRATUM_NOTES if n not in self.notes)
         return rep
@@ -125,7 +124,6 @@ class _Run:
             "n": getattr(self.args, "n", None),
             "max_len": getattr(self.args, "max_len", None),
             "budget_states": self.args.budget_states,
-            "budget_monoid": self.args.budget_monoid,
             "seed": self.args.seed,
         }
         return {
@@ -166,8 +164,7 @@ def _cmd_growth(run: _Run):
     max_len = run.args.max_len if run.args.max_len is not None else 6
     result = {"degree": rep.dimension, "bound": rep.bound}
     lower = growth_lower_witness(f, sig, variables, n,
-                                 budget_states=run.args.budget_states,
-                                 budget_monoid=run.args.budget_monoid)
+                                 budget_states=run.args.budget_states)
     result["lower_witness"] = _witness_dict(lower)
     got = brute_growth(f, sig, variables, n, max_len)
     ceiling = rep.bound * n ** rep.dimension
@@ -184,8 +181,7 @@ def _cmd_growth(run: _Run):
 def _cmd_monoid(run: _Run):
     sig = run.signature()
     f, variables = run.formula(sig)
-    algebra = TypeAlgebra.build(f, sig, variables,
-                                run.args.budget_states, run.args.budget_monoid)
+    algebra = TypeAlgebra.build(f, sig, variables, run.args.budget_states)
     m = algebra.monoid
     elements = []
     for i in range(m.size):
@@ -206,8 +202,7 @@ def _cmd_monoid(run: _Run):
 def _cmd_normalform(run: _Run):
     sig = run.signature()
     f, variables = run.formula(sig)
-    algebra = TypeAlgebra.build(f, sig, variables,
-                                run.args.budget_states, run.args.budget_monoid)
+    algebra = TypeAlgebra.build(f, sig, variables, run.args.budget_states)
     disjuncts = []
     for d in local_normal_form(algebra):
         witnesses = [algebra.monoid.witness_word(t, nonempty=(j > 0)).render()
@@ -235,8 +230,7 @@ def _cmd_witness(run: _Run):
     n = run.args.n if run.args.n is not None else 2
     if n < 1:
         raise InputError("witness needs --n of at least 1")
-    budgets = dict(budget_states=run.args.budget_states,
-                   budget_monoid=run.args.budget_monoid)
+    budgets = dict(budget_states=run.args.budget_states)
     result = {"growth_lower": _witness_or_absent(growth_lower_witness, f, sig,
                                                  variables, n, **budgets)}
     if len(variables) == 1:
@@ -270,8 +264,7 @@ def _cmd_interp_reduce(run: _Run):
     if run.args.dim is None:
         raise InputError("interp-reduce needs --dim")
     reduced = reduce_interpretation(spec, run.args.dim,
-                                    budget_states=run.args.budget_states,
-                                    budget_monoid=run.args.budget_monoid)
+                                    budget_states=run.args.budget_states)
     for part in reduced.parts:
         if _mentions_eliminate(part.rep.provenance):
             run.notes.extend(n for n in ERRATUM_NOTES if n not in run.notes)
@@ -436,7 +429,6 @@ def _parser() -> argparse.ArgumentParser:
         s.add_argument("--n", type=int, default=None)
         s.add_argument("--max-len", type=int, default=None)
         s.add_argument("--budget-states", type=int, default=DEFAULT_STATE_BUDGET)
-        s.add_argument("--budget-monoid", type=int, default=DEFAULT_MONOID_BUDGET)
         s.add_argument("--format", choices=("human", "json"), default="human")
         s.add_argument("--seed", type=int, default=0)
     return p
@@ -482,8 +474,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _apply_memory_cap()
-        if args.budget_states <= 0 or args.budget_monoid <= 0:
-            raise InputError("budgets must be positive")
+        if args.budget_states <= 0:
+            raise InputError("--budget-states must be positive")
         if args.max_len is not None and args.max_len < 0:
             raise InputError("--max-len must be nonnegative")
         report, status = _COMMANDS[args.command](_Run(args))

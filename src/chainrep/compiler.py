@@ -334,18 +334,8 @@ class _Builder:
         breadth-first order of the quotient itself; publish relies on it.
         """
         # trim to reachable states first
-        reach = [a.init]
-        seen = {a.init}
-        i = 0
-        while i < len(reach):
-            for t in dict.fromkeys(a.delta[reach[i]]):
-                if t not in seen:
-                    seen.add(t)
-                    reach.append(t)
-            i += 1
-        ids = {q: i for i, q in enumerate(reach)}
-        delta = [list(map(ids.__getitem__, a.delta[q])) for q in reach]
-        accepting = {ids[q] for q in reach if q in a.accepting}
+        reach, delta = self.explore(a.init, a.delta.__getitem__)
+        accepting = {i for i, q in enumerate(reach) if q in a.accepting}
         n = len(reach)
         # Moore partition refinement
         cls = [1 if q in accepting else 0 for q in range(n)]
@@ -362,7 +352,7 @@ class _Builder:
             cls = new
         m = max(cls) + 1
         if m == n:
-            out_delta, out_acc, out_init = delta, accepting, ids[a.init]
+            out_delta, out_acc = delta, accepting
         else:
             rep = {}
             for q in range(n):
@@ -372,9 +362,7 @@ class _Builder:
             newid = {c: i for i, c in enumerate(order)}
             out_delta = [[newid[cls[t]] for t in delta[rep[c]]] for c in order]
             out_acc = {newid[c] for c in order if rep[c] in accepting}
-            out_init = newid[cls[ids[a.init]]]
-        return _Auto(self.sig, a.fo, a.so, a.n_letters, out_init,
-                     out_delta, out_acc)
+        return _Auto(self.sig, a.fo, a.so, a.n_letters, 0, out_delta, out_acc)
 
     def ascending(self, fo, so, ordered_vars) -> _Auto:
         """Marks of ordered_vars appear one by one, in order, at distinct
@@ -476,9 +464,12 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     """
     marked_vars = tuple(marked_vars)
     builder = _Builder(sig, budget_states)
-    a = builder.build(_checked(f, marked_vars))
-    a = builder.extend(a, fo_add=marked_vars)
-    return builder.to_public(a, marked_vars)
+    f = _checked(f, marked_vars)
+    try:
+        a = builder.extend(builder.build(f), fo_add=marked_vars)
+        return builder.to_public(a, marked_vars)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"compile: {e}", e.budget, e.subject) from e
 
 
 def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
@@ -695,20 +686,10 @@ def dfa_empty(dfa: Dfa) -> bool:
 def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
     if (a.sig, a.marked, a.tracks) != (b.sig, b.marked, b.tracks):
         raise InputError("automata are over different alphabets")
-    seen = {(a.init, b.init)}
-    queue = [(a.init, b.init)]
-    i = 0
-    while i < len(queue):
-        qa, qb = queue[i]
-        if (qa in a.accepting) != (qb in b.accepting):
-            return False
-        for letter in range(a.n_letters):
-            t = (a.delta[qa][letter], b.delta[qb][letter])
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-        i += 1
-    return True
+    # the budget bounds the pairs, so it never runs out
+    pairs, _ = _Builder(a.sig, a.n_states * b.n_states).explore(
+        (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])))
+    return all((qa in a.accepting) == (qb in b.accepting) for qa, qb in pairs)
 
 
 def shortest_accepted(dfa: Dfa):

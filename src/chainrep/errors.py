@@ -24,7 +24,10 @@ class ParseError(InputError):
 
 
 class ResourceLimitError(ChainrepError):
-    """Raised when a configured state or element budget would be exceeded."""
+    """Raised when a work budget would be exceeded: the state budget, which
+    counts automaton states and monoid elements alike, the transition-table
+    cap or a copy cap.  The errors of the first two are prefixed with the
+    stage that ran out: compile, monoid, map automaton or preimage ranks."""
 
     def __init__(self, message: str, budget=None, subject=None):
         self.budget = budget

@@ -16,7 +16,7 @@ from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap, order_case_split
 from .compiler import (DEFAULT_STATE_BUDGET, compile as compile_dfa, first_fiber,
                        map_automaton, shortest_accepted)
-from .monoid import DEFAULT_MONOID_BUDGET, is_pumpable
+from .monoid import is_pumpable
 from .oracle import count_in_set, satisfying_tuples
 from .reparam import Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization
 from .words import Word, all_words
@@ -50,12 +50,10 @@ class WitnessStructure:
 
 
 def growth_degree(f: Formula, sig: Signature, variables, *,
-                  budget_states: int = DEFAULT_STATE_BUDGET,
-                  budget_monoid: int = DEFAULT_MONOID_BUDGET) -> int:
+                  budget_states: int = DEFAULT_STATE_BUDGET) -> int:
     """Exponent of the polynomial growth of tuple counts in pool size."""
     rep = minimal_reparameterization(f, sig, variables, refine=False,
-                                     budget_states=budget_states,
-                                     budget_monoid=budget_monoid)
+                                     budget_states=budget_states)
     return rep.dimension
 
 
@@ -77,12 +75,10 @@ def brute_growth(f: Formula, sig: Signature, variables, n: int, max_len: int) ->
 
 
 def growth_upper_check(f: Formula, sig: Signature, variables, n: int, max_len: int, *,
-                       budget_states: int = DEFAULT_STATE_BUDGET,
-                       budget_monoid: int = DEFAULT_MONOID_BUDGET) -> bool:
+                       budget_states: int = DEFAULT_STATE_BUDGET) -> bool:
     """Brute counts stay below bound * n**dimension on small words."""
     rep = minimal_reparameterization(f, sig, variables, refine=False,
-                                     budget_states=budget_states,
-                                     budget_monoid=budget_monoid)
+                                     budget_states=budget_states)
     got = brute_growth(f, sig, variables, n, max_len)
     if rep.bound == 0:
         return got == 0
@@ -121,8 +117,7 @@ def _blocks_word(monoid, fam: Disjunct, es, copies: int):
 
 
 def pump_witness(f: Formula, sig: Signature, var: str, n: int, *,
-                 budget_states: int = DEFAULT_STATE_BUDGET,
-                 budget_monoid: int = DEFAULT_MONOID_BUDGET) -> WitnessStructure:
+                 budget_states: int = DEFAULT_STATE_BUDGET) -> WitnessStructure:
     """n+1 satisfying positions on one word, by repeating an idempotent.
 
     Needs some family of f whose single mark is pumpable; each copy start
@@ -130,7 +125,7 @@ def pump_witness(f: Formula, sig: Signature, var: str, n: int, *,
     """
     if n < 0:
         raise InputError("need n >= 0")
-    algebra = TypeAlgebra.build(f, sig, (var,), budget_states, budget_monoid)
+    algebra = TypeAlgebra.build(f, sig, (var,), budget_states)
     found = _all_pumpable_family(algebra)
     if found is None:
         raise InputError("no family of the formula pumps at its mark")
@@ -144,8 +139,7 @@ def pump_witness(f: Formula, sig: Signature, var: str, n: int, *,
 
 
 def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
-                         budget_states: int = DEFAULT_STATE_BUDGET,
-                         budget_monoid: int = DEFAULT_MONOID_BUDGET) -> WitnessStructure:
+                         budget_states: int = DEFAULT_STATE_BUDGET) -> WitnessStructure:
     """(2N)**k tuples from a pool of 2Nk positions, one block per mark.
 
     Witnesses that a family pumping at every mark keeps all k coordinates
@@ -158,7 +152,7 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
         raise InputError("need at least one variable")
     if N < 1:
         raise InputError("need N >= 1")
-    algebra = TypeAlgebra.build(f, sig, variables, budget_states, budget_monoid)
+    algebra = TypeAlgebra.build(f, sig, variables, budget_states)
     found = _all_pumpable_family(algebra)
     if found is None:
         raise InputError("every family of the formula has a non-pumping mark")
@@ -173,8 +167,7 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
 
 
 def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
-                         budget_states: int = DEFAULT_STATE_BUDGET,
-                         budget_monoid: int = DEFAULT_MONOID_BUDGET) -> WitnessStructure:
+                         budget_states: int = DEFAULT_STATE_BUDGET) -> WitnessStructure:
     """A word and pool of size O(n) carrying at least n**d satisfying tuples.
 
     d is the minimal reparameterization dimension.  Follows the image of a
@@ -193,8 +186,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     if n < 1:
         raise InputError("need n >= 1")
     rep = minimal_reparameterization(f, sig, variables, refine=False,
-                                     budget_states=budget_states,
-                                     budget_monoid=budget_monoid)
+                                     budget_states=budget_states)
     if rep.bound == 0:
         raise InputError("formula is unsatisfiable")
     d = rep.dimension
@@ -220,7 +212,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
         return WitnessStructure(f, variables, got.word, got.marks, 1, construction)
     auto = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars, budget_states)
     algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
-                                budget_states, budget_monoid, dfa=auto.image())
+                                budget_states, dfa=auto.image())
     found = _all_pumpable_family(algebra)
     if found is None:
         raise InputError("minimal image admits no family pumping at every mark")

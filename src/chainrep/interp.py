@@ -44,7 +44,6 @@ from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
                       free_set_variables, free_variables, parse, render, substitute)
 from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks
-from .monoid import DEFAULT_MONOID_BUDGET
 from .oracle import CheckReport, satisfying_tuples
 from .reparam import Reparameterization, minimal_reparameterization, refine_with_ranks
 from .words import Word, all_words
@@ -299,8 +298,7 @@ class ReducedInterpretation:
 
 
 def reduce_interpretation(spec: InterpretationSpec, d: int, *,
-                          budget_states: int = DEFAULT_STATE_BUDGET,
-                          budget_monoid: int = DEFAULT_MONOID_BUDGET) -> ReducedInterpretation:
+                          budget_states: int = DEFAULT_STATE_BUDGET) -> ReducedInterpretation:
     """Equivalent interpretation with all component dimensions at most d.
 
     Component q splits into (q, i) for i up to the preimage bound of a
@@ -316,8 +314,7 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
     ranks: dict[str, PreimageRanks] = {}
     for c in spec.components:
         rep = minimal_reparameterization(c.universe, spec.signature, c.variables,
-                                         budget_states=budget_states,
-                                         budget_monoid=budget_monoid, refine=False)
+                                         budget_states=budget_states, refine=False)
         if rep.dimension > d:
             raise InputError(
                 f"component {c.name!r} needs dimension {rep.dimension}, "

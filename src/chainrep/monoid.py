@@ -7,6 +7,11 @@ the monoid are images of plain words; the row-0 entries record what the word
 does when its first letter stands at a mark.  A nonempty word always flips
 row 0 to row 1, so the identity is realized by the empty word alone, which
 is exactly why pumping asks for idempotents with nonempty witnesses.
+
+The monoid is explored like every automaton of the compiler, breadth-first
+by compiler._Builder.explore, and its elements count against the same state
+budget as automaton states; running out raises "monoid: state budget
+exceeded".
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
 from .words import Word, render_letter
-from .compiler import Dfa
-
-DEFAULT_MONOID_BUDGET = 2000
+from .compiler import DEFAULT_STATE_BUDGET, Dfa, _Builder
 
 
 @dataclass
@@ -93,56 +96,44 @@ class TypeMonoid:
         return "\n".join(lines)
 
 
-def transition_monoid(dfa: Dfa, budget: int = DEFAULT_MONOID_BUDGET) -> TypeMonoid:
+def transition_monoid(dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> TypeMonoid:
     """Closure of the letter transformations under composition.
 
-    Breadth-first from the identity, letters in increasing order, so each
-    element carries its shortlex-least witness.
+    Explored like every other automaton (compiler._Builder.explore):
+    breadth-first from the identity, letters in increasing order, each
+    element counted against the state budget.  So each element's witness,
+    read off the rows in the order found, is its shortlex-least word, and
+    the identity's row holds the letter images.
     """
-    n = dfa.n_states
-    identity = tuple(range(n))
-    letter_image_t = [tuple(dfa.delta[q][a] for q in range(n))
-                      for a in range(dfa.n_letters)]
-    elements: list[tuple[int, ...]] = [identity]
-    index = {identity: 0}
-    witness: list[tuple[int, ...]] = [()]
-    i = 0
-    while i < len(elements):
-        ea = elements[i]
-        for a in range(dfa.n_letters):
-            la = letter_image_t[a]
-            t = tuple(la[q] for q in ea)
-            if t not in index:
-                index[t] = len(elements)
-                elements.append(t)
-                witness.append(witness[i] + (a,))
-                if len(elements) > budget:
-                    raise ResourceLimitError(
-                        f"monoid budget exceeded ({len(elements)} > {budget})",
-                        budget=budget, subject="monoid elements")
-        i += 1
-    # nonempty realizability: closure reached from the letter images
+    images = [tuple(row[a] for row in dfa.delta) for a in range(dfa.n_letters)]
+
+    def successors(e):
+        return [tuple(map(image.__getitem__, e)) for image in images]
+
+    try:
+        elements, rows = _Builder(dfa.sig, budget).explore(
+            tuple(range(dfa.n_states)), successors, dfa.n_letters)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"monoid: {e}", e.budget, e.subject) from e
+    witness: list[tuple[int, ...] | None] = [()] + [None] * (len(elements) - 1)
+    for i, row in enumerate(rows):
+        for a, j in enumerate(row):
+            if witness[j] is None:
+                witness[j] = witness[i] + (a,)
+    # nonempty realizability: the closure reached from the letter images
     nonempty: list[tuple[int, ...] | None] = [None] * len(elements)
     queue = []
-    for a in range(dfa.n_letters):
-        j = index[letter_image_t[a]]
+    for a, j in enumerate(rows[0]):
         if nonempty[j] is None:
             nonempty[j] = (a,)
             queue.append(j)
-    i = 0
-    while i < len(queue):
-        j = queue[i]
-        ej = elements[j]
-        for a in range(dfa.n_letters):
-            la = letter_image_t[a]
-            t = tuple(la[q] for q in ej)
-            ti = index[t]
-            if nonempty[ti] is None:
-                nonempty[ti] = nonempty[j] + (a,)
-                queue.append(ti)
-        i += 1
-    letter_image = [index[letter_image_t[a]] for a in range(dfa.n_letters)]
-    return TypeMonoid(dfa, elements, index, witness, nonempty, letter_image)
+    for j in queue:
+        for a, t in enumerate(rows[j]):
+            if nonempty[t] is None:
+                nonempty[t] = nonempty[j] + (a,)
+                queue.append(t)
+    index = {e: i for i, e in enumerate(elements)}
+    return TypeMonoid(dfa, elements, index, witness, nonempty, rows[0])
 
 
 def mark_shadow(dfa: Dfa) -> Dfa:

@@ -29,8 +29,7 @@ from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars,
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
                        compile as compile_dfa, dfa_empty, map_automaton, minimize_dfa,
                        preimage_ranks)
-from .monoid import (DEFAULT_MONOID_BUDGET, TypeMonoid, is_pumpable, mark_shadow,
-                     ramsey_bound, transition_monoid)
+from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
 
 # Two conventions in this module that are easy to get wrong, spelled out
@@ -86,17 +85,16 @@ class TypeAlgebra:
     @classmethod
     def build(cls, formula, sig, variables,
               budget_states: int = DEFAULT_STATE_BUDGET,
-              budget_monoid: int = DEFAULT_MONOID_BUDGET,
               dfa: Dfa | None = None) -> "TypeAlgebra":
         variables = tuple(variables)
         if dfa is None:
             dfa = compile_dfa(formula, sig, variables, budget_states)
         if variables:
             shadow = mark_shadow(dfa)
-            monoid = transition_monoid(shadow, budget_monoid)
+            monoid = transition_monoid(shadow, budget_states)
         else:
             shadow = None
-            monoid = transition_monoid(dfa, budget_monoid)
+            monoid = transition_monoid(dfa, budget_states)
         return cls(formula, sig, variables, dfa, shadow, monoid)
 
     @property
@@ -374,11 +372,11 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
 
 
 def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
-              budget_states: int, budget_monoid: int, dfa: Dfa) -> Reparameterization:
+              budget_states: int, dfa: Dfa) -> Reparameterization:
     """Reparameterize one order case, valid under its ascending pattern."""
     ys = tuple(ys)
     kc = len(ys)
-    algebra = TypeAlgebra.build(case_formula, sig, ys, budget_states, budget_monoid, dfa=dfa)
+    algebra = TypeAlgebra.build(case_formula, sig, ys, budget_states, dfa=dfa)
     families = local_normal_form(algebra)
     elim = [eliminable_pairs(algebra, d) for d in families]
     rigid = next((d for d, e in zip(families, elim) if not e), None)
@@ -400,7 +398,7 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
         i = min(shared)
         step = eliminate_variable(case_formula, sig, ys, i,
                                   len(families), algebra.monoid.size, supply)
-        return _descend(step, sig, supply, budget_states, budget_monoid)
+        return _descend(step, sig, supply, budget_states)
     # no mark is eliminable across every family: split the families by
     # their first eliminable mark and guard each group by its type tuples
     groups: dict[int, list[Disjunct]] = {}
@@ -412,12 +410,12 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
         gamma = Run(guard_dfa, ys)
         step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
-        parts.append((gamma, _descend(step, sig, supply, budget_states, budget_monoid)))
+        parts.append((gamma, _descend(step, sig, supply, budget_states)))
     return combine_disjuncts(case_formula, sig, ys, parts, supply)
 
 
 def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
-             budget_states: int, budget_monoid: int) -> Reparameterization:
+             budget_states: int) -> Reparameterization:
     """Recurse on the image of one elimination step and glue the maps.
 
     The step's domain tuples are ascending under the order case that guards
@@ -429,15 +427,14 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     us = step.image_vars
     if us:
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi, supply,
-                             budget_states, budget_monoid)
+                             budget_states)
     else:
-        inner = _minrep(psi, sig, us, supply, budget_states, budget_monoid)
+        inner = _minrep(psi, sig, us, supply, budget_states)
     return compose(step, inner)
 
 
 def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
-                 supply: NameSupply, budget_states: int,
-                 budget_monoid: int) -> Reparameterization | None:
+                 supply: NameSupply, budget_states: int) -> Reparameterization | None:
     """The map of one order case of f over xs, or None when the case is
     empty.  classes are the case's equality classes in ascending order, and
     case_formula mentions only their first members."""
@@ -445,14 +442,14 @@ def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
     dfa = compile_dfa(case_formula, sig, reps, budget_states)
     if dfa_empty(dfa):
         return None
-    inner = _case_rep(case_formula, sig, reps, supply, budget_states, budget_monoid, dfa)
+    inner = _case_rep(case_formula, sig, reps, supply, budget_states, dfa)
     pattern = "<".join("=".join(c) for c in classes)
     return Reparameterization(f, sig, xs, inner.image_vars, inner.g, inner.bound,
                               Step("case", pattern, (inner.provenance,)))
 
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
-            budget_states: int, budget_monoid: int) -> Reparameterization:
+            budget_states: int) -> Reparameterization:
     xs = tuple(xs)
     if not xs:
         dfa = compile_dfa(f, sig, (), budget_states)
@@ -463,7 +460,7 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     parts = []
     for case in order_case_split(f, xs):
         lifted = _lifted_case(f, sig, xs, case.classes, case.formula, supply,
-                              budget_states, budget_monoid)
+                              budget_states)
         if lifted is None:
             continue
         if lifted.dimension == len(xs):
@@ -528,7 +525,6 @@ def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameteriza
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
                                budget_states: int = DEFAULT_STATE_BUDGET,
-                               budget_monoid: int = DEFAULT_MONOID_BUDGET,
                                refine: bool = True) -> Reparameterization:
     """Minimal-dimension reparameterization of f over its marked variables.
 
@@ -548,7 +544,7 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     if extra:
         raise InputError(f"free variables {extra} are not marked")
     supply = NameSupply(all_vars(f) | set(marked_vars))
-    rep = _minrep(f, sig, marked_vars, supply, budget_states, budget_monoid)
+    rep = _minrep(f, sig, marked_vars, supply, budget_states)
     if refine and rep.bound > 1:
         rep = _refine_bound(rep, budget_states)
     return rep

@@ -235,12 +235,12 @@ def test_exit_codes(capsys):
     assert status == 2 and "position" in err
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula",
                          "x<y & y<z", "--budget-states", "4")
-    assert status == 3 and "budget" in err
+    assert status == 3 and "compile: state budget exceeded (5 > 4)" in err
     status, _, err = run(capsys, "mindim", "--formula", "x<y")
     assert status == 2
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x<y",
-                         "--budget-monoid", "0")
-    assert status == 2
+                         "--budget-states", "0")
+    assert status == 2 and "--budget-states must be positive" in err
 
 
 def test_human_format_mirrors_json(capsys):
@@ -256,7 +256,7 @@ def test_selftest_deterministic(capsys):
     assert status1 == status2 == 0
     assert out1 == out2
     assert hashlib.sha1(out1.encode()).hexdigest() == \
-        "b7526ebc8b49a5ff147761f5bb50d8a477591298"
+        "138e4b75727b83d7abd5b409bea437f8052c5f37"
     report = json.loads(out1)
     assert report["result"]["ok"] is True
     names = [c["name"] for c in report["result"]["checks"]]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from chainrep.errors import ResourceLimitError
 from chainrep.formula import parse
 from chainrep.monoid import (is_pumpable, mark_shadow, ramsey_bound,
                              transition_monoid)
+from chainrep.randgen import formula_batch
+from chainrep.reparam import TypeAlgebra
 from chainrep.words import Word
 from conftest import battery
 
@@ -103,8 +106,22 @@ def test_pumpable_prefers_short_witness(sig1):
 
 def test_monoid_budget(sig1):
     dfa = compile(parse("atleast 3 v. P1(v)", sig1), sig1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match=r"^monoid: state budget exceeded \(3 > 2\)"):
         transition_monoid(dfa, budget=2)
+
+
+# the type monoids of formula_batch(1, 225): their count, total dump length
+# and SHA-1
+MONOID_DUMPS = (225, 28_543, "fe9c7d3a322c2f51dc54a1d00024ae47553a23ef")
+
+
+def test_monoid_dumps_are_pinned():
+    dumps = [TypeAlgebra.build(f, sig, variables).monoid.dump()
+             for sig, variables, f in formula_batch(1, 225)]
+    blob = "\n".join(dumps)
+    assert (len(dumps), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \
+        MONOID_DUMPS
 
 
 def test_ramsey_bounds():
