@@ -149,19 +149,24 @@ def _n_letters(sig, fo, so):
 
 
 class _Builder:
-    def __init__(self, sig: Signature, budget: int):
+    """Builds automata under the state budget; its budget errors name the
+    stage that ran out."""
+
+    def __init__(self, sig: Signature, budget: int, stage: str):
         self.sig = sig
         self.budget = budget
+        self.stage = stage
 
     def _check(self, n: int, n_letters: int = 0):
         if n > self.budget:
             raise ResourceLimitError(
                 f"state budget exceeded ({n} > {self.budget})",
-                budget=self.budget, subject="states")
+                budget=self.budget, subject="states", stage=self.stage, reached=n)
         if n_letters and n * n_letters > _TRANSITION_CAP:
             raise ResourceLimitError(
                 f"transition table too large ({n} states x {n_letters} letters)",
-                budget=_TRANSITION_CAP, subject="transitions")
+                budget=_TRANSITION_CAP, subject="transitions", stage=self.stage,
+                reached=n * n_letters)
 
     # ----- small automata -----
 
@@ -463,13 +468,10 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     set variables are not allowed.
     """
     marked_vars = tuple(marked_vars)
-    builder = _Builder(sig, budget_states)
+    builder = _Builder(sig, budget_states, "compile")
     f = _checked(f, marked_vars)
-    try:
-        a = builder.extend(builder.build(f), fo_add=marked_vars)
-        return builder.to_public(a, marked_vars)
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"compile: {e}", e.budget, e.subject) from e
+    a = builder.extend(builder.build(f), fo_add=marked_vars)
+    return builder.to_public(a, marked_vars)
 
 
 def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
@@ -514,13 +516,10 @@ def map_automaton(g: Formula, sig: Signature, xs, ys,
     """The automaton of the map g from xs to ys, under the state budget."""
     xs, ys = tuple(xs), tuple(ys)
     g = _checked(g, xs + ys)
-    builder = _Builder(sig, budget_states)
-    try:
-        a = builder.build(g)
-        unused = [v for v in xs + ys if v not in a.fo]
-        a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"map automaton: {e}", e.budget, e.subject) from e
+    builder = _Builder(sig, budget_states, "map automaton")
+    a = builder.build(g)
+    unused = [v for v in xs + ys if v not in a.fo]
+    a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
     return MapAutomaton(builder, a, xs, ys)
 
 
@@ -561,9 +560,11 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
     pair (state, comparison with xs so far), capped at cap.  The automaton
     is deterministic, so each accepted candidate run is one distinct xs
     tuple.  A letter that sends the main run to its sink goes to one dead
-    state, None.  The counting states run under m's state budget.
+    state, None.  The counting states run under m's state budget, and the
+    rank automata are published, by a builder of their own stage.
     """
-    builder, a, xs, ys = m.builder, m.auto, m.xs, m.ys
+    builder = _Builder(m.builder.sig, m.builder.budget, "preimage ranks")
+    a, xs, ys = m.auto, m.xs, m.ys
     k, n = builder.sig.k, len(xs)
     less = (2,)
 
@@ -611,11 +612,8 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
             row.append(nxt)
         return row
 
-    try:
-        order, delta = builder.explore((a.init, (((a.init, (0,) * n), 1),)),
-                                       successors, len(letters))
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"preimage ranks: {e}", e.budget, e.subject) from e
+    order, delta = builder.explore((a.init, (((a.init, (0,) * n), 1),)),
+                                   successors, len(letters))
     ranks = [None if st is None or st[0] not in a.accepting else
              min(cap, sum(c for (t, cmp), c in st[1] if t in a.accepting and cmp == less))
              for st in order]
@@ -675,7 +673,8 @@ def first_fiber(m: MapAutomaton, word: Word, image):
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Language-preserving minimization of an already built automaton."""
-    return _Builder(dfa.sig, budget_states).publish(_auto_of(dfa), dfa.marked, dfa.tracks)
+    return _Builder(dfa.sig, budget_states, "minimize").publish(
+        _auto_of(dfa), dfa.marked, dfa.tracks)
 
 
 def dfa_empty(dfa: Dfa) -> bool:
@@ -687,47 +686,46 @@ def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
     if (a.sig, a.marked, a.tracks) != (b.sig, b.marked, b.tracks):
         raise InputError("automata are over different alphabets")
     # the budget bounds the pairs, so it never runs out
-    pairs, _ = _Builder(a.sig, a.n_states * b.n_states).explore(
+    pairs, _ = _Builder(a.sig, a.n_states * b.n_states, "equivalence").explore(
         (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])))
     return all((qa in a.accepting) == (qb in b.accepting) for qa, qb in pairs)
 
 
 def shortest_accepted(dfa: Dfa):
-    """Shortlex-first accepted word, as a Word or MarkedWord, or None."""
+    """Shortlex-first accepted word, as a Word or MarkedWord, or None: the
+    word of the first accepting state that explore finds."""
     if dfa.tracks != 1:
         raise InputError("a marked word cannot fill one track per variable")
-    if dfa.init in dfa.accepting:
-        path = []
-    else:
-        back = {dfa.init: None}
-        queue = [dfa.init]
-        i = 0
-        goal = None
-        while i < len(queue) and goal is None:
-            q = queue[i]
-            for letter in range(dfa.n_letters):
-                t = dfa.delta[q][letter]
-                if t not in back:
-                    back[t] = (q, letter)
-                    if t in dfa.accepting:
-                        goal = t
-                        break
-                    queue.append(t)
-            i += 1
-        if goal is None:
-            return None
-        path = []
-        q = goal
-        while back[q] is not None:
-            q, letter = back[q]
-            path.append(letter)
-        path.reverse()
+    # the budget bounds the states, so it never runs out
+    order, rows = _Builder(dfa.sig, dfa.n_states, "shortest accepted").explore(
+        dfa.init, dfa.delta.__getitem__)
+    first = next((i for i, q in enumerate(order) if q in dfa.accepting), None)
+    if first is None:
+        return None
+    path = _shortlex_words(rows)[first]
     k = dfa.sig.k
     if not dfa.marked:
-        return Word(dfa.sig, tuple(path))
+        return Word(dfa.sig, path)
     letters = tuple(letter & ((1 << k) - 1) for letter in path)
     marks = tuple(i for i, letter in enumerate(path) if letter >> k & 1)
     return MarkedWord(Word(dfa.sig, letters), marks)
+
+
+def _shortlex_words(rows, nonempty: bool = False) -> list:
+    """Per state of explore's rows, the shortlex-least word, a tuple of
+    letters, that leads to it from state 0, or None where none does; with
+    nonempty, the least nonempty word, so state 0 has one only on a cycle.
+    Breadth-first with letters in order, as explore numbered the states."""
+    words: list = [None] * len(rows)
+    if not nonempty:
+        words[0] = ()
+    queue = [(0, ())]
+    for q, word in queue:
+        for a, t in enumerate(rows[q]):
+            if words[t] is None:
+                words[t] = word + (a,)
+                queue.append((t, words[t]))
+    return words
 
 
 def project_mark(dfa: Dfa) -> Dfa:
@@ -735,7 +733,7 @@ def project_mark(dfa: Dfa) -> Dfa:
     if not dfa.marked:
         raise InputError("automaton has no mark bit")
     k = dfa.sig.k
-    builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET)
+    builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET, "project mark")
     groups = [[lab | m << k for m in range(1 << dfa.tracks)] for lab in range(1 << k)]
     return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
 

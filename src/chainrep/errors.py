@@ -26,10 +26,19 @@ class ParseError(InputError):
 class ResourceLimitError(ChainrepError):
     """Raised when a work budget would be exceeded: the state budget, which
     counts automaton states and monoid elements alike, the transition-table
-    cap or a copy cap.  The errors of the first two are prefixed with the
-    stage that ran out: compile, monoid, map automaton or preimage ranks."""
+    cap or a copy cap.
 
-    def __init__(self, message: str, budget=None, subject=None):
+    Carries the budget, its subject ("states", "transitions", ...), the size
+    reached and, for the first two, the stage that ran out: compile, monoid,
+    map automaton, preimage ranks or guard, which prefixes the message.
+    """
+
+    def __init__(self, message: str, budget=None, subject=None, stage=None,
+                 reached=None):
         self.budget = budget
         self.subject = subject
+        self.stage = stage
+        self.reached = reached
+        if stage:
+            message = f"{stage}: {message}"
         super().__init__(message)

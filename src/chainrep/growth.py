@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ChainrepError, InputError
-from .formula import Formula, Signature, exists_wrap, order_case_split
-from .compiler import (DEFAULT_STATE_BUDGET, compile as compile_dfa, first_fiber,
-                       map_automaton, shortest_accepted)
+from .formula import Formula, Signature, exists_wrap
+from .compiler import DEFAULT_STATE_BUDGET, first_fiber, map_automaton
 from .monoid import is_pumpable
 from .oracle import count_in_set, satisfying_tuples
 from .reparam import Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization
@@ -179,7 +178,10 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     gives the image algebra, and that fiber, the lexicographically least
     domain tuple the map relates to the base marks, is read off it
     (compiler.first_fiber).  The whole witness is built on the automaton
-    route, and oracle_count() recounts it by enumeration.
+    route, and oracle_count() recounts it by enumeration.  Dimension 0 is
+    the same construction with no marks: the image is the sentence
+    ex xs. g, its first family's witness is its shortlex-least accepted
+    word, and the fiber the least satisfying tuple on that word.
     """
     variables = tuple(variables)
     k = len(variables)
@@ -190,26 +192,6 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     if rep.bound == 0:
         raise InputError("formula is unsatisfiable")
     d = rep.dimension
-    if d == 0:
-        got = shortest_accepted(compile_dfa(f, sig, variables, budget_states))
-        construction = "dimension 0: one satisfying tuple suffices"
-        if got is None and k:
-            # every satisfying tuple lies on a diagonal: mark the class
-            # representatives of the first nonempty order case; the pool is
-            # the set of positions the tuple takes
-            for case in order_case_split(f, variables):
-                got = shortest_accepted(compile_dfa(
-                    case.formula, sig, case.representatives, budget_states))
-                if got is not None:
-                    pattern = "<".join("=".join(c) for c in case.classes)
-                    construction = f"dimension 0: one satisfying tuple in order case {pattern}"
-                    break
-        if got is None:
-            raise ChainrepError("satisfiable formula with empty automaton")
-        if k == 0:
-            return WitnessStructure(f, variables, got, (), 1,
-                                    "closed formula: shortest accepted word")
-        return WitnessStructure(f, variables, got.word, got.marks, 1, construction)
     auto = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars, budget_states)
     algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
                                 budget_states, dfa=auto.image())

@@ -324,7 +324,8 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
         if rep.bound > MAX_COMPONENT_COPIES:
             raise ResourceLimitError(
                 f"component {c.name!r} would split into {rep.bound} copies",
-                budget=MAX_COMPONENT_COPIES, subject="component copies")
+                budget=MAX_COMPONENT_COPIES, subject="component copies",
+                reached=rep.bound)
         reps[c.name] = rep
     parts: list[ReducedComponent] = []
     new_components: list[Component] = []

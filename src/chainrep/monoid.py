@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .words import Word, render_letter
-from .compiler import DEFAULT_STATE_BUDGET, Dfa, _Builder
+from .compiler import DEFAULT_STATE_BUDGET, Dfa, _Builder, _shortlex_words
 
 
 @dataclass
@@ -101,39 +101,21 @@ def transition_monoid(dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> TypeMonoi
 
     Explored like every other automaton (compiler._Builder.explore):
     breadth-first from the identity, letters in increasing order, each
-    element counted against the state budget.  So each element's witness,
-    read off the rows in the order found, is its shortlex-least word, and
-    the identity's row holds the letter images.
+    element counted against the state budget.  Its witness and nonempty
+    witness are the shortlex-least word and nonempty word read off the rows
+    (compiler._shortlex_words), and the identity's row holds the letter
+    images.
     """
     images = [tuple(row[a] for row in dfa.delta) for a in range(dfa.n_letters)]
 
     def successors(e):
         return [tuple(map(image.__getitem__, e)) for image in images]
 
-    try:
-        elements, rows = _Builder(dfa.sig, budget).explore(
-            tuple(range(dfa.n_states)), successors, dfa.n_letters)
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"monoid: {e}", e.budget, e.subject) from e
-    witness: list[tuple[int, ...] | None] = [()] + [None] * (len(elements) - 1)
-    for i, row in enumerate(rows):
-        for a, j in enumerate(row):
-            if witness[j] is None:
-                witness[j] = witness[i] + (a,)
-    # nonempty realizability: the closure reached from the letter images
-    nonempty: list[tuple[int, ...] | None] = [None] * len(elements)
-    queue = []
-    for a, j in enumerate(rows[0]):
-        if nonempty[j] is None:
-            nonempty[j] = (a,)
-            queue.append(j)
-    for j in queue:
-        for a, t in enumerate(rows[j]):
-            if nonempty[t] is None:
-                nonempty[t] = nonempty[j] + (a,)
-                queue.append(t)
+    elements, rows = _Builder(dfa.sig, budget, "monoid").explore(
+        tuple(range(dfa.n_states)), successors, dfa.n_letters)
     index = {e: i for i, e in enumerate(elements)}
-    return TypeMonoid(dfa, elements, index, witness, nonempty, rows[0])
+    return TypeMonoid(dfa, elements, index, _shortlex_words(rows),
+                      _shortlex_words(rows, nonempty=True), rows[0])
 
 
 def mark_shadow(dfa: Dfa) -> Dfa:

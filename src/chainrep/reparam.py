@@ -362,7 +362,7 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
                 row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
         return row
 
-    order, rows = _Builder(algebra.sig, budget_states).explore(
+    order, rows = _Builder(algebra.sig, budget_states, "guard").explore(
         (0, m.identity, frozenset(range(len(families)))), successors)
     accepting = frozenset(
         j for j, st in enumerate(order)

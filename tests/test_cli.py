@@ -5,6 +5,11 @@ import pytest
 
 from chainrep import interp
 from chainrep.cli import main
+from chainrep.compiler import compile, map_automaton, preimage_ranks
+from chainrep.errors import ResourceLimitError
+from chainrep.formula import Signature, parse
+from chainrep.monoid import transition_monoid
+from chainrep.reparam import minimal_reparameterization
 from conftest import GROUP_TEXT, endpoints_text
 
 SUCC = """signature P1
@@ -132,6 +137,39 @@ def test_witness_names_the_stage_that_runs_out(capsys):
                            "--budget-states", "12")
     assert status == 3 and not out
     assert "map automaton: state budget exceeded (13 > 12)" in err
+
+
+def test_mindim_names_the_guard_stage(capsys):
+    # the automaton guarding the split's first group outgrows 12 states
+    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", GROUP_TEXT,
+                           "--budget-states", "12")
+    assert status == 3 and not out
+    assert "resource limit: guard: state budget exceeded (13 > 12)" in err
+
+
+P1 = Signature(("P1",))
+STARVED_STAGES = (
+    ("compile", 5, 4, lambda: compile(parse("x<y & y<z", P1), P1, ("x", "y", "z"), 4)),
+    ("monoid", 3, 2,
+     lambda: transition_monoid(compile(parse("atleast 3 v. P1(v)", P1), P1), 2)),
+    ("map automaton", 4, 2,
+     lambda: map_automaton(parse("x < y & y < z", P1), P1, ("x", "z"), ("y",), 2)),
+    ("preimage ranks", 6, 5,
+     lambda: preimage_ranks(map_automaton(parse("x < y", P1), P1, ("x",), ("y",), 5), 3)),
+    ("guard", 13, 12,
+     lambda: minimal_reparameterization(parse(GROUP_TEXT, P1), P1, ("x", "y"),
+                                        budget_states=12)),
+)
+
+
+@pytest.mark.parametrize("stage, reached, budget, starve", STARVED_STAGES,
+                         ids=[case[0] for case in STARVED_STAGES])
+def test_budget_errors_carry_stage_and_size(stage, reached, budget, starve):
+    with pytest.raises(ResourceLimitError) as e:
+        starve()
+    assert (e.value.stage, e.value.reached, e.value.budget, e.value.subject) == \
+        (stage, reached, budget, "states")
+    assert str(e.value) == f"{stage}: state budget exceeded ({reached} > {budget})"
 
 
 def test_oracle_check_embeds_notes(capsys):

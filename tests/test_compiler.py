@@ -93,6 +93,30 @@ def test_shortest_accepted(sig1):
     assert shortest_accepted(compile(parse("ex v. v < v", sig1), sig1)) is None
 
 
+def test_shortest_accepted_is_the_oracles_first_marked_word():
+    # the enumeration's shortlex-first ascending marking, its letters read
+    # as integers: a marked letter comes after every unmarked one; the last
+    # two automata accept in several states
+    p1 = Signature(("P1",))
+    several = [(p1, (), parse("atleast 1 v. P1(v) & ~atleast 3 v. P1(v)", p1)),
+               (p1, ("x", "y"), parse("x < y & ~atleast 2 v. P1(v)", p1))]
+    for sig, variables, f in formula_batch(5, 40) + several:
+        got = shortest_accepted(compile(f, sig, variables))
+        if isinstance(got, Word):
+            got = MarkedWord(got, ())
+        want = None
+        for length in range(5):
+            found = {tuple(a | (i in t) << sig.k for i, a in enumerate(w.letters)):
+                     MarkedWord(w, t)
+                     for w in all_words(sig, length, length)
+                     for t in map(tuple, satisfying_tuples(f, w, variables))
+                     if list(t) == sorted(set(t))}
+            if found:
+                want = found[min(found)]
+                break
+        assert got == want or want is None and len(got.word) > 4, render(f)
+
+
 def test_project_mark(sig1):
     # projecting the witness mark of P1(x) leaves "some position is P1"
     dfa = compile(parse("P1(x)", sig1), sig1, ("x",))
@@ -109,18 +133,20 @@ def test_project_mark_runs_under_the_state_budget(sig1, monkeypatch):
 
 
 def test_extend_checks_the_transition_cap(sig1, monkeypatch):
-    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET)
+    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET, "compile")
     a = builder.build(parse("P1(x)", sig1))
     monkeypatch.setattr(compiler, "_TRANSITION_CAP", a.n * a.n_letters)
     with pytest.raises(ResourceLimitError) as e:
         builder.extend(a, fo_add=("y",))
-    assert e.value.subject == "transitions"
+    assert (e.value.subject, e.value.stage) == ("transitions", "compile")
+    assert e.value.reached == 2 * a.n * a.n_letters
+    assert str(e.value).startswith("compile: transition table too large")
 
 
 def test_extend_leaves_new_tracks_unconstrained(sig1):
     # widening only relabels letters; validity of the new track comes from
     # the operation that needs it
-    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET)
+    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET, "compile")
     a = builder.build(parse("P1(x)", sig1))
     wide = builder.extend(a, fo_add=("y",))
     assert wide.fo == ("x", "y") and wide.n == a.n

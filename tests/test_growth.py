@@ -9,9 +9,11 @@ from chainrep.formula import exists_wrap, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              growth_upper_check, no_decrement_witness,
                              pump_witness)
-from chainrep.oracle import check_canonical_form, check_reparameterization, count_in_set
+from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
+                             satisfying_tuples)
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
+from chainrep.words import all_words
 from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery
 
 
@@ -126,8 +128,9 @@ def test_lower_witness_on_set_quantified_map(sig1):
 
 
 def test_lower_witness_on_diagonal_tuples(sig1):
-    # dimension 0 with every satisfying tuple on a diagonal: the ascending
-    # compile is empty, so the witness comes from an order case
+    # dimension 0 with every satisfying tuple on a diagonal: no ascending
+    # tuple satisfies the formula, and the map's automaton, which reads
+    # one track per variable, still finds the least tuple
     batch = formula_batch(1, 150, rank=2)
     cases = [batch[45], batch[78],
              (sig1, ("x", "y"), parse("x = y & all z. z = x", sig1))]
@@ -135,6 +138,27 @@ def test_lower_witness_on_diagonal_tuples(sig1):
         w = growth_lower_witness(f, sig, variables, 3)
         assert w.claimed_tuple_count == 1
         assert w.oracle_count() >= 1
+
+
+def test_dimension_0_witness_is_the_enumerations_first():
+    # the second route to a dimension-0 witness: the first word, in
+    # all_words order, that has a satisfying tuple, and as pool the
+    # positions of its least tuple
+    checked = 0
+    for sig, variables, f in formula_batch(1, 150, rank=2) + formula_batch(3, 120):
+        try:
+            w = growth_lower_witness(f, sig, variables, 3)
+        except InputError:
+            continue
+        if w.claimed_tuple_count != 1:
+            continue
+        word = next(v for v in all_words(sig, len(w.word))
+                    if satisfying_tuples(f, v, variables))
+        assert w.word == word, render(f)
+        least = min(satisfying_tuples(f, word, variables))
+        assert w.positions == tuple(sorted(set(least))), render(f)
+        checked += 1
+    assert checked == 63
 
 
 def test_random_formula_sweep():
@@ -173,7 +197,7 @@ def test_random_formula_sweep():
 
 def test_witness_builds_each_map_once(sig1, monkeypatch):
     # the image algebra and the base fiber both read the one automaton of
-    # the map: ex xs. g is never compiled on its own
+    # the map: ex xs. g is never compiled on its own, at dimension 0 either
     builds, compiled = [], []
     real_build, real_compile = growth.map_automaton, reparam.compile_dfa
 
@@ -187,19 +211,22 @@ def test_witness_builds_each_map_once(sig1, monkeypatch):
 
     monkeypatch.setattr(growth, "map_automaton", map_automaton)
     monkeypatch.setattr(reparam, "map_automaton", map_automaton)
-    monkeypatch.setattr(growth, "compile_dfa", compile_dfa)
     monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
-    f = parse(FIRST_PAIR_TEXT, sig1)
-    w = growth_lower_witness(f, sig1, ("x", "y", "v"), 3)
-    assert w.oracle_count() >= 3 ** 2
-    assert len(builds) == 1
-    rep = minimal_reparameterization(f, sig1, ("x", "y", "v"), refine=False)
-    assert exists_wrap(rep.domain_vars, rep.g) not in compiled
+    for text, variables, d in ((FIRST_PAIR_TEXT, ("x", "y", "v"), 2),
+                               ("x = y & all z. z = x", ("x", "y"), 0)):
+        builds.clear()
+        f = parse(text, sig1)
+        w = growth_lower_witness(f, sig1, variables, 3)
+        assert w.oracle_count() >= 3 ** d
+        assert len(builds) == 1
+        rep = minimal_reparameterization(f, sig1, variables, refine=False)
+        assert exists_wrap(rep.domain_vars, rep.g) not in compiled
 
 
 # the witnesses of formula_batch(3, 120) at n = 3, or the error text where
-# the witness raises: their count, total length and SHA-1
-WITNESS_DUMPS = (120, 20_179, "2e73a2905e8ee05c02e2429c0287d18c7cd43a43")
+# the witness raises: their count, total length and SHA-1; the dimension-0
+# witnesses name the general construction
+WITNESS_DUMPS = (120, 22_079, "d47080988fe053466d24b2cca77a7060d572db30")
 
 
 def test_witness_dumps_are_pinned():
