@@ -42,10 +42,9 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .formula import (And, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
+from .formula import (And, Const, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
                       Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
-                      expand_macros, free_set_variables, free_variables,
-                      is_fo_name)
+                      expand_macros, is_fo_name, occurrences)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -392,6 +391,8 @@ class _Builder:
 
     def build(self, f: Formula) -> _Auto:
         match f:
+            case Const(value):
+                return self._fresh((), (), 1, 0, {0} if value else ())
             case Less(x, y):
                 return self.atom_less(x, y)
             case Equal(x, y):
@@ -483,9 +484,10 @@ def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
     if len(set(marked_vars)) != len(marked_vars):
         raise InputError("marked variables must be distinct")
     f = expand_macros(f)
-    if free_set_variables(f):
+    free = dict.fromkeys((v, is_set) for v, is_set, is_free in occurrences(f) if is_free)
+    if any(is_set for _, is_set in free):
         raise InputError("formula has free set variables")
-    extra = [v for v in free_variables(f) if v not in marked_vars]
+    extra = [v for v, _ in free if v not in marked_vars]
     if extra:
         raise InputError(f"free variables {extra} are not marked")
     return f

@@ -7,10 +7,11 @@ Concrete syntax, loosest to tightest binding:
     f | g
     f & g
     ~f
-    x < y    x = y    P1(x)    X(x)
+    x < y    x = y    P1(x)    X(x)    true    false
 
 Quantifier bodies extend as far right as possible.  First-order variables
-start with a lowercase letter, set variables with an uppercase letter.  A
+start with a lowercase letter, set variables with an uppercase letter, and
+no variable is named like a keyword: true and false are the constants.  A
 name applied like a predicate resolves against the signature; an applied
 name of shape P<digits> that is not in the signature is rejected instead of
 being treated as a set variable.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParseError
 
-KEYWORDS = frozenset({"ex", "all", "EX", "ALL", "atleast"})
+KEYWORDS = frozenset({"ex", "all", "EX", "ALL", "atleast", "true", "false"})
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _NUMBERED_PRED_RE = re.compile(r"P\d+\Z")
@@ -79,6 +80,17 @@ class Formula:
 
     def __str__(self):
         return render(self)
+
+
+@dataclass(frozen=True)
+class Const(Formula):
+    """The constant `true` or `false`."""
+
+    value: bool
+
+
+TRUE = Const(True)
+FALSE = Const(False)
 
 
 @dataclass(frozen=True)
@@ -250,7 +262,7 @@ class Run(Formula):
         for z in reversed(zs):
             run = ExistsSO(z, run)
         empty = Not(ExistsFO(p, Equal(p, p)))
-        empty_ok = mk_true() if (dfa.init in dfa.accepting and not variables) else mk_false()
+        empty_ok = TRUE if (dfa.init in dfa.accepting and not variables) else FALSE
         if variables:
             # with at least one mark the word cannot be empty
             return And(ExistsFO(p, Equal(p, p)), run)
@@ -362,6 +374,8 @@ class _Parser:
         name, pos = self.take()
         if not name[0].isalpha():
             raise ParseError(f"unexpected token {name!r}", self.text, pos)
+        if name in ("true", "false"):
+            return TRUE if name == "true" else FALSE
         if name in KEYWORDS:
             raise ParseError(f"unexpected keyword {name!r}", self.text, pos)
         if self.peek() == "(":
@@ -399,6 +413,8 @@ def parse(text: str, sig: Signature) -> Formula:
 
 def _render(f: Formula, ctx: int) -> str:
     match f:
+        case Const(value):
+            s, prec = "true" if value else "false", 5
         case Less(a, b):
             s, prec = f"{a} < {b}", 5
         case Equal(a, b):
@@ -444,88 +460,77 @@ def render(f: Formula) -> str:
     return _render(f, 0)
 
 
-def free_variables(f: Formula) -> tuple[str, ...]:
-    """Free first-order variables in order of first occurrence."""
-    out: list[str] = []
+def map_subformulas(f: Formula, fn) -> Formula:
+    """f with fn applied to each subformula of its top connective or binder.
+
+    This is the one place that knows which fields of a node hold
+    subformulas.  It returns f itself when fn returns every subformula
+    unchanged, and for atoms, constants and Run leaves, which have none.
+    """
+    match f:
+        case Not(g):
+            h = fn(g)
+            return f if h is g else Not(h)
+        case And(a, b) | Or(a, b) | Implies(a, b):
+            c, d = fn(a), fn(b)
+            return f if c is a and d is b else type(f)(c, d)
+        case ExistsFO(v, g) | ForallFO(v, g) | ExistsSO(v, g) | ForallSO(v, g):
+            h = fn(g)
+            return f if h is g else type(f)(v, h)
+        case AtLeast(n, v, g):
+            h = fn(g)
+            return f if h is g else AtLeast(n, v, h)
+    if not isinstance(f, Formula):
+        raise InputError(f"not a formula: {f!r}")
+    return f
+
+
+def occurrences(f: Formula) -> list[tuple[str, bool, bool]]:
+    """Every variable occurrence in f, left to right, as (name, is_set,
+    is_free).  A binder's own name is a bound occurrence before its body."""
+    out: list[tuple[str, bool, bool]] = []
 
     def go(node, bound):
         match node:
             case Less(a, b) | Equal(a, b):
-                for v in (a, b):
-                    if v not in bound and v not in out:
-                        out.append(v)
-            case Pred(_, v) | In(_, v):
-                if v not in bound and v not in out:
-                    out.append(v)
+                out.append((a, False, a not in bound))
+                out.append((b, False, b not in bound))
+            case Pred(_, v):
+                out.append((v, False, v not in bound))
+            case In(s, v):
+                out.append((s, True, s not in bound))
+                out.append((v, False, v not in bound))
             case Run(_, vs):
-                for v in vs:
-                    if v not in bound and v not in out:
-                        out.append(v)
-            case Not(g):
-                go(g, bound)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                go(a, bound)
-                go(b, bound)
+                out.extend((v, False, v not in bound) for v in vs)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
+                out.append((v, False, False))
                 go(g, bound | {v})
-            case ExistsSO(_, g) | ForallSO(_, g):
-                go(g, bound)
+            case ExistsSO(s, g) | ForallSO(s, g):
+                out.append((s, True, False))
+                go(g, bound | {s})
+            case _:
+                map_subformulas(node, lambda g: go(g, bound))
+        return node  # unchanged, so map_subformulas rebuilds nothing
 
     go(f, frozenset())
-    return tuple(out)
+    return out
+
+
+def free_variables(f: Formula) -> tuple[str, ...]:
+    """Free first-order variables in order of first occurrence."""
+    return tuple(dict.fromkeys(v for v, is_set, free in occurrences(f)
+                               if free and not is_set))
 
 
 def free_set_variables(f: Formula) -> tuple[str, ...]:
     """Free set variables in order of first occurrence."""
-    out: list[str] = []
-
-    def go(node, bound):
-        match node:
-            case In(s, _):
-                if s not in bound and s not in out:
-                    out.append(s)
-            case Not(g):
-                go(g, bound)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                go(a, bound)
-                go(b, bound)
-            case ExistsFO(_, g) | ForallFO(_, g) | AtLeast(_, _, g):
-                go(g, bound)
-            case ExistsSO(s, g) | ForallSO(s, g):
-                go(g, bound | {s})
-
-    go(f, frozenset())
-    return tuple(out)
+    return tuple(dict.fromkeys(v for v, is_set, free in occurrences(f)
+                               if free and is_set))
 
 
 def all_vars(f: Formula) -> frozenset[str]:
     """Every variable name occurring in f, free or bound, either order."""
-    out: set[str] = set()
-
-    def go(node):
-        match node:
-            case Less(a, b) | Equal(a, b):
-                out.add(a)
-                out.add(b)
-            case Pred(_, v):
-                out.add(v)
-            case In(s, v):
-                out.add(s)
-                out.add(v)
-            case Run(_, vs):
-                out.update(vs)
-            case Not(g):
-                go(g)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                go(a)
-                go(b)
-            case (ExistsFO(v, g) | ForallFO(v, g) | ExistsSO(v, g)
-                  | ForallSO(v, g) | AtLeast(_, v, g)):
-                out.add(v)
-                go(g)
-
-    go(f)
-    return frozenset(out)
+    return frozenset(v for v, _, _ in occurrences(f))
 
 
 class NameSupply:
@@ -559,68 +564,32 @@ def substitute(f: Formula, mapping: dict[str, str], supply: NameSupply | None = 
     return _subst(f, mapping, supply)
 
 
-def _subst_binder(v, g, m, supply):
-    live = {k: w for k, w in m.items() if k != v}
-    if live:
-        fvs = set(free_variables(g))
-        live = {k: w for k, w in live.items() if k in fvs}
-    if not live:
-        return v, g
-    if v in live.values():
-        nv = supply.fresh(v)
-        g = _subst(g, {v: nv}, supply)
-        v = nv
-    return v, _subst(g, live, supply)
-
-
 def _subst(f, m, supply):
     match f:
-        case Less(a, b):
-            return Less(m.get(a, a), m.get(b, b))
-        case Equal(a, b):
-            return Equal(m.get(a, a), m.get(b, b))
-        case Pred(p, v):
-            return Pred(p, m.get(v, v))
-        case In(s, v):
-            return In(s, m.get(v, v))
+        case Less(a, b) | Equal(a, b):
+            return type(f)(m.get(a, a), m.get(b, b))
+        case Pred(name, v) | In(name, v):
+            return type(f)(name, m.get(v, v))
         case Run(dfa, vs):
             return Run(dfa, tuple(m.get(v, v) for v in vs))
-        case Not(g):
-            return Not(_subst(g, m, supply))
-        case And(a, b):
-            return And(_subst(a, m, supply), _subst(b, m, supply))
-        case Or(a, b):
-            return Or(_subst(a, m, supply), _subst(b, m, supply))
-        case Implies(a, b):
-            return Implies(_subst(a, m, supply), _subst(b, m, supply))
-        case ExistsFO(v, g):
-            nv, ng = _subst_binder(v, g, m, supply)
-            return ExistsFO(nv, ng)
-        case ForallFO(v, g):
-            nv, ng = _subst_binder(v, g, m, supply)
-            return ForallFO(nv, ng)
-        case ExistsSO(s, g):
-            return ExistsSO(s, _subst(g, m, supply))
-        case ForallSO(s, g):
-            return ForallSO(s, _subst(g, m, supply))
-        case AtLeast(n, v, g):
-            nv, ng = _subst_binder(v, g, m, supply)
-            return AtLeast(n, nv, ng)
-    raise InputError(f"not a formula: {f!r}")
-
-
-def mk_true() -> Formula:
-    return ForallFO("v0", Equal("v0", "v0"))
-
-
-def mk_false() -> Formula:
-    return ExistsFO("v0", Not(Equal("v0", "v0")))
+        case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
+            fvs = set(free_variables(g))
+            live = {k: w for k, w in m.items() if k != v and k in fvs}
+            if not live:
+                return f
+            if v in live.values():
+                nv = supply.fresh(v)
+                g = _subst(g, {v: nv}, supply)
+                v = nv
+            g = _subst(g, live, supply)
+            return AtLeast(f.count, v, g) if isinstance(f, AtLeast) else type(f)(v, g)
+    return map_subformulas(f, lambda g: _subst(g, m, supply))
 
 
 def conj(formulas) -> Formula:
     formulas = list(formulas)
     if not formulas:
-        return mk_true()
+        return TRUE
     out = formulas[0]
     for g in formulas[1:]:
         out = And(out, g)
@@ -630,17 +599,11 @@ def conj(formulas) -> Formula:
 def disj(formulas) -> Formula:
     formulas = list(formulas)
     if not formulas:
-        return mk_false()
+        return FALSE
     out = formulas[0]
     for g in formulas[1:]:
         out = Or(out, g)
     return out
-
-
-def ascending_chain(variables) -> Formula:
-    """v1 < v2 < ... as a conjunction of adjacent comparisons."""
-    variables = list(variables)
-    return conj([Less(a, b) for a, b in zip(variables, variables[1:])])
 
 
 def exists_wrap(variables, body: Formula) -> Formula:
@@ -650,43 +613,28 @@ def exists_wrap(variables, body: Formula) -> Formula:
 
 
 def expand_macros(f: Formula, supply: NameSupply | None = None) -> Formula:
-    """Rewrite every counting quantifier into plain nested quantifiers."""
-    if supply is None:
-        supply = NameSupply(all_vars(f))
-    return _expand(f, supply)
+    """Rewrite every counting quantifier into plain nested quantifiers.
 
+    New names come from supply, by default one avoiding every name in f,
+    made when the first counting quantifier needs it.
+    """
+    def expand(g):
+        nonlocal supply
+        if not isinstance(g, AtLeast):
+            return map_subformulas(g, expand)
+        n, v, body = g.count, g.var, expand(g.body)
+        if n == 0:
+            return TRUE
+        if n == 1:
+            return ExistsFO(v, body)
+        if supply is None:
+            supply = NameSupply(all_vars(f))
+        names = [supply.fresh(v) for _ in range(n)]
+        parts = [Less(a, b) for a, b in zip(names, names[1:])]
+        parts += [substitute(body, {v: w}, supply) for w in names]
+        return exists_wrap(names, conj(parts))
 
-def _expand(f, supply):
-    match f:
-        case Less() | Equal() | Pred() | In() | Run():
-            return f
-        case Not(g):
-            return Not(_expand(g, supply))
-        case And(a, b):
-            return And(_expand(a, supply), _expand(b, supply))
-        case Or(a, b):
-            return Or(_expand(a, supply), _expand(b, supply))
-        case Implies(a, b):
-            return Implies(_expand(a, supply), _expand(b, supply))
-        case ExistsFO(v, g):
-            return ExistsFO(v, _expand(g, supply))
-        case ForallFO(v, g):
-            return ForallFO(v, _expand(g, supply))
-        case ExistsSO(s, g):
-            return ExistsSO(s, _expand(g, supply))
-        case ForallSO(s, g):
-            return ForallSO(s, _expand(g, supply))
-        case AtLeast(n, v, g):
-            g = _expand(g, supply)
-            if n == 0:
-                return mk_true()
-            if n == 1:
-                return ExistsFO(v, g)
-            names = [supply.fresh(v) for _ in range(n)]
-            parts = [Less(a, b) for a, b in zip(names, names[1:])]
-            parts += [substitute(g, {v: w}, supply) for w in names]
-            return exists_wrap(names, conj(parts))
-    raise InputError(f"not a formula: {f!r}")
+    return expand(f)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from operator import eq, itemgetter, lt
 from typing import Callable, NamedTuple
 
 from .errors import InputError
-from .formula import (AtLeast, And, Equal, ExistsFO, ExistsSO, ForallFO,
+from .formula import (AtLeast, And, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
                       Run, Signature)
 from .words import Word, all_words
@@ -161,6 +161,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     def build(node, bound_fo, bound_so):
         """(closure, free FO variables, free set variables) of node."""
         match node:
+            case Const(value):
+                return (lambda fo, so: value), (), ()
             case Less(a, b) | Equal(a, b):
                 op = lt if isinstance(node, Less) else eq
                 if a in bound_fo and b in bound_fo:

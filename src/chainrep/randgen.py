@@ -7,9 +7,8 @@ small by construction: the point is breadth of shape, not depth.
 
 import random
 
-from .formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
-                      ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
-                      Signature, mk_false, mk_true)
+from .formula import (FALSE, TRUE, And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
+                      ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Signature)
 
 BOUND_FO = ("z", "p", "q", "r", "s")
 BOUND_SO = ("Z", "Y", "W")
@@ -27,7 +26,7 @@ def _fresh(pool, used):
 
 def _atom(rng, sig, fo, so) -> Formula:
     if not fo:
-        return mk_true() if rng.random() < 0.5 else mk_false()
+        return TRUE if rng.random() < 0.5 else FALSE
     choices = ["less", "equal", "pred"]
     if so:
         choices.append("in")

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .formula import (And, Equal, Formula, NameSupply, Run, Signature, all_vars, conj,
-                      disj, exists_wrap, free_variables, mk_false, order_case_split,
+from .formula import (FALSE, And, Equal, Formula, NameSupply, Run, Signature, all_vars,
+                      conj, disj, exists_wrap, free_variables, order_case_split,
                       substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
                        compile as compile_dfa, dfa_empty, map_automaton, minimize_dfa,
@@ -67,7 +67,7 @@ class Disjunct:
 
 @dataclass
 class TypeAlgebra:
-    """A compiled formula together with the monoid acting on its segments.
+    """A formula's automaton together with the monoid acting on its segments.
 
     For arity zero the monoid is the plain transition monoid of the
     sentence automaton; otherwise it is the transition monoid of the
@@ -75,11 +75,9 @@ class TypeAlgebra:
     marked.
     """
 
-    formula: Formula
     sig: Signature
     variables: tuple[str, ...]
     dfa: Dfa
-    shadow: Dfa | None
     monoid: TypeMonoid
 
     @classmethod
@@ -89,13 +87,8 @@ class TypeAlgebra:
         variables = tuple(variables)
         if dfa is None:
             dfa = compile_dfa(formula, sig, variables, budget_states)
-        if variables:
-            shadow = mark_shadow(dfa)
-            monoid = transition_monoid(shadow, budget_states)
-        else:
-            shadow = None
-            monoid = transition_monoid(dfa, budget_states)
-        return cls(formula, sig, variables, dfa, shadow, monoid)
+        monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, budget_states)
+        return cls(sig, variables, dfa, monoid)
 
     @property
     def arity(self) -> int:
@@ -227,7 +220,7 @@ def eliminable_pairs(algebra: TypeAlgebra, disjunct: Disjunct) -> tuple[int, ...
 
 
 def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterization:
-    return Reparameterization(source, sig, tuple(domain_vars), (), mk_false(), 0,
+    return Reparameterization(source, sig, tuple(domain_vars), (), FALSE, 0,
                               Step("empty", "no satisfying assignment on any word"))
 
 

@@ -121,9 +121,9 @@ class MarkedWord:
         return cls(Word(sig, tuple(letters)), tuple(marks))
 
 
-def all_words(sig: Signature, max_len: int, min_len: int = 0):
+def all_words(sig: Signature, max_len: int):
     """Yield every word up to max_len in shortlex order."""
     base = 1 << sig.k
-    for length in range(min_len, max_len + 1):
+    for length in range(max_len + 1):
         for letters in itertools.product(range(base), repeat=length):
             yield Word(sig, letters)

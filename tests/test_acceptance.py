@@ -15,7 +15,7 @@ import pytest
 from chainrep.cli import main as cli_main
 from chainrep.compiler import compile
 from chainrep.errors import InputError
-from chainrep.formula import Signature, mk_false, parse
+from chainrep.formula import FALSE, Signature, parse
 from chainrep.growth import (brute_growth, growth_lower_witness,
                              growth_upper_check, no_decrement_witness)
 from chainrep.interp import (check_equivalence, parse_interpretation,
@@ -115,7 +115,7 @@ def test_criterion_04_dimension_battery():
         got.append((name, rep.dimension))
         assert rep.dimension == want, name
         if name == "unsatisfiable":
-            assert rep.g == mk_false() and rep.bound == 0
+            assert rep.g == FALSE and rep.bound == 0
     print(f"criterion 4 (known-dimension battery): PASS — {got}")
 
 

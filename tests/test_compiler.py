@@ -108,7 +108,7 @@ def test_shortest_accepted_is_the_oracles_first_marked_word():
         for length in range(5):
             found = {tuple(a | (i in t) << sig.k for i, a in enumerate(w.letters)):
                      MarkedWord(w, t)
-                     for w in all_words(sig, length, length)
+                     for w in all_words(sig, length) if len(w) == length
                      for t in map(tuple, satisfying_tuples(f, w, variables))
                      if list(t) == sorted(set(t))}
             if found:

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainrep
-from chainrep.compiler import Dfa
+from chainrep.compiler import Dfa, compile
 from chainrep.errors import InputError, ParseError
-from chainrep.formula import (And, AtLeast, Equal, ExistsFO, ExistsSO, ForallFO,
-                              In, Less, NameSupply, Not, Or, Pred, Run, Signature,
-                              all_vars, conj, disj, exists_wrap, expand_macros,
-                              free_set_variables, free_variables, mk_false, mk_true,
-                              order_case_split, parse, render, substitute)
+from chainrep.formula import (FALSE, TRUE, And, AtLeast, Const, Equal, ExistsFO, ExistsSO,
+                              ForallFO, ForallSO, Formula, Implies, In, Less, NameSupply,
+                              Not, Or, Pred, Run, Signature, all_vars, conj, disj,
+                              exists_wrap, expand_macros, free_set_variables,
+                              free_variables, map_subformulas, order_case_split, parse,
+                              render, substitute)
 from chainrep.randgen import random_formula
 from chainrep.oracle import evaluate
-from chainrep.words import Word
+from chainrep.words import MarkedWord, Word, all_words
+import itertools
 import random
 
 
@@ -26,6 +28,8 @@ def test_parse_atoms(sig1):
     assert parse("x = y", sig1) == Equal("x", "y")
     assert parse("P1(x)", sig1) == Pred("P1", "x")
     assert parse("Z(x)", sig1) == In("Z", "x")
+    assert parse("true", sig1) == TRUE and parse("false", sig1) == FALSE
+    assert parse("x < y | ~true", sig1) == Or(Less("x", "y"), Not(TRUE))
 
 
 def test_parse_precedence(sig1):
@@ -42,7 +46,9 @@ def test_quantifier_body_extends_right(sig1):
 
 
 def test_parse_errors(sig1):
-    for text in ("x <", "P9(x)", "ex. P1(x)", "(P1(x)", "x ? y", ""):
+    # true and false are reserved: neither names a variable
+    for text in ("x <", "P9(x)", "ex. P1(x)", "(P1(x)", "x ? y", "", "P1(true)",
+                 "ex false. P1(false)", "true < x"):
         with pytest.raises(ParseError):
             parse(text, sig1)
     try:
@@ -82,7 +88,7 @@ def test_expand_macros_atleast(sig1):
     w2 = Word(sig1, (1, 0))
     assert evaluate(f, w1, {}) is True
     assert evaluate(f, w2, {}) is False
-    assert evaluate(expand_macros(AtLeast(0, "v", mk_false())), Word(sig1, ()), {})
+    assert expand_macros(AtLeast(0, "v", FALSE)) == TRUE
 
 
 def test_name_supply_fresh():
@@ -173,3 +179,63 @@ def test_node_hash_is_the_field_hash_across_pickles(sig1):
     g = pickle.loads(out)
     assert g == f and {f: "hit"}[g] == "hit"
     assert {f.left.body: "hit"}[g.left.body] == "hit"
+
+
+def _one_of_each_node(sig):
+    """Instances of every node class, with free variables among x and y."""
+    px, py, pz = Pred("P1", "x"), Pred("P1", "y"), Pred("P1", "z")
+    pair = compile(parse("x < y & P1(y)", sig), sig, ("x", "y"))
+    return {
+        Const: [TRUE, FALSE],
+        Less: [Less("x", "y")],
+        Equal: [Equal("x", "y")],
+        Pred: [px],
+        In: [In("Z", "x")],
+        Not: [Not(px)],
+        And: [And(px, Less("x", "y"))],
+        Or: [Or(px, Less("y", "x"))],
+        Implies: [Implies(px, py)],
+        ExistsFO: [ExistsFO("z", And(Less("x", "z"), pz))],
+        ForallFO: [ForallFO("z", Implies(Less("z", "x"), pz))],
+        ExistsSO: [ExistsSO("Z", And(In("Z", "x"), Not(In("Z", "y"))))],
+        ForallSO: [ForallSO("Z", Or(In("Z", "x"), Not(In("Z", "y"))))],
+        AtLeast: [AtLeast(2, "z", Less("z", "x")), AtLeast(0, "z", FALSE)],
+        Run: [Run(pair, ("x", "y"))],
+    }
+
+
+def test_every_node_reaches_every_walker(sig1):
+    instances = _one_of_each_node(sig1)
+    # a node class added later fails here until it is listed above
+    assert set(instances) == set(Formula.__subclasses__())
+    leaves = {Const, Less, Equal, Pred, In, Run}
+    for cls, fs in instances.items():
+        for f in fs:
+            assert type(f) is cls
+            subs = []
+            assert map_subformulas(f, lambda g: subs.append(g) or g) is f
+            assert bool(subs) == (cls not in leaves)
+            # the rebuild keeps every other field
+            assert map_subformulas(f, Not) == type(f)(
+                *(Not(x) if isinstance(x, Formula) else x for x in vars(f).values()))
+            fo, so = free_variables(f), free_set_variables(f)
+            assert set(fo) <= {"x", "y"} and set(so) <= {"Z"}
+            assert set(fo) | set(so) <= all_vars(f)
+            if cls is not Run:
+                assert parse(render(f), sig1) == f, render(f)
+            renamed = substitute(f, {"x": "w"})
+            assert "x" not in free_variables(renamed)
+            assert ("w" in free_variables(renamed)) == ("x" in fo)
+            # compile the closure over set variables; its marks ascend in
+            # the order of the marked variables
+            closed = f
+            for s in so:
+                closed = ExistsSO(s, closed)
+            expanded = expand_macros(closed)
+            dfa = compile(closed, sig1, fo)
+            for w in all_words(sig1, 3):
+                for marks in itertools.combinations(range(len(w)), len(fo)):
+                    env = dict(zip(fo, marks))
+                    want = evaluate(closed, w, env)
+                    assert evaluate(expanded, w, env) == want, (render(f), str(w))
+                    assert dfa.run(MarkedWord(w, marks)) == want, (render(f), str(w))

@@ -41,4 +41,4 @@ def test_all_words_counts(sig1, sig2):
     assert sum(1 for _ in all_words(sig2, 2)) == 1 + 4 + 16
     lens = [len(w) for w in all_words(sig1, 2)]
     assert lens == sorted(lens)  # shortlex: lengths ascend
-    assert sum(1 for _ in all_words(sig1, 2, min_len=1)) == 6
+    assert sum(1 for w in all_words(sig1, 2) if len(w) >= 1) == 6
