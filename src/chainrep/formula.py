@@ -552,19 +552,28 @@ class NameSupply:
 
 
 def substitute(f: Formula, mapping: dict[str, str], supply: NameSupply | None = None) -> Formula:
-    """Rename free first-order variables, avoiding capture by renaming binders."""
+    """Rename free first-order variables, avoiding capture by renaming binders.
+
+    A renamed binder takes a name from supply, by default one avoiding every
+    name in f and in mapping, made when the first binder needs it.
+    """
     mapping = {k: v for k, v in mapping.items() if k != v}
     if not mapping:
         return f
     for k, v in mapping.items():
         if not is_fo_name(k) or not is_fo_name(v):
             raise InputError("substitute only renames first-order variables")
-    if supply is None:
-        supply = NameSupply(all_vars(f) | set(mapping) | set(mapping.values()))
-    return _subst(f, mapping, supply)
+
+    def fresh(v):
+        nonlocal supply
+        if supply is None:
+            supply = NameSupply(all_vars(f) | set(mapping) | set(mapping.values()))
+        return supply.fresh(v)
+
+    return _subst(f, mapping, fresh)
 
 
-def _subst(f, m, supply):
+def _subst(f, m, fresh):
     match f:
         case Less(a, b) | Equal(a, b):
             return type(f)(m.get(a, a), m.get(b, b))
@@ -578,12 +587,12 @@ def _subst(f, m, supply):
             if not live:
                 return f
             if v in live.values():
-                nv = supply.fresh(v)
-                g = _subst(g, {v: nv}, supply)
+                nv = fresh(v)
+                g = _subst(g, {v: nv}, fresh)
                 v = nv
-            g = _subst(g, live, supply)
+            g = _subst(g, live, fresh)
             return AtLeast(f.count, v, g) if isinstance(f, AtLeast) else type(f)(v, g)
-    return map_subformulas(f, lambda g: _subst(g, m, supply))
+    return map_subformulas(f, lambda g: _subst(g, m, fresh))
 
 
 def conj(formulas) -> Formula:

@@ -225,11 +225,16 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
         for c in range(m + n):
             for o in copy_offsets[i]:
                 pool.add(run + c * unit + o)
+    if d:
+        construction = (f"image family {fam.types}: {d} blocks of {m + n} idempotent "
+                        f"copies; marks slide over the last {n} copies per block "
+                        f"and fibers follow")
+    else:
+        construction = (f"image family {fam.types}: no marks; the word is the "
+                        f"family's witness and the pool its least fiber")
     return WitnessStructure(
         f, variables, Word(sig, tuple(grown_letters)), tuple(sorted(pool)),
-        n ** d,
-        f"image family {fam.types}: {d} blocks of {m + n} idempotent copies; "
-        f"marks slide over the last {n} copies per block and fibers follow")
+        n ** d, construction)
 
 
 def _shifted(a: int, base_geom, n: int) -> int:

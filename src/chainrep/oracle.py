@@ -21,14 +21,25 @@ transition table with the positions of vars marked, on one shared mark bit
 or on one track per variable, as the automaton reads them.
 Nothing of the compiler is used for that: the leaf's automaton is part of
 the map under test, so a wrong one still fails the checks below.
+
+Tuples are enumerated by one search, `_search`, which `satisfying_tuples`,
+`count_in_set` and every block `ex v1 ... ex vk. body` share.  It runs one
+loop per variable, in lexicographic order, and tests each conjunct of the
+flattened body at the loop that binds the last of its variables, so a
+failed conjunct prunes every tuple that extends the prefix (selection
+pushdown in nested-loop evaluation; Ullman, "Principles of Database and
+Knowledge-Base Systems", 1988).  The levels only grow in written order: no
+conjunct is tested ahead of one written before it.  The conjuncts of each
+tuple are therefore tried in the same order as by evaluating the whole
+formula on it, which keeps the answers, their order and the first error.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from operator import eq, itemgetter, lt
 from typing import Callable, NamedTuple
 
@@ -70,13 +81,25 @@ class _Program(NamedTuple):
 
     `on(word)` loads the word for one public call and yields the closure
     run(fo, so) -> bool; fo_vars and so_vars are the formula's free
-    variables in order of first occurrence.
+    variables in order of first occurrence.  conjuncts holds (closure, free
+    FO variables, free set variables) for each conjunct of the formula's
+    And tree, in written order, and plans the _levels of each variable list
+    searched.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
     so_vars: tuple[str, ...]
+    conjuncts: tuple[tuple[Callable, tuple[str, ...], tuple[str, ...]], ...]
+    plans: dict[tuple[str, ...], list[list[Callable]]]
     on: Callable
+
+    def search(self, variables, values, out=None) -> int:
+        """_search the formula's tuples; the word must be loaded by on()."""
+        checks = self.plans.get(variables)
+        if checks is None:
+            checks = self.plans[variables] = _levels(variables, self.conjuncts)
+        return _search(variables, checks, values, {}, {}, out)
 
 
 def _program(f: Formula, sig: Signature) -> _Program:
@@ -158,6 +181,36 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return (hits >= need) == want
         return fn
 
+    def exists_block(vs, body, bound_fo, bound_so):
+        # ex v1 ... ex vk. body holds when the search finds one tuple
+        parts = conjuncts(body, bound_fo | set(vs), bound_so)
+        checks = _levels(vs, parts)
+        names = tuple(dict.fromkeys(vs))
+        ffo, fso = _free(parts)
+        ffo = tuple(x for x in ffo if x not in names)
+
+        def fn(fo, so):
+            old = [fo.get(v, _UNSET) for v in names]
+            hits = _search(vs, checks, positions, fo, so, first=True)
+            for v, was in zip(names, old):
+                if was is _UNSET:
+                    fo.pop(v, None)
+                else:
+                    fo[v] = was
+            return hits > 0
+        return memoized(fn, ffo, fso), ffo, fso
+
+    def conjuncts(node, bound_fo, bound_so):
+        """build() of each conjunct of node's And tree, in written order."""
+        parts, todo = [], [node]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, And):
+                todo += (g.right, g.left)
+            else:
+                parts.append(build(g, bound_fo, bound_so))
+        return parts
+
     def build(node, bound_fo, bound_so):
         """(closure, free FO variables, free set variables) of node."""
         match node:
@@ -191,18 +244,24 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             case Not(g):
                 fg, ffo, fso = build(g, bound_fo, bound_so)
                 return (lambda fo, so: not fg(fo, so)), ffo, fso
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                fa, afo, aso = build(a, bound_fo, bound_so)
-                fb, bfo, bso = build(b, bound_fo, bound_so)
-                if isinstance(node, And):
-                    fn = lambda fo, so: fa(fo, so) and fb(fo, so)
-                elif isinstance(node, Or):
+            case And():
+                return _every(conjuncts(node, bound_fo, bound_so))
+            case Or(a, b) | Implies(a, b):
+                parts = build(a, bound_fo, bound_so), build(b, bound_fo, bound_so)
+                fa, fb = parts[0][0], parts[1][0]
+                if isinstance(node, Or):
                     fn = lambda fo, so: fa(fo, so) or fb(fo, so)
                 else:
                     fn = lambda fo, so: not fa(fo, so) or fb(fo, so)
-                return (fn, tuple(dict.fromkeys(afo + bfo)),
-                        tuple(dict.fromkeys(aso + bso)))
+                return (fn, *_free(parts))
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
+                if isinstance(node, ExistsFO):
+                    block = [v]
+                    while isinstance(g, ExistsFO):
+                        block.append(g.var)
+                        g = g.body
+                    if len(block) > 1 or isinstance(g, And):
+                        return exists_block(tuple(block), g, bound_fo, bound_so)
                 body, ffo, fso = build(g, bound_fo | {v}, bound_so)
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
@@ -235,8 +294,87 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return memoized(fn, ffo, ()), ffo, ()
         raise InputError(f"not a formula: {node!r}")
 
-    run, fo_vars, so_vars = build(f, frozenset(), frozenset())
-    return _Program(sig, fo_vars, so_vars, on)
+    top = tuple(conjuncts(f, frozenset(), frozenset()))
+    run, fo_vars, so_vars = _every(top)
+    return _Program(sig, fo_vars, so_vars, top, {}, on)
+
+
+def _every(parts):
+    """(closure, free FO variables, free set variables) of a conjunction.
+
+    The closure tests the parts left to right and stops at the first that
+    fails, as `and` does.
+    """
+    fn = reduce(lambda rest, test: _both(test, rest), [p[0] for p in reversed(parts)])
+    return (fn, *_free(parts))
+
+
+def _free(parts):
+    """The free FO and set variables of the parts, in order of first occurrence."""
+    return (tuple(dict.fromkeys(x for p in parts for x in p[1])),
+            tuple(dict.fromkeys(x for p in parts for x in p[2])))
+
+
+def _both(a, b):
+    return lambda fo, so: a(fo, so) and b(fo, so)
+
+
+def _levels(variables, parts) -> list[list[Callable]]:
+    """checks[i]: the closures of the parts to test once variables[:i] are bound.
+
+    A part sits at the loop that binds the last of its variables (a repeated
+    name is bound by its last loop), and never ahead of a part written
+    before it.
+    """
+    bound_at = {v: i for i, v in enumerate(variables, 1)}
+    checks: list[list[Callable]] = [[] for _ in range(len(variables) + 1)]
+    level = 0
+    for fn, ffo, _ in parts:
+        level = max([level] + [bound_at.get(v, 0) for v in ffo])
+        checks[level].append(fn)
+    return checks
+
+
+def _search(variables, checks, values, fo, so, out=None, first=False) -> int:
+    """Number of tuples over values that pass every check, in lex order.
+
+    Loop i sets fo[variables[i]] and then runs checks[i + 1]; checks[0] run
+    before the first loop, and only if some tuple exists.  out, when given,
+    collects the tuples; first stops the search at the first one.
+    """
+    k = len(variables)
+    if k and not values:
+        return 0
+    for test in checks[0]:
+        if not test(fo, so):
+            return 0
+    if not k:
+        if out is not None:
+            out.append(())
+        return 1
+    hits, i, last = 0, 0, k - 1
+    tup = [0] * k
+    loops = [iter(values)] + [None] * last
+    while i >= 0:
+        v, tests = variables[i], checks[i + 1]
+        for value in loops[i]:
+            fo[v] = tup[i] = value
+            for test in tests:
+                if not test(fo, so):
+                    break
+            else:
+                if i < last:  # descend: the inner loop starts afresh
+                    i += 1
+                    loops[i] = iter(values)
+                    break
+                hits += 1
+                if out is not None:
+                    out.append(tuple(tup))
+                if first:
+                    return hits
+        else:
+            i -= 1
+    return hits
 
 
 def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int, ...]]:
@@ -249,13 +387,14 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     prog = _program(f, word.sig)
     if prog.so_vars:
         raise InputError("formula has free set variables")
-    variables = list(prog.fo_vars if variables is None else variables)
+    variables = tuple(prog.fo_vars if variables is None else variables)
     missing = [v for v in prog.fo_vars if v not in variables]
     if missing:
         raise InputError(f"unassigned free variables {missing}")
-    with prog.on(word) as run:
-        return [tup for tup in itertools.product(range(len(word)), repeat=len(variables))
-                if run(dict(zip(variables, tup)), {})]
+    out: list[tuple[int, ...]] = []
+    with prog.on(word):
+        prog.search(variables, range(len(word)), out)
+    return out
 
 
 def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
@@ -263,14 +402,13 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     prog = _program(f, word.sig)
     if prog.so_vars:
         raise InputError("formula has free set variables")
-    variables = list(prog.fo_vars if variables is None else variables)
+    variables = tuple(prog.fo_vars if variables is None else variables)
     pool = sorted(set(positions))
     for p in pool:
         if not 0 <= p < len(word):
             raise InputError(f"position {p} out of range")
-    with prog.on(word) as run:
-        return sum(run(dict(zip(variables, tup)), {})
-                   for tup in itertools.product(pool, repeat=len(variables)))
+    with prog.on(word):
+        return prog.search(variables, pool)
 
 
 @dataclass(frozen=True)

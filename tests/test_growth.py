@@ -224,9 +224,9 @@ def test_witness_builds_each_map_once(sig1, monkeypatch):
 
 
 # the witnesses of formula_batch(3, 120) at n = 3, or the error text where
-# the witness raises: their count, total length and SHA-1; the dimension-0
-# witnesses name the general construction
-WITNESS_DUMPS = (120, 22_079, "d47080988fe053466d24b2cca77a7060d572db30")
+# the witness raises: their count, total length and SHA-1; the 25
+# dimension-0 witnesses say that they have no marks
+WITNESS_DUMPS = (120, 21_479, "396caa6516fcb352cad1c06d8e4ac08965129504")
 
 
 def test_witness_dumps_are_pinned():

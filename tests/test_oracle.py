@@ -10,12 +10,14 @@ import pytest
 from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
 from chainrep.formula import parse
+from chainrep.interp import parse_interpretation, reduce_interpretation
 from chainrep.oracle import count_in_set, evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
 
 from conftest import GROUP_TEXT
+from test_acceptance import SPECS
 
 # formulas with set quantifiers, evaluated on every assignment of their free
 # variables
@@ -112,6 +114,56 @@ def test_count_in_set(sig1):
         count_in_set(f, w, [9])
 
 
+def _by_product(f, word, variables, pool):
+    """The definition the search must meet: every tuple over the pool, filtered."""
+    return [t for t in itertools.product(pool, repeat=len(variables))
+            if evaluate(f, word, dict(zip(variables, t)))]
+
+
+def _cross_check(f, sig, variables, max_len):
+    for word in all_words(sig, max_len):
+        n = len(word)
+        want = _by_product(f, word, variables, range(n))
+        assert satisfying_tuples(f, word, variables) == want, (f, word, variables)
+        for pool in (range(n), range(0, n, 2), ()):
+            assert count_in_set(f, word, pool, variables) == \
+                len(_by_product(f, word, variables, pool)), (f, word, variables, pool)
+
+
+def test_search_matches_the_product_definition(sig1):
+    # random formulas with their own variables, an extra name and a repeated
+    # one; the batch holds sentences (no variables), and every word set
+    # holds the empty word, on which only the empty tuple can exist
+    for sig, fo, f in formula_batch(505, 60):
+        lists = [fo, fo + ("w",)] + ([fo + fo[:1]] if fo else [])
+        for variables in lists:
+            _cross_check(f, sig, variables, 3)
+    # the reduced specs' universes and rules, automaton leaves included
+    for _, dim, text in SPECS:
+        spec = reduce_interpretation(parse_interpretation(text), dim).spec
+        for c in spec.components:
+            _cross_check(c.universe, spec.signature, c.variables, 3)
+        for rule in spec.rules:
+            _cross_check(rule.formula, spec.signature, rule.variables, 3)
+
+
+def test_search_keeps_the_first_error(sig1):
+    # a conjunct is never tested ahead of one written before it, so an error
+    # the formula would not reach is not raised
+    w, empty = Word(sig1, (1, 0)), Word(sig1, ())
+    late = parse("ex u. ex z. (u < z & P1(z) & v = v)", sig1)
+    early = parse("ex u. ex z. (v = v & u < z & P1(z))", sig1)
+    assert evaluate(late, w, fo={"v": 5}) is False
+    with pytest.raises(InputError, match="position 5 of 'v' out of range"):
+        evaluate(early, w, fo={"v": 5})
+    assert evaluate(early, empty, fo={"v": 5}) is False
+    # the same for the tuples of a conjunction, where v stays unassigned
+    assert count_in_set(parse("x < y & P1(y) & v = v", sig1), w, range(2), ("x", "y")) == 0
+    with pytest.raises(InputError, match="unbound variable 'v'"):
+        count_in_set(parse("v = v & x < y & P1(y)", sig1), w, range(2), ("x", "y"))
+    assert count_in_set(parse("v = v & x < y", sig1), w, (), ("x", "y")) == 0
+
+
 def test_memoization_respects_scope(sig1):
     # same subformula object under different outer assignments
     w = Word(sig1, (1, 0, 0, 1))
@@ -152,10 +204,12 @@ def test_errors_stay_lazy(sig1):
 
 
 def test_shadowed_variable_is_restored(sig1):
-    f = parse("(ex x. ~P1(x)) & P1(x)", sig1)
     w = Word(sig1, (1, 0, 1))
-    assert [evaluate(f, w, fo={"x": p}) for p in range(3)] == [True, False, True]
-    assert satisfying_tuples(f, w) == [(0,), (2,)]
+    # a single quantifier, and an ex block searched for its first tuple
+    for text in ("(ex x. ~P1(x)) & P1(x)", "(ex x. ex y. (x < y & ~P1(x))) & P1(x)"):
+        f = parse(text, sig1)
+        assert [evaluate(f, w, fo={"x": p}) for p in range(3)] == [True, False, True]
+        assert satisfying_tuples(f, w) == [(0,), (2,)]
 
 
 def test_quantifiers_on_the_empty_word_keep_the_environment(sig1):
@@ -166,6 +220,8 @@ def test_quantifiers_on_the_empty_word_keep_the_environment(sig1):
         evaluate(parse("(all v. P1(v)) & v = v", sig1), empty, fo=fo)
     with pytest.raises(InputError, match="unbound variable 'v'"):
         evaluate(parse("(all v. P1(v)) & v = v", sig1), empty)
+    with pytest.raises(InputError, match="position 7 of 'v' out of range"):
+        evaluate(parse("(~ex v. ex u. (P1(v) & u = u)) & v = v", sig1), empty, fo=fo)
     assert evaluate(parse("(ALL Z. ~ex v. Z(v)) & ~ex v. Z(v)", sig1), empty,
                     fo=fo, so=so)
     assert fo == {"v": 7} and so == {"Z": 1}
@@ -183,16 +239,23 @@ def test_one_formula_on_words_of_changing_length(sig1):
 
 
 def test_program_lives_as_long_as_its_formula(sig1):
-    gc.collect()
-    before = len(oracle._PROGRAMS)
-    f = parse("ex z. (x < z & P1(z))", sig1)
-    assert satisfying_tuples(f, Word(sig1, (0, 1))) == [(0,)]
-    assert len(oracle._PROGRAMS) == before + 1
-    ref = weakref.ref(f)
-    del f
-    gc.collect()
-    assert ref() is None
-    assert len(oracle._PROGRAMS) == before
+    w = Word(sig1, (0, 0, 1))
+    cases = (("ex z. (x < z & P1(z))", [(None, [(0,), (1,)])]),
+             # an ex block over a conjunction, asked with two variable lists
+             ("ex u. ex z. (x < u & u < z & P1(z))",
+              [(("x",), [(0,)]), (("x", "y"), [(0, 0), (0, 1), (0, 2)])]))
+    for text, queries in cases:
+        gc.collect()
+        before = len(oracle._PROGRAMS)
+        f = parse(text, sig1)
+        for variables, want in queries:
+            assert satisfying_tuples(f, w, variables) == want
+        assert len(oracle._PROGRAMS) == before + 1
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+        assert len(oracle._PROGRAMS) == before
 
 
 def test_oracle_never_imports_the_compiler():
