@@ -23,15 +23,18 @@ Nothing of the compiler is used for that: the leaf's automaton is part of
 the map under test, so a wrong one still fails the checks below.
 
 Tuples are enumerated by one search, `_search`, which `satisfying_tuples`,
-`count_in_set` and every block `ex v1 ... ex vk. body` share.  It runs one
-loop per variable, in lexicographic order, and tests each conjunct of the
-flattened body at the loop that binds the last of its variables, so a
-failed conjunct prunes every tuple that extends the prefix (selection
-pushdown in nested-loop evaluation; Ullman, "Principles of Database and
-Knowledge-Base Systems", 1988).  The levels only grow in written order: no
-conjunct is tested ahead of one written before it.  The conjuncts of each
-tuple are therefore tried in the same order as by evaluating the whole
-formula on it, which keeps the answers, their order and the first error.
+`count_in_set` and every block `ex v1 ... ex vk. body` with k >= 2 share.
+It runs one loop per variable, in lexicographic order, and tests each
+conjunct of the flattened body at the loop that binds the last of its
+variables, so a failed conjunct prunes every tuple that extends the prefix
+(selection pushdown in nested-loop evaluation; Ullman, "Principles of
+Database and Knowledge-Base Systems", 1988).  The levels only grow in
+written order: no conjunct is tested ahead of one written before it.  The
+conjuncts of each tuple are therefore tried in the same order as by
+evaluating the whole formula on it, which keeps the answers, their order
+and the first error.  A loop whose value no deeper conjunct reads stops
+descending once the loops below it have found nothing, as the memo of a
+nested quantifier would.
 """
 
 from __future__ import annotations
@@ -91,15 +94,15 @@ class _Program(NamedTuple):
     fo_vars: tuple[str, ...]
     so_vars: tuple[str, ...]
     conjuncts: tuple[tuple[Callable, tuple[str, ...], tuple[str, ...]], ...]
-    plans: dict[tuple[str, ...], list[list[Callable]]]
+    plans: dict[tuple[str, ...], tuple[list[list[Callable]], list[bool]]]
     on: Callable
 
     def search(self, variables, values, out=None) -> int:
         """_search the formula's tuples; the word must be loaded by on()."""
-        checks = self.plans.get(variables)
-        if checks is None:
-            checks = self.plans[variables] = _levels(variables, self.conjuncts)
-        return _search(variables, checks, values, {}, {}, out)
+        plan = self.plans.get(variables)
+        if plan is None:
+            plan = self.plans[variables] = _levels(variables, self.conjuncts)
+        return _search(variables, plan, values, {}, {}, out)
 
 
 def _program(f: Formula, sig: Signature) -> _Program:
@@ -184,14 +187,14 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     def exists_block(vs, body, bound_fo, bound_so):
         # ex v1 ... ex vk. body holds when the search finds one tuple
         parts = conjuncts(body, bound_fo | set(vs), bound_so)
-        checks = _levels(vs, parts)
+        plan = _levels(vs, parts)
         names = tuple(dict.fromkeys(vs))
         ffo, fso = _free(parts)
         ffo = tuple(x for x in ffo if x not in names)
 
         def fn(fo, so):
             old = [fo.get(v, _UNSET) for v in names]
-            hits = _search(vs, checks, positions, fo, so, first=True)
+            hits = _search(vs, plan, positions, fo, so, first=True)
             for v, was in zip(names, old):
                 if was is _UNSET:
                     fo.pop(v, None)
@@ -254,14 +257,16 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 else:
                     fn = lambda fo, so: not fa(fo, so) or fb(fo, so)
                 return (fn, *_free(parts))
+            case ExistsFO(v, ExistsFO() as g):
+                # a block of two or more ex is one search, which can test a
+                # conjunct between its loops; a single ex has nothing to test
+                # there and is a plain quantifier, which runs faster
+                block = [v]
+                while isinstance(g, ExistsFO):
+                    block.append(g.var)
+                    g = g.body
+                return exists_block(tuple(block), g, bound_fo, bound_so)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
-                if isinstance(node, ExistsFO):
-                    block = [v]
-                    while isinstance(g, ExistsFO):
-                        block.append(g.var)
-                        g = g.body
-                    if len(block) > 1 or isinstance(g, And):
-                        return exists_block(tuple(block), g, bound_fo, bound_so)
                 body, ffo, fso = build(g, bound_fo | {v}, bound_so)
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
@@ -319,29 +324,42 @@ def _both(a, b):
     return lambda fo, so: a(fo, so) and b(fo, so)
 
 
-def _levels(variables, parts) -> list[list[Callable]]:
-    """checks[i]: the closures of the parts to test once variables[:i] are bound.
+def _levels(variables, parts) -> tuple[list[list[Callable]], list[bool]]:
+    """(checks, blind) for searching the variables with the parts.
 
-    A part sits at the loop that binds the last of its variables (a repeated
-    name is bound by its last loop), and never ahead of a part written
-    before it.
+    checks[i] holds the closures of the parts to test once variables[:i] are
+    bound.  A part sits at the loop that binds the last of its variables (a
+    repeated name is bound by its last loop), and never ahead of a part
+    written before it.  blind[i] is true when no part tested below loop i,
+    at a level past i + 1, reads variables[i].
     """
     bound_at = {v: i for i, v in enumerate(variables, 1)}
     checks: list[list[Callable]] = [[] for _ in range(len(variables) + 1)]
+    reads: list[set[str]] = [set() for _ in checks]
     level = 0
     for fn, ffo, _ in parts:
         level = max([level] + [bound_at.get(v, 0) for v in ffo])
         checks[level].append(fn)
-    return checks
+        reads[level].update(ffo)
+    blind, below = [], set()
+    for i in reversed(range(len(variables))):
+        blind.append(variables[i] not in below)
+        below |= reads[i + 1]
+    return checks, blind[::-1]
 
 
-def _search(variables, checks, values, fo, so, out=None, first=False) -> int:
+def _search(variables, plan, values, fo, so, out=None, first=False) -> int:
     """Number of tuples over values that pass every check, in lex order.
 
     Loop i sets fo[variables[i]] and then runs checks[i + 1]; checks[0] run
     before the first loop, and only if some tuple exists.  out, when given,
     collects the tuples; first stops the search at the first one.
+
+    When the loops below a blind loop find no tuple, they would find none
+    for any other value of it either, so the rest of its values only run
+    its own checks, which may still raise, and no longer descend.
     """
+    checks, blind = plan
     k = len(variables)
     if k and not values:
         return 0
@@ -355,6 +373,8 @@ def _search(variables, checks, values, fo, so, out=None, first=False) -> int:
     hits, i, last = 0, 0, k - 1
     tup = [0] * k
     loops = [iter(values)] + [None] * last
+    found = [0] * k  # hits when loop i last descended
+    spent = False  # the loops below loop i found nothing and never will
     while i >= 0:
         v, tests = variables[i], checks[i + 1]
         for value in loops[i]:
@@ -363,7 +383,10 @@ def _search(variables, checks, values, fo, so, out=None, first=False) -> int:
                 if not test(fo, so):
                     break
             else:
-                if i < last:  # descend: the inner loop starts afresh
+                if i < last:
+                    if spent:
+                        continue
+                    found[i] = hits  # descend: the inner loop starts afresh
                     i += 1
                     loops[i] = iter(values)
                     break
@@ -374,6 +397,7 @@ def _search(variables, checks, values, fo, so, out=None, first=False) -> int:
                     return hits
         else:
             i -= 1
+            spent = i >= 0 and blind[i] and hits == found[i]
     return hits
 
 

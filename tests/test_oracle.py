@@ -9,7 +9,7 @@ import pytest
 
 from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
-from chainrep.formula import parse
+from chainrep.formula import ExistsFO, parse
 from chainrep.interp import parse_interpretation, reduce_interpretation
 from chainrep.oracle import count_in_set, evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
@@ -135,7 +135,7 @@ def test_search_matches_the_product_definition(sig1):
     # one; the batch holds sentences (no variables), and every word set
     # holds the empty word, on which only the empty tuple can exist
     for sig, fo, f in formula_batch(505, 60):
-        lists = [fo, fo + ("w",)] + ([fo + fo[:1]] if fo else [])
+        lists = [fo, fo + ("w",), ("w",) + fo] + ([fo + fo[:1]] if fo else [])
         for variables in lists:
             _cross_check(f, sig, variables, 3)
     # the reduced specs' universes and rules, automaton leaves included
@@ -145,6 +145,21 @@ def test_search_matches_the_product_definition(sig1):
             _cross_check(c.universe, spec.signature, c.variables, 3)
         for rule in spec.rules:
             _cross_check(rule.formula, spec.signature, rule.variables, 3)
+
+
+def test_ex_block_matches_the_product_definition(sig1):
+    # ex v1 ... ex vk. body holds when some tuple satisfies the body, the
+    # last of a repeated name winning; a leading unread name makes a loop
+    # whose value no check reads
+    for sig, fo, f in formula_batch(505, 60):
+        for vs in {fo, ("w",) + fo, fo + fo[:1]} - {()}:
+            block = f
+            for v in reversed(vs):
+                block = ExistsFO(v, block)
+            for word in all_words(sig, 3):
+                want = any(evaluate(f, word, dict(zip(vs, t)))
+                           for t in itertools.product(range(len(word)), repeat=len(vs)))
+                assert evaluate(block, word) is want, (block, word)
 
 
 def test_search_keeps_the_first_error(sig1):
@@ -162,6 +177,13 @@ def test_search_keeps_the_first_error(sig1):
     with pytest.raises(InputError, match="unbound variable 'v'"):
         count_in_set(parse("v = v & x < y & P1(y)", sig1), w, range(2), ("x", "y"))
     assert count_in_set(parse("v = v & x < y", sig1), w, (), ("x", "y")) == 0
+    # y < y fails below x = 0 and reads no x, so no x can have a tuple, but
+    # x = 1 still runs its own check, which reaches v
+    spent = "(P1(x) | v = v) & y < y"
+    with pytest.raises(InputError, match="position 5 of 'v' out of range"):
+        evaluate(parse(f"ex x. ex y. ({spent})", sig1), w, fo={"v": 5})
+    with pytest.raises(InputError, match="unbound variable 'v'"):
+        count_in_set(parse(spent, sig1), w, range(2), ("x", "y"))
 
 
 def test_memoization_respects_scope(sig1):
