@@ -21,7 +21,9 @@ over an alphabet with ONE shared mark bit: the i-th marked position, left
 to right, is the value of xi.  The final compilation step intersects with
 the strict-ascending track order and then merges all tracks into the shared
 bit.  Only assignments with x1 < ... < xm are representable; pipelines that
-need other orderings split into order cases first.
+need other orderings split into order cases first.  realizable_cases
+derives the cases that some word realizes, and their automata, from one
+build of the formula over one track per variable.
 
 A Run leaf carries such a public automaton inside a formula; it is embedded
 as is, its mark bit fed by the OR of its variables' tracks, or, for an
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .formula import (And, Const, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
                       Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
-                      expand_macros, is_fo_name, occurrences)
+                      expand_macros, is_fo_name, occurrences, rank_classes)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -241,9 +243,12 @@ class _Builder:
             a = self.minimize(self.product(a, self.single_mark(a.fo, a.so, (v,)), "and"))
         return a
 
-    def extend(self, a: _Auto, fo_add=(), so_add=()) -> _Auto:
-        """a over more tracks, which it reads but leaves unconstrained."""
-        nfo = tuple(sorted(set(a.fo) | set(fo_add)))
+    def extend(self, a: _Auto, fo_add=(), so_add=(), merge=None) -> _Auto:
+        """a over more tracks, which it reads but leaves unconstrained; a
+        first-order variable that merge maps to another drops its own track
+        and reads that one's instead."""
+        merge = merge or {}
+        nfo = tuple(sorted((set(a.fo) - set(merge)) | set(fo_add)))
         nso = tuple(sorted(set(a.so) | set(so_add)))
         if nfo == a.fo and nso == a.so:
             return a
@@ -251,7 +256,7 @@ class _Builder:
         self._check(a.n, nl)
         k = self.sig.k
         # (bit in the new letter, bit in the old letter) of each old track
-        moves = [(k + nfo.index(v), k + j) for j, v in enumerate(a.fo)]
+        moves = [(k + nfo.index(merge.get(v, v)), k + j) for j, v in enumerate(a.fo)]
         moves += [(k + len(nfo) + nso.index(s), k + len(a.fo) + j)
                   for j, s in enumerate(a.so)]
         remap = []
@@ -473,6 +478,67 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     f = _checked(f, marked_vars)
     a = builder.extend(builder.build(f), fo_add=marked_vars)
     return builder.to_public(a, marked_vars)
+
+
+def realizable_cases(f: Formula, sig: Signature, xs,
+                     budget_states: int = DEFAULT_STATE_BUDGET):
+    """The order cases of f over xs that some word realizes, as (rank tuple,
+    Dfa) pairs in the lexicographic order of the rank tuples; each Dfa,
+    built when its pair is reached, is the one compile publishes for the
+    case's formula over its representatives.
+
+    f is built once, under stage compile, over one track per variable of
+    xs.  A weak ordering is the sequence of track sets that a word's marked
+    positions mark.  A backward pass finds, per set of tracks used, the
+    states from which some word marks each other track once and accepts; a
+    forward search over sets of states follows only those.  A case's
+    automaton keeps the letters on which each class's tracks agree, read on
+    its representative's track.
+    """
+    xs = tuple(xs)
+    builder = _Builder(sig, budget_states, "compile")
+    a = builder.extend(builder.build(_checked(f, xs)), fo_add=xs)
+    k, full = sig.k, (1 << len(xs)) - 1
+    # still[q]: the states that words marking no track (letters below
+    # 1 << k) lead to from q
+    still = []
+    for q in range(a.n):
+        seen, todo = {q}, [q]
+        while todo:
+            new = set(a.delta[todo.pop()][:1 << k]) - seen
+            seen |= new
+            todo += new
+        still.append(seen)
+    # after[q][t]: the same after a letter marking exactly the tracks t
+    after = [[set().union(*(still[row[lab | t << k]] for lab in range(1 << k)))
+              for t in range(full + 1)] for row in a.delta]
+    # live[used]: the states with a letter marking some tracks t outside
+    # used into live[used | t], and live[full] the accepting ones; a set of
+    # the search is closed under words marking no track, so it can still
+    # accept exactly when it meets live[used]
+    live = {full: a.accepting}
+    for used in reversed(range(full)):
+        live[used] = {q for q in range(a.n) if any(
+            after[q][t] & live[used | t] for t in range(1, full + 1) if not t & used)}
+    patterns = []
+
+    def search(states, used, pattern):
+        if not states & live[used]:
+            return
+        if used == full:
+            patterns.append(pattern)
+        for t in range(1, full + 1):
+            if not t & used:
+                search(set().union(*(after[q][t] for q in states)), used | t, pattern + (t,))
+
+    search(still[a.init], 0, ())
+    bits = [1 << a.fo.index(v) for v in xs]
+    for ranks in sorted(tuple(next(i for i, t in enumerate(p) if t & b) for b in bits)
+                        for p in patterns):
+        classes = rank_classes(xs, ranks)
+        merge = {v: c[0] for c in classes for v in c[1:]}
+        yield ranks, builder.to_public(builder.extend(a, merge=merge),
+                                       tuple(c[0] for c in classes))
 
 
 def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:

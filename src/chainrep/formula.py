@@ -665,8 +665,9 @@ class OrderCaseSplit:
     """The order cases of f over a variable tuple, built as they are visited.
 
     Iteration substitutes one case at a time, so a caller that stops early
-    never builds the cases after it; len() counts the weak orderings
-    without building any.
+    never builds the cases after it, and case() one from its rank tuple, so
+    a caller that knows the realizable ones builds only those; len() counts
+    the weak orderings without building any.
     """
 
     def __init__(self, f: Formula, variables: tuple[str, ...]):
@@ -683,16 +684,28 @@ class OrderCaseSplit:
         return sum(1 for _ in self._ranks())
 
     def __iter__(self):
-        f, variables = self.formula, self.variables
-        for ranks in self._ranks():
-            classes = tuple(tuple(v for v, r in zip(variables, ranks) if r == c)
-                            for c in range(max(ranks, default=-1) + 1))
-            reps = tuple(c[0] for c in classes)
-            mapping = {v: c[0] for c in classes for v in c[1:]}
-            case_formula = substitute(f, mapping) if mapping else f
-            eqs = [Equal(v, c[0]) for c in classes for v in c[1:]]
-            order = [Less(a, b) for a, b in zip(reps, reps[1:])]
-            yield OrderCase(classes, reps, case_formula, conj(eqs + order))
+        return map(self.case, self._ranks())
+
+    def case(self, ranks) -> OrderCase:
+        """The case of one weak ordering, given by its rank tuple: the i-th
+        variable lies in the ranks[i]-th class, counted in ascending order."""
+        if len(ranks) != len(self.variables) or \
+                set(ranks) != set(range(max(ranks, default=-1) + 1)):
+            raise InputError(f"{ranks} is not a weak ordering of {self.variables}")
+        classes = rank_classes(self.variables, ranks)
+        reps = tuple(c[0] for c in classes)
+        mapping = {v: c[0] for c in classes for v in c[1:]}
+        case_formula = substitute(self.formula, mapping) if mapping else self.formula
+        eqs = [Equal(v, c[0]) for c in classes for v in c[1:]]
+        order = [Less(a, b) for a, b in zip(reps, reps[1:])]
+        return OrderCase(classes, reps, case_formula, conj(eqs + order))
+
+
+def rank_classes(variables, ranks) -> tuple[tuple[str, ...], ...]:
+    """The classes of a weak ordering in ascending order, the i-th variable
+    in the ranks[i]-th, each listing its members in the order of variables."""
+    return tuple(tuple(v for v, r in zip(variables, ranks) if r == c)
+                 for c in range(max(ranks, default=-1) + 1))
 
 
 def order_case_split(f: Formula, variables) -> OrderCaseSplit:

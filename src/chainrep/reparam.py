@@ -11,11 +11,12 @@ no smaller image can cover it.
 
 Most of the work happens per order case (a fixed weak ordering of the
 domain tuple), where satisfying assignments are strictly ascending markings
-of a word and the type algebra of segments applies.  The cases are visited
-one at a time, and the first strict case (every class a singleton) that is
-rigid at full width ends the search: the dimension is then the arity k, and
-the identity map, reading the domain tuple in that case's ascending order,
-has bound 1.  Below full width the case maps are glued into one union.
+of a word and the type algebra of segments applies.  Only the cases some
+word realizes are visited, one at a time, and the first strict case (every
+class a singleton) that is rigid at full width ends the search: the
+dimension is then the arity k, and the identity map, reading the domain
+tuple in that case's ascending order, has bound 1.  Below full width the
+case maps are glued into one union.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .formula import (FALSE, And, Equal, Formula, NameSupply, Run, Signature, al
                       conj, disj, exists_wrap, free_variables, order_case_split,
                       substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
-                       compile as compile_dfa, dfa_empty, map_automaton, minimize_dfa,
-                       preimage_ranks)
+                       compile as compile_dfa, map_automaton, minimize_dfa,
+                       preimage_ranks, realizable_cases)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
 
@@ -419,22 +420,19 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     psi = exists_wrap(step.domain_vars, step.g)
     us = step.image_vars
     if us:
-        inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi, supply,
-                             budget_states)
+        inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
+                             compile_dfa(psi, sig, us, budget_states), supply, budget_states)
     else:
         inner = _minrep(psi, sig, us, supply, budget_states)
     return compose(step, inner)
 
 
 def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
-                 supply: NameSupply, budget_states: int) -> Reparameterization | None:
-    """The map of one order case of f over xs, or None when the case is
-    empty.  classes are the case's equality classes in ascending order, and
-    case_formula mentions only their first members."""
+                 dfa: Dfa, supply: NameSupply, budget_states: int) -> Reparameterization:
+    """The map of one nonempty order case of f over xs.  classes are the
+    case's equality classes in ascending order, case_formula mentions only
+    their first members, and dfa is its automaton over them."""
     reps = tuple(c[0] for c in classes)
-    dfa = compile_dfa(case_formula, sig, reps, budget_states)
-    if dfa_empty(dfa):
-        return None
     inner = _case_rep(case_formula, sig, reps, supply, budget_states, dfa)
     pattern = "<".join("=".join(c) for c in classes)
     return Reparameterization(f, sig, xs, inner.image_vars, inner.g, inner.bound,
@@ -443,19 +441,21 @@ def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
             budget_states: int) -> Reparameterization:
+    """The map of f over xs, glued from the order cases that one build of f
+    (compiler.realizable_cases) finds realizable, each with its automaton;
+    only those cases are substituted and reduced."""
     xs = tuple(xs)
     if not xs:
-        dfa = compile_dfa(f, sig, (), budget_states)
-        if dfa_empty(dfa):
+        if next(realizable_cases(f, sig, (), budget_states), None) is None:
             return _unsat_rep(f, sig, xs)
         return Reparameterization(f, sig, (), (), f, 1,
                                   Step("base", "satisfiable sentence"))
+    split = order_case_split(f, xs)
     parts = []
-    for case in order_case_split(f, xs):
-        lifted = _lifted_case(f, sig, xs, case.classes, case.formula, supply,
+    for ranks, dfa in realizable_cases(f, sig, xs, budget_states):
+        case = split.case(ranks)
+        lifted = _lifted_case(f, sig, xs, case.classes, case.formula, dfa, supply,
                               budget_states)
-        if lifted is None:
-            continue
         if lifted.dimension == len(xs):
             # only a strict case can keep width k, and only when rigid: the
             # dimension is k, and the domain tuple read in this case's
@@ -521,7 +521,8 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
                                refine: bool = True) -> Reparameterization:
     """Minimal-dimension reparameterization of f over its marked variables.
 
-    Splits into order cases, reduces each case by eliminating marks whose
+    Splits into the order cases that some word realizes, found and compiled
+    from one automaton of f, reduces each case by eliminating marks whose
     segment pairs cannot pump (splitting families by guards when they
     disagree on where), and recurses on the image.  A strict case that
     stays rigid at the full width k stops the split: the answer is the

@@ -147,6 +147,15 @@ def test_mindim_names_the_guard_stage(capsys):
     assert "resource limit: guard: state budget exceeded (13 > 12)" in err
 
 
+def test_mindim_names_the_compile_stage(capsys):
+    # the one build of the endpoint triple over its three tracks outgrows 24
+    # states, as the compile of its strict order case did
+    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula",
+                           endpoints_text("xyz"), "--budget-states", "24")
+    assert status == 3 and not out
+    assert "resource limit: compile: state budget exceeded (25 > 24)" in err
+
+
 P1 = Signature(("P1",))
 STARVED_STAGES = (
     ("compile", 5, 4, lambda: compile(parse("x<y & y<z", P1), P1, ("x", "y", "z"), 4)),

@@ -7,9 +7,9 @@ from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
                                dfa_equivalent, dfa_to_formula, first_fiber, map_automaton,
                                max_fiber, minimize_dfa, preimage_ranks, project_mark,
-                               shortest_accepted)
+                               realizable_cases, shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import Run, Signature, exists_wrap, parse, render
+from chainrep.formula import Run, Signature, exists_wrap, order_case_split, parse, render
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
@@ -84,6 +84,36 @@ def test_empty_and_equivalent(sig1):
     c = compile(parse("P1(x)", sig1), sig1, ("x",))
     assert not dfa_equivalent(a, c)
     assert not dfa_empty(c)
+
+
+def test_realizable_cases_are_the_nonempty_order_cases(sig1):
+    # the one build over k tracks yields exactly the order cases whose own
+    # compile is nonempty, in the split's order, each with that compile's
+    # automaton; the split builds every case alike from its rank tuple
+    subjects = [(sig, f, fo) for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3))
+                for sig, fo, f in formula_batch(seed, count, rank=rank)]
+    subjects += [(sig1, parse(text, sig1), tuple(xs)) for text, xs in (
+        ("x<y & y<z & z<w & w<v", "xyzwv"), ("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw"),
+        (GROUP_TEXT, "xy"), (endpoints_text("xyzw"), "xyzw"))]
+    for sig, f, xs in subjects:
+        split = order_case_split(f, xs)
+        nonempty = []
+        for case in split:
+            ranks = tuple(next(i for i, c in enumerate(case.classes) if v in c) for v in xs)
+            assert split.case(ranks) == case
+            dfa = compile(case.formula, sig, case.representatives)
+            if not dfa_empty(dfa):
+                nonempty.append((ranks, dfa))
+        assert list(realizable_cases(f, sig, xs)) == nonempty, render(f)
+
+
+def test_realizable_cases_run_under_the_compile_budget(sig1):
+    # the one build of the endpoint triple needs 25 states
+    f = parse(endpoints_text("xyz"), sig1)
+    with pytest.raises(ResourceLimitError) as e:
+        next(realizable_cases(f, sig1, ("x", "y", "z"), 24))
+    assert (e.value.stage, e.value.reached, e.value.budget) == ("compile", 25, 24)
+    assert len(list(realizable_cases(f, sig1, ("x", "y", "z"), 25))) == 7
 
 
 def test_shortest_accepted(sig1):

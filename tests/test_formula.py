@@ -127,6 +127,10 @@ def test_order_case_split_counts(sig1):
                             (("x", "y", "z"), 13)):
         split = order_case_split(f, variables)
         assert len(list(split)) == want == len(split)
+    # a case is built from its rank tuple, which must be a weak ordering
+    for bad in ((0, 2), (1, 1), (0,)):
+        with pytest.raises(InputError):
+            order_case_split(f, ("x", "y")).case(bad)
 
 
 @settings(max_examples=120, deadline=None)

@@ -126,8 +126,10 @@ def test_skipped_refinement_is_recorded(sig1):
 def test_full_width_is_the_identity(sig1, monkeypatch):
     # a rigid strict order case keeps every coordinate: the map reads the
     # domain tuple in that case's ascending order, with bound 1, and no
-    # later case is built (the first strict case is the 16th of 75 weak
-    # orderings at k = 4 and the 65th of 541 at k = 5)
+    # later case is built.  Only realizable cases are visited: the labelled
+    # tuples realize every weak ordering, so their first strict case is the
+    # 16th of 75 at k = 4 and the 65th of 541 at k = 5, while the chains
+    # realize one ordering each, as every non-strict case of theirs is empty
     visited = []
     real = reparam._lifted_case
 
@@ -138,8 +140,8 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
     monkeypatch.setattr(reparam, "_lifted_case", lifted_case)
     subjects = (("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw", 16),
                 ("P1(x)&P1(y)&P1(z)&P1(w)&P1(v)", "xyzwv", 65),
-                ("x<y & y<z & z<w & w<v", "xyzwv", 65),
-                ("P1(x) & y < x", "xy", 3))
+                ("x<y & y<z & z<w & w<v", "xyzwv", 1),
+                ("P1(x) & y < x", "xy", 1))
     for text, variables, cases in subjects:
         f = parse(text, sig1)
         visited.clear()
