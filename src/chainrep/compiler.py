@@ -483,24 +483,34 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
 def realizable_cases(f: Formula, sig: Signature, xs,
                      budget_states: int = DEFAULT_STATE_BUDGET):
     """The order cases of f over xs that some word realizes, as (rank tuple,
-    Dfa) pairs in the lexicographic order of the rank tuples; each Dfa,
-    built when its pair is reached, is the one compile publishes for the
-    case's formula over its representatives.
-
-    f is built once, under stage compile, over one track per variable of
-    xs.  A weak ordering is the sequence of track sets that a word's marked
-    positions mark.  A backward pass finds, per set of tracks used, the
-    states from which some word marks each other track once and accepts; a
-    forward search over sets of states follows only those.  A case's
-    automaton keeps the letters on which each class's tracks agree, read on
-    its representative's track.
-    """
+    Dfa) pairs in rank tuple order, each Dfa the one compile publishes for
+    the case's formula over its representatives.  f is built once, under
+    stage compile, over one track per variable of xs; a case's Dfa keeps
+    the letters on which each class's tracks agree, read on its
+    representative's track, and is built when its pair is reached."""
     xs = tuple(xs)
     builder = _Builder(sig, budget_states, "compile")
     a = builder.extend(builder.build(_checked(f, xs)), fo_add=xs)
-    k, full = sig.k, (1 << len(xs)) - 1
-    # still[q]: the states that words marking no track (letters below
-    # 1 << k) lead to from q
+    for ranks in _realizable_ranks(a, xs):
+        classes = rank_classes(xs, ranks)
+        merge = {v: c[0] for c in classes for v in c[1:]}
+        yield ranks, builder.to_public(builder.extend(a, merge=merge),
+                                       tuple(c[0] for c in classes))
+
+
+def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
+    """The rank tuples of the weak orderings of xs that words accepted by a
+    realize, sorted.  A weak ordering is the sequence of track sets that a
+    word's marked positions mark.  A backward pass finds, per set of tracks
+    used, the states from which some word marks each other track once and
+    accepts; a forward search over sets of states follows only those."""
+    k, full = a.sig.k, (1 << len(xs)) - 1
+
+    def union(masks):
+        return functools.reduce(int.__or__, masks, 0)
+
+    # sets of states are bit masks.  still[q]: the states that words
+    # marking no track (letters below 1 << k) lead to from q
     still = []
     for q in range(a.n):
         seen, todo = {q}, [q]
@@ -508,18 +518,18 @@ def realizable_cases(f: Formula, sig: Signature, xs,
             new = set(a.delta[todo.pop()][:1 << k]) - seen
             seen |= new
             todo += new
-        still.append(seen)
+        still.append(union(1 << r for r in seen))
     # after[q][t]: the same after a letter marking exactly the tracks t
-    after = [[set().union(*(still[row[lab | t << k]] for lab in range(1 << k)))
+    after = [[union(still[row[lab | t << k]] for lab in range(1 << k))
               for t in range(full + 1)] for row in a.delta]
     # live[used]: the states with a letter marking some tracks t outside
     # used into live[used | t], and live[full] the accepting ones; a set of
     # the search is closed under words marking no track, so it can still
     # accept exactly when it meets live[used]
-    live = {full: a.accepting}
+    live = {full: union(1 << q for q in a.accepting)}
     for used in reversed(range(full)):
-        live[used] = {q for q in range(a.n) if any(
-            after[q][t] & live[used | t] for t in range(1, full + 1) if not t & used)}
+        live[used] = union(1 << q for q in range(a.n) if any(
+            after[q][t] & live[used | t] for t in range(1, full + 1) if not t & used))
     patterns = []
 
     def search(states, used, pattern):
@@ -529,16 +539,13 @@ def realizable_cases(f: Formula, sig: Signature, xs,
             patterns.append(pattern)
         for t in range(1, full + 1):
             if not t & used:
-                search(set().union(*(after[q][t] for q in states)), used | t, pattern + (t,))
+                search(union(after[q][t] for q in range(a.n) if states >> q & 1),
+                       used | t, pattern + (t,))
 
     search(still[a.init], 0, ())
     bits = [1 << a.fo.index(v) for v in xs]
-    for ranks in sorted(tuple(next(i for i, t in enumerate(p) if t & b) for b in bits)
-                        for p in patterns):
-        classes = rank_classes(xs, ranks)
-        merge = {v: c[0] for c in classes for v in c[1:]}
-        yield ranks, builder.to_public(builder.extend(a, merge=merge),
-                                       tuple(c[0] for c in classes))
+    return sorted(tuple(next(i for i, t in enumerate(p) if t & b) for b in bits)
+                  for p in patterns)
 
 
 def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:

@@ -128,8 +128,8 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
     # domain tuple in that case's ascending order, with bound 1, and no
     # later case is built.  Only realizable cases are visited: the labelled
     # tuples realize every weak ordering, so their first strict case is the
-    # 16th of 75 at k = 4 and the 65th of 541 at k = 5, while the chains
-    # realize one ordering each, as every non-strict case of theirs is empty
+    # 16th of 75 at k = 4 and the 65th of 541 at k = 5, while the chain and
+    # P1(x) & y < x realize one ordering each, their other cases being empty
     visited = []
     real = reparam._lifted_case
 
