@@ -14,7 +14,11 @@ side has, a first-order quantifier on a variable its body does not mention,
 a complement and a Run leaf on all their tracks, and the final ascending
 pattern on the marked variables.  A conjunction needs nothing, as each side
 enforces its own tracks.  Projection, track merging and project_mark share
-one subset construction, which runs under the state budget.
+one subset construction, which runs under the state budget.  The product
+and the subset construction number their states breadth-first as they find
+them, so their tables go straight to partition refinement; only automata
+built otherwise (the small fixed ones, widened or merged tracks, a given
+Dfa) are trimmed first.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -99,16 +103,16 @@ class Dfa:
                 w = w.word
         elif self.marked:
             w = MarkedWord(w, ())
-        q = self.init
-        delta = self.delta
         if self.marked:
-            marks = set(w.marks)
-            bit = 1 << self.sig.k
-            for i, mask in enumerate(w.word.letters):
-                q = delta[q][mask | bit if i in marks else mask]
+            letters = list(w.word.letters)
+            bit = 1 << len(self.sig.preds)
+            for p in w.marks:
+                letters[p] |= bit
         else:
-            for mask in w.letters:
-                q = delta[q][mask]
+            letters = w.letters
+        q, delta = self.init, self.delta
+        for mask in letters:
+            q = delta[q][mask]
         return q in self.accepting
 
     def dump(self) -> str:
@@ -240,7 +244,7 @@ class _Builder:
     def valid(self, a: _Auto, tracks) -> _Auto:
         """a restricted to a single mark on each of the first-order tracks."""
         for v in tracks:
-            a = self.minimize(self.product(a, self.single_mark(a.fo, a.so, (v,)), "and"))
+            a = self.product(a, self.single_mark(a.fo, a.so, (v,)), "and")
         return a
 
     def extend(self, a: _Auto, fo_add=(), so_add=(), merge=None) -> _Auto:
@@ -290,6 +294,7 @@ class _Builder:
         return order, delta
 
     def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
+        """The minimal automaton of the product of a and b under op."""
         assert a.fo == b.fo and a.so == b.so
         order, delta = self.explore(
             (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])),
@@ -300,13 +305,13 @@ class _Builder:
         else:
             accepting = {i for i, (qa, qb) in enumerate(order)
                          if qa in a.accepting or qb in b.accepting}
-        return _Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting)
+        return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting))
 
     def complement(self, a: _Auto) -> _Auto:
         out = _Auto(self.sig, a.fo, a.so, a.n_letters, a.init,
                     [row[:] for row in a.delta],
                     set(range(a.n)) - a.accepting)
-        return self.minimize(self.valid(out, a.fo))
+        return self.valid(out, a.fo) if a.fo else self.minimize(out)
 
     def project(self, a: _Auto, kind: str, name: str) -> _Auto:
         if kind == "fo":
@@ -320,58 +325,37 @@ class _Builder:
         for letter in range(a.n_letters >> 1):
             l0 = (letter & low) | ((letter & ~low) << 1)
             groups.append((l0, l0 | 1 << bit))
-        return self.minimize(self.determinize(a, groups, fo, so))
+        return self.determinize(a, groups, fo, so)
 
     def determinize(self, a: _Auto, groups, fo=(), so=()) -> _Auto:
         """Subset construction in which new letter j reads any old letter in
-        groups[j]; the result is over the tracks fo and so, unminimized."""
+        groups[j]; the result is minimal, over the tracks fo and so."""
         order, delta = self.explore(
             frozenset({a.init}),
             lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
                          for group in groups],
             len(groups))
         accepting = {i for i, s in enumerate(order) if s & a.accepting}
-        return _Auto(self.sig, fo, so, len(groups), 0, delta, accepting)
+        return self.refine(_Auto(self.sig, fo, so, len(groups), 0, delta, accepting))
 
     def minimize(self, a: _Auto) -> _Auto:
         """The minimal automaton of a, its states in breadth-first order
-        from the initial state, letters in order.
-
-        The trim below numbers states breadth-first, and each class takes
-        the number of its first member.  A later member's successors lie in
-        the classes of the first member's, so the classes come out in the
-        breadth-first order of the quotient itself; publish relies on it.
-        """
-        # trim to reachable states first
+        from the initial state, letters in order: refine after a trim,
+        which numbers the reachable states breadth-first."""
         reach, delta = self.explore(a.init, a.delta.__getitem__)
-        accepting = {i for i, q in enumerate(reach) if q in a.accepting}
-        n = len(reach)
-        # Moore partition refinement
-        cls = [1 if q in accepting else 0 for q in range(n)]
-        while True:
-            sigs = {}
-            new = [0] * n
-            for q in range(n):
-                key = (cls[q], tuple(map(cls.__getitem__, delta[q])))
-                if key not in sigs:
-                    sigs[key] = len(sigs)
-                new[q] = sigs[key]
-            if new == cls:
-                break
-            cls = new
-        m = max(cls) + 1
-        if m == n:
-            out_delta, out_acc = delta, accepting
-        else:
-            rep = {}
-            for q in range(n):
-                rep.setdefault(cls[q], q)
-            # stable ids by first representative
-            order = sorted(rep, key=lambda c: rep[c])
-            newid = {c: i for i, c in enumerate(order)}
-            out_delta = [[newid[cls[t]] for t in delta[rep[c]]] for c in order]
-            out_acc = {newid[c] for c in order if rep[c] in accepting}
-        return _Auto(self.sig, a.fo, a.so, a.n_letters, 0, out_delta, out_acc)
+        return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta,
+                                 {i for i, q in enumerate(reach) if q in a.accepting}))
+
+    def refine(self, a: _Auto) -> _Auto:
+        """The minimal automaton of a, whose states must all be reachable
+        and numbered breadth-first from the initial state 0, as explore
+        leaves them.  The quotient comes out numbered the same way."""
+        cls, reps = _moore(a.delta, [q in a.accepting for q in range(a.n)])
+        if len(reps) == a.n:
+            return a
+        return _Auto(self.sig, a.fo, a.so, a.n_letters, 0,
+                     [[cls[t] for t in a.delta[r]] for r in reps],
+                     {i for i, r in enumerate(reps) if r in a.accepting})
 
     def ascending(self, fo, so, ordered_vars) -> _Auto:
         """Marks of ordered_vars appear one by one, in order, at distinct
@@ -412,13 +396,12 @@ class _Builder:
             case Not(g):
                 return self.complement(self.build(g))
             case And(l, r):
-                a, b = self.align(self.build(l), self.build(r))
-                return self.minimize(self.product(a, b, "and"))
+                return self.product(*self.align(self.build(l), self.build(r)), "and")
             case Or(l, r):
                 a, b = self.build(l), self.build(r)
                 one_sided = sorted(set(a.fo) ^ set(b.fo))
                 a, b = self.align(a, b)
-                return self.valid(self.minimize(self.product(a, b, "or")), one_sided)
+                return self.valid(self.product(a, b, "or"), one_sided)
             case Implies(l, r):
                 return self.build(Or(Not(l), r))
             case ExistsFO(v, g):
@@ -438,9 +421,8 @@ class _Builder:
     def to_public(self, a: _Auto, ordered_vars) -> Dfa:
         if not ordered_vars:
             assert not a.fo and not a.so
-            return self.publish(a, False)
+            return self.publish(self.minimize(a), False)
         a = self.product(a, self.ascending(a.fo, a.so, ordered_vars), "and")
-        a = self.minimize(a)
         # merge all tracks into the shared mark bit
         k = self.sig.k
         track_mask = ((a.n_letters - 1) >> k) << k
@@ -452,11 +434,34 @@ class _Builder:
         return self.publish(self.determinize(a, groups), True)
 
     def publish(self, a: _Auto, marked: bool, tracks: int = 1) -> Dfa:
-        """The minimal automaton of a, numbered as minimize leaves it:
+        """The minimal automaton a, numbered as minimize leaves it:
         breadth-first from the initial state 0, letters in order."""
-        out = self.minimize(a)
-        return Dfa(self.sig, marked, out.init, tuple(map(tuple, out.delta)),
-                   frozenset(out.accepting), tracks)
+        return Dfa(self.sig, marked, a.init, tuple(map(tuple, a.delta)),
+                   frozenset(a.accepting), tracks)
+
+
+def _moore(delta, labels):
+    """Moore partition refinement: the coarsest partition of the states of
+    delta that refines labels and that every letter respects, as the class
+    of each state, and the first state of each class.  Classes are numbered
+    in order of their first state, so a later member's successors lie in
+    the classes of the first member's: the quotient of a breadth-first
+    numbered table is numbered breadth-first too."""
+    # letters whose columns are equal split alike: refine on one of each
+    rows = list(zip(*dict.fromkeys(zip(*delta))))
+    cls = labels
+    while True:
+        sigs: dict = {}
+        new = [sigs.setdefault((c, tuple(map(cls.__getitem__, row))), len(sigs))
+               for c, row in zip(cls, rows)]
+        if new == cls:
+            break
+        cls = new
+    reps: list[int] = []
+    for q, c in enumerate(new):
+        if c == len(reps):
+            reps.append(q)
+    return new, reps
 
 
 def _auto_of(dfa: Dfa) -> _Auto:
@@ -616,11 +621,14 @@ class PreimageRanks:
         return min(self.cap, max((r + 1 for r in self.ranks if r is not None), default=0))
 
     def selectors(self, n: int) -> list[Dfa]:
-        """The published automata of the ranks below n <= cap."""
-        return [self.builder.publish(
-                    _Auto(self.builder.sig, (), (), len(self.delta[0]), 0, self.delta,
-                          {q for q, r in enumerate(self.ranks) if r == i}),
-                    True, self.tracks)
+        """The published automata of the ranks below n <= cap, each refined
+        from one quotient of the count table by its ranks."""
+        b = self.builder
+        cls, reps = _moore(self.delta, self.ranks)
+        delta = [[cls[t] for t in self.delta[r]] for r in reps]
+        return [b.publish(b.refine(_Auto(b.sig, (), (), len(delta[0]), 0, delta,
+                                         {q for q, r in enumerate(reps) if self.ranks[r] == i})),
+                          True, self.tracks)
                 for i in range(n)]
 
 
@@ -748,8 +756,8 @@ def first_fiber(m: MapAutomaton, word: Word, image):
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Language-preserving minimization of an already built automaton."""
-    return _Builder(dfa.sig, budget_states, "minimize").publish(
-        _auto_of(dfa), dfa.marked, dfa.tracks)
+    builder = _Builder(dfa.sig, budget_states, "minimize")
+    return builder.publish(builder.minimize(_auto_of(dfa)), dfa.marked, dfa.tracks)
 
 
 def dfa_empty(dfa: Dfa) -> bool:

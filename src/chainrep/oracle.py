@@ -32,15 +32,19 @@ Database and Knowledge-Base Systems", 1988).  The levels only grow in
 written order: no conjunct is tested ahead of one written before it.  The
 conjuncts of each tuple are therefore tried in the same order as by
 evaluating the whole formula on it, which keeps the answers, their order
-and the first error.  A loop whose value no deeper conjunct reads stops
-descending once the loops below it have found nothing, as the memo of a
-nested quantifier would.
+and the first error.  The conjuncts of one level are fused into one
+closure, so a candidate value costs one call.  A loop whose value no
+deeper conjunct reads stops descending once the loops below it have found
+nothing, as the memo of a nested quantifier would.
+
+An atom on variables that the formula does not bind reads their values
+directly and range-checks them; only when one is missing or out of range
+does it take the slow path, which raises for the first variable read.
 """
 
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from operator import eq, itemgetter, lt
@@ -82,19 +86,19 @@ _PROGRAMS: dict[int, "_Program"] = {}
 class _Program(NamedTuple):
     """A formula compiled for words over one signature.
 
-    `on(word)` loads the word for one public call and yields the closure
-    run(fo, so) -> bool; fo_vars and so_vars are the formula's free
-    variables in order of first occurrence.  conjuncts holds (closure, free
-    FO variables, free set variables) for each conjunct of the formula's
-    And tree, in written order, and plans the _levels of each variable list
-    searched.
+    `on(word)` is a context that loads the word for one public call and
+    gives the closure run(fo, so) -> bool; fo_vars and so_vars are the
+    formula's free variables in order of first occurrence.  conjuncts holds
+    (closure, free FO variables, free set variables) for each conjunct of
+    the formula's And tree, in written order, and plans the _levels of each
+    variable list searched.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
     so_vars: tuple[str, ...]
     conjuncts: tuple[tuple[Callable, tuple[str, ...], tuple[str, ...]], ...]
-    plans: dict[tuple[str, ...], tuple[list[list[Callable]], list[bool]]]
+    plans: dict[tuple[str, ...], tuple[list[Callable | None], list[bool]]]
     on: Callable
 
     def search(self, variables, values, out=None) -> int:
@@ -129,14 +133,17 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     subsets = range(1)
     used_memos: list[dict] = []
 
-    @contextmanager
-    def on(word):
-        nonlocal letters, n, positions, subsets
-        letters, n = word.letters, len(word)
-        positions, subsets = range(n), range(1 << n)
-        try:
-            yield run
-        finally:
+    class on:
+        def __init__(self, word):
+            self.word = word
+
+        def __enter__(self):
+            nonlocal letters, n, positions, subsets
+            letters, n = self.word.letters, len(self.word)
+            positions, subsets = range(n), range(1 << n)
+            return run
+
+        def __exit__(self, *exc):
             for memo in used_memos:
                 memo.clear()
             used_memos.clear()
@@ -224,7 +231,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 if a in bound_fo and b in bound_fo:
                     fn = lambda fo, so: op(fo[a], fo[b])
                 else:
-                    fn = lambda fo, so: op(_pos(fo, a, n), _pos(fo, b, n))
+                    # _pos names the first variable unbound or out of range
+                    def fn(fo, so):
+                        p, q = fo.get(a, -1), fo.get(b, -1)
+                        if 0 <= p < n and 0 <= q < n:
+                            return op(p, q)
+                        return op(_pos(fo, a, n), _pos(fo, b, n))
                 return fn, (a,) if a == b else (a, b), ()
             case Pred(name, v):
                 if name not in sig.preds:
@@ -236,7 +248,9 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                     if v in bound_fo:
                         fn = lambda fo, so: letters[fo[v]] & bit != 0
                     else:
-                        fn = lambda fo, so: letters[_pos(fo, v, n)] & bit != 0
+                        def fn(fo, so):
+                            p = fo.get(v, -1)
+                            return letters[p if 0 <= p < n else _pos(fo, v, n)] & bit != 0
                 return fn, (v,), ()
             case In(s, v):
                 def fn(fo, so):
@@ -324,34 +338,33 @@ def _both(a, b):
     return lambda fo, so: a(fo, so) and b(fo, so)
 
 
-def _levels(variables, parts) -> tuple[list[list[Callable]], list[bool]]:
+def _levels(variables, parts) -> tuple[list[Callable | None], list[bool]]:
     """(checks, blind) for searching the variables with the parts.
 
-    checks[i] holds the closures of the parts to test once variables[:i] are
-    bound.  A part sits at the loop that binds the last of its variables (a
-    repeated name is bound by its last loop), and never ahead of a part
-    written before it.  blind[i] is true when no part tested below loop i,
-    at a level past i + 1, reads variables[i].
+    checks[i] is the conjunction, as _every tests it, of the parts to test
+    once variables[:i] are bound, or None when there are none.  A part sits
+    at the loop that binds the last of its variables (a repeated name is
+    bound by its last loop), and never ahead of a part written before it.
+    blind[i] is true when no part tested below loop i, at a level past
+    i + 1, reads variables[i].
     """
     bound_at = {v: i for i, v in enumerate(variables, 1)}
-    checks: list[list[Callable]] = [[] for _ in range(len(variables) + 1)]
-    reads: list[set[str]] = [set() for _ in checks]
+    levels: list[list] = [[] for _ in range(len(variables) + 1)]
     level = 0
-    for fn, ffo, _ in parts:
-        level = max([level] + [bound_at.get(v, 0) for v in ffo])
-        checks[level].append(fn)
-        reads[level].update(ffo)
+    for part in parts:
+        level = max([level] + [bound_at.get(v, 0) for v in part[1]])
+        levels[level].append(part)
     blind, below = [], set()
     for i in reversed(range(len(variables))):
         blind.append(variables[i] not in below)
-        below |= reads[i + 1]
-    return checks, blind[::-1]
+        below.update(*(part[1] for part in levels[i + 1]))
+    return [_every(at)[0] if at else None for at in levels], blind[::-1]
 
 
 def _search(variables, plan, values, fo, so, out=None, first=False) -> int:
     """Number of tuples over values that pass every check, in lex order.
 
-    Loop i sets fo[variables[i]] and then runs checks[i + 1]; checks[0] run
+    Loop i sets fo[variables[i]] and then runs checks[i + 1]; checks[0] runs
     before the first loop, and only if some tuple exists.  out, when given,
     collects the tuples; first stops the search at the first one.
 
@@ -363,9 +376,8 @@ def _search(variables, plan, values, fo, so, out=None, first=False) -> int:
     k = len(variables)
     if k and not values:
         return 0
-    for test in checks[0]:
-        if not test(fo, so):
-            return 0
+    if checks[0] is not None and not checks[0](fo, so):
+        return 0
     if not k:
         if out is not None:
             out.append(())
@@ -376,25 +388,23 @@ def _search(variables, plan, values, fo, so, out=None, first=False) -> int:
     found = [0] * k  # hits when loop i last descended
     spent = False  # the loops below loop i found nothing and never will
     while i >= 0:
-        v, tests = variables[i], checks[i + 1]
+        v, test = variables[i], checks[i + 1]
         for value in loops[i]:
             fo[v] = tup[i] = value
-            for test in tests:
-                if not test(fo, so):
-                    break
-            else:
-                if i < last:
-                    if spent:
-                        continue
-                    found[i] = hits  # descend: the inner loop starts afresh
-                    i += 1
-                    loops[i] = iter(values)
-                    break
-                hits += 1
-                if out is not None:
-                    out.append(tuple(tup))
-                if first:
-                    return hits
+            if test is not None and not test(fo, so):
+                continue
+            if i < last:
+                if spent:
+                    continue
+                found[i] = hits  # descend: the inner loop starts afresh
+                i += 1
+                loops[i] = iter(values)
+                break
+            hits += 1
+            if out is not None:
+                out.append(tuple(tup))
+            if first:
+                return hits
         else:
             i -= 1
             spent = i >= 0 and blind[i] and hits == found[i]

@@ -43,7 +43,8 @@ class Word:
     letters: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+        if type(self.letters) is not tuple:
+            object.__setattr__(self, "letters", tuple(self.letters))
         top = 1 << self.sig.k
         for mask in self.letters:
             if not 0 <= mask < top:
@@ -78,12 +79,13 @@ class MarkedWord:
     marks: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "marks", tuple(self.marks))
-        prev = -1
+        if type(self.marks) is not tuple:
+            object.__setattr__(self, "marks", tuple(self.marks))
+        n, prev = len(self.word.letters), -1
         for p in self.marks:
-            if not 0 <= p < len(self.word):
-                raise InputError(f"mark {p} out of range")
-            if p <= prev:
+            if not prev < p < n:
+                if not 0 <= p < n:
+                    raise InputError(f"mark {p} out of range")
                 raise InputError("marks must be strictly ascending")
             prev = p
 

@@ -62,6 +62,39 @@ def test_mark_order_is_variable_order(sig1):
     assert not dfa_swapped.run(MarkedWord(w, (0, 1)))
 
 
+def _walk(dfa, word, marks=()):
+    """Acceptance by reading delta one letter at a time."""
+    q = dfa.init
+    for i, mask in enumerate(word.letters):
+        q = dfa.delta[q][mask | (1 << dfa.sig.k if i in marks else 0)]
+    return q in dfa.accepting
+
+
+def test_run_matches_a_walk_of_delta(sig1, sig2):
+    for sig, text, variables in ((sig1, "P1(x)", ("x",)),
+                                 (sig2, "x < y -> P2(y)", ("x", "y")),
+                                 (sig1, GROUP_TEXT, ("x", "y")),
+                                 (sig2, "ex v. (P1(v) & ~ex u. u < v)", ())):
+        dfa = compile(parse(text, sig), sig, variables)
+        for w in all_words(sig, 4):
+            assert dfa.run(w) is _walk(dfa, w)
+            # a plain automaton reads a marked word without marks
+            sizes = range(len(w) + 1) if dfa.marked else (0,)
+            for size in sizes:
+                for marks in itertools.combinations(range(len(w)), size):
+                    assert dfa.run(MarkedWord(w, marks)) is _walk(dfa, w, marks)
+
+
+def test_run_rejects_what_it_cannot_read(sig1):
+    w = Word(sig1, (1, 0))
+    plain = compile(parse("ex v. P1(v)", sig1), sig1)
+    with pytest.raises(InputError, match="^plain automaton cannot read marks$"):
+        plain.run(MarkedWord(w, (0,)))
+    two = compiler.Dfa(sig1, True, 0, ((0,) * 8,), frozenset({0}), tracks=2)
+    with pytest.raises(InputError, match="^a marked word cannot fill one track per variable$"):
+        two.run(MarkedWord(w, ()))
+
+
 def test_unmarked_free_variable_rejected(sig1):
     with pytest.raises(InputError):
         compile(parse("P1(x)", sig1), sig1)

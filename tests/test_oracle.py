@@ -186,6 +186,65 @@ def test_search_keeps_the_first_error(sig1):
         count_in_set(parse(spent, sig1), w, range(2), ("x", "y"))
 
 
+# an atom on variables that the formula does not bind reads them directly
+# and falls back to the full check only when one is missing or out of
+# range: the message, and the variable it names first, stay the same.
+# The inputs: x missing, y missing, x out of range, a negative position
+# and both variables bad
+_PAIR = ({"y": 0}, {"x": 0}, {"x": 2, "y": 0}, {"x": 1, "y": -1}, {"x": -2, "y": 5})
+_PAIR_ERRORS = ("unbound variable 'x'", "unbound variable 'y'",
+                "position 2 of 'x' out of range", "position -1 of 'y' out of range",
+                "position -2 of 'x' out of range")
+_ATOM_CASES = {
+    "x < y": (_PAIR, _PAIR_ERRORS),
+    "x = y": (_PAIR, _PAIR_ERRORS),
+    "P1(x)": (_PAIR[:3] + ({"x": -1, "y": 0},) + _PAIR[4:],
+              ("unbound variable 'x'", True, "position 2 of 'x' out of range",
+               "position -1 of 'x' out of range", "position -2 of 'x' out of range")),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_ATOM_CASES))
+@pytest.mark.parametrize("case", range(5))
+def test_free_atoms_keep_their_errors(sig1, text, case):
+    f = parse(text, sig1)
+    fo, want = (column[case] for column in _ATOM_CASES[text])
+    if want is True:
+        assert evaluate(f, Word(sig1, (1, 0)), fo=fo) is True
+    else:
+        with pytest.raises(InputError, match=f"^{want}$"):
+            evaluate(f, Word(sig1, (1, 0)), fo=fo)
+
+
+@pytest.mark.parametrize("text", sorted(_ATOM_CASES))
+def test_free_atoms_keep_their_errors_in_a_count(sig1, text):
+    # a search binds only positions of the word, so here a variable can
+    # only be missing: searching y leaves x unbound, and x leaves y
+    w = Word(sig1, (1, 0))
+    f = parse(text, sig1)
+    for variables in (("y",), ()):
+        with pytest.raises(InputError, match="^unbound variable 'x'$"):
+            count_in_set(f, w, range(2), variables)
+    if text == "P1(x)":
+        assert count_in_set(f, w, range(2), ("x",)) == 1
+    else:
+        with pytest.raises(InputError, match="^unbound variable 'y'$"):
+            count_in_set(f, w, range(2), ("x",))
+
+
+def test_a_level_tests_its_conjuncts_in_order(sig1):
+    # the three conjuncts share one level; the second raises, and only
+    # once the first has passed
+    count = parse("P1(x) & v = v & x = x", sig1)
+    assert count_in_set(count, Word(sig1, (0, 0)), range(2), ("x",)) == 0
+    with pytest.raises(InputError, match="^unbound variable 'v'$"):
+        count_in_set(count, Word(sig1, (0, 1)), range(2), ("x",))
+    block = parse("ex x. ex y. (x < y & v = v & P1(y))", sig1)
+    assert evaluate(block, Word(sig1, (1,)), fo={"v": 5}) is False
+    with pytest.raises(InputError, match="^position 5 of 'v' out of range$"):
+        evaluate(block, Word(sig1, (0, 0)), fo={"v": 5})
+
+
 def test_memoization_respects_scope(sig1):
     # same subformula object under different outer assignments
     w = Word(sig1, (1, 0, 0, 1))

@@ -30,6 +30,24 @@ def test_marked_word_validation(sig1):
         MarkedWord(w, (3,))  # out of range
 
 
+@pytest.mark.parametrize("marks, message", [
+    ((2, 5), "mark 5 out of range"),
+    ((1, -1), "mark -1 out of range"),
+    ((2, 1), "marks must be strictly ascending"),
+    ((1, 1), "marks must be strictly ascending"),
+])
+def test_marked_word_messages(sig1, marks, message):
+    # a mark out of range is named before an order it breaks
+    with pytest.raises(InputError, match=f"^{message}$"):
+        MarkedWord(Word(sig1, (0, 1, 0)), marks)
+
+
+def test_marks_and_letters_are_stored_as_tuples(sig1):
+    mw = MarkedWord(Word(sig1, [0, 1, 0]), [0, 2])
+    assert mw.marks == (0, 2) and mw.word.letters == (0, 1, 0)
+    assert mw == MarkedWord(Word(sig1, (0, 1, 0)), (0, 2))
+
+
 def test_marked_render(sig1):
     mw = MarkedWord(Word(sig1, (1, 0)), (1,))
     assert mw.render() == "[P1, .*]"
