@@ -346,11 +346,13 @@ class _Builder:
         return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta,
                                  {i for i, q in enumerate(reach) if q in a.accepting}))
 
-    def refine(self, a: _Auto) -> _Auto:
+    def refine(self, a: _Auto, rows=None) -> _Auto:
         """The minimal automaton of a, whose states must all be reachable
         and numbered breadth-first from the initial state 0, as explore
-        leaves them.  The quotient comes out numbered the same way."""
-        cls, reps = _moore(a.delta, [q in a.accepting for q in range(a.n)])
+        leaves them.  The quotient comes out numbered the same way.  rows,
+        when given, are a's rows on letters that hold one of each distinct
+        column of a.delta, which split its states alike."""
+        cls, reps = _moore(rows or a.delta, [q in a.accepting for q in range(a.n)])
         if len(reps) == a.n:
             return a
         return _Auto(self.sig, a.fo, a.so, a.n_letters, 0,
@@ -447,13 +449,11 @@ def _moore(delta, labels):
     in order of their first state, so a later member's successors lie in
     the classes of the first member's: the quotient of a breadth-first
     numbered table is numbered breadth-first too."""
-    # letters whose columns are equal split alike: refine on one of each
-    rows = list(zip(*dict.fromkeys(zip(*delta))))
     cls = labels
     while True:
         sigs: dict = {}
         new = [sigs.setdefault((c, tuple(map(cls.__getitem__, row))), len(sigs))
-               for c, row in zip(cls, rows)]
+               for c, row in zip(cls, delta)]
         if new == cls:
             break
         cls = new
@@ -626,8 +626,10 @@ class PreimageRanks:
         b = self.builder
         cls, reps = _moore(self.delta, self.ranks)
         delta = [[cls[t] for t in self.delta[r]] for r in reps]
+        rows = list(zip(*dict.fromkeys(zip(*delta))))
         return [b.publish(b.refine(_Auto(b.sig, (), (), len(delta[0]), 0, delta,
-                                         {q for q, r in enumerate(reps) if self.ranks[r] == i})),
+                                         {q for q, r in enumerate(reps) if self.ranks[r] == i}),
+                                   rows),
                           True, self.tracks)
                 for i in range(n)]
 

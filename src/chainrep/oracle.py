@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import eq, itemgetter, lt
 from typing import Callable, NamedTuple
 
@@ -133,20 +133,16 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     subsets = range(1)
     used_memos: list[dict] = []
 
-    class on:
-        def __init__(self, word):
-            self.word = word
+    def load(word):
+        nonlocal letters, n, positions, subsets
+        letters, n = word.letters, len(word)
+        positions, subsets = range(n), range(1 << n)
+        return run
 
-        def __enter__(self):
-            nonlocal letters, n, positions, subsets
-            letters, n = self.word.letters, len(self.word)
-            positions, subsets = range(n), range(1 << n)
-            return run
-
-        def __exit__(self, *exc):
-            for memo in used_memos:
-                memo.clear()
-            used_memos.clear()
+    def unload():
+        for memo in used_memos:
+            memo.clear()
+        used_memos.clear()
 
     def memoized(compute, fo_vars, so_vars):
         # a subformula's truth depends only on the values of its own free
@@ -315,7 +311,23 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     top = tuple(conjuncts(f, frozenset(), frozenset()))
     run, fo_vars, so_vars = _every(top)
-    return _Program(sig, fo_vars, so_vars, top, {}, on)
+    return _Program(sig, fo_vars, so_vars, top, {}, partial(_Loaded, load, unload))
+
+
+class _Loaded:
+    """The context of one public call: it loads the word and gives the
+    program's run closure, and on exit it empties the memos of the call."""
+
+    __slots__ = ("load", "unload", "word")
+
+    def __init__(self, load, unload, word):
+        self.load, self.unload, self.word = load, unload, word
+
+    def __enter__(self):
+        return self.load(self.word)
+
+    def __exit__(self, *exc):
+        self.unload()
 
 
 def _every(parts):
