@@ -15,10 +15,8 @@ a complement and a Run leaf on all their tracks, and the final ascending
 pattern on the marked variables.  A conjunction needs nothing, as each side
 enforces its own tracks.  Projection, track merging and project_mark share
 one subset construction, which runs under the state budget.  The product
-and the subset construction number their states breadth-first as they find
-them, so their tables go straight to partition refinement; only automata
-built otherwise (the small fixed ones, widened or merged tracks, a given
-Dfa) are trimmed first.
+and the subset construction number their states breadth-first, so their
+tables go straight to partition refinement; other automata are trimmed first.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -347,11 +345,9 @@ class _Builder:
                                  {i for i, q in enumerate(reach) if q in a.accepting}))
 
     def refine(self, a: _Auto, rows=None) -> _Auto:
-        """The minimal automaton of a, whose states must all be reachable
-        and numbered breadth-first from the initial state 0, as explore
-        leaves them.  The quotient comes out numbered the same way.  rows,
-        when given, are a's rows on letters that hold one of each distinct
-        column of a.delta, which split its states alike."""
+        """The minimal automaton of a, whose states explore numbered: all
+        reachable, breadth-first from 0; the quotient keeps that order.  rows,
+        when given, are a's rows on one letter of each distinct column."""
         cls, reps = _moore(rows or a.delta, [q in a.accepting for q in range(a.n)])
         if len(reps) == a.n:
             return a
@@ -443,12 +439,10 @@ class _Builder:
 
 
 def _moore(delta, labels):
-    """Moore partition refinement: the coarsest partition of the states of
-    delta that refines labels and that every letter respects, as the class
-    of each state, and the first state of each class.  Classes are numbered
-    in order of their first state, so a later member's successors lie in
-    the classes of the first member's: the quotient of a breadth-first
-    numbered table is numbered breadth-first too."""
+    """Moore refinement: the coarsest congruence of delta that refines
+    labels, as each state's class, and each class's first state.  Classes
+    are numbered by first state, so a later member's successors lie in the
+    first member's classes, and a breadth-first table's quotient is too."""
     cls = labels
     while True:
         sigs: dict = {}

@@ -227,7 +227,6 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 if a in bound_fo and b in bound_fo:
                     fn = lambda fo, so: op(fo[a], fo[b])
                 else:
-                    # _pos names the first variable unbound or out of range
                     def fn(fo, so):
                         p, q = fo.get(a, -1), fo.get(b, -1)
                         if 0 <= p < n and 0 <= q < n:
@@ -317,8 +316,6 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 class _Loaded:
     """The context of one public call: it loads the word and gives the
     program's run closure, and on exit it empties the memos of the call."""
-
-    __slots__ = ("load", "unload", "word")
 
     def __init__(self, load, unload, word):
         self.load, self.unload, self.word = load, unload, word
