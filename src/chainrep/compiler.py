@@ -620,6 +620,7 @@ class PreimageRanks:
         b = self.builder
         cls, reps = _moore(self.delta, self.ranks)
         delta = [[cls[t] for t in self.delta[r]] for r in reps]
+        # a count table repeats most of its columns: refine on one of each
         rows = list(zip(*dict.fromkeys(zip(*delta))))
         return [b.publish(b.refine(_Auto(b.sig, (), (), len(delta[0]), 0, delta,
                                          {q for q, r in enumerate(reps) if self.ranks[r] == i}),
