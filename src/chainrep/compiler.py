@@ -482,19 +482,21 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
 def realizable_cases(f: Formula, sig: Signature, xs,
                      budget_states: int = DEFAULT_STATE_BUDGET):
     """The order cases of f over xs that some word realizes, as (rank tuple,
-    Dfa) pairs in rank tuple order, each Dfa the one compile publishes for
-    the case's formula over its representatives.  f is built once, under
-    stage compile, over one track per variable of xs; a case's Dfa keeps
-    the letters on which each class's tracks agree, read on its
-    representative's track, and is built when its pair is reached."""
+    build) pairs in rank tuple order, where build() makes the Dfa compile
+    publishes for the case's formula over its representatives.  f is built
+    once, under stage compile, over one track per variable of xs; a case's
+    Dfa keeps the letters on which each class's tracks agree, read on its
+    representative's track."""
     xs = tuple(xs)
     builder = _Builder(sig, budget_states, "compile")
     a = builder.extend(builder.build(_checked(f, xs)), fo_add=xs)
-    for ranks in _realizable_ranks(a, xs):
-        classes = rank_classes(xs, ranks)
-        merge = {v: c[0] for c in classes for v in c[1:]}
-        yield ranks, builder.to_public(builder.extend(a, merge=merge),
-                                       tuple(c[0] for c in classes))
+
+    def build(classes):
+        return builder.to_public(builder.extend(a, merge={v: c[0] for c in classes for v in c[1:]}),
+                                 tuple(c[0] for c in classes))
+
+    return [(ranks, functools.partial(build, rank_classes(xs, ranks)))
+            for ranks in _realizable_ranks(a, xs)]
 
 
 def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:

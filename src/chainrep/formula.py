@@ -582,11 +582,11 @@ def _subst(f, m, fresh):
         case Run(dfa, vs):
             return Run(dfa, tuple(m.get(v, v) for v in vs))
         case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
-            fvs = set(free_variables(g))
-            live = {k: w for k, w in m.items() if k != v and k in fvs}
+            live = {k: w for k, w in m.items() if k != v}
             if not live:
                 return f
-            if v in live.values():
+            if v in live.values() and \
+                    {k for k, w in live.items() if w == v} & set(free_variables(g)):
                 nv = fresh(v)
                 g = _subst(g, {v: nv}, fresh)
                 v = nv
@@ -603,6 +603,30 @@ def conj(formulas) -> Formula:
     for g in formulas[1:]:
         out = And(out, g)
     return out
+
+
+def conjuncts(f: Formula) -> list[Formula]:
+    """The operands of f's top-level conjunction, left to right, except true."""
+    if isinstance(f, And):
+        return conjuncts(f.left) + conjuncts(f.right)
+    return [] if f == TRUE else [f]
+
+
+def one_point(f: Formula) -> Formula:
+    """f with the one-point rule applied bottom-up: `ex u. φ`, where `u = t`
+    or `t = u` (t not u) is a top-level conjunct of φ, becomes φ's other
+    conjuncts with t for u, renamed capture-free by substitute."""
+    def go(g):
+        g = map_subformulas(g, go)
+        if isinstance(g, ExistsFO):
+            parts = conjuncts(g.body)
+            for i, p in enumerate(parts):
+                if isinstance(p, Equal) and p.left != p.right and g.var in (p.left, p.right):
+                    t = p.right if p.left == g.var else p.left
+                    return substitute(conj(parts[:i] + parts[i + 1:]), {g.var: t})
+        return g
+
+    return go(f)
 
 
 def disj(formulas) -> Formula:

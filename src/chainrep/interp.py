@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
-                      free_set_variables, free_variables, parse, render, substitute)
+                      free_set_variables, free_variables, one_point, parse, render,
+                      substitute)
 from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks
 from .oracle import CheckReport, satisfying_tuples
 from .reparam import Reparameterization, minimal_reparameterization, refine_with_ranks
@@ -339,7 +340,7 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
         for i in range(1, rep.bound + 1):
             name = f"{c.name}.{i}"
             selector = Run(selectors[i - 1], tracks) if selectors else rep.g
-            universe = exists_wrap(rep.domain_vars, selector)
+            universe = one_point(exists_wrap(rep.domain_vars, selector))
             parts.append(ReducedComponent(name, c.name, i, rep, selector))
             new_components.append(Component(name, rep.dimension, universe,
                                             rep.image_vars))
@@ -375,8 +376,7 @@ def _reduced_rule(spec: InterpretationSpec, rule: RelationRule, combo,
         slot_ys.append(ys)
     flat_xs = [v for xs in slot_xs for v in xs]
     inner = substitute(rule.formula, dict(zip(rule.variables, flat_xs)), supply)
-    body = conj(selectors + [inner])
-    formula = exists_wrap(flat_xs, body)
+    formula = one_point(exists_wrap(flat_xs, conj(selectors + [inner])))
     variables = tuple(v for ys in slot_ys for v in ys)
     return RelationRule(rule.relation, tuple(combo), formula, variables)
 

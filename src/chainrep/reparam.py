@@ -12,21 +12,24 @@ no smaller image can cover it.
 Most of the work happens per order case (a fixed weak ordering of the
 domain tuple), where satisfying assignments are strictly ascending markings
 of a word and the type algebra of segments applies.  Only the cases some
-word realizes are visited, one at a time, and the first strict case (every
-class a singleton) that is rigid at full width ends the search: the
+word realizes are visited.  The strict ones (every class a singleton) are
+tested first: the first that is rigid at full width ends the search, the
 dimension is then the arity k, and the identity map, reading the domain
-tuple in that case's ascending order, has bound 1.  Below full width the
-case maps are glued into one union.
+tuple in that case's ascending order, has bound 1.  Below full width every
+case is reduced and the case maps are glued into one union.  Every map
+states its source once, as `source & h`, where the selector h holds only
+order-case constraints, guards, image equalities and the `ex` over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 from .errors import InputError, ResourceLimitError
-from .formula import (FALSE, And, Equal, Formula, NameSupply, Run, Signature, all_vars,
-                      conj, disj, exists_wrap, free_variables, order_case_split,
-                      substitute)
+from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
+                      all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
+                      one_point, order_case_split, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
                        compile as compile_dfa, map_automaton, minimize_dfa,
                        preimage_ranks, realizable_cases)
@@ -140,7 +143,9 @@ class Reparameterization:
 
     g relates domain and image variables; over each word, every satisfying
     assignment of source gets exactly one image, only satisfying
-    assignments get one, and at most `bound` of them share it.
+    assignments get one, and at most `bound` of them share it.  A map built
+    here is `source & h` (the empty map is false) and keeps its selector h
+    for compose and combine_disjuncts, which read g when h is None.
     """
 
     source: Formula
@@ -150,6 +155,7 @@ class Reparameterization:
     g: Formula
     bound: int
     provenance: Step
+    h: Formula | None = None
 
     @property
     def dimension(self) -> int:
@@ -225,6 +231,13 @@ def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterizati
                               Step("empty", "no satisfying assignment on any word"))
 
 
+def _thin(source: Formula, sig: Signature, domain_vars, image_vars, h: Formula,
+          bound: int, provenance: Step) -> Reparameterization:
+    """The map `source & h`, written as source followed by h's conjuncts."""
+    return Reparameterization(source, sig, tuple(domain_vars), tuple(image_vars),
+                              conj([source] + conjuncts(h)), bound, provenance, h)
+
+
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
                        n_families: int, monoid_size: int,
                        supply: NameSupply | None = None) -> Reparameterization:
@@ -246,33 +259,31 @@ def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
     eqs = [Equal(us[j], domain_vars[j] if j < index - 1 else domain_vars[j + 1])
            for j in range(k - 1)]
     bound = n_families * ramsey_bound(monoid_size)
-    return Reparameterization(
-        source, sig, domain_vars, us, conj([source] + eqs), bound,
-        Step("eliminate", f"variable {index} of {k}; "
-                          f"bound {n_families} families x B({monoid_size})"))
+    return _thin(source, sig, domain_vars, us, conj(eqs), bound,
+                 Step("eliminate", f"variable {index} of {k}; "
+                                   f"bound {n_families} families x B({monoid_size})"))
 
 
 def compose(first: Reparameterization, second: Reparameterization) -> Reparameterization:
     """first then second; fibers multiply.
 
     second's domain must match first's image up to renaming, and its image
-    must not collide with first's image names.
+    must not collide with first's image names.  second's source must hold
+    of first's images, as `ex xs. first.g` does, so h is `ex mids. (h1 &
+    h2)`, simplified by the one-point rule.
     """
     mids = tuple(first.image_vars)
-    if tuple(second.domain_vars) == mids:
-        g2 = second.g
-    else:
+    h2 = second.h or second.g
+    if tuple(second.domain_vars) != mids:
         if len(second.domain_vars) != len(mids):
             raise InputError("composition arity mismatch")
         if set(mids) & set(second.image_vars):
             raise InputError("variable collision in composition")
-        g2 = substitute(second.g, dict(zip(second.domain_vars, mids)))
-    g = exists_wrap(mids, And(first.g, g2))
-    return Reparameterization(
-        first.source, first.signature, first.domain_vars, second.image_vars,
-        g, first.bound * second.bound,
-        Step("compose", f"{first.bound} x {second.bound}",
-             (first.provenance, second.provenance)))
+        h2 = substitute(h2, dict(zip(second.domain_vars, mids)))
+    h = one_point(exists_wrap(mids, conj(conjuncts(first.h or first.g) + conjuncts(h2))))
+    return _thin(first.source, first.signature, first.domain_vars, second.image_vars, h,
+                 first.bound * second.bound, Step("compose", f"{first.bound} x {second.bound}",
+                                                  (first.provenance, second.provenance)))
 
 
 def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
@@ -280,7 +291,8 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     """Union of guarded reparameterizations over one domain.
 
     parts are (guard, rep) pairs whose guards cover the source domain and
-    are pairwise disjoint, so the j-th branch is just `guard_j & g_j`.
+    are pairwise disjoint, and under its guard each rep's source agrees
+    with source, so h is the plain union of the branches `guard_j & h_j`.
     Both callers meet this: `_minrep` guards by order-case constraints, one
     per weak ordering, and `_case_rep` by type-tuple automata of disjoint
     family groups, since each marking has exactly one tuple of segment
@@ -306,21 +318,15 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     width = max(len(rep.image_vars) for _, rep in parts)
     ys = tuple(supply.fresh("y") for _ in range(width))
     branches = []
-    total = 0
-    children = []
     for guard, rep in parts:
         mj = len(rep.image_vars)
-        gj = substitute(rep.g, dict(zip(rep.image_vars, ys[:mj])), supply) if mj else rep.g
-        pieces = [guard, gj]
-        if mj < width:
-            base = ys[mj - 1] if mj else domain_vars[0]
-            pieces += [Equal(ys[t], base) for t in range(mj, width)]
-        branches.append(conj(pieces))
-        total += rep.bound
-        children.append(rep.provenance)
-    return Reparameterization(
-        source, sig, domain_vars, ys, disj(branches), total,
-        Step("combine", f"{len(parts)} guarded branches", tuple(children)))
+        hj = substitute(rep.h or rep.g, dict(zip(rep.image_vars, ys[:mj])), supply)
+        base = ys[mj - 1] if mj else domain_vars[0]
+        branches.append(conj(conjuncts(guard) + conjuncts(hj)
+                             + [Equal(ys[t], base) for t in range(mj, width)]))
+    return _thin(source, sig, domain_vars, ys, disj(branches), sum(rep.bound for _, rep in parts),
+                 Step("combine", f"{len(parts)} guarded branches",
+                      tuple(rep.provenance for _, rep in parts)))
 
 
 def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
@@ -365,12 +371,11 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
     return minimize_dfa(raw, budget_states)
 
 
-def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
-              budget_states: int, dfa: Dfa) -> Reparameterization:
-    """Reparameterize one order case, valid under its ascending pattern."""
-    ys = tuple(ys)
+def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
+              supply: NameSupply, budget_states: int) -> Reparameterization:
+    """Reparameterize one order case from its algebra, valid under its ascending pattern."""
+    ys = algebra.variables
     kc = len(ys)
-    algebra = TypeAlgebra.build(case_formula, sig, ys, budget_states, dfa=dfa)
     families = local_normal_form(algebra)
     elim = [eliminable_pairs(algebra, d) for d in families]
     rigid = next((d for d, e in zip(families, elim) if not e), None)
@@ -380,11 +385,9 @@ def _case_rep(case_formula: Formula, sig: Signature, ys, supply: NameSupply,
         # strict case of the top-level formula, kc is the arity and
         # _minrep stops here
         img = tuple(supply.fresh("y") for _ in range(kc))
-        g = conj([case_formula] + [Equal(img[j], ys[j]) for j in range(kc)])
-        return Reparameterization(
-            case_formula, sig, ys, img, g, 1,
-            Step("rigid", f"family {rigid.types} pumps at every mark; "
-                          f"width {kc} is minimal"))
+        return _thin(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
+                     Step("rigid", f"family {rigid.types} pumps at every mark; "
+                                   f"width {kc} is minimal"))
     shared = set(range(1, kc + 1))
     for e in elim:
         shared &= set(e)
@@ -421,59 +424,62 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     us = step.image_vars
     if us:
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
-                             compile_dfa(psi, sig, us, budget_states), supply, budget_states)
+                             TypeAlgebra.build(psi, sig, us, budget_states),
+                             supply, budget_states)
     else:
         inner = _minrep(psi, sig, us, supply, budget_states)
     return compose(step, inner)
 
 
 def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
-                 dfa: Dfa, supply: NameSupply, budget_states: int) -> Reparameterization:
-    """The map of one nonempty order case of f over xs.  classes are the
-    case's equality classes in ascending order, case_formula mentions only
-    their first members, and dfa is its automaton over them."""
-    reps = tuple(c[0] for c in classes)
-    inner = _case_rep(case_formula, sig, reps, supply, budget_states, dfa)
+                 algebra: TypeAlgebra, supply: NameSupply,
+                 budget_states: int) -> Reparameterization:
+    """The map of one nonempty order case of f over xs, under its constraint:
+    classes are its equality classes in ascending order, case_formula
+    mentions only their first members, and algebra is its type algebra."""
+    inner = _case_rep(case_formula, sig, algebra, supply, budget_states)
     pattern = "<".join("=".join(c) for c in classes)
-    return Reparameterization(f, sig, xs, inner.image_vars, inner.g, inner.bound,
-                              Step("case", pattern, (inner.provenance,)))
+    return _thin(f, sig, xs, inner.image_vars, inner.h, inner.bound,
+                 Step("case", pattern, (inner.provenance,)))
 
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
             budget_states: int) -> Reparameterization:
     """The map of f over xs, glued from the order cases that one build of f
-    (compiler.realizable_cases) finds realizable, each with its automaton;
-    only those cases are substituted and reduced."""
+    (compiler.realizable_cases) finds realizable; only those cases
+    are substituted and reduced, each from its automaton.  The strict
+    cases are tested for rigidity first, which draws no names, so a rigid
+    one is found before any case is reduced."""
     xs = tuple(xs)
-    if not xs:
-        if next(realizable_cases(f, sig, (), budget_states), None) is None:
-            return _unsat_rep(f, sig, xs)
-        return Reparameterization(f, sig, (), (), f, 1,
-                                  Step("base", "satisfiable sentence"))
     split = order_case_split(f, xs)
-    parts = []
-    for ranks, dfa in realizable_cases(f, sig, xs, budget_states):
-        case = split.case(ranks)
-        lifted = _lifted_case(f, sig, xs, case.classes, case.formula, dfa, supply,
-                              budget_states)
-        if lifted.dimension == len(xs):
-            # only a strict case can keep width k, and only when rigid: the
-            # dimension is k, and the domain tuple read in this case's
-            # ascending order is its own image
-            ys = lifted.image_vars
-            g = conj([f] + [Equal(y, r) for y, r in zip(ys, case.representatives)])
-            return Reparameterization(
-                f, sig, xs, ys, g, 1,
-                Step("identity", f"width {len(xs)} is the arity: the image is the "
-                                 "domain tuple in ascending order", (lifted.provenance,)))
-        parts.append((case.constraint, lifted))
-    if not parts:
+    builds = dict(realizable_cases(f, sig, xs, budget_states))
+    if not builds:
         return _unsat_rep(f, sig, xs)
-    if len(parts) == 1:
-        guard, rep = parts[0]
-        return Reparameterization(f, sig, xs, rep.image_vars,
-                                  And(guard, rep.g), rep.bound, rep.provenance)
-    return combine_disjuncts(f, sig, xs, parts, supply)
+    if not xs:
+        return _thin(f, sig, (), (), TRUE, 1, Step("base", "satisfiable sentence"))
+
+    @functools.cache
+    def case_algebra(ranks):
+        case = split.case(ranks)
+        return case, TypeAlgebra.build(case.formula, sig, case.representatives,
+                                       budget_states, dfa=builds[ranks]())
+
+    for ranks in builds:
+        if len(set(ranks)) == len(xs):
+            case, algebra = case_algebra(ranks)
+            if any(not eliminable_pairs(algebra, d) for d in local_normal_form(algebra)):
+                # only a rigid strict case keeps width k: the dimension is k, and
+                # the domain tuple in the case's ascending order is its own image
+                lifted = _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
+                                      supply, budget_states)
+                return replace(lifted, provenance=Step(
+                    "identity", f"width {len(xs)} is the arity: the image is the domain "
+                                "tuple in ascending order", (lifted.provenance,)))
+    parts = [(case.constraint, _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
+                                            supply, budget_states))
+             for case, algebra in map(case_algebra, builds)]
+    # f implies the constraint of its only realizable case
+    return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts, supply)
 
 
 def refine_with_ranks(rep: Reparameterization,
@@ -493,9 +499,8 @@ def refine_with_ranks(rep: Reparameterization,
                                          rep.image_vars, budget_states), rep.bound)
     most = ranks.largest_fiber
     if most < rep.bound:
-        rep = Reparameterization(
-            rep.source, rep.signature, rep.domain_vars, rep.image_vars,
-            rep.g, most, Step("refine", f"exact bound {most}", (rep.provenance,)))
+        rep = replace(rep, bound=most,
+                      provenance=Step("refine", f"exact bound {most}", (rep.provenance,)))
     return rep, ranks
 
 
@@ -511,9 +516,8 @@ def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameteriza
     try:
         return refine_with_ranks(rep, budget_states)[0]
     except ResourceLimitError as e:
-        return Reparameterization(
-            rep.source, rep.signature, rep.domain_vars, rep.image_vars, rep.g, rep.bound,
-            Step("unrefined", f"bound {rep.bound} kept: {e}", (rep.provenance,)))
+        return replace(rep, provenance=Step("unrefined", f"bound {rep.bound} kept: {e}",
+                                            (rep.provenance,)))
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,

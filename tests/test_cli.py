@@ -49,7 +49,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "bc5f1959f763f1f15368f477e9915e6dc9e1e88d"
+        "b0630a74c51252493e6a33250bea44afa6abe63a"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):

@@ -120,9 +120,10 @@ def test_empty_and_equivalent(sig1):
 
 
 def test_realizable_cases_are_the_nonempty_order_cases(sig1):
-    # the one build over k tracks yields exactly the order cases whose own
-    # compile is nonempty, in the split's order, each with that compile's
-    # automaton; the split builds every case alike from its rank tuple
+    # the one build over k tracks lists exactly the order cases whose own
+    # compile is nonempty, in the split's order, each building that
+    # compile's automaton; the split builds every case alike from its rank
+    # tuple
     subjects = [(sig, f, fo) for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3))
                 for sig, fo, f in formula_batch(seed, count, rank=rank)]
     subjects += [(sig1, parse(text, sig1), tuple(xs)) for text, xs in (
@@ -137,16 +138,17 @@ def test_realizable_cases_are_the_nonempty_order_cases(sig1):
             dfa = compile(case.formula, sig, case.representatives)
             if not dfa_empty(dfa):
                 nonempty.append((ranks, dfa))
-        assert list(realizable_cases(f, sig, xs)) == nonempty, render(f)
+        assert [(ranks, build()) for ranks, build in realizable_cases(f, sig, xs)] == \
+            nonempty, render(f)
 
 
 def test_realizable_cases_run_under_the_compile_budget(sig1):
     # the one build of the endpoint triple needs 25 states
     f = parse(endpoints_text("xyz"), sig1)
     with pytest.raises(ResourceLimitError) as e:
-        next(realizable_cases(f, sig1, ("x", "y", "z"), 24))
+        realizable_cases(f, sig1, ("x", "y", "z"), 24)
     assert (e.value.stage, e.value.reached, e.value.budget) == ("compile", 25, 24)
-    assert len(list(realizable_cases(f, sig1, ("x", "y", "z"), 25))) == 7
+    assert len(realizable_cases(f, sig1, ("x", "y", "z"), 25)) == 7
 
 
 def test_shortest_accepted(sig1):

@@ -15,7 +15,7 @@ DEMO_SHA1 = {
     "02_type_monoid.py": "264891576f203d73e5d190cbb1486dc2b935cc20",
     "03_minimal_dimension.py": "91d815721b86e827a11f5bab353aa96c83322ca1",
     "04_growth_witnesses.py": "3a7bf8dfd1fc927a56a3c22d3b9251f31aa1e161",
-    "05_interpretation_reduction.py": "eb5fce7e02f50a48fe0f9a825c7989c48808c83b",
+    "05_interpretation_reduction.py": "71f80135b5f73e2a42f4b9eef00dca429cb1764b",
 }
 
 

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainrep
+from chainrep import formula
 from chainrep.compiler import Dfa, compile
 from chainrep.errors import InputError, ParseError
 from chainrep.formula import (FALSE, TRUE, And, AtLeast, Const, Equal, ExistsFO, ExistsSO,
                               ForallFO, ForallSO, Formula, Implies, In, Less, NameSupply,
                               Not, Or, Pred, Run, Signature, all_vars, conj, disj,
                               exists_wrap, expand_macros, free_set_variables,
-                              free_variables, map_subformulas, order_case_split, parse,
-                              render, substitute)
+                              free_variables, map_subformulas, one_point,
+                              order_case_split, parse, render, substitute)
 from chainrep.randgen import random_formula
 from chainrep.oracle import evaluate
 from chainrep.words import MarkedWord, Word, all_words
@@ -69,6 +70,53 @@ def test_substitute_avoids_capture(sig1):
     w = Word(sig1, (0, 0))
     assert evaluate(g, w, fo={"z": 1}) is True
     assert evaluate(g, w, fo={"z": 0}) is False
+
+
+def test_substitute_walks_each_body_once(sig1, monkeypatch):
+    # a binder's body is searched for free variables only when the binder
+    # could capture a new name
+    calls = []
+    real = formula.free_variables
+    monkeypatch.setattr(formula, "free_variables", lambda g: calls.append(g) or real(g))
+    f = parse("ex a. ex b. ex c. ex d. a < x & b < x & c < d", sig1)
+    assert render(substitute(f, {"x": "y"})) == "ex a. ex b. ex c. ex d. a < y & b < y & c < d"
+    assert calls == []
+    assert render(substitute(f, {"x": "c"})) == \
+        "ex a. ex b. ex c0. ex d. a < c & b < c & c0 < d"
+    assert len(calls) == 1
+
+
+def _same_on_small_words(f, g, sig):
+    variables = tuple(dict.fromkeys(free_variables(f) + free_variables(g)))
+    for w in all_words(sig, 3):
+        for values in itertools.product(range(len(w)), repeat=len(variables)):
+            env = dict(zip(variables, values))
+            assert evaluate(f, w, fo=env) == evaluate(g, w, fo=env), (render(f), str(w), env)
+
+
+def test_one_point_rule(sig1):
+    cases = (
+        # the equality either way round, and true conjuncts dropped
+        ("ex u. u = x & P1(u) & u < y", "P1(x) & x < y"),
+        ("ex u. P1(u) & x = u & true & u < y", "P1(x) & x < y"),
+        ("ex u. u = x", "true"),
+        # u = u, and equalities under a negation or a disjunction, are not used
+        ("ex u. u = u & P1(u)", "ex u. u = u & P1(u)"),
+        ("ex u. ~u = x & P1(u)", "ex u. ~u = x & P1(u)"),
+        ("ex u. (u = x | P1(u)) & u < y", "ex u. (u = x | P1(u)) & u < y"),
+        # a block of variables, the inner one first
+        ("ex x0. ex x1. P1(x0) & y1 = x0 & (P1(x1) & y2 = x1) & x0 < x1",
+         "P1(y1) & P1(y2) & y1 < y2"),
+        # nested under other connectives
+        ("~(ex u. u = x & P1(u)) | y < x", "~P1(x) | y < x"),
+        # the inner x would capture: substitute renames it
+        ("ex u. u = x & (ex x. x < u)", "ex x0. x0 < x"),
+    )
+    for text, want in cases:
+        f = parse(text, sig1)
+        g = one_point(f)
+        assert render(g) == want, text
+        _same_on_small_words(f, g, sig1)
 
 
 def test_conj_disj_units(sig1):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import time
@@ -58,12 +59,14 @@ def test_group_split(sig1):
     assert rep.dimension == 1
     assert check_reparameterization(rep, 5)
     assert check_canonical_form(rep, 5)
-    # guards are automaton leaves, rendered as their MSO export; the map is
-    # the plain union of the disjoint guarded branches
+    # guards are automaton leaves, rendered as their MSO export; the map
+    # states the source once, then the union of the disjoint guarded
+    # selectors
     text = render(rep.g)
-    assert len(text) == 14_649
+    assert text.startswith(render(f) + " & ")
+    assert len(text) == 4_845
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "bc5f1959f763f1f15368f477e9915e6dc9e1e88d"
+        "b0630a74c51252493e6a33250bea44afa6abe63a"
 
 
 def test_guarded_and_set_maps_refine(sig1):
@@ -85,11 +88,14 @@ def test_refinement_counts_up_to_the_certificate(sig1):
     assert (rep.dimension, rep.bound) == (0, 8)
     assert rep.provenance.kind == "refine"
     assert rep.provenance.children[0].kind == "combine"
-    # the order cases are glued as a plain union of disjoint branches
+    # the source, then the union of the order cases' disjoint selectors,
+    # which at dimension 0 are their constraints
     text = render(rep.g)
-    assert len(text) == 2_717
+    assert text == render(f) + " & (y = x & z = x | y = x & x < z | z = x & x < y | " \
+        "z = y & x < y | z = y & y < x | z = x & y < x | y = x & z < x)"
+    assert len(text) == 219
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "8812ed0078d7cc8f620e8f91784a46cd9b9a1387"
+        "6d091b13da7f2853d8786aef75e7906754354a1a"
     assert check_reparameterization(rep, 3)
     assert check_canonical_form(rep, 3)
 
@@ -111,7 +117,8 @@ def test_max_fiber_is_sound():
 
 
 def test_skipped_refinement_is_recorded(sig1):
-    # a starved count keeps the endpoint triple's certificate and says why
+    # a starved count keeps the endpoint triple's certificate and says why:
+    # the map's first automaton, of the source's first atom, has 4 states
     f = parse(endpoints_text("xyz"), sig1)
     raw = minimal_reparameterization(f, sig1, ("x", "y", "z"), refine=False)
     assert (raw.dimension, raw.bound) == (0, 13_940)
@@ -119,17 +126,17 @@ def test_skipped_refinement_is_recorded(sig1):
     assert skipped.bound == 13_940
     assert skipped.provenance.kind == "unrefined"
     assert skipped.provenance.detail == \
-        "bound 13940 kept: map automaton: state budget exceeded (3 > 2)"
+        "bound 13940 kept: map automaton: state budget exceeded (4 > 2)"
     assert skipped.provenance.children == (raw.provenance,)
 
 
 def test_full_width_is_the_identity(sig1, monkeypatch):
     # a rigid strict order case keeps every coordinate: the map reads the
-    # domain tuple in that case's ascending order, with bound 1, and no
-    # later case is built.  Only realizable cases are visited: the labelled
-    # tuples realize every weak ordering, so their first strict case is the
-    # 16th of 75 at k = 4 and the 65th of 541 at k = 5, while the chain and
-    # P1(x) & y < x realize one ordering each, their other cases being empty
+    # domain tuple in that case's ascending order, with bound 1.  The strict
+    # realizable cases are tested for rigidity first, so the rigid one is
+    # the only case reduced: the labelled tuples realize every weak
+    # ordering, yet none of the 15 cases of 75 at k = 4, or the 64 of 541
+    # at k = 5, that come before their first strict one is reduced
     visited = []
     real = reparam._lifted_case
 
@@ -138,11 +145,11 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(reparam, "_lifted_case", lifted_case)
-    subjects = (("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw", 16),
-                ("P1(x)&P1(y)&P1(z)&P1(w)&P1(v)", "xyzwv", 65),
-                ("x<y & y<z & z<w & w<v", "xyzwv", 1),
-                ("P1(x) & y < x", "xy", 1))
-    for text, variables, cases in subjects:
+    subjects = (("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw"),
+                ("P1(x)&P1(y)&P1(z)&P1(w)&P1(v)", "xyzwv"),
+                ("x<y & y<z & z<w & w<v", "xyzwv"),
+                ("P1(x) & y < x", "xy"))
+    for text, variables in subjects:
         f = parse(text, sig1)
         visited.clear()
         t0 = time.perf_counter()
@@ -151,7 +158,9 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
         assert (rep.dimension, rep.bound) == (len(variables), 1), text
         assert rep.provenance.kind == "identity", text
         assert rep.provenance.children[0].kind == "case", text
-        assert len(visited) == cases, text
+        assert len(visited) == 1, text
+        # and no name is drawn before it
+        assert rep.image_vars == tuple(f"y{j}" for j in range(len(variables))), text
         assert elapsed < 5, text
         # the chain has no satisfying tuple below length 5
         assert check_reparameterization(rep, 3), text
@@ -167,21 +176,44 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
     assert check_equivalence(quad, red, 3)
 
 
-# below full width the maps are the ones built before the full-width rule:
-# the count, total length and SHA-1 of their texts over seeds 1-3
-BELOW_FULL_WIDTH = (110, 2_124, "8f2015536f52692bbfb86aaa5a1008a72a871331")
-
-
-def test_maps_below_full_width_are_pinned():
-    texts = []
+@functools.cache
+def below_full_width():
+    """The maps below full width over formula_batch seeds 1-3."""
+    reps = []
     for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3)):
         for sig, fo, f in formula_batch(seed, count, rank=rank):
             rep = minimal_reparameterization(f, sig, fo, refine=False)
             if rep.dimension < len(fo):
-                texts.append(render(rep.g))
+                reps.append(rep)
+    return reps
+
+
+# the count, total length and SHA-1 of the texts of the maps below full width
+BELOW_FULL_WIDTH = (110, 1_336, "1a44532ec0d7347d1c771f970e0691305f9e329d")
+
+
+def test_maps_below_full_width_are_pinned():
+    texts = [render(rep.g) for rep in below_full_width()]
     blob = "\n".join(texts)
     assert (len(texts), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \
         BELOW_FULL_WIDTH
+
+
+def test_maps_state_their_source_once():
+    # a map is `source & h`, and h holds no copy of the source; the empty
+    # map is false
+    for rep in below_full_width():
+        text = render(rep.g)
+        if rep.bound == 0:
+            assert rep.g == FALSE, text
+        else:
+            assert text.count(render(rep.source)) == 1, text
+
+
+def test_maps_below_full_width_keep_the_contract():
+    for rep in below_full_width():
+        assert check_reparameterization(rep, 3), render(rep.g)
+        assert check_canonical_form(rep, 3), render(rep.g)
 
 
 def test_refine_gives_up_at_cap_and_budget(sig1):
