@@ -616,17 +616,14 @@ def one_point(f: Formula) -> Formula:
     """f with the one-point rule applied bottom-up: `ex u. φ`, where `u = t`
     or `t = u` (t not u) is a top-level conjunct of φ, becomes φ's other
     conjuncts with t for u, renamed capture-free by substitute."""
-    def go(g):
-        g = map_subformulas(g, go)
-        if isinstance(g, ExistsFO):
-            parts = conjuncts(g.body)
-            for i, p in enumerate(parts):
-                if isinstance(p, Equal) and p.left != p.right and g.var in (p.left, p.right):
-                    t = p.right if p.left == g.var else p.left
-                    return substitute(conj(parts[:i] + parts[i + 1:]), {g.var: t})
-        return g
-
-    return go(f)
+    f = map_subformulas(f, one_point)
+    if isinstance(f, ExistsFO):
+        parts = conjuncts(f.body)
+        for i, p in enumerate(parts):
+            if isinstance(p, Equal) and p.left != p.right and f.var in (p.left, p.right):
+                t = p.right if p.left == f.var else p.left
+                return substitute(conj(parts[:i] + parts[i + 1:]), {f.var: t})
+    return f
 
 
 def disj(formulas) -> Formula:

@@ -12,13 +12,12 @@ no smaller image can cover it.
 Most of the work happens per order case (a fixed weak ordering of the
 domain tuple), where satisfying assignments are strictly ascending markings
 of a word and the type algebra of segments applies.  Only the cases some
-word realizes are visited.  The strict ones (every class a singleton) are
-tested first: the first that is rigid at full width ends the search, the
+word realizes are visited, the strict ones (every class a singleton)
+first: the first that is rigid at full width ends the search, the
 dimension is then the arity k, and the identity map, reading the domain
 tuple in that case's ascending order, has bound 1.  Below full width every
-case is reduced and the case maps are glued into one union.  Every map
-states its source once, as `source & h`, where the selector h holds only
-order-case constraints, guards, image equalities and the `ex` over them.
+case is reduced and the case maps, each stating its source once, are
+glued into one union.
 """
 
 from __future__ import annotations
@@ -136,6 +135,16 @@ class TypeAlgebra:
             q = m.elements[t][2 * q] >> 1
         return q in self.dfa.accepting
 
+    @functools.cached_property
+    def families(self) -> tuple[tuple[Disjunct, tuple[int, ...]], ...]:
+        """The local normal form, each family with its eliminable marks."""
+        return tuple((d, eliminable_pairs(self, d)) for d in local_normal_form(self))
+
+    @property
+    def rigid(self) -> Disjunct | None:
+        """The first family that pumps at every mark, if any."""
+        return next((d for d, e in self.families if not e), None)
+
 
 @dataclass(frozen=True)
 class Reparameterization:
@@ -143,19 +152,23 @@ class Reparameterization:
 
     g relates domain and image variables; over each word, every satisfying
     assignment of source gets exactly one image, only satisfying
-    assignments get one, and at most `bound` of them share it.  A map built
-    here is `source & h` (the empty map is false) and keeps its selector h
-    for compose and combine_disjuncts, which read g when h is None.
+    assignments get one, and at most `bound` of them share it.  g is
+    `source & h`, whose selector h holds only order-case constraints,
+    guards, image equalities and the `ex` over them; the empty map has both
+    false.
     """
 
     source: Formula
     signature: Signature
     domain_vars: tuple[str, ...]
     image_vars: tuple[str, ...]
-    g: Formula
+    h: Formula
     bound: int
     provenance: Step
-    h: Formula | None = None
+
+    @functools.cached_property
+    def g(self) -> Formula:
+        return FALSE if self.h == FALSE else conj([self.source] + conjuncts(self.h))
 
     @property
     def dimension(self) -> int:
@@ -231,13 +244,6 @@ def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterizati
                               Step("empty", "no satisfying assignment on any word"))
 
 
-def _thin(source: Formula, sig: Signature, domain_vars, image_vars, h: Formula,
-          bound: int, provenance: Step) -> Reparameterization:
-    """The map `source & h`, written as source followed by h's conjuncts."""
-    return Reparameterization(source, sig, tuple(domain_vars), tuple(image_vars),
-                              conj([source] + conjuncts(h)), bound, provenance, h)
-
-
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
                        n_families: int, monoid_size: int,
                        supply: NameSupply | None = None) -> Reparameterization:
@@ -259,31 +265,26 @@ def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
     eqs = [Equal(us[j], domain_vars[j] if j < index - 1 else domain_vars[j + 1])
            for j in range(k - 1)]
     bound = n_families * ramsey_bound(monoid_size)
-    return _thin(source, sig, domain_vars, us, conj(eqs), bound,
-                 Step("eliminate", f"variable {index} of {k}; "
-                                   f"bound {n_families} families x B({monoid_size})"))
+    return Reparameterization(source, sig, domain_vars, us, conj(eqs), bound,
+                              Step("eliminate", f"variable {index} of {k}; bound "
+                                                f"{n_families} families x B({monoid_size})"))
 
 
 def compose(first: Reparameterization, second: Reparameterization) -> Reparameterization:
     """first then second; fibers multiply.
 
-    second's domain must match first's image up to renaming, and its image
-    must not collide with first's image names.  second's source must hold
+    second's domain must be first's image, and second's source must hold
     of first's images, as `ex xs. first.g` does, so h is `ex mids. (h1 &
     h2)`, simplified by the one-point rule.
     """
     mids = tuple(first.image_vars)
-    h2 = second.h or second.g
     if tuple(second.domain_vars) != mids:
-        if len(second.domain_vars) != len(mids):
-            raise InputError("composition arity mismatch")
-        if set(mids) & set(second.image_vars):
-            raise InputError("variable collision in composition")
-        h2 = substitute(h2, dict(zip(second.domain_vars, mids)))
-    h = one_point(exists_wrap(mids, conj(conjuncts(first.h or first.g) + conjuncts(h2))))
-    return _thin(first.source, first.signature, first.domain_vars, second.image_vars, h,
-                 first.bound * second.bound, Step("compose", f"{first.bound} x {second.bound}",
-                                                  (first.provenance, second.provenance)))
+        raise InputError("composition: second's domain is not first's image")
+    h = one_point(exists_wrap(mids, conj(conjuncts(first.h) + conjuncts(second.h))))
+    return Reparameterization(first.source, first.signature, first.domain_vars,
+                              second.image_vars, h, first.bound * second.bound,
+                              Step("compose", f"{first.bound} x {second.bound}",
+                                   (first.provenance, second.provenance)))
 
 
 def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
@@ -320,13 +321,14 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     branches = []
     for guard, rep in parts:
         mj = len(rep.image_vars)
-        hj = substitute(rep.h or rep.g, dict(zip(rep.image_vars, ys[:mj])), supply)
+        hj = substitute(rep.h, dict(zip(rep.image_vars, ys[:mj])), supply)
         base = ys[mj - 1] if mj else domain_vars[0]
         branches.append(conj(conjuncts(guard) + conjuncts(hj)
                              + [Equal(ys[t], base) for t in range(mj, width)]))
-    return _thin(source, sig, domain_vars, ys, disj(branches), sum(rep.bound for _, rep in parts),
-                 Step("combine", f"{len(parts)} guarded branches",
-                      tuple(rep.provenance for _, rep in parts)))
+    return Reparameterization(source, sig, domain_vars, ys, disj(branches),
+                              sum(rep.bound for _, rep in parts),
+                              Step("combine", f"{len(parts)} guarded branches",
+                                   tuple(rep.provenance for _, rep in parts)))
 
 
 def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
@@ -376,30 +378,28 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
     """Reparameterize one order case from its algebra, valid under its ascending pattern."""
     ys = algebra.variables
     kc = len(ys)
-    families = local_normal_form(algebra)
-    elim = [eliminable_pairs(algebra, d) for d in families]
-    rigid = next((d for d, e in zip(families, elim) if not e), None)
+    rigid = algebra.rigid
     if rigid is not None:
         # some family pumps at every mark: the tuple count already grows
         # like n**kc, so the identity map is as small as it gets; for a
         # strict case of the top-level formula, kc is the arity and
         # _minrep stops here
         img = tuple(supply.fresh("y") for _ in range(kc))
-        return _thin(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
-                     Step("rigid", f"family {rigid.types} pumps at every mark; "
-                                   f"width {kc} is minimal"))
+        return Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
+                                  Step("rigid", f"family {rigid.types} pumps at every "
+                                                f"mark; width {kc} is minimal"))
     shared = set(range(1, kc + 1))
-    for e in elim:
+    for _, e in algebra.families:
         shared &= set(e)
     if shared:
         i = min(shared)
         step = eliminate_variable(case_formula, sig, ys, i,
-                                  len(families), algebra.monoid.size, supply)
+                                  len(algebra.families), algebra.monoid.size, supply)
         return _descend(step, sig, supply, budget_states)
     # no mark is eliminable across every family: split the families by
     # their first eliminable mark and guard each group by its type tuples
     groups: dict[int, list[Disjunct]] = {}
-    for d, e in zip(families, elim):
+    for d, e in algebra.families:
         groups.setdefault(e[0], []).append(d)
     parts = []
     for i in sorted(groups):
@@ -439,8 +439,8 @@ def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
     mentions only their first members, and algebra is its type algebra."""
     inner = _case_rep(case_formula, sig, algebra, supply, budget_states)
     pattern = "<".join("=".join(c) for c in classes)
-    return _thin(f, sig, xs, inner.image_vars, inner.h, inner.bound,
-                 Step("case", pattern, (inner.provenance,)))
+    return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
+                              Step("case", pattern, (inner.provenance,)))
 
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
@@ -456,7 +456,8 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     if not builds:
         return _unsat_rep(f, sig, xs)
     if not xs:
-        return _thin(f, sig, (), (), TRUE, 1, Step("base", "satisfiable sentence"))
+        return Reparameterization(f, sig, (), (), TRUE, 1,
+                                  Step("base", "satisfiable sentence"))
 
     @functools.cache
     def case_algebra(ranks):
@@ -464,17 +465,16 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
         return case, TypeAlgebra.build(case.formula, sig, case.representatives,
                                        budget_states, dfa=builds[ranks]())
 
-    for ranks in builds:
-        if len(set(ranks)) == len(xs):
-            case, algebra = case_algebra(ranks)
-            if any(not eliminable_pairs(algebra, d) for d in local_normal_form(algebra)):
-                # only a rigid strict case keeps width k: the dimension is k, and
-                # the domain tuple in the case's ascending order is its own image
-                lifted = _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
-                                      supply, budget_states)
-                return replace(lifted, provenance=Step(
-                    "identity", f"width {len(xs)} is the arity: the image is the domain "
-                                "tuple in ascending order", (lifted.provenance,)))
+    strict = [ranks for ranks in builds if len(set(ranks)) == len(xs)]
+    for case, algebra in map(case_algebra, strict):
+        if algebra.rigid is not None:
+            # only a rigid strict case keeps width k: the dimension is k, and
+            # the domain tuple in the case's ascending order is its own image
+            lifted = _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
+                                  supply, budget_states)
+            return replace(lifted, provenance=Step(
+                "identity", f"width {len(xs)} is the arity: the image is the domain "
+                            "tuple in ascending order", (lifted.provenance,)))
     parts = [(case.constraint, _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
                                             supply, budget_states))
              for case, algebra in map(case_algebra, builds)]
