@@ -17,6 +17,17 @@ enforces its own tracks.  Projection, track merging and project_mark share
 one subset construction, which runs under the state budget.  The product
 and the subset construction number their states breadth-first, so their
 tables go straight to partition refinement; other automata are trimmed first.
+The product explores every pair that can no longer accept (a side in its
+rejecting sink for a conjunction, both sides for a disjunction) as one dead
+state, so it never holds more than one state beyond the live pairs.
+
+The builds of one public call share a Query: every formula that it
+compiles keeps its automaton under the identity of the formula object, and
+a later build that meets the same object reads that automaton.  So the
+source of a minimal reparameterization is built once, by realizable_cases,
+and its order cases, the images that the search compiles and the map
+(source & h, the source's automaton times h's, over the ys tracks too) all
+start from it.  Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -153,12 +164,14 @@ def _n_letters(sig, fo, so):
 
 class _Builder:
     """Builds automata under the state budget; its budget errors name the
-    stage that ran out."""
+    stage that ran out.  known holds the automata of the formulas that its
+    Query kept, by the identity of the formula object."""
 
-    def __init__(self, sig: Signature, budget: int, stage: str):
+    def __init__(self, sig: Signature, budget: int, stage: str, known=None):
         self.sig = sig
         self.budget = budget
         self.stage = stage
+        self.known: dict[int, tuple[Formula, _Auto]] = {} if known is None else known
 
     def _check(self, n: int, n_letters: int = 0):
         if n > self.budget:
@@ -276,33 +289,47 @@ class _Builder:
         b2 = self.extend(b, a.fo, a.so)
         return a2, b2
 
-    def explore(self, start, successors, n_letters: int = 0):
+    def explore(self, start, successors, n_letters: int = 0, dead=None):
         """Breadth-first search from start: the states in the order found
         and, per state, the indices of the list successors(state) returns.
-        Each state found is counted against the state budget."""
+        Each state found is counted against the state budget.  Every state
+        found for which dead holds is the one dead state None, whose
+        successors successors(None) must give."""
+        if dead is not None and dead(start):
+            start = None
         index, order, delta = {start: 0}, [start], []
         while len(delta) < len(order):
             succ = successors(order[len(delta)])
             for t in dict.fromkeys(succ):
                 if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                    self._check(len(order), n_letters)
+                    u = None if dead is not None and dead(t) else t
+                    if u not in index:
+                        index[u] = len(order)
+                        order.append(u)
+                        self._check(len(order), n_letters)
+                    index[t] = index[u]
             delta.append(list(map(index.__getitem__, succ)))
         return order, delta
 
     def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
-        """The minimal automaton of the product of a and b under op."""
+        """The minimal automaton of the product of a and b under op.  The
+        pairs that cannot accept, one side in its rejecting sink for and,
+        both for or, are one dead state."""
         assert a.fo == b.fo and a.so == b.so
+        sa, sb = _sinks(a), _sinks(b)
+        both = op == "or"
+        dead_row = [None] * a.n_letters
         order, delta = self.explore(
-            (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])),
-            a.n_letters)
-        if op == "and":
-            accepting = {i for i, (qa, qb) in enumerate(order)
-                         if qa in a.accepting and qb in b.accepting}
+            (a.init, b.init),
+            lambda st: dead_row if st is None else list(zip(a.delta[st[0]], b.delta[st[1]])),
+            a.n_letters,
+            lambda st: (st[0] in sa and st[1] in sb) if both else (st[0] in sa or st[1] in sb))
+        if both:
+            accepting = {i for i, st in enumerate(order)
+                         if st is not None and (st[0] in a.accepting or st[1] in b.accepting)}
         else:
-            accepting = {i for i, (qa, qb) in enumerate(order)
-                         if qa in a.accepting or qb in b.accepting}
+            accepting = {i for i, st in enumerate(order)
+                         if st is not None and st[0] in a.accepting and st[1] in b.accepting}
         return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting))
 
     def complement(self, a: _Auto) -> _Auto:
@@ -376,6 +403,18 @@ class _Builder:
 
     # ----- recursive construction -----
 
+    def built(self, f: Formula) -> _Auto:
+        """The automaton of f: the one kept for this very object, or a new
+        build."""
+        hit = self.known.get(id(f))
+        return self.build(f) if hit is None else hit[1]
+
+    def keep(self, f: Formula, a: _Auto) -> _Auto:
+        """a, kept as the automaton of the object f for later builds; a
+        ranges over exactly f's free first-order tracks."""
+        self.known[id(f)] = (f, a)
+        return a
+
     def build(self, f: Formula) -> _Auto:
         match f:
             case Const(value):
@@ -392,25 +431,25 @@ class _Builder:
             case Run(dfa, vs):
                 return self.run_leaf(dfa, vs)
             case Not(g):
-                return self.complement(self.build(g))
+                return self.complement(self.built(g))
             case And(l, r):
-                return self.product(*self.align(self.build(l), self.build(r)), "and")
+                return self.product(*self.align(self.built(l), self.built(r)), "and")
             case Or(l, r):
-                a, b = self.build(l), self.build(r)
+                a, b = self.built(l), self.built(r)
                 one_sided = sorted(set(a.fo) ^ set(b.fo))
                 a, b = self.align(a, b)
                 return self.valid(self.product(a, b, "or"), one_sided)
             case Implies(l, r):
                 return self.build(Or(Not(l), r))
             case ExistsFO(v, g):
-                a = self.build(g)
+                a = self.built(g)
                 if v not in a.fo:
                     a = self.valid(self.extend(a, fo_add=(v,)), (v,))
                 return self.project(a, "fo", v)
             case ForallFO(v, g):
                 return self.build(Not(ExistsFO(v, Not(g))))
             case ExistsSO(s, g):
-                a = self.extend(self.build(g), so_add=(s,))
+                a = self.extend(self.built(g), so_add=(s,))
                 return self.project(a, "so", s)
             case ForallSO(s, g):
                 return self.build(Not(ExistsSO(s, Not(g))))
@@ -458,9 +497,70 @@ def _moore(delta, labels):
     return new, reps
 
 
+def _sinks(a: _Auto) -> set[int]:
+    """The rejecting sinks of a: the rejecting states that every letter
+    leaves in place."""
+    return {q for q, row in enumerate(a.delta)
+            if q not in a.accepting and row.count(q) == len(row)}
+
+
 def _auto_of(dfa: Dfa) -> _Auto:
     return _Auto(dfa.sig, (), (), dfa.n_letters, dfa.init,
                  [list(row) for row in dfa.delta], set(dfa.accepting))
+
+
+class Query:
+    """The builds of one public call, under one state budget: each formula
+    that it compiles, and each order case that it derives, keeps its
+    automaton by the identity of the formula object for its later builds."""
+
+    def __init__(self, sig: Signature, budget_states: int = DEFAULT_STATE_BUDGET):
+        self.sig = sig
+        self.budget = budget_states
+        self.known: dict[int, tuple[Formula, _Auto]] = {}
+
+    def builder(self, stage: str) -> _Builder:
+        return _Builder(self.sig, self.budget, stage, self.known)
+
+    def compile(self, f: Formula, marked_vars=()) -> Dfa:
+        """compile's Dfa of f, keeping f's automaton."""
+        marked_vars = tuple(marked_vars)
+        builder = self.builder("compile")
+        f = _checked(f, marked_vars)
+        a = builder.extend(builder.keep(f, builder.built(f)), fo_add=marked_vars)
+        return builder.to_public(a, marked_vars)
+
+    def realizable_cases(self, f: Formula, xs):
+        """realizable_cases of f over xs, keeping f's automaton; a case's
+        build, given the case's formula, keeps the case's automaton as that
+        formula's."""
+        xs = tuple(xs)
+        builder = self.builder("compile")
+        f = _checked(f, xs)
+        source = builder.keep(f, builder.built(f))
+        a = builder.extend(source, fo_add=xs)
+
+        def build(classes, formula=None):
+            merge = {v: c[0] for c in classes for v in c[1:]}
+            case = builder.extend(source, fo_add=[merge[v] for v in source.fo if v in merge],
+                                  merge=merge)
+            if formula is not None:
+                builder.keep(formula, case)
+            reps = tuple(c[0] for c in classes)
+            return builder.to_public(builder.extend(case, fo_add=reps), reps)
+
+        return [(ranks, functools.partial(build, rank_classes(xs, ranks)))
+                for ranks in _realizable_ranks(a, xs)]
+
+    def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
+        """map_automaton of g, reading the automata this Query kept."""
+        xs, ys = tuple(xs), tuple(ys)
+        g = _checked(g, xs + ys)
+        builder = self.builder("map automaton")
+        a = builder.built(g)
+        unused = [v for v in xs + ys if v not in a.fo]
+        a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
+        return MapAutomaton(builder, a, xs, ys)
 
 
 def compile(f: Formula, sig: Signature, marked_vars=(),
@@ -472,11 +572,7 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     ascending tuples.  Free variables must be covered by marked_vars; free
     set variables are not allowed.
     """
-    marked_vars = tuple(marked_vars)
-    builder = _Builder(sig, budget_states, "compile")
-    f = _checked(f, marked_vars)
-    a = builder.extend(builder.build(f), fo_add=marked_vars)
-    return builder.to_public(a, marked_vars)
+    return Query(sig, budget_states).compile(f, marked_vars)
 
 
 def realizable_cases(f: Formula, sig: Signature, xs,
@@ -484,19 +580,11 @@ def realizable_cases(f: Formula, sig: Signature, xs,
     """The order cases of f over xs that some word realizes, as (rank tuple,
     build) pairs in rank tuple order, where build() makes the Dfa compile
     publishes for the case's formula over its representatives.  f is built
-    once, under stage compile, over one track per variable of xs; a case's
-    Dfa keeps the letters on which each class's tracks agree, read on its
-    representative's track."""
-    xs = tuple(xs)
-    builder = _Builder(sig, budget_states, "compile")
-    a = builder.extend(builder.build(_checked(f, xs)), fo_add=xs)
-
-    def build(classes):
-        return builder.to_public(builder.extend(a, merge={v: c[0] for c in classes for v in c[1:]}),
-                                 tuple(c[0] for c in classes))
-
-    return [(ranks, functools.partial(build, rank_classes(xs, ranks)))
-            for ranks in _realizable_ranks(a, xs)]
+    once, under stage compile, over one track per variable it has free; a
+    case's automaton is f's with each class's tracks merged into its
+    representative's, and its Dfa comes from that.  Query.realizable_cases
+    keeps both automata for the later builds of its call."""
+    return Query(sig, budget_states).realizable_cases(f, xs)
 
 
 def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
@@ -589,14 +677,10 @@ class MapAutomaton:
 
 def map_automaton(g: Formula, sig: Signature, xs, ys,
                   budget_states: int = DEFAULT_STATE_BUDGET) -> MapAutomaton:
-    """The automaton of the map g from xs to ys, under the state budget."""
-    xs, ys = tuple(xs), tuple(ys)
-    g = _checked(g, xs + ys)
-    builder = _Builder(sig, budget_states, "map automaton")
-    a = builder.build(g)
-    unused = [v for v in xs + ys if v not in a.fo]
-    a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
-    return MapAutomaton(builder, a, xs, ys)
+    """The automaton of the map g from xs to ys, under the state budget.
+    Query.map_automaton builds it from the automata its call kept: for a
+    map source & h of that call, the source's automaton times h's."""
+    return Query(sig, budget_states).map_automaton(g, xs, ys)
 
 
 @dataclass
@@ -666,8 +750,7 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
             out.append(s)
         return tuple(out)
 
-    sink = {q for q, row in enumerate(a.delta)
-            if q not in a.accepting and set(row) == {q}}
+    sink = _sinks(a)
 
     def spread(mask, variables):
         return sum(1 << a.fo_bit(v) for j, v in enumerate(variables) if mask >> j & 1)

@@ -18,6 +18,12 @@ dimension is then the arity k, and the identity map, reading the domain
 tuple in that case's ascending order, has bound 1.  Below full width every
 case is reduced and the case maps, each stating its source once, are
 glued into one union.
+
+One call builds the source's automaton once.  It runs one compiler.Query,
+which keeps the automaton of f, of each order case and of each image that
+the search compiles, by the identity of the formula object: an image
+`ex xs. (case & eqs)` reads its case's automaton, and the map `source & h`
+that refinement counts reads f's.  The Query goes with the call.
 """
 
 from __future__ import annotations
@@ -29,9 +35,8 @@ from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
                       all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
                       one_point, order_case_split, substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, _Builder,
-                       compile as compile_dfa, map_automaton, minimize_dfa,
-                       preimage_ranks, realizable_cases)
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query, _Builder,
+                       compile as compile_dfa, minimize_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
 
@@ -374,7 +379,7 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
 
 
 def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
-              supply: NameSupply, budget_states: int) -> Reparameterization:
+              supply: NameSupply, query: Query) -> Reparameterization:
     """Reparameterize one order case from its algebra, valid under its ascending pattern."""
     ys = algebra.variables
     kc = len(ys)
@@ -395,7 +400,7 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
         i = min(shared)
         step = eliminate_variable(case_formula, sig, ys, i,
                                   len(algebra.families), algebra.monoid.size, supply)
-        return _descend(step, sig, supply, budget_states)
+        return _descend(step, sig, supply, query)
     # no mark is eliminable across every family: split the families by
     # their first eliminable mark and guard each group by its type tuples
     groups: dict[int, list[Disjunct]] = {}
@@ -403,56 +408,58 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
         groups.setdefault(e[0], []).append(d)
     parts = []
     for i in sorted(groups):
-        guard_dfa = _type_tuple_dfa(algebra, groups[i], budget_states)
+        guard_dfa = _type_tuple_dfa(algebra, groups[i], query.budget)
         gamma = Run(guard_dfa, ys)
         step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
-        parts.append((gamma, _descend(step, sig, supply, budget_states)))
+        parts.append((gamma, _descend(step, sig, supply, query)))
     return combine_disjuncts(case_formula, sig, ys, parts, supply)
 
 
 def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
-             budget_states: int) -> Reparameterization:
+             query: Query) -> Reparameterization:
     """Recurse on the image of one elimination step and glue the maps.
 
     The step's domain tuples are ascending under the order case that guards
     them, and their images are subsequences of them, so the ascending case
     of the image, which holds every such image, is the only one that needs
-    a map.
+    a map.  The image's automaton reads the one kept for the step's source.
     """
     psi = exists_wrap(step.domain_vars, step.g)
     us = step.image_vars
     if us:
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
-                             TypeAlgebra.build(psi, sig, us, budget_states),
-                             supply, budget_states)
+                             TypeAlgebra.build(psi, sig, us, query.budget,
+                                               dfa=query.compile(psi, us)),
+                             supply, query)
     else:
-        inner = _minrep(psi, sig, us, supply, budget_states)
+        inner = _minrep(psi, sig, us, supply, query)
     return compose(step, inner)
 
 
 def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
                  algebra: TypeAlgebra, supply: NameSupply,
-                 budget_states: int) -> Reparameterization:
+                 query: Query) -> Reparameterization:
     """The map of one nonempty order case of f over xs, under its constraint:
     classes are its equality classes in ascending order, case_formula
     mentions only their first members, and algebra is its type algebra."""
-    inner = _case_rep(case_formula, sig, algebra, supply, budget_states)
+    inner = _case_rep(case_formula, sig, algebra, supply, query)
     pattern = "<".join("=".join(c) for c in classes)
     return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
                               Step("case", pattern, (inner.provenance,)))
 
 
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
-            budget_states: int) -> Reparameterization:
+            query: Query) -> Reparameterization:
     """The map of f over xs, glued from the order cases that one build of f
     (compiler.realizable_cases) finds realizable; only those cases
-    are substituted and reduced, each from its automaton.  The strict
-    cases are tested for rigidity first, which draws no names, so a rigid
-    one is found before any case is reduced."""
+    are substituted and reduced, each from its automaton, which the query
+    keeps for its formula.  The strict cases are tested for rigidity first,
+    which draws no names, so a rigid one is found before any case is
+    reduced."""
     xs = tuple(xs)
     split = order_case_split(f, xs)
-    builds = dict(realizable_cases(f, sig, xs, budget_states))
+    builds = dict(query.realizable_cases(f, xs))
     if not builds:
         return _unsat_rep(f, sig, xs)
     if not xs:
@@ -463,7 +470,7 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     def case_algebra(ranks):
         case = split.case(ranks)
         return case, TypeAlgebra.build(case.formula, sig, case.representatives,
-                                       budget_states, dfa=builds[ranks]())
+                                       query.budget, dfa=builds[ranks](case.formula))
 
     strict = [ranks for ranks in builds if len(set(ranks)) == len(xs)]
     for case, algebra in map(case_algebra, strict):
@@ -471,12 +478,12 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
             # only a rigid strict case keeps width k: the dimension is k, and
             # the domain tuple in the case's ascending order is its own image
             lifted = _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
-                                  supply, budget_states)
+                                  supply, query)
             return replace(lifted, provenance=Step(
                 "identity", f"width {len(xs)} is the arity: the image is the domain "
                             "tuple in ascending order", (lifted.provenance,)))
     parts = [(case.constraint, _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
-                                            supply, budget_states))
+                                            supply, query))
              for case, algebra in map(case_algebra, builds)]
     # f implies the constraint of its only realizable case
     return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts, supply)
@@ -495,8 +502,15 @@ def refine_with_ranks(rep: Reparameterization,
     ResourceLimitError, naming the stage, when the build or the count
     exceeds the state budget.
     """
-    ranks = preimage_ranks(map_automaton(rep.g, rep.signature, rep.domain_vars,
-                                         rep.image_vars, budget_states), rep.bound)
+    return _refine_in(rep, Query(rep.signature, budget_states))
+
+
+def _refine_in(rep: Reparameterization,
+               query: Query) -> tuple[Reparameterization, PreimageRanks]:
+    """refine_with_ranks, its map built by query, which may hold the
+    automaton of rep's source."""
+    ranks = preimage_ranks(query.map_automaton(rep.g, rep.domain_vars, rep.image_vars),
+                           rep.bound)
     most = ranks.largest_fiber
     if most < rep.bound:
         rep = replace(rep, bound=most,
@@ -504,8 +518,10 @@ def refine_with_ranks(rep: Reparameterization,
     return rep, ranks
 
 
-def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameterization:
-    """rep refined as refine_with_ranks does, under the caller's state budget.
+def _refine_bound(rep: Reparameterization, budget_states: int,
+                  query: Query | None = None) -> Reparameterization:
+    """rep refined as refine_with_ranks does, under the caller's state
+    budget, or by the caller's query when given.
 
     Gives up (keeping the certificate) when the build or the count exceeds
     the budget, and records that as an "unrefined" provenance step that
@@ -514,7 +530,7 @@ def _refine_bound(rep: Reparameterization, budget_states: int) -> Reparameteriza
     if not rep.domain_vars or rep.bound <= 1:
         return rep
     try:
-        return refine_with_ranks(rep, budget_states)[0]
+        return _refine_in(rep, query or Query(rep.signature, budget_states))[0]
     except ResourceLimitError as e:
         return replace(rep, provenance=Step("unrefined", f"bound {rep.bound} kept: {e}",
                                             (rep.provenance,)))
@@ -542,7 +558,10 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     if extra:
         raise InputError(f"free variables {extra} are not marked")
     supply = NameSupply(all_vars(f) | set(marked_vars))
-    rep = _minrep(f, sig, marked_vars, supply, budget_states)
+    # the one query of this call: f is built once, and every case, image
+    # and map that contains it reads that automaton
+    query = Query(sig, budget_states)
+    rep = _minrep(f, sig, marked_vars, supply, query)
     if refine and rep.bound > 1:
-        rep = _refine_bound(rep, budget_states)
+        rep = _refine_bound(rep, budget_states, query)
     return rep

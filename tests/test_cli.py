@@ -130,13 +130,14 @@ def test_witness_rejects_nonpositive_n(capsys):
 
 
 def test_witness_names_the_stage_that_runs_out(capsys):
-    # the minimal map fits in 12 states, the automaton it is built into
-    # for the growth witness does not
-    status, out, err = run(capsys, "witness", "--sig", "P1",
-                           "--formula", "P1(x)&P1(y)&(~ex q. q < v)", "--n", "2",
-                           "--budget-states", "12")
+    # the minimal map fits in 8 states, the automaton it is built into for
+    # the growth witness needs 9
+    argv = ("witness", "--sig", "P1", "--formula", "P1(x)&P1(y)&(~ex q. q < v)", "--n", "2")
+    status, out, err = run(capsys, *argv, "--budget-states", "8")
     assert status == 3 and not out
-    assert "map automaton: state budget exceeded (13 > 12)" in err
+    assert "map automaton: state budget exceeded (9 > 8)" in err
+    status, out, err = run(capsys, *argv, "--budget-states", "9")
+    assert status == 0 and out and not err
 
 
 def test_mindim_names_the_guard_stage(capsys):
@@ -148,12 +149,14 @@ def test_mindim_names_the_guard_stage(capsys):
 
 
 def test_mindim_names_the_compile_stage(capsys):
-    # the one build of the endpoint triple over its three tracks outgrows 24
-    # states, as the compile of its strict order case did
-    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula",
-                           endpoints_text("xyz"), "--budget-states", "24")
+    # the one build of the endpoint triple over its three tracks needs 17
+    # states, and nothing after it more
+    argv = ("mindim", "--sig", "P1", "--formula", endpoints_text("xyz"))
+    status, out, err = run(capsys, *argv, "--budget-states", "16")
     assert status == 3 and not out
-    assert "resource limit: compile: state budget exceeded (25 > 24)" in err
+    assert "resource limit: compile: state budget exceeded (17 > 16)" in err
+    status, out, err = run(capsys, *argv, "--budget-states", "17")
+    assert status == 0 and out and not err
 
 
 P1 = Signature(("P1",))

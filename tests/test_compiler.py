@@ -143,12 +143,48 @@ def test_realizable_cases_are_the_nonempty_order_cases(sig1):
 
 
 def test_realizable_cases_run_under_the_compile_budget(sig1):
-    # the one build of the endpoint triple needs 25 states
+    # the one build of the endpoint triple needs 17 states
     f = parse(endpoints_text("xyz"), sig1)
     with pytest.raises(ResourceLimitError) as e:
-        realizable_cases(f, sig1, ("x", "y", "z"), 24)
-    assert (e.value.stage, e.value.reached, e.value.budget) == ("compile", 25, 24)
-    assert len(realizable_cases(f, sig1, ("x", "y", "z"), 25)) == 7
+        realizable_cases(f, sig1, ("x", "y", "z"), 16)
+    assert (e.value.stage, e.value.reached, e.value.budget) == ("compile", 17, 16)
+    assert len(realizable_cases(f, sig1, ("x", "y", "z"), 17)) == 7
+
+
+def test_products_explore_one_dead_pair(monkeypatch):
+    # a pair with a side in its rejecting sink, for and, or both sides, for
+    # or, accepts nothing from then on: every product explores all such
+    # pairs as at most one state
+    def sinks(a):
+        return {q for q, row in enumerate(a.delta)
+                if q not in a.accepting and set(row) == {q}}
+
+    explored = []
+    real_product, real_explore = compiler._Builder.product, compiler._Builder.explore
+
+    def explore(self, *args):
+        order, delta = real_explore(self, *args)
+        explored.append(order)
+        return order, delta
+
+    counts = []
+
+    def product(self, a, b, op):
+        explored.clear()
+        out = real_product(self, a, b, op)
+        (order,) = explored
+        sa, sb = sinks(a), sinks(b)
+        counts.append(sum(st is None or ((st[0] in sa) + (st[1] in sb) >= (1 if op == "and" else 2))
+                          for st in order))
+        return out
+
+    monkeypatch.setattr(compiler._Builder, "explore", explore)
+    monkeypatch.setattr(compiler._Builder, "product", product)
+    for _, sig, f, xs, _ in battery():
+        minimal_reparameterization(f, sig, xs)
+    for sig, xs, f in formula_batch(1, 200):
+        minimal_reparameterization(f, sig, xs)
+    assert max(counts) == 1 and counts.count(1) > len(counts) // 2
 
 
 def test_shortest_accepted(sig1):

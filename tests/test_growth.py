@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from chainrep import growth, reparam
+from chainrep import reparam
+from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError
 from chainrep.formula import exists_wrap, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
@@ -199,18 +200,18 @@ def test_witness_builds_each_map_once(sig1, monkeypatch):
     # the image algebra and the base fiber both read the one automaton of
     # the map: ex xs. g is never compiled on its own, at dimension 0 either
     builds, compiled = [], []
-    real_build, real_compile = growth.map_automaton, reparam.compile_dfa
+    real_build, real_compile = Query.map_automaton, reparam.compile_dfa
 
-    def map_automaton(*args):
+    def map_automaton(query, *args):
         builds.append(args)
-        return real_build(*args)
+        return real_build(query, *args)
 
     def compile_dfa(f, *args):
         compiled.append(f)
         return real_compile(f, *args)
 
-    monkeypatch.setattr(growth, "map_automaton", map_automaton)
-    monkeypatch.setattr(reparam, "map_automaton", map_automaton)
+    # every map, public or inside a query, is built by Query.map_automaton
+    monkeypatch.setattr(Query, "map_automaton", map_automaton)
     monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
     for text, variables, d in ((FIRST_PAIR_TEXT, ("x", "y", "v"), 2),
                                ("x = y & all z. z = x", ("x", "y"), 0)):

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from chainrep import reparam
+from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
@@ -153,13 +153,13 @@ def test_reduce_builds_each_map_once(monkeypatch):
     # the selectors, with the bound and provenance the map has on its own
     spec = parse_interpretation(GUARD_SPLIT)
     builds = []
-    real = reparam.map_automaton
+    real = Query.map_automaton
 
-    def map_automaton(*args):
+    def map_automaton(query, *args):
         builds.append(args)
-        return real(*args)
+        return real(query, *args)
 
-    monkeypatch.setattr(reparam, "map_automaton", map_automaton)
+    monkeypatch.setattr(Query, "map_automaton", map_automaton)
     red = reduce_interpretation(spec, 1)
     assert len(builds) == 1
     c = spec.components[0]
@@ -171,19 +171,21 @@ def test_reduce_builds_each_map_once(monkeypatch):
 
 def test_reduce_names_the_stage_that_runs_out(sig1):
     # the automaton of the map of two labelled positions and a first one
-    # needs 19 states, its preimage count 11: below 19 states the build runs
-    # out, so on its own the map keeps its certificate, and a reduction,
-    # which cannot, names the build
+    # needs 9 states, its preimage count 11: below 9 states the build runs
+    # out, below 11 the count, so on its own the map keeps its certificate,
+    # and a reduction, which cannot, names the stage
     spec = parse_interpretation(f"signature P1\ncomponent c dim=3\nuniverse {FIRST_PAIR_TEXT}\n")
     c = spec.components[0]
-    rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=12)
+    rep = minimal_reparameterization(c.universe, sig1, c.variables, budget_states=8)
     assert (rep.bound, rep.provenance.kind) == (153, "unrefined")
     assert rep.provenance.detail == \
-        "bound 153 kept: map automaton: state budget exceeded (13 > 12)"
-    for budget in (12, 18):
-        with pytest.raises(ResourceLimitError, match="^map automaton: state budget"):
+        "bound 153 kept: map automaton: state budget exceeded (9 > 8)"
+    with pytest.raises(ResourceLimitError, match=r"^map automaton: state budget exceeded \(9 > 8\)"):
+        reduce_interpretation(spec, 2, budget_states=8)
+    for budget in (9, 10):
+        with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
             reduce_interpretation(spec, 2, budget_states=budget)
-    assert reduce_interpretation(spec, 2, budget_states=19).parts[0].rep.bound == 3
+    assert reduce_interpretation(spec, 2, budget_states=11).parts[0].rep.bound == 3
 
 
 def test_reduce_refuses_insufficient_dim():

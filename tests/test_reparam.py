@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from chainrep import reparam
+from chainrep import compiler, reparam
 from chainrep.compiler import max_fiber
-from chainrep.errors import InputError
+from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import FALSE, Signature, parse, render
 from chainrep.growth import growth_lower_witness
 from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
@@ -19,7 +19,7 @@ from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
                               minimal_reparameterization)
 from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
-from conftest import GROUP_TEXT, battery, endpoints_text
+from conftest import BATTERY, FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text
 
 # satisfiable only at the two ends of a word: dimension 0 with two fibers
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
@@ -128,6 +128,83 @@ def test_skipped_refinement_is_recorded(sig1):
     assert skipped.provenance.detail == \
         "bound 13940 kept: map automaton: state budget exceeded (4 > 2)"
     assert skipped.provenance.children == (raw.provenance,)
+
+
+def test_the_source_is_built_once(sig1, monkeypatch):
+    # one build of f serves its order cases, every image that the search
+    # compiles and the map that refinement counts: each of those builds
+    # meets the source object and reads the automaton kept for it
+    texts = {name: text for name, _, text, _, _ in BATTERY}
+    subjects = ((GROUP_TEXT, "xy"), (FIRST_PAIR_TEXT, "xyv"),
+                (texts["pinned pair"], "xy"), (texts["adjacent labelled pair"], "xy"),
+                (endpoints_text("xyzw"), "xyzw"))
+    builds = []
+    real = compiler._Builder.build
+
+    def build(self, g):
+        builds.append((self.stage, g))
+        return real(self, g)
+
+    monkeypatch.setattr(compiler._Builder, "build", build)
+    stages = set()
+    for text, xs in subjects:
+        f = parse(text, sig1)
+        builds.clear()
+        minimal_reparameterization(f, sig1, tuple(xs))
+        assert [stage for stage, g in builds if g is f] == ["compile"], text
+        stages |= {stage for stage, _ in builds}
+    # refinement built maps around the source (the pinned pair's map is the
+    # source itself, so its build reads the kept automaton whole)
+    assert "map automaton" in stages
+
+
+def test_nothing_outlives_a_call(sig1):
+    # the automata that a call keeps go with it: an identical call, and a
+    # starved one after a full run of the same formula object, redo every
+    # build, so they answer as a first call would
+    f = parse(endpoints_text("xyz"), sig1)
+    raw = minimal_reparameterization(f, sig1, ("x", "y", "z"), refine=False)
+    skipped = _refine_bound(raw, 2).provenance.detail
+    with pytest.raises(ResourceLimitError) as starved:
+        minimal_reparameterization(f, sig1, ("x", "y", "z"), budget_states=16)
+    first = minimal_reparameterization(f, sig1, ("x", "y", "z"))
+    second = minimal_reparameterization(f, sig1, ("x", "y", "z"))
+    assert first.provenance == second.provenance
+    assert first.provenance.dump() == second.provenance.dump()
+    assert _refine_bound(raw, 2).provenance.detail == skipped == \
+        "bound 13940 kept: map automaton: state budget exceeded (4 > 2)"
+    with pytest.raises(ResourceLimitError) as again:
+        minimal_reparameterization(f, sig1, ("x", "y", "z"), budget_states=16)
+    assert str(again.value) == str(starved.value) == \
+        "compile: state budget exceeded (17 > 16)"
+
+
+# the most states that a default run's map build explores: the source's
+# automaton comes from the run's one build, and dead pairs are one state
+MAP_PEAKS = (
+    ("guard split", GROUP_TEXT, "xy", 17),
+    ("first pair", FIRST_PAIR_TEXT, "xyv", 9),
+    ("E^4", endpoints_text("xyzw"), "xyzw", 19),
+    ("P1^3 F L", "P1(x)&P1(y)&P1(z)&(~ex q. q < v)&(~ex q. u < q)", "xyzvu", 29),
+)
+
+
+def test_map_automaton_peaks_are_pinned(sig1, monkeypatch):
+    peak = {}
+    real = compiler._Builder.explore
+
+    def explore(self, *args):
+        order, delta = real(self, *args)
+        peak[self.stage] = max(peak.get(self.stage, 0), len(order))
+        return order, delta
+
+    monkeypatch.setattr(compiler._Builder, "explore", explore)
+    got = []
+    for name, text, xs, _ in MAP_PEAKS:
+        peak.clear()
+        minimal_reparameterization(parse(text, sig1), sig1, tuple(xs))
+        got.append((name, text, xs, peak["map automaton"]))
+    assert tuple(got) == MAP_PEAKS
 
 
 def test_full_width_is_the_identity(sig1, monkeypatch):
