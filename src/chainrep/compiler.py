@@ -312,24 +312,20 @@ class _Builder:
         return order, delta
 
     def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
-        """The minimal automaton of the product of a and b under op.  The
-        pairs that cannot accept, one side in its rejecting sink for and,
-        both for or, are one dead state."""
+        """The minimal automaton of the product of a and b under op: a pair
+        accepts when one side does (or) or both do (and), and it is dead,
+        one state for all, when both sides (or) or one (and) sit in their
+        rejecting sinks."""
         assert a.fo == b.fo and a.so == b.so
+        holds, dies = (any, all) if op == "or" else (all, any)
         sa, sb = _sinks(a), _sinks(b)
-        both = op == "or"
         dead_row = [None] * a.n_letters
         order, delta = self.explore(
             (a.init, b.init),
             lambda st: dead_row if st is None else list(zip(a.delta[st[0]], b.delta[st[1]])),
-            a.n_letters,
-            lambda st: (st[0] in sa and st[1] in sb) if both else (st[0] in sa or st[1] in sb))
-        if both:
-            accepting = {i for i, st in enumerate(order)
-                         if st is not None and (st[0] in a.accepting or st[1] in b.accepting)}
-        else:
-            accepting = {i for i, st in enumerate(order)
-                         if st is not None and st[0] in a.accepting and st[1] in b.accepting}
+            a.n_letters, lambda st: dies((st[0] in sa, st[1] in sb)))
+        accepting = {i for i, st in enumerate(order) if st is not None
+                     and holds((st[0] in a.accepting, st[1] in b.accepting))}
         return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting))
 
     def complement(self, a: _Auto) -> _Auto:
@@ -514,7 +510,7 @@ class Query:
     that it compiles, and each order case that it derives, keeps its
     automaton by the identity of the formula object for its later builds."""
 
-    def __init__(self, sig: Signature, budget_states: int = DEFAULT_STATE_BUDGET):
+    def __init__(self, sig: Signature, budget_states: int):
         self.sig = sig
         self.budget = budget_states
         self.known: dict[int, tuple[Formula, _Auto]] = {}

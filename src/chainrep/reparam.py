@@ -19,11 +19,9 @@ tuple in that case's ascending order, has bound 1.  Below full width every
 case is reduced and the case maps, each stating its source once, are
 glued into one union.
 
-One call builds the source's automaton once.  It runs one compiler.Query,
-which keeps the automaton of f, of each order case and of each image that
-the search compiles, by the identity of the formula object: an image
-`ex xs. (case & eqs)` reads its case's automaton, and the map `source & h`
-that refinement counts reads f's.  The Query goes with the call.
+One compiler.Query per call keeps the automata of f, of its order cases
+and of the images that the search compiles, so each image `ex xs. (case &
+eqs)` and the map `source & h` start from the one build of the source.
 """
 
 from __future__ import annotations
@@ -558,8 +556,6 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     if extra:
         raise InputError(f"free variables {extra} are not marked")
     supply = NameSupply(all_vars(f) | set(marked_vars))
-    # the one query of this call: f is built once, and every case, image
-    # and map that contains it reads that automaton
     query = Query(sig, budget_states)
     rep = _minrep(f, sig, marked_vars, supply, query)
     if refine and rep.bound > 1:
