@@ -24,17 +24,18 @@ state, so it never holds more than one state beyond the live pairs.
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
 a later build that meets the same object reads that automaton.  So the
-source of a minimal reparameterization is built once, by realizable_cases,
-and its order cases, the images that the search compiles and the map
-(source & h, the source's automaton times h's, over the ys tracks too) all
-start from it.  Nothing is kept across calls.
+source of a minimal reparameterization is built once, by
+Query.realizable_cases, and its order cases, the images that the search
+compiles (compile, given the query) and the map (source & h, the source's
+automaton times h's, over the ys tracks too) all start from it.  Nothing
+is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
 to right, is the value of xi.  The final compilation step intersects with
 the strict-ascending track order and then merges all tracks into the shared
 bit.  Only assignments with x1 < ... < xm are representable; pipelines that
-need other orderings split into order cases first.  realizable_cases
+need other orderings split into order cases first.  Query.realizable_cases
 derives the cases that some word realizes, and their automata, from one
 build of the formula over one track per variable.
 
@@ -165,13 +166,15 @@ def _n_letters(sig, fo, so):
 class _Builder:
     """Builds automata under the state budget; its budget errors name the
     stage that ran out.  known holds the automata of the formulas that its
-    Query kept, by the identity of the formula object."""
+    Query kept, by the identity of the formula object; a builder that
+    builds no formula gets an empty one."""
 
-    def __init__(self, sig: Signature, budget: int, stage: str, known=None):
+    def __init__(self, sig: Signature, budget: int, stage: str,
+                 known: dict[int, tuple[Formula, _Auto]]):
         self.sig = sig
         self.budget = budget
         self.stage = stage
-        self.known: dict[int, tuple[Formula, _Auto]] = {} if known is None else known
+        self.known = known
 
     def _check(self, n: int, n_letters: int = 0):
         if n > self.budget:
@@ -507,8 +510,9 @@ def _auto_of(dfa: Dfa) -> _Auto:
 
 class Query:
     """The builds of one public call, under one state budget: each formula
-    that it compiles, and each order case that it derives, keeps its
-    automaton by the identity of the formula object for its later builds."""
+    that it compiles (compile, given the query), and each order case that
+    it derives, keeps its automaton by the identity of the formula object
+    for its later builds."""
 
     def __init__(self, sig: Signature, budget_states: int):
         self.sig = sig
@@ -518,17 +522,14 @@ class Query:
     def builder(self, stage: str) -> _Builder:
         return _Builder(self.sig, self.budget, stage, self.known)
 
-    def compile(self, f: Formula, marked_vars=()) -> Dfa:
-        """compile's Dfa of f, keeping f's automaton."""
-        marked_vars = tuple(marked_vars)
-        builder = self.builder("compile")
-        f = _checked(f, marked_vars)
-        a = builder.extend(builder.keep(f, builder.built(f)), fo_add=marked_vars)
-        return builder.to_public(a, marked_vars)
-
     def realizable_cases(self, f: Formula, xs):
-        """realizable_cases of f over xs, keeping f's automaton; a case's
-        build, given the case's formula, keeps the case's automaton as that
+        """The order cases of f over xs that some word realizes, as (rank
+        tuple, build) pairs in rank tuple order, where build(formula), given
+        the case's formula, makes the Dfa compile publishes for it over its
+        representatives.  f is built once, under stage compile, over one
+        track per variable it has free; a case's automaton is f's with each
+        class's tracks merged into its representative's, and its Dfa comes
+        from that.  Both automata are kept, f's as f's and a case's as its
         formula's."""
         xs = tuple(xs)
         builder = self.builder("compile")
@@ -536,12 +537,11 @@ class Query:
         source = builder.keep(f, builder.built(f))
         a = builder.extend(source, fo_add=xs)
 
-        def build(classes, formula=None):
+        def build(classes, formula):
             merge = {v: c[0] for c in classes for v in c[1:]}
             case = builder.extend(source, fo_add=[merge[v] for v in source.fo if v in merge],
                                   merge=merge)
-            if formula is not None:
-                builder.keep(formula, case)
+            builder.keep(formula, case)
             reps = tuple(c[0] for c in classes)
             return builder.to_public(builder.extend(case, fo_add=reps), reps)
 
@@ -560,27 +560,21 @@ class Query:
 
 
 def compile(f: Formula, sig: Signature, marked_vars=(),
-            budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
+            budget_states: int = DEFAULT_STATE_BUDGET, *, query: Query | None = None) -> Dfa:
     """Compile a formula to a DFA over (optionally marked) label letters.
 
     marked_vars lists the free first-order variables in the order their
     marks appear in a word; assignments are therefore restricted to strictly
     ascending tuples.  Free variables must be covered by marked_vars; free
-    set variables are not allowed.
+    set variables are not allowed.  Given the query of an enclosing call
+    (over sig), the build reads the automata that query kept, under its
+    budget in place of budget_states, and keeps f's automaton in it.
     """
-    return Query(sig, budget_states).compile(f, marked_vars)
-
-
-def realizable_cases(f: Formula, sig: Signature, xs,
-                     budget_states: int = DEFAULT_STATE_BUDGET):
-    """The order cases of f over xs that some word realizes, as (rank tuple,
-    build) pairs in rank tuple order, where build() makes the Dfa compile
-    publishes for the case's formula over its representatives.  f is built
-    once, under stage compile, over one track per variable it has free; a
-    case's automaton is f's with each class's tracks merged into its
-    representative's, and its Dfa comes from that.  Query.realizable_cases
-    keeps both automata for the later builds of its call."""
-    return Query(sig, budget_states).realizable_cases(f, xs)
+    marked_vars = tuple(marked_vars)
+    builder = (Query(sig, budget_states) if query is None else query).builder("compile")
+    f = _checked(f, marked_vars)
+    a = builder.extend(builder.keep(f, builder.built(f)), fo_add=marked_vars)
+    return builder.to_public(a, marked_vars)
 
 
 def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
@@ -725,7 +719,7 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
     state, None.  The counting states run under m's state budget, and the
     rank automata are published, by a builder of their own stage.
     """
-    builder = _Builder(m.builder.sig, m.builder.budget, "preimage ranks")
+    builder = _Builder(m.builder.sig, m.builder.budget, "preimage ranks", {})
     a, xs, ys = m.auto, m.xs, m.ys
     k, n = builder.sig.k, len(xs)
     less = (2,)
@@ -834,7 +828,7 @@ def first_fiber(m: MapAutomaton, word: Word, image):
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
     """Language-preserving minimization of an already built automaton."""
-    builder = _Builder(dfa.sig, budget_states, "minimize")
+    builder = _Builder(dfa.sig, budget_states, "minimize", {})
     return builder.publish(builder.minimize(_auto_of(dfa)), dfa.marked, dfa.tracks)
 
 
@@ -847,7 +841,7 @@ def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
     if (a.sig, a.marked, a.tracks) != (b.sig, b.marked, b.tracks):
         raise InputError("automata are over different alphabets")
     # the budget bounds the pairs, so it never runs out
-    pairs, _ = _Builder(a.sig, a.n_states * b.n_states, "equivalence").explore(
+    pairs, _ = _Builder(a.sig, a.n_states * b.n_states, "equivalence", {}).explore(
         (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])))
     return all((qa in a.accepting) == (qb in b.accepting) for qa, qb in pairs)
 
@@ -858,7 +852,7 @@ def shortest_accepted(dfa: Dfa):
     if dfa.tracks != 1:
         raise InputError("a marked word cannot fill one track per variable")
     # the budget bounds the states, so it never runs out
-    order, rows = _Builder(dfa.sig, dfa.n_states, "shortest accepted").explore(
+    order, rows = _Builder(dfa.sig, dfa.n_states, "shortest accepted", {}).explore(
         dfa.init, dfa.delta.__getitem__)
     first = next((i for i, q in enumerate(order) if q in dfa.accepting), None)
     if first is None:
@@ -894,7 +888,7 @@ def project_mark(dfa: Dfa) -> Dfa:
     if not dfa.marked:
         raise InputError("automaton has no mark bit")
     k = dfa.sig.k
-    builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET, "project mark")
+    builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET, "project mark", {})
     groups = [[lab | m << k for m in range(1 << dfa.tracks)] for lab in range(1 << k)]
     return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
 

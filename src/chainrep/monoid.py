@@ -111,7 +111,7 @@ def transition_monoid(dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> TypeMonoi
     def successors(e):
         return [tuple(map(image.__getitem__, e)) for image in images]
 
-    elements, rows = _Builder(dfa.sig, budget, "monoid").explore(
+    elements, rows = _Builder(dfa.sig, budget, "monoid", {}).explore(
         tuple(range(dfa.n_states)), successors, dfa.n_letters)
     index = {e: i for i, e in enumerate(elements)}
     return TypeMonoid(dfa, elements, index, _shortlex_words(rows),

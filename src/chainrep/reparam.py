@@ -367,7 +367,7 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
                 row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
         return row
 
-    order, rows = _Builder(algebra.sig, budget_states, "guard").explore(
+    order, rows = _Builder(algebra.sig, budget_states, "guard", {}).explore(
         (0, m.identity, frozenset(range(len(families)))), successors)
     accepting = frozenset(
         j for j, st in enumerate(order)
@@ -428,7 +428,7 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     if us:
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
                              TypeAlgebra.build(psi, sig, us, query.budget,
-                                               dfa=query.compile(psi, us)),
+                                               dfa=compile_dfa(psi, sig, us, query=query)),
                              supply, query)
     else:
         inner = _minrep(psi, sig, us, supply, query)
@@ -450,7 +450,7 @@ def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
 def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
             query: Query) -> Reparameterization:
     """The map of f over xs, glued from the order cases that one build of f
-    (compiler.realizable_cases) finds realizable; only those cases
+    (compiler.Query.realizable_cases) finds realizable; only those cases
     are substituted and reduced, each from its automaton, which the query
     keeps for its formula.  The strict cases are tested for rigidity first,
     which draws no names, so a rigid one is found before any case is
@@ -516,10 +516,9 @@ def _refine_in(rep: Reparameterization,
     return rep, ranks
 
 
-def _refine_bound(rep: Reparameterization, budget_states: int,
-                  query: Query | None = None) -> Reparameterization:
-    """rep refined as refine_with_ranks does, under the caller's state
-    budget, or by the caller's query when given.
+def _refine_bound(rep: Reparameterization, query: Query) -> Reparameterization:
+    """rep refined as refine_with_ranks does, its map built by the caller's
+    query under that query's state budget.
 
     Gives up (keeping the certificate) when the build or the count exceeds
     the budget, and records that as an "unrefined" provenance step that
@@ -528,7 +527,7 @@ def _refine_bound(rep: Reparameterization, budget_states: int,
     if not rep.domain_vars or rep.bound <= 1:
         return rep
     try:
-        return _refine_in(rep, query or Query(rep.signature, budget_states))[0]
+        return _refine_in(rep, query)[0]
     except ResourceLimitError as e:
         return replace(rep, provenance=Step("unrefined", f"bound {rep.bound} kept: {e}",
                                             (rep.provenance,)))
@@ -559,5 +558,5 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     query = Query(sig, budget_states)
     rep = _minrep(f, sig, marked_vars, supply, query)
     if refine and rep.bound > 1:
-        rep = _refine_bound(rep, budget_states, query)
+        rep = _refine_bound(rep, query)
     return rep

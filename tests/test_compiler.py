@@ -4,10 +4,10 @@ import itertools
 import pytest
 
 from chainrep import compiler
-from chainrep.compiler import (DEFAULT_STATE_BUDGET, compile, dfa_empty,
+from chainrep.compiler import (DEFAULT_STATE_BUDGET, Query, compile, dfa_empty,
                                dfa_equivalent, dfa_to_formula, first_fiber, map_automaton,
                                max_fiber, minimize_dfa, preimage_ranks, project_mark,
-                               realizable_cases, shortest_accepted)
+                               shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import Run, Signature, exists_wrap, order_case_split, parse, render
 from chainrep.oracle import evaluate, satisfying_tuples
@@ -138,7 +138,8 @@ def test_realizable_cases_are_the_nonempty_order_cases(sig1):
             dfa = compile(case.formula, sig, case.representatives)
             if not dfa_empty(dfa):
                 nonempty.append((ranks, dfa))
-        assert [(ranks, build()) for ranks, build in realizable_cases(f, sig, xs)] == \
+        cases = Query(sig, DEFAULT_STATE_BUDGET).realizable_cases(f, xs)
+        assert [(ranks, build(split.case(ranks).formula)) for ranks, build in cases] == \
             nonempty, render(f)
 
 
@@ -146,9 +147,9 @@ def test_realizable_cases_run_under_the_compile_budget(sig1):
     # the one build of the endpoint triple needs 17 states
     f = parse(endpoints_text("xyz"), sig1)
     with pytest.raises(ResourceLimitError) as e:
-        realizable_cases(f, sig1, ("x", "y", "z"), 16)
+        Query(sig1, 16).realizable_cases(f, ("x", "y", "z"))
     assert (e.value.stage, e.value.reached, e.value.budget) == ("compile", 17, 16)
-    assert len(realizable_cases(f, sig1, ("x", "y", "z"), 17)) == 7
+    assert len(Query(sig1, 17).realizable_cases(f, ("x", "y", "z"))) == 7
 
 
 def test_products_explore_one_dead_pair(monkeypatch):
@@ -234,7 +235,7 @@ def test_project_mark_runs_under_the_state_budget(sig1, monkeypatch):
 
 
 def test_extend_checks_the_transition_cap(sig1, monkeypatch):
-    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET, "compile")
+    builder = Query(sig1, DEFAULT_STATE_BUDGET).builder("compile")
     a = builder.build(parse("P1(x)", sig1))
     monkeypatch.setattr(compiler, "_TRANSITION_CAP", a.n * a.n_letters)
     with pytest.raises(ResourceLimitError) as e:
@@ -247,7 +248,7 @@ def test_extend_checks_the_transition_cap(sig1, monkeypatch):
 def test_extend_leaves_new_tracks_unconstrained(sig1):
     # widening only relabels letters; validity of the new track comes from
     # the operation that needs it
-    builder = compiler._Builder(sig1, DEFAULT_STATE_BUDGET, "compile")
+    builder = Query(sig1, DEFAULT_STATE_BUDGET).builder("compile")
     a = builder.build(parse("P1(x)", sig1))
     wide = builder.extend(a, fo_add=("y",))
     assert wide.fo == ("x", "y") and wide.n == a.n

@@ -206,9 +206,9 @@ def test_witness_builds_each_map_once(sig1, monkeypatch):
         builds.append(args)
         return real_build(query, *args)
 
-    def compile_dfa(f, *args):
+    def compile_dfa(f, *args, **kwargs):
         compiled.append(f)
-        return real_compile(f, *args)
+        return real_compile(f, *args, **kwargs)
 
     # every map, public or inside a query, is built by Query.map_automaton
     monkeypatch.setattr(Query, "map_automaton", map_automaton)

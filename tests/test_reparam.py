@@ -6,7 +6,7 @@ import time
 import pytest
 
 from chainrep import compiler, reparam
-from chainrep.compiler import max_fiber
+from chainrep.compiler import Query, max_fiber
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import FALSE, Signature, parse, render
 from chainrep.growth import growth_lower_witness
@@ -122,7 +122,7 @@ def test_skipped_refinement_is_recorded(sig1):
     f = parse(endpoints_text("xyz"), sig1)
     raw = minimal_reparameterization(f, sig1, ("x", "y", "z"), refine=False)
     assert (raw.dimension, raw.bound) == (0, 13_940)
-    skipped = _refine_bound(raw, 2)
+    skipped = _refine_bound(raw, Query(sig1, 2))
     assert skipped.bound == 13_940
     assert skipped.provenance.kind == "unrefined"
     assert skipped.provenance.detail == \
@@ -164,14 +164,14 @@ def test_nothing_outlives_a_call(sig1):
     # build, so they answer as a first call would
     f = parse(endpoints_text("xyz"), sig1)
     raw = minimal_reparameterization(f, sig1, ("x", "y", "z"), refine=False)
-    skipped = _refine_bound(raw, 2).provenance.detail
+    skipped = _refine_bound(raw, Query(sig1, 2)).provenance.detail
     with pytest.raises(ResourceLimitError) as starved:
         minimal_reparameterization(f, sig1, ("x", "y", "z"), budget_states=16)
     first = minimal_reparameterization(f, sig1, ("x", "y", "z"))
     second = minimal_reparameterization(f, sig1, ("x", "y", "z"))
     assert first.provenance == second.provenance
     assert first.provenance.dump() == second.provenance.dump()
-    assert _refine_bound(raw, 2).provenance.detail == skipped == \
+    assert _refine_bound(raw, Query(sig1, 2)).provenance.detail == skipped == \
         "bound 13940 kept: map automaton: state budget exceeded (4 > 2)"
     with pytest.raises(ResourceLimitError) as again:
         minimal_reparameterization(f, sig1, ("x", "y", "z"), budget_states=16)
@@ -299,13 +299,13 @@ def test_refine_gives_up_at_cap_and_budget(sig1):
     raw = minimal_reparameterization(parse(ENDS_TEXT, sig1), sig1, ("x",),
                                      refine=False)
     assert raw.bound > 2
-    starved = _refine_bound(raw, 2)
+    starved = _refine_bound(raw, Query(sig1, 2))
     assert starved.bound == raw.bound
     assert starved.provenance.kind == "unrefined"
     # the map's own automaton is what runs out, and the detail says so
     assert starved.provenance.detail.startswith(
         f"bound {raw.bound} kept: map automaton: state budget exceeded")
-    exact = _refine_bound(raw, 10**6)
+    exact = _refine_bound(raw, Query(sig1, 10**6))
     assert (exact.bound, exact.provenance.kind) == (2, "refine")
 
 
