@@ -23,11 +23,12 @@ state, so it never holds more than one state beyond the live pairs.
 
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
-a later build that meets the same object reads that automaton.  So the
-source of a minimal reparameterization is built once, by
+a later build that meets the same object reads that automaton; a counting
+quantifier is expanded where the build meets it, so no object above it is
+replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
-compiles (compile, given the query) and the map (source & h, the source's
-automaton times h's, over the ys tracks too) all start from it.  Nothing
+compiles (compile, given the query) and the map (Query.map_automaton of
+source & h, the source's automaton times h's) all start from it.  Nothing
 is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
@@ -45,8 +46,8 @@ automaton with one track per variable, each mark bit by its variable's
 track, so an automaton the pipeline already holds never goes back through
 MSO.
 
-A map is built once, by map_automaton, over one track per domain and
-image variable.  Its image, the lexicographically least fiber over an
+A map is built once, over one track per domain and image variable.  Its
+image, the lexicographically least fiber over an
 image tuple (first_fiber) and the counting construction that gives its
 largest fiber and its preimage ranks (preimage_ranks, which publishes rank
 automata only when asked for them) all read that one automaton.
@@ -58,8 +59,8 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .formula import (And, Const, Equal, ExistsFO, ExistsSO, ForallFO, ForallSO,
-                      Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
+from .formula import (And, AtLeast, Const, Equal, ExistsFO, ExistsSO, ForallFO,
+                      ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
                       expand_macros, is_fo_name, occurrences, rank_classes)
 from .words import MarkedWord, Word, render_letter
 
@@ -429,6 +430,8 @@ class _Builder:
                 return self.single_mark((x,), (s,), (x,), 1 << (self.sig.k + 1))
             case Run(dfa, vs):
                 return self.run_leaf(dfa, vs)
+            case AtLeast():
+                return self.build(expand_macros(f))
             case Not(g):
                 return self.complement(self.built(g))
             case And(l, r):
@@ -533,7 +536,7 @@ class Query:
         formula's."""
         xs = tuple(xs)
         builder = self.builder("compile")
-        f = _checked(f, xs)
+        _check(f, xs)
         source = builder.keep(f, builder.built(f))
         a = builder.extend(source, fo_add=xs)
 
@@ -549,9 +552,10 @@ class Query:
                 for ranks in _realizable_ranks(a, xs)]
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
-        """map_automaton of g, reading the automata this Query kept."""
+        """The automaton of the map g from xs to ys; for a map source & h of
+        this Query's call, the source's automaton times h's."""
         xs, ys = tuple(xs), tuple(ys)
-        g = _checked(g, xs + ys)
+        _check(g, xs + ys)
         builder = self.builder("map automaton")
         a = builder.built(g)
         unused = [v for v in xs + ys if v not in a.fo]
@@ -572,7 +576,7 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     """
     marked_vars = tuple(marked_vars)
     builder = (Query(sig, budget_states) if query is None else query).builder("compile")
-    f = _checked(f, marked_vars)
+    _check(f, marked_vars)
     a = builder.extend(builder.keep(f, builder.built(f)), fo_add=marked_vars)
     return builder.to_public(a, marked_vars)
 
@@ -627,22 +631,20 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
                   for p in patterns)
 
 
-def _checked(f: Formula, marked_vars: tuple[str, ...]) -> Formula:
-    """f with macros expanded, after checking that its free variables are
-    among marked_vars, distinct first-order names."""
+def _check(f: Formula, marked_vars: tuple[str, ...]):
+    """Check that the free variables of f are among marked_vars, distinct
+    first-order names."""
     for v in marked_vars:
         if not is_fo_name(v):
             raise InputError(f"bad marked variable {v!r}")
     if len(set(marked_vars)) != len(marked_vars):
         raise InputError("marked variables must be distinct")
-    f = expand_macros(f)
     free = dict.fromkeys((v, is_set) for v, is_set, is_free in occurrences(f) if is_free)
     if any(is_set for _, is_set in free):
         raise InputError("formula has free set variables")
     extra = [v for v, _ in free if v not in marked_vars]
     if extra:
         raise InputError(f"free variables {extra} are not marked")
-    return f
 
 
 @dataclass(frozen=True)
@@ -663,14 +665,6 @@ class MapAutomaton:
         for v in reversed(self.xs):
             a = self.builder.project(a, "fo", v)
         return self.builder.to_public(a, self.ys)
-
-
-def map_automaton(g: Formula, sig: Signature, xs, ys,
-                  budget_states: int = DEFAULT_STATE_BUDGET) -> MapAutomaton:
-    """The automaton of the map g from xs to ys, under the state budget.
-    Query.map_automaton builds it from the automata its call kept: for a
-    map source & h of that call, the source's automaton times h's."""
-    return Query(sig, budget_states).map_automaton(g, xs, ys)
 
 
 @dataclass
@@ -781,7 +775,8 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
     one word, counted up to cap: the lexicographically last of them has as
     many smaller ones as the fiber has members but one, so this is the
     largest preimage rank + 1."""
-    return preimage_ranks(map_automaton(g, sig, xs, ys, budget_states), cap).largest_fiber
+    m = Query(sig, budget_states).map_automaton(g, xs, ys)
+    return preimage_ranks(m, cap).largest_fiber
 
 
 def first_fiber(m: MapAutomaton, word: Word, image):

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap
-from .compiler import DEFAULT_STATE_BUDGET, first_fiber, map_automaton
+from .compiler import DEFAULT_STATE_BUDGET, Query, first_fiber
 from .monoid import is_pumpable
 from .oracle import count_in_set, satisfying_tuples
-from .reparam import Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization
+from .reparam import (Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization,
+                      reparameterize)
 from .words import Word, all_words
 
 
@@ -174,9 +175,9 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     marks slides over n extra idempotent copies independently, and the
     fibers transport along.  The pool keeps, in every copy, the offsets one
     base fiber occupies, plus its fixed positions outside the copy runs.
-    The map's automaton is built once (compiler.map_automaton): its image
-    gives the image algebra, and that fiber, the lexicographically least
-    domain tuple the map relates to the base marks, is read off it
+    The search's Query builds the map's automaton once, from its build of
+    f: its image gives the image algebra, and that fiber, the least domain
+    tuple the map relates to the base marks, is read off it
     (compiler.first_fiber).  The whole witness is built on the automaton
     route, and oracle_count() recounts it by enumeration.  Dimension 0 is
     the same construction with no marks: the image is the sentence
@@ -187,12 +188,12 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     k = len(variables)
     if n < 1:
         raise InputError("need n >= 1")
-    rep = minimal_reparameterization(f, sig, variables, refine=False,
-                                     budget_states=budget_states)
+    query = Query(sig, budget_states)
+    rep = reparameterize(f, variables, query)
     if rep.bound == 0:
         raise InputError("formula is unsatisfiable")
     d = rep.dimension
-    auto = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars, budget_states)
+    auto = query.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
     algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
                                 budget_states, dfa=auto.image())
     found = _all_pumpable_family(algebra)

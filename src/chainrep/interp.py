@@ -25,7 +25,7 @@ reduce_interpretation rebuilds an equivalent interpretation whose
 components all have dimension at most d, replacing each component q by
 copies (q, i): the i-th preimage, in position-lexicographic order, of an
 image of q's minimal reparameterization.  A map whose certificate bound
-exceeds 1 is built once (compiler.map_automaton) and counted once
+exceeds 1 is built once, in the search's Query, and counted once
 (reparam.refine_with_ranks): the count gives the exact bound and then the
 selectors.  The selector of copy (q, i) is an automaton leaf reading one
 track per domain and image variable, published from that count: it holds
@@ -44,9 +44,9 @@ from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
                       free_set_variables, free_variables, one_point, parse, render,
                       substitute)
-from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks
+from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks, Query
 from .oracle import CheckReport, satisfying_tuples
-from .reparam import Reparameterization, minimal_reparameterization, refine_with_ranks
+from .reparam import Reparameterization, refine_with_ranks, reparameterize
 from .words import Word, all_words
 
 # components with more preimage copies than this produce unusably wide
@@ -314,14 +314,14 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
     reps: dict[str, Reparameterization] = {}
     ranks: dict[str, PreimageRanks] = {}
     for c in spec.components:
-        rep = minimal_reparameterization(c.universe, spec.signature, c.variables,
-                                         budget_states=budget_states, refine=False)
+        query = Query(spec.signature, budget_states)
+        rep = reparameterize(c.universe, c.variables, query)
         if rep.dimension > d:
             raise InputError(
                 f"component {c.name!r} needs dimension {rep.dimension}, "
                 f"target is {d}")
         if rep.bound > 1:
-            rep, ranks[c.name] = refine_with_ranks(rep, budget_states)
+            rep, ranks[c.name] = refine_with_ranks(rep, query)
         if rep.bound > MAX_COMPONENT_COPIES:
             raise ResourceLimitError(
                 f"component {c.name!r} would split into {rep.bound} copies",

@@ -19,9 +19,9 @@ tuple in that case's ascending order, has bound 1.  Below full width every
 case is reduced and the case maps, each stating its source once, are
 glued into one union.
 
-One compiler.Query per call keeps the automata of f, of its order cases
-and of the images that the search compiles, so each image `ex xs. (case &
-eqs)` and the map `source & h` start from the one build of the source.
+The search, reparameterize, runs in its caller's compiler.Query, which
+keeps the automata of f, of its order cases and of the images, so each
+image `ex xs. (case & eqs)` and the map `source & h` start from one build.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
                       all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
                       one_point, order_case_split, substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query, _Builder,
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
                        compile as compile_dfa, minimize_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
@@ -334,13 +334,12 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
                                    tuple(rep.provenance for _, rep in parts)))
 
 
-def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
-                    budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
+def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
     """Marked automaton accepting exactly the markings with these type tuples.
 
     Tracks (segments consumed, running segment type, families still
     consistent) while reading; a marked letter closes the current segment
-    and opens the next.  The result is minimized.
+    and opens the next.  The result is minimized, under query's budget.
     """
     m = algebra.monoid
     k = algebra.arity
@@ -367,13 +366,13 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts,
                 row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
         return row
 
-    order, rows = _Builder(algebra.sig, budget_states, "guard", {}).explore(
+    order, rows = query.builder("guard").explore(
         (0, m.identity, frozenset(range(len(families)))), successors)
     accepting = frozenset(
         j for j, st in enumerate(order)
         if st != dead and st[0] == k and any(families[d][k] == st[1] for d in st[2]))
     raw = Dfa(algebra.sig, True, 0, tuple(tuple(r) for r in rows), accepting)
-    return minimize_dfa(raw, budget_states)
+    return minimize_dfa(raw, query.budget)
 
 
 def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
@@ -406,7 +405,7 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
         groups.setdefault(e[0], []).append(d)
     parts = []
     for i in sorted(groups):
-        guard_dfa = _type_tuple_dfa(algebra, groups[i], query.budget)
+        guard_dfa = _type_tuple_dfa(algebra, groups[i], query)
         gamma = Run(guard_dfa, ys)
         step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
@@ -488,25 +487,18 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
 
 
 def refine_with_ranks(rep: Reparameterization,
-                      budget_states: int) -> tuple[Reparameterization, PreimageRanks]:
+                      query: Query) -> tuple[Reparameterization, PreimageRanks]:
     """rep with its certificate bound tightened to the exact maximal fiber
     size, and the preimage ranks of its map that gave it.
 
-    The map's automaton is built once (compiler.map_automaton), and one
-    counting construction over it (compiler.preimage_ranks) ranks every
-    preimage, counted up to the certificate; the largest rank + 1 is the
-    largest fiber, a count below the certificate is the exact bound, and
+    The map's automaton is built once, by the query that ran the search,
+    and one counting construction over it (compiler.preimage_ranks) ranks
+    every preimage, counted up to the certificate; the largest rank + 1 is
+    the largest fiber, a count below the certificate is the exact bound, and
     one that reaches it shows the certificate is exact.  Raises
     ResourceLimitError, naming the stage, when the build or the count
-    exceeds the state budget.
+    exceeds query's state budget.
     """
-    return _refine_in(rep, Query(rep.signature, budget_states))
-
-
-def _refine_in(rep: Reparameterization,
-               query: Query) -> tuple[Reparameterization, PreimageRanks]:
-    """refine_with_ranks, its map built by query, which may hold the
-    automaton of rep's source."""
     ranks = preimage_ranks(query.map_automaton(rep.g, rep.domain_vars, rep.image_vars),
                            rep.bound)
     most = ranks.largest_fiber
@@ -517,8 +509,7 @@ def _refine_in(rep: Reparameterization,
 
 
 def _refine_bound(rep: Reparameterization, query: Query) -> Reparameterization:
-    """rep refined as refine_with_ranks does, its map built by the caller's
-    query under that query's state budget.
+    """rep refined as refine_with_ranks does, by the caller's query.
 
     Gives up (keeping the certificate) when the build or the count exceeds
     the budget, and records that as an "unrefined" provenance step that
@@ -527,16 +518,15 @@ def _refine_bound(rep: Reparameterization, query: Query) -> Reparameterization:
     if not rep.domain_vars or rep.bound <= 1:
         return rep
     try:
-        return _refine_in(rep, query)[0]
+        return refine_with_ranks(rep, query)[0]
     except ResourceLimitError as e:
         return replace(rep, provenance=Step("unrefined", f"bound {rep.bound} kept: {e}",
                                             (rep.provenance,)))
 
 
-def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
-                               budget_states: int = DEFAULT_STATE_BUDGET,
-                               refine: bool = True) -> Reparameterization:
-    """Minimal-dimension reparameterization of f over its marked variables.
+def reparameterize(f: Formula, marked_vars, query: Query) -> Reparameterization:
+    """Minimal-dimension reparameterization of f over its marked variables
+    (all its free ones when None), built in query.
 
     Splits into the order cases that some word realizes, found and compiled
     from one automaton of f, reduces each case by eliminating marks whose
@@ -544,9 +534,8 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     disagree on where), and recurses on the image.  A strict case that
     stays rigid at the full width k stops the split: the answer is the
     identity map, image variables equal to the domain variables in that
-    case's ascending order, with bound 1.  Otherwise the returned bound is
-    a product/sum certificate; with refine it is tightened to the exact
-    maximal fiber size whenever the count stays within budget.
+    case's ascending order, with bound 1.  Otherwise the bound is a
+    product/sum certificate.
     """
     if marked_vars is None:
         marked_vars = free_variables(f)
@@ -555,8 +544,17 @@ def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
     if extra:
         raise InputError(f"free variables {extra} are not marked")
     supply = NameSupply(all_vars(f) | set(marked_vars))
+    return _minrep(f, query.sig, marked_vars, supply, query)
+
+
+def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,
+                               budget_states: int = DEFAULT_STATE_BUDGET,
+                               refine: bool = True) -> Reparameterization:
+    """reparameterize in a Query of its own; with refine, the certificate
+    is tightened to the exact maximal fiber size whenever the count stays
+    within budget."""
     query = Query(sig, budget_states)
-    rep = _minrep(f, sig, marked_vars, supply, query)
+    rep = reparameterize(f, marked_vars, query)
     if refine and rep.bound > 1:
         rep = _refine_bound(rep, query)
     return rep

@@ -5,7 +5,7 @@ import pytest
 
 from chainrep import interp
 from chainrep.cli import main
-from chainrep.compiler import compile, map_automaton, preimage_ranks
+from chainrep.compiler import Query, compile, preimage_ranks
 from chainrep.errors import ResourceLimitError
 from chainrep.formula import Signature, parse
 from chainrep.monoid import transition_monoid
@@ -165,9 +165,10 @@ STARVED_STAGES = (
     ("monoid", 3, 2,
      lambda: transition_monoid(compile(parse("atleast 3 v. P1(v)", P1), P1), 2)),
     ("map automaton", 4, 2,
-     lambda: map_automaton(parse("x < y & y < z", P1), P1, ("x", "z"), ("y",), 2)),
+     lambda: Query(P1, 2).map_automaton(parse("x < y & y < z", P1), ("x", "z"), ("y",))),
     ("preimage ranks", 6, 5,
-     lambda: preimage_ranks(map_automaton(parse("x < y", P1), P1, ("x",), ("y",), 5), 3)),
+     lambda: preimage_ranks(Query(P1, 5).map_automaton(parse("x < y", P1), ("x",), ("y",)),
+                            3)),
     ("guard", 13, 12,
      lambda: minimal_reparameterization(parse(GROUP_TEXT, P1), P1, ("x", "y"),
                                         budget_states=12)),

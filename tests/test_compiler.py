@@ -5,8 +5,8 @@ import pytest
 
 from chainrep import compiler
 from chainrep.compiler import (DEFAULT_STATE_BUDGET, Query, compile, dfa_empty,
-                               dfa_equivalent, dfa_to_formula, first_fiber, map_automaton,
-                               max_fiber, minimize_dfa, preimage_ranks, project_mark,
+                               dfa_equivalent, dfa_to_formula, first_fiber, max_fiber,
+                               minimize_dfa, preimage_ranks, project_mark,
                                shortest_accepted)
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import Run, Signature, exists_wrap, order_case_split, parse, render
@@ -283,7 +283,7 @@ def test_first_fiber_is_the_least_preimage(sig1):
     # order, that satisfies g with ys placed at the image
     for sig, fo, g in formula_batch(11, 30, max_preds=1, rank=2):
         for xs, ys in [(fo[:i], fo[i:]) for i in range(len(fo) + 1)]:
-            m = map_automaton(g, sig, xs, ys)
+            m = Query(sig, DEFAULT_STATE_BUDGET).map_automaton(g, xs, ys)
             for w in all_words(sig, 3):
                 for image in itertools.product(range(len(w)), repeat=len(ys)):
                     fixed = dict(zip(ys, image))
@@ -292,11 +292,11 @@ def test_first_fiber_is_the_least_preimage(sig1):
                     assert first_fiber(m, w, image) == want, (render(g), xs, w, image)
     w = Word(sig1, (0,) * 5)
     g = parse("x < y & y < z", sig1)
-    m = map_automaton(g, sig1, ("x", "z"), ("y",))
+    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(g, ("x", "z"), ("y",))
     assert first_fiber(m, w, (3,)) == (0, 4)
     assert first_fiber(m, w, (4,)) is None
     with pytest.raises(ResourceLimitError, match="^map automaton: state budget"):
-        map_automaton(g, sig1, ("x", "z"), ("y",), budget_states=2)
+        Query(sig1, 2).map_automaton(g, ("x", "z"), ("y",))
 
 
 def ranked_maps():
@@ -311,7 +311,8 @@ def ranked_maps():
     for sig, f, variables in maps:
         rep = minimal_reparameterization(f, sig, variables)
         if rep.bound > 1:
-            m = map_automaton(rep.g, sig, rep.domain_vars, rep.image_vars)
+            m = Query(sig, DEFAULT_STATE_BUDGET).map_automaton(rep.g, rep.domain_vars,
+                                                              rep.image_vars)
             yield sig, rep, m, preimage_ranks(m, rep.bound).selectors(rep.bound)
 
 
@@ -347,7 +348,8 @@ def test_lex_ranks_match_enumeration():
 
 def test_lex_ranks_run_under_the_state_budget(sig1):
     g = parse("x < y", sig1)
-    ranks = preimage_ranks(map_automaton(g, sig1, ("x",), ("y",)), 3).selectors(3)
+    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(g, ("x",), ("y",))
+    ranks = preimage_ranks(m, 3).selectors(3)
     assert [r.tracks for r in ranks] == [2, 2, 2]
     # rank 0 is x at the first position: words of length 2 and more
     assert dfa_equivalent(project_mark(ranks[0]),
@@ -359,7 +361,7 @@ def test_lex_ranks_run_under_the_state_budget(sig1):
     with pytest.raises(InputError):
         shortest_accepted(ranks[0])
     # the map's own automaton fits in 5 states, the count does not
-    m = map_automaton(g, sig1, ("x",), ("y",), budget_states=5)
+    m = Query(sig1, 5).map_automaton(g, ("x",), ("y",))
     with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
         preimage_ranks(m, 3)
 

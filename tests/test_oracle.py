@@ -377,5 +377,5 @@ def test_pipeline_never_imports_the_oracle():
     for node in ast.walk(ast.parse(Path(growth.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.setdefault(node.module, set()).update(a.name for a in node.names)
-    assert imported["compiler"] == {"DEFAULT_STATE_BUDGET", "first_fiber", "map_automaton"}
+    assert imported["compiler"] == {"DEFAULT_STATE_BUDGET", "Query", "first_fiber"}
     assert "order_case_split" not in set().union(*imported.values())

@@ -8,7 +8,7 @@ import pytest
 from chainrep import compiler, reparam
 from chainrep.compiler import Query, max_fiber
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import FALSE, Signature, parse, render
+from chainrep.formula import FALSE, Signature, conjuncts, parse, render
 from chainrep.growth import growth_lower_witness
 from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
@@ -133,11 +133,16 @@ def test_skipped_refinement_is_recorded(sig1):
 def test_the_source_is_built_once(sig1, monkeypatch):
     # one build of f serves its order cases, every image that the search
     # compiles and the map that refinement counts: each of those builds
-    # meets the source object and reads the automaton kept for it
+    # meets the source object and reads the automaton kept for it.  The
+    # reduction and the growth witness build their maps in the Query of
+    # their search, and an atleast is expanded where the build meets it, so
+    # no object above it is replaced: f and each of its conjuncts are built
+    # once in every call
     texts = {name: text for name, _, text, _, _ in BATTERY}
     subjects = ((GROUP_TEXT, "xy"), (FIRST_PAIR_TEXT, "xyv"),
                 (texts["pinned pair"], "xy"), (texts["adjacent labelled pair"], "xy"),
-                (endpoints_text("xyzw"), "xyzw"))
+                (endpoints_text("xyzw"), "xyzw"),
+                ("P1(x)&P1(y)&(~ex q. q < v)&(atleast 2 q. P1(q))", "xyv"))
     builds = []
     real = compiler._Builder.build
 
@@ -146,12 +151,18 @@ def test_the_source_is_built_once(sig1, monkeypatch):
         return real(self, g)
 
     monkeypatch.setattr(compiler._Builder, "build", build)
-    stages = set()
+    spec = parse_interpretation(f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n")
+    calls = [(spec.components[0].universe, lambda: reduce_interpretation(spec, 1))]
     for text, xs in subjects:
         f = parse(text, sig1)
+        calls.append((f, functools.partial(minimal_reparameterization, f, sig1, tuple(xs))))
+        calls.append((f, functools.partial(growth_lower_witness, f, sig1, tuple(xs), 3)))
+    stages = set()
+    for f, call in calls:
         builds.clear()
-        minimal_reparameterization(f, sig1, tuple(xs))
-        assert [stage for stage, g in builds if g is f] == ["compile"], text
+        call()
+        assert [[stage for stage, g in builds if g is c] for c in [f] + conjuncts(f)] == \
+            [["compile"]] * (1 + len(conjuncts(f))), (render(f), call)
         stages |= {stage for stage, _ in builds}
     # refinement built maps around the source (the pinned pair's map is the
     # source itself, so its build reads the kept automaton whole)
