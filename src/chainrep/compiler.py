@@ -27,9 +27,11 @@ a later build that meets the same object reads that automaton; a counting
 quantifier is expanded where the build meets it, so no object above it is
 replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
-compiles (compile, given the query) and the map (Query.map_automaton of
-source & h, the source's automaton times h's) all start from it.  Nothing
-is kept across calls.
+reads and the map (Query.map_automaton of source & h, the source's
+automaton times h's) all start from it.  compile alone publishes the
+automata that the search's type algebras read: given the query, it
+publishes the automaton kept for a case formula, and builds an image
+ex xs. g from the automaton kept for g.  Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -46,11 +48,12 @@ automaton with one track per variable, each mark bit by its variable's
 track, so an automaton the pipeline already holds never goes back through
 MSO.
 
-A map is built once, over one track per domain and image variable.  Its
-image, the lexicographically least fiber over an
-image tuple (first_fiber) and the counting construction that gives its
-largest fiber and its preimage ranks (preimage_ranks, which publishes rank
-automata only when asked for them) all read that one automaton.
+A map is built once, over one track per domain and image variable.  The
+lexicographically least fiber over an image tuple (first_fiber) and the
+counting construction that gives its largest fiber and its preimage ranks
+(preimage_ranks, which publishes rank automata only when asked for them)
+read that one automaton.  Its image ex xs. g, compiled given the query,
+starts from g's automaton, which the map's build keeps.
 """
 
 from __future__ import annotations
@@ -527,37 +530,34 @@ class Query:
 
     def realizable_cases(self, f: Formula, xs):
         """The order cases of f over xs that some word realizes, as (rank
-        tuple, build) pairs in rank tuple order, where build(formula), given
-        the case's formula, makes the Dfa compile publishes for it over its
-        representatives.  f is built once, under stage compile, over one
-        track per variable it has free; a case's automaton is f's with each
-        class's tracks merged into its representative's, and its Dfa comes
-        from that.  Both automata are kept, f's as f's and a case's as its
-        formula's."""
+        tuple, keep) pairs in rank tuple order, where keep(formula), given
+        the case's formula, keeps the case's automaton as that formula's, so
+        that compile, given this query, publishes it.  f is built once,
+        under stage compile, over one track per variable it has free, and
+        kept as f's; a case's automaton is f's with each class's tracks
+        merged into its representative's."""
         xs = tuple(xs)
         builder = self.builder("compile")
         _check(f, xs)
         source = builder.keep(f, builder.built(f))
-        a = builder.extend(source, fo_add=xs)
 
-        def build(classes, formula):
+        def keep(classes, formula):
             merge = {v: c[0] for c in classes for v in c[1:]}
-            case = builder.extend(source, fo_add=[merge[v] for v in source.fo if v in merge],
-                                  merge=merge)
-            builder.keep(formula, case)
-            reps = tuple(c[0] for c in classes)
-            return builder.to_public(builder.extend(case, fo_add=reps), reps)
+            builder.keep(formula, builder.extend(
+                source, fo_add=[merge[v] for v in source.fo if v in merge], merge=merge))
 
-        return [(ranks, functools.partial(build, rank_classes(xs, ranks)))
-                for ranks in _realizable_ranks(a, xs)]
+        return [(ranks, functools.partial(keep, rank_classes(xs, ranks)))
+                for ranks in _realizable_ranks(builder.extend(source, fo_add=xs), xs)]
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
         """The automaton of the map g from xs to ys; for a map source & h of
-        this Query's call, the source's automaton times h's."""
+        this Query's call, the source's automaton times h's.  g's automaton
+        is kept, so compile, given this query, builds g's image ex xs. g
+        from it."""
         xs, ys = tuple(xs), tuple(ys)
         _check(g, xs + ys)
         builder = self.builder("map automaton")
-        a = builder.built(g)
+        a = builder.keep(g, builder.built(g))
         unused = [v for v in xs + ys if v not in a.fo]
         a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
         return MapAutomaton(builder, a, xs, ys)
@@ -651,20 +651,12 @@ def _check(f: Formula, marked_vars: tuple[str, ...]):
 class MapAutomaton:
     """A map g built once: the minimal automaton of g over one track per
     variable of xs + ys, each carrying a single mark, and its builder.  The
-    count, the fiber search and the image all read this one automaton."""
+    count and the fiber search read this one automaton."""
 
     builder: _Builder
     auto: _Auto
     xs: tuple[str, ...]
     ys: tuple[str, ...]
-
-    def image(self) -> Dfa:
-        """The public automaton of ex xs. g over the ys marks, the one
-        compile publishes for that formula."""
-        a = self.auto
-        for v in reversed(self.xs):
-            a = self.builder.project(a, "fo", v)
-        return self.builder.to_public(a, self.ys)
 
 
 @dataclass

@@ -176,8 +176,9 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     fibers transport along.  The pool keeps, in every copy, the offsets one
     base fiber occupies, plus its fixed positions outside the copy runs.
     The search's Query builds the map's automaton once, from its build of
-    f: its image gives the image algebra, and that fiber, the least domain
-    tuple the map relates to the base marks, is read off it
+    f, and keeps g's automaton: the image algebra is compiled from that, as
+    ex xs. g given the Query, and that fiber, the least domain tuple the
+    map relates to the base marks, is read off the map's automaton
     (compiler.first_fiber).  The whole witness is built on the automaton
     route, and oracle_count() recounts it by enumeration.  Dimension 0 is
     the same construction with no marks: the image is the sentence
@@ -195,7 +196,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     d = rep.dimension
     auto = query.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
     algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
-                                budget_states, dfa=auto.image())
+                                query=query)
     found = _all_pumpable_family(algebra)
     if found is None:
         raise InputError("minimal image admits no family pumping at every mark")

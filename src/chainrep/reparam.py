@@ -22,6 +22,8 @@ glued into one union.
 The search, reparameterize, runs in its caller's compiler.Query, which
 keeps the automata of f, of its order cases and of the images, so each
 image `ex xs. (case & eqs)` and the map `source & h` start from one build.
+Every type algebra gets its automaton from compiler.compile, given that
+Query, and its monoid runs under the Query's budget.
 """
 
 from __future__ import annotations
@@ -87,13 +89,16 @@ class TypeAlgebra:
     monoid: TypeMonoid
 
     @classmethod
-    def build(cls, formula, sig, variables,
-              budget_states: int = DEFAULT_STATE_BUDGET,
-              dfa: Dfa | None = None) -> "TypeAlgebra":
+    def build(cls, formula, sig, variables, budget_states: int = DEFAULT_STATE_BUDGET, *,
+              query: Query | None = None) -> "TypeAlgebra":
+        """The algebra of formula over variables, its automaton published by
+        compile; given the query of an enclosing call, the compile reads
+        the automata that query kept, and both stages run under its budget
+        in place of budget_states."""
         variables = tuple(variables)
-        if dfa is None:
-            dfa = compile_dfa(formula, sig, variables, budget_states)
-        monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, budget_states)
+        dfa = compile_dfa(formula, sig, variables, budget_states, query=query)
+        budget = budget_states if query is None else query.budget
+        monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, budget)
         return cls(sig, variables, dfa, monoid)
 
     @property
@@ -249,21 +254,20 @@ def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterizati
 
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
                        n_families: int, monoid_size: int,
-                       supply: NameSupply | None = None) -> Reparameterization:
+                       supply: NameSupply) -> Reparameterization:
     """One elimination step: drop the index-th domain variable (1-based).
 
-    The map keeps the others, u_j = x_j below the index and u_j = x_{j+1}
-    from it on.  Valid when no family of source pumps at that mark; the
-    fiber over an image is then below n_families * ramsey_bound(monoid_size),
-    since a longer run of candidate positions for the dropped mark would
-    yield a pumping idempotent for the adjacent segment pair.
+    The map keeps the others in fresh variables drawn from supply, u_j =
+    x_j below the index and u_j = x_{j+1} from it on.  Valid when no
+    family of source pumps at that mark; the fiber over an image is then
+    below n_families * ramsey_bound(monoid_size), since a longer run of
+    candidate positions for the dropped mark would yield a pumping
+    idempotent for the adjacent segment pair.
     """
     domain_vars = tuple(domain_vars)
     k = len(domain_vars)
     if not 1 <= index <= k:
         raise InputError(f"index {index} out of range for {k} variables")
-    if supply is None:
-        supply = NameSupply(all_vars(source) | set(domain_vars))
     us = tuple(supply.fresh("u") for _ in range(k - 1))
     eqs = [Equal(us[j], domain_vars[j] if j < index - 1 else domain_vars[j + 1])
            for j in range(k - 1)]
@@ -291,7 +295,7 @@ def compose(first: Reparameterization, second: Reparameterization) -> Reparamete
 
 
 def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
-                      supply: NameSupply | None = None) -> Reparameterization:
+                      supply: NameSupply) -> Reparameterization:
     """Union of guarded reparameterizations over one domain.
 
     parts are (guard, rep) pairs whose guards cover the source domain and
@@ -314,11 +318,6 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     for _, rep in parts:
         if tuple(rep.domain_vars) != domain_vars:
             raise InputError("parts disagree on domain variables")
-    if supply is None:
-        names = set(domain_vars) | all_vars(source)
-        for guard, rep in parts:
-            names |= all_vars(guard) | all_vars(rep.g) | set(rep.image_vars)
-        supply = NameSupply(names)
     width = max(len(rep.image_vars) for _, rep in parts)
     ys = tuple(supply.fresh("y") for _ in range(width))
     branches = []
@@ -426,9 +425,7 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     us = step.image_vars
     if us:
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
-                             TypeAlgebra.build(psi, sig, us, query.budget,
-                                               dfa=compile_dfa(psi, sig, us, query=query)),
-                             supply, query)
+                             TypeAlgebra.build(psi, sig, us, query=query), supply, query)
     else:
         inner = _minrep(psi, sig, us, supply, query)
     return compose(step, inner)
@@ -456,8 +453,8 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     reduced."""
     xs = tuple(xs)
     split = order_case_split(f, xs)
-    builds = dict(query.realizable_cases(f, xs))
-    if not builds:
+    keeps = dict(query.realizable_cases(f, xs))
+    if not keeps:
         return _unsat_rep(f, sig, xs)
     if not xs:
         return Reparameterization(f, sig, (), (), TRUE, 1,
@@ -466,10 +463,10 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     @functools.cache
     def case_algebra(ranks):
         case = split.case(ranks)
-        return case, TypeAlgebra.build(case.formula, sig, case.representatives,
-                                       query.budget, dfa=builds[ranks](case.formula))
+        keeps[ranks](case.formula)
+        return case, TypeAlgebra.build(case.formula, sig, case.representatives, query=query)
 
-    strict = [ranks for ranks in builds if len(set(ranks)) == len(xs)]
+    strict = [ranks for ranks in keeps if len(set(ranks)) == len(xs)]
     for case, algebra in map(case_algebra, strict):
         if algebra.rigid is not None:
             # only a rigid strict case keeps width k: the dimension is k, and
@@ -481,7 +478,7 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
                             "tuple in ascending order", (lifted.provenance,)))
     parts = [(case.constraint, _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
                                             supply, query))
-             for case, algebra in map(case_algebra, builds)]
+             for case, algebra in map(case_algebra, keeps)]
     # f implies the constraint of its only realizable case
     return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts, supply)
 

@@ -121,9 +121,10 @@ def test_empty_and_equivalent(sig1):
 
 def test_realizable_cases_are_the_nonempty_order_cases(sig1):
     # the one build over k tracks lists exactly the order cases whose own
-    # compile is nonempty, in the split's order, each building that
-    # compile's automaton; the split builds every case alike from its rank
-    # tuple
+    # compile is nonempty, in the split's order; each keeps its automaton
+    # as its formula's, from which compile, given the query, publishes the
+    # automaton of a fresh compile; the split builds every case alike from
+    # its rank tuple
     subjects = [(sig, f, fo) for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3))
                 for sig, fo, f in formula_batch(seed, count, rank=rank)]
     subjects += [(sig1, parse(text, sig1), tuple(xs)) for text, xs in (
@@ -138,9 +139,15 @@ def test_realizable_cases_are_the_nonempty_order_cases(sig1):
             dfa = compile(case.formula, sig, case.representatives)
             if not dfa_empty(dfa):
                 nonempty.append((ranks, dfa))
-        cases = Query(sig, DEFAULT_STATE_BUDGET).realizable_cases(f, xs)
-        assert [(ranks, build(split.case(ranks).formula)) for ranks, build in cases] == \
-            nonempty, render(f)
+        q = Query(sig, DEFAULT_STATE_BUDGET)
+        published = []
+        for ranks, keep in q.realizable_cases(f, xs):
+            case = split.case(ranks)
+            keep(case.formula)
+            assert q.known[id(case.formula)][0] is case.formula
+            published.append((ranks, compile(case.formula, sig, case.representatives,
+                                              query=q)))
+        assert published == nonempty, render(f)
 
 
 def test_realizable_cases_run_under_the_compile_budget(sig1):
@@ -300,7 +307,8 @@ def test_first_fiber_is_the_least_preimage(sig1):
 
 
 def ranked_maps():
-    """(sig, map, its preimage ranks) of every test map with bound > 1."""
+    """(sig, map, the query that built its automaton, its preimage ranks)
+    of every test map with bound > 1."""
     sig1 = Signature(("P1",))
     maps = [(sig, f, variables) for _, sig, f, variables, _ in battery()]
     maps += [(sig1, parse(GROUP_TEXT, sig1), ("x", "y")),
@@ -311,21 +319,22 @@ def ranked_maps():
     for sig, f, variables in maps:
         rep = minimal_reparameterization(f, sig, variables)
         if rep.bound > 1:
-            m = Query(sig, DEFAULT_STATE_BUDGET).map_automaton(rep.g, rep.domain_vars,
-                                                              rep.image_vars)
-            yield sig, rep, m, preimage_ranks(m, rep.bound).selectors(rep.bound)
+            q = Query(sig, DEFAULT_STATE_BUDGET)
+            m = q.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
+            yield sig, rep, q, preimage_ranks(m, rep.bound).selectors(rep.bound)
 
 
 def test_lex_ranks_match_enumeration():
     # the i-th rank holds exactly at the pairs g relates whose image has i
     # lexicographically smaller preimages; the compiled existential
-    # projection of each rank agrees with the oracle's; the map's image is
-    # the automaton compile publishes for ex xs. g, byte for byte
+    # projection of each rank agrees with the oracle's; the map's image,
+    # compiled given the query that built the map, is the automaton a fresh
+    # compile publishes for ex xs. g, byte for byte
     checked = 0
-    for sig, rep, m, ranks in ranked_maps():
+    for sig, rep, q, ranks in ranked_maps():
         xs, ys = rep.domain_vars, rep.image_vars
-        assert m.image().dump() == compile(exists_wrap(xs, rep.g), sig, ys).dump(), \
-            render(rep.source)
+        assert compile(exists_wrap(xs, rep.g), sig, ys, query=q).dump() == \
+            compile(exists_wrap(xs, rep.g), sig, ys).dump(), render(rep.source)
         k = len(xs)
         assert len(ranks) == rep.bound
         assert all(r.tracks == k + len(ys) for r in ranks)

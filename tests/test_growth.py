@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from chainrep import reparam
+from chainrep import compiler, reparam
 from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError
 from chainrep.formula import exists_wrap, parse, render
@@ -198,30 +198,40 @@ def test_random_formula_sweep():
 
 def test_witness_builds_each_map_once(sig1, monkeypatch):
     # the image algebra and the base fiber both read the one automaton of
-    # the map: ex xs. g is never compiled on its own, at dimension 0 either
-    builds, compiled = [], []
-    real_build, real_compile = Query.map_automaton, reparam.compile_dfa
+    # the map: ex xs. g is compiled only given the witness's Query, whose
+    # map build kept g's automaton, so g is built once, at dimension 0 too
+    queries, compiled, built = [], [], []
+    real_map, real_compile = Query.map_automaton, reparam.compile_dfa
+    real_build = compiler._Builder.build
 
     def map_automaton(query, *args):
-        builds.append(args)
-        return real_build(query, *args)
+        queries.append(query)
+        return real_map(query, *args)
 
-    def compile_dfa(f, *args, **kwargs):
-        compiled.append(f)
-        return real_compile(f, *args, **kwargs)
+    def compile_dfa(f, *args, query=None, **kwargs):
+        compiled.append((f, query))
+        return real_compile(f, *args, query=query, **kwargs)
+
+    def build(self, g):
+        built.append(g)
+        return real_build(self, g)
 
     # every map, public or inside a query, is built by Query.map_automaton
     monkeypatch.setattr(Query, "map_automaton", map_automaton)
     monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
+    monkeypatch.setattr(compiler._Builder, "build", build)
     for text, variables, d in ((FIRST_PAIR_TEXT, ("x", "y", "v"), 2),
                                ("x = y & all z. z = x", ("x", "y"), 0)):
-        builds.clear()
         f = parse(text, sig1)
+        rep = minimal_reparameterization(f, sig1, variables, refine=False)
+        for log in (queries, compiled, built):
+            log.clear()
         w = growth_lower_witness(f, sig1, variables, 3)
         assert w.oracle_count() >= 3 ** d
-        assert len(builds) == 1
-        rep = minimal_reparameterization(f, sig1, variables, refine=False)
-        assert exists_wrap(rep.domain_vars, rep.g) not in compiled
+        assert len(queries) == 1
+        image = exists_wrap(rep.domain_vars, rep.g)
+        assert [q for g, q in compiled if g == image] == queries
+        assert sum(g == rep.g for g in built) == 1
 
 
 # the witnesses of formula_batch(3, 120) at n = 3, or the error text where

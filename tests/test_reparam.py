@@ -6,9 +6,10 @@ import time
 import pytest
 
 from chainrep import compiler, reparam
-from chainrep.compiler import Query, max_fiber
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, max_fiber
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import FALSE, Signature, conjuncts, parse, render
+from chainrep.formula import (FALSE, NameSupply, Signature, all_vars, conjuncts, parse,
+                              render)
 from chainrep.growth import growth_lower_witness
 from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
@@ -167,6 +168,78 @@ def test_the_source_is_built_once(sig1, monkeypatch):
     # refinement built maps around the source (the pinned pair's map is the
     # source itself, so its build reads the kept automaton whole)
     assert "map automaton" in stages
+
+
+def public_calls(budget_states=DEFAULT_STATE_BUDGET):
+    """(subject, call) pairs: minimal_reparameterization, growth_lower_witness
+    and reduce_interpretation on the battery, the guard split and the first
+    pair, under budget_states."""
+    sig1 = Signature(("P1",))
+    subjects = [(name, sig, f, xs) for name, sig, f, xs, _ in battery()]
+    subjects += [("guard split", sig1, parse(GROUP_TEXT, sig1), ("x", "y")),
+                 ("first pair", sig1, parse(FIRST_PAIR_TEXT, sig1), ("x", "y", "v"))]
+    for name, sig, f, xs in subjects:
+        yield name, functools.partial(minimal_reparameterization, f, sig, xs,
+                                      budget_states=budget_states)
+        if name != "unsatisfiable":
+            yield name, functools.partial(growth_lower_witness, f, sig, xs, 3,
+                                          budget_states=budget_states)
+        spec = parse_interpretation(f"signature {' '.join(sig.preds)}\n"
+                                    f"component c dim={len(xs)}\nuniverse {render(f)}\n")
+        yield name, functools.partial(reduce_interpretation, spec, len(xs),
+                                      budget_states=budget_states)
+
+
+def test_every_algebra_is_published_by_compile(monkeypatch):
+    # one publish path: each type algebra that a public call builds, of an
+    # order case or of an image, gets its automaton from exactly one
+    # compile, given the one Query of that call
+    queries, compiles, algebras = [], [], []
+    real_init, real_compile = Query.__init__, reparam.compile_dfa
+    real_build = TypeAlgebra.build.__func__
+
+    def init(self, *args):
+        queries.append(self)
+        real_init(self, *args)
+
+    def compile_dfa(f, *args, query=None, **kwargs):
+        compiles.append(query)
+        return real_compile(f, *args, query=query, **kwargs)
+
+    def build(cls, *args, query=None, **kwargs):
+        start = len(compiles)
+        algebra = real_build(cls, *args, query=query, **kwargs)
+        algebras.append((query, compiles[start:]))
+        return algebra
+
+    monkeypatch.setattr(Query, "__init__", init)
+    monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
+    monkeypatch.setattr(TypeAlgebra, "build", classmethod(build))
+    built = 0
+    for name, call in public_calls():
+        queries.clear()
+        algebras.clear()
+        call()
+        assert len(queries) == 1, name
+        assert all(q is queries[0] and c == [q] for q, c in algebras), name
+        built += len(algebras)
+    assert built > 0
+
+
+def test_search_monoids_run_under_the_callers_budget(monkeypatch):
+    # every monoid of the search, the witness and the reduction is explored
+    # under the budget that their caller passed
+    budgets = []
+    real = reparam.transition_monoid
+
+    def transition_monoid(dfa, budget=DEFAULT_STATE_BUDGET):
+        budgets.append(budget)
+        return real(dfa, budget)
+
+    monkeypatch.setattr(reparam, "transition_monoid", transition_monoid)
+    for name, call in public_calls(budget_states=54_321):
+        call()
+    assert budgets and set(budgets) == {54_321}
 
 
 def test_nothing_outlives_a_call(sig1):
@@ -388,7 +461,7 @@ def test_eliminate_variable_equalities(sig1):
     # dropping x_i: the image keeps the other coordinates in order
     f = parse("(x < y) & (y < z)", sig1)
     rep = eliminate_variable(f, sig1, ("x", "y", "z"), 2, n_families=1,
-                             monoid_size=2)
+                             monoid_size=2, supply=NameSupply(all_vars(f)))
     assert rep.dimension == 2
     assert rep.bound == 1 * 6  # families x ramsey_bound(2)
     for w in all_words(sig1, 4):
@@ -399,7 +472,7 @@ def test_eliminate_variable_equalities(sig1):
 
 def test_compose_multiplies_bounds(sig1):
     f = parse("(x < y) & (y < z)", sig1)
-    first = eliminate_variable(f, sig1, ("x", "y", "z"), 2, 1, 2)
+    first = eliminate_variable(f, sig1, ("x", "y", "z"), 2, 1, 2, NameSupply(all_vars(f)))
     u0, u1 = first.image_vars
     inner = minimal_reparameterization(parse(f"{u0} < {u1}", sig1), sig1,
                                        first.image_vars, refine=False)
@@ -416,7 +489,8 @@ def test_combine_disjuncts_bounds_add(sig1):
                                    refine=False)
     guards = [parse("P1(x)", sig1), parse("~P1(x)", sig1)]
     combined = combine_disjuncts(parse("x = x", sig1), sig1, ("x",),
-                                 list(zip(guards, [a, b])))
+                                 list(zip(guards, [a, b])),
+                                 NameSupply(all_vars(a.g) | all_vars(b.g)))
     assert combined.bound == a.bound + b.bound
     assert len(combined.image_vars) == max(a.dimension, b.dimension)
 
