@@ -28,10 +28,13 @@ quantifier is expanded where the build meets it, so no object above it is
 replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
 reads and the map (Query.map_automaton of source & h, the source's
-automaton times h's) all start from it.  compile alone publishes the
-automata that the search's type algebras read: given the query, it
-publishes the automaton kept for a case formula, and builds an image
-ex xs. g from the automaton kept for g.  Nothing is kept across calls.
+automaton times h's) all start from it.  The search keeps each image's
+automaton before it compiles the image, having made it from its case's by
+track operations (projection and renaming), so it compiles no text.
+compile alone publishes the automata that the search's type algebras
+read: given the query, it publishes the automaton kept for a case formula
+or an image, and builds the growth witness's image ex xs. g from the
+automaton kept for g.  Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -535,18 +538,19 @@ class Query:
         that compile, given this query, publishes it.  f is built once,
         under stage compile, over one track per variable it has free, and
         kept as f's; a case's automaton is f's with each class's tracks
-        merged into its representative's."""
+        merged into its representative's, its classes derived from its
+        rank tuple only when keep runs."""
         xs = tuple(xs)
         builder = self.builder("compile")
         _check(f, xs)
         source = builder.keep(f, builder.built(f))
 
-        def keep(classes, formula):
-            merge = {v: c[0] for c in classes for v in c[1:]}
+        def keep(ranks, formula):
+            merge = {v: c[0] for c in rank_classes(xs, ranks) for v in c[1:]}
             builder.keep(formula, builder.extend(
                 source, fo_add=[merge[v] for v in source.fo if v in merge], merge=merge))
 
-        return [(ranks, functools.partial(keep, rank_classes(xs, ranks)))
+        return [(ranks, functools.partial(keep, ranks))
                 for ranks in _realizable_ranks(builder.extend(source, fo_add=xs), xs)]
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
@@ -586,14 +590,11 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
     realize, sorted.  A weak ordering is the sequence of track sets that a
     word's marked positions mark.  A backward pass finds, per set of tracks
     used, the states from which some word marks each other track once and
-    accepts; a forward search over sets of states follows only those."""
+    accepts; a forward search over sets of states follows only those.  Sets
+    of states are bit masks, ORed in plain loops."""
     k, full = a.sig.k, (1 << len(xs)) - 1
-
-    def union(masks):
-        return functools.reduce(int.__or__, masks, 0)
-
-    # sets of states are bit masks.  still[q]: the states that words
-    # marking no track (letters below 1 << k) lead to from q
+    # still[q]: the states that words marking no track (letters below
+    # 1 << k) lead to from q
     still = []
     for q in range(a.n):
         seen, todo = {q}, [q]
@@ -601,18 +602,35 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
             new = set(a.delta[todo.pop()][:1 << k]) - seen
             seen |= new
             todo += new
-        still.append(union(1 << r for r in seen))
-    # after[q][t]: the same after a letter marking exactly the tracks t
-    after = [[union(still[row[lab | t << k]] for lab in range(1 << k))
-              for t in range(full + 1)] for row in a.delta]
+        mask = 0
+        for r in seen:
+            mask |= 1 << r
+        still.append(mask)
+    # after[q][t]: the same after a letter marking exactly the tracks t,
+    # whose letters are the slice of q's row from t << k
+    after = []
+    for row in a.delta:
+        masks = []
+        for t in range(full + 1):
+            mask = 0
+            for r in row[t << k:(t + 1) << k]:
+                mask |= still[r]
+            masks.append(mask)
+        after.append(masks)
     # live[used]: the states with a letter marking some tracks t outside
     # used into live[used | t], and live[full] the accepting ones; a set of
     # the search is closed under words marking no track, so it can still
     # accept exactly when it meets live[used]
-    live = {full: union(1 << q for q in a.accepting)}
+    live = [0] * (full + 1)
+    for q in a.accepting:
+        live[full] |= 1 << q
     for used in reversed(range(full)):
-        live[used] = union(1 << q for q in range(a.n) if any(
-            after[q][t] & live[used | t] for t in range(1, full + 1) if not t & used))
+        targets = [(t, live[used | t]) for t in range(1, full + 1) if not t & used]
+        for q, masks in enumerate(after):
+            for t, target in targets:
+                if masks[t] & target:
+                    live[used] |= 1 << q
+                    break
     patterns = []
 
     def search(states, used, pattern):
@@ -620,10 +638,13 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
             return
         if used == full:
             patterns.append(pattern)
+        rows = [masks for q, masks in enumerate(after) if states >> q & 1]
         for t in range(1, full + 1):
             if not t & used:
-                search(union(after[q][t] for q in range(a.n) if states >> q & 1),
-                       used | t, pattern + (t,))
+                mask = 0
+                for masks in rows:
+                    mask |= masks[t]
+                search(mask, used | t, pattern + (t,))
 
     search(still[a.init], 0, ())
     bits = [1 << a.fo.index(v) for v in xs]

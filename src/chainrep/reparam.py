@@ -22,8 +22,10 @@ glued into one union.
 The search, reparameterize, runs in its caller's compiler.Query, which
 keeps the automata of f, of its order cases and of the images, so each
 image `ex xs. (case & eqs)` and the map `source & h` start from one build.
-Every type algebra gets its automaton from compiler.compile, given that
-Query, and its monoid runs under the Query's budget.
+An image's automaton is made from its case's by track operations, never
+by compiling its text.  Every type algebra gets its automaton from
+compiler.compile, given that Query, and its monoid runs under the Query's
+budget.
 """
 
 from __future__ import annotations
@@ -419,11 +421,24 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     The step's domain tuples are ascending under the order case that guards
     them, and their images are subsequences of them, so the ascending case
     of the image, which holds every such image, is the only one that needs
-    a map.  The image's automaton reads the one kept for the step's source.
+    a map.  The image psi = ex xs. (source & eqs) is not compiled as text:
+    its automaton is the source's, given a single-mark track for each
+    domain variable that the source does not mention, with the dropped
+    variable's track projected and each kept track renamed to the image
+    variable that equals it.  It is kept as psi's, so compile only publishes it.
     """
     psi = exists_wrap(step.domain_vars, step.g)
     us = step.image_vars
     if us:
+        b = query.builder("compile")
+        a = b.built(step.source)
+        missing = [x for x in step.domain_vars if x not in a.fo]
+        a = b.valid(b.extend(a, fo_add=missing), missing)
+        merge = {eq.right: eq.left for eq in conjuncts(step.h)}
+        for x in step.domain_vars:
+            if x not in merge:
+                a = b.project(a, "fo", x)
+        b.keep(psi, b.extend(a, fo_add=us, merge=merge))
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
                              TypeAlgebra.build(psi, sig, us, query=query), supply, query)
     else:

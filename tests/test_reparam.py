@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from chainrep import compiler, reparam
+from chainrep import compiler, formula, reparam
 from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, max_fiber
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import (FALSE, NameSupply, Signature, all_vars, conjuncts, parse,
-                              render)
+from chainrep.formula import (FALSE, Equal, ExistsFO, NameSupply, Signature, all_vars,
+                              conjuncts, parse, render)
 from chainrep.growth import growth_lower_witness
 from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
@@ -240,6 +240,82 @@ def test_search_monoids_run_under_the_callers_budget(monkeypatch):
     for name, call in public_calls(budget_states=54_321):
         call()
     assert budgets and set(budgets) == {54_321}
+
+
+# P1^3 F L: three labelled positions, the first and the last position
+P3FL = ("P1(x)&P1(y)&P1(z)&(~ex q. q < v)&(~ex q. u < q)", "xyzvu")
+
+
+def test_images_are_the_compiled_text(sig1, monkeypatch):
+    # the search builds each image ex xs. (source & eqs) by track
+    # operations on the source's automaton; its published automaton is the
+    # one that compiling the text afresh gives
+    images = []
+    real = TypeAlgebra.build.__func__
+
+    def build(cls, formula, sig, variables, *args, **kwargs):
+        algebra = real(cls, formula, sig, variables, *args, **kwargs)
+        if isinstance(formula, ExistsFO):
+            images.append((formula, sig, variables, algebra.dfa))
+        return algebra
+
+    monkeypatch.setattr(TypeAlgebra, "build", classmethod(build))
+    subjects = [(sig, f, xs) for _, sig, f, xs, _ in battery()]
+    subjects += [(sig1, parse(text, sig1), tuple(xs))
+                 for text, xs in ((GROUP_TEXT, "xy"), (endpoints_text("xyzw"), "xyzw"), P3FL)]
+    for sig, f, xs in subjects:
+        minimal_reparameterization(f, sig, xs, refine=False)
+    monkeypatch.undo()
+    assert len(images) > 20
+    for psi, sig, us, dfa in images:
+        assert dfa == compiler.compile(psi, sig, us), render(psi)
+
+
+def test_the_search_compiles_no_text(sig1, monkeypatch):
+    # no image equality is compiled, and no product reads more letters than
+    # the widest automaton of P1^3 F L's search: one label, five tracks
+    equalities, letters = [], []
+    real_build, real_product = compiler._Builder.build, compiler._Builder.product
+
+    def build(self, g):
+        if isinstance(g, Equal):
+            equalities.append(g)
+        return real_build(self, g)
+
+    def product(self, a, b, op):
+        letters.append(a.n_letters)
+        return real_product(self, a, b, op)
+
+    monkeypatch.setattr(compiler._Builder, "build", build)
+    monkeypatch.setattr(compiler._Builder, "product", product)
+    texts = {name: text for name, _, text, _, _ in BATTERY}
+    for text, xs in (P3FL, (GROUP_TEXT, "xy"), (texts["adjacent labelled pair"], "xy")):
+        equalities.clear()
+        letters.clear()
+        rep = minimal_reparameterization(parse(text, sig1), sig1, tuple(xs), refine=False)
+        assert rep.dimension < len(xs), text
+        assert equalities == [], text
+        if text == P3FL[0]:
+            assert max(letters) == 2 ** (1 + 5)
+
+
+def test_classes_are_derived_for_the_kept_case(sig1, monkeypatch):
+    # the labelled quadruple realizes 75 order cases, and only its first
+    # strict case is reduced: that one's classes are derived twice, for its
+    # formula and for its automaton, and no other case's
+    calls = []
+    real = formula.rank_classes
+
+    def rank_classes(variables, ranks):
+        calls.append(ranks)
+        return real(variables, ranks)
+
+    monkeypatch.setattr(formula, "rank_classes", rank_classes)
+    monkeypatch.setattr(compiler, "rank_classes", rank_classes)
+    rep = minimal_reparameterization(parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1), sig1,
+                                     tuple("xyzw"))
+    assert rep.provenance.kind == "identity"
+    assert calls == [(0, 1, 2, 3)] * 2
 
 
 def test_nothing_outlives_a_call(sig1):
