@@ -11,15 +11,16 @@ holds.  Widening an automaton to more tracks only relabels its letters and
 leaves the new tracks unconstrained, so validity is enforced only where it
 would otherwise be lost: a disjunction enforces it on the tracks just one
 side has, a first-order quantifier on a variable its body does not mention,
-a complement and a Run leaf on all their tracks, and the final ascending
-pattern on the marked variables.  A conjunction needs nothing, as each side
-enforces its own tracks.  Projection, track merging and project_mark share
-one subset construction, which runs under the state budget.  The product
-and the subset construction number their states breadth-first, so their
-tables go straight to partition refinement; other automata are trimmed first.
-The product explores every pair that can no longer accept (a side in its
+a complement and a Run leaf on all their tracks, and publishing on the
+marked variables.  A conjunction needs nothing, as each side enforces its
+own tracks.  Projection and project_mark share one subset construction,
+which runs under the state budget.  The product, the subset construction
+and the publish walk number their states breadth-first, so their tables go
+straight to partition refinement; other automata are trimmed first.  The
+product explores every pair that can no longer accept (a side in its
 rejecting sink for a conjunction, both sides for a disjunction) as one dead
-state, so it never holds more than one state beyond the live pairs.
+state, so it never holds more than one state beyond the live pairs; the
+publish walk does the same with its dead pairs.
 
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
@@ -38,12 +39,14 @@ automaton kept for g.  Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
-to right, is the value of xi.  The final compilation step intersects with
-the strict-ascending track order and then merges all tracks into the shared
-bit.  Only assignments with x1 < ... < xm are representable; pipelines that
-need other orderings split into order cases first.  Query.realizable_cases
-derives the cases that some word realizes, and their automata, from one
-build of the formula over one track per variable.
+to right, is the value of xi.  Publishing walks the formula's automaton
+once, over pairs (state, marks read j): as the marks come in ascending
+order, j tells which variable's track the next mark feeds, so no automaton
+over the letters of every track is built.  Only assignments with
+x1 < ... < xm are representable; pipelines that need other orderings split
+into order cases first.  Query.realizable_cases derives the cases that some
+word realizes, and their automata, from one build of the formula over one
+track per variable.
 
 A Run leaf carries such a public automaton inside a formula; it is embedded
 as is, its mark bit fed by the OR of its variables' tracks, or, for an
@@ -360,7 +363,8 @@ class _Builder:
 
     def determinize(self, a: _Auto, groups, fo=(), so=()) -> _Auto:
         """Subset construction in which new letter j reads any old letter in
-        groups[j]; the result is minimal, over the tracks fo and so."""
+        groups[j]; the result is minimal, over the tracks fo and so.  It
+        projects a track away (project) or the mark bits (project_mark)."""
         order, delta = self.explore(
             frozenset({a.init}),
             lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
@@ -387,25 +391,6 @@ class _Builder:
         return _Auto(self.sig, a.fo, a.so, a.n_letters, 0,
                      [[cls[t] for t in a.delta[r]] for r in reps],
                      {i for i, r in enumerate(reps) if r in a.accepting})
-
-    def ascending(self, fo, so, ordered_vars) -> _Auto:
-        """Marks of ordered_vars appear one by one, in order, at distinct
-        positions."""
-        m = len(ordered_vars)
-        a = self._fresh(fo, so, m + 2, 0, {m})
-        dead = m + 1
-        bits = [a.fo_bit(v) for v in ordered_vars]
-        for letter in range(a.n_letters):
-            hits = [j for j, b in enumerate(bits) if letter >> b & 1]
-            for q in range(m + 1):
-                if not hits:
-                    a.delta[q][letter] = q
-                elif hits == [q]:
-                    a.delta[q][letter] = q + 1
-                else:
-                    a.delta[q][letter] = dead
-            a.delta[dead][letter] = dead
-        return a
 
     # ----- recursive construction -----
 
@@ -464,19 +449,34 @@ class _Builder:
         raise InputError(f"cannot compile {f!r}")
 
     def to_public(self, a: _Auto, ordered_vars) -> Dfa:
-        if not ordered_vars:
-            assert not a.fo and not a.so
-            return self.publish(self.minimize(a), False)
-        a = self.product(a, self.ascending(a.fo, a.so, ordered_vars), "and")
-        # merge all tracks into the shared mark bit
-        k = self.sig.k
-        track_mask = ((a.n_letters - 1) >> k) << k
-        groups: list[list[int]] = [[] for _ in range(1 << (k + 1))]
-        for letter in range(a.n_letters):
-            lab = letter & ((1 << k) - 1)
-            mark = 1 if letter & track_mask else 0
-            groups[lab | mark << k].append(letter)
-        return self.publish(self.determinize(a, groups), True)
+        """The minimal public automaton of a, whose tracks are among
+        ordered_vars: one walk over pairs (state of a, marks read j), in
+        which the next mark feeds the track of ordered_vars[j], or none when
+        a does not read it.  A pair accepts when all marks are read and a
+        accepts; it is dead, one state for all, when a sits in a rejecting
+        sink or a mark comes after the last.  With no marked variable this
+        is a's minimization."""
+        m, size = len(ordered_vars), 1 << self.sig.k
+        n_letters = 2 * size if m else size
+        assert set(a.fo) <= set(ordered_vars) and not a.so
+        # bits[j]: the track bit that the mark after j marks read sets
+        bits = [1 << a.fo_bit(v) if v in a.fo else 0 for v in ordered_vars] + [0]
+        sinks = _sinks(a)
+        dead_row = [None] * n_letters
+
+        def successors(st):
+            if st is None:
+                return dead_row
+            row, j = a.delta[st[0]], st[1]
+            marked = [(t, j + 1) for t in row[bits[j]:bits[j] + size]] if m else []
+            return [(t, j) for t in row[:size]] + marked
+
+        order, delta = self.explore((a.init, 0), successors, n_letters,
+                                    lambda st: st[1] > m or st[0] in sinks)
+        accepting = {i for i, st in enumerate(order)
+                     if st is not None and st[1] == m and st[0] in a.accepting}
+        out = _Auto(self.sig, (), (), n_letters, 0, delta, accepting)
+        return self.publish(self.refine(out), m > 0)
 
     def publish(self, a: _Auto, marked: bool, tracks: int = 1) -> Dfa:
         """The minimal automaton a, numbered as minimize leaves it:
@@ -576,13 +576,14 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     ascending tuples.  Free variables must be covered by marked_vars; free
     set variables are not allowed.  Given the query of an enclosing call
     (over sig), the build reads the automata that query kept, under its
-    budget in place of budget_states, and keeps f's automaton in it.
+    budget in place of budget_states, and keeps f's automaton in it, over the
+    tracks of f's own free variables; publishing (_Builder.to_public) feeds
+    the i-th mark to the track of the i-th marked variable.
     """
     marked_vars = tuple(marked_vars)
     builder = (Query(sig, budget_states) if query is None else query).builder("compile")
     _check(f, marked_vars)
-    a = builder.extend(builder.keep(f, builder.built(f)), fo_add=marked_vars)
-    return builder.to_public(a, marked_vars)
+    return builder.to_public(builder.keep(f, builder.built(f)), marked_vars)
 
 
 def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:

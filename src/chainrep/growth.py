@@ -17,8 +17,7 @@ from .formula import Formula, Signature, exists_wrap
 from .compiler import DEFAULT_STATE_BUDGET, Query, first_fiber
 from .monoid import is_pumpable
 from .oracle import count_in_set, satisfying_tuples
-from .reparam import (Disjunct, TypeAlgebra, local_normal_form, minimal_reparameterization,
-                      reparameterize)
+from .reparam import Disjunct, TypeAlgebra, minimal_reparameterization, reparameterize
 from .words import Word, all_words
 
 
@@ -86,17 +85,13 @@ def growth_upper_check(f: Formula, sig: Signature, variables, n: int, max_len: i
 
 
 def _all_pumpable_family(algebra: TypeAlgebra):
-    """First family pumpable at every mark, with one idempotent per mark."""
-    for fam in local_normal_form(algebra):
-        es = []
-        for i in range(1, algebra.arity + 1):
-            e = is_pumpable(algebra.monoid, fam.types[i - 1], fam.types[i])
-            if e is None:
-                break
-            es.append(e)
-        else:
-            return fam, es
-    return None
+    """First family pumpable at every mark (the algebra's rigid family),
+    with one idempotent per mark."""
+    fam = algebra.rigid
+    if fam is None:
+        return None
+    return fam, [is_pumpable(algebra.monoid, fam.types[i - 1], fam.types[i])
+                 for i in range(1, algebra.arity + 1)]
 
 
 def _blocks_word(monoid, fam: Disjunct, es, copies: int):

@@ -37,8 +37,8 @@ from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
                       all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
                       one_point, order_case_split, substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
-                       compile as compile_dfa, minimize_dfa, preimage_ranks)
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query, _Auto,
+                       compile as compile_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
 
@@ -340,7 +340,8 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
 
     Tracks (segments consumed, running segment type, families still
     consistent) while reading; a marked letter closes the current segment
-    and opens the next.  The result is minimized, under query's budget.
+    and opens the next.  The walk numbers its states breadth-first, under
+    query's budget, so its table goes straight to partition refinement.
     """
     m = algebra.monoid
     k = algebra.arity
@@ -367,13 +368,11 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
                 row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
         return row
 
-    order, rows = query.builder("guard").explore(
-        (0, m.identity, frozenset(range(len(families)))), successors)
-    accepting = frozenset(
-        j for j, st in enumerate(order)
-        if st != dead and st[0] == k and any(families[d][k] == st[1] for d in st[2]))
-    raw = Dfa(algebra.sig, True, 0, tuple(tuple(r) for r in rows), accepting)
-    return minimize_dfa(raw, query.budget)
+    b = query.builder("guard")
+    order, rows = b.explore((0, m.identity, frozenset(range(len(families)))), successors)
+    accepting = {j for j, st in enumerate(order)
+                 if st != dead and st[0] == k and any(families[d][k] == st[1] for d in st[2])}
+    return b.publish(b.refine(_Auto(algebra.sig, (), (), nl, 0, rows, accepting)), True)
 
 
 def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,

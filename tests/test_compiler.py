@@ -162,13 +162,15 @@ def test_realizable_cases_run_under_the_compile_budget(sig1):
 def test_products_explore_one_dead_pair(monkeypatch):
     # a pair with a side in its rejecting sink, for and, or both sides, for
     # or, accepts nothing from then on: every product explores all such
-    # pairs as at most one state
+    # pairs as at most one state; so does every publish walk with its pairs
+    # (state, marks read) whose state is a sink or that read a mark too many
     def sinks(a):
         return {q for q, row in enumerate(a.delta)
                 if q not in a.accepting and set(row) == {q}}
 
     explored = []
     real_product, real_explore = compiler._Builder.product, compiler._Builder.explore
+    real_to_public = compiler._Builder.to_public
 
     def explore(self, *args):
         order, delta = real_explore(self, *args)
@@ -186,13 +188,46 @@ def test_products_explore_one_dead_pair(monkeypatch):
                           for st in order))
         return out
 
+    walks = []
+
+    def to_public(self, a, ordered_vars):
+        explored.clear()
+        out = real_to_public(self, a, ordered_vars)
+        (order,) = explored
+        sa = sinks(a)
+        walks.append(sum(st is None or st[1] > len(ordered_vars) or st[0] in sa
+                         for st in order))
+        return out
+
     monkeypatch.setattr(compiler._Builder, "explore", explore)
     monkeypatch.setattr(compiler._Builder, "product", product)
+    monkeypatch.setattr(compiler._Builder, "to_public", to_public)
     for _, sig, f, xs, _ in battery():
         minimal_reparameterization(f, sig, xs)
     for sig, xs, f in formula_batch(1, 200):
         minimal_reparameterization(f, sig, xs)
     assert max(counts) == 1 and counts.count(1) > len(counts) // 2
+    assert max(walks) == 1 and walks.count(1) > len(walks) // 2, (walks.count(1), len(walks))
+
+
+def test_publishing_walks_the_marks_read(sig1, monkeypatch):
+    # the number of marks read tells which track the next mark feeds, so
+    # publishing widens no automaton to the marked variables and runs no
+    # subset construction to merge their tracks
+    calls = []
+    for name in ("determinize", "extend"):
+        real = getattr(compiler._Builder, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(compiler._Builder, name, counted)
+    one = compile(parse("P1(x)", sig1), sig1, ("x", "y"))
+    assert calls == []
+    compile(parse("P1(x) & x < y", sig1), sig1, ("x", "y"))
+    assert "determinize" not in calls
+    assert one == compile(parse("P1(x) & y = y", sig1), sig1, ("x", "y"))
 
 
 def test_shortest_accepted(sig1):
