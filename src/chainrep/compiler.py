@@ -14,13 +14,14 @@ side has, a first-order quantifier on a variable its body does not mention,
 a complement and a Run leaf on all their tracks, and publishing on the
 marked variables.  A conjunction needs nothing, as each side enforces its
 own tracks.  Projection and project_mark share one subset construction,
-which runs under the state budget.  The product, the subset construction
-and the publish walk number their states breadth-first, so their tables go
-straight to partition refinement; other automata are trimmed first.  The
-product explores every pair that can no longer accept (a side in its
-rejecting sink for a conjunction, both sides for a disjunction) as one dead
-state, so it never holds more than one state beyond the live pairs; the
-publish walk does the same with its dead pairs.
+which runs under the state budget.  The product, the subset construction,
+the publish walk, minimization and reparam's guard automata are each one
+breadth-first walk (explore) that one builder method (minimal) refines
+into a minimal automaton.  The walk owns the one dead state: the product
+sends there every pair that can no longer accept (a side in its rejecting
+sink for a conjunction, both sides for a disjunction), and the publish
+walk its dead pairs, so neither holds more than one state beyond its live
+ones.
 
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
@@ -306,13 +307,18 @@ class _Builder:
         """Breadth-first search from start: the states in the order found
         and, per state, the indices of the list successors(state) returns.
         Each state found is counted against the state budget.  Every state
-        found for which dead holds is the one dead state None, whose
-        successors successors(None) must give."""
+        found for which dead holds, or with no dead every successor None,
+        is the one dead state None, whose row explore writes: n_letters
+        letters, each back to itself."""
         if dead is not None and dead(start):
             start = None
         index, order, delta = {start: 0}, [start], []
         while len(delta) < len(order):
-            succ = successors(order[len(delta)])
+            st = order[len(delta)]
+            if st is None:
+                delta.append([index[None]] * n_letters)
+                continue
+            succ = successors(st)
             for t in dict.fromkeys(succ):
                 if t not in index:
                     u = None if dead is not None and dead(t) else t
@@ -324,22 +330,27 @@ class _Builder:
             delta.append(list(map(index.__getitem__, succ)))
         return order, delta
 
+    def minimal(self, start, successors, accepts, n_letters: int, dead=None,
+                fo=(), so=()) -> _Auto:
+        """The minimal automaton, over the tracks fo and so, of the states
+        that explore finds from start: a state accepts when accepts holds
+        for it, and the dead state never does."""
+        order, delta = self.explore(start, successors, n_letters, dead)
+        accepting = {i for i, st in enumerate(order) if st is not None and accepts(st)}
+        return self.refine(_Auto(self.sig, fo, so, n_letters, 0, delta, accepting))
+
     def product(self, a: _Auto, b: _Auto, op: str) -> _Auto:
         """The minimal automaton of the product of a and b under op: a pair
-        accepts when one side does (or) or both do (and), and it is dead,
-        one state for all, when both sides (or) or one (and) sit in their
-        rejecting sinks."""
+        accepts when one side does (or) or both do (and), and it is the
+        dead state when both sides (or) or one (and) sit in their rejecting
+        sinks."""
         assert a.fo == b.fo and a.so == b.so
         holds, dies = (any, all) if op == "or" else (all, any)
         sa, sb = _sinks(a), _sinks(b)
-        dead_row = [None] * a.n_letters
-        order, delta = self.explore(
-            (a.init, b.init),
-            lambda st: dead_row if st is None else list(zip(a.delta[st[0]], b.delta[st[1]])),
-            a.n_letters, lambda st: dies((st[0] in sa, st[1] in sb)))
-        accepting = {i for i, st in enumerate(order) if st is not None
-                     and holds((st[0] in a.accepting, st[1] in b.accepting))}
-        return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta, accepting))
+        return self.minimal(
+            (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])),
+            lambda st: holds((st[0] in a.accepting, st[1] in b.accepting)), a.n_letters,
+            lambda st: dies((st[0] in sa, st[1] in sb)), a.fo, a.so)
 
     def complement(self, a: _Auto) -> _Auto:
         out = _Auto(self.sig, a.fo, a.so, a.n_letters, a.init,
@@ -365,21 +376,17 @@ class _Builder:
         """Subset construction in which new letter j reads any old letter in
         groups[j]; the result is minimal, over the tracks fo and so.  It
         projects a track away (project) or the mark bits (project_mark)."""
-        order, delta = self.explore(
+        return self.minimal(
             frozenset({a.init}),
             lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
                          for group in groups],
-            len(groups))
-        accepting = {i for i, s in enumerate(order) if s & a.accepting}
-        return self.refine(_Auto(self.sig, fo, so, len(groups), 0, delta, accepting))
+            lambda cur: cur & a.accepting, len(groups), None, fo, so)
 
     def minimize(self, a: _Auto) -> _Auto:
-        """The minimal automaton of a, its states in breadth-first order
-        from the initial state, letters in order: refine after a trim,
-        which numbers the reachable states breadth-first."""
-        reach, delta = self.explore(a.init, a.delta.__getitem__)
-        return self.refine(_Auto(self.sig, a.fo, a.so, a.n_letters, 0, delta,
-                                 {i for i, q in enumerate(reach) if q in a.accepting}))
+        """The minimal automaton of a: its reachable states, walked
+        breadth-first from the initial state, letters in order, refined."""
+        return self.minimal(a.init, a.delta.__getitem__, a.accepting.__contains__,
+                            a.n_letters, None, a.fo, a.so)
 
     def refine(self, a: _Auto, rows=None) -> _Auto:
         """The minimal automaton of a, whose states explore numbered: all
@@ -453,33 +460,27 @@ class _Builder:
         ordered_vars: one walk over pairs (state of a, marks read j), in
         which the next mark feeds the track of ordered_vars[j], or none when
         a does not read it.  A pair accepts when all marks are read and a
-        accepts; it is dead, one state for all, when a sits in a rejecting
-        sink or a mark comes after the last.  With no marked variable this
-        is a's minimization."""
+        accepts; it is the dead state when a sits in a rejecting sink or a
+        mark comes after the last.  With no marked variable this is a's
+        minimization."""
         m, size = len(ordered_vars), 1 << self.sig.k
-        n_letters = 2 * size if m else size
         assert set(a.fo) <= set(ordered_vars) and not a.so
         # bits[j]: the track bit that the mark after j marks read sets
         bits = [1 << a.fo_bit(v) if v in a.fo else 0 for v in ordered_vars] + [0]
         sinks = _sinks(a)
-        dead_row = [None] * n_letters
 
         def successors(st):
-            if st is None:
-                return dead_row
             row, j = a.delta[st[0]], st[1]
             marked = [(t, j + 1) for t in row[bits[j]:bits[j] + size]] if m else []
             return [(t, j) for t in row[:size]] + marked
 
-        order, delta = self.explore((a.init, 0), successors, n_letters,
-                                    lambda st: st[1] > m or st[0] in sinks)
-        accepting = {i for i, st in enumerate(order)
-                     if st is not None and st[1] == m and st[0] in a.accepting}
-        out = _Auto(self.sig, (), (), n_letters, 0, delta, accepting)
-        return self.publish(self.refine(out), m > 0)
+        out = self.minimal((a.init, 0), successors,
+                           lambda st: st[1] == m and st[0] in a.accepting,
+                           2 * size if m else size, lambda st: st[1] > m or st[0] in sinks)
+        return self.publish(out, m > 0)
 
     def publish(self, a: _Auto, marked: bool, tracks: int = 1) -> Dfa:
-        """The minimal automaton a, numbered as minimize leaves it:
+        """The minimal automaton a, numbered as minimal leaves it:
         breadth-first from the initial state 0, letters in order."""
         return Dfa(self.sig, marked, a.init, tuple(map(tuple, a.delta)),
                    frozenset(a.accepting), tracks)
@@ -723,9 +724,9 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
     of the main run with the number of candidate xs markings reaching each
     pair (state, comparison with xs so far), capped at cap.  The automaton
     is deterministic, so each accepted candidate run is one distinct xs
-    tuple.  A letter that sends the main run to its sink goes to one dead
-    state, None.  The counting states run under m's state budget, and the
-    rank automata are published, by a builder of their own stage.
+    tuple.  A letter that sends the main run to its sink goes to explore's
+    dead state, None.  The counting states run under m's state budget, and
+    the rank automata are published, by a builder of their own stage.
     """
     builder = _Builder(m.builder.sig, m.builder.budget, "preimage ranks", {})
     a, xs, ys = m.auto, m.xs, m.ys
@@ -763,7 +764,7 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
         row = []
         for letter, inner in enumerate(letters):
             nxt = None
-            if cur is not None and a.delta[cur[0]][inner] not in sink:
+            if a.delta[cur[0]][inner] not in sink:
                 base, main = inner & ~xbits[-1], letter >> k & ((1 << n) - 1)
                 counts: dict = {}
                 for (p, cmp), c in cur[1]:

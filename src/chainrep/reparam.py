@@ -37,7 +37,7 @@ from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
                       all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
                       one_point, order_case_split, substitute)
-from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query, _Auto,
+from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
                        compile as compile_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
 from .words import MarkedWord
@@ -340,8 +340,10 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
 
     Tracks (segments consumed, running segment type, families still
     consistent) while reading; a marked letter closes the current segment
-    and opens the next.  The walk numbers its states breadth-first, under
-    query's budget, so its table goes straight to partition refinement.
+    and opens the next; a mark after the last, or one that no family
+    stays consistent with, goes to the dead state.  The guard builder
+    walks and refines the table as it does every other (_Builder.minimal),
+    under query's budget.
     """
     m = algebra.monoid
     k = algebra.arity
@@ -350,11 +352,8 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
     families = [d.types for d in disjuncts]
     nl = 1 << (algebra.sig.k + 1)
     mark_bit = 1 << algebra.sig.k
-    dead = "dead"
 
     def successors(cur):
-        if cur == dead:
-            return [dead] * nl
         seg, elem, alive = cur
         row = []
         for letter in range(nl):
@@ -362,17 +361,16 @@ def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
             if not letter & mark_bit:
                 row.append((seg, m.multiply(elem, m.letter_image[lab]), alive))
             elif seg == k:
-                row.append(dead)
+                row.append(None)
             else:
                 alive2 = frozenset(d for d in alive if families[d][seg] == elem)
-                row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else dead)
+                row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else None)
         return row
 
     b = query.builder("guard")
-    order, rows = b.explore((0, m.identity, frozenset(range(len(families)))), successors)
-    accepting = {j for j, st in enumerate(order)
-                 if st != dead and st[0] == k and any(families[d][k] == st[1] for d in st[2])}
-    return b.publish(b.refine(_Auto(algebra.sig, (), (), nl, 0, rows, accepting)), True)
+    return b.publish(b.minimal(
+        (0, m.identity, frozenset(range(len(families)))), successors,
+        lambda st: st[0] == k and any(families[d][k] == st[1] for d in st[2]), nl), True)
 
 
 def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
@@ -526,8 +524,6 @@ def _refine_bound(rep: Reparameterization, query: Query) -> Reparameterization:
     the budget, and records that as an "unrefined" provenance step that
     quotes the error.
     """
-    if not rep.domain_vars or rep.bound <= 1:
-        return rep
     try:
         return refine_with_ranks(rep, query)[0]
     except ResourceLimitError as e:

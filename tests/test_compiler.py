@@ -210,6 +210,23 @@ def test_products_explore_one_dead_pair(monkeypatch):
     assert max(walks) == 1 and walks.count(1) > len(walks) // 2, (walks.count(1), len(walks))
 
 
+def test_explore_writes_the_dead_row(sig1):
+    # a state that dead holds for and a successor None are the one dead
+    # state; explore writes its row, every letter back to it, and never
+    # asks successors for it
+    def successors(st):
+        assert st is not None, "successors asked for the dead state's row"
+        return [st + 1, st, 0]
+
+    b = compiler._Builder(sig1, 10, "test", {})
+    order, delta = b.explore(0, successors, 3, lambda st: st >= 2)
+    assert order == [0, 1, None]
+    assert delta == [[1, 0, 0], [2, 1, 0], [2, 2, 2]]
+    assert b.explore(2, successors, 3, lambda st: st >= 2) == ([None], [[0, 0, 0]])
+    order, delta = b.explore(0, lambda st: [st + 1 if st < 1 else None, st], 2)
+    assert (order, delta) == ([0, 1, None], [[1, 0], [2, 1], [2, 2]])
+
+
 def test_publishing_walks_the_marks_read(sig1, monkeypatch):
     # the number of marks read tells which track the next mark feeds, so
     # publishing widens no automaton to the marked variables and runs no

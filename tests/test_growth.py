@@ -118,6 +118,16 @@ def test_lower_witness_guarded_map(sig1):
         assert w.oracle_count() >= n
 
 
+def test_lower_witness_shifts_points_after_the_blocks(sig1):
+    # v is pinned to the last position, after every block's copies: the
+    # grown word shifts it by the copies added, and the pool follows
+    f = parse("P1(x) & ~ex q. v < q", sig1)
+    for n in (1, 2, 3):
+        w = growth_lower_witness(f, sig1, ("x", "v"), n)
+        assert w.oracle_count() >= n
+        assert len(w.word) - 1 in w.positions
+
+
 def test_lower_witness_on_set_quantified_map(sig1):
     # the base fiber is read off the map's automaton, which compiles set
     # quantifiers like any other node
