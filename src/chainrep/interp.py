@@ -221,21 +221,28 @@ class Structure:
 
 
 def apply_interpretation(spec: InterpretationSpec, word: Word) -> Structure:
-    """Materialize the output structure on one word by direct evaluation."""
+    """Materialize the output structure on one word by direct evaluation.
+
+    A component's elements are the satisfying tuples of its universe.  A
+    rule relates the elements whose coordinates, concatenated, satisfy its
+    formula: each satisfying tuple is cut into one part per component, by
+    dimension, and kept when every part is an element of its component.
+    """
     if word.sig != spec.signature:
         raise InputError("word and spec use different signatures")
-    per_comp: dict[str, list[Element]] = {}
-    for c in spec.components:
-        per_comp[c.name] = [(c.name, tup)
-                            for tup in satisfying_tuples(c.universe, word, c.variables)]
-    elements = tuple(e for c in spec.components for e in per_comp[c.name])
+    elements = tuple((c.name, tup) for c in spec.components
+                     for tup in satisfying_tuples(c.universe, word, c.variables))
+    members = set(elements)
     relations: dict[str, set] = {r.relation: set() for r in spec.rules}
     for rule in spec.rules:
-        pools = [per_comp[q] for q in rule.components]
-        sat = set(satisfying_tuples(rule.formula, word, rule.variables))
-        for combo in itertools.product(*pools):
-            flat = tuple(p for _, tup in combo for p in tup)
-            if flat in sat:
+        cuts, start = [], 0
+        for q in rule.components:
+            dim = spec.component(q).dim
+            cuts.append((q, start, start + dim))
+            start += dim
+        for tup in satisfying_tuples(rule.formula, word, rule.variables):
+            combo = tuple((q, tup[a:b]) for q, a, b in cuts)
+            if members.issuperset(combo):
                 relations[rule.relation].add(combo)
     packed = tuple((name, tuple(sorted(relations[name])))
                    for name in sorted(relations))
@@ -427,7 +434,7 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
         if len(b.elements) != len(pi):
             return CheckReport(False, words, max_fiber,
                                f"word {word}: unmapped reduced elements")
-        for name in {r.relation for r in spec.rules}:
+        for name in sorted({r.relation for r in spec.rules}):
             want = set(a.relation(name))
             got = {tuple(pi[e] for e in tup) for tup in b.relation(name)}
             if want != got:

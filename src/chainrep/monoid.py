@@ -30,6 +30,8 @@ class TypeMonoid:
     elements[i] is the state transformation of witness(i); index 0 is the
     identity (empty word).  nonempty_witness[i] is the shortest nonempty
     word realizing element i, or None when only the empty word does.
+    _pumpers and _pumps are is_pumpable's: the idempotents with a nonempty
+    witness, by (witness length, index), and its answer per pair.
     """
 
     dfa: Dfa
@@ -39,6 +41,9 @@ class TypeMonoid:
     nonempty_witness: list[tuple[int, ...] | None]
     letter_image: list[int]
     _mult: dict[tuple[int, int], int] = field(default_factory=dict)
+    _pumpers: list[int] | None = field(default=None, compare=False, repr=False)
+    _pumps: dict[tuple[int, int], int | None] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -147,22 +152,24 @@ def is_pumpable(monoid: TypeMonoid, tau_before: int, tau_after: int) -> int | No
     tau_before * e == tau_before and e * tau_after == tau_after.  Returns
     the first such element ordered by (witness length, element index), or
     None; the identity never qualifies since only the empty word realizes
-    it in a type algebra.
+    it in a type algebra.  The candidates are found once per monoid and the
+    answer once per pair.
     """
-    best = None
-    for e in range(monoid.size):
-        w = monoid.nonempty_witness[e]
-        if w is None:
-            continue
-        if monoid.multiply(e, e) != e:
-            continue
-        if monoid.multiply(tau_before, e) != tau_before:
-            continue
-        if monoid.multiply(e, tau_after) != tau_after:
-            continue
-        if best is None or (len(w), e) < best[0]:
-            best = ((len(w), e), e)
-    return None if best is None else best[1]
+    key = (tau_before, tau_after)
+    if key in monoid._pumps:
+        return monoid._pumps[key]
+    if monoid._pumpers is None:
+        witness = monoid.nonempty_witness
+        monoid._pumpers = sorted(
+            (e for e in range(monoid.size)
+             if witness[e] is not None and monoid.multiply(e, e) == e),
+            key=lambda e: (len(witness[e]), e))
+    mul = monoid.multiply
+    found = next((e for e in monoid._pumpers
+                  if mul(tau_before, e) == tau_before and mul(e, tau_after) == tau_after),
+                 None)
+    monoid._pumps[key] = found
+    return found
 
 
 def ramsey_bound(colors: int) -> int:

@@ -9,11 +9,19 @@ Each formula object is compiled once per signature into a tree of closures,
 one per node, which every later call runs directly (Feeley and Lapalme,
 "Using closures for code generation", Computer Languages 1987).  The
 compiled program is found by the formula's id and lives exactly as long as
-the formula.  Quantifiers update the variable environment in place and
-restore it.  A quantifier or automaton leaf memoizes its truth by the values
-of its free variables; the memos last for one public call, on one word, and
-are emptied when it returns.  So one formula object is evaluated by one call
-at a time: the oracle is single-threaded.
+the formula.  Every public call takes one path through it: load the word,
+run, and empty the call's memos in a `finally`.  Quantifiers update the
+variable environment in place and restore it.  A quantifier or automaton
+leaf memoizes its truth by the values of its free variables; the memos last
+for one public call, on one word.  So one formula object is evaluated by
+one call at a time: the oracle is single-threaded.
+
+A quantifier whose variable is not free in its body (random formulas are
+full of them) does not loop: every value gives the body the same truth, so
+the body runs once, and only when some value exists, as the loop would run
+it first.  `ex` is then "some value and body", `all` is "no value or body",
+and `atleast c` is "c <= 0" when no value exists and otherwise "(body and
+at least c values) or c <= 0".
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -37,16 +45,20 @@ closure, so a candidate value costs one call.  A loop whose value no
 deeper conjunct reads stops descending once the loops below it have found
 nothing, as the memo of a nested quantifier would.
 
-An atom on variables that the formula does not bind reads their values
-directly and range-checks them; only when one is missing or out of range
-does it take the slow path, which raises for the first variable read.
+The plan of a search is built once per list of variables searched, from
+closures compiled with those variables counted as bound: the search sets
+them only to positions of the word or of a pool checked to lie in it, so
+their atoms read them directly.  An atom on variables that neither the
+formula nor the search binds reads their values directly and range-checks
+them; only when one is missing or out of range does it take the slow path,
+which raises for the first variable read.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import eq, itemgetter, lt
 from typing import Callable, NamedTuple
 
@@ -64,8 +76,7 @@ def evaluate(f: Formula, word: Word, fo: dict[str, int] | None = None,
     fo maps first-order variables to positions, so maps set variables to
     subset bitmasks (bit p set when position p is in the set).
     """
-    with _program(f, word.sig).on(word) as run:
-        return run(dict(fo or {}), dict(so or {}))
+    return _program(f, word.sig).run(word, dict(fo or {}), dict(so or {}))
 
 
 def _pos(env, v, n):
@@ -86,32 +97,24 @@ _PROGRAMS: dict[int, "_Program"] = {}
 class _Program(NamedTuple):
     """A formula compiled for words over one signature.
 
-    `on(word)` is a context that loads the word for one public call and
-    gives the closure run(fo, so) -> bool; fo_vars and so_vars are the
-    formula's free variables in order of first occurrence.  conjuncts holds
-    (closure, free FO variables, free set variables) for each conjunct of
-    the formula's And tree, in written order, and plans the _levels of each
-    variable list searched.
+    fo_vars and so_vars are the formula's free variables in order of first
+    occurrence.  run(word, fo, so) -> bool is the formula's truth, and
+    search(formula, word, variables, values, out=None) -> int runs _search
+    over the variables; formula is the one compiled, from which the plan of
+    a variable list is built the first time it is searched.  Each call loads
+    the word and empties its memos when it returns.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
     so_vars: tuple[str, ...]
-    conjuncts: tuple[tuple[Callable, tuple[str, ...], tuple[str, ...]], ...]
-    plans: dict[tuple[str, ...], tuple[list[Callable | None], list[bool]]]
-    on: Callable
-
-    def search(self, variables, values, out=None) -> int:
-        """_search the formula's tuples; the word must be loaded by on()."""
-        plan = self.plans.get(variables)
-        if plan is None:
-            plan = self.plans[variables] = _levels(variables, self.conjuncts)
-        return _search(variables, plan, values, {}, {}, out)
+    run: Callable
+    search: Callable
 
 
 def _program(f: Formula, sig: Signature) -> _Program:
     prog = _PROGRAMS.get(id(f))
-    if prog is not None and prog.sig == sig:
+    if prog is not None and (prog.sig is sig or prog.sig == sig):
         return prog
     new = _compile(f, sig)
     if prog is None:
@@ -125,24 +128,46 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     The closures capture node fields, never a node, so the program does not
     keep its formula alive.  They read the word's letters from this frame,
-    which on() sets for each public call.
+    which load() sets for each public call.
     """
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
     subsets = range(1)
     used_memos: list[dict] = []
+    # variables searched -> their _levels, built with those variables bound
+    plans: dict[tuple[str, ...], tuple[list[Callable | None], list[bool]]] = {}
 
     def load(word):
         nonlocal letters, n, positions, subsets
-        letters, n = word.letters, len(word)
+        letters = word.letters
+        n = len(letters)
         positions, subsets = range(n), range(1 << n)
-        return run
 
     def unload():
         for memo in used_memos:
             memo.clear()
         used_memos.clear()
+
+    def run(word, fo, so):
+        load(word)
+        try:
+            return whole(fo, so)
+        finally:
+            unload()
+
+    def search(formula, word, variables, values, out=None):
+        plan = plans.get(variables)
+        if plan is None:
+            # the search binds its variables to positions of the word or of
+            # a validated pool, so their atoms may read them directly
+            parts = conjuncts(formula, frozenset(variables), frozenset()) if variables else top
+            plan = plans[variables] = _levels(variables, parts)
+        load(word)
+        try:
+            return _search(variables, plan, values, {}, {}, out)
+        finally:
+            unload()
 
     def memoized(compute, fo_vars, so_vars):
         # a subformula's truth depends only on the values of its own free
@@ -166,10 +191,19 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return hit
         return fn
 
-    def quantifier(v, body, need, want, over_sets):
+    def quantifier(v, body, need, want, over_sets, vacuous):
         # counts the values of v that make the body equal `want`, up to
         # `need`: ex is (1, True), atleast c is (c, True), and all is
         # (1, False), true when no such value exists
+        if vacuous:
+            # a body that does not read v has one truth for every value: it
+            # runs once, and only when some value exists, as in the loop
+            def once(fo, so):
+                count = 1 << n if over_sets else n
+                hits = count if count and body(fo, so) == want else 0
+                return (hits >= need) == want
+            return once
+
         def fn(fo, so):
             env, values = (so, subsets) if over_sets else (fo, positions)
             old = env.get(v, _UNSET)
@@ -277,16 +311,18 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return exists_block(tuple(block), g, bound_fo, bound_so)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
                 body, ffo, fso = build(g, bound_fo | {v}, bound_so)
+                vacuous = v not in ffo
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
-                    fn = quantifier(v, body, node.count, True, False)
+                    fn = quantifier(v, body, node.count, True, False, vacuous)
                 else:
-                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
+                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False, vacuous)
                 return memoized(fn, ffo, fso), ffo, fso
             case ExistsSO(s, g) | ForallSO(s, g):
                 body, ffo, fso = build(g, bound_fo, bound_so | {s})
+                vacuous = s not in fso
                 fso = tuple(x for x in fso if x != s)
-                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
+                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True, vacuous)
                 return memoized(fn, ffo, fso), ffo, fso
             case Run(dfa, vs):
                 ffo = tuple(dict.fromkeys(vs))
@@ -308,23 +344,9 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return memoized(fn, ffo, ()), ffo, ()
         raise InputError(f"not a formula: {node!r}")
 
-    top = tuple(conjuncts(f, frozenset(), frozenset()))
-    run, fo_vars, so_vars = _every(top)
-    return _Program(sig, fo_vars, so_vars, top, {}, partial(_Loaded, load, unload))
-
-
-class _Loaded:
-    """The context of one public call: it loads the word and gives the
-    program's run closure, and on exit it empties the memos of the call."""
-
-    def __init__(self, load, unload, word):
-        self.load, self.unload, self.word = load, unload, word
-
-    def __enter__(self):
-        return self.load(self.word)
-
-    def __exit__(self, *exc):
-        self.unload()
+    top = conjuncts(f, frozenset(), frozenset())
+    whole, fo_vars, so_vars = _every(top)
+    return _Program(sig, fo_vars, so_vars, run, search)
 
 
 def _every(parts):
@@ -435,8 +457,7 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     if missing:
         raise InputError(f"unassigned free variables {missing}")
     out: list[tuple[int, ...]] = []
-    with prog.on(word):
-        prog.search(variables, range(len(word)), out)
+    prog.search(f, word, variables, range(len(word)), out)
     return out
 
 
@@ -450,8 +471,7 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     for p in pool:
         if not 0 <= p < len(word):
             raise InputError(f"position {p} out of range")
-    with prog.on(word):
-        return prog.search(variables, pool)
+    return prog.search(f, word, variables, pool)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
 from chainrep.reparam import minimal_reparameterization
-from chainrep.words import Word
+from chainrep.words import Word, all_words
 from conftest import FIRST_PAIR_TEXT, GROUP_TEXT
 from test_acceptance import SPECS
 
@@ -132,6 +136,20 @@ def test_reduced_specs_are_pinned(name, dim, text):
     # the reduced spec's text, rank automata included, byte for byte
     dump = reduce_interpretation(parse_interpretation(text), dim).spec.dump()
     assert (len(dump), hashlib.sha1(dump.encode()).hexdigest()) == REDUCED_SHA1[name]
+
+
+def test_applied_structures_are_pinned():
+    # every source and reduced spec on every word up to length 4, as the
+    # product over the element pools materialized them
+    h = hashlib.sha1()
+    words = 0
+    for _, dim, text in SPECS:
+        source = parse_interpretation(text)
+        for spec in (source, reduce_interpretation(source, dim).spec):
+            for word in all_words(spec.signature, 4):
+                h.update((apply_interpretation(spec, word).dump() + "\n").encode())
+                words += 1
+    assert (words, h.hexdigest()) == (806, "cd8eabcb9a0c184f4e74b25c0af069da40146411")
 
 
 GUARD_SPLIT = (f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n"
@@ -273,3 +291,34 @@ def test_equivalence_signature_mismatch():
     red = reduce_interpretation(other, 1)
     with pytest.raises(InputError):
         check_equivalence(spec, red, 2)
+
+
+TWO_ORDERS = """
+signature P1
+component a dim=1
+universe P1(x)
+relation R/2 on (a, a) := x < y
+relation S/2 on (a, a) := y < x
+"""
+
+_NAME_THE_FAILURE = """
+from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
+spec = parse_interpretation(TEXT)
+equal = parse_interpretation(TEXT.replace("x < y", "x = y").replace("y < x", "x = y"))
+print(check_equivalence(spec, reduce_interpretation(equal, 1), 3).failure)
+"""
+
+
+def test_equivalence_names_the_same_relation_under_every_hash_seed():
+    # R and S both differ on the first word with two labelled positions;
+    # the report names the first relation in sorted order, not in set order
+    src = Path(__file__).resolve().parents[1] / "src"
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", f"TEXT = {TWO_ORDERS!r}\n{_NAME_THE_FAILURE}"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        messages.add(done.stdout.strip())
+    assert len(messages) == 1
+    assert "relation 'R' differs" in messages.pop()

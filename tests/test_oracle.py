@@ -245,6 +245,57 @@ def test_a_level_tests_its_conjuncts_in_order(sig1):
         evaluate(block, Word(sig1, (0, 0)), fo={"v": 5})
 
 
+def _vacuous_answer(kind, count, body, n):
+    """The truth of `kind z. body` on n positions, z not in body, by hand."""
+    if kind == "ex":
+        return n > 0 and body
+    if kind == "all":
+        return n == 0 or body
+    return (n >= count and body) or count <= 0
+
+
+@pytest.mark.parametrize("kind", ["ex", "all"] + [f"atleast {c}" for c in range(4)])
+def test_vacuous_quantifiers(sig1, kind):
+    # the body does not read z, so it holds for all values or for none
+    count = int(kind.split()[1]) if kind.startswith("atleast") else 1
+    for n in range(4):
+        w = Word(sig1, (1,) * n)
+        for body in ("true", "false"):
+            want = _vacuous_answer(kind.split()[0], count, body == "true", n)
+            assert evaluate(parse(f"{kind} z. {body}", sig1), w) is want, (kind, body, n)
+        # a body on a free variable: every labelled position, or none
+        got = satisfying_tuples(parse(f"{kind} z. P1(x)", sig1), w, ("x",))
+        want = _vacuous_answer(kind.split()[0], count, True, n)
+        assert got == ([(p,) for p in range(n)] if want else []), (kind, n)
+
+
+def test_vacuous_quantifiers_keep_their_errors_lazy(sig1):
+    # the body runs only when some position exists, as in the loop: v out of
+    # range is reached on a nonempty word alone
+    empty, one = Word(sig1, ()), Word(sig1, (0,))
+    two, zero = parse("atleast 2 z. v = v", sig1), parse("atleast 0 z. v = v", sig1)
+    assert evaluate(two, empty, fo={"v": 5}) is False
+    assert evaluate(zero, empty, fo={"v": 5}) is True
+    for f in (two, zero):
+        with pytest.raises(InputError, match="^position 5 of 'v' out of range$"):
+            evaluate(f, one, fo={"v": 5})
+        # an unbound v is reported first by the quantifier's memo, on every word
+        for w in (empty, one):
+            with pytest.raises(InputError, match="^unbound variable 'v'$"):
+                evaluate(f, w)
+
+
+def test_a_cached_plan_keeps_the_free_variable_check(sig1):
+    # count_in_set searches y alone and leaves x to raise; the plan it
+    # caches for ("y",) must not spare satisfying_tuples its own check
+    w = Word(sig1, (1, 0))
+    f = parse("x < y", sig1)
+    with pytest.raises(InputError, match="^unbound variable 'x'$"):
+        count_in_set(f, w, range(2), ("y",))
+    with pytest.raises(InputError, match=r"^unassigned free variables \['x'\]$"):
+        satisfying_tuples(f, w, ("y",))
+
+
 def test_memoization_respects_scope(sig1):
     # same subformula object under different outer assignments
     w = Word(sig1, (1, 0, 0, 1))
