@@ -31,7 +31,8 @@ class TypeMonoid:
     identity (empty word).  nonempty_witness[i] is the shortest nonempty
     word realizing element i, or None when only the empty word does.
     _pumpers and _pumps are is_pumpable's: the idempotents with a nonempty
-    witness, by (witness length, index), and its answer per pair.
+    witness, by (witness length, index), found when the monoid is built, and
+    its answer per pair.
     """
 
     dfa: Dfa
@@ -41,9 +42,16 @@ class TypeMonoid:
     nonempty_witness: list[tuple[int, ...] | None]
     letter_image: list[int]
     _mult: dict[tuple[int, int], int] = field(default_factory=dict)
-    _pumpers: list[int] | None = field(default=None, compare=False, repr=False)
+    _pumpers: list[int] = field(init=False, compare=False, repr=False)
     _pumps: dict[tuple[int, int], int | None] = field(
-        default_factory=dict, compare=False, repr=False)
+        init=False, default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        witness = self.nonempty_witness
+        self._pumpers = sorted(
+            (e for e in range(self.size)
+             if witness[e] is not None and self.multiply(e, e) == e),
+            key=lambda e: (len(witness[e]), e))
 
     @property
     def size(self) -> int:
@@ -152,18 +160,11 @@ def is_pumpable(monoid: TypeMonoid, tau_before: int, tau_after: int) -> int | No
     tau_before * e == tau_before and e * tau_after == tau_after.  Returns
     the first such element ordered by (witness length, element index), or
     None; the identity never qualifies since only the empty word realizes
-    it in a type algebra.  The candidates are found once per monoid and the
-    answer once per pair.
+    it in a type algebra.  The answer is found once per pair.
     """
     key = (tau_before, tau_after)
     if key in monoid._pumps:
         return monoid._pumps[key]
-    if monoid._pumpers is None:
-        witness = monoid.nonempty_witness
-        monoid._pumpers = sorted(
-            (e for e in range(monoid.size)
-             if witness[e] is not None and monoid.multiply(e, e) == e),
-            key=lambda e: (len(witness[e]), e))
     mul = monoid.multiply
     found = next((e for e in monoid._pumpers
                   if mul(tau_before, e) == tau_before and mul(e, tau_after) == tau_after),

@@ -16,13 +16,6 @@ leaf memoizes its truth by the values of its free variables; the memos last
 for one public call, on one word.  So one formula object is evaluated by
 one call at a time: the oracle is single-threaded.
 
-A quantifier whose variable is not free in its body (random formulas are
-full of them) does not loop: every value gives the body the same truth, so
-the body runs once, and only when some value exists, as the loop would run
-it first.  `ex` is then "some value and body", `all` is "no value or body",
-and `atleast c` is "c <= 0" when no value exists and otherwise "(body and
-at least c values) or c <= 0".
-
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
 transition table with the positions of vars marked, on one shared mark bit
@@ -99,10 +92,9 @@ class _Program(NamedTuple):
 
     fo_vars and so_vars are the formula's free variables in order of first
     occurrence.  run(word, fo, so) -> bool is the formula's truth, and
-    search(formula, word, variables, values, out=None) -> int runs _search
-    over the variables; formula is the one compiled, from which the plan of
-    a variable list is built the first time it is searched.  Each call loads
-    the word and empties its memos when it returns.
+    search(word, variables, values, out=None) -> int runs _search over the
+    variables, building their plan the first time they are searched.  Each
+    call loads the word and empties its memos when it returns.
     """
 
     sig: Signature
@@ -127,9 +119,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     """Compile f into closures fn(fo, so) -> bool.
 
     The closures capture node fields, never a node, so the program does not
-    keep its formula alive.  They read the word's letters from this frame,
-    which load() sets for each public call.
+    keep its formula alive; search() reaches it by a weak reference, which
+    holds while the program is found, since the program dies with it.  The
+    closures read the word's letters from this frame, which load() sets for
+    each public call.
     """
+    formula = weakref.ref(f)
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
@@ -156,12 +151,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         finally:
             unload()
 
-    def search(formula, word, variables, values, out=None):
+    def search(word, variables, values, out=None):
         plan = plans.get(variables)
         if plan is None:
             # the search binds its variables to positions of the word or of
             # a validated pool, so their atoms may read them directly
-            parts = conjuncts(formula, frozenset(variables), frozenset()) if variables else top
+            parts = conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
             plan = plans[variables] = _levels(variables, parts)
         load(word)
         try:
@@ -191,19 +186,10 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return hit
         return fn
 
-    def quantifier(v, body, need, want, over_sets, vacuous):
+    def quantifier(v, body, need, want, over_sets):
         # counts the values of v that make the body equal `want`, up to
         # `need`: ex is (1, True), atleast c is (c, True), and all is
         # (1, False), true when no such value exists
-        if vacuous:
-            # a body that does not read v has one truth for every value: it
-            # runs once, and only when some value exists, as in the loop
-            def once(fo, so):
-                count = 1 << n if over_sets else n
-                hits = count if count and body(fo, so) == want else 0
-                return (hits >= need) == want
-            return once
-
         def fn(fo, so):
             env, values = (so, subsets) if over_sets else (fo, positions)
             old = env.get(v, _UNSET)
@@ -311,18 +297,16 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return exists_block(tuple(block), g, bound_fo, bound_so)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
                 body, ffo, fso = build(g, bound_fo | {v}, bound_so)
-                vacuous = v not in ffo
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
-                    fn = quantifier(v, body, node.count, True, False, vacuous)
+                    fn = quantifier(v, body, node.count, True, False)
                 else:
-                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False, vacuous)
+                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
                 return memoized(fn, ffo, fso), ffo, fso
             case ExistsSO(s, g) | ForallSO(s, g):
                 body, ffo, fso = build(g, bound_fo, bound_so | {s})
-                vacuous = s not in fso
                 fso = tuple(x for x in fso if x != s)
-                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True, vacuous)
+                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
                 return memoized(fn, ffo, fso), ffo, fso
             case Run(dfa, vs):
                 ffo = tuple(dict.fromkeys(vs))
@@ -457,7 +441,7 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     if missing:
         raise InputError(f"unassigned free variables {missing}")
     out: list[tuple[int, ...]] = []
-    prog.search(f, word, variables, range(len(word)), out)
+    prog.search(word, variables, range(len(word)), out)
     return out
 
 
@@ -471,7 +455,7 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     for p in pool:
         if not 0 <= p < len(word):
             raise InputError(f"position {p} out of range")
-    return prog.search(f, word, variables, pool)
+    return prog.search(word, variables, pool)
 
 
 @dataclass(frozen=True)
