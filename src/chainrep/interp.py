@@ -31,14 +31,23 @@ selectors.  The selector of copy (q, i) is an automaton leaf reading one
 track per domain and image variable, published from that count: it holds
 when the map relates the two tuples and exactly i-1 preimages of the
 image are lexicographically smaller.  A map with bound 1 is its own
-selector.  check_equivalence replays the bookkeeping as an explicit
-bijection on small words.
+selector.
+
+check_equivalence checks a reduction as an explicit bijection on every
+small word.  It plans each spec once per call (its components, each rule's
+cuts by dimension, its sorted relation names), and each source's fiber
+question (g over the domain and image variables).  On each word, every
+(formula object, variables) that the source, the reduced spec and the
+fibers ask about is evaluated once and its tuples shared, so the per-word
+loop does only per-word work.  apply_interpretation, fibers and bijection
+run the same helpers on one word.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exists_wrap,
@@ -227,26 +236,70 @@ def apply_interpretation(spec: InterpretationSpec, word: Word) -> Structure:
     rule relates the elements whose coordinates, concatenated, satisfy its
     formula: each satisfying tuple is cut into one part per component, by
     dimension, and kept when every part is an element of its component.
+    check_equivalence builds the same elements and relations on each word,
+    as sets, without packing them into a Structure.
     """
     if word.sig != spec.signature:
         raise InputError("word and spec use different signatures")
-    elements = tuple((c.name, tup) for c in spec.components
-                     for tup in satisfying_tuples(c.universe, word, c.variables))
-    members = set(elements)
-    relations: dict[str, set] = {r.relation: set() for r in spec.rules}
+    elements, relations = _structure(_plan(spec), _evaluator(word))
+    return Structure(tuple(elements), tuple((name, tuple(sorted(tuples)))
+                                            for name, tuples in relations.items()))
+
+
+def _evaluator(word: Word) -> Callable[[Formula, tuple[str, ...]], list[tuple[int, ...]]]:
+    """satisfying_tuples on the word, each (formula, variables) asked once.
+
+    The memo is keyed by the formula object's id, so it serves one word
+    while the formulas it was asked about live.  Its lists are shared by
+    every caller that asks the same question: none may mutate them.
+    """
+    memo: dict[tuple[int, tuple[str, ...]], list[tuple[int, ...]]] = {}
+
+    def sat(f, variables):
+        key = (id(f), variables)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = satisfying_tuples(f, word, variables)
+        return hit
+    return sat
+
+
+class _Plan(NamedTuple):
+    """What a spec's structure needs on every word, built once: its
+    components, each rule with its cuts (component, start, end) by
+    dimension, and its relation names in sorted order."""
+
+    components: tuple[Component, ...]
+    rules: tuple[tuple[RelationRule, tuple[tuple[str, int, int], ...]], ...]
+    relations: tuple[str, ...]
+
+
+def _plan(spec: InterpretationSpec) -> _Plan:
+    rules = []
     for rule in spec.rules:
         cuts, start = [], 0
         for q in rule.components:
             dim = spec.component(q).dim
             cuts.append((q, start, start + dim))
             start += dim
-        for tup in satisfying_tuples(rule.formula, word, rule.variables):
+        rules.append((rule, tuple(cuts)))
+    return _Plan(spec.components, tuple(rules),
+                 tuple(sorted({r.relation for r in spec.rules})))
+
+
+def _structure(plan: _Plan, sat) -> tuple[list[Element], dict[str, set]]:
+    """(elements, relation name -> set of tuples) of the plan's spec on the
+    word sat evaluates on, as apply_interpretation describes them."""
+    elements = [(c.name, tup) for c in plan.components
+                for tup in sat(c.universe, c.variables)]
+    members = set(elements)
+    relations: dict[str, set] = {name: set() for name in plan.relations}
+    for rule, cuts in plan.rules:
+        for tup in sat(rule.formula, rule.variables):
             combo = tuple((q, tup[a:b]) for q, a, b in cuts)
             if members.issuperset(combo):
                 relations[rule.relation].add(combo)
-    packed = tuple((name, tuple(sorted(relations[name])))
-                   for name in sorted(relations))
-    return Structure(elements, packed)
+    return elements, relations
 
 
 @dataclass(frozen=True)
@@ -267,24 +320,18 @@ class ReducedInterpretation:
     parts: tuple[ReducedComponent, ...]
 
     def part(self, name: str) -> ReducedComponent:
-        for p in self.parts:
-            if p.name == name:
-                return p
-        raise InputError(f"unknown reduced component {name!r}")
+        return _part(_first((p.name, p) for p in self.parts), name)
 
     def fibers(self, source_name: str, word: Word) -> dict[tuple, list[tuple]]:
-        """Image tuple -> its preimage tuples in lexicographic order."""
-        rep = next((p.rep for p in self.parts if p.source == source_name), None)
+        """Image tuple -> its preimage tuples in lexicographic order.
+
+        These are the fibers check_equivalence reads on each word, from the
+        map of the component's first copy.
+        """
+        rep = _first((p.source, p.rep) for p in self.parts).get(source_name)
         if rep is None:
             raise InputError(f"no copies of component {source_name!r}")
-        xs, ys = rep.domain_vars, rep.image_vars
-        k = len(xs)
-        out: dict[tuple, list[tuple]] = {}
-        for tup in satisfying_tuples(rep.g, word, xs + ys):
-            out.setdefault(tup[k:], []).append(tup[:k])
-        for fiber in out.values():
-            fiber.sort()
-        return out
+        return _fibers(_evaluator(word), *_fiber_formula(rep))
 
     def bijection(self, structure: Structure,
                   fibers: dict[str, dict[tuple, list[tuple]]]) -> dict[Element, Element]:
@@ -292,17 +339,53 @@ class ReducedInterpretation:
 
         structure is the output of self.spec on a word, and fibers maps each
         source component with copies to self.fibers of it on the same word.
+        check_equivalence maps the reduced elements of each word the same way.
         """
-        out: dict[Element, Element] = {}
-        for name, tup in structure.elements:
-            part = self.part(name)
-            fiber = fibers[part.source].get(tup, [])
-            if len(fiber) < part.index:
-                raise ChainrepError(
-                    f"element {name}{tup} expects preimage {part.index}, "
-                    f"fiber has {len(fiber)}")
-            out[(name, tup)] = (part.source, fiber[part.index - 1])
-        return out
+        return _bijection(_first((p.name, p) for p in self.parts),
+                          structure.elements, fibers)
+
+
+def _first(pairs) -> dict:
+    """Each key's first value, keys in order of first appearance."""
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, value)
+    return out
+
+
+def _part(parts: dict[str, ReducedComponent], name: str) -> ReducedComponent:
+    part = parts.get(name)
+    if part is None:
+        raise InputError(f"unknown reduced component {name!r}")
+    return part
+
+
+def _fiber_formula(rep: Reparameterization) -> tuple[Formula, tuple[str, ...], int]:
+    """(g, domain + image variables, domain width): the map's question."""
+    return rep.g, rep.domain_vars + rep.image_vars, len(rep.domain_vars)
+
+
+def _fibers(sat, g: Formula, variables: tuple[str, ...], k: int) -> dict[tuple, list[tuple]]:
+    # satisfying tuples come in lexicographic order, so for each image
+    # tuple its preimages do too
+    out: dict[tuple, list[tuple]] = {}
+    for tup in sat(g, variables):
+        out.setdefault(tup[k:], []).append(tup[:k])
+    return out
+
+
+def _bijection(parts: dict[str, ReducedComponent], elements,
+               fibers: dict[str, dict[tuple, list[tuple]]]) -> dict[Element, Element]:
+    out: dict[Element, Element] = {}
+    for name, tup in elements:
+        part = _part(parts, name)
+        fiber = fibers[part.source].get(tup, ())
+        if len(fiber) < part.index:
+            raise ChainrepError(
+                f"element {name}{tup} expects preimage {part.index}, "
+                f"fiber has {len(fiber)}")
+        out[(name, tup)] = (part.source, fiber[part.index - 1])
+    return out
 
 
 def reduce_interpretation(spec: InterpretationSpec, d: int, *,
@@ -395,53 +478,63 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     Checks that the map from reduced to source elements is well defined,
     bijective, and preserves and reflects every relation; also that no
     fiber exceeds its component's copy count.  Reports the first failure.
+
+    Both specs and the fibers are planned once, before the first word.  On
+    each word, every (formula object, variables) that they ask about is
+    evaluated once, so a universe that is also its own map's g, as a
+    dimension-0 one can be, costs one search, not three.
     """
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     src_arities = spec.arities()
     for name, arity in reduced.spec.arities().items():
         if src_arities.get(name) != arity:
             raise InputError("interpretations have different output signatures")
+    if reduced.spec.signature != spec.signature:
+        raise InputError("word and spec use different signatures")
+    source, target = _plan(spec), _plan(reduced.spec)
+    parts = _first((p.name, p) for p in reduced.parts)
     # components reduced to zero copies have no fibers; any element they
     # still produce surfaces below as a missed source element
-    bounds: dict[str, int] = {}
-    for p in reduced.parts:
-        bounds.setdefault(p.source, p.rep.bound)
+    reps = _first((p.source, p.rep) for p in reduced.parts)
+    maps = {name: _fiber_formula(rep) for name, rep in reps.items()}
     words = 0
     max_fiber = 0
     for word in all_words(spec.signature, max_len):
         words += 1
-        a = apply_interpretation(spec, word)
-        b = apply_interpretation(reduced.spec, word)
-        fibers = {source: reduced.fibers(source, word) for source in bounds}
+        sat = _evaluator(word)
+        a_elements, a_relations = _structure(source, sat)
+        b_elements, b_relations = _structure(target, sat)
+        fibers = {name: _fibers(sat, *question) for name, question in maps.items()}
         try:
-            pi = reduced.bijection(b, fibers)
+            pi = _bijection(parts, b_elements, fibers)
         except ChainrepError as e:
             return CheckReport(False, words, max_fiber, f"word {word}: {e}")
-        for source, bound in bounds.items():
-            sizes = [len(f) for f in fibers[source].values()]
-            if sizes:
-                max_fiber = max(max_fiber, max(sizes))
-                if max(sizes) > bound:
-                    return CheckReport(False, words, max_fiber,
-                                       f"word {word}: component {source!r} has a "
-                                       f"fiber of {max(sizes)}, bound {bound}")
-        image = sorted(pi.values())
-        if len(set(pi.values())) != len(pi):
+        for name, rep in reps.items():
+            largest = max(map(len, fibers[name].values()), default=0)
+            max_fiber = max(max_fiber, largest)
+            if largest > rep.bound:
+                return CheckReport(False, words, max_fiber,
+                                   f"word {word}: component {name!r} has a "
+                                   f"fiber of {largest}, bound {rep.bound}")
+        image = set(pi.values())
+        if len(image) != len(pi):
             return CheckReport(False, words, max_fiber,
                                f"word {word}: bijection is not injective")
-        if image != sorted(a.elements):
+        if image != set(a_elements):
             return CheckReport(False, words, max_fiber,
                                f"word {word}: bijection misses source elements")
-        if len(b.elements) != len(pi):
+        if len(b_elements) != len(pi):
             return CheckReport(False, words, max_fiber,
                                f"word {word}: unmapped reduced elements")
-        for name in sorted({r.relation for r in spec.rules}):
-            want = set(a.relation(name))
-            got = {tuple(pi[e] for e in tup) for tup in b.relation(name)}
+        for name in source.relations:
+            want = a_relations[name]
+            # a relation the reduced spec lacks, as when all its components
+            # were reduced to zero copies, is empty
+            got = {tuple(pi[e] for e in tup) for tup in b_relations.get(name, ())}
             if want != got:
-                extra = got - want
-                missing = want - got
                 return CheckReport(
                     False, words, max_fiber,
                     f"word {word}: relation {name!r} differs "
-                    f"(missing {sorted(missing)}, extra {sorted(extra)})")
+                    f"(missing {sorted(want - got)}, extra {sorted(got - want)})")
     return CheckReport(True, words, max_fiber)

@@ -91,14 +91,16 @@ class _Program(NamedTuple):
     """A formula compiled for words over one signature.
 
     fo_vars and so_vars are the formula's free variables in order of first
-    occurrence.  run(word, fo, so) -> bool is the formula's truth, and
-    search(word, variables, values, out=None) -> int runs _search over the
-    variables, building their plan the first time they are searched.  Each
-    call loads the word and empties its memos when it returns.
+    occurrence, and fo_set holds fo_vars as a set.  run(word, fo, so) ->
+    bool is the formula's truth, and search(word, variables, values,
+    out=None) -> int runs _search over the variables, building their plan
+    the first time they are searched.  Each call loads the word and empties
+    its memos when it returns.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
+    fo_set: frozenset[str]
     so_vars: tuple[str, ...]
     run: Callable
     search: Callable
@@ -140,9 +142,10 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         positions, subsets = range(n), range(1 << n)
 
     def unload():
-        for memo in used_memos:
-            memo.clear()
-        used_memos.clear()
+        if used_memos:
+            for memo in used_memos:
+                memo.clear()
+            used_memos.clear()
 
     def run(word, fo, so):
         load(word)
@@ -330,7 +333,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     top = conjuncts(f, frozenset(), frozenset())
     whole, fo_vars, so_vars = _every(top)
-    return _Program(sig, fo_vars, so_vars, run, search)
+    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, run, search)
 
 
 def _every(parts):
@@ -436,12 +439,12 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     prog = _program(f, word.sig)
     if prog.so_vars:
         raise InputError("formula has free set variables")
-    variables = tuple(prog.fo_vars if variables is None else variables)
-    missing = [v for v in prog.fo_vars if v not in variables]
-    if missing:
+    variables = prog.fo_vars if variables is None else tuple(variables)
+    if not prog.fo_set.issubset(variables):
+        missing = [v for v in prog.fo_vars if v not in variables]
         raise InputError(f"unassigned free variables {missing}")
     out: list[tuple[int, ...]] = []
-    prog.search(word, variables, range(len(word)), out)
+    prog.search(word, variables, range(len(word.letters)), out)
     return out
 
 
@@ -478,6 +481,8 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     tuple, and no image tuple is shared by more than `bound` assignments.
     Stops at the first violation.
     """
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     xs = tuple(rep.domain_vars)
     ys = tuple(rep.image_vars)
     k, m = len(xs), len(ys)
@@ -519,6 +524,8 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
     of the tuple's own coordinates, which keeps them usable as point
     interpretations.
     """
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     xs = tuple(rep.domain_vars)
     ys = tuple(rep.image_vars)
     k = len(xs)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from chainrep import interp
 from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
+from chainrep.oracle import check_canonical_form, check_reparameterization
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
 from conftest import FIRST_PAIR_TEXT, GROUP_TEXT
@@ -39,6 +41,13 @@ signature P1
 component ends dim=1
 universe (~ex z. z < x) | (~ex z. x < z)
 relation L/2 on (ends, ends) := x < y
+"""
+
+UNSAT = """
+signature P1
+component a dim=1
+universe x < x
+relation E/2 on (a, a) := x < y
 """
 
 
@@ -215,9 +224,7 @@ def test_reduce_refuses_insufficient_dim():
 
 
 def test_reduce_unsat_component_vanishes(sig1):
-    spec = parse_interpretation(
-        "signature P1\ncomponent a dim=1\nuniverse x < x\n"
-        "relation E/2 on (a, a) := x < y\n")
+    spec = parse_interpretation(UNSAT)
     red = reduce_interpretation(spec, 0)
     assert red.spec.components == ()
     assert check_equivalence(spec, red, 3)
@@ -274,6 +281,87 @@ def test_equivalence_detects_corruption(corrupt, failure):
     assert failure in report.failure
 
 
+def _parts_dropped(red):
+    return dataclasses.replace(red, parts=tuple(
+        p for p in red.parts if p.name != "ends.2"))
+
+
+CHECK_REPORTS = {
+    'successor pairs': [(True, 7, 1, None), (True, 15, 1, None), (True, 31, 1, None), (True, 63, 1, None)],
+    'labelled elements with marker': [(True, 21, 1, None), (True, 85, 1, None), (True, 341, 1, None), (True, 1365, 1, None)],
+    'word endpoints': [(True, 7, 2, None), (True, 15, 2, None), (True, 31, 2, None), (True, 63, 2, None)],
+    'guard split': [(True, 7, 1, None), (True, 15, 2, None), (True, 31, 3, None), (True, 63, 3, None)],
+    'unsat component': [(True, 7, 0, None), (True, 15, 0, None), (True, 31, 0, None), (True, 63, 0, None)],
+    'two orders': [(False, 3, 1, "word [P1]: relation 'R' differs (missing [], extra [(('a', (0,)), ('a', (0,)))])")] * 4,
+    '_first_preimage_twice': [(False, 2, 0, 'word [.]: element ends.2() expects preimage 2, fiber has 1')] * 4,
+    '_bound_one': [(False, 4, 2, "word [., .]: component 'ends' has a fiber of 2, bound 1")] * 4,
+    '_index_three': [(False, 4, 1, 'word [., .]: element ends.2() expects preimage 3, fiber has 2')] * 4,
+    '_component_dropped': [(False, 4, 2, 'word [., .]: bijection misses source elements')] * 4,
+    '_rule_dropped': [(False, 4, 2, "word [., .]: relation 'L' differs (missing [(('ends', (0,)), ('ends', (1,)))], extra [])")] * 4,
+    '_parts_dropped': [(False, 4, 1, "word [., .]: unknown reduced component 'ends.2'")] * 4,
+}
+
+
+def _reports(spec, red):
+    return [dataclasses.astuple(check_equivalence(spec, red, n)) for n in range(2, 6)]
+
+
+def test_check_reports_are_pinned():
+    # every field of every report at lengths 2-5, as materializing both
+    # structures on each word gave them: the failure messages, which check
+    # fails first, and the counts
+    got = {}
+    for name, dim, text in SPECS + (("guard split", 1, GUARD_SPLIT),
+                                    ("unsat component", 0, UNSAT)):
+        spec = parse_interpretation(text)
+        got[name] = _reports(spec, reduce_interpretation(spec, dim))
+    spec = parse_interpretation(TWO_ORDERS)
+    equal = parse_interpretation(TWO_ORDERS.replace("x < y", "x = y").replace("y < x", "x = y"))
+    got["two orders"] = _reports(spec, reduce_interpretation(equal, 1))
+    ends = parse_interpretation(ENDS)
+    red = reduce_interpretation(ends, 0)
+    for corrupt in (_first_preimage_twice, _bound_one, _index_three,
+                    _component_dropped, _rule_dropped, _parts_dropped):
+        got[corrupt.__name__] = _reports(ends, corrupt(red))
+    assert got == CHECK_REPORTS
+
+
+def test_equivalence_evaluates_each_formula_once_per_word(monkeypatch):
+    # a formula object that the source, the reduced spec and a fiber share,
+    # such as the flag universe that is its own map, is asked for once
+    calls = []
+    real = interp.satisfying_tuples
+
+    def counted(f, word, variables=None):
+        calls.append((id(f), word, variables))
+        return real(f, word, variables)
+
+    monkeypatch.setattr(interp, "satisfying_tuples", counted)
+    counts = {}
+    for name, dim, text in SPECS:
+        spec = parse_interpretation(text)
+        red = reduce_interpretation(spec, dim)
+        calls.clear()
+        assert check_equivalence(spec, red, 4)
+        counts[name] = (len(calls), len(set(calls)))
+    assert counts == {"successor pairs": (155, 155),
+                      "labelled elements with marker": (2_728, 2_728),
+                      "word endpoints": (248, 248)}
+
+
+@pytest.mark.parametrize("max_len", [-1, -3])
+def test_checks_refuse_a_negative_length(max_len):
+    # no word has a negative length, so such a check would pass on nothing
+    spec = parse_interpretation(ENDS)
+    red = reduce_interpretation(spec, 0)
+    rep = red.parts[0].rep
+    for check, args in ((check_equivalence, (spec, red)),
+                        (check_reparameterization, (rep,)),
+                        (check_canonical_form, (rep,))):
+        with pytest.raises(InputError, match="^max_len must be nonnegative$"):
+            check(*args, max_len)
+
+
 def test_equivalence_spec_vs_itself():
     spec = parse_interpretation(TWO)
     red = reduce_interpretation(spec, 1)
@@ -289,8 +377,12 @@ def test_equivalence_signature_mismatch():
         "universe x < y & ~ex z. (x < z & z < y)\n"
         "relation F/2 on (pairs, pairs) := x = x & y = u & v = v\n")
     red = reduce_interpretation(other, 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^interpretations have different output signatures$"):
         check_equivalence(spec, red, 2)
+    # a reduced spec over other input predicates fails before any word
+    wider = parse_interpretation(SUCC.replace("signature P1", "signature P1 P2"))
+    with pytest.raises(InputError, match="^word and spec use different signatures$"):
+        check_equivalence(spec, reduce_interpretation(wider, 1), 2)
 
 
 TWO_ORDERS = """
