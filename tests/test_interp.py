@@ -230,6 +230,23 @@ def test_reduce_unsat_component_vanishes(sig1):
     assert check_equivalence(spec, red, 3)
 
 
+def test_fibers_and_bijection_on_one_word(sig1):
+    # the public per-word bookkeeping that check_equivalence replays
+    spec = parse_interpretation(ENDS)
+    red = reduce_interpretation(spec, 0)
+    word = Word(sig1, (0, 1, 0))
+    fibers = {"ends": red.fibers("ends", word)}
+    assert fibers == {"ends": {(): [(0,), (2,)]}}
+    structure = apply_interpretation(red.spec, word)
+    assert red.bijection(structure, fibers) == {("ends.1", ()): ("ends", (0,)),
+                                                ("ends.2", ()): ("ends", (2,))}
+    assert red.part("ends.2").index == 2
+    with pytest.raises(InputError, match="unknown reduced component 'ends.3'"):
+        red.part("ends.3")
+    with pytest.raises(InputError, match="no copies of component 'other'"):
+        red.fibers("other", word)
+
+
 def _first_preimage_twice(red):
     # both copies select the first preimage
     ends1 = red.spec.component("ends.1")
