@@ -114,7 +114,7 @@ class Dfa:
 
     def run(self, w) -> bool:
         """Acceptance of a Word (or MarkedWord when the automaton is marked
-        with one shared mark bit)."""
+        with one shared mark bit) over the automaton's signature."""
         if self.tracks != 1:
             raise InputError("a marked word cannot fill one track per variable")
         if isinstance(w, MarkedWord):
@@ -124,6 +124,9 @@ class Dfa:
                 w = w.word
         elif self.marked:
             w = MarkedWord(w, ())
+        sig = w.word.sig if self.marked else w.sig
+        if sig is not self.sig and sig != self.sig:
+            raise InputError("word and automaton use different signatures")
         if self.marked:
             letters = list(w.word.letters)
             bit = 1 << len(self.sig.preds)
@@ -356,7 +359,9 @@ class _Builder:
         out = _Auto(self.sig, a.fo, a.so, a.n_letters, a.init,
                     [row[:] for row in a.delta],
                     set(range(a.n)) - a.accepting)
-        return self.valid(out, a.fo) if a.fo else self.minimize(out)
+        # the complement of a complete automaton is as minimal as it is,
+        # and numbered the same
+        return self.valid(out, a.fo) if a.fo else out
 
     def project(self, a: _Auto, kind: str, name: str) -> _Auto:
         if kind == "fo":
@@ -427,7 +432,7 @@ class _Builder:
                 # the set track sits right after the one first-order track
                 return self.single_mark((x,), (s,), (x,), 1 << (self.sig.k + 1))
             case Run(dfa, vs):
-                return self.run_leaf(dfa, vs)
+                return self.keep(f, self.run_leaf(dfa, vs))
             case AtLeast():
                 return self.build(expand_macros(f))
             case Not(g):
@@ -564,7 +569,7 @@ class Query:
         builder = self.builder("map automaton")
         a = builder.keep(g, builder.built(g))
         unused = [v for v in xs + ys if v not in a.fo]
-        a = builder.minimize(builder.valid(builder.extend(a, fo_add=unused), unused))
+        a = builder.valid(builder.extend(a, fo_add=unused), unused)
         return MapAutomaton(builder, a, xs, ys)
 
 
@@ -728,6 +733,8 @@ def preimage_ranks(m: MapAutomaton, cap: int) -> PreimageRanks:
     dead state, None.  The counting states run under m's state budget, and
     the rank automata are published, by a builder of their own stage.
     """
+    if cap < 1:
+        raise InputError("the fiber cap must be at least 1")
     builder = _Builder(m.builder.sig, m.builder.budget, "preimage ranks", {})
     a, xs, ys = m.auto, m.xs, m.ys
     k, n = builder.sig.k, len(xs)

@@ -25,9 +25,12 @@ the map under test, so a wrong one still fails the checks below.
 
 Tuples are enumerated by one search, `_search`, which `satisfying_tuples`,
 `count_in_set` and every block `ex v1 ... ex vk. body` with k >= 2 share.
-It runs one loop per variable, in lexicographic order, and tests each
-conjunct of the flattened body at the loop that binds the last of its
-variables, so a failed conjunct prunes every tuple that extends the prefix
+It runs one loop per variable, in lexicographic order.  The loops of a
+plan are compiled once into a nest of closures, one per variable, each
+calling the next for every value that passes its tests; the innermost
+counts the tuples or appends them.  Each conjunct of the flattened body is
+tested at the loop that binds the last of its variables, so a failed
+conjunct prunes every tuple that extends the prefix
 (selection pushdown in nested-loop evaluation; Ullman, "Principles of
 Database and Knowledge-Base Systems", 1988).  The levels only grow in
 written order: no conjunct is tested ahead of one written before it.  The
@@ -91,17 +94,20 @@ class _Program(NamedTuple):
     """A formula compiled for words over one signature.
 
     fo_vars and so_vars are the formula's free variables in order of first
-    occurrence, and fo_set holds fo_vars as a set.  run(word, fo, so) ->
-    bool is the formula's truth, and search(word, variables, values,
-    out=None) -> int runs _search over the variables, building their plan
-    the first time they are searched.  Each call loads the word and empties
-    its memos when it returns.
+    occurrence, fo_set holds fo_vars as a set, and accepted the variable
+    lists that satisfying_tuples has found to cover fo_vars.  run(word, fo,
+    so) -> bool is the formula's truth, and search(word, variables, values,
+    out=None) -> int runs _search over the variables on the values, or on
+    the word's positions when values is None, building their plan the
+    first time they are searched.  Each call loads the word and empties its
+    memos when it returns.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
     fo_set: frozenset[str]
     so_vars: tuple[str, ...]
+    accepted: set[tuple[str, ...]]
     run: Callable
     search: Callable
 
@@ -123,49 +129,49 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     The closures capture node fields, never a node, so the program does not
     keep its formula alive; search() reaches it by a weak reference, which
     holds while the program is found, since the program dies with it.  The
-    closures read the word's letters from this frame, which load() sets for
-    each public call.
+    closures read the word's letters from this frame, which run() and
+    search() set for each public call.
     """
     formula = weakref.ref(f)
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
-    subsets = range(1)
     used_memos: list[dict] = []
     # variables searched -> their _levels, built with those variables bound
-    plans: dict[tuple[str, ...], tuple[list[Callable | None], list[bool]]] = {}
-
-    def load(word):
-        nonlocal letters, n, positions, subsets
-        letters = word.letters
-        n = len(letters)
-        positions, subsets = range(n), range(1 << n)
+    plans: dict[tuple[str, ...], tuple[Callable | None, Callable | None, int]] = {}
 
     def unload():
-        if used_memos:
-            for memo in used_memos:
-                memo.clear()
-            used_memos.clear()
+        for memo in used_memos:
+            memo.clear()
+        used_memos.clear()
 
     def run(word, fo, so):
-        load(word)
+        nonlocal letters, n, positions
+        letters = word.letters
+        n = len(letters)
+        positions = range(n)
         try:
             return whole(fo, so)
         finally:
-            unload()
+            if used_memos:
+                unload()
 
     def search(word, variables, values, out=None):
+        nonlocal letters, n, positions
         plan = plans.get(variables)
         if plan is None:
             # the search binds its variables to positions of the word or of
             # a validated pool, so their atoms may read them directly
             parts = conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
             plan = plans[variables] = _levels(variables, parts)
-        load(word)
+        letters = word.letters
+        n = len(letters)
+        positions = range(n)
         try:
-            return _search(variables, plan, values, {}, {}, out)
+            return _search(plan, positions if values is None else values, {}, {}, out)
         finally:
-            unload()
+            if used_memos:
+                unload()
 
     def memoized(compute, fo_vars, so_vars):
         # a subformula's truth depends only on the values of its own free
@@ -194,7 +200,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         # `need`: ex is (1, True), atleast c is (c, True), and all is
         # (1, False), true when no such value exists
         def fn(fo, so):
-            env, values = (so, subsets) if over_sets else (fo, positions)
+            env, values = (so, range(1 << n)) if over_sets else (fo, positions)
             old = env.get(v, _UNSET)
             hits = 0
             for value in values:
@@ -213,14 +219,14 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     def exists_block(vs, body, bound_fo, bound_so):
         # ex v1 ... ex vk. body holds when the search finds one tuple
         parts = conjuncts(body, bound_fo | set(vs), bound_so)
-        plan = _levels(vs, parts)
+        plan = _levels(vs, parts, first=True)
         names = tuple(dict.fromkeys(vs))
         ffo, fso = _free(parts)
         ffo = tuple(x for x in ffo if x not in names)
 
         def fn(fo, so):
             old = [fo.get(v, _UNSET) for v in names]
-            hits = _search(vs, plan, positions, fo, so, first=True)
+            hits = _search(plan, positions, fo, so)
             for v, was in zip(names, old):
                 if was is _UNSET:
                     fo.pop(v, None)
@@ -333,7 +339,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     top = conjuncts(f, frozenset(), frozenset())
     whole, fo_vars, so_vars = _every(top)
-    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, run, search)
+    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), run, search)
 
 
 def _every(parts):
@@ -356,15 +362,18 @@ def _both(a, b):
     return lambda fo, so: a(fo, so) and b(fo, so)
 
 
-def _levels(variables, parts) -> tuple[list[Callable | None], list[bool]]:
-    """(checks, blind) for searching the variables with the parts.
+def _levels(variables, parts, first=False) -> tuple[Callable | None, Callable | None, int]:
+    """(top, nest, k): the plan for searching the k variables with the parts.
 
-    checks[i] is the conjunction, as _every tests it, of the parts to test
-    once variables[:i] are bound, or None when there are none.  A part sits
-    at the loop that binds the last of its variables (a repeated name is
-    bound by its last loop), and never ahead of a part written before it.
-    blind[i] is true when no part tested below loop i, at a level past
-    i + 1, reads variables[i].
+    top is the conjunction, as _every tests it, of the parts written before
+    the first that reads a variable, or None when there are none.
+    nest(values, fo, so, out, tup) -> int runs the loops, one closure per
+    variable, and is None for no variables.  Loop i sets fo[variables[i]]
+    and tup[i] and tests the parts whose last variable it binds (a repeated
+    name is bound by its last loop), never ahead of a part written before
+    it.  The innermost loop counts each value that passes and appends the
+    tuple to out when out is given; with first set, every loop stops at the
+    first tuple.
     """
     bound_at = {v: i for i, v in enumerate(variables, 1)}
     levels: list[list] = [[] for _ in range(len(variables) + 1)]
@@ -372,61 +381,74 @@ def _levels(variables, parts) -> tuple[list[Callable | None], list[bool]]:
     for part in parts:
         level = max([level] + [bound_at.get(v, 0) for v in part[1]])
         levels[level].append(part)
-    blind, below = [], set()
+    checks = [_every(at)[0] if at else None for at in levels]
+    nest, below = None, set()
     for i in reversed(range(len(variables))):
-        blind.append(variables[i] not in below)
+        if nest is None:
+            nest = _innermost(i, variables[i], checks[i + 1], first)
+        else:
+            # no part tested below loop i reads its variable
+            blind = variables[i] not in below
+            nest = _outer(i, variables[i], checks[i + 1], blind, first, nest)
         below.update(*(part[1] for part in levels[i + 1]))
-    return [_every(at)[0] if at else None for at in levels], blind[::-1]
+    return checks[0], nest, len(variables)
 
 
-def _search(variables, plan, values, fo, so, out=None, first=False) -> int:
-    """Number of tuples over values that pass every check, in lex order.
+def _innermost(i, v, test, first):
+    def loop(values, fo, so, out, tup):
+        hits = 0
+        for value in values:
+            fo[v] = value
+            if test is None or test(fo, so):
+                hits += 1
+                if out is not None:
+                    tup[i] = value
+                    out.append(tuple(tup))
+                if first:
+                    break
+        return hits
+    return loop
 
-    Loop i sets fo[variables[i]] and then runs checks[i + 1]; checks[0] runs
-    before the first loop, and only if some tuple exists.  out, when given,
-    collects the tuples; first stops the search at the first one.
 
-    When the loops below a blind loop find no tuple, they would find none
-    for any other value of it either, so the rest of its values only run
-    its own checks, which may still raise, and no longer descend.
+def _outer(i, v, test, blind, first, inner):
+    # when the loops below a blind loop find no tuple, they would find none
+    # for any other value of it either, so the rest of its values only run
+    # its own test, which may still raise, and no longer descend
+    def loop(values, fo, so, out, tup):
+        hits = 0
+        spent = False
+        for value in values:
+            fo[v] = value
+            if test is not None and not test(fo, so) or spent:
+                continue
+            tup[i] = value
+            found = inner(values, fo, so, out, tup)
+            if found:
+                if first:
+                    return found
+                hits += found
+            else:
+                spent = blind
+        return hits
+    return loop
+
+
+def _search(plan, values, fo, so, out=None) -> int:
+    """Number of tuples over values that pass the plan, in lex order.
+
+    The plan's top runs before the first loop, and only if some tuple
+    exists.  out, when given, collects the tuples.
     """
-    checks, blind = plan
-    k = len(variables)
+    top, nest, k = plan
     if k and not values:
         return 0
-    if checks[0] is not None and not checks[0](fo, so):
+    if top is not None and not top(fo, so):
         return 0
     if not k:
         if out is not None:
             out.append(())
         return 1
-    hits, i, last = 0, 0, k - 1
-    tup = [0] * k
-    loops = [iter(values)] + [None] * last
-    found = [0] * k  # hits when loop i last descended
-    spent = False  # the loops below loop i found nothing and never will
-    while i >= 0:
-        v, test = variables[i], checks[i + 1]
-        for value in loops[i]:
-            fo[v] = tup[i] = value
-            if test is not None and not test(fo, so):
-                continue
-            if i < last:
-                if spent:
-                    continue
-                found[i] = hits  # descend: the inner loop starts afresh
-                i += 1
-                loops[i] = iter(values)
-                break
-            hits += 1
-            if out is not None:
-                out.append(tuple(tup))
-            if first:
-                return hits
-        else:
-            i -= 1
-            spent = i >= 0 and blind[i] and hits == found[i]
-    return hits
+    return nest(values, fo, so, out, [0] * k)
 
 
 def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int, ...]]:
@@ -440,11 +462,13 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     if prog.so_vars:
         raise InputError("formula has free set variables")
     variables = prog.fo_vars if variables is None else tuple(variables)
-    if not prog.fo_set.issubset(variables):
-        missing = [v for v in prog.fo_vars if v not in variables]
-        raise InputError(f"unassigned free variables {missing}")
+    if variables not in prog.accepted:
+        if not prog.fo_set.issubset(variables):
+            missing = [v for v in prog.fo_vars if v not in variables]
+            raise InputError(f"unassigned free variables {missing}")
+        prog.accepted.add(variables)
     out: list[tuple[int, ...]] = []
-    prog.search(word, variables, range(len(word.letters)), out)
+    prog.search(word, variables, None, out)
     return out
 
 

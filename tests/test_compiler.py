@@ -85,7 +85,7 @@ def test_run_matches_a_walk_of_delta(sig1, sig2):
                     assert dfa.run(MarkedWord(w, marks)) is _walk(dfa, w, marks)
 
 
-def test_run_rejects_what_it_cannot_read(sig1):
+def test_run_rejects_what_it_cannot_read(sig1, sig2):
     w = Word(sig1, (1, 0))
     plain = compile(parse("ex v. P1(v)", sig1), sig1)
     with pytest.raises(InputError, match="^plain automaton cannot read marks$"):
@@ -93,6 +93,16 @@ def test_run_rejects_what_it_cannot_read(sig1):
     two = compiler.Dfa(sig1, True, 0, ((0,) * 8,), frozenset({0}), tracks=2)
     with pytest.raises(InputError, match="^a marked word cannot fill one track per variable$"):
         two.run(MarkedWord(w, ()))
+    # over P1 and P2, the letter P2 sets the bit that a marked automaton
+    # over P1 reads as its mark bit
+    marked = compile(parse("x = x", sig1), sig1, ("x",))
+    other = Word(sig2, (2,))
+    for dfa in (plain, marked):
+        for word in (other, MarkedWord(other, ())):
+            with pytest.raises(InputError, match="^word and automaton use different signatures$"):
+                dfa.run(word)
+    # an equal signature is the same signature
+    assert marked.run(MarkedWord(Word(Signature(("P1",)), (0,)), (0,)))
 
 
 def test_unmarked_free_variable_rejected(sig1):
@@ -247,6 +257,26 @@ def test_publishing_walks_the_marks_read(sig1, monkeypatch):
     assert one == compile(parse("P1(x) & y = y", sig1), sig1, ("x", "y"))
 
 
+def test_complements_and_maps_walk_no_minimize(sig1, monkeypatch):
+    # a sentence's complement and a map's widened automaton are minimal as
+    # built, so no minimize walk runs for them
+    calls = []
+    real = compiler._Builder.minimize
+
+    def minimize(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(compiler._Builder, "minimize", minimize)
+    dfa = compile(parse("~ex v. P1(v)", sig1), sig1)
+    assert [dfa.run(Word(sig1, (0,) * n)) for n in range(3)] == [True] * 3
+    assert not dfa.run(Word(sig1, (0, 1)))
+    assert max_fiber(parse("~(ex v. P1(v)) & y < x", sig1), sig1, ("x",), ("y",), cap=7) == 7
+    # y is widened in and left free: every x shares each image
+    assert max_fiber(parse("x = x", sig1), sig1, ("x",), ("y",), cap=7) == 7
+    assert calls == []
+
+
 def test_shortest_accepted(sig1):
     dfa = compile(parse("atleast 2 v. P1(v)", sig1), sig1)
     w = shortest_accepted(dfa)
@@ -335,6 +365,10 @@ def test_max_fiber_counts_preimages(sig1):
                   budget_states=10)
     with pytest.raises(InputError):
         max_fiber(parse("x < z", sig1), sig1, ("x",), ("y",), cap=2)
+    # a cap below 1 counts nothing
+    for cap in (0, -1):
+        with pytest.raises(InputError, match="^the fiber cap must be at least 1$"):
+            max_fiber(parse("y < x | y = x", sig1), sig1, ("x",), ("y",), cap=cap)
 
 
 def test_first_fiber_is_the_least_preimage(sig1):

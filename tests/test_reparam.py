@@ -339,6 +339,23 @@ def test_nothing_outlives_a_call(sig1):
         "compile: state budget exceeded (17 > 16)"
 
 
+def test_each_guard_automaton_is_built_once(sig1, monkeypatch):
+    # the Query keeps a Run leaf's automaton: the guard split's two guards
+    # are built for the eliminated step's source, and read again in the
+    # map's h
+    stages = []
+    real = compiler._Builder.run_leaf
+
+    def run_leaf(self, dfa, variables):
+        stages.append(self.stage)
+        return real(self, dfa, variables)
+
+    monkeypatch.setattr(compiler._Builder, "run_leaf", run_leaf)
+    rep = minimal_reparameterization(parse(GROUP_TEXT, sig1), sig1, ("x", "y"))
+    assert (rep.dimension, rep.bound) == (1, 3)
+    assert stages == ["compile", "compile"]
+
+
 # the most states that a default run's map build explores: the source's
 # automaton comes from the run's one build, and dead pairs are one state
 MAP_PEAKS = (
