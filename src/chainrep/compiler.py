@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .formula import (And, AtLeast, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
-                      expand_macros, is_fo_name, occurrences, rank_classes)
+                      check_depth, expand_macros, is_fo_name, occurrences, rank_classes)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -434,18 +434,19 @@ class _Builder:
             case Run(dfa, vs):
                 return self.keep(f, self.run_leaf(dfa, vs))
             case AtLeast():
-                return self.build(expand_macros(f))
+                return self.build(check_depth(expand_macros(f), self.stage, self.known))
             case Not(g):
                 return self.complement(self.built(g))
-            case And(l, r):
-                return self.product(*self.align(self.built(l), self.built(r)), "and")
-            case Or(l, r):
-                a, b = self.built(l), self.built(r)
-                one_sided = sorted(set(a.fo) ^ set(b.fo))
-                a, b = self.align(a, b)
-                return self.valid(self.product(a, b, "or"), one_sided)
+            case And(parts) | Or(parts):
+                op = "and" if isinstance(f, And) else "or"
+                a = self.built(parts[0])
+                for g in parts[1:]:
+                    b = self.built(g)
+                    one_sided = sorted(set(a.fo) ^ set(b.fo)) if op == "or" else ()
+                    a = self.valid(self.product(*self.align(a, b), op), one_sided)
+                return a
             case Implies(l, r):
-                return self.build(Or(Not(l), r))
+                return self.build(Or((Not(l), r)))
             case ExistsFO(v, g):
                 a = self.built(g)
                 if v not in a.fo:
@@ -548,7 +549,7 @@ class Query:
         rank tuple only when keep runs."""
         xs = tuple(xs)
         builder = self.builder("compile")
-        _check(f, xs)
+        _check(f, xs, builder)
         source = builder.keep(f, builder.built(f))
 
         def keep(ranks, formula):
@@ -565,8 +566,8 @@ class Query:
         is kept, so compile, given this query, builds g's image ex xs. g
         from it."""
         xs, ys = tuple(xs), tuple(ys)
-        _check(g, xs + ys)
         builder = self.builder("map automaton")
+        _check(g, xs + ys, builder)
         a = builder.keep(g, builder.built(g))
         unused = [v for v in xs + ys if v not in a.fo]
         a = builder.valid(builder.extend(a, fo_add=unused), unused)
@@ -588,7 +589,7 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     """
     marked_vars = tuple(marked_vars)
     builder = (Query(sig, budget_states) if query is None else query).builder("compile")
-    _check(f, marked_vars)
+    _check(f, marked_vars, builder)
     return builder.to_public(builder.keep(f, builder.built(f)), marked_vars)
 
 
@@ -659,9 +660,10 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
                   for p in patterns)
 
 
-def _check(f: Formula, marked_vars: tuple[str, ...]):
-    """Check that the free variables of f are among marked_vars, distinct
-    first-order names."""
+def _check(f: Formula, marked_vars: tuple[str, ...], builder: _Builder):
+    """Check the depth of what the builder will walk of f, and that the free
+    variables of f are among marked_vars, distinct first-order names."""
+    check_depth(f, builder.stage, builder.known)
     for v in marked_vars:
         if not is_fo_name(v):
             raise InputError(f"bad marked variable {v!r}")
@@ -813,6 +815,8 @@ def first_fiber(m: MapAutomaton, word: Word, image):
     track is marked exactly once on any accepted run.
     """
     a, xs = m.auto, m.xs
+    if word.sig is not a.sig and word.sig != a.sig:
+        raise InputError("word and automaton use different signatures")
     letters = list(word.letters)
     for v, p in zip(m.ys, image):
         letters[p] |= 1 << a.fo_bit(v)

@@ -26,11 +26,12 @@ class ParseError(InputError):
 class ResourceLimitError(ChainrepError):
     """Raised when a work budget would be exceeded: the state budget, which
     counts automaton states and monoid elements alike, the transition-table
-    cap or a copy cap.
+    cap, a copy cap or the nesting depth of a formula.
 
-    Carries the budget, its subject ("states", "transitions", ...), the size
-    reached and, for the first two, the stage that ran out: compile, monoid,
-    map automaton, preimage ranks or guard, which prefixes the message.
+    Carries the budget, its subject ("states", "transitions", "nesting
+    depth", ...), the size reached and, for all but copy caps, the stage
+    that ran out: parse, compile, oracle, monoid, map automaton, preimage
+    ranks or guard, which prefixes the message.
     """
 
     def __init__(self, message: str, budget=None, subject=None, stage=None,

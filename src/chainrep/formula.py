@@ -21,10 +21,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResourceLimitError
+
+# the deepest nesting of connectives and binders that parse, compile and the
+# oracle accept.  The compiler's `all` arm takes 7 frames a level, so every
+# walker stays under Python's default recursion limit of 1000 frames
+MAX_DEPTH = 100
 
 KEYWORDS = frozenset({"ex", "all", "EX", "ALL", "atleast", "true", "false"})
 
@@ -122,16 +128,23 @@ class Not(Formula):
     sub: Formula
 
 
+def _operands(f):
+    # And and Or are n-ary, as SMT-LIB's `and` and `or`
+    object.__setattr__(f, "parts", tuple(f.parts))
+    if len(f.parts) < 2:
+        raise InputError(f"{type(f).__name__} needs at least two operands")
+
+
 @dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
+    __post_init__ = _operands
 
 
 @dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
+    __post_init__ = _operands
 
 
 @dataclass(frozen=True)
@@ -246,9 +259,9 @@ class Run(Formula):
         is_last = Not(ExistsFO(q, Less(p, q)))
         first_rule = ForallFO(p, Implies(
             is_first,
-            disj([And(letter_test(p, a), state_bits(p, dfa.delta[dfa.init][a]))
+            disj([And((letter_test(p, a), state_bits(p, dfa.delta[dfa.init][a])))
                   for a in range(dfa.n_letters) if dfa.delta[dfa.init][a] not in sinks])))
-        succ = And(Less(p, q), Not(ExistsFO(r, And(Less(p, r), Less(r, q)))))
+        succ = And((Less(p, q), Not(ExistsFO(r, And((Less(p, r), Less(r, q)))))))
         step_rule = ForallFO(p, ForallFO(q, Implies(
             succ,
             disj([conj([state_bits(p, s), letter_test(q, a),
@@ -265,8 +278,8 @@ class Run(Formula):
         empty_ok = TRUE if (dfa.init in dfa.accepting and not variables) else FALSE
         if variables:
             # with at least one mark the word cannot be empty
-            return And(ExistsFO(p, Equal(p, p)), run)
-        return Or(And(empty, empty_ok), And(Not(empty), run))
+            return And((ExistsFO(p, Equal(p, p)), run))
+        return Or((And((empty, empty_ok)), And((Not(empty), run))))
 
 
 _TOKEN_RE = re.compile(r"->|[()<=~&|.]|\d+|[A-Za-z][A-Za-z0-9_]*")
@@ -293,6 +306,7 @@ class _Parser:
         self.sig = sig
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -309,39 +323,48 @@ class _Parser:
         self.i += 1
         return tok, pos
 
+    def nested(self, parse) -> Formula:
+        """parse(), one level deeper: ~, binders, parentheses and -> count."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep("parse", self.depth)
+        f = parse()
+        self.depth -= 1
+        return f
+
     def expr(self) -> Formula:
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.expr())
+            return Implies(left, self.nested(self.expr))
         return left
 
     def disjunction(self) -> Formula:
-        f = self.conjunction()
+        parts = [self.conjunction()]
         while self.peek() == "|":
             self.take()
-            f = Or(f, self.conjunction())
-        return f
+            parts.append(self.conjunction())
+        return disj(parts)
 
     def conjunction(self) -> Formula:
-        f = self.unary()
+        parts = [self.unary()]
         while self.peek() == "&":
             self.take()
-            f = And(f, self.unary())
-        return f
+            parts.append(self.unary())
+        return conj(parts)
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok == "~":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok in ("ex", "all"):
             self.take()
             v, pos = self.take()
             if not is_fo_name(v):
                 raise ParseError(f"expected a first-order variable, found {v!r}", self.text, pos)
             self.take(".")
-            body = self.expr()
+            body = self.nested(self.expr)
             return ExistsFO(v, body) if tok == "ex" else ForallFO(v, body)
         if tok in ("EX", "ALL"):
             self.take()
@@ -351,7 +374,7 @@ class _Parser:
             if v in self.sig.preds or _NUMBERED_PRED_RE.match(v):
                 raise ParseError(f"{v!r} is reserved for predicates", self.text, pos)
             self.take(".")
-            body = self.expr()
+            body = self.nested(self.expr)
             return ExistsSO(v, body) if tok == "EX" else ForallSO(v, body)
         if tok == "atleast":
             self.take()
@@ -362,13 +385,13 @@ class _Parser:
             if not is_fo_name(v):
                 raise ParseError(f"expected a first-order variable, found {v!r}", self.text, vpos)
             self.take(".")
-            return AtLeast(int(num), v, self.expr())
+            return AtLeast(int(num), v, self.nested(self.expr))
         return self.atom()
 
     def atom(self) -> Formula:
         if self.peek() == "(":
             self.take()
-            f = self.expr()
+            f = self.nested(self.expr)
             self.take(")")
             return f
         name, pos = self.take()
@@ -403,12 +426,13 @@ class _Parser:
 
 
 def parse(text: str, sig: Signature) -> Formula:
+    """The formula of text, which nests at most MAX_DEPTH levels deep."""
     p = _Parser(text, sig)
     f = p.expr()
     if p.peek() is not None:
         tok, pos = p.toks[p.i]
         raise ParseError(f"trailing input {tok!r}", text, pos)
-    return f
+    return check_depth(f, "parse")
 
 
 def _render(f: Formula, ctx: int) -> str:
@@ -423,15 +447,9 @@ def _render(f: Formula, ctx: int) -> str:
             s, prec = f"{name}({v})", 5
         case Not(g):
             s, prec = "~" + _render(g, 4), 4
-        case And() | Or():
-            # walk a left-deep chain in a loop: conj and disj build long ones
+        case And(parts) | Or(parts):
             op, prec = (" & ", 3) if isinstance(f, And) else (" | ", 2)
-            node, rights = f, []
-            while type(node) is type(f):
-                rights.append(node.right)
-                node = node.left
-            s = op.join([_render(node, prec)]
-                        + [_render(b, prec + 1) for b in reversed(rights)])
+            s = op.join([_render(parts[0], prec)] + [_render(g, prec + 1) for g in parts[1:]])
         case Implies(a, b):
             s, prec = _render(a, 2) + " -> " + _render(b, 1), 1
         case ExistsFO(v, g):
@@ -456,7 +474,8 @@ def _render(f: Formula, ctx: int) -> str:
 def render(f: Formula) -> str:
     """Canonical text for f.  parse(render(f)) == f, except that a Run leaf
     renders as its MSO export, so with Run leaves parse(render(f)) is only
-    equivalent to f."""
+    equivalent to f, and that an And or Or prints a first operand of its
+    own kind bare, as `a & b & c`, which parses as one node."""
     return _render(f, 0)
 
 
@@ -471,9 +490,12 @@ def map_subformulas(f: Formula, fn) -> Formula:
         case Not(g):
             h = fn(g)
             return f if h is g else Not(h)
-        case And(a, b) | Or(a, b) | Implies(a, b):
+        case And(parts) | Or(parts):
+            new = tuple(map(fn, parts))
+            return f if all(map(operator.is_, new, parts)) else type(f)(new)
+        case Implies(a, b):
             c, d = fn(a), fn(b)
-            return f if c is a and d is b else type(f)(c, d)
+            return f if c is a and d is b else Implies(c, d)
         case ExistsFO(v, g) | ForallFO(v, g) | ExistsSO(v, g) | ForallSO(v, g):
             h = fn(g)
             return f if h is g else type(f)(v, h)
@@ -482,6 +504,25 @@ def map_subformulas(f: Formula, fn) -> Formula:
             return f if h is g else AtLeast(n, v, h)
     if not isinstance(f, Formula):
         raise InputError(f"not a formula: {f!r}")
+    return f
+
+
+def _too_deep(stage: str, depth: int) -> ResourceLimitError:
+    return ResourceLimitError(f"formula nests deeper than {MAX_DEPTH} levels", budget=MAX_DEPTH,
+                              subject="nesting depth", stage=stage, reached=depth)
+
+
+def check_depth(f: Formula, stage: str, known=()) -> Formula:
+    """f, if a loop finds no node of it more than MAX_DEPTH levels deep, not
+    counting inside the subformulas whose ids are in known, which the caller
+    does not walk; else ResourceLimitError naming the stage."""
+    todo = [(f, 0)]
+    while todo:
+        g, depth = todo.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(stage, depth)
+        if id(g) not in known:
+            map_subformulas(g, lambda h: todo.append((h, depth + 1)) or h)
     return f
 
 
@@ -596,19 +637,16 @@ def _subst(f, m, fresh):
 
 
 def conj(formulas) -> Formula:
-    formulas = list(formulas)
-    if not formulas:
-        return TRUE
-    out = formulas[0]
-    for g in formulas[1:]:
-        out = And(out, g)
-    return out
+    """The And of the formulas, none flattened; true for none, f for [f]."""
+    formulas = tuple(formulas)
+    return And(formulas) if len(formulas) > 1 else formulas[0] if formulas else TRUE
 
 
 def conjuncts(f: Formula) -> list[Formula]:
-    """The operands of f's top-level conjunction, left to right, except true."""
+    """The operands of f's top-level conjunction, nested ones flattened, left
+    to right, except true."""
     if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
+        return [g for part in f.parts for g in conjuncts(part)]
     return [] if f == TRUE else [f]
 
 
@@ -627,13 +665,9 @@ def one_point(f: Formula) -> Formula:
 
 
 def disj(formulas) -> Formula:
-    formulas = list(formulas)
-    if not formulas:
-        return FALSE
-    out = formulas[0]
-    for g in formulas[1:]:
-        out = Or(out, g)
-    return out
+    """The Or of the formulas, none flattened; false for none, f for [f]."""
+    formulas = tuple(formulas)
+    return Or(formulas) if len(formulas) > 1 else formulas[0] if formulas else FALSE
 
 
 def exists_wrap(variables, body: Formula) -> Formula:

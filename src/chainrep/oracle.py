@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import reduce
 from operator import eq, itemgetter, lt
 from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .formula import (AtLeast, And, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
-                      Run, Signature)
+                      Run, Signature, check_depth, conjuncts as operands)
 from .words import Word, all_words
 
 
@@ -116,7 +115,7 @@ def _program(f: Formula, sig: Signature) -> _Program:
     prog = _PROGRAMS.get(id(f))
     if prog is not None and (prog.sig is sig or prog.sig == sig):
         return prog
-    new = _compile(f, sig)
+    new = _compile(check_depth(f, "oracle"), sig)
     if prog is None:
         weakref.finalize(f, _PROGRAMS.pop, id(f), None)
     _PROGRAMS[id(f)] = new
@@ -236,15 +235,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         return memoized(fn, ffo, fso), ffo, fso
 
     def conjuncts(node, bound_fo, bound_so):
-        """build() of each conjunct of node's And tree, in written order."""
-        parts, todo = [], [node]
-        while todo:
-            g = todo.pop()
-            if isinstance(g, And):
-                todo += (g.right, g.left)
-            else:
-                parts.append(build(g, bound_fo, bound_so))
-        return parts
+        """build() of each conjunct of node, in written order."""
+        return [build(g, bound_fo, bound_so) for g in operands(node)]
 
     def build(node, bound_fo, bound_so):
         """(closure, free FO variables, free set variables) of node."""
@@ -287,14 +279,10 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return (lambda fo, so: not fg(fo, so)), ffo, fso
             case And():
                 return _every(conjuncts(node, bound_fo, bound_so))
-            case Or(a, b) | Implies(a, b):
-                parts = build(a, bound_fo, bound_so), build(b, bound_fo, bound_so)
-                fa, fb = parts[0][0], parts[1][0]
-                if isinstance(node, Or):
-                    fn = lambda fo, so: fa(fo, so) or fb(fo, so)
-                else:
-                    fn = lambda fo, so: not fa(fo, so) or fb(fo, so)
-                return (fn, *_free(parts))
+            case Or(parts):
+                return _every([build(g, bound_fo, bound_so) for g in parts], True)
+            case Implies(a, b):
+                return build(Or((Not(a), b)), bound_fo, bound_so)
             case ExistsFO(v, ExistsFO() as g):
                 # a block of two or more ex is one search, which can test a
                 # conjunct between its loops; a single ex has nothing to test
@@ -342,13 +330,33 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), run, search)
 
 
-def _every(parts):
-    """(closure, free FO variables, free set variables) of a conjunction.
+def _every(parts, some=False):
+    """(closure, free FO variables, free set variables) of a conjunction,
+    or with some set of a disjunction.
 
     The closure tests the parts left to right and stops at the first that
-    fails, as `and` does.
+    fails, as `and` does, or with some set at the first that holds.  Two
+    parts are one lambda, more one loop, never one call per part nested.
     """
-    fn = reduce(lambda rest, test: _both(test, rest), [p[0] for p in reversed(parts)])
+    tests = [p[0] for p in parts]
+    if len(tests) == 1:
+        fn = tests[0]
+    elif len(tests) == 2:
+        a, b = tests
+        fn = (lambda fo, so: a(fo, so) or b(fo, so)) if some else \
+            (lambda fo, so: a(fo, so) and b(fo, so))
+    elif some:
+        def fn(fo, so):
+            for test in tests:
+                if test(fo, so):
+                    return True
+            return False
+    else:
+        def fn(fo, so):
+            for test in tests:
+                if not test(fo, so):
+                    return False
+            return True
     return (fn, *_free(parts))
 
 
@@ -356,10 +364,6 @@ def _free(parts):
     """The free FO and set variables of the parts, in order of first occurrence."""
     return (tuple(dict.fromkeys(x for p in parts for x in p[1])),
             tuple(dict.fromkeys(x for p in parts for x in p[2])))
-
-
-def _both(a, b):
-    return lambda fo, so: a(fo, so) and b(fo, so)
 
 
 def _levels(variables, parts, first=False) -> tuple[Callable | None, Callable | None, int]:

@@ -61,10 +61,12 @@ def random_formula(rng: random.Random, sig: Signature, fo_vars=(), *,
         match kind:
             case "not":
                 return Not(go(r, fo, so))
-            case "and":
-                return And(go(r, fo, so), go(r, fo, so))
-            case "or":
-                return Or(go(r, fo, so), go(r, fo, so))
+            case "and" | "or":
+                # a left operand of the same kind takes the right as one
+                # more operand, so the tree is the one parse reads back
+                node = And if kind == "and" else Or
+                left, right = go(r, fo, so), go(r, fo, so)
+                return node((left.parts if type(left) is node else (left,)) + (right,))
             case "implies":
                 return Implies(go(r, fo, so), go(r, fo, so))
             case "ex" | "all" | "atleast":

@@ -405,7 +405,7 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
     for i in sorted(groups):
         guard_dfa = _type_tuple_dfa(algebra, groups[i], query)
         gamma = Run(guard_dfa, ys)
-        step = eliminate_variable(And(case_formula, gamma), sig, ys, i,
+        step = eliminate_variable(And((case_formula, gamma)), sig, ys, i,
                                   len(groups[i]), algebra.monoid.size, supply)
         parts.append((gamma, _descend(step, sig, supply, query)))
     return combine_disjuncts(case_formula, sig, ys, parts, supply)

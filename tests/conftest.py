@@ -43,5 +43,11 @@ def endpoints_text(variables):
     return " & ".join(f"((~ex q. q < {v}) | (~ex q. {v} < q))" for v in variables)
 
 
+def wide_text(op, width):
+    """width operands joined by op, cycling through three: the formula of
+    the first three, as one node of width operands."""
+    return f" {op} ".join(("P1(x)", "x < y", "~P1(y)")[i % 3] for i in range(width))
+
+
 # two labelled positions and the first position: dimension 2, exact bound 3
 FIRST_PAIR_TEXT = "P1(x)&P1(y)&(~ex q. q < v)"

@@ -7,10 +7,10 @@ from chainrep import interp
 from chainrep.cli import main
 from chainrep.compiler import Query, compile, preimage_ranks
 from chainrep.errors import ResourceLimitError
-from chainrep.formula import Signature, parse
+from chainrep.formula import MAX_DEPTH, Signature, parse
 from chainrep.monoid import transition_monoid
 from chainrep.reparam import minimal_reparameterization
-from conftest import GROUP_TEXT, endpoints_text
+from conftest import GROUP_TEXT, endpoints_text, wide_text
 
 SUCC = """signature P1
 component pairs dim=2
@@ -292,6 +292,23 @@ def test_exit_codes(capsys):
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x<y",
                          "--budget-states", "0")
     assert status == 2 and "--budget-states must be positive" in err
+
+
+@pytest.mark.parametrize("width", [400, 1000])
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_mindim_answers_wide_connectives(capsys, op, width):
+    answers = []
+    for text in (wide_text(op, 3), wide_text(op, width)):
+        status, report, _ = run_json(capsys, "mindim", "--sig", "P1", "--formula", text)
+        answers.append((status, report["result"]["dimension"], report["result"]["bound"]))
+    assert answers[0] == answers[1]
+
+
+def test_nesting_past_the_limit_exits_3(capsys):
+    for text, stage in (("~" * 2000 + "P1(x)", "parse"), ("atleast 200 x. P1(x)", "compile")):
+        status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", text)
+        assert status == 3 and not out
+        assert err == f"resource limit: {stage}: formula nests deeper than {MAX_DEPTH} levels\n"
 
 
 def test_human_format_mirrors_json(capsys):

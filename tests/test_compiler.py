@@ -392,6 +392,14 @@ def test_first_fiber_is_the_least_preimage(sig1):
         Query(sig1, 2).map_automaton(g, ("x", "z"), ("y",))
 
 
+def test_first_fiber_rejects_a_word_over_another_signature(sig1, sig2):
+    # over P1, P2 the letter P2 would set the bit of x's track
+    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(parse("x = y", sig1), ("x",), ("y",))
+    with pytest.raises(InputError, match="^word and automaton use different signatures$"):
+        first_fiber(m, Word(sig2, (2, 0)), (1,))
+    assert first_fiber(m, Word(sig1, (0, 0)), (1,)) == (1,)
+
+
 def ranked_maps():
     """(sig, map, the query that built its automaton, its preimage ranks)
     of every test map with bound > 1."""

@@ -9,19 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 import chainrep
 from chainrep import formula
-from chainrep.compiler import Dfa, compile
-from chainrep.errors import InputError, ParseError
-from chainrep.formula import (FALSE, TRUE, And, AtLeast, Const, Equal, ExistsFO, ExistsSO,
-                              ForallFO, ForallSO, Formula, Implies, In, Less, NameSupply,
-                              Not, Or, Pred, Run, Signature, all_vars, conj, disj,
+from chainrep.compiler import Dfa, Query, compile, dfa_equivalent
+from chainrep.errors import InputError, ParseError, ResourceLimitError
+from chainrep.formula import (FALSE, MAX_DEPTH, TRUE, And, AtLeast, Const, Equal, ExistsFO,
+                              ExistsSO, ForallFO, ForallSO, Formula, Implies, In, Less,
+                              NameSupply, Not, Or, Pred, Run, Signature, all_vars, conj, disj,
                               exists_wrap, expand_macros, free_set_variables,
                               free_variables, map_subformulas, one_point,
                               order_case_split, parse, render, substitute)
 from chainrep.randgen import random_formula
-from chainrep.oracle import evaluate
+from chainrep.oracle import check_reparameterization, evaluate, satisfying_tuples
+from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, Word, all_words
 import itertools
 import random
+
+from conftest import wide_text
 
 
 def test_parse_atoms(sig1):
@@ -30,12 +33,12 @@ def test_parse_atoms(sig1):
     assert parse("P1(x)", sig1) == Pred("P1", "x")
     assert parse("Z(x)", sig1) == In("Z", "x")
     assert parse("true", sig1) == TRUE and parse("false", sig1) == FALSE
-    assert parse("x < y | ~true", sig1) == Or(Less("x", "y"), Not(TRUE))
+    assert parse("x < y | ~true", sig1) == Or((Less("x", "y"), Not(TRUE)))
 
 
 def test_parse_precedence(sig1):
     f = parse("~P1(x) & P1(y) | P1(x)", sig1)
-    assert f == Or(And(Not(Pred("P1", "x")), Pred("P1", "y")), Pred("P1", "x"))
+    assert f == Or((And((Not(Pred("P1", "x")), Pred("P1", "y"))), Pred("P1", "x")))
     g = parse("P1(x) -> P1(y) -> P1(x)", sig1)
     # implication associates right
     assert g == parse("P1(x) -> (P1(y) -> P1(x))", sig1)
@@ -43,7 +46,7 @@ def test_parse_precedence(sig1):
 
 def test_quantifier_body_extends_right(sig1):
     f = parse("ex v. P1(v) & v < x", sig1)
-    assert f == ExistsFO("v", And(Pred("P1", "v"), Less("v", "x")))
+    assert f == ExistsFO("v", And((Pred("P1", "v"), Less("v", "x"))))
 
 
 def test_parse_errors(sig1):
@@ -190,13 +193,77 @@ def test_render_parse_round_trip(seed, n_preds):
 
 
 def test_render_walks_long_chains(sig1):
-    # the export of a 300-state automaton is a disjunction of 1,200 steps,
-    # a left-deep chain far past the recursion limit; compare texts, as ==
-    # on trees this deep recurses too
+    # the export of a 300-state automaton is a disjunction of 1,200 steps
     cycle = tuple(tuple((q + 1) % 300 for _ in range(4)) for q in range(300))
     text = render(Run(Dfa(sig1, True, 0, cycle, frozenset({0})), ("x",)))
     assert len(text) == 234_892
     assert render(parse(text, sig1)) == text
+
+
+@pytest.mark.parametrize("width", [400, 1000])
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_wide_connectives_answer(sig1, op, width):
+    # one node holds every operand; repeating them changes nothing, so the
+    # wide formula answers as the three operands do
+    f, narrow = parse(wide_text(op, width), sig1), parse(wide_text(op, 3), sig1)
+    assert type(f) is type(narrow) and len(f.parts) == width
+    assert render(f) == wide_text(op, width)
+    assert dfa_equivalent(compile(f, sig1, ("x", "y")), compile(narrow, sig1, ("x", "y")))
+    for w in all_words(sig1, 3):
+        assert satisfying_tuples(f, w) == satisfying_tuples(narrow, w), str(w)
+
+
+NESTINGS = {
+    "~": lambda n: "~" * n + "P1(x)",
+    "all": lambda n: "all y. " * n + "P1(x)",
+    "ALL": lambda n: "ALL Y. " * n + "P1(x)",
+    "()": lambda n: "(" * n + "P1(x)" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_at_the_limit_answers(sig1, kind):
+    # each is P1(x) under MAX_DEPTH (an even number of) levels
+    f = parse(NESTINGS[kind](MAX_DEPTH), sig1)
+    assert dfa_equivalent(compile(f, sig1, ("x",)), compile(Pred("P1", "x"), sig1, ("x",)))
+    w = Word(sig1, (1, 0))
+    assert evaluate(f, w, {"x": 0}) and not evaluate(f, w, {"x": 1})
+    rep = minimal_reparameterization(f, sig1, ("x",))
+    assert (rep.dimension, rep.bound) == (1, 1)
+    with pytest.raises(ResourceLimitError) as e:
+        parse(NESTINGS[kind](MAX_DEPTH + 1), sig1)
+    assert (e.value.stage, e.value.subject, e.value.budget, e.value.reached) == \
+        ("parse", "nesting depth", MAX_DEPTH, MAX_DEPTH + 1)
+
+
+def test_the_search_wraps_a_formula_at_the_limit(sig1):
+    # the search compiles images and maps that wrap the source in more
+    # levels; the builder does not walk into the source it has kept
+    f = parse("~" * (MAX_DEPTH - 1) + "ex z. z < x", sig1)
+    rep = minimal_reparameterization(f, sig1, ("x",))
+    assert (rep.dimension, rep.bound, rep.provenance.kind) == (0, 1, "refine")
+    assert check_reparameterization(rep, 3)
+
+
+def test_nesting_built_past_the_limit_is_a_resource_limit(sig1):
+    f = Pred("P1", "x")
+    for i in range(MAX_DEPTH + 1):
+        f = Not(f) if i % 2 else And((Less("x", "y"), f))
+    calls = {"compile": lambda: compile(f, sig1, ("x", "y")),
+             "map automaton": lambda: Query(sig1, 10).map_automaton(f, ("x",), ("y",)),
+             "oracle": lambda: evaluate(f, Word(sig1, (1, 0)), {"x": 0, "y": 1})}
+    for stage, call in calls.items():
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{stage}: formula nests deeper than {MAX_DEPTH} levels$"):
+            call()
+
+
+def test_connectives_take_two_or_more_operands():
+    for node in (And, Or):
+        for parts in ((), (TRUE,)):
+            with pytest.raises(InputError, match="needs at least two operands"):
+                node(parts)
+        assert node([TRUE, FALSE]).parts == (TRUE, FALSE)
 
 
 def test_render_spacing_stable(sig1):
@@ -216,7 +283,7 @@ def test_node_hash_is_the_field_hash_across_pickles(sig1):
     text = "(ex z. (x < z & P1(z))) | ~(EX Z. Z(x))"
     f = parse(text, sig1)
     # a node hashes as the tuple of its fields, so set orders follow them
-    assert hash(f) == hash((f.left, f.right)) == hash(f)
+    assert hash(f) == hash((f.parts,)) == hash(f)
     # a pickle made under another hash seed must still hit equal keys here
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     code = ("import pickle, sys\n"
@@ -230,7 +297,7 @@ def test_node_hash_is_the_field_hash_across_pickles(sig1):
                          capture_output=True, check=True).stdout
     g = pickle.loads(out)
     assert g == f and {f: "hit"}[g] == "hit"
-    assert {f.left.body: "hit"}[g.left.body] == "hit"
+    assert {f.parts[0].body: "hit"}[g.parts[0].body] == "hit"
 
 
 def _one_of_each_node(sig):
@@ -244,13 +311,13 @@ def _one_of_each_node(sig):
         Pred: [px],
         In: [In("Z", "x")],
         Not: [Not(px)],
-        And: [And(px, Less("x", "y"))],
-        Or: [Or(px, Less("y", "x"))],
+        And: [And((px, Less("x", "y")))],
+        Or: [Or((px, Less("y", "x")))],
         Implies: [Implies(px, py)],
-        ExistsFO: [ExistsFO("z", And(Less("x", "z"), pz))],
+        ExistsFO: [ExistsFO("z", And((Less("x", "z"), pz)))],
         ForallFO: [ForallFO("z", Implies(Less("z", "x"), pz))],
-        ExistsSO: [ExistsSO("Z", And(In("Z", "x"), Not(In("Z", "y"))))],
-        ForallSO: [ForallSO("Z", Or(In("Z", "x"), Not(In("Z", "y"))))],
+        ExistsSO: [ExistsSO("Z", And((In("Z", "x"), Not(In("Z", "y")))))],
+        ForallSO: [ForallSO("Z", Or((In("Z", "x"), Not(In("Z", "y")))))],
         AtLeast: [AtLeast(2, "z", Less("z", "x")), AtLeast(0, "z", FALSE)],
         Run: [Run(pair, ("x", "y"))],
     }
@@ -267,9 +334,11 @@ def test_every_node_reaches_every_walker(sig1):
             subs = []
             assert map_subformulas(f, lambda g: subs.append(g) or g) is f
             assert bool(subs) == (cls not in leaves)
-            # the rebuild keeps every other field
+            # the rebuild keeps every other field; And and Or hold their
+            # operands in one tuple field
             assert map_subformulas(f, Not) == type(f)(
-                *(Not(x) if isinstance(x, Formula) else x for x in vars(f).values()))
+                *(Not(x) if isinstance(x, Formula) else
+                  tuple(map(Not, x)) if cls in (And, Or) else x for x in vars(f).values()))
             fo, so = free_variables(f), free_set_variables(f)
             assert set(fo) <= {"x", "y"} and set(so) <= {"Z"}
             assert set(fo) | set(so) <= all_vars(f)

@@ -2,12 +2,13 @@ import random
 
 from chainrep.formula import (AtLeast, ExistsFO, ExistsSO, ForallFO, ForallSO,
                               Formula, free_set_variables, free_variables,
-                              render)
+                              map_subformulas, render)
 from chainrep.randgen import formula_batch, random_formula
 
 
 def rank(f: Formula) -> int:
-    vals = [rank(v) for v in vars(f).values() if isinstance(v, Formula)]
+    vals = []
+    map_subformulas(f, lambda g: vals.append(rank(g)) or g)
     base = max(vals, default=0)
     if isinstance(f, (ExistsFO, ForallFO, ExistsSO, ForallSO, AtLeast)):
         return base + 1

@@ -7,9 +7,9 @@ import pytest
 
 from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula, max_fiber
 from chainrep.errors import InputError
-from chainrep.formula import (And, Formula, Less, Run, all_vars, conj, expand_macros,
-                              free_set_variables, free_variables, parse,
-                              render, substitute)
+from chainrep.formula import (And, Less, Run, all_vars, conj, expand_macros,
+                              free_set_variables, free_variables, map_subformulas,
+                              parse, render, substitute)
 from chainrep.growth import growth_lower_witness
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
@@ -40,8 +40,8 @@ def test_oracle_agrees_with_export():
     checked = 0
     for sig, fo, dfa in marked_dfas():
         chain = conj([Less(a, b) for a, b in zip(fo, fo[1:])])
-        leaf = And(chain, Run(dfa, fo))
-        export = And(chain, dfa_to_formula(dfa, fo))
+        leaf = And((chain, Run(dfa, fo)))
+        export = And((chain, dfa_to_formula(dfa, fo)))
         for w in all_words(sig, 3):
             got = satisfying_tuples(leaf, w, fo)
             assert got == satisfying_tuples(export, w, fo), (fo, str(w))
@@ -99,7 +99,7 @@ def test_render_is_the_export(sig1):
     assert {"p0", "q0", "r0"} <= all_vars(text)
     assert {"p1", "q0", "r0"} <= all_vars(dfa_to_formula(dfa, ("p0", "y")))
     # in context it renders with the export's precedence
-    assert render(And(leaf, leaf)) == render(And(text, text))
+    assert render(And((leaf, leaf))) == render(And((text, text)))
 
 
 def test_substitution_keeps_the_export_capture_free(sig1):
@@ -128,9 +128,7 @@ def test_pipeline_never_exports_a_leaf(sig1, monkeypatch):
     def collect(node):
         if isinstance(node, Run):
             leaves.append(node)
-        for child in vars(node).values():
-            if isinstance(child, Formula):
-                collect(child)
+        map_subformulas(node, lambda g: collect(g) or g)
 
     collect(rep.g)
     assert leaves
