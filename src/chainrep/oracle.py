@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 from .errors import InputError
 from .formula import (AtLeast, And, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
-                      Run, Signature, check_depth, conjuncts as operands)
+                      Run, Signature, check_depth, conjuncts)
 from .words import Word, all_words
 
 
@@ -161,7 +161,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         if plan is None:
             # the search binds its variables to positions of the word or of
             # a validated pool, so their atoms may read them directly
-            parts = conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
+            parts = built_conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
             plan = plans[variables] = _levels(variables, parts)
         letters = word.letters
         n = len(letters)
@@ -217,7 +217,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     def exists_block(vs, body, bound_fo, bound_so):
         # ex v1 ... ex vk. body holds when the search finds one tuple
-        parts = conjuncts(body, bound_fo | set(vs), bound_so)
+        parts = built_conjuncts(body, bound_fo | set(vs), bound_so)
         plan = _levels(vs, parts, first=True)
         names = tuple(dict.fromkeys(vs))
         ffo, fso = _free(parts)
@@ -234,9 +234,9 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return hits > 0
         return memoized(fn, ffo, fso), ffo, fso
 
-    def conjuncts(node, bound_fo, bound_so):
+    def built_conjuncts(node, bound_fo, bound_so):
         """build() of each conjunct of node, in written order."""
-        return [build(g, bound_fo, bound_so) for g in operands(node)]
+        return [build(g, bound_fo, bound_so) for g in conjuncts(node)]
 
     def build(node, bound_fo, bound_so):
         """(closure, free FO variables, free set variables) of node."""
@@ -278,7 +278,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 fg, ffo, fso = build(g, bound_fo, bound_so)
                 return (lambda fo, so: not fg(fo, so)), ffo, fso
             case And():
-                return _every(conjuncts(node, bound_fo, bound_so))
+                return _every(built_conjuncts(node, bound_fo, bound_so))
             case Or(parts):
                 return _every([build(g, bound_fo, bound_so) for g in parts], True)
             case Implies(a, b):
@@ -325,7 +325,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return memoized(fn, ffo, ()), ffo, ()
         raise InputError(f"not a formula: {node!r}")
 
-    top = conjuncts(f, frozenset(), frozenset())
+    top = built_conjuncts(f, frozenset(), frozenset())
     whole, fo_vars, so_vars = _every(top)
     return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), run, search)
 
