@@ -30,9 +30,8 @@ class TypeMonoid:
     elements[i] is the state transformation of witness(i); index 0 is the
     identity (empty word).  nonempty_witness[i] is the shortest nonempty
     word realizing element i, or None when only the empty word does.
-    _pumpers and _pumps are is_pumpable's: the idempotents with a nonempty
-    witness, by (witness length, index), found when the monoid is built, and
-    its answer per pair.
+    _pumpers, which is_pumpable scans, are the idempotents with a nonempty
+    witness, by (witness length, index), found when the monoid is built.
     """
 
     dfa: Dfa
@@ -43,8 +42,6 @@ class TypeMonoid:
     letter_image: list[int]
     _mult: dict[tuple[int, int], int] = field(default_factory=dict)
     _pumpers: list[int] = field(init=False, compare=False, repr=False)
-    _pumps: dict[tuple[int, int], int | None] = field(
-        init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         witness = self.nonempty_witness
@@ -160,17 +157,13 @@ def is_pumpable(monoid: TypeMonoid, tau_before: int, tau_after: int) -> int | No
     tau_before * e == tau_before and e * tau_after == tau_after.  Returns
     the first such element ordered by (witness length, element index), or
     None; the identity never qualifies since only the empty word realizes
-    it in a type algebra.  The answer is found once per pair.
+    it in a type algebra.  The search asks once per edge of a type
+    algebra's graph (reparam.TypeAlgebra.graph).
     """
-    key = (tau_before, tau_after)
-    if key in monoid._pumps:
-        return monoid._pumps[key]
     mul = monoid.multiply
-    found = next((e for e in monoid._pumpers
-                  if mul(tau_before, e) == tau_before and mul(e, tau_after) == tau_after),
-                 None)
-    monoid._pumps[key] = found
-    return found
+    return next((e for e in monoid._pumpers
+                 if mul(tau_before, e) == tau_before and mul(e, tau_after) == tau_after),
+                None)
 
 
 def ramsey_bound(colors: int) -> int:

@@ -115,7 +115,11 @@ def _program(f: Formula, sig: Signature) -> _Program:
     prog = _PROGRAMS.get(id(f))
     if prog is not None and (prog.sig is sig or prog.sig == sig):
         return prog
-    new = _compile(check_depth(f, "oracle"), sig)
+    # the operands of a top-level And are compiled by a loop, so only each
+    # operand's own nesting counts
+    for part in f.parts if isinstance(f, And) else (f,):
+        check_depth(part, "oracle")
+    new = _compile(f, sig)
     if prog is None:
         weakref.finalize(f, _PROGRAMS.pop, id(f), None)
     _PROGRAMS[id(f)] = new

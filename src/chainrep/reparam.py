@@ -19,6 +19,12 @@ tuple in that case's ascending order, has bound 1.  Below full width every
 case is reduced and the case maps, each stating its source once, are
 glued into one union.
 
+A case's local normal form is a layered graph of segment types
+(TypeAlgebra.graph) whose paths are the families.  What the search asks of
+them (how many, the first rigid one, the marks none pumps at, the guard
+groups) is a count of paths, so its cost follows the graph, never the
+number of families, which grows like n**k.
+
 The search, reparameterize, runs in its caller's compiler.Query, which
 keeps the automata of f, of its order cases and of the images, so each
 image `ex xs. (case & eqs)` and the map `source & h` start from one build.
@@ -35,8 +41,8 @@ from dataclasses import dataclass, replace
 
 from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
-                      all_vars, conj, conjuncts, disj, exists_wrap, free_variables,
-                      one_point, order_case_split, substitute)
+                      all_vars, check_depth, conj, conjuncts, disj, exists_wrap,
+                      free_variables, one_point, order_case_split, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
                        compile as compile_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
@@ -82,7 +88,8 @@ class TypeAlgebra:
     For arity zero the monoid is the plain transition monoid of the
     sentence automaton; otherwise it is the transition monoid of the
     mark-shadow doubling, whose row-0 entries see their first letter as
-    marked.
+    marked.  graph holds the local normal form, path_counts counts its
+    families under a rule on edges, and paths lists them.
     """
 
     sig: Signature
@@ -126,34 +133,80 @@ class TypeAlgebra:
         return tuple(out)
 
     def accepts_chain(self, taus) -> bool:
-        """Whether markings with these segment types satisfy the formula.
-
-        Runs the chain through the shadow monoid: the prefix acts on row 1,
-        each later segment enters on row 0 so its first letter is read as
-        marked.  Segments after the prefix must be realizable nonempty.
-        """
+        """Whether markings with these segment types satisfy the formula:
+        whether taus is a path of the graph."""
         taus = tuple(taus)
         if len(taus) != self.arity + 1:
             raise InputError(f"expected {self.arity + 1} types, got {len(taus)}")
-        m = self.monoid
-        if not self.variables:
-            return m.apply(taus[0], self.dfa.init) in self.dfa.accepting
-        q = m.elements[taus[0]][2 * self.dfa.init + 1] >> 1
-        for t in taus[1:]:
-            if m.nonempty_witness[t] is None:
-                return False
-            q = m.elements[t][2 * q] >> 1
-        return q in self.dfa.accepting
+        node = next((n for n in self.graph[0] if n[1] == taus[0]), None)
+        for layer, t in zip(self.graph, taus[1:]):
+            node = layer.get(node, {}).get(t, (None,))[0]
+        return node is not None
 
     @functools.cached_property
-    def families(self) -> tuple[tuple[Disjunct, tuple[int, ...]], ...]:
-        """The local normal form, each family with its eliminable marks."""
-        return tuple((d, eliminable_pairs(self, d)) for d in local_normal_form(self))
+    def graph(self) -> tuple[dict, ...]:
+        """The local normal form as a layered graph, one layer per segment.
 
-    @property
+        Layer j maps each node (q, t) to its edges into layer j+1, by the
+        next type t' in type order, as (node', pumps): q is the shadow-row
+        state after the types t0..tj, t is tj, and pumps tells whether the
+        pair (t, t') at mark j+1 admits a pumping idempotent.  t0 ranges
+        over the whole monoid, later types over its nonempty-realizable
+        elements.  Every node lies on a path from layer 0 to the last, and
+        the paths are exactly the families.  A sentence's graph is layer 0
+        alone, q the plain state after t.
+        """
+        m = self.monoid
+        a = self.dfa
+        k = self.arity
+        ne = [t for t in range(m.size) if m.nonempty_witness[t] is not None]
+        # reach[j] = shadow-row states from which k - j more segments can accept
+        reach = [set(a.accepting)]
+        for _ in range(k):
+            reach.insert(0, {q for q in range(a.n_states) for t in ne
+                             if m.elements[t][2 * q] >> 1 in reach[0]})
+        graph = [{(q, t): {} for t in range(m.size) if (
+            q := m.elements[t][2 * a.init + 1] >> 1 if k else m.apply(t, a.init)) in reach[0]}]
+        for j in range(1, k + 1):
+            graph.append({})
+            for (q, t), edges in graph[j - 1].items():
+                for t2 in ne:
+                    if (q2 := m.elements[t2][2 * q] >> 1) in reach[j]:
+                        graph[j].setdefault((q2, t2), {})
+                        edges[t2] = ((q2, t2), is_pumpable(m, t, t2) is not None)
+        return tuple(graph)
+
+    def path_counts(self, rule) -> list[dict]:
+        """Per layer, each node's number of paths to the last layer that take
+        only edges obeying rule(mark, pumps); an edge into layer j is at mark j."""
+        count = [dict.fromkeys(self.graph[-1], 1)]
+        for j in range(self.arity, 0, -1):
+            below = count[0]
+            count.insert(0, {node: sum(below[n2] for n2, pumps in edges.values()
+                                       if rule(j, pumps))
+                             for node, edges in self.graph[j - 1].items()})
+        return count
+
+    def paths(self, rule=lambda mark, pumps: True):
+        """The families whose edges obey rule, in monoid-index lexicographic
+        order, found one by one: the path counts leave no dead end."""
+        count = self.path_counts(rule)
+
+        def walk(j, node, types):
+            if j == self.arity:
+                yield Disjunct(types)
+            for t, (node2, pumps) in self.graph[j][node].items():
+                if rule(j + 1, pumps) and count[j + 1][node2]:
+                    yield from walk(j + 1, node2, types + (t,))
+
+        for node, c in count[0].items():
+            if c:
+                yield from walk(0, node, (node[1],))
+
+    @functools.cached_property
     def rigid(self) -> Disjunct | None:
         """The first family that pumps at every mark, if any."""
-        return next((d for d, e in self.families if not e), None)
+        return next(self.paths(lambda mark, pumps: pumps), None)
 
 
 @dataclass(frozen=True)
@@ -192,52 +245,13 @@ class Reparameterization:
 
 
 def local_normal_form(algebra: TypeAlgebra) -> tuple[Disjunct, ...]:
-    """All accepted segment-type tuples, in monoid-index lexicographic order.
+    """All accepted segment-type tuples, the paths of algebra.graph, in
+    monoid-index lexicographic order.
 
-    The prefix type ranges over the whole monoid; later coordinates only
-    over nonempty-realizable elements.  Every strictly ascending satisfying
-    marking has its segment types in exactly one disjunct, and every
-    disjunct is realized by some marking.
+    Every strictly ascending satisfying marking has its segment types in
+    exactly one disjunct, and every disjunct is realized by some marking.
     """
-    m = algebra.monoid
-    a = algebra.dfa
-    k = algebra.arity
-    if k == 0:
-        return tuple(Disjunct((t,)) for t in range(m.size)
-                     if m.apply(t, a.init) in a.accepting)
-    ne = [t for t in range(m.size) if m.nonempty_witness[t] is not None]
-    # reach[i] = shadow-row states from which i more segments can accept
-    reach: list[set[int]] = [set() for _ in range(k + 1)]
-    reach[k] = set(a.accepting)
-    for i in range(k, 0, -1):
-        prev = set()
-        for q in range(a.n_states):
-            for t in ne:
-                if m.elements[t][2 * q] >> 1 in reach[i]:
-                    prev.add(q)
-                    break
-        reach[i - 1] = prev
-    out: list[Disjunct] = []
-    prefix: list[int] = []
-
-    def descend(i: int, q: int):
-        if i == k:
-            out.append(Disjunct(tuple(prefix)))
-            return
-        for t in ne:
-            q2 = m.elements[t][2 * q] >> 1
-            if q2 in reach[i + 1]:
-                prefix.append(t)
-                descend(i + 1, q2)
-                prefix.pop()
-
-    for t0 in range(m.size):
-        q1 = m.elements[t0][2 * a.init + 1] >> 1
-        if q1 in reach[0]:
-            prefix.append(t0)
-            descend(0, q1)
-            prefix.pop()
-    return tuple(out)
+    return tuple(algebra.paths())
 
 
 def eliminable_pairs(algebra: TypeAlgebra, disjunct: Disjunct) -> tuple[int, ...]:
@@ -335,42 +349,51 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
                                    tuple(rep.provenance for _, rep in parts)))
 
 
-def _type_tuple_dfa(algebra: TypeAlgebra, disjuncts, query: Query) -> Dfa:
-    """Marked automaton accepting exactly the markings with these type tuples.
+def _stops_at(i: int):
+    """The edge rule of the families whose first non-pumping mark is i."""
+    return lambda mark, pumps: pumps if mark < i else mark > i or not pumps
 
-    Tracks (segments consumed, running segment type, families still
-    consistent) while reading; a marked letter closes the current segment
-    and opens the next; a mark after the last, or one that no family
-    stays consistent with, goes to the dead state.  The guard builder
-    walks and refines the table as it does every other (_Builder.minimal),
-    under query's budget.
+
+def _type_tuple_dfa(algebra: TypeAlgebra, i: int, query: Query) -> Dfa:
+    """Marked automaton accepting exactly the markings whose type tuples
+    are the families that first fail to pump at mark i.
+
+    Tracks (segments closed, running segment type, graph node of the closed
+    segments' types) while reading; a marked letter closes the current
+    segment and opens the next; a mark after the last, or one that leaves
+    no such family through its node, goes to the dead state.  The guard
+    builder walks and refines the table as it does every other
+    (_Builder.minimal), under query's budget.
     """
     m = algebra.monoid
     k = algebra.arity
-    if k == 0:
-        raise InputError("type tuples of a sentence have no marks to guard")
-    families = [d.types for d in disjuncts]
+    rule = _stops_at(i)
+    count = algebra.path_counts(rule)
+    # the edges closing segment seg leave layer seg - 1; segment 0's leave a root
+    edges = [{None: {node[1]: (node, True) for node in algebra.graph[0]}}, *algebra.graph[:-1]]
     nl = 1 << (algebra.sig.k + 1)
     mark_bit = 1 << algebra.sig.k
 
+    def close(seg, node, elem):
+        node2, pumps = edges[seg][node].get(elem, (None, False))
+        return node2 if node2 is not None and rule(seg, pumps) and count[seg][node2] else None
+
     def successors(cur):
-        seg, elem, alive = cur
+        seg, elem, node = cur
         row = []
         for letter in range(nl):
             lab = letter & (mark_bit - 1)
             if not letter & mark_bit:
-                row.append((seg, m.multiply(elem, m.letter_image[lab]), alive))
-            elif seg == k:
-                row.append(None)
+                row.append((seg, m.multiply(elem, m.letter_image[lab]), node))
             else:
-                alive2 = frozenset(d for d in alive if families[d][seg] == elem)
-                row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else None)
+                node2 = close(seg, node, elem) if seg < k else None
+                row.append(None if node2 is None else (seg + 1, m.letter_image[lab], node2))
         return row
 
     b = query.builder("guard")
     return b.publish(b.minimal(
-        (0, m.identity, frozenset(range(len(families)))), successors,
-        lambda st: st[0] == k and any(families[d][k] == st[1] for d in st[2]), nl), True)
+        (0, m.identity, None), successors,
+        lambda st: st[0] == k and close(k, st[2], st[1]) is not None, nl), True)
 
 
 def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
@@ -388,26 +411,27 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
         return Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
                                   Step("rigid", f"family {rigid.types} pumps at every "
                                                 f"mark; width {kc} is minimal"))
-    shared = set(range(1, kc + 1))
-    for _, e in algebra.families:
-        shared &= set(e)
+
+    def n_families(rule=lambda mark, pumps: True):
+        return sum(algebra.path_counts(rule)[0].values())
+
+    # a mark is eliminable in every family when no edge into its layer pumps
+    shared = [i for i in range(1, kc + 1) if not any(
+        p for edges in algebra.graph[i - 1].values() for _, p in edges.values())]
     if shared:
-        i = min(shared)
-        step = eliminate_variable(case_formula, sig, ys, i,
-                                  len(algebra.families), algebra.monoid.size, supply)
+        step = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
+                                  algebra.monoid.size, supply)
         return _descend(step, sig, supply, query)
     # no mark is eliminable across every family: split the families by
     # their first eliminable mark and guard each group by its type tuples
-    groups: dict[int, list[Disjunct]] = {}
-    for d, e in algebra.families:
-        groups.setdefault(e[0], []).append(d)
     parts = []
-    for i in sorted(groups):
-        guard_dfa = _type_tuple_dfa(algebra, groups[i], query)
-        gamma = Run(guard_dfa, ys)
-        step = eliminate_variable(And((case_formula, gamma)), sig, ys, i,
-                                  len(groups[i]), algebra.monoid.size, supply)
-        parts.append((gamma, _descend(step, sig, supply, query)))
+    for i in range(1, kc + 1):
+        n = n_families(_stops_at(i))
+        if n:
+            gamma = Run(_type_tuple_dfa(algebra, i, query), ys)
+            step = eliminate_variable(And((case_formula, gamma)), sig, ys, i, n,
+                                      algebra.monoid.size, supply)
+            parts.append((gamma, _descend(step, sig, supply, query)))
     return combine_disjuncts(case_formula, sig, ys, parts, supply)
 
 
@@ -544,6 +568,7 @@ def reparameterize(f: Formula, marked_vars, query: Query) -> Reparameterization:
     case's ascending order, with bound 1.  Otherwise the bound is a
     product/sum certificate.
     """
+    check_depth(f, "compile")  # before the first walk over f
     if marked_vars is None:
         marked_vars = free_variables(f)
     marked_vars = tuple(marked_vars)

@@ -311,6 +311,16 @@ def test_nesting_past_the_limit_exits_3(capsys):
         assert err == f"resource limit: {stage}: formula nests deeper than {MAX_DEPTH} levels\n"
 
 
+def test_oracle_check_answers_at_the_limit(capsys):
+    # the source nests MAX_DEPTH levels, and its map source & h one more
+    text = "~" * (MAX_DEPTH - 3) + "(x < y & ~ex z. z < x)"
+    status, report, _ = run_json(capsys, "oracle-check", "--sig", "P1", "--formula", text)
+    result = report["result"]
+    assert status == 0 and result["contract"]["ok"] and result["canonical"]["ok"]
+    rep = result["reparameterization"]
+    assert (rep["dimension"], rep["bound"]) == (2, 1)
+
+
 def test_human_format_mirrors_json(capsys):
     status, out, _ = run(capsys, "mindim", "--sig", "P1", "--formula", "P1(x)")
     assert status == 0

@@ -17,6 +17,8 @@ from chainrep.formula import (FALSE, MAX_DEPTH, TRUE, And, AtLeast, Const, Equal
                               exists_wrap, expand_macros, free_set_variables,
                               free_variables, map_subformulas, one_point,
                               order_case_split, parse, render, substitute)
+from chainrep.growth import growth_degree, growth_lower_witness
+from chainrep.interp import Component, InterpretationSpec, reduce_interpretation
 from chainrep.randgen import random_formula
 from chainrep.oracle import check_reparameterization, evaluate, satisfying_tuples
 from chainrep.reparam import minimal_reparameterization
@@ -246,15 +248,33 @@ def test_the_search_wraps_a_formula_at_the_limit(sig1):
 
 
 def test_nesting_built_past_the_limit_is_a_resource_limit(sig1):
+    # the top is not an And, whose operands the oracle would check one by one
     f = Pred("P1", "x")
     for i in range(MAX_DEPTH + 1):
-        f = Not(f) if i % 2 else And((Less("x", "y"), f))
+        f = And((Less("x", "y"), f)) if i % 2 else Not(f)
     calls = {"compile": lambda: compile(f, sig1, ("x", "y")),
              "map automaton": lambda: Query(sig1, 10).map_automaton(f, ("x",), ("y",)),
              "oracle": lambda: evaluate(f, Word(sig1, (1, 0)), {"x": 0, "y": 1})}
     for stage, call in calls.items():
         with pytest.raises(ResourceLimitError,
                            match=f"^{stage}: formula nests deeper than {MAX_DEPTH} levels$"):
+            call()
+
+
+def test_the_search_checks_depth_before_its_first_walk(sig1):
+    # compile and evaluate raise ResourceLimitError on this chain; the
+    # search's own walks (free_variables, all_vars) must not recurse first
+    f = Pred("P1", "x")
+    for _ in range(2000):
+        f = Not(f)
+    spec = InterpretationSpec(sig1, (Component("c", 1, f, ("x",)),), ())
+    calls = (lambda: minimal_reparameterization(f, sig1, ("x",)),
+             lambda: growth_degree(f, sig1, ("x",)),
+             lambda: growth_lower_witness(f, sig1, ("x",), 2),
+             lambda: reduce_interpretation(spec, 1))
+    for call in calls:
+        with pytest.raises(ResourceLimitError,
+                           match=f"^compile: formula nests deeper than {MAX_DEPTH} levels$"):
             call()
 
 

@@ -550,6 +550,92 @@ def test_eliminable_pairs_mark_indexing(sig1):
     assert firsts == {1, 2}
 
 
+# GROUP_TEXT conjoined with P1 on more variables, and its dimension and
+# exact bound
+GROUPED = ((GROUP_TEXT, "xy", 1, 3), (GROUP_TEXT + " & P1(z)", "xyz", 2, 6),
+           (GROUP_TEXT + " & P1(z) & P1(w)", "xyzw", 3, 24))
+
+
+def test_the_search_lists_no_families(sig1, monkeypatch):
+    # the search reads the type algebra's graph; the listing views are for
+    # callers that print or test the families
+    def listed(*args):
+        raise AssertionError("the search listed the families")
+
+    monkeypatch.setattr(reparam, "local_normal_form", listed)
+    monkeypatch.setattr(reparam, "eliminable_pairs", listed)
+    for text, xs, dim, bound in GROUPED:
+        rep = minimal_reparameterization(parse(text, sig1), sig1, tuple(xs))
+        assert (rep.dimension, rep.bound) == (dim, bound), text
+    for name, sig, f, variables, want in battery():
+        assert minimal_reparameterization(f, sig, variables).dimension == want, name
+
+
+def _family_list_guard(algebra, disjuncts, query):
+    """The guard of these families as the family list built it: the
+    automaton tracks the set of families consistent with the segments
+    closed so far."""
+    m = algebra.monoid
+    k = algebra.arity
+    families = [d.types for d in disjuncts]
+    nl = 1 << (algebra.sig.k + 1)
+    mark_bit = 1 << algebra.sig.k
+
+    def successors(cur):
+        seg, elem, alive = cur
+        row = []
+        for letter in range(nl):
+            lab = letter & (mark_bit - 1)
+            if not letter & mark_bit:
+                row.append((seg, m.multiply(elem, m.letter_image[lab]), alive))
+            elif seg == k:
+                row.append(None)
+            else:
+                alive2 = frozenset(d for d in alive if families[d][seg] == elem)
+                row.append((seg + 1, m.letter_image[lab], alive2) if alive2 else None)
+        return row
+
+    b = query.builder("guard")
+    return b.publish(b.minimal(
+        (0, m.identity, frozenset(range(len(families)))), successors,
+        lambda st: st[0] == k and any(families[d][k] == st[1] for d in st[2]), nl), True)
+
+
+def test_guards_are_the_family_list_guards(sig1, sig2, monkeypatch):
+    # every guard the search builds, for the families of an algebra that
+    # first fail to pump at mark i, is the family list's guard of the
+    # families whose first eliminable mark is i; the graph counts each group
+    built: dict[int, tuple] = {}
+    guard = reparam._type_tuple_dfa
+
+    def spy(algebra, i, query):
+        dfa = guard(algebra, i, query)
+        built.setdefault(id(algebra), (algebra, []))[1].append((i, dfa))
+        return dfa
+
+    monkeypatch.setattr(reparam, "_type_tuple_dfa", spy)
+    subjects = [(sig1, parse(text, sig1), tuple(xs)) for text, xs, _, _ in GROUPED]
+    subjects += [(sig2, parse(text, sig2), tuple(xs)) for text, xs in (
+        ("((~ex z. z < x) | (~ex z. w < z)) & x < y & y < w", "xyw"),
+        ("(P1(x) & ~ex z. z < x) | (P2(y) & ~ex z. y < z)", "xy"))]
+    # the random formulas seldom split by guards, but each that does is checked
+    subjects += [(sig, f, fo) for seed, count, rank in ((1, 225, 2), (2, 225, 2), (3, 120, 3))
+                 for sig, fo, f in formula_batch(seed, count, rank=rank)]
+    for sig, f, xs in subjects:
+        minimal_reparameterization(f, sig, xs, refine=False)
+    assert len(built) >= len(GROUPED) + 2
+    for algebra, guards in built.values():
+        groups: dict[int, list] = {}
+        for d in local_normal_form(algebra):
+            groups.setdefault(eliminable_pairs(algebra, d)[0], []).append(d)
+        assert [i for i, _ in guards] == sorted(groups)
+        for i, dfa in guards:
+            query = Query(algebra.sig, DEFAULT_STATE_BUDGET)
+            assert dfa == _family_list_guard(algebra, groups[i], query)
+            counts = algebra.path_counts(reparam._stops_at(i))
+            assert sum(counts[0].values()) == len(groups[i])
+
+
 def test_eliminate_variable_equalities(sig1):
     # dropping x_i: the image keeps the other coordinates in order
     f = parse("(x < y) & (y < z)", sig1)
