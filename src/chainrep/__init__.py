@@ -14,8 +14,8 @@ from .monoid import (TypeMonoid, is_pumpable, mark_shadow, ramsey_bound,
                      transition_monoid)
 from .oracle import (CheckReport, check_canonical_form, check_reparameterization,
                      count_in_set, evaluate, satisfying_tuples)
-from .reparam import (Disjunct, Reparameterization, Step, TypeAlgebra,
-                      eliminable_pairs, local_normal_form, minimal_reparameterization)
+from .reparam import (Reparameterization, Step, TypeAlgebra, local_normal_form,
+                      minimal_reparameterization)
 from .growth import (WitnessStructure, brute_growth, growth_degree,
                      growth_lower_witness, growth_upper_check,
                      no_decrement_witness, pump_witness)
@@ -34,8 +34,8 @@ __all__ = [
     "transition_monoid",
     "CheckReport", "check_canonical_form", "check_reparameterization",
     "count_in_set", "evaluate", "satisfying_tuples",
-    "Disjunct", "Reparameterization", "Step", "TypeAlgebra",
-    "eliminable_pairs", "local_normal_form", "minimal_reparameterization",
+    "Reparameterization", "Step", "TypeAlgebra", "local_normal_form",
+    "minimal_reparameterization",
     "WitnessStructure", "brute_growth", "growth_degree",
     "growth_lower_witness", "growth_upper_check", "no_decrement_witness",
     "pump_witness",

@@ -23,7 +23,7 @@ from .interp import check_equivalence, parse_interpretation, reduce_interpretati
 from .monoid import ramsey_bound
 from .oracle import check_canonical_form, check_reparameterization, evaluate
 from .randgen import formula_batch
-from .reparam import (ERRATUM_NOTES, TypeAlgebra, eliminable_pairs, local_normal_form,
+from .reparam import (ERRATUM_NOTES, TypeAlgebra, local_normal_form,
                       minimal_reparameterization)
 from .words import MarkedWord, all_words
 
@@ -204,12 +204,12 @@ def _cmd_normalform(run: _Run):
     f, variables = run.formula(sig)
     algebra = TypeAlgebra.build(f, sig, variables, run.args.budget_states)
     disjuncts = []
-    for d in local_normal_form(algebra):
+    for types, es in local_normal_form(algebra):
         witnesses = [algebra.monoid.witness_word(t, nonempty=(j > 0)).render()
-                     for j, t in enumerate(d.types)]
-        disjuncts.append({"types": list(d.types),
+                     for j, t in enumerate(types)]
+        disjuncts.append({"types": list(types),
                           "segment_witnesses": witnesses,
-                          "eliminable_marks": list(eliminable_pairs(algebra, d))})
+                          "eliminable_marks": [i for i, e in enumerate(es, 1) if e is None]})
     result = {"variables": list(variables),
               "monoid_size": algebra.monoid.size,
               "disjuncts": disjuncts}

@@ -387,12 +387,6 @@ class _Builder:
                          for group in groups],
             lambda cur: cur & a.accepting, len(groups), None, fo, so)
 
-    def minimize(self, a: _Auto) -> _Auto:
-        """The minimal automaton of a: its reachable states, walked
-        breadth-first from the initial state, letters in order, refined."""
-        return self.minimal(a.init, a.delta.__getitem__, a.accepting.__contains__,
-                            a.n_letters, None, a.fo, a.so)
-
     def refine(self, a: _Auto, rows=None) -> _Auto:
         """The minimal automaton of a, whose states explore numbered: all
         reachable, breadth-first from 0; the quotient keeps that order.  rows,
@@ -848,9 +842,13 @@ def first_fiber(m: MapAutomaton, word: Word, image):
 
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
-    """Language-preserving minimization of an already built automaton."""
-    builder = _Builder(dfa.sig, budget_states, "minimize", {})
-    return builder.publish(builder.minimize(_auto_of(dfa)), dfa.marked, dfa.tracks)
+    """Language-preserving minimization of an already built automaton: its
+    reachable states, walked breadth-first from the initial state, letters
+    in order, refined."""
+    b = _Builder(dfa.sig, budget_states, "minimize", {})
+    a = _auto_of(dfa)
+    return b.publish(b.minimal(a.init, a.delta.__getitem__, a.accepting.__contains__,
+                               a.n_letters, None, a.fo, a.so), dfa.marked, dfa.tracks)
 
 
 def dfa_empty(dfa: Dfa) -> bool:

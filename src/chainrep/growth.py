@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap
 from .compiler import DEFAULT_STATE_BUDGET, Query, first_fiber
-from .monoid import is_pumpable
 from .oracle import count_in_set, satisfying_tuples
-from .reparam import Disjunct, TypeAlgebra, minimal_reparameterization, reparameterize
+from .reparam import TypeAlgebra, minimal_reparameterization, reparameterize
 from .words import Word, all_words
 
 
@@ -84,30 +83,20 @@ def growth_upper_check(f: Formula, sig: Signature, variables, n: int, max_len: i
     return got <= rep.bound * n ** rep.dimension
 
 
-def _all_pumpable_family(algebra: TypeAlgebra):
-    """First family pumpable at every mark (the algebra's rigid family),
-    with one idempotent per mark."""
-    fam = algebra.rigid
-    if fam is None:
-        return None
-    return fam, [is_pumpable(algebra.monoid, fam.types[i - 1], fam.types[i])
-                 for i in range(1, algebra.arity + 1)]
-
-
-def _blocks_word(monoid, fam: Disjunct, es, copies: int):
+def _blocks_word(monoid, types, es, copies: int):
     """W0 + (E1*copies + W1) + ... and the per-block copy geometry.
 
     Returns the letter list plus, per block, the start of its copy run,
     the copy length, and the start of its closing witness.
     """
-    letters = list(monoid.witness[fam.types[0]])
+    letters = list(monoid.witness[types[0]])
     geometry = []
     for i, e in enumerate(es, start=1):
         unit = monoid.nonempty_witness[e]
         run = len(letters)
         letters.extend(unit * copies)
         geometry.append((run, len(unit), len(letters)))
-        letters.extend(monoid.nonempty_witness[fam.types[i]])
+        letters.extend(monoid.nonempty_witness[types[i]])
     return letters, geometry
 
 
@@ -121,16 +110,15 @@ def pump_witness(f: Formula, sig: Signature, var: str, n: int, *,
     if n < 0:
         raise InputError("need n >= 0")
     algebra = TypeAlgebra.build(f, sig, (var,), budget_states)
-    found = _all_pumpable_family(algebra)
-    if found is None:
+    if algebra.rigid is None:
         raise InputError("no family of the formula pumps at its mark")
-    fam, es = found
-    letters, geometry = _blocks_word(algebra.monoid, fam, es, n)
+    types, es = algebra.rigid
+    letters, geometry = _blocks_word(algebra.monoid, types, es, n)
     run, unit, tail = geometry[0]
     positions = tuple(run + j * unit for j in range(n)) + (tail,)
     return WitnessStructure(
         f, (var,), Word(sig, tuple(letters)), positions, n + 1,
-        f"family {fam.types}: prefix + {n} copies of idempotent {es[0]} + closing witness")
+        f"family {types}: prefix + {n} copies of idempotent {es[0]} + closing witness")
 
 
 def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
@@ -148,16 +136,15 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
     if N < 1:
         raise InputError("need N >= 1")
     algebra = TypeAlgebra.build(f, sig, variables, budget_states)
-    found = _all_pumpable_family(algebra)
-    if found is None:
+    if algebra.rigid is None:
         raise InputError("every family of the formula has a non-pumping mark")
-    fam, es = found
-    letters, geometry = _blocks_word(algebra.monoid, fam, es, 2 * N)
+    types, es = algebra.rigid
+    letters, geometry = _blocks_word(algebra.monoid, types, es, 2 * N)
     positions = tuple(run + j * unit
                       for run, unit, _ in geometry for j in range(2 * N))
     return WitnessStructure(
         f, variables, Word(sig, tuple(letters)), positions, (2 * N) ** k,
-        f"family {fam.types}: {k} blocks of {2 * N} idempotent copies; "
+        f"family {types}: {k} blocks of {2 * N} idempotent copies; "
         f"any copy-start choice per block is a satisfying tuple")
 
 
@@ -192,15 +179,14 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
     auto = query.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
     algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
                                 query=query)
-    found = _all_pumpable_family(algebra)
-    if found is None:
+    if algebra.rigid is None:
         raise InputError("minimal image admits no family pumping at every mark")
-    fam, es = found
+    types, es = algebra.rigid
     monoid = algebra.monoid
     m = 2 * k + 3
     r = k + 2
     # base word with m copies per block; marks at the r-th copy starts
-    base_letters, base_geom = _blocks_word(monoid, fam, es, m)
+    base_letters, base_geom = _blocks_word(monoid, types, es, m)
     base = Word(sig, tuple(base_letters))
     marks = tuple(run + (r - 1) * unit for run, unit, _ in base_geom)
     fiber = first_fiber(auto, base, marks)
@@ -208,7 +194,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
         raise ChainrepError("image family has no fiber on its base word")
     # classify the base fiber: offsets inside copy runs recur in every
     # copy of the grown word, positions outside shift with their block
-    grown_letters, grown_geom = _blocks_word(monoid, fam, es, m + n)
+    grown_letters, grown_geom = _blocks_word(monoid, types, es, m + n)
     copy_offsets = [set() for _ in range(d)]
     pool = set()
     for a in fiber:
@@ -223,11 +209,11 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
             for o in copy_offsets[i]:
                 pool.add(run + c * unit + o)
     if d:
-        construction = (f"image family {fam.types}: {d} blocks of {m + n} idempotent "
+        construction = (f"image family {types}: {d} blocks of {m + n} idempotent "
                         f"copies; marks slide over the last {n} copies per block "
                         f"and fibers follow")
     else:
-        construction = (f"image family {fam.types}: no marks; the word is the "
+        construction = (f"image family {types}: no marks; the word is the "
                         f"family's witness and the pool its least fiber")
     return WitnessStructure(
         f, variables, Word(sig, tuple(grown_letters)), tuple(sorted(pool)),

@@ -157,8 +157,9 @@ def is_pumpable(monoid: TypeMonoid, tau_before: int, tau_after: int) -> int | No
     tau_before * e == tau_before and e * tau_after == tau_after.  Returns
     the first such element ordered by (witness length, element index), or
     None; the identity never qualifies since only the empty word realizes
-    it in a type algebra.  The search asks once per edge of a type
-    algebra's graph (reparam.TypeAlgebra.graph).
+    it in a type algebra.  Only a type algebra's graph asks it
+    (reparam.TypeAlgebra.graph), once per edge, and keeps the answer on
+    the edge for every later reader.
     """
     mul = monoid.multiply
     return next((e for e in monoid._pumpers

@@ -74,13 +74,6 @@ class Step:
         return "\n".join([line] + [c.dump(indent + 1) for c in self.children])
 
 
-@dataclass(frozen=True)
-class Disjunct:
-    """One family of the local normal form: a (k+1)-tuple of segment types."""
-
-    types: tuple[int, ...]
-
-
 @dataclass
 class TypeAlgebra:
     """A formula's automaton together with the monoid acting on its segments.
@@ -88,8 +81,11 @@ class TypeAlgebra:
     For arity zero the monoid is the plain transition monoid of the
     sentence automaton; otherwise it is the transition monoid of the
     mark-shadow doubling, whose row-0 entries see their first letter as
-    marked.  graph holds the local normal form, path_counts counts its
-    families under a rule on edges, and paths lists them.
+    marked.  graph holds the local normal form, each edge with the pumping
+    idempotent of the segment pair that meets at its mark, or None;
+    path_counts counts its families under a rule on edges, paths lists
+    them with their idempotents, and rigid is the first that pumps at
+    every mark.
     """
 
     sig: Signature
@@ -148,9 +144,11 @@ class TypeAlgebra:
         """The local normal form as a layered graph, one layer per segment.
 
         Layer j maps each node (q, t) to its edges into layer j+1, by the
-        next type t' in type order, as (node', pumps): q is the shadow-row
-        state after the types t0..tj, t is tj, and pumps tells whether the
-        pair (t, t') at mark j+1 admits a pumping idempotent.  t0 ranges
+        next type t' in type order, as (node', e): q is the shadow-row
+        state after the types t0..tj, t is tj, and e is the pumping
+        idempotent of the pair (t, t') at mark j+1, is_pumpable(m, t, t'),
+        or None when the pair admits none.  This is the one place that
+        asks is_pumpable; everything else reads e off the edges.  t0 ranges
         over the whole monoid, later types over its nonempty-realizable
         elements.  Every node lies on a path from layer 0 to the last, and
         the paths are exactly the families.  A sentence's graph is layer 0
@@ -173,40 +171,44 @@ class TypeAlgebra:
                 for t2 in ne:
                     if (q2 := m.elements[t2][2 * q] >> 1) in reach[j]:
                         graph[j].setdefault((q2, t2), {})
-                        edges[t2] = ((q2, t2), is_pumpable(m, t, t2) is not None)
+                        edges[t2] = ((q2, t2), is_pumpable(m, t, t2))
         return tuple(graph)
 
     def path_counts(self, rule) -> list[dict]:
         """Per layer, each node's number of paths to the last layer that take
-        only edges obeying rule(mark, pumps); an edge into layer j is at mark j."""
+        only edges obeying rule(mark, e), e an edge's idempotent or None; an
+        edge into layer j is at mark j."""
         count = [dict.fromkeys(self.graph[-1], 1)]
         for j in range(self.arity, 0, -1):
             below = count[0]
-            count.insert(0, {node: sum(below[n2] for n2, pumps in edges.values()
-                                       if rule(j, pumps))
+            count.insert(0, {node: sum(below[n2] for n2, e in edges.values()
+                                       if rule(j, e))
                              for node, edges in self.graph[j - 1].items()})
         return count
 
-    def paths(self, rule=lambda mark, pumps: True):
+    def paths(self, rule=lambda mark, e: True):
         """The families whose edges obey rule, in monoid-index lexicographic
-        order, found one by one: the path counts leave no dead end."""
+        order, found one by one: the path counts leave no dead end.  Each is
+        (types, es): its k+1 segment types and the idempotents (or None) of
+        its edges, at marks 1..k."""
         count = self.path_counts(rule)
 
-        def walk(j, node, types):
+        def walk(j, node, types, es):
             if j == self.arity:
-                yield Disjunct(types)
-            for t, (node2, pumps) in self.graph[j][node].items():
-                if rule(j + 1, pumps) and count[j + 1][node2]:
-                    yield from walk(j + 1, node2, types + (t,))
+                yield types, es
+            for t, (node2, e) in self.graph[j][node].items():
+                if rule(j + 1, e) and count[j + 1][node2]:
+                    yield from walk(j + 1, node2, types + (t,), es + (e,))
 
         for node, c in count[0].items():
             if c:
-                yield from walk(0, node, (node[1],))
+                yield from walk(0, node, (node[1],), ())
 
     @functools.cached_property
-    def rigid(self) -> Disjunct | None:
-        """The first family that pumps at every mark, if any."""
-        return next(self.paths(lambda mark, pumps: pumps), None)
+    def rigid(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The first family that pumps at every mark, as paths gives it with
+        an idempotent at each mark, if any."""
+        return next(self.paths(lambda mark, e: e is not None), None)
 
 
 @dataclass(frozen=True)
@@ -244,23 +246,16 @@ class Reparameterization:
         return head + "\n" + self.provenance.dump()
 
 
-def local_normal_form(algebra: TypeAlgebra) -> tuple[Disjunct, ...]:
+def local_normal_form(algebra: TypeAlgebra) -> tuple[tuple[tuple, tuple], ...]:
     """All accepted segment-type tuples, the paths of algebra.graph, in
-    monoid-index lexicographic order.
+    monoid-index lexicographic order, each with its edges' idempotents as
+    algebra.paths gives them.
 
     Every strictly ascending satisfying marking has its segment types in
     exactly one disjunct, and every disjunct is realized by some marking.
+    A disjunct's eliminable marks are those whose idempotent is None.
     """
     return tuple(algebra.paths())
-
-
-def eliminable_pairs(algebra: TypeAlgebra, disjunct: Disjunct) -> tuple[int, ...]:
-    """1-based mark indices whose adjacent segment pair admits no pumping."""
-    out = []
-    for i in range(1, algebra.arity + 1):
-        if is_pumpable(algebra.monoid, disjunct.types[i - 1], disjunct.types[i]) is None:
-            out.append(i)
-    return tuple(out)
 
 
 def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterization:
@@ -351,7 +346,7 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
 
 def _stops_at(i: int):
     """The edge rule of the families whose first non-pumping mark is i."""
-    return lambda mark, pumps: pumps if mark < i else mark > i or not pumps
+    return lambda mark, e: e is not None if mark < i else mark > i or e is None
 
 
 def _type_tuple_dfa(algebra: TypeAlgebra, i: int, query: Query) -> Dfa:
@@ -369,14 +364,16 @@ def _type_tuple_dfa(algebra: TypeAlgebra, i: int, query: Query) -> Dfa:
     k = algebra.arity
     rule = _stops_at(i)
     count = algebra.path_counts(rule)
-    # the edges closing segment seg leave layer seg - 1; segment 0's leave a root
-    edges = [{None: {node[1]: (node, True) for node in algebra.graph[0]}}, *algebra.graph[:-1]]
+    # the edges closing segment seg leave layer seg - 1; segment 0's leave a
+    # root, at no mark, so no rule applies to them
+    edges = [{None: {node[1]: (node, None) for node in algebra.graph[0]}}, *algebra.graph[:-1]]
     nl = 1 << (algebra.sig.k + 1)
     mark_bit = 1 << algebra.sig.k
 
     def close(seg, node, elem):
-        node2, pumps = edges[seg][node].get(elem, (None, False))
-        return node2 if node2 is not None and rule(seg, pumps) and count[seg][node2] else None
+        node2, e = edges[seg][node].get(elem, (None, None))
+        ok = node2 is not None and (seg == 0 or rule(seg, e)) and count[seg][node2]
+        return node2 if ok else None
 
     def successors(cur):
         seg, elem, node = cur
@@ -409,15 +406,15 @@ def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
         # _minrep stops here
         img = tuple(supply.fresh("y") for _ in range(kc))
         return Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
-                                  Step("rigid", f"family {rigid.types} pumps at every "
+                                  Step("rigid", f"family {rigid[0]} pumps at every "
                                                 f"mark; width {kc} is minimal"))
 
-    def n_families(rule=lambda mark, pumps: True):
+    def n_families(rule=lambda mark, e: True):
         return sum(algebra.path_counts(rule)[0].values())
 
     # a mark is eliminable in every family when no edge into its layer pumps
-    shared = [i for i in range(1, kc + 1) if not any(
-        p for edges in algebra.graph[i - 1].values() for _, p in edges.values())]
+    shared = [i for i in range(1, kc + 1) if all(
+        e is None for edges in algebra.graph[i - 1].values() for _, e in edges.values())]
     if shared:
         step = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
                                   algebra.monoid.size, supply)

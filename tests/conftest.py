@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chainrep.formula import Signature, parse
@@ -51,3 +53,42 @@ def wide_text(op, width):
 
 # two labelled positions and the first position: dimension 2, exact bound 3
 FIRST_PAIR_TEXT = "P1(x)&P1(y)&(~ex q. q < v)"
+
+
+# the atoms of guard_batch, the endpoints twice as often as the others
+_GUARD_ATOMS = ("P", "~P", "first", "last", "first", "last", "<", "succ")
+
+
+def guard_batch(seed: int, count: int):
+    """count seeded (signature, variables, formula) triples that often
+    split a case's families by guards.
+
+    The signature is P1, or P1, P2 with probability 1/4, and the variables
+    are x, y and perhaps z.  A formula conjoins 2-4 parts; each part is an
+    atom, or with probability 1/2 a disjunction of two atoms on different
+    variables, since a disjunction of endpoints on two variables is what
+    makes families disagree on the mark they lose.  An atom on v is P(v),
+    ~P(v), v first, v last, v < w or w the successor of v."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        sig = Signature(("P1",) if rng.random() < 0.75 else ("P1", "P2"))
+        xs = ("x", "y", "z")[:rng.randint(2, 3)]
+
+        def other(v):
+            return rng.choice([u for u in xs if u != v])
+
+        def atom(v):
+            w, p = other(v), rng.choice(sig.preds)
+            return {"P": f"{p}({v})", "~P": f"~{p}({v})",
+                    "first": f"(~ex q. q < {v})", "last": f"(~ex q. {v} < q)",
+                    "<": f"{v} < {w}", "succ": f"({v} < {w} & ~ex q. ({v} < q & q < {w}))",
+                    }[rng.choice(_GUARD_ATOMS)]
+
+        def part():
+            v = rng.choice(xs)
+            return f"({atom(v)} | {atom(other(v))})" if rng.random() < 0.5 else atom(v)
+
+        text = " & ".join(part() for _ in range(rng.randint(2, 4)))
+        out.append((sig, xs, parse(text, sig)))
+    return out

@@ -94,6 +94,26 @@ def test_normalform_report(capsys):
         assert len(d["types"]) == 2  # one variable: prefix + one segment
 
 
+# the families of three local normal forms over P1 and the marks at which
+# each admits no pumping idempotent
+NORMAL_FORMS = (
+    (GROUP_TEXT,
+     [[0, 1, 1], [0, 1, 2], [0, 2, 1], [0, 2, 2], [1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]],
+     [[1, 2], [1, 2], [1, 2], [1], [1, 2], [1, 2], [1, 2], [2]]),
+    ("P1(x) & P1(y) & x < y", [[0, 2, 2], [1, 2, 2], [2, 2, 2]], [[1], [], []]),
+    ("P1(x)", [[0, 2], [1, 2], [2, 2]], [[1], [], []]),
+)
+
+
+@pytest.mark.parametrize("formula, types, marks", NORMAL_FORMS)
+def test_normalform_pins_the_eliminable_marks(capsys, formula, types, marks):
+    status, report, _ = run_json(capsys, "normalform", "--sig", "P1", "--formula", formula)
+    assert status == 0
+    disjuncts = report["result"]["disjuncts"]
+    assert [d["types"] for d in disjuncts] == types
+    assert [d["eliminable_marks"] for d in disjuncts] == marks
+
+
 def test_witness_report(capsys):
     status, report, _ = run_json(capsys, "witness", "--sig", "P1",
                                  "--formula", "P1(x)", "--n", "2")

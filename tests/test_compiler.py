@@ -261,13 +261,13 @@ def test_complements_and_maps_walk_no_minimize(sig1, monkeypatch):
     # a sentence's complement and a map's widened automaton are minimal as
     # built, so no minimize walk runs for them
     calls = []
-    real = compiler._Builder.minimize
+    real = compiler.minimize_dfa
 
-    def minimize(self, a):
-        calls.append(a)
-        return real(self, a)
+    def minimize(dfa, *args):
+        calls.append(dfa)
+        return real(dfa, *args)
 
-    monkeypatch.setattr(compiler._Builder, "minimize", minimize)
+    monkeypatch.setattr(compiler, "minimize_dfa", minimize)
     dfa = compile(parse("~ex v. P1(v)", sig1), sig1)
     assert [dfa.run(Word(sig1, (0,) * n)) for n in range(3)] == [True] * 3
     assert not dfa.run(Word(sig1, (0, 1)))

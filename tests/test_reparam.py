@@ -1,26 +1,29 @@
 import functools
 import hashlib
 import itertools
+import sys
 import time
 
 import pytest
 
 from chainrep import compiler, formula, reparam
+from chainrep.cli import main
 from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, max_fiber
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import (FALSE, Equal, ExistsFO, NameSupply, Signature, all_vars,
                               conjuncts, parse, render)
 from chainrep.growth import growth_lower_witness
 from chainrep.interp import check_equivalence, parse_interpretation, reduce_interpretation
+from chainrep.monoid import is_pumpable
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
                              evaluate, satisfying_tuples)
 from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
-                              combine_disjuncts, compose, eliminable_pairs,
-                              eliminate_variable, local_normal_form,
-                              minimal_reparameterization)
+                              combine_disjuncts, compose, eliminate_variable,
+                              local_normal_form, minimal_reparameterization)
 from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
-from conftest import BATTERY, FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text
+from conftest import (BATTERY, FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text,
+                      guard_batch)
 
 # satisfiable only at the two ends of a word: dimension 0 with two fibers
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
@@ -523,7 +526,7 @@ def test_normal_form_covers_exactly(sig1):
     # and a tuple is listed iff some marking realizes it (on small words)
     f = parse("P1(x) & ex v. x < v", sig1)
     algebra = TypeAlgebra.build(f, sig1, ("x",))
-    listed = {d.types for d in local_normal_form(algebra)}
+    listed = {types for types, _ in local_normal_form(algebra)}
     seen = set()
     for w in all_words(sig1, 5):
         for p in range(len(w)):
@@ -540,14 +543,43 @@ def test_eliminable_pairs_mark_indexing(sig1):
     # the pair decided for mark i meets at the mark: (tau_{i-1}, tau_i)
     f = parse(GROUP_TEXT, sig1)
     algebra = TypeAlgebra.build(f, sig1, ("x", "y"))
+    m = algebra.monoid
     firsts = set()
-    for d in local_normal_form(algebra):
-        pairs = eliminable_pairs(algebra, d)
-        assert all(1 <= i <= 2 for i in pairs)
+    for types, es in local_normal_form(algebra):
+        assert es == tuple(is_pumpable(m, types[i - 1], types[i]) for i in (1, 2))
+        pairs = [i for i, e in enumerate(es, 1) if e is None]
         if pairs:
             firsts.add(pairs[0])
     # the two families disagree on the first eliminable mark
     assert firsts == {1, 2}
+
+
+def test_pumping_is_asked_once_per_edge(sig1, monkeypatch, capsys):
+    # the graph asks for each edge's idempotent once and keeps it; the
+    # growth witness and the normalform report read it off the edges
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return is_pumpable(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chainrep") and getattr(module, "is_pumpable", None) is is_pumpable:
+            monkeypatch.setattr(module, "is_pumpable", spy)
+    algebras = []
+    build = TypeAlgebra.build.__func__
+
+    def built(cls, *args, **kwargs):
+        algebras.append(build(cls, *args, **kwargs))
+        return algebras[-1]
+
+    monkeypatch.setattr(TypeAlgebra, "build", classmethod(built))
+    growth_lower_witness(parse(GROUP_TEXT, sig1), sig1, ("x", "y"), 2)
+    assert main(["normalform", "--sig", "P1", "--formula", GROUP_TEXT, "--format", "json"]) == 0
+    capsys.readouterr()
+    edges = sum(len(out) for a in algebras if "graph" in vars(a)
+                for layer in a.graph for out in layer.values())
+    assert edges and len(calls) == edges
 
 
 # GROUP_TEXT conjoined with P1 on more variables, and its dimension and
@@ -563,7 +595,6 @@ def test_the_search_lists_no_families(sig1, monkeypatch):
         raise AssertionError("the search listed the families")
 
     monkeypatch.setattr(reparam, "local_normal_form", listed)
-    monkeypatch.setattr(reparam, "eliminable_pairs", listed)
     for text, xs, dim, bound in GROUPED:
         rep = minimal_reparameterization(parse(text, sig1), sig1, tuple(xs))
         assert (rep.dimension, rep.bound) == (dim, bound), text
@@ -571,13 +602,12 @@ def test_the_search_lists_no_families(sig1, monkeypatch):
         assert minimal_reparameterization(f, sig, variables).dimension == want, name
 
 
-def _family_list_guard(algebra, disjuncts, query):
-    """The guard of these families as the family list built it: the
-    automaton tracks the set of families consistent with the segments
-    closed so far."""
+def _family_list_guard(algebra, families, query):
+    """The guard of these families, each a tuple of segment types, as the
+    family list built it: the automaton tracks the set of families
+    consistent with the segments closed so far."""
     m = algebra.monoid
     k = algebra.arity
-    families = [d.types for d in disjuncts]
     nl = 1 << (algebra.sig.k + 1)
     mark_bit = 1 << algebra.sig.k
 
@@ -625,15 +655,42 @@ def test_guards_are_the_family_list_guards(sig1, sig2, monkeypatch):
         minimal_reparameterization(f, sig, xs, refine=False)
     assert len(built) >= len(GROUPED) + 2
     for algebra, guards in built.values():
+        # each family's first eliminable mark, asked of the monoid here,
+        # not read off the edges under test
         groups: dict[int, list] = {}
-        for d in local_normal_form(algebra):
-            groups.setdefault(eliminable_pairs(algebra, d)[0], []).append(d)
+        for types, _ in local_normal_form(algebra):
+            first = next(i for i in range(1, algebra.arity + 1)
+                         if is_pumpable(algebra.monoid, types[i - 1], types[i]) is None)
+            groups.setdefault(first, []).append(types)
         assert [i for i, _ in guards] == sorted(groups)
         for i, dfa in guards:
             query = Query(algebra.sig, DEFAULT_STATE_BUDGET)
             assert dfa == _family_list_guard(algebra, groups[i], query)
             counts = algebra.path_counts(reparam._stops_at(i))
             assert sum(counts[0].values()) == len(groups[i])
+
+
+def test_random_sweep_reaches_the_guard_split(monkeypatch):
+    # random formulas that split families by guards: the sweep builds at
+    # least 50 guard automata, and every guarded map passes the oracle
+    guards = []
+    real = reparam._type_tuple_dfa
+
+    def spy(algebra, i, query):
+        guards.append(i)
+        return real(algebra, i, query)
+
+    monkeypatch.setattr(reparam, "_type_tuple_dfa", spy)
+    guarded = []
+    for sig, xs, f in guard_batch(8, 300):
+        before = len(guards)
+        rep = minimal_reparameterization(f, sig, xs, refine=False)
+        if len(guards) > before:
+            guarded.append(rep)
+    for rep in guarded:
+        assert check_reparameterization(rep, 4), render(rep.source)
+        assert check_canonical_form(rep, 4), render(rep.source)
+    assert len(guards) >= 50
 
 
 def test_eliminate_variable_equalities(sig1):
