@@ -8,6 +8,7 @@ from chainrep.cli import main
 from chainrep.compiler import Query, compile, preimage_ranks
 from chainrep.errors import ResourceLimitError
 from chainrep.formula import MAX_DEPTH, Signature, parse
+from chainrep.growth import WitnessStructure
 from chainrep.monoid import transition_monoid
 from chainrep.reparam import minimal_reparameterization
 from conftest import GROUP_TEXT, endpoints_text, wide_text
@@ -74,6 +75,24 @@ def test_growth_report(capsys):
     assert report["result"]["degree"] == 1
     assert report["result"]["sandwich"]["ok"] is True
     assert report["result"]["lower_witness"]["oracle_count"] >= 2
+
+
+def test_growth_counts_the_witness_once(capsys, monkeypatch):
+    # the report's count and the sandwich's lower side read one recount
+    calls = []
+    real = WitnessStructure.oracle_count
+
+    def counted(witness):
+        calls.append(witness)
+        return real(witness)
+
+    monkeypatch.setattr(WitnessStructure, "oracle_count", counted)
+    for text in ("P1(x)", "x < y", "x = y & all z. z = x"):
+        calls.clear()
+        status, report, _ = run_json(capsys, "growth", "--sig", "P1",
+                                     "--formula", text, "--max-len", "4")
+        assert status == 0 and report["result"]["sandwich"]["ok"] is True
+        assert len(calls) == 1, text
 
 
 def test_monoid_report(capsys):

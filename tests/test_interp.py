@@ -161,6 +161,63 @@ def test_applied_structures_are_pinned():
     assert (words, h.hexdigest()) == (806, "cd8eabcb9a0c184f4e74b25c0af069da40146411")
 
 
+# a labelled position strictly between the two ends, over three
+# components, and a flag beside a labelled first position, over two
+BETWEEN = """
+signature P1
+component ends dim=1
+universe (~ex z. z < x) | (~ex z. x < z)
+component ones dim=1
+universe P1(x)
+component flag dim=0
+universe ex v. P1(v)
+relation B/3 on (ends, ones, ends) := x < y & y < z
+relation F/2 on (flag, ones) := ~ex z. z < x
+"""
+
+# derived by hand: ends are the first and last positions, ones the
+# labelled ones, and the flag is there when some position is labelled
+BETWEEN_STRUCTURES = {
+    (): "(empty structure)",
+    (1,): "element ends(0)\nelement ones(0)\nelement flag()\n"
+          "relation F: flag(), ones(0)",
+    (0, 0): "element ends(0)\nelement ends(1)",
+    (0, 1, 0): "element ends(0)\nelement ends(2)\nelement ones(1)\nelement flag()\n"
+               "relation B: ends(0), ones(1), ends(2)",
+    (1, 1, 1, 1): "element ends(0)\nelement ends(3)\nelement ones(0)\nelement ones(1)\n"
+                  "element ones(2)\nelement ones(3)\nelement flag()\n"
+                  "relation B: ends(0), ones(1), ends(3)\n"
+                  "relation B: ends(0), ones(2), ends(3)\n"
+                  "relation F: flag(), ones(0)",
+}
+
+
+def test_rules_over_three_components(sig1):
+    # each element of a tuple is cut out for its own component, by
+    # dimension, on the source (dimensions 1, 1, 1 and 0, 1) and on the
+    # reduction (0, 1, 0: the ends become two copies of dimension 0)
+    spec = parse_interpretation(BETWEEN)
+    for letters, dump in BETWEEN_STRUCTURES.items():
+        assert apply_interpretation(spec, Word(sig1, letters)).dump() == dump, letters
+    red = reduce_interpretation(spec, 1)
+    assert [(c.name, c.dim) for c in red.spec.components] == \
+        [("ends.1", 0), ("ends.2", 0), ("ones.1", 1), ("flag.1", 0)]
+    assert apply_interpretation(red.spec, Word(sig1, (0, 1, 0))).dump() == (
+        "element ends.1()\nelement ends.2()\nelement ones.1(1)\nelement flag.1()\n"
+        "relation B: ends.1(), ones.1(1), ends.2()")
+    assert dataclasses.astuple(check_equivalence(spec, red, 4)) == (True, 31, 2, None)
+    # the rule that relates the first end to the last, given for the last
+    # to the first, misses the one triple of [., P1, .] and adds its mirror
+    rules = tuple(dataclasses.replace(r, components=("ends.2", "ones.1", "ends.1"))
+                  if r.components == ("ends.1", "ones.1", "ends.2") else r
+                  for r in red.spec.rules)
+    swapped = dataclasses.replace(red, spec=dataclasses.replace(red.spec, rules=rules))
+    assert dataclasses.astuple(check_equivalence(spec, swapped, 4)) == (
+        False, 10, 2, "word [., P1, .]: relation 'B' differs "
+        "(missing [(('ends', (0,)), ('ones', (1,)), ('ends', (2,)))], "
+        "extra [(('ends', (2,)), ('ones', (1,)), ('ends', (0,)))])")
+
+
 GUARD_SPLIT = (f"signature P1\ncomponent g dim=2\nuniverse {GROUP_TEXT}\n"
                "relation R/2 on (g, g) := x < u & y = y & v = v\n")
 
