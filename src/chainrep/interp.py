@@ -34,13 +34,15 @@ image are lexicographically smaller.  A map with bound 1 is its own
 selector.
 
 check_equivalence checks a reduction as an explicit bijection on every
-small word.  It plans each spec once per call (its components, each rule's
-element cutter, its sorted relation names), and each source's fiber
-question (g over the domain and image variables).  On each word, every
-(formula object, variables) that the source, the reduced spec and the
-fibers ask about is evaluated once and its tuples shared, so the per-word
-loop does only per-word work.  apply_interpretation, fibers and bijection
-run the same helpers on one word.
+small word.  It plans each spec once per call (the question of each
+component and rule, each rule's element cutter, its sorted relation
+names), and each source's fiber question (g over the domain and image
+variables).  A question is a (formula object, variables) pair, numbered
+once per call however many plans ask it; on each word every question is
+answered once, in order of first asking, and the plans read the answers
+by number, so the per-word loop does only per-word work.
+apply_interpretation, fibers and bijection run the same helpers on one
+word.
 """
 
 from __future__ import annotations
@@ -241,40 +243,51 @@ def apply_interpretation(spec: InterpretationSpec, word: Word) -> Structure:
     """
     if word.sig != spec.signature:
         raise InputError("word and spec use different signatures")
-    elements, relations = _structure(_plan(spec), _evaluator(word))
+    questions = _Questions()
+    plan = _plan(spec, questions)
+    elements, relations = _structure(plan, questions.answers(word))
     return Structure(tuple(elements), tuple((name, tuple(sorted(tuples)))
                                             for name, tuples in relations.items()))
 
 
-def _evaluator(word: Word) -> Callable[[Formula, tuple[str, ...]], list[tuple[int, ...]]]:
-    """satisfying_tuples on the word, each (formula, variables) asked once.
+class _Questions:
+    """The distinct (formula, variables) questions of one call, numbered in
+    order of first asking.  answers(word) is satisfying_tuples of each on
+    the word, in that order, so each is asked once a word.
 
-    The memo is keyed by the formula object's id, so it serves one word
-    while the formulas it was asked about live.  Its lists are shared by
-    every caller that asks the same question: none may mutate them.
+    Questions are told apart by the formula object's id; the table keeps
+    the formulas it numbers alive.  An answer list is shared by every
+    reader of its question: none may mutate it.
     """
-    memo: dict[tuple[int, tuple[str, ...]], list[tuple[int, ...]]] = {}
 
-    def sat(f, variables):
+    def __init__(self):
+        self.numbers: dict[tuple[int, tuple[str, ...]], int] = {}
+        self.asked: list[tuple[Formula, tuple[str, ...]]] = []
+
+    def ask(self, f: Formula, variables: tuple[str, ...]) -> int:
         key = (id(f), variables)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = satisfying_tuples(f, word, variables)
-        return hit
-    return sat
+        if key not in self.numbers:
+            self.numbers[key] = len(self.asked)
+            self.asked.append((f, variables))
+        return self.numbers[key]
+
+    def answers(self, word: Word) -> list[list[tuple[int, ...]]]:
+        return [satisfying_tuples(f, word, variables) for f, variables in self.asked]
 
 
 class _Plan(NamedTuple):
-    """What a spec's structure needs on every word, built once: its
-    components, each rule with its element cutter, and its relation names
-    in sorted order."""
+    """What a spec's structure needs on every word, built once: each
+    component's name and question, each rule's relation, question and
+    element cutter, and the relation names in sorted order."""
 
-    components: tuple[Component, ...]
-    rules: tuple[tuple[RelationRule, Callable[[tuple[int, ...]], tuple[Element, ...]]], ...]
+    components: tuple[tuple[str, int], ...]
+    rules: tuple[tuple[str, int, Callable[[tuple[int, ...]], tuple[Element, ...]]], ...]
     relations: tuple[str, ...]
 
 
-def _plan(spec: InterpretationSpec) -> _Plan:
+def _plan(spec: InterpretationSpec, questions: _Questions) -> _Plan:
+    components = tuple((c.name, questions.ask(c.universe, c.variables))
+                       for c in spec.components)
     rules = []
     for rule in spec.rules:
         cuts, start = [], 0
@@ -282,8 +295,9 @@ def _plan(spec: InterpretationSpec) -> _Plan:
             dim = spec.component(q).dim
             cuts.append((q, start, start + dim))
             start += dim
-        rules.append((rule, _cutter(cuts)))
-    return _Plan(spec.components, tuple(rules),
+        rules.append((rule.relation, questions.ask(rule.formula, rule.variables),
+                      _cutter(cuts)))
+    return _Plan(components, tuple(rules),
                  tuple(sorted({r.relation for r in spec.rules})))
 
 
@@ -303,16 +317,16 @@ def _cutter(cuts):
     return lambda tup: tuple([(q, tup[a:b]) for q, a, b in cuts])
 
 
-def _structure(plan: _Plan, sat) -> tuple[list[Element], dict[str, set]]:
+def _structure(plan: _Plan, answers: list[list[tuple[int, ...]]]
+               ) -> tuple[list[Element], dict[str, set]]:
     """(elements, relation name -> set of tuples) of the plan's spec on the
-    word sat evaluates on, as apply_interpretation describes them."""
-    elements = [(c.name, tup) for c in plan.components
-                for tup in sat(c.universe, c.variables)]
+    word that answers its questions, as apply_interpretation describes them."""
+    elements = [(name, tup) for name, q in plan.components for tup in answers[q]]
     members = set(elements)
     relations: dict[str, set] = {name: set() for name in plan.relations}
-    for rule, cut in plan.rules:
-        add = relations[rule.relation].add
-        for tup in sat(rule.formula, rule.variables):
+    for relation, q, cut in plan.rules:
+        add = relations[relation].add
+        for tup in answers[q]:
             combo = cut(tup)
             if members.issuperset(combo):
                 add(combo)
@@ -348,7 +362,8 @@ class ReducedInterpretation:
         rep = _first((p.source, p.rep) for p in self.parts).get(source_name)
         if rep is None:
             raise InputError(f"no copies of component {source_name!r}")
-        return _fibers(_evaluator(word), *_fiber_formula(rep))
+        g, variables, k = _fiber_formula(rep)
+        return _fibers(satisfying_tuples(g, word, variables), k)
 
     def bijection(self, structure: Structure,
                   fibers: dict[str, dict[tuple, list[tuple]]]) -> dict[Element, Element]:
@@ -382,11 +397,11 @@ def _fiber_formula(rep: Reparameterization) -> tuple[Formula, tuple[str, ...], i
     return rep.g, rep.domain_vars + rep.image_vars, len(rep.domain_vars)
 
 
-def _fibers(sat, g: Formula, variables: tuple[str, ...], k: int) -> dict[tuple, list[tuple]]:
+def _fibers(tuples: list[tuple[int, ...]], k: int) -> dict[tuple, list[tuple]]:
     # satisfying tuples come in lexicographic order, so for each image
     # tuple its preimages do too
     out: dict[tuple, list[tuple]] = {}
-    for tup in sat(g, variables):
+    for tup in tuples:
         out.setdefault(tup[k:], []).append(tup[:k])
     return out
 
@@ -509,20 +524,24 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
             raise InputError("interpretations have different output signatures")
     if reduced.spec.signature != spec.signature:
         raise InputError("word and spec use different signatures")
-    source, target = _plan(spec), _plan(reduced.spec)
+    questions = _Questions()
+    source, target = _plan(spec, questions), _plan(reduced.spec, questions)
     parts = _first((p.name, p) for p in reduced.parts)
     # components reduced to zero copies have no fibers; any element they
     # still produce surfaces below as a missed source element
     reps = _first((p.source, p.rep) for p in reduced.parts)
-    maps = {name: _fiber_formula(rep) for name, rep in reps.items()}
+    maps = {}
+    for name, rep in reps.items():
+        g, variables, k = _fiber_formula(rep)
+        maps[name] = questions.ask(g, variables), k
     words = 0
     max_fiber = 0
     for word in all_words(spec.signature, max_len):
         words += 1
-        sat = _evaluator(word)
-        a_elements, a_relations = _structure(source, sat)
-        b_elements, b_relations = _structure(target, sat)
-        fibers = {name: _fibers(sat, *question) for name, question in maps.items()}
+        answers = questions.answers(word)
+        a_elements, a_relations = _structure(source, answers)
+        b_elements, b_relations = _structure(target, answers)
+        fibers = {name: _fibers(answers[q], k) for name, (q, k) in maps.items()}
         try:
             pi = _bijection(parts, b_elements, fibers)
         except ChainrepError as e:
