@@ -413,11 +413,8 @@ def _innermost(i, v, test, first):
             if test is None or test(fo, so):
                 hits += 1
                 if out is not None:
-                    if i:
-                        tup[i] = value
-                        out.append(tuple(tup))
-                    else:
-                        out.append((value,))
+                    tup[i] = value
+                    out.append(tuple(tup))
                 if first:
                     break
         return hits

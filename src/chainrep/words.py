@@ -73,27 +73,21 @@ class Word:
         return cls(sig, tuple(_parse_letter(sig, part) for part in inner.split(",")))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MarkedWord:
     word: Word
-    marks: tuple[int, ...] = ()
+    marks: tuple[int, ...] = field(default=())
 
-    def __init__(self, word: Word, marks=()):
-        # checks the marks before setting the fields, each once, straight
-        # into the instance dict: the cross-validation builds tens of
-        # thousands of marked words per sweep
-        if type(marks) is not tuple:
-            marks = tuple(marks)
-        n, prev = len(word.letters), -1
-        for p in marks:
+    def __post_init__(self):
+        if type(self.marks) is not tuple:
+            object.__setattr__(self, "marks", tuple(self.marks))
+        n, prev = len(self.word.letters), -1
+        for p in self.marks:
             if not prev < p < n:
                 if not 0 <= p < n:
                     raise InputError(f"mark {p} out of range")
                 raise InputError("marks must be strictly ascending")
             prev = p
-        fields = self.__dict__
-        fields["word"] = word
-        fields["marks"] = marks
 
     def __len__(self):
         return len(self.word)

@@ -95,6 +95,21 @@ def test_growth_counts_the_witness_once(capsys, monkeypatch):
         assert len(calls) == 1, text
 
 
+def test_selftest_counts_each_witness_once(capsys, monkeypatch):
+    calls = []
+    real = WitnessStructure.oracle_count
+
+    def counted(witness):
+        calls.append(witness)
+        return real(witness)
+
+    monkeypatch.setattr(WitnessStructure, "oracle_count", counted)
+    status, report, _ = run_json(capsys, "selftest")
+    assert status == 0
+    # the lower and the no-decrement witness of growth-quick
+    assert len(calls) == 2 and calls[0] is not calls[1]
+
+
 def test_monoid_report(capsys):
     status, report, _ = run_json(capsys, "monoid", "--sig", "P1",
                                  "--formula", "x<y")
