@@ -77,7 +77,7 @@ def test_growth_report(capsys):
     assert report["result"]["lower_witness"]["oracle_count"] >= 2
 
 
-def test_growth_counts_the_witness_once(capsys, monkeypatch):
+def test_growth_and_selftest_count_each_witness_once(capsys, monkeypatch):
     # the report's count and the sandwich's lower side read one recount
     calls = []
     real = WitnessStructure.oracle_count
@@ -93,21 +93,10 @@ def test_growth_counts_the_witness_once(capsys, monkeypatch):
                                      "--formula", text, "--max-len", "4")
         assert status == 0 and report["result"]["sandwich"]["ok"] is True
         assert len(calls) == 1, text
-
-
-def test_selftest_counts_each_witness_once(capsys, monkeypatch):
-    calls = []
-    real = WitnessStructure.oracle_count
-
-    def counted(witness):
-        calls.append(witness)
-        return real(witness)
-
-    monkeypatch.setattr(WitnessStructure, "oracle_count", counted)
-    status, report, _ = run_json(capsys, "selftest")
-    assert status == 0
-    # the lower and the no-decrement witness of growth-quick
-    assert len(calls) == 2 and calls[0] is not calls[1]
+    # selftest's growth-quick counts its lower and no-decrement witness
+    calls.clear()
+    status, _, _ = run_json(capsys, "selftest")
+    assert status == 0 and len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_monoid_report(capsys):
