@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import __version__
-from .compiler import DEFAULT_STATE_BUDGET, compile as compile_dfa
+from .compiler import DEFAULT_STATE_BUDGET, Query, compile as compile_dfa
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import Signature, free_variables, parse, render
 from .growth import (brute_growth, growth_lower_witness, no_decrement_witness,
@@ -181,7 +181,7 @@ def _cmd_growth(run: _Run):
 def _cmd_monoid(run: _Run):
     sig = run.signature()
     f, variables = run.formula(sig)
-    algebra = TypeAlgebra.build(f, sig, variables, run.args.budget_states)
+    algebra = TypeAlgebra.build(f, variables, Query(sig, run.args.budget_states))
     m = algebra.monoid
     elements = []
     for i in range(m.size):
@@ -202,7 +202,7 @@ def _cmd_monoid(run: _Run):
 def _cmd_normalform(run: _Run):
     sig = run.signature()
     f, variables = run.formula(sig)
-    algebra = TypeAlgebra.build(f, sig, variables, run.args.budget_states)
+    algebra = TypeAlgebra.build(f, variables, Query(sig, run.args.budget_states))
     disjuncts = []
     for types, es in local_normal_form(algebra):
         witnesses = [algebra.monoid.witness_word(t, nonempty=(j > 0)).render()
@@ -300,12 +300,20 @@ def _selftest_items(run: _Run):
                     mismatches += 1
     item("compiler-vs-oracle", mismatches == 0, checked=pairs)
 
+    # the battery formulas, each with its type algebra and its map, built
+    # once for the four items below
+    battery = []
+    for name, preds, text, variables, _ in BATTERY:
+        sig = Signature.from_text(preds)
+        f = parse(text, sig)
+        battery.append((name, sig, f, variables,
+                        TypeAlgebra.build(f, variables, Query(sig, run.args.budget_states)),
+                        run.minrep(f, sig, variables)))
+
     # monoid laws on the battery algebras
     law_failures = 0
     sizes = []
-    for _, preds, text, variables, _ in BATTERY:
-        sig = Signature.from_text(preds)
-        algebra = TypeAlgebra.build(parse(text, sig), sig, variables)
+    for _, sig, _, _, algebra, _ in battery:
         m = algebra.monoid
         sizes.append(m.size)
         if m.size <= 50:
@@ -328,22 +336,14 @@ def _selftest_items(run: _Run):
     item("monoid-laws", law_failures == 0, sizes=sizes)
 
     # dimension battery
-    dims = []
-    expected = []
-    for _, preds, text, variables, want in BATTERY:
-        sig = Signature.from_text(preds)
-        rep = run.minrep(parse(text, sig), sig, variables)
-        dims.append(rep.dimension)
-        expected.append(want)
+    dims = [rep.dimension for *_, rep in battery]
+    expected = [want for *_, want in BATTERY]
     item("dimension-battery", dims == expected, got=dims, expected=expected)
 
     # determination: truth from segment types
     det_failures = 0
     det_checked = 0
-    for _, preds, text, variables, _ in BATTERY:
-        sig = Signature.from_text(preds)
-        f = parse(text, sig)
-        algebra = TypeAlgebra.build(f, sig, variables)
+    for _, sig, f, variables, algebra, _ in battery:
         for w in all_words(sig, 3):
             for marks in itertools.combinations(range(len(w)), len(variables)):
                 mw = MarkedWord(w, marks)
@@ -354,13 +354,8 @@ def _selftest_items(run: _Run):
     item("determination", det_failures == 0, checked=det_checked)
 
     # reparameterization contract on the battery
-    rep_failures = []
-    for name, preds, text, variables, _ in BATTERY:
-        sig = Signature.from_text(preds)
-        rep = run.minrep(parse(text, sig), sig, variables)
-        if not check_reparameterization(rep, 3) or \
-                not check_canonical_form(rep, 3):
-            rep_failures.append(name)
+    rep_failures = [name for name, *_, rep in battery
+                    if not check_reparameterization(rep, 3) or not check_canonical_form(rep, 3)]
     item("reparameterization-contract", not rep_failures, failed=rep_failures)
 
     item("ramsey-bounds", [ramsey_bound(c) for c in (1, 2, 3)] == [3, 6, 17],

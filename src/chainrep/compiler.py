@@ -575,12 +575,15 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     marked_vars lists the free first-order variables in the order their
     marks appear in a word; assignments are therefore restricted to strictly
     ascending tuples.  Free variables must be covered by marked_vars; free
-    set variables are not allowed.  Given the query of an enclosing call
-    (over sig), the build reads the automata that query kept, under its
-    budget in place of budget_states, and keeps f's automaton in it, over the
-    tracks of f's own free variables; publishing (_Builder.to_public) feeds
-    the i-th mark to the track of the i-th marked variable.
+    set variables are not allowed.  Given the query of an enclosing call,
+    which must be over sig, the build reads the automata that query kept,
+    under its budget in place of budget_states, and keeps f's automaton in
+    it, over the tracks of f's own free variables; publishing
+    (_Builder.to_public) feeds the i-th mark to the track of the i-th marked
+    variable.
     """
+    if query is not None and query.sig != sig:
+        raise InputError("compile: the query is over another signature")
     marked_vars = tuple(marked_vars)
     builder = (Query(sig, budget_states) if query is None else query).builder("compile")
     _check(f, marked_vars, builder)

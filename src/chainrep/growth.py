@@ -109,7 +109,7 @@ def pump_witness(f: Formula, sig: Signature, var: str, n: int, *,
     """
     if n < 0:
         raise InputError("need n >= 0")
-    algebra = TypeAlgebra.build(f, sig, (var,), budget_states)
+    algebra = TypeAlgebra.build(f, (var,), Query(sig, budget_states))
     if algebra.rigid is None:
         raise InputError("no family of the formula pumps at its mark")
     types, es = algebra.rigid
@@ -135,7 +135,7 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
         raise InputError("need at least one variable")
     if N < 1:
         raise InputError("need N >= 1")
-    algebra = TypeAlgebra.build(f, sig, variables, budget_states)
+    algebra = TypeAlgebra.build(f, variables, Query(sig, budget_states))
     if algebra.rigid is None:
         raise InputError("every family of the formula has a non-pumping mark")
     types, es = algebra.rigid
@@ -177,8 +177,7 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
         raise InputError("formula is unsatisfiable")
     d = rep.dimension
     auto = query.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
-    algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), sig, rep.image_vars,
-                                query=query)
+    algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), rep.image_vars, query)
     if algebra.rigid is None:
         raise InputError("minimal image admits no family pumping at every mark")
     types, es = algebra.rigid

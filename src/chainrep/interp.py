@@ -449,7 +449,7 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
         reps[c.name] = rep
     parts: list[ReducedComponent] = []
     new_components: list[Component] = []
-    copies: dict[str, list[str]] = {}
+    copies: dict[str, list[ReducedComponent]] = {}
     for c in spec.components:
         rep = reps[c.name]
         copies[c.name] = []
@@ -463,21 +463,17 @@ def reduce_interpretation(spec: InterpretationSpec, d: int, *,
             parts.append(ReducedComponent(name, c.name, i, rep, selector))
             new_components.append(Component(name, rep.dimension, universe,
                                             rep.image_vars))
-            copies[c.name].append(name)
-    new_rules: list[RelationRule] = []
-    for rule in spec.rules:
-        for combo in itertools.product(*(copies[q] for q in rule.components)):
-            new_rules.append(_reduced_rule(spec, rule, combo,
-                                           [next(p for p in parts if p.name == n)
-                                            for n in combo]))
+            copies[c.name].append(parts[-1])
+    new_rules = [_reduced_rule(rule, combo) for rule in spec.rules
+                 for combo in itertools.product(*(copies[q] for q in rule.components))]
     reduced = _validated(spec.signature, new_components, new_rules)
     return ReducedInterpretation(spec, reduced, tuple(parts))
 
 
-def _reduced_rule(spec: InterpretationSpec, rule: RelationRule, combo,
-                  combo_parts) -> RelationRule:
-    """Relation formula on reduced components: the original relation holds
-    between the chosen preimages of the slots' images."""
+def _reduced_rule(rule: RelationRule, combo_parts) -> RelationRule:
+    """Relation formula on reduced components, one part per slot: the
+    original relation holds between the chosen preimages of the slots'
+    images."""
     names = set()
     for p in combo_parts:
         names |= all_vars(p.rep.g) | set(p.rep.domain_vars) | set(p.rep.image_vars)
@@ -497,7 +493,7 @@ def _reduced_rule(spec: InterpretationSpec, rule: RelationRule, combo,
     inner = substitute(rule.formula, dict(zip(rule.variables, flat_xs)), supply)
     formula = one_point(exists_wrap(flat_xs, conj(selectors + [inner])))
     variables = tuple(v for ys in slot_ys for v in ys)
-    return RelationRule(rule.relation, tuple(combo), formula, variables)
+    return RelationRule(rule.relation, tuple(p.name for p in combo_parts), formula, variables)
 
 
 def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,

@@ -129,7 +129,8 @@ def transition_monoid(dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> TypeMonoi
 
 
 def mark_shadow(dfa: Dfa) -> Dfa:
-    """The doubled automaton reading plain letters only.
+    """The doubled automaton reading plain letters only, of an automaton
+    with one shared mark bit.
 
     States are 2q + row.  Row 1 reads normally; row 0 reads its next letter
     as if it were marked and drops to row 1.  Runs of the original automaton
@@ -138,8 +139,8 @@ def mark_shadow(dfa: Dfa) -> Dfa:
     states are deliberately kept although no run started in row 1 can reach
     them.
     """
-    if not dfa.marked:
-        raise InputError("mark_shadow needs a marked automaton")
+    if not dfa.marked or dfa.tracks != 1:
+        raise InputError("mark_shadow needs a marked automaton with one shared mark bit")
     k = dfa.sig.k
     nl = 1 << k
     delta = []

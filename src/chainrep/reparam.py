@@ -94,17 +94,14 @@ class TypeAlgebra:
     monoid: TypeMonoid
 
     @classmethod
-    def build(cls, formula, sig, variables, budget_states: int = DEFAULT_STATE_BUDGET, *,
-              query: Query | None = None) -> "TypeAlgebra":
-        """The algebra of formula over variables, its automaton published by
-        compile; given the query of an enclosing call, the compile reads
-        the automata that query kept, and both stages run under its budget
-        in place of budget_states."""
+    def build(cls, formula, variables, query: Query) -> "TypeAlgebra":
+        """The algebra of formula over variables in query's signature, its
+        automaton published by compile given query, which reads the automata
+        query kept; both stages run under query's budget."""
         variables = tuple(variables)
-        dfa = compile_dfa(formula, sig, variables, budget_states, query=query)
-        budget = budget_states if query is None else query.budget
-        monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, budget)
-        return cls(sig, variables, dfa, monoid)
+        dfa = compile_dfa(formula, query.sig, variables, query=query)
+        monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, query.budget)
+        return cls(query.sig, variables, dfa, monoid)
 
     @property
     def arity(self) -> int:
@@ -309,13 +306,14 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
                       supply: NameSupply) -> Reparameterization:
     """Union of guarded reparameterizations over one domain.
 
-    parts are (guard, rep) pairs whose guards cover the source domain and
-    are pairwise disjoint, and under its guard each rep's source agrees
-    with source, so h is the plain union of the branches `guard_j & h_j`.
-    Both callers meet this: `_minrep` guards by order-case constraints, one
-    per weak ordering, and `_case_rep` by type-tuple automata of disjoint
-    family groups, since each marking has exactly one tuple of segment
-    types.  All branches share one image tuple of the widest width:
+    parts are one or more (guard, rep) pairs whose guards cover the source
+    domain and are pairwise disjoint, and under its guard each rep's source
+    agrees with source, so h is the plain union of the branches `guard_j &
+    h_j`.  Both callers meet this: `_minrep` guards by order-case
+    constraints, one per realizable weak ordering, and `_case_rep` by
+    type-tuple automata of disjoint family groups, since each marking has
+    exactly one tuple of segment types; every family of its realizable case
+    falls in one nonempty group.  All branches share one image tuple of the widest width:
     narrower images are padded by repeating their last variable, and a
     zero-width satisfiable branch pins every image variable to the first
     domain variable.  Bounds add up.
@@ -324,8 +322,6 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     domain_vars = tuple(domain_vars)
     if not domain_vars:
         raise InputError("combine needs at least one domain variable")
-    if not parts:
-        return _unsat_rep(source, sig, domain_vars)
     for _, rep in parts:
         if tuple(rep.domain_vars) != domain_vars:
             raise InputError("parts disagree on domain variables")
@@ -458,7 +454,7 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
                 a = b.project(a, "fo", x)
         b.keep(psi, b.extend(a, fo_add=us, merge=merge))
         inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
-                             TypeAlgebra.build(psi, sig, us, query=query), supply, query)
+                             TypeAlgebra.build(psi, us, query), supply, query)
     else:
         inner = _minrep(psi, sig, us, supply, query)
     return compose(step, inner)
@@ -497,7 +493,7 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
     def case_algebra(ranks):
         case = split.case(ranks)
         keeps[ranks](case.formula)
-        return case, TypeAlgebra.build(case.formula, sig, case.representatives, query=query)
+        return case, TypeAlgebra.build(case.formula, case.representatives, query)
 
     strict = [ranks for ranks in keeps if len(set(ranks)) == len(xs)]
     for case, algebra in map(case_algebra, strict):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from chainrep.cli import main as cli_main
-from chainrep.compiler import compile
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, compile
 from chainrep.errors import InputError
 from chainrep.formula import FALSE, Signature, parse
 from chainrep.growth import (brute_growth, growth_lower_witness,
@@ -61,7 +61,8 @@ def test_criterion_02_type_algebra_laws():
     rng = random.Random(SEED)
     monoids = []
     for name, sig, f, variables, _ in battery():
-        monoids.append((name, sig, TypeAlgebra.build(f, sig, variables).monoid))
+        algebra = TypeAlgebra.build(f, variables, Query(sig, DEFAULT_STATE_BUDGET))
+        monoids.append((name, sig, algebra.monoid))
     sig2 = Signature(("P1", "P2"))
     for text in ("atleast 3 v. P1(v)",
                  "all v. (P1(v) -> ex u. (v < u & P2(u)))",
@@ -95,7 +96,7 @@ def test_criterion_03_determination():
     failures = 0
     checked = 0
     for name, sig, f, variables, _ in battery():
-        algebra = TypeAlgebra.build(f, sig, variables)
+        algebra = TypeAlgebra.build(f, variables, Query(sig, DEFAULT_STATE_BUDGET))
         for w in all_words(sig, 6):
             for marks in itertools.combinations(range(len(w)), len(variables)):
                 mw = MarkedWord(w, marks)

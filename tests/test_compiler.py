@@ -112,6 +112,14 @@ def test_unmarked_free_variable_rejected(sig1):
         compile(parse("Z(x)", sig1), sig1, ("x",))
 
 
+def test_compile_refuses_a_query_over_another_signature(sig1, sig2):
+    f = parse("P1(x)", sig1)
+    with pytest.raises(InputError, match="^compile: the query is over another signature$"):
+        compile(f, sig2, ("x",), query=Query(sig1, DEFAULT_STATE_BUDGET))
+    q = Query(sig2, DEFAULT_STATE_BUDGET)
+    assert compile(f, sig2, ("x",), query=q) == compile(f, sig2, ("x",))
+
+
 def test_budget(sig1):
     with pytest.raises(ResourceLimitError) as e:
         compile(parse("(x < y) & (y < z)", sig1), sig1, ("x", "y", "z"),

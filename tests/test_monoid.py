@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from chainrep.compiler import compile
-from chainrep.errors import ResourceLimitError
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, compile, preimage_ranks
+from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import parse
 from chainrep.monoid import (is_pumpable, mark_shadow, ramsey_bound,
                              transition_monoid)
@@ -74,6 +74,20 @@ def test_mark_shadow_structure(sig1):
             assert shadow.delta[2 * q + 1][a] == 2 * dfa.delta[q][a] + 1
 
 
+def test_mark_shadow_needs_one_shared_mark_bit(sig1):
+    # a selector reads one track per variable: its shadow would follow
+    # track 0 alone
+    g = parse("x < y", sig1)
+    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(g, ("x",), ("y",))
+    selector = preimage_ranks(m, 2).selectors(2)[0]
+    assert selector.marked and selector.tracks == 2
+    with pytest.raises(InputError, match="^mark_shadow needs a marked automaton "
+                                         "with one shared mark bit$"):
+        mark_shadow(selector)
+    with pytest.raises(InputError):
+        mark_shadow(compile(parse("ex v. P1(v)", sig1), sig1))
+
+
 def test_shadow_monoid_identity_never_nonempty(sig1):
     for name, sig, f, variables, _ in battery():
         if not variables:
@@ -117,7 +131,7 @@ MONOID_DUMPS = (225, 28_543, "fe9c7d3a322c2f51dc54a1d00024ae47553a23ef")
 
 
 def test_monoid_dumps_are_pinned():
-    dumps = [TypeAlgebra.build(f, sig, variables).monoid.dump()
+    dumps = [TypeAlgebra.build(f, variables, Query(sig, DEFAULT_STATE_BUDGET)).monoid.dump()
              for sig, variables, f in formula_batch(1, 225)]
     blob = "\n".join(dumps)
     assert (len(dumps), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \

@@ -3,15 +3,18 @@ import gc
 import hashlib
 import itertools
 import weakref
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
-from chainrep.formula import ExistsFO, parse
+from chainrep.formula import ExistsFO, Signature, parse
 from chainrep.interp import parse_interpretation, reduce_interpretation
-from chainrep.oracle import count_in_set, evaluate, satisfying_tuples
+from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
+                             evaluate, satisfying_tuples)
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
@@ -283,6 +286,40 @@ def test_vacuous_quantifiers_keep_their_errors_lazy(sig1):
         for w in (empty, one):
             with pytest.raises(InputError, match="^unbound variable 'v'$"):
                 evaluate(f, w)
+
+
+def _rep_with(text, **changes):
+    """The map of text over P1, with fields replaced; h is given as text."""
+    sig = Signature(("P1",))
+    rep = minimal_reparameterization(parse(text, sig), sig)
+    if "h" in changes:
+        changes["h"] = parse(changes["h"], sig)
+    return replace(rep, **changes)
+
+
+def _g_without_its_source():
+    # a real map has g = source & h; this stand-in's g does not imply its source
+    sig = Signature(("P1",))
+    return SimpleNamespace(source=parse("P1(x)", sig), g=parse("y0 = x", sig),
+                           signature=sig, domain_vars=("x",), image_vars=("y0",), bound=1)
+
+
+@pytest.mark.parametrize("check, rep, failure", [
+    (check_reparameterization, _g_without_its_source,
+     "word [.]: g holds at (0,) + (0,) but the source fails at (0,)"),
+    (check_reparameterization, lambda: _rep_with("P1(x)", h="y0 = x & ~P1(y0)"),
+     "word [P1]: no image tuple for (0,)"),
+    (check_reparameterization, lambda: _rep_with("P1(x)", h="y0 = y0"),
+     "word [., P1]: 2 image tuples for (1,)"),
+    (check_canonical_form, lambda: _rep_with("P1(x)", h="y0 < x"),
+     "word [., P1]: image (0,) of (1,) uses positions [0] outside the tuple"),
+    (check_reparameterization, lambda: _rep_with("(~ex q. q < x) | (~ex q. x < q)", bound=1),
+     "word [., .]: image () has 2 preimages, bound is 1"),
+], ids=["source-fails", "no-image", "two-images", "stray-position", "over-bound"])
+def test_checks_report_each_failure(check, rep, failure):
+    report = check(rep(), 3)
+    assert not report
+    assert report.failure == failure
 
 
 def test_a_cached_plan_keeps_the_free_variable_check(sig1):

@@ -209,9 +209,9 @@ def test_every_algebra_is_published_by_compile(monkeypatch):
         compiles.append(query)
         return real_compile(f, *args, query=query, **kwargs)
 
-    def build(cls, *args, query=None, **kwargs):
+    def build(cls, formula, variables, query):
         start = len(compiles)
-        algebra = real_build(cls, *args, query=query, **kwargs)
+        algebra = real_build(cls, formula, variables, query)
         algebras.append((query, compiles[start:]))
         return algebra
 
@@ -256,10 +256,10 @@ def test_images_are_the_compiled_text(sig1, monkeypatch):
     images = []
     real = TypeAlgebra.build.__func__
 
-    def build(cls, formula, sig, variables, *args, **kwargs):
-        algebra = real(cls, formula, sig, variables, *args, **kwargs)
+    def build(cls, formula, variables, query):
+        algebra = real(cls, formula, variables, query)
         if isinstance(formula, ExistsFO):
-            images.append((formula, sig, variables, algebra.dfa))
+            images.append((formula, query.sig, variables, algebra.dfa))
         return algebra
 
     monkeypatch.setattr(TypeAlgebra, "build", classmethod(build))
@@ -494,9 +494,31 @@ def test_free_vars_must_be_marked(sig1):
         minimal_reparameterization(parse("x < y", sig1), sig1, ("x",))
 
 
+def test_marked_vars_default_to_the_free_variables(sig1):
+    # left out, the marked variables are the free ones in first-occurrence order
+    for text, xs in (("y < x", "yx"), (GROUP_TEXT, "xy"), (endpoints_text("zxy"), "zxy")):
+        f = parse(text, sig1)
+        implicit = minimal_reparameterization(f, sig1)
+        explicit = minimal_reparameterization(f, sig1, tuple(xs))
+        assert implicit.domain_vars == explicit.domain_vars == tuple(xs)
+        assert (implicit.dimension, implicit.bound, render(implicit.g)) == \
+            (explicit.dimension, explicit.bound, render(explicit.g)), text
+
+
+def test_an_algebra_is_over_its_querys_signature(sig1, sig2):
+    # the formula mentions P1 only; the algebra reads words over the query's
+    # signature
+    algebra = TypeAlgebra.build(parse("P1(x)", sig1), ("x",), Query(sig2, DEFAULT_STATE_BUDGET))
+    assert algebra.sig == algebra.dfa.sig == sig2
+    for w in all_words(sig2, 3):
+        for p in range(len(w)):
+            taus = algebra.segment_types(MarkedWord(w, (p,)))
+            assert algebra.accepts_chain(taus) == bool(w.letters[p] & 1), str(w)
+
+
 def test_segment_types_shape(sig1):
     f = parse("x < y", sig1)
-    algebra = TypeAlgebra.build(f, sig1, ("x", "y"))
+    algebra = TypeAlgebra.build(f, ("x", "y"), Query(sig1, DEFAULT_STATE_BUDGET))
     for w in all_words(sig1, 4):
         for marks in itertools.combinations(range(len(w)), 2):
             taus = algebra.segment_types(MarkedWord(w, marks))
@@ -505,7 +527,7 @@ def test_segment_types_shape(sig1):
 
 def test_accepts_chain_matches_oracle():
     for name, sig, f, variables, _ in battery():
-        algebra = TypeAlgebra.build(f, sig, variables)
+        algebra = TypeAlgebra.build(f, variables, Query(sig, DEFAULT_STATE_BUDGET))
         for w in all_words(sig, 4):
             for marks in itertools.combinations(range(len(w)), len(variables)):
                 mw = MarkedWord(w, marks)
@@ -515,17 +537,18 @@ def test_accepts_chain_matches_oracle():
 
 
 def test_accepts_chain_sentence(sig1):
-    algebra = TypeAlgebra.build(parse("ex v. P1(v)", sig1), sig1, ())
+    f = parse("ex v. P1(v)", sig1)
+    algebra = TypeAlgebra.build(f, (), Query(sig1, DEFAULT_STATE_BUDGET))
     for w in all_words(sig1, 4):
         got = algebra.accepts_chain(algebra.segment_types(MarkedWord(w, ())))
-        assert got == evaluate(parse("ex v. P1(v)", sig1), w)
+        assert got == evaluate(f, w)
 
 
 def test_normal_form_covers_exactly(sig1):
     # every marking's type tuple appears in exactly the disjunct it realizes,
     # and a tuple is listed iff some marking realizes it (on small words)
     f = parse("P1(x) & ex v. x < v", sig1)
-    algebra = TypeAlgebra.build(f, sig1, ("x",))
+    algebra = TypeAlgebra.build(f, ("x",), Query(sig1, DEFAULT_STATE_BUDGET))
     listed = {types for types, _ in local_normal_form(algebra)}
     seen = set()
     for w in all_words(sig1, 5):
@@ -542,7 +565,7 @@ def test_normal_form_covers_exactly(sig1):
 def test_eliminable_pairs_mark_indexing(sig1):
     # the pair decided for mark i meets at the mark: (tau_{i-1}, tau_i)
     f = parse(GROUP_TEXT, sig1)
-    algebra = TypeAlgebra.build(f, sig1, ("x", "y"))
+    algebra = TypeAlgebra.build(f, ("x", "y"), Query(sig1, DEFAULT_STATE_BUDGET))
     m = algebra.monoid
     firsts = set()
     for types, es in local_normal_form(algebra):
