@@ -103,9 +103,12 @@ class _Run:
                 raise InputError(f"cannot read {self.args.formula_file}: {e}")
         raise InputError("need --formula or --formula-file")
 
-    def formula(self, sig: Signature):
+    def formula(self):
+        """(sig, f, variables): the signature, checked before the formula
+        text is read, the formula parsed over it and its free variables."""
+        sig = self.signature()
         f = parse(self.formula_text(), sig)
-        return f, free_variables(f)
+        return sig, f, free_variables(f)
 
     def minrep(self, f, sig, variables, refine=True):
         rep = minimal_reparameterization(
@@ -136,8 +139,7 @@ class _Run:
 
 
 def _cmd_mindim(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
     return run.report("mindim", _rep_dict(rep)), 0
 
@@ -147,8 +149,7 @@ def _cmd_decide(run: _Run):
         raise InputError("decide needs --dim")
     if run.args.dim < 0:
         raise InputError("dimension must be nonnegative")
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables, refine=False)
     answer = rep.dimension <= run.args.dim
     result = {"asked_dimension": run.args.dim, "answer": answer,
@@ -157,8 +158,7 @@ def _cmd_decide(run: _Run):
 
 
 def _cmd_growth(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
     n = run.args.n if run.args.n is not None else 3
     max_len = run.args.max_len if run.args.max_len is not None else 6
@@ -179,8 +179,7 @@ def _cmd_growth(run: _Run):
 
 
 def _cmd_monoid(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     algebra = TypeAlgebra.build(f, variables, Query(sig, run.args.budget_states))
     m = algebra.monoid
     elements = []
@@ -200,8 +199,7 @@ def _cmd_monoid(run: _Run):
 
 
 def _cmd_normalform(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     algebra = TypeAlgebra.build(f, variables, Query(sig, run.args.budget_states))
     disjuncts = []
     for types, es in local_normal_form(algebra):
@@ -225,8 +223,7 @@ def _witness_or_absent(build, *args, **budgets) -> dict:
 
 
 def _cmd_witness(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     n = run.args.n if run.args.n is not None else 2
     if n < 1:
         raise InputError("witness needs --n of at least 1")
@@ -243,8 +240,7 @@ def _cmd_witness(run: _Run):
 
 
 def _cmd_oracle_check(run: _Run):
-    sig = run.signature()
-    f, variables = run.formula(sig)
+    sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
     max_len = run.args.max_len if run.args.max_len is not None else 4
     contract = check_reparameterization(rep, max_len)

@@ -30,9 +30,10 @@ quantifier is expanded where the build meets it, so no object above it is
 replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
 reads and the map (Query.map_automaton of source & h, the source's
-automaton times h's) all start from it.  The search keeps each image's
-automaton before it compiles the image, having made it from its case's by
-track operations (projection and renaming), so it compiles no text.
+automaton times h's) all start from it.  Query.keep_image builds each
+elimination image's automaton from its case's by track operations
+(projection and renaming) and keeps it before the search compiles the
+image, so the search compiles no text.
 compile alone publishes the automata that the search's type algebras
 read: given the query, it publishes the automaton kept for a case formula
 or an image, and builds the growth witness's image ex xs. g from the
@@ -554,6 +555,22 @@ class Query:
         return [(ranks, functools.partial(keep, ranks))
                 for ranks in _realizable_ranks(builder.extend(source, fo_add=xs), xs)]
 
+    def keep_image(self, image: Formula, source: Formula, xs, rename) -> None:
+        """Keep as image's automaton that of ex xs. (source & eqs), where
+        eqs are the equalities u = x of rename, x -> u, each x among xs,
+        made from source's automaton by track operations under stage
+        compile: each x that source does not mention gets a single-mark
+        track, each x that rename drops is projected, and each kept x's
+        track is renamed to its u."""
+        b = self.builder("compile")
+        a = b.built(source)
+        missing = [x for x in xs if x not in a.fo]
+        a = b.valid(b.extend(a, fo_add=missing), missing)
+        for x in xs:
+            if x not in rename:
+                a = b.project(a, "fo", x)
+        b.keep(image, b.extend(a, fo_add=rename.values(), merge=rename))
+
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
         """The automaton of the map g from xs to ys; for a map source & h of
         this Query's call, the source's automaton times h's.  g's automaton
@@ -576,14 +593,16 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
     marks appear in a word; assignments are therefore restricted to strictly
     ascending tuples.  Free variables must be covered by marked_vars; free
     set variables are not allowed.  Given the query of an enclosing call,
-    which must be over sig, the build reads the automata that query kept,
-    under its budget in place of budget_states, and keeps f's automaton in
-    it, over the tracks of f's own free variables; publishing
+    whose signature must be sig and whose budget must be budget_states, the
+    build reads the automata that query kept and keeps f's automaton in it,
+    over the tracks of f's own free variables; publishing
     (_Builder.to_public) feeds the i-th mark to the track of the i-th marked
     variable.
     """
     if query is not None and query.sig != sig:
         raise InputError("compile: the query is over another signature")
+    if query is not None and query.budget != budget_states:
+        raise InputError("compile: the query runs under another budget")
     marked_vars = tuple(marked_vars)
     builder = (Query(sig, budget_states) if query is None else query).builder("compile")
     _check(f, marked_vars, builder)

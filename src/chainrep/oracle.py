@@ -9,12 +9,13 @@ Each formula object is compiled once per signature into a tree of closures,
 one per node, which every later call runs directly (Feeley and Lapalme,
 "Using closures for code generation", Computer Languages 1987).  The
 compiled program is found by the formula's id and lives exactly as long as
-the formula.  Every public call takes one path through it: load the word,
-run, and empty the call's memos in a `finally`.  Quantifiers update the
-variable environment in place and restore it.  A quantifier or automaton
-leaf memoizes its truth by the values of its free variables; the memos last
-for one public call, on one word.  So one formula object is evaluated by
-one call at a time: the oracle is single-threaded.
+the formula.  Every public call is one search through it: load the word,
+search, and empty the call's memos in a `finally`; `evaluate` is the
+search over no variables, under the caller's assignments.  Quantifiers
+update the variable environment in place and restore it.  A quantifier or
+automaton leaf memoizes its truth by the values of its free variables; the
+memos last for one public call, on one word.  So one formula object is
+evaluated by one call at a time: the oracle is single-threaded.
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -73,7 +74,7 @@ def evaluate(f: Formula, word: Word, fo: dict[str, int] | None = None,
     fo maps first-order variables to positions, so maps set variables to
     subset bitmasks (bit p set when position p is in the set).
     """
-    return _program(f, word.sig).run(word, dict(fo or {}), dict(so or {}))
+    return _program(f, word.sig).search(word, (), None, dict(fo or {}), dict(so or {})) > 0
 
 
 def _pos(env, v, n):
@@ -96,11 +97,12 @@ class _Program(NamedTuple):
 
     fo_vars and so_vars are the formula's free variables in order of first
     occurrence, fo_set holds fo_vars as a set, and accepted the variable
-    lists that satisfying_tuples has found to cover fo_vars.  run(word, fo,
-    so) -> bool is the formula's truth, and search(word, variables, values,
-    out=None) -> int runs _search over the variables on the values, or on
-    the word's positions when values is None, building their plan the
-    first time they are searched.  Each call loads the word and empties its
+    lists that satisfying_tuples has found to cover fo_vars.  search(word,
+    variables, values, fo, so, out=None) -> int runs _search over the
+    variables on the values, or on the word's positions when values is
+    None, under the assignments fo and so, building the variables' plan the
+    first time they are searched; over no variables it is 1 when the
+    formula holds and 0 when not.  Each call loads the word and empties its
     memos when it returns.
     """
 
@@ -109,7 +111,6 @@ class _Program(NamedTuple):
     fo_set: frozenset[str]
     so_vars: tuple[str, ...]
     accepted: set[tuple[str, ...]]
-    run: Callable
     search: Callable
 
 
@@ -134,8 +135,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     The closures capture node fields, never a node, so the program does not
     keep its formula alive; search() reaches it by a weak reference, which
     holds while the program is found, since the program dies with it.  The
-    closures read the word's letters from this frame, which run() and
-    search() set for each public call.
+    closures read the word's letters from this frame, which search() sets
+    for each public call.
     """
     formula = weakref.ref(f)
     letters: tuple[int, ...] = ()
@@ -145,23 +146,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     # variables searched -> their _levels, built with those variables bound
     plans: dict[tuple[str, ...], tuple[Callable | None, Callable | None, int]] = {}
 
-    def unload():
-        for memo in used_memos:
-            memo.clear()
-        used_memos.clear()
-
-    def run(word, fo, so):
-        nonlocal letters, n, positions
-        letters = word.letters
-        n = len(letters)
-        positions = range(n)
-        try:
-            return whole(fo, so)
-        finally:
-            if used_memos:
-                unload()
-
-    def search(word, variables, values, out=None):
+    def search(word, variables, values, fo, so, out=None):
         nonlocal letters, n, positions
         plan = plans.get(variables)
         if plan is None:
@@ -173,10 +158,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         n = len(letters)
         positions = range(n)
         try:
-            return _search(plan, positions if values is None else values, {}, {}, out)
+            return _search(plan, positions if values is None else values, fo, so, out)
         finally:
             if used_memos:
-                unload()
+                for memo in used_memos:
+                    memo.clear()
+                used_memos.clear()
 
     def memoized(compute, fo_vars, so_vars):
         # a subformula's truth depends only on the values of its own free
@@ -333,8 +320,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         raise InputError(f"not a formula: {node!r}")
 
     top = built_conjuncts(f, frozenset(), frozenset())
-    whole, fo_vars, so_vars = _every(top)
-    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), run, search)
+    fo_vars, so_vars = _free(top)
+    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), search)
 
 
 def _every(parts, some=False):
@@ -479,7 +466,7 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
             raise InputError(f"unassigned free variables {missing}")
         prog.accepted.add(variables)
     out: list[tuple[int, ...]] = []
-    prog.search(word, variables, None, out)
+    prog.search(word, variables, None, {}, {}, out)
     return out
 
 
@@ -493,7 +480,7 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     for p in pool:
         if not 0 <= p < len(word):
             raise InputError(f"position {p} out of range")
-    return prog.search(word, variables, pool)
+    return prog.search(word, variables, pool, {}, {})
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ number of families, which grows like n**k.
 The search, reparameterize, runs in its caller's compiler.Query, which
 keeps the automata of f, of its order cases and of the images, so each
 image `ex xs. (case & eqs)` and the map `source & h` start from one build.
-An image's automaton is made from its case's by track operations, never
-by compiling its text.  Every type algebra gets its automaton from
-compiler.compile, given that Query, and its monoid runs under the Query's
-budget.
+An image's automaton is made from its case's by track operations
+(compiler.Query.keep_image), never by compiling its text.  Every type
+algebra gets its automaton from compiler.compile, given that Query, and its
+monoid runs under the Query's budget.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class TypeAlgebra:
         automaton published by compile given query, which reads the automata
         query kept; both stages run under query's budget."""
         variables = tuple(variables)
-        dfa = compile_dfa(formula, query.sig, variables, query=query)
+        dfa = compile_dfa(formula, query.sig, variables, query.budget, query=query)
         monoid = transition_monoid(mark_shadow(dfa) if variables else dfa, query.budget)
         return cls(query.sig, variables, dfa, monoid)
 
@@ -255,11 +255,6 @@ def local_normal_form(algebra: TypeAlgebra) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(algebra.paths())
 
 
-def _unsat_rep(source: Formula, sig: Signature, domain_vars) -> Reparameterization:
-    return Reparameterization(source, sig, tuple(domain_vars), (), FALSE, 0,
-                              Step("empty", "no satisfying assignment on any word"))
-
-
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
                        n_families: int, monoid_size: int,
                        supply: NameSupply) -> Reparameterization:
@@ -389,46 +384,53 @@ def _type_tuple_dfa(algebra: TypeAlgebra, i: int, query: Query) -> Dfa:
         lambda st: st[0] == k and close(k, st[2], st[1]) is not None, nl), True)
 
 
-def _case_rep(case_formula: Formula, sig: Signature, algebra: TypeAlgebra,
+def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgebra,
               supply: NameSupply, query: Query) -> Reparameterization:
-    """Reparameterize one order case from its algebra, valid under its ascending pattern."""
+    """The map of one nonempty order case of f over xs, under its constraint:
+    classes are its equality classes in ascending order, case_formula
+    mentions only their first members, and algebra is its type algebra.
+    The case is reduced from its algebra, valid under its ascending
+    pattern."""
+    sig = query.sig
     ys = algebra.variables
     kc = len(ys)
-    rigid = algebra.rigid
-    if rigid is not None:
+
+    def n_families(rule=lambda mark, e: True):
+        return sum(algebra.path_counts(rule)[0].values())
+
+    if algebra.rigid is not None:
         # some family pumps at every mark: the tuple count already grows
         # like n**kc, so the identity map is as small as it gets; for a
         # strict case of the top-level formula, kc is the arity and
         # _minrep stops here
         img = tuple(supply.fresh("y") for _ in range(kc))
-        return Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
-                                  Step("rigid", f"family {rigid[0]} pumps at every "
-                                                f"mark; width {kc} is minimal"))
-
-    def n_families(rule=lambda mark, e: True):
-        return sum(algebra.path_counts(rule)[0].values())
-
+        inner = Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
+                                   Step("rigid", f"family {algebra.rigid[0]} pumps at every "
+                                                 f"mark; width {kc} is minimal"))
     # a mark is eliminable in every family when no edge into its layer pumps
-    shared = [i for i in range(1, kc + 1) if all(
-        e is None for edges in algebra.graph[i - 1].values() for _, e in edges.values())]
-    if shared:
+    elif shared := [i for i in range(1, kc + 1) if all(
+            e is None for edges in algebra.graph[i - 1].values() for _, e in edges.values())]:
         step = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
                                   algebra.monoid.size, supply)
-        return _descend(step, sig, supply, query)
-    # no mark is eliminable across every family: split the families by
-    # their first eliminable mark and guard each group by its type tuples
-    parts = []
-    for i in range(1, kc + 1):
-        n = n_families(_stops_at(i))
-        if n:
-            gamma = Run(_type_tuple_dfa(algebra, i, query), ys)
-            step = eliminate_variable(And((case_formula, gamma)), sig, ys, i, n,
-                                      algebra.monoid.size, supply)
-            parts.append((gamma, _descend(step, sig, supply, query)))
-    return combine_disjuncts(case_formula, sig, ys, parts, supply)
+        inner = _descend(step, supply, query)
+    else:
+        # no mark is eliminable across every family: split the families by
+        # their first eliminable mark and guard each group by its type tuples
+        parts = []
+        for i in range(1, kc + 1):
+            n = n_families(_stops_at(i))
+            if n:
+                gamma = Run(_type_tuple_dfa(algebra, i, query), ys)
+                step = eliminate_variable(And((case_formula, gamma)), sig, ys, i, n,
+                                          algebra.monoid.size, supply)
+                parts.append((gamma, _descend(step, supply, query)))
+        inner = combine_disjuncts(case_formula, sig, ys, parts, supply)
+    pattern = "<".join("=".join(c) for c in classes)
+    return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
+                              Step("case", pattern, (inner.provenance,)))
 
 
-def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
+def _descend(step: Reparameterization, supply: NameSupply,
              query: Query) -> Reparameterization:
     """Recurse on the image of one elimination step and glue the maps.
 
@@ -436,55 +438,33 @@ def _descend(step: Reparameterization, sig: Signature, supply: NameSupply,
     them, and their images are subsequences of them, so the ascending case
     of the image, which holds every such image, is the only one that needs
     a map.  The image psi = ex xs. (source & eqs) is not compiled as text:
-    its automaton is the source's, given a single-mark track for each
-    domain variable that the source does not mention, with the dropped
-    variable's track projected and each kept track renamed to the image
-    variable that equals it.  It is kept as psi's, so compile only publishes it.
+    query.keep_image makes its automaton from the source's by track
+    operations and keeps it as psi's, so compile only publishes it.
     """
     psi = exists_wrap(step.domain_vars, step.g)
     us = step.image_vars
-    if us:
-        b = query.builder("compile")
-        a = b.built(step.source)
-        missing = [x for x in step.domain_vars if x not in a.fo]
-        a = b.valid(b.extend(a, fo_add=missing), missing)
-        merge = {eq.right: eq.left for eq in conjuncts(step.h)}
-        for x in step.domain_vars:
-            if x not in merge:
-                a = b.project(a, "fo", x)
-        b.keep(psi, b.extend(a, fo_add=us, merge=merge))
-        inner = _lifted_case(psi, sig, us, tuple((u,) for u in us), psi,
-                             TypeAlgebra.build(psi, us, query), supply, query)
-    else:
-        inner = _minrep(psi, sig, us, supply, query)
-    return compose(step, inner)
+    if not us:
+        return compose(step, _minrep(psi, us, supply, query))
+    query.keep_image(psi, step.source, step.domain_vars,
+                     {eq.right: eq.left for eq in conjuncts(step.h)})
+    return compose(step, _case_rep(psi, us, tuple((u,) for u in us), psi,
+                                   TypeAlgebra.build(psi, us, query), supply, query))
 
 
-def _lifted_case(f: Formula, sig: Signature, xs, classes, case_formula: Formula,
-                 algebra: TypeAlgebra, supply: NameSupply,
-                 query: Query) -> Reparameterization:
-    """The map of one nonempty order case of f over xs, under its constraint:
-    classes are its equality classes in ascending order, case_formula
-    mentions only their first members, and algebra is its type algebra."""
-    inner = _case_rep(case_formula, sig, algebra, supply, query)
-    pattern = "<".join("=".join(c) for c in classes)
-    return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
-                              Step("case", pattern, (inner.provenance,)))
-
-
-def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
-            query: Query) -> Reparameterization:
+def _minrep(f: Formula, xs, supply: NameSupply, query: Query) -> Reparameterization:
     """The map of f over xs, glued from the order cases that one build of f
     (compiler.Query.realizable_cases) finds realizable; only those cases
     are substituted and reduced, each from its automaton, which the query
     keeps for its formula.  The strict cases are tested for rigidity first,
     which draws no names, so a rigid one is found before any case is
     reduced."""
+    sig = query.sig
     xs = tuple(xs)
     split = order_case_split(f, xs)
     keeps = dict(query.realizable_cases(f, xs))
     if not keeps:
-        return _unsat_rep(f, sig, xs)
+        return Reparameterization(f, sig, xs, (), FALSE, 0,
+                                  Step("empty", "no satisfying assignment on any word"))
     if not xs:
         return Reparameterization(f, sig, (), (), TRUE, 1,
                                   Step("base", "satisfiable sentence"))
@@ -500,13 +480,12 @@ def _minrep(f: Formula, sig: Signature, xs, supply: NameSupply,
         if algebra.rigid is not None:
             # only a rigid strict case keeps width k: the dimension is k, and
             # the domain tuple in the case's ascending order is its own image
-            lifted = _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
-                                  supply, query)
+            lifted = _case_rep(f, xs, case.classes, case.formula, algebra, supply, query)
             return replace(lifted, provenance=Step(
                 "identity", f"width {len(xs)} is the arity: the image is the domain "
                             "tuple in ascending order", (lifted.provenance,)))
-    parts = [(case.constraint, _lifted_case(f, sig, xs, case.classes, case.formula, algebra,
-                                            supply, query))
+    parts = [(case.constraint, _case_rep(f, xs, case.classes, case.formula, algebra,
+                                         supply, query))
              for case, algebra in map(case_algebra, keeps)]
     # f implies the constraint of its only realizable case
     return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts, supply)
@@ -562,14 +541,8 @@ def reparameterize(f: Formula, marked_vars, query: Query) -> Reparameterization:
     product/sum certificate.
     """
     check_depth(f, "compile")  # before the first walk over f
-    if marked_vars is None:
-        marked_vars = free_variables(f)
-    marked_vars = tuple(marked_vars)
-    extra = [v for v in free_variables(f) if v not in marked_vars]
-    if extra:
-        raise InputError(f"free variables {extra} are not marked")
-    supply = NameSupply(all_vars(f) | set(marked_vars))
-    return _minrep(f, query.sig, marked_vars, supply, query)
+    marked_vars = free_variables(f) if marked_vars is None else tuple(marked_vars)
+    return _minrep(f, marked_vars, NameSupply(all_vars(f) | set(marked_vars)), query)
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainrep
 from chainrep import interp
 from chainrep.cli import main
 from chainrep.compiler import Query, compile, preimage_ranks
@@ -315,6 +321,32 @@ def test_nonpositive_memory_budget_is_bad_input(capsys, monkeypatch):
     assert status == 2 and "CHAINREP_BUDGET_MB" in err and not out
 
 
+def test_non_numeric_memory_budget_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINREP_BUDGET_MB", "abc")
+    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", "P1(x)")
+    assert status == 2 and not out
+    assert err == "error: CHAINREP_BUDGET_MB='abc' is not a number\n"
+
+
+def test_memory_budget_caps_the_address_space():
+    # in a child process: the cap must never be set in the test process
+    code = ("import resource, sys\n"
+            "from chainrep.cli import main\n"
+            "status = main(['mindim', '--sig', 'P1', '--formula', 'P1(x)', '--format', 'json'])\n"
+            "print(resource.getrlimit(resource.RLIMIT_AS)[0], file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    env = {**os.environ, "CHAINREP_BUDGET_MB": "4096",
+           "PYTHONPATH": str(Path(chainrep.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["dimension"] == 1
+    # a hard limit below the cap leaves it advisory
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard == resource.RLIM_INFINITY or hard >= 4096 << 20:
+        assert int(done.stderr) == 4096 << 20
+
+
 def test_growth_on_a_diagonal_formula(capsys):
     # every satisfying tuple has x = y, so no ascending tuple witnesses it
     status, report, _ = run_json(capsys, "growth", "--sig", "P1",
@@ -369,6 +401,30 @@ def test_human_format_mirrors_json(capsys):
     assert status == 0
     assert "dimension: 1" in out
     assert "version: " in out
+
+
+def test_human_format_lists_dicts_as_items(capsys):
+    # a list of dicts, as normalform's disjuncts, prints one "-:" item each
+    status, out, _ = run(capsys, "normalform", "--sig", "P1", "--formula", "P1(x)")
+    assert status == 0
+    lines = out.splitlines()
+    start = lines.index("  disjuncts:")
+    assert lines[start:start + 13] == [
+        "  disjuncts:",
+        "    -:",
+        "      eliminable_marks: [1]",
+        "      segment_witnesses: [[], [P1]]",
+        "      types: [0, 2]",
+        "    -:",
+        "      eliminable_marks: []",
+        "      segment_witnesses: [[.], [P1]]",
+        "      types: [1, 2]",
+        "    -:",
+        "      eliminable_marks: []",
+        "      segment_witnesses: [[P1], [P1]]",
+        "      types: [2, 2]",
+    ]
+    assert lines[start + 13] == "  monoid_size: 3"
 
 
 def test_selftest_deterministic(capsys):

@@ -120,6 +120,20 @@ def test_compile_refuses_a_query_over_another_signature(sig1, sig2):
     assert compile(f, sig2, ("x",), query=q) == compile(f, sig2, ("x",))
 
 
+def test_compile_refuses_a_query_under_another_budget(sig1):
+    # the query's budget rules its builds, so another budget_states beside it
+    # would be silently ignored
+    f = parse("(x < y) & (y < z)", sig1)
+    with pytest.raises(InputError, match="^compile: the query runs under another budget$"):
+        compile(f, sig1, ("x", "y", "z"), budget_states=3, query=Query(sig1, 10**6))
+    # the signature is checked first
+    with pytest.raises(InputError, match="^compile: the query is over another signature$"):
+        compile(f, Signature(("P2",)), ("x", "y", "z"), budget_states=3,
+                query=Query(sig1, 10**6))
+    with pytest.raises(ResourceLimitError, match=r"state budget exceeded \(4 > 3\)"):
+        compile(f, sig1, ("x", "y", "z"), budget_states=3, query=Query(sig1, 3))
+
+
 def test_budget(sig1):
     with pytest.raises(ResourceLimitError) as e:
         compile(parse("(x < y) & (y < z)", sig1), sig1, ("x", "y", "z"),

@@ -338,6 +338,20 @@ def _rule_dropped(red):
                               if r.components != ("ends.1", "ends.2"))))
 
 
+def _index_one(red):
+    # both copies claim the first preimage
+    return dataclasses.replace(red, parts=tuple(
+        dataclasses.replace(p, index=1) if p.name == "ends.2" else p
+        for p in red.parts))
+
+
+def _ends1_twice(red):
+    # the reduced spec lists ends.1 twice, so it has an element more
+    ends1 = red.spec.component("ends.1")
+    return dataclasses.replace(red, spec=dataclasses.replace(
+        red.spec, components=red.spec.components + (ends1,)))
+
+
 @pytest.mark.parametrize("corrupt, failure", [
     pytest.param(_first_preimage_twice, "expects preimage 2, fiber has 1",
                  id="first-preimage-twice"),
@@ -346,6 +360,8 @@ def _rule_dropped(red):
     pytest.param(_component_dropped, "bijection misses source elements",
                  id="component-dropped"),
     pytest.param(_rule_dropped, "relation 'L' differs", id="rule-dropped"),
+    pytest.param(_index_one, "bijection is not injective", id="index-1"),
+    pytest.param(_ends1_twice, "unmapped reduced elements", id="ends.1-twice"),
 ])
 def test_equivalence_detects_corruption(corrupt, failure):
     spec = parse_interpretation(ENDS)
@@ -373,6 +389,8 @@ CHECK_REPORTS = {
     '_component_dropped': [(False, 4, 2, 'word [., .]: bijection misses source elements')] * 4,
     '_rule_dropped': [(False, 4, 2, "word [., .]: relation 'L' differs (missing [(('ends', (0,)), ('ends', (1,)))], extra [])")] * 4,
     '_parts_dropped': [(False, 4, 1, "word [., .]: unknown reduced component 'ends.2'")] * 4,
+    '_index_one': [(False, 4, 2, 'word [., .]: bijection is not injective')] * 4,
+    '_ends1_twice': [(False, 2, 1, 'word [.]: unmapped reduced elements')] * 4,
 }
 
 
@@ -395,7 +413,8 @@ def test_check_reports_are_pinned():
     ends = parse_interpretation(ENDS)
     red = reduce_interpretation(ends, 0)
     for corrupt in (_first_preimage_twice, _bound_one, _index_three,
-                    _component_dropped, _rule_dropped, _parts_dropped):
+                    _component_dropped, _rule_dropped, _parts_dropped,
+                    _index_one, _ends1_twice):
         got[corrupt.__name__] = _reports(ends, corrupt(red))
     assert got == CHECK_REPORTS
 

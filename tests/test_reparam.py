@@ -395,13 +395,13 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
     # ordering, yet none of the 15 cases of 75 at k = 4, or the 64 of 541
     # at k = 5, that come before their first strict one is reduced
     visited = []
-    real = reparam._lifted_case
+    real = reparam._case_rep
 
-    def lifted_case(*args):
+    def case_rep(*args):
         visited.append(args)
         return real(*args)
 
-    monkeypatch.setattr(reparam, "_lifted_case", lifted_case)
+    monkeypatch.setattr(reparam, "_case_rep", case_rep)
     subjects = (("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw"),
                 ("P1(x)&P1(y)&P1(z)&P1(w)&P1(v)", "xyzwv"),
                 ("x<y & y<z & z<w & w<v", "xyzwv"),
@@ -490,7 +490,7 @@ def test_refine_gives_up_at_cap_and_budget(sig1):
 
 
 def test_free_vars_must_be_marked(sig1):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^free variables \['y'\] are not marked$"):
         minimal_reparameterization(parse("x < y", sig1), sig1, ("x",))
 
 
