@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .formula import (And, AtLeast, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
-                      check_depth, expand_macros, is_fo_name, occurrences, rank_classes)
+                      check_depth, check_variables, expand_macros, occurrences, rank_classes)
 from .words import MarkedWord, Word, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -680,11 +680,7 @@ def _check(f: Formula, marked_vars: tuple[str, ...], builder: _Builder):
     """Check the depth of what the builder will walk of f, and that the free
     variables of f are among marked_vars, distinct first-order names."""
     check_depth(f, builder.stage, builder.known)
-    for v in marked_vars:
-        if not is_fo_name(v):
-            raise InputError(f"bad marked variable {v!r}")
-    if len(set(marked_vars)) != len(marked_vars):
-        raise InputError("marked variables must be distinct")
+    check_variables(marked_vars)
     free = dict.fromkeys((v, is_set) for v, is_set, is_free in occurrences(f) if is_free)
     if any(is_set for _, is_set in free):
         raise InputError("formula has free set variables")

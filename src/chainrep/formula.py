@@ -771,10 +771,16 @@ def order_case_split(f: Formula, variables) -> OrderCaseSplit:
     mentions only the representatives.  The cases come lazily, in the
     lexicographic order of their rank tuples.
     """
+    return OrderCaseSplit(f, check_variables(variables))
+
+
+def check_variables(variables) -> tuple[str, ...]:
+    """The variables as a tuple, once they are checked to be distinct
+    first-order names: the one check of every list of marked variables."""
     variables = tuple(variables)
     for v in variables:
         if not is_fo_name(v):
             raise InputError(f"bad variable name {v!r}")
     if len(set(variables)) != len(variables):
         raise InputError("variables must be distinct")
-    return OrderCaseSplit(f, variables)
+    return variables

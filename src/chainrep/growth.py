@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .errors import ChainrepError, InputError
 from .formula import Formula, Signature, exists_wrap
 from .compiler import DEFAULT_STATE_BUDGET, Query, first_fiber
-from .oracle import count_in_set, satisfying_tuples
+from .oracle import answered_words, count_in_set
 from .reparam import TypeAlgebra, minimal_reparameterization, reparameterize
-from .words import Word, all_words
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,19 @@ def growth_degree(f: Formula, sig: Signature, variables, *,
 
 
 def brute_growth(f: Formula, sig: Signature, variables, n: int, max_len: int) -> int:
-    """Exact maximum of tuple counts over words up to max_len and pools up to n."""
-    variables = tuple(variables)
+    """Exact maximum of tuple counts over words up to max_len and pools up to n.
+
+    The count depends only on the word's length and its tuples, so a word
+    whose answer list is one already counted, shared by answered_words
+    with an earlier word of the same length, is skipped.
+    """
     best = 0
-    for word in all_words(sig, max_len):
-        tuples = [tuple(t) for t in satisfying_tuples(f, word, variables)]
-        if not tuples:
+    # id -> answer list; holding the lists keeps their ids from being reused
+    counted: dict[int, list] = {}
+    for word, (tuples,) in answered_words(sig, max_len, [(f, tuple(variables))]):
+        if not tuples or id(tuples) in counted:
             continue
+        counted[id(tuples)] = tuples
         supports = [frozenset(t) for t in tuples]
         pool = range(len(word))
         for size in range(min(n, len(word)) + 1):

@@ -38,9 +38,10 @@ small word.  It plans each spec once per call (the question of each
 component and rule, each rule's element cutter, its sorted relation
 names), and each source's fiber question (g over the domain and image
 variables).  A question is a (formula object, variables) pair, numbered
-once per call however many plans ask it; on each word every question is
-answered once, in order of first asking, and the plans read the answers
-by number, so the per-word loop does only per-word work.
+once per call however many plans ask it.  oracle.answered_words answers
+each question once per length and projection of the word onto the labels
+its formula reads, in order of first asking, and the plans read the
+answers by number, so the per-word loop does only per-word work.
 apply_interpretation, fibers and bijection run the same helpers on one
 word.
 """
@@ -56,9 +57,9 @@ from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exist
                       free_set_variables, free_variables, one_point, parse, render,
                       substitute)
 from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks, Query
-from .oracle import CheckReport, satisfying_tuples
+from .oracle import CheckReport, answered_words, satisfying_tuples
 from .reparam import Reparameterization, refine_with_ranks, reparameterize
-from .words import Word, all_words
+from .words import Word
 
 # components with more preimage copies than this produce unusably wide
 # reduced specs long before they produce answers
@@ -245,19 +246,23 @@ def apply_interpretation(spec: InterpretationSpec, word: Word) -> Structure:
         raise InputError("word and spec use different signatures")
     questions = _Questions()
     plan = _plan(spec, questions)
-    elements, relations = _structure(plan, questions.answers(word))
+    elements, relations = _structure(plan, [satisfying_tuples(f, word, variables)
+                                            for f, variables in questions.asked])
     return Structure(tuple(elements), tuple((name, tuple(sorted(tuples)))
                                             for name, tuples in relations.items()))
 
 
 class _Questions:
     """The distinct (formula, variables) questions of one call, numbered in
-    order of first asking.  answers(word) is satisfying_tuples of each on
-    the word, in that order, so each is asked once a word.
+    order of first asking.  check_equivalence hands the list `asked` to
+    oracle.answered_words, which answers each question once per word
+    projection: once per length and values of the labels its formula
+    reads, so words that agree on those share one answer.
 
     Questions are told apart by the formula object's id; the table keeps
     the formulas it numbers alive.  An answer list is shared by every
-    reader of its question: none may mutate it.
+    reader of its question, and by every word with its projection: none
+    may mutate it.
     """
 
     def __init__(self):
@@ -270,9 +275,6 @@ class _Questions:
             self.numbers[key] = len(self.asked)
             self.asked.append((f, variables))
         return self.numbers[key]
-
-    def answers(self, word: Word) -> list[list[tuple[int, ...]]]:
-        return [satisfying_tuples(f, word, variables) for f, variables in self.asked]
 
 
 class _Plan(NamedTuple):
@@ -504,10 +506,11 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     bijective, and preserves and reflects every relation; also that no
     fiber exceeds its component's copy count.  Reports the first failure.
 
-    Both specs and the fibers are planned once, before the first word.  On
-    each word, every (formula object, variables) that they ask about is
-    evaluated once, so a universe that is also its own map's g, as a
-    dimension-0 one can be, costs one search, not three.
+    Both specs and the fibers are planned once, before the first word.
+    Every (formula object, variables) that they ask about is evaluated once
+    per word projection, so a universe that is also its own map's g, as a
+    dimension-0 one can be, costs one search, not three, and words that
+    agree on every label it reads share that search.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -529,9 +532,8 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
         maps[name] = questions.ask(g, variables), k
     words = 0
     max_fiber = 0
-    for word in all_words(spec.signature, max_len):
+    for word, answers in answered_words(spec.signature, max_len, questions.asked):
         words += 1
-        answers = questions.answers(word)
         a_elements, a_relations = _structure(source, answers)
         b_elements, b_relations = _structure(target, answers)
         fibers = {name: _fibers(answers[q], k) for name, (q, k) in maps.items()}

@@ -51,6 +51,19 @@ them; only when one is missing or out of range does it take the slow path,
 which raises for the first variable read.  A `<` or `=` atom on two bound
 variables compares their values directly, with no call but its own: it is
 the most frequent test of every search.
+
+The checks ask their questions, (formula, variables) pairs, through one
+helper, `answered_words`, which walks every word up to a length.  A
+formula's truth on a word depends only on the word's length and on the
+labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
+"Finite Model Theory", 1995), so a question is answered once per length
+and projection of the word onto those labels, and words that agree there
+share the answer.  The labels read are the formula's own `reads`, gathered
+while its closures are compiled: a predicate reads its label, and an
+automaton leaf or an unknown predicate reads every label, so such a
+question is asked on every word.  The projection comes from the syntax
+alone, never from an automaton that would tell words apart by their
+states, so the oracle still shares no code with the compiler.
 """
 
 from __future__ import annotations
@@ -97,7 +110,10 @@ class _Program(NamedTuple):
 
     fo_vars and so_vars are the formula's free variables in order of first
     occurrence, fo_set holds fo_vars as a set, and accepted the variable
-    lists that satisfying_tuples has found to cover fo_vars.  search(word,
+    lists that satisfying_tuples has found to cover fo_vars.  reads holds
+    the bit of every label the closures read: each predicate's, or all of
+    them when an automaton leaf or an unknown predicate reads the word's
+    whole letters.  search(word,
     variables, values, fo, so, out=None) -> int runs _search over the
     variables on the values, or on the word's positions when values is
     None, under the assignments fo and so, building the variables' plan the
@@ -111,6 +127,7 @@ class _Program(NamedTuple):
     fo_set: frozenset[str]
     so_vars: tuple[str, ...]
     accepted: set[tuple[str, ...]]
+    reads: int
     search: Callable
 
 
@@ -139,6 +156,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     for each public call.
     """
     formula = weakref.ref(f)
+    every = (1 << sig.k) - 1
+    reads = 0
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
@@ -233,6 +252,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     def build(node, bound_fo, bound_so):
         """(closure, free FO variables, free set variables) of node."""
+        nonlocal reads
         match node:
             case Const(value):
                 return (lambda fo, so: value), (), ()
@@ -250,11 +270,14 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return fn, (a,) if a == b else (a, b), ()
             case Pred(name, v):
                 if name not in sig.preds:
+                    reads = every
+
                     def fn(fo, so):
                         _pos(fo, v, n)
                         sig.index(name)  # raises: unknown predicate
                 else:
                     bit = 1 << sig.index(name)
+                    reads |= bit
                     if v in bound_fo:
                         fn = lambda fo, so: letters[fo[v]] & bit != 0
                     else:
@@ -300,6 +323,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
                 return memoized(fn, ffo, fso), ffo, fso
             case Run(dfa, vs):
+                reads = every
                 ffo = tuple(dict.fromkeys(vs))
                 same_sig = dfa.sig == sig
                 delta, accepting, init = dfa.delta, dfa.accepting, dfa.init
@@ -321,7 +345,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     top = built_conjuncts(f, frozenset(), frozenset())
     fo_vars, so_vars = _free(top)
-    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), search)
+    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), reads, search)
 
 
 def _every(parts, some=False):
@@ -483,6 +507,51 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
     return prog.search(word, variables, pool, {}, {})
 
 
+def answered_words(sig: Signature, max_len: int, questions):
+    """Yield (word, answers) for every word of all_words(sig, max_len).
+
+    questions is a list of (formula, variables) pairs, and answers[i] is
+    satisfying_tuples of the i-th on the word.  A formula's truth depends
+    only on the word's length and on the labels it reads, so an answer is
+    computed once per length and projection of the word onto those labels,
+    and every later word with the same key gets the same list object: no
+    reader may mutate it.  A question that reads every label is asked on
+    every word and keeps nothing.  The empty word comes first and answers
+    every question in order, which compiles them, so the first error is
+    the one that asking each question on each word would raise.
+    """
+    every = (1 << sig.k) - 1
+    words = all_words(sig, max_len)
+    empty = next(words, None)
+    if empty is None:
+        return
+    yield empty, [satisfying_tuples(f, empty, variables) for f, variables in questions]
+    reads = [_program(f, sig).reads for f, _ in questions]
+    memos: list[dict] = [{} for _ in questions]
+    length = 0
+    for word in words:
+        letters = word.letters
+        if len(letters) != length:
+            # all_words is in shortlex order: no shorter word comes again
+            length = len(letters)
+            for memo in memos:
+                memo.clear()
+        projections: dict[int, tuple[int, ...]] = {}
+        answers = []
+        for (f, variables), mask, memo in zip(questions, reads, memos):
+            if mask == every:
+                answers.append(satisfying_tuples(f, word, variables))
+                continue
+            key = projections.get(mask)
+            if key is None:
+                key = projections[mask] = tuple([a & mask for a in letters])
+            answer = memo.get(key)
+            if answer is None:
+                answer = memo[key] = satisfying_tuples(f, word, variables)
+            answers.append(answer)
+        yield word, answers
+
+
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
@@ -510,10 +579,10 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     k, m = len(xs), len(ys)
     words = 0
     max_fiber = 0
-    for word in all_words(rep.signature, max_len):
+    for word, (sat, pairs) in answered_words(rep.signature, max_len,
+                                             [(rep.source, xs), (rep.g, xs + ys)]):
         words += 1
-        sat = set(satisfying_tuples(rep.source, word, xs))
-        pairs = satisfying_tuples(rep.g, word, xs + ys)
+        sat = set(sat)
         images: dict[tuple, set] = {}
         fibers: dict[tuple, set] = {}
         for tup in pairs:
@@ -552,9 +621,9 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
     ys = tuple(rep.image_vars)
     k = len(xs)
     words = 0
-    for word in all_words(rep.signature, max_len):
+    for word, (pairs,) in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
         words += 1
-        for tup in satisfying_tuples(rep.g, word, xs + ys):
+        for tup in pairs:
             x, y = tup[:k], tup[k:]
             stray = [b for b in y if b not in x]
             if stray:

@@ -134,6 +134,22 @@ def test_compile_refuses_a_query_under_another_budget(sig1):
         compile(f, sig1, ("x", "y", "z"), budget_states=3, query=Query(sig1, 3))
 
 
+@pytest.mark.parametrize("variables, message", [
+    (("x", "Bad"), "^bad variable name 'Bad'$"),
+    (("x", "y", "x"), "^variables must be distinct$"),
+])
+def test_marked_variables_are_refused_in_one_wording(sig1, variables, message):
+    # compile and the elimination search check marked variables with one
+    # validator, so one fault reads the same through either entry point
+    f = parse("x < y", sig1)
+    with pytest.raises(InputError, match=message):
+        compile(f, sig1, variables)
+    with pytest.raises(InputError, match=message):
+        minimal_reparameterization(f, sig1, variables)
+    with pytest.raises(InputError, match=message):
+        order_case_split(f, variables)
+
+
 def test_budget(sig1):
     with pytest.raises(ResourceLimitError) as e:
         compile(parse("(x < y) & (y < z)", sig1), sig1, ("x", "y", "z"),

@@ -11,10 +11,10 @@ import pytest
 
 from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
-from chainrep.formula import ExistsFO, Signature, parse
+from chainrep.formula import ExistsFO, Pred, Run, Signature, map_subformulas, parse
 from chainrep.interp import parse_interpretation, reduce_interpretation
-from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
-                             evaluate, satisfying_tuples)
+from chainrep.oracle import (answered_words, check_canonical_form, check_reparameterization,
+                             count_in_set, evaluate, satisfying_tuples)
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
@@ -322,6 +322,77 @@ def test_checks_report_each_failure(check, rep, failure):
     assert report.failure == failure
 
 
+def _has_leaf(f):
+    found = []
+
+    def collect(node):
+        found.append(isinstance(node, Run))
+        map_subformulas(node, lambda g: collect(g) or g)
+
+    collect(f)
+    return any(found)
+
+
+def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
+    # answered_words shares an answer between words that agree on every
+    # label its formula reads; each shared answer must be the one a fresh
+    # call gives on the word itself
+    questions = {sig1: [], sig2: []}
+    for sig, fo, f in formula_batch(1, 150):
+        questions[sig].append((f, fo))
+    for sig in (sig1, sig2):
+        rep = minimal_reparameterization(parse(GROUP_TEXT, sig), sig, ("x", "y"))
+        assert _has_leaf(rep.g)
+        questions[sig].append((rep.g, rep.domain_vars + rep.image_vars))
+    questions[sig2].append((parse("x < y & ~ex z. (x < z & z < y)", sig2), ("x", "y")))
+    assert [len(questions[sig]) for sig in (sig1, sig2)] == [84, 69]
+    for sig, asked in questions.items():
+        words = []
+        for word, answers in answered_words(sig, 4, asked):
+            words.append(word)
+            assert answers == [satisfying_tuples(f, word, fo) for f, fo in asked], word
+        assert words == list(all_words(sig, 4))
+
+
+def test_reads_are_the_labels_the_closures_read(sig1, sig2):
+    def reads(text_or_formula, sig):
+        f = parse(text_or_formula, sig) if isinstance(text_or_formula, str) else text_or_formula
+        return oracle._program(f, sig).reads
+
+    # P2 only under a quantifier is still read
+    assert reads("ex z. (x < z & P2(z))", sig2) == 0b10
+    assert reads("x < y", sig2) == 0
+    assert reads("P1(x) | ~P2(y)", sig2) == 0b11
+    # an automaton leaf reads the whole letter, even where no label is named
+    rep = minimal_reparameterization(parse(GROUP_TEXT, sig2), sig2, ("x", "y"))
+    assert reads(rep.source, sig2) == 0
+    assert reads(rep.g, sig2) == 0b11
+    # and an unknown predicate, which raises when it is read, keeps no memo
+    assert reads(Pred("P3", "x"), sig2) == 0b11
+    assert reads("P1(x)", sig1) == 0b1
+
+
+def test_a_check_asks_each_question_once_per_projection(monkeypatch):
+    # the ordered pair's source and map read no label, so each is asked once
+    # per length: 2 x 5 calls at max_len 4, where every word would take 2 x 31
+    calls = []
+    real = oracle.satisfying_tuples
+
+    def counted(f, word, variables=None):
+        calls.append((id(f), len(word), variables))
+        return real(f, word, variables)
+
+    monkeypatch.setattr(oracle, "satisfying_tuples", counted)
+    sig = Signature(("P1",))
+    rep = minimal_reparameterization(parse("x < y", sig), sig, ("x", "y"))
+    report = check_reparameterization(rep, 4)
+    assert (report.ok, report.words_checked) == (True, 31)
+    assert (len(calls), len(set(calls))) == (10, 10)
+    calls.clear()
+    assert check_canonical_form(rep, 4).words_checked == 31
+    assert (len(calls), len(set(calls))) == (5, 5)
+
+
 def test_a_cached_plan_keeps_the_free_variable_check(sig1):
     # count_in_set searches y alone and leaves x to raise; the plan it
     # caches for ("y",) must not spare satisfying_tuples its own check
@@ -459,7 +530,7 @@ def test_pipeline_never_imports_the_oracle():
         assert not _oracle_imports(module), module.__name__
     # growth counts by enumeration in brute_growth and in each witness's
     # oracle_count(); its witnesses themselves come from the automata
-    assert _oracle_imports(growth) == {"count_in_set", "satisfying_tuples"}
+    assert _oracle_imports(growth) == {"answered_words", "count_in_set"}
     # and every witness, dimension 0 included, from the map's automaton;
     # reparam's guard tables go through the builder, not its private _Auto
     imported = {growth: {}, reparam: {}}
