@@ -41,7 +41,10 @@ variables).  A question is a (formula object, variables) pair, numbered
 once per call however many plans ask it.  oracle.answered_words answers
 each question once per length and projection of the word onto the labels
 its formula reads, in order of first asking, and the plans read the
-answers by number, so the per-word loop does only per-word work.
+answers by number, so the per-word loop does only per-word work.  The
+verdict on a word depends only on its answer list, so a word whose list,
+compared by value, an earlier word had is counted and gets that word's
+verdict, a pass, without its structures being built again.
 apply_interpretation, fibers and bijection run the same helpers on one
 word.
 """
@@ -510,7 +513,10 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     Every (formula object, variables) that they ask about is evaluated once
     per word projection, so a universe that is also its own map's g, as a
     dimension-0 one can be, costs one search, not three, and words that
-    agree on every label it reads share that search.
+    agree on every label it reads share that search.  A word whose answer
+    list equals an earlier word's counts in words_checked but is not
+    decided again: it would pass as that word did, with the same fibers,
+    so the first failure and max_fiber are those of deciding every word.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -532,8 +538,13 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
         maps[name] = questions.ask(g, variables), k
     words = 0
     max_fiber = 0
+    seen: set[tuple] = set()
     for word, answers in answered_words(spec.signature, max_len, questions.asked):
         words += 1
+        key = tuple(map(tuple, answers))
+        if key in seen:
+            continue
+        seen.add(key)
         a_elements, a_relations = _structure(source, answers)
         b_elements, b_relations = _structure(target, answers)
         fibers = {name: _fibers(answers[q], k) for name, (q, k) in maps.items()}

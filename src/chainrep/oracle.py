@@ -59,11 +59,16 @@ labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
 "Finite Model Theory", 1995), so a question is answered once per length
 and projection of the word onto those labels, and words that agree there
 share the answer.  The labels read are the formula's own `reads`, gathered
-while its closures are compiled: a predicate reads its label, and an
-automaton leaf or an unknown predicate reads every label, so such a
-question is asked on every word.  The projection comes from the syntax
-alone, never from an automaton that would tell words apart by their
-states, so the oracle still shares no code with the compiler.
+while its closures are compiled: a predicate reads its label, an
+automaton leaf the labels its transition table tells apart (the bits b
+for which some row sends letters a and a ^ (1 << b) to different
+states), and an unknown predicate or a leaf over another signature every
+label, so such a question is asked on every word.  The projection comes
+from the syntax and from the leaf's table read as data, as the leaf's
+evaluation reads it, so the oracle still shares no code with the
+compiler.  A check's verdict on a word depends only on its answer list,
+so the checks decide once per distinct list: a later word with an
+earlier word's list is counted and passes as that word did.
 """
 
 from __future__ import annotations
@@ -111,9 +116,9 @@ class _Program(NamedTuple):
     fo_vars and so_vars are the formula's free variables in order of first
     occurrence, fo_set holds fo_vars as a set, and accepted the variable
     lists that satisfying_tuples has found to cover fo_vars.  reads holds
-    the bit of every label the closures read: each predicate's, or all of
-    them when an automaton leaf or an unknown predicate reads the word's
-    whole letters.  search(word,
+    the bit of every label the closures read: each predicate's, the bits
+    an automaton leaf's transition table tells apart, or all of them for
+    an unknown predicate or a leaf over another signature.  search(word,
     variables, values, fo, so, out=None) -> int runs _search over the
     variables on the values, or on the word's positions when values is
     None, under the assignments fo and so, building the variables' plan the
@@ -323,9 +328,9 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
                 return memoized(fn, ffo, fso), ffo, fso
             case Run(dfa, vs):
-                reads = every
-                ffo = tuple(dict.fromkeys(vs))
                 same_sig = dfa.sig == sig
+                reads |= _table_reads(dfa.delta, sig.k) if same_sig else every
+                ffo = tuple(dict.fromkeys(vs))
                 delta, accepting, init = dfa.delta, dfa.accepting, dfa.init
                 # the mark bit each variable sets: shared, or one per track
                 bits = [1 << (sig.k + (j if dfa.tracks > 1 else 0)) for j in range(len(vs))]
@@ -346,6 +351,22 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     top = built_conjuncts(f, frozenset(), frozenset())
     fo_vars, so_vars = _free(top)
     return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), reads, search)
+
+
+def _table_reads(delta, k: int) -> int:
+    """The bits b < k for which some row of the transition table sends
+    letters a and a ^ (1 << b) to different states: the labels that a run
+    through the table reads.  A bit stops being scanned at its first
+    witness row."""
+    width = len(delta[0]) if delta else 0
+    found = 0
+    for b in range(k):
+        bit = 1 << b
+        lows = [a for a in range(width) if not a & bit]
+        low, high = itemgetter(*lows), itemgetter(*(a | bit for a in lows))
+        if any(low(row) != high(row) for row in delta):
+            found |= bit
+    return found
 
 
 def _every(parts, some=False):
@@ -570,7 +591,8 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     enumeration: every assignment satisfying g also satisfies the source,
     every assignment satisfying the source extends to exactly one image
     tuple, and no image tuple is shared by more than `bound` assignments.
-    Stops at the first violation.
+    Stops at the first violation.  A word whose two answer lists an earlier
+    word had is counted and not checked again.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -579,9 +601,14 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     k, m = len(xs), len(ys)
     words = 0
     max_fiber = 0
+    seen: set[tuple] = set()
     for word, (sat, pairs) in answered_words(rep.signature, max_len,
                                              [(rep.source, xs), (rep.g, xs + ys)]):
         words += 1
+        key = (tuple(sat), tuple(pairs))
+        if key in seen:
+            continue
+        seen.add(key)
         sat = set(sat)
         images: dict[tuple, set] = {}
         fibers: dict[tuple, set] = {}
@@ -613,7 +640,8 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
 
     Reparameterizations built here never invent positions: images are made
     of the tuple's own coordinates, which keeps them usable as point
-    interpretations.
+    interpretations.  A word whose answer list an earlier word had is
+    counted and not checked again.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -621,8 +649,13 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
     ys = tuple(rep.image_vars)
     k = len(xs)
     words = 0
+    seen: set[tuple] = set()
     for word, (pairs,) in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
         words += 1
+        key = tuple(pairs)
+        if key in seen:
+            continue
+        seen.add(key)
         for tup in pairs:
             x, y = tup[:k], tup[k:]
             stray = [b for b in y if b not in x]

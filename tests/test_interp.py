@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chainrep import oracle
+from chainrep import interp, oracle
 from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
@@ -423,7 +423,9 @@ def test_equivalence_asks_each_question_once_per_word_projection(monkeypatch):
     # a formula object that the source, the reduced spec and a fiber share,
     # such as the flag universe that is its own map, is asked for once, and
     # words that agree on every label a question reads share its answer:
-    # every word would take 155, 2,728 and 248 calls
+    # every word would take 155, 2,728 and 248 calls.  The endpoint
+    # selectors' tables tell no label apart, so they are asked once per
+    # length, not once per word
     calls = []
     real = oracle.satisfying_tuples
 
@@ -441,7 +443,43 @@ def test_equivalence_asks_each_question_once_per_word_projection(monkeypatch):
         counts[name] = (len(calls), len(set(calls)))
     assert counts == {"successor pairs": (25, 25),
                       "labelled elements with marker": (196, 196),
-                      "word endpoints": (196, 196)}
+                      "word endpoints": (40, 40)}
+
+
+def test_equivalence_structures_each_answer_list_once(monkeypatch):
+    # a word whose answer list an earlier word had gets that word's verdict:
+    # both structures are built once per distinct list, yet every word counts
+    yielded, built = [], []
+    real_answered, real_structure = interp.answered_words, interp._structure
+
+    def answered(*args):
+        for word, answers in real_answered(*args):
+            yielded.append(tuple(map(tuple, answers)))
+            yield word, answers
+
+    def structure(plan, answers):
+        built.append((id(plan), tuple(map(tuple, answers))))
+        return real_structure(plan, answers)
+
+    monkeypatch.setattr(interp, "answered_words", answered)
+    monkeypatch.setattr(interp, "_structure", structure)
+    counts = {}
+    for name, dim, text in SPECS:
+        spec = parse_interpretation(text)
+        red = reduce_interpretation(spec, dim)
+        yielded.clear()
+        built.clear()
+        report = check_equivalence(spec, red, 4)
+        assert report.ok
+        assert report.words_checked == len(yielded) == len(list(all_words(spec.signature, 4)))
+        # the source's and the reduced spec's structure, once per list
+        assert len(built) == len(set(built)) == 2 * len(set(yielded))
+        assert {key for _, key in built} == set(yielded)
+        counts[name] = (len(yielded), len(set(yielded)))
+    # the two label-free specs have one answer list per length
+    assert counts == {"successor pairs": (31, 5),
+                      "labelled elements with marker": (341, 60),
+                      "word endpoints": (31, 5)}
 
 
 @pytest.mark.parametrize("max_len", [-1, -3])

@@ -19,7 +19,7 @@ from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
 
-from conftest import GROUP_TEXT
+from conftest import GROUP_TEXT, guard_batch
 from test_acceptance import SPECS
 
 # formulas with set quantifiers, evaluated on every assignment of their free
@@ -322,15 +322,16 @@ def test_checks_report_each_failure(check, rep, failure):
     assert report.failure == failure
 
 
-def _has_leaf(f):
+def _leaves(f):
     found = []
 
     def collect(node):
-        found.append(isinstance(node, Run))
+        if isinstance(node, Run):
+            found.append(node)
         map_subformulas(node, lambda g: collect(g) or g)
 
     collect(f)
-    return any(found)
+    return found
 
 
 def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
@@ -342,10 +343,20 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
         questions[sig].append((f, fo))
     for sig in (sig1, sig2):
         rep = minimal_reparameterization(parse(GROUP_TEXT, sig), sig, ("x", "y"))
-        assert _has_leaf(rep.g)
+        assert _leaves(rep.g)
         questions[sig].append((rep.g, rep.domain_vars + rep.image_vars))
     questions[sig2].append((parse("x < y & ~ex z. (x < z & z < y)", sig2), ("x", "y")))
-    assert [len(questions[sig]) for sig in (sig1, sig2)] == [84, 69]
+    # guard maps whose leaves read fewer labels than all: some read none,
+    # some over P1 P2 read P2 alone
+    leaf_reads = set()
+    for sig, xs, f in guard_batch(8, 131):
+        rep = minimal_reparameterization(f, sig, xs)
+        leaves = _leaves(rep.g)
+        if leaves:
+            questions[sig].append((rep.g, rep.domain_vars + rep.image_vars))
+            leaf_reads |= {(sig.k, oracle._program(leaf, sig).reads) for leaf in leaves}
+    assert {(1, 0), (2, 0b10)} <= leaf_reads
+    assert [len(questions[sig]) for sig in (sig1, sig2)] == [90, 70]
     for sig, asked in questions.items():
         words = []
         for word, answers in answered_words(sig, 4, asked):
@@ -363,10 +374,20 @@ def test_reads_are_the_labels_the_closures_read(sig1, sig2):
     assert reads("ex z. (x < z & P2(z))", sig2) == 0b10
     assert reads("x < y", sig2) == 0
     assert reads("P1(x) | ~P2(y)", sig2) == 0b11
-    # an automaton leaf reads the whole letter, even where no label is named
+    # an automaton leaf reads the labels its transition table tells apart:
+    # the guard map's leaves test endpoints only, so it reads none
     rep = minimal_reparameterization(parse(GROUP_TEXT, sig2), sig2, ("x", "y"))
+    assert _leaves(rep.g)
     assert reads(rep.source, sig2) == 0
-    assert reads(rep.g, sig2) == 0b11
+    assert reads(rep.g, sig2) == 0
+    # a leaf that checks P1 at its marked position reads P1 and not P2, and
+    # one that checks P2 between its marks reads P2
+    at_mark = compiler.compile(parse("P1(x)", sig2), sig2, ("x",))
+    assert reads(Run(at_mark, ("x",)), sig2) == 0b01
+    between = compiler.compile(parse("ex z. (x < z & z < y & P2(z))", sig2), sig2, ("x", "y"))
+    assert reads(Run(between, ("x", "y")), sig2) == 0b10
+    # a leaf over another signature, which raises when it is read, reads all
+    assert reads(Run(compiler.compile(parse("P1(x)", sig1), sig1, ("x",)), ("x",)), sig2) == 0b11
     # and an unknown predicate, which raises when it is read, keeps no memo
     assert reads(Pred("P3", "x"), sig2) == 0b11
     assert reads("P1(x)", sig1) == 0b1
