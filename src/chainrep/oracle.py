@@ -14,8 +14,9 @@ search, and empty the call's memos in a `finally`; `evaluate` is the
 search over no variables, under the caller's assignments.  Quantifiers
 update the variable environment in place and restore it.  A quantifier or
 automaton leaf memoizes its truth by the values of its free variables; the
-memos last for one public call, on one word.  So one formula object is
-evaluated by one call at a time: the oracle is single-threaded.
+memos last for one public call, on one word.  Only the answer memo below
+outlasts a call.  So one formula object is evaluated by one call at a
+time: the oracle is single-threaded.
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -52,14 +53,21 @@ which raises for the first variable read.  A `<` or `=` atom on two bound
 variables compares their values directly, with no call but its own: it is
 the most frequent test of every search.
 
-The checks ask their questions, (formula, variables) pairs, through one
-helper, `answered_words`, which walks every word up to a length.  A
-formula's truth on a word depends only on the word's length and on the
+A formula's truth on a word depends only on the word's length and on the
 labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
-"Finite Model Theory", 1995), so a question is answered once per length
-and projection of the word onto those labels, and words that agree there
-share the answer.  The labels read are the formula's own `reads`, gathered
-while its closures are compiled: a predicate reads its label, an
+"Finite Model Theory", 1995), so a question, a (formula, variables) pair,
+is answered once per length and projection of the word onto those labels,
+and words that agree there share the answer.  The answers live in the
+program's answer memo, which lasts past the call: for each variable list,
+the answers at the last word length it was asked at, by projection.
+`satisfying_tuples` reads and fills it and hands the caller a copy, so a
+sweep that asks word after word in shortlex order, as the keystone
+cross-validation does, searches once per projection.  The checks ask
+their questions through `answered_words`, which walks every word up to a
+length, reads the same memo and hands out its lists.  A question asked
+at a new length starts that list's memo afresh, so a walk keeps at most
+one length's answers.  The labels read are the formula's own `reads`,
+gathered while its closures are compiled: a predicate reads its label, an
 automaton leaf the labels its transition table tells apart (the bits b
 for which some row sends letters a and a ^ (1 << b) to different
 states), and an unknown predicate or a leaf over another signature every
@@ -124,7 +132,12 @@ class _Program(NamedTuple):
     None, under the assignments fo and so, building the variables' plan the
     first time they are searched; over no variables it is 1 when the
     formula holds and 0 when not.  Each call loads the word and empties its
-    memos when it returns.
+    subformula memos when it returns: those last one call.
+
+    answers is the answer memo, which outlasts the call: variable list ->
+    (length, projection -> satisfying tuples), for the last word length
+    the list was asked at.  satisfying_tuples and answered_words read and
+    fill it; a program that reads every label keeps nothing in it.
     """
 
     sig: Signature
@@ -134,6 +147,7 @@ class _Program(NamedTuple):
     accepted: set[tuple[str, ...]]
     reads: int
     search: Callable
+    answers: dict[tuple[str, ...], tuple[int, dict]]
 
 
 def _program(f: Formula, sig: Signature) -> _Program:
@@ -350,7 +364,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     top = built_conjuncts(f, frozenset(), frozenset())
     fo_vars, so_vars = _free(top)
-    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), reads, search)
+    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), reads, search, {})
 
 
 def _table_reads(delta, k: int) -> int:
@@ -499,7 +513,9 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
 
     Variables default to the free variables of f in first-occurrence order.
     Extra variables are allowed; missing ones are an error, as are free set
-    variables.
+    variables.  The answer is looked up in, or added to, the program's
+    answer memo by the word's projection onto the labels f reads, and the
+    caller gets its own copy.
     """
     prog = _program(f, word.sig)
     if prog.so_vars:
@@ -510,9 +526,33 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
             missing = [v for v in prog.fo_vars if v not in variables]
             raise InputError(f"unassigned free variables {missing}")
         prog.accepted.add(variables)
+    mask = prog.reads
+    if mask == (1 << prog.sig.k) - 1:
+        return _answer(prog, word, variables)
+    letters = word.letters
+    memo = _answer_memo(prog, variables, len(letters))
+    key = tuple([a & mask for a in letters])
+    answer = memo.get(key)
+    if answer is None:
+        answer = memo[key] = _answer(prog, word, variables)
+    return answer.copy()
+
+
+def _answer(prog: _Program, word: Word, variables: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """The program's satisfying tuples of the variables on the word, by a
+    search: the one place an answer is computed rather than looked up."""
     out: list[tuple[int, ...]] = []
     prog.search(word, variables, None, {}, {}, out)
     return out
+
+
+def _answer_memo(prog: _Program, variables: tuple[str, ...], length: int) -> dict:
+    """The program's answers over the variables on words of the length, by
+    projection; a new length replaces the last one's."""
+    held = prog.answers.get(variables)
+    if held is None or held[0] != length:
+        held = prog.answers[variables] = (length, {})
+    return held[1]
 
 
 def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
@@ -534,12 +574,15 @@ def answered_words(sig: Signature, max_len: int, questions):
     questions is a list of (formula, variables) pairs, and answers[i] is
     satisfying_tuples of the i-th on the word.  A formula's truth depends
     only on the word's length and on the labels it reads, so an answer is
-    computed once per length and projection of the word onto those labels,
-    and every later word with the same key gets the same list object: no
-    reader may mutate it.  A question that reads every label is asked on
-    every word and keeps nothing.  The empty word comes first and answers
-    every question in order, which compiles them, so the first error is
-    the one that asking each question on each word would raise.
+    computed once per length and projection of the word onto those labels
+    and kept in the program's answer memo, which lasts past this call for
+    the last length asked; every later word with the same key, here or in
+    a later call, gets the same list object: no reader may mutate it.  A
+    question that reads every label is asked on every word and keeps
+    nothing.  The empty word comes first and answers every question in
+    order through satisfying_tuples, which compiles and validates them, so
+    the first error is the one that asking each question on each word
+    would raise.
     """
     every = (1 << sig.k) - 1
     words = all_words(sig, max_len)
@@ -547,28 +590,31 @@ def answered_words(sig: Signature, max_len: int, questions):
     if empty is None:
         return
     yield empty, [satisfying_tuples(f, empty, variables) for f, variables in questions]
-    reads = [_program(f, sig).reads for f, _ in questions]
-    memos: list[dict] = [{} for _ in questions]
+    asked = []
+    for f, variables in questions:
+        prog = _program(f, sig)
+        asked.append((prog, prog.fo_vars if variables is None else tuple(variables), prog.reads))
+    memos: list[dict | None] = []
     length = 0
     for word in words:
         letters = word.letters
         if len(letters) != length:
             # all_words is in shortlex order: no shorter word comes again
             length = len(letters)
-            for memo in memos:
-                memo.clear()
+            memos = [None if mask == every else _answer_memo(prog, variables, length)
+                     for prog, variables, mask in asked]
         projections: dict[int, tuple[int, ...]] = {}
         answers = []
-        for (f, variables), mask, memo in zip(questions, reads, memos):
-            if mask == every:
-                answers.append(satisfying_tuples(f, word, variables))
+        for (prog, variables, mask), memo in zip(asked, memos):
+            if memo is None:
+                answers.append(_answer(prog, word, variables))
                 continue
             key = projections.get(mask)
             if key is None:
                 key = projections[mask] = tuple([a & mask for a in letters])
             answer = memo.get(key)
             if answer is None:
-                answer = memo[key] = satisfying_tuples(f, word, variables)
+                answer = memo[key] = _answer(prog, word, variables)
             answers.append(answer)
         yield word, answers
 

@@ -9,7 +9,7 @@ an ascending tuple of positions, shown with a `*` suffix on the letter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 from .formula import Signature
@@ -37,18 +37,20 @@ def _parse_letter(sig: Signature, text: str) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     sig: Signature
-    letters: tuple[int, ...] = field(default=())
+    letters: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.letters) is not tuple:
-            object.__setattr__(self, "letters", tuple(self.letters))
-        top = 1 << self.sig.k
-        for mask in self.letters:
+    def __init__(self, sig: Signature, letters=()):
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+        top = 1 << sig.k
+        for mask in letters:
             if not 0 <= mask < top:
                 raise InputError(f"letter mask {mask} out of range for signature")
+        _set_sig(self, sig)
+        _set_letters(self, letters)
 
     def __len__(self):
         return len(self.letters)
@@ -73,21 +75,23 @@ class Word:
         return cls(sig, tuple(_parse_letter(sig, part) for part in inner.split(",")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MarkedWord:
     word: Word
-    marks: tuple[int, ...] = field(default=())
+    marks: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.marks) is not tuple:
-            object.__setattr__(self, "marks", tuple(self.marks))
-        n, prev = len(self.word.letters), -1
-        for p in self.marks:
+    def __init__(self, word: Word, marks=()):
+        if type(marks) is not tuple:
+            marks = tuple(marks)
+        n, prev = len(word.letters), -1
+        for p in marks:
             if not prev < p < n:
                 if not 0 <= p < n:
                     raise InputError(f"mark {p} out of range")
                 raise InputError("marks must be strictly ascending")
             prev = p
+        _set_word(self, word)
+        _set_marks(self, marks)
 
     def __len__(self):
         return len(self.word)
@@ -121,6 +125,12 @@ class MarkedWord:
                     part = part[:-1]
                 letters.append(_parse_letter(sig, part))
         return cls(Word(sig, tuple(letters)), tuple(marks))
+
+
+# the slots' own setters: the frozen classes' __init__ stores through them,
+# as the dataclass __init__ would through object.__setattr__
+_set_sig, _set_letters = Word.sig.__set__, Word.letters.__set__
+_set_word, _set_marks = MarkedWord.word.__set__, MarkedWord.marks.__set__
 
 
 def all_words(sig: Signature, max_len: int):

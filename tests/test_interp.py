@@ -419,6 +419,27 @@ def test_check_reports_are_pinned():
     assert got == CHECK_REPORTS
 
 
+LABELLED = """
+signature P1
+component a dim=1
+universe x = x
+relation R/1 on (a,) := P1(x)
+"""
+
+
+def test_a_failing_word_with_a_passing_words_list_lengths_is_reported():
+    # the reduced spec's R holds at the last position when some position is
+    # labelled: it agrees with P1(x) up to [., P1] and first differs on
+    # [P1, .], whose answer lists have the lengths of [., P1]'s; a check
+    # that remembered the lengths it had decided, not the lists, would
+    # skip [P1, .]
+    spec = parse_interpretation(LABELLED)
+    moved = parse_interpretation(LABELLED.replace("P1(x)", "(ex z. P1(z)) & ~ex z. x < z"))
+    assert _reports(spec, reduce_interpretation(moved, 1)) == [
+        (False, 6, 1, "word [P1, .]: relation 'R' differs "
+                      "(missing [(('a', (0,)),)], extra [(('a', (1,)),)])")] * 4
+
+
 def test_equivalence_asks_each_question_once_per_word_projection(monkeypatch):
     # a formula object that the source, the reduced spec and a fiber share,
     # such as the flag universe that is its own map, is asked for once, and
@@ -427,13 +448,13 @@ def test_equivalence_asks_each_question_once_per_word_projection(monkeypatch):
     # selectors' tables tell no label apart, so they are asked once per
     # length, not once per word
     calls = []
-    real = oracle.satisfying_tuples
+    real = oracle._answer
 
-    def counted(f, word, variables=None):
-        calls.append((id(f), word, variables))
-        return real(f, word, variables)
+    def counted(prog, word, variables):
+        calls.append((id(prog), word, variables))
+        return real(prog, word, variables)
 
-    monkeypatch.setattr(oracle, "satisfying_tuples", counted)
+    monkeypatch.setattr(oracle, "_answer", counted)
     counts = {}
     for name, dim, text in SPECS:
         spec = parse_interpretation(text)

@@ -297,6 +297,12 @@ def _rep_with(text, **changes):
     return replace(rep, **changes)
 
 
+# every position's image is the last one when the first position is
+# labelled and the last is not, else each position is its own image
+_FIRST_NOT_LAST = "((ex z. (P1(z) & ~ex w. w < z)) & ~ex z. (P1(z) & ~ex w. z < w))"
+_COLLAPSE = f"({_FIRST_NOT_LAST} & ~ex w. y0 < w) | (~{_FIRST_NOT_LAST} & y0 = x)"
+
+
 def _g_without_its_source():
     # a real map has g = source & h; this stand-in's g does not imply its source
     sig = Signature(("P1",))
@@ -315,7 +321,15 @@ def _g_without_its_source():
      "word [., P1]: image (0,) of (1,) uses positions [0] outside the tuple"),
     (check_reparameterization, lambda: _rep_with("(~ex q. q < x) | (~ex q. x < q)", bound=1),
      "word [., .]: image () has 2 preimages, bound is 1"),
-], ids=["source-fails", "no-image", "two-images", "stray-position", "over-bound"])
+    # the failing word [P1, .] has the answer-list lengths of the earlier,
+    # passing [., .] (or [P1]), so a check that remembered the lengths it
+    # had decided, not the lists, would skip it
+    (check_reparameterization, lambda: _rep_with("x = x", bound=1, h=_COLLAPSE),
+     "word [P1, .]: image (1,) has 2 preimages, bound is 1"),
+    (check_canonical_form, lambda: _rep_with("P1(x)", h="~ex z. y0 < z"),
+     "word [P1, .]: image (1,) of (0,) uses positions [1] outside the tuple"),
+], ids=["source-fails", "no-image", "two-images", "stray-position", "over-bound",
+        "late-over-bound", "late-stray-position"])
 def test_checks_report_each_failure(check, rep, failure):
     report = check(rep(), 3)
     assert not report
@@ -334,10 +348,18 @@ def _leaves(f):
     return found
 
 
+def _reference_answer(f, word, variables):
+    # evaluate on every tuple of positions, in lex order: no answer memo
+    # takes part
+    assert len(set(variables)) == len(variables)
+    return [t for t in itertools.product(range(len(word)), repeat=len(variables))
+            if evaluate(f, word, dict(zip(variables, t)))]
+
+
 def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
     # answered_words shares an answer between words that agree on every
-    # label its formula reads; each shared answer must be the one a fresh
-    # call gives on the word itself
+    # label its formula reads, and satisfying_tuples reads the same memo;
+    # each shared answer must be the one evaluate finds on the word itself
     questions = {sig1: [], sig2: []}
     for sig, fo, f in formula_batch(1, 150):
         questions[sig].append((f, fo))
@@ -361,8 +383,31 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
         words = []
         for word, answers in answered_words(sig, 4, asked):
             words.append(word)
-            assert answers == [satisfying_tuples(f, word, fo) for f, fo in asked], word
+            assert answers == [_reference_answer(f, word, fo) for f, fo in asked], word
         assert words == list(all_words(sig, 4))
+
+
+def test_the_answer_memo_keeps_one_length_per_variable_list(sig2):
+    # a formula that reads P1 alone keeps one answer per projection onto P1
+    # of the last length asked, 2^6 of the 4^6 words; one that reads every
+    # label keeps none
+    f = parse("ex z. (x < z & P1(z))", sig2)
+    every = parse("P1(x) & ~P2(x)", sig2)
+    for word in all_words(sig2, 6):
+        satisfying_tuples(f, word, ("x",))
+        satisfying_tuples(every, word)
+    answers = oracle._program(f, sig2).answers
+    assert answers.keys() == {("x",)}
+    length, memo = answers[("x",)]
+    assert length == 6 and len(memo) == 2 ** 6
+    assert oracle._program(every, sig2).answers == {}
+    # the caller's list is its own: mutating it changes no later answer
+    w = Word(sig2, (1, 2, 1))
+    for _ in range(2):
+        got = satisfying_tuples(f, w, ("x",))
+        assert got == [(0,), (1,)]
+        got.append((2,))
+    assert oracle._program(f, sig2).answers[("x",)][0] == 3
 
 
 def test_reads_are_the_labels_the_closures_read(sig1, sig2):
@@ -397,13 +442,13 @@ def test_a_check_asks_each_question_once_per_projection(monkeypatch):
     # the ordered pair's source and map read no label, so each is asked once
     # per length: 2 x 5 calls at max_len 4, where every word would take 2 x 31
     calls = []
-    real = oracle.satisfying_tuples
+    real = oracle._answer
 
-    def counted(f, word, variables=None):
-        calls.append((id(f), len(word), variables))
-        return real(f, word, variables)
+    def counted(prog, word, variables):
+        calls.append((id(prog), len(word), variables))
+        return real(prog, word, variables)
 
-    monkeypatch.setattr(oracle, "satisfying_tuples", counted)
+    monkeypatch.setattr(oracle, "_answer", counted)
     sig = Signature(("P1",))
     rep = minimal_reparameterization(parse("x < y", sig), sig, ("x", "y"))
     report = check_reparameterization(rep, 4)

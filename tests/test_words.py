@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from chainrep.errors import InputError
@@ -40,6 +43,36 @@ def test_marked_word_messages(sig1, marks, message):
     # a mark out of range is named before an order it breaks
     with pytest.raises(InputError, match=f"^{message}$"):
         MarkedWord(Word(sig1, (0, 1, 0)), marks)
+
+
+@pytest.mark.parametrize("letters, message", [
+    ((0, 4), "letter mask 4 out of range for signature"),
+    ((-1,), "letter mask -1 out of range for signature"),
+])
+def test_word_messages(sig2, letters, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        Word(sig2, letters)
+
+
+def test_words_are_frozen_slotted_values(sig2):
+    w = Word(sig2, [0, 1, 3])
+    mw = MarkedWord(w, [0, 2])
+    assert w == Word(sig2, (0, 1, 3)) and hash(w) == hash(Word(sig2, (0, 1, 3)))
+    assert mw == MarkedWord(w, (0, 2)) and hash(mw) == hash(MarkedWord(w, (0, 2)))
+    assert repr(w) == "Word(sig=Signature(preds=('P1', 'P2')), letters=(0, 1, 3))"
+    assert repr(mw) == f"MarkedWord(word={w!r}, marks=(0, 2))"
+    assert Word(sig=sig2, letters=(1,)) == Word(sig2, (1,))
+    assert MarkedWord(word=w, marks=(1,)) == MarkedWord(w, (1,))
+    for obj, field in ((w, "sig"), (w, "letters"), (mw, "word"), (mw, "marks")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, ())
+        # no other attribute can be added either; Python 3.11's slotted
+        # frozen __setattr__ raises TypeError for a name that is no field
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            setattr(obj, "extra", ())
+        assert not hasattr(obj, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(mw, protocol)) == mw
 
 
 def test_marks_and_letters_are_stored_as_tuples(sig1):
