@@ -13,8 +13,8 @@ would otherwise be lost: a disjunction enforces it on the tracks just one
 side has, a first-order quantifier on a variable its body does not mention,
 a complement and a Run leaf on all their tracks, and publishing on the
 marked variables.  A conjunction needs nothing, as each side enforces its
-own tracks.  Projection and project_mark share one subset construction,
-which runs under the state budget.  The product, the subset construction,
+own tracks.  Track projection is the one subset construction, and it
+runs under the state budget.  The product, the subset construction,
 the publish walk, minimization and reparam's guard automata are each one
 breadth-first walk (explore) that one builder method (minimal) refines
 into a minimal automaton.  The walk owns the one dead state: the product
@@ -376,12 +376,7 @@ class _Builder:
         for letter in range(a.n_letters >> 1):
             l0 = (letter & low) | ((letter & ~low) << 1)
             groups.append((l0, l0 | 1 << bit))
-        return self.determinize(a, groups, fo, so)
-
-    def determinize(self, a: _Auto, groups, fo=(), so=()) -> _Auto:
-        """Subset construction in which new letter j reads any old letter in
-        groups[j]; the result is minimal, over the tracks fo and so.  It
-        projects a track away (project) or the mark bits (project_mark)."""
+        # subset construction: new letter j reads either letter of groups[j]
         return self.minimal(
             frozenset({a.init}),
             lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
@@ -870,64 +865,11 @@ def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:
 
 
 def dfa_empty(dfa: Dfa) -> bool:
-    """True when the automaton accepts no word at all."""
-    return shortest_accepted(dfa) is None
-
-
-def dfa_equivalent(a: Dfa, b: Dfa) -> bool:
-    if (a.sig, a.marked, a.tracks) != (b.sig, b.marked, b.tracks):
-        raise InputError("automata are over different alphabets")
-    # the budget bounds the pairs, so it never runs out
-    pairs, _ = _Builder(a.sig, a.n_states * b.n_states, "equivalence", {}).explore(
-        (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])))
-    return all((qa in a.accepting) == (qb in b.accepting) for qa, qb in pairs)
-
-
-def shortest_accepted(dfa: Dfa):
-    """Shortlex-first accepted word, as a Word or MarkedWord, or None: the
-    word of the first accepting state that explore finds."""
-    if dfa.tracks != 1:
-        raise InputError("a marked word cannot fill one track per variable")
+    """True when no accepting state is reachable from the initial one."""
     # the budget bounds the states, so it never runs out
-    order, rows = _Builder(dfa.sig, dfa.n_states, "shortest accepted", {}).explore(
+    order, _ = _Builder(dfa.sig, dfa.n_states, "emptiness", {}).explore(
         dfa.init, dfa.delta.__getitem__)
-    first = next((i for i, q in enumerate(order) if q in dfa.accepting), None)
-    if first is None:
-        return None
-    path = _shortlex_words(rows)[first]
-    k = dfa.sig.k
-    if not dfa.marked:
-        return Word(dfa.sig, path)
-    letters = tuple(letter & ((1 << k) - 1) for letter in path)
-    marks = tuple(i for i, letter in enumerate(path) if letter >> k & 1)
-    return MarkedWord(Word(dfa.sig, letters), marks)
-
-
-def _shortlex_words(rows, nonempty: bool = False) -> list:
-    """Per state of explore's rows, the shortlex-least word, a tuple of
-    letters, that leads to it from state 0, or None where none does; with
-    nonempty, the least nonempty word, so state 0 has one only on a cycle.
-    Breadth-first with letters in order, as explore numbered the states."""
-    words: list = [None] * len(rows)
-    if not nonempty:
-        words[0] = ()
-    queue = [(0, ())]
-    for q, word in queue:
-        for a, t in enumerate(rows[q]):
-            if words[t] is None:
-                words[t] = word + (a,)
-                queue.append((t, words[t]))
-    return words
-
-
-def project_mark(dfa: Dfa) -> Dfa:
-    """Forget the mark bits: accept words that admit some accepted marking."""
-    if not dfa.marked:
-        raise InputError("automaton has no mark bit")
-    k = dfa.sig.k
-    builder = _Builder(dfa.sig, DEFAULT_STATE_BUDGET, "project mark", {})
-    groups = [[lab | m << k for m in range(1 << dfa.tracks)] for lab in range(1 << k)]
-    return builder.publish(builder.determinize(_auto_of(dfa), groups), False)
+    return dfa.accepting.isdisjoint(order)
 
 
 def dfa_to_formula(dfa: Dfa, variables=()) -> Formula:

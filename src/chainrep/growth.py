@@ -58,35 +58,25 @@ def growth_degree(f: Formula, sig: Signature, variables, *,
 def brute_growth(f: Formula, sig: Signature, variables, n: int, max_len: int) -> int:
     """Exact maximum of tuple counts over words up to max_len and pools up to n.
 
-    The count depends only on the word's length and its tuples, so a word
-    whose answer list is one already counted, shared by answered_words
-    with an earlier word of the same length, is skipped.
+    The count depends only on the word's tuples, so a word whose answer
+    list an earlier word had, which answered_words hands out as None, is
+    skipped.
     """
+    if n < 0:
+        raise InputError("need n >= 0")
+    if max_len < 0:
+        raise InputError("max_len must be nonnegative")
     best = 0
-    # id -> answer list; holding the lists keeps their ids from being reused
-    counted: dict[int, list] = {}
-    for word, (tuples,) in answered_words(sig, max_len, [(f, tuple(variables))]):
-        if not tuples or id(tuples) in counted:
+    for word, answers in answered_words(sig, max_len, [(f, tuple(variables))]):
+        if not answers or not answers[0]:
             continue
-        counted[id(tuples)] = tuples
-        supports = [frozenset(t) for t in tuples]
+        supports = [frozenset(t) for t in answers[0]]
         pool = range(len(word))
         for size in range(min(n, len(word)) + 1):
             for S in itertools.combinations(pool, size):
                 inside = frozenset(S)
                 best = max(best, sum(1 for s in supports if s <= inside))
     return best
-
-
-def growth_upper_check(f: Formula, sig: Signature, variables, n: int, max_len: int, *,
-                       budget_states: int = DEFAULT_STATE_BUDGET) -> bool:
-    """Brute counts stay below bound * n**dimension on small words."""
-    rep = minimal_reparameterization(f, sig, variables, refine=False,
-                                     budget_states=budget_states)
-    got = brute_growth(f, sig, variables, n, max_len)
-    if rep.bound == 0:
-        return got == 0
-    return got <= rep.bound * n ** rep.dimension
 
 
 def _blocks_word(monoid, types, es, copies: int):

@@ -42,9 +42,10 @@ once per call however many plans ask it.  oracle.answered_words answers
 each question once per length and projection of the word onto the labels
 its formula reads, in order of first asking, and the plans read the
 answers by number, so the per-word loop does only per-word work.  The
-verdict on a word depends only on its answer list, so a word whose list,
-compared by value, an earlier word had is counted and gets that word's
-verdict, a pass, without its structures being built again.
+verdict on a word depends only on its answer list, and the walk hands out
+each distinct list, compared by value, once: a word whose list an earlier
+word had comes without it, is counted and gets that word's verdict, a
+pass, without its structures being built again.
 apply_interpretation, fibers and bijection run the same helpers on one
 word.
 """
@@ -514,9 +515,10 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     per word projection, so a universe that is also its own map's g, as a
     dimension-0 one can be, costs one search, not three, and words that
     agree on every label it reads share that search.  A word whose answer
-    list equals an earlier word's counts in words_checked but is not
-    decided again: it would pass as that word did, with the same fibers,
-    so the first failure and max_fiber are those of deciding every word.
+    list equals an earlier word's, which answered_words hands out as None,
+    counts in words_checked but is not decided again: it would pass as
+    that word did, with the same fibers, so the first failure and
+    max_fiber are those of deciding every word.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -538,13 +540,10 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
         maps[name] = questions.ask(g, variables), k
     words = 0
     max_fiber = 0
-    seen: set[tuple] = set()
     for word, answers in answered_words(spec.signature, max_len, questions.asked):
         words += 1
-        key = tuple(map(tuple, answers))
-        if key in seen:
+        if answers is None:
             continue
-        seen.add(key)
         a_elements, a_relations = _structure(source, answers)
         b_elements, b_relations = _structure(target, answers)
         fibers = {name: _fibers(answers[q], k) for name, (q, k) in maps.items()}

@@ -75,8 +75,9 @@ label, so such a question is asked on every word.  The projection comes
 from the syntax and from the leaf's table read as data, as the leaf's
 evaluation reads it, so the oracle still shares no code with the
 compiler.  A check's verdict on a word depends only on its answer list,
-so the checks decide once per distinct list: a later word with an
-earlier word's list is counted and passes as that word did.
+so `answered_words` hands out each distinct list, compared by value, once:
+a later word with an earlier word's list comes with None in its place, and
+the checks count it and pass it as that word passed.
 """
 
 from __future__ import annotations
@@ -572,7 +573,9 @@ def answered_words(sig: Signature, max_len: int, questions):
     """Yield (word, answers) for every word of all_words(sig, max_len).
 
     questions is a list of (formula, variables) pairs, and answers[i] is
-    satisfying_tuples of the i-th on the word.  A formula's truth depends
+    satisfying_tuples of the i-th on the word; answers is None when an
+    earlier word of this walk had the same list, compared by value, so a
+    reader decides each distinct list once.  A formula's truth depends
     only on the word's length and on the labels it reads, so an answer is
     computed once per length and projection of the word onto those labels
     and kept in the program's answer memo, which lasts past this call for
@@ -589,7 +592,9 @@ def answered_words(sig: Signature, max_len: int, questions):
     empty = next(words, None)
     if empty is None:
         return
-    yield empty, [satisfying_tuples(f, empty, variables) for f, variables in questions]
+    answers = [satisfying_tuples(f, empty, variables) for f, variables in questions]
+    seen = {tuple(map(tuple, answers))}
+    yield empty, answers
     asked = []
     for f, variables in questions:
         prog = _program(f, sig)
@@ -616,7 +621,12 @@ def answered_words(sig: Signature, max_len: int, questions):
             if answer is None:
                 answer = memo[key] = _answer(prog, word, variables)
             answers.append(answer)
-        yield word, answers
+        key = tuple(map(tuple, answers))
+        if key in seen:
+            yield word, None
+        else:
+            seen.add(key)
+            yield word, answers
 
 
 @dataclass(frozen=True)
@@ -638,24 +648,21 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     every assignment satisfying the source extends to exactly one image
     tuple, and no image tuple is shared by more than `bound` assignments.
     Stops at the first violation.  A word whose two answer lists an earlier
-    word had is counted and not checked again.
+    word had is counted and not checked again (answered_words).
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     xs = tuple(rep.domain_vars)
     ys = tuple(rep.image_vars)
-    k, m = len(xs), len(ys)
+    k = len(xs)
     words = 0
     max_fiber = 0
-    seen: set[tuple] = set()
-    for word, (sat, pairs) in answered_words(rep.signature, max_len,
-                                             [(rep.source, xs), (rep.g, xs + ys)]):
+    for word, answers in answered_words(rep.signature, max_len,
+                                        [(rep.source, xs), (rep.g, xs + ys)]):
         words += 1
-        key = (tuple(sat), tuple(pairs))
-        if key in seen:
+        if answers is None:
             continue
-        seen.add(key)
-        sat = set(sat)
+        sat, pairs = set(answers[0]), answers[1]
         images: dict[tuple, set] = {}
         fibers: dict[tuple, set] = {}
         for tup in pairs:
@@ -687,7 +694,7 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
     Reparameterizations built here never invent positions: images are made
     of the tuple's own coordinates, which keeps them usable as point
     interpretations.  A word whose answer list an earlier word had is
-    counted and not checked again.
+    counted and not checked again (answered_words).
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -695,14 +702,11 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
     ys = tuple(rep.image_vars)
     k = len(xs)
     words = 0
-    seen: set[tuple] = set()
-    for word, (pairs,) in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
+    for word, answers in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
         words += 1
-        key = tuple(pairs)
-        if key in seen:
+        if answers is None:
             continue
-        seen.add(key)
-        for tup in pairs:
+        for tup in answers[0]:
             x, y = tup[:k], tup[k:]
             stray = [b for b in y if b not in x]
             if stray:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chainrep.compiler import _Builder
 from chainrep.formula import Signature, parse
 
 
@@ -31,6 +32,17 @@ BATTERY = (
 # a formula whose two families disagree on which mark can go: the split
 # into guarded groups is the only route down to dimension 1
 GROUP_TEXT = "((~ex z. z < x) | (~ex z. y < z)) & x < y"
+
+
+def dfa_equivalent(a, b):
+    """The reference language check of two automata over one alphabet:
+    every pair of states that the two reach on one word agrees on
+    acceptance."""
+    assert (a.sig, a.marked, a.tracks) == (b.sig, b.marked, b.tracks)
+    # the budget bounds the pairs, so it never runs out
+    pairs, _ = _Builder(a.sig, a.n_states * b.n_states, "equivalence", {}).explore(
+        (a.init, b.init), lambda st: list(zip(a.delta[st[0]], b.delta[st[1]])))
+    return all((qa in a.accepting) == (qb in b.accepting) for qa, qb in pairs)
 
 
 def battery():

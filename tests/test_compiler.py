@@ -4,17 +4,17 @@ import itertools
 import pytest
 
 from chainrep import compiler
-from chainrep.compiler import (DEFAULT_STATE_BUDGET, Query, compile, dfa_empty,
-                               dfa_equivalent, dfa_to_formula, first_fiber, max_fiber,
-                               minimize_dfa, preimage_ranks, project_mark,
-                               shortest_accepted)
+from chainrep.compiler import (DEFAULT_STATE_BUDGET, Dfa, Query, compile, dfa_empty,
+                               dfa_to_formula, first_fiber, max_fiber, minimize_dfa,
+                               preimage_ranks)
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import Run, Signature, exists_wrap, order_case_split, parse, render
+from chainrep.formula import (Less, Run, Signature, conj, exists_wrap, order_case_split,
+                              parse, render)
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, Word, all_words
-from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery, dfa_equivalent, endpoints_text
 
 ENDS_TEXT = "(~ex z. z < x) | (~ex z. x < z)"
 
@@ -167,6 +167,13 @@ def test_empty_and_equivalent(sig1):
     assert not dfa_empty(c)
 
 
+def test_dfa_empty_reads_only_reachable_states(sig1):
+    # state 2 accepts, but no letter leads there from the initial state
+    dfa = Dfa(sig1, False, 0, ((1, 0), (0, 1), (2, 2)), frozenset({2}))
+    assert dfa_empty(dfa)
+    assert not dfa_empty(Dfa(sig1, False, 0, ((1, 0), (2, 1), (2, 2)), frozenset({2})))
+
+
 def test_realizable_cases_are_the_nonempty_order_cases(sig1):
     # the one build over k tracks lists exactly the order cases whose own
     # compile is nonempty, in the split's order; each keeps its automaton
@@ -280,7 +287,7 @@ def test_publishing_walks_the_marks_read(sig1, monkeypatch):
     # publishing widens no automaton to the marked variables and runs no
     # subset construction to merge their tracks
     calls = []
-    for name in ("determinize", "extend"):
+    for name in ("project", "extend"):
         real = getattr(compiler._Builder, name)
 
         def counted(self, *args, _real=real, _name=name, **kwargs):
@@ -291,7 +298,7 @@ def test_publishing_walks_the_marks_read(sig1, monkeypatch):
     one = compile(parse("P1(x)", sig1), sig1, ("x", "y"))
     assert calls == []
     compile(parse("P1(x) & x < y", sig1), sig1, ("x", "y"))
-    assert "determinize" not in calls
+    assert "project" not in calls
     assert one == compile(parse("P1(x) & y = y", sig1), sig1, ("x", "y"))
 
 
@@ -313,52 +320,6 @@ def test_complements_and_maps_walk_no_minimize(sig1, monkeypatch):
     # y is widened in and left free: every x shares each image
     assert max_fiber(parse("x = x", sig1), sig1, ("x",), ("y",), cap=7) == 7
     assert calls == []
-
-
-def test_shortest_accepted(sig1):
-    dfa = compile(parse("atleast 2 v. P1(v)", sig1), sig1)
-    w = shortest_accepted(dfa)
-    assert isinstance(w, Word) and len(w) == 2 and w.letters == (1, 1)
-    assert shortest_accepted(compile(parse("ex v. v < v", sig1), sig1)) is None
-
-
-def test_shortest_accepted_is_the_oracles_first_marked_word():
-    # the enumeration's shortlex-first ascending marking, its letters read
-    # as integers: a marked letter comes after every unmarked one; the last
-    # two automata accept in several states
-    p1 = Signature(("P1",))
-    several = [(p1, (), parse("atleast 1 v. P1(v) & ~atleast 3 v. P1(v)", p1)),
-               (p1, ("x", "y"), parse("x < y & ~atleast 2 v. P1(v)", p1))]
-    for sig, variables, f in formula_batch(5, 40) + several:
-        got = shortest_accepted(compile(f, sig, variables))
-        if isinstance(got, Word):
-            got = MarkedWord(got, ())
-        want = None
-        for length in range(5):
-            found = {tuple(a | (i in t) << sig.k for i, a in enumerate(w.letters)):
-                     MarkedWord(w, t)
-                     for w in all_words(sig, length) if len(w) == length
-                     for t in map(tuple, satisfying_tuples(f, w, variables))
-                     if list(t) == sorted(set(t))}
-            if found:
-                want = found[min(found)]
-                break
-        assert got == want or want is None and len(got.word) > 4, render(f)
-
-
-def test_project_mark(sig1):
-    # projecting the witness mark of P1(x) leaves "some position is P1"
-    dfa = compile(parse("P1(x)", sig1), sig1, ("x",))
-    plain = project_mark(dfa)
-    want = compile(parse("ex v. P1(v)", sig1), sig1)
-    assert dfa_equivalent(plain, want)
-
-
-def test_project_mark_runs_under_the_state_budget(sig1, monkeypatch):
-    dfa = compile(parse("P1(x)", sig1), sig1, ("x",))
-    monkeypatch.setattr(compiler, "DEFAULT_STATE_BUDGET", 1)
-    with pytest.raises(ResourceLimitError):
-        project_mark(dfa)
 
 
 def test_extend_checks_the_transition_cap(sig1, monkeypatch):
@@ -493,14 +454,13 @@ def test_lex_ranks_run_under_the_state_budget(sig1):
     ranks = preimage_ranks(m, 3).selectors(3)
     assert [r.tracks for r in ranks] == [2, 2, 2]
     # rank 0 is x at the first position: words of length 2 and more
-    assert dfa_equivalent(project_mark(ranks[0]),
-                          compile(parse("ex x. ex y. x < y", sig1), sig1))
+    assert compile(exists_wrap(("x", "y"), Run(ranks[0], ("x", "y"))), sig1) == \
+        compile(parse("ex x. ex y. x < y", sig1), sig1)
     assert dfa_equivalent(minimize_dfa(ranks[0]), ranks[0])
     assert ranks[0].letter_name(0b111) == "P1*0*1"
     with pytest.raises(InputError):
         Run(ranks[0], ("x",))
-    with pytest.raises(InputError):
-        shortest_accepted(ranks[0])
+    assert not dfa_empty(ranks[0])
     # the map's own automaton fits in 5 states, the count does not
     m = Query(sig1, 5).map_automaton(g, ("x",), ("y",))
     with pytest.raises(ResourceLimitError, match="^preimage ranks: state budget"):
@@ -530,13 +490,15 @@ def test_random_formulas_agree(sig1):
 
 def test_compiled_bytes_are_pinned():
     # state numbering included: a refactoring of the compiler must keep
-    # every automaton it publishes byte for byte
+    # every automaton it publishes byte for byte; the sentence that some
+    # ascending marking satisfies f is the projection of f's marks
     dumps = []
     for sig, fo, f in formula_batch(404, 50):
         dfa = compile(f, sig, fo)
         dumps.append(dfa.dump())
         if dfa.marked:
-            dumps.append(project_mark(dfa).dump())
+            ordered = [Less(x, y) for x, y in zip(fo, fo[1:])]
+            dumps.append(compile(exists_wrap(fo, conj(ordered + [f])), sig).dump())
     assert len(dumps) == 82
     digest = hashlib.sha1("\n".join(dumps).encode()).hexdigest()
     assert digest == "b93a6a6eb6d88fab603fa745f932f3c3a23a9d53"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainrep
 from chainrep import formula
-from chainrep.compiler import Dfa, Query, compile, dfa_equivalent
+from chainrep.compiler import Dfa, Query, compile
 from chainrep.errors import InputError, ParseError, ResourceLimitError
 from chainrep.formula import (FALSE, MAX_DEPTH, TRUE, And, AtLeast, Const, Equal, ExistsFO,
                               ExistsSO, ForallFO, ForallSO, Formula, Implies, In, Less,
@@ -26,7 +26,7 @@ from chainrep.words import MarkedWord, Word, all_words
 import itertools
 import random
 
-from conftest import wide_text
+from conftest import dfa_equivalent, wide_text
 
 
 def test_parse_atoms(sig1):

@@ -8,8 +8,7 @@ from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError
 from chainrep.formula import exists_wrap, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
-                             growth_upper_check, no_decrement_witness,
-                             pump_witness)
+                             no_decrement_witness, pump_witness)
 from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
                              satisfying_tuples)
 from chainrep.randgen import formula_batch
@@ -97,9 +96,21 @@ def test_brute_growth_simple(sig1):
 
 
 def test_upper_check_battery():
+    # brute counts stay within bound * n**dimension; a bound of 0 makes the
+    # ceiling 0
     for name, sig, f, variables, _ in battery():
+        rep = minimal_reparameterization(f, sig, variables, refine=False)
         for n in (1, 2, 3):
-            assert growth_upper_check(f, sig, variables, n, 6), (name, n)
+            assert brute_growth(f, sig, variables, n, 6) <= rep.bound * n ** rep.dimension, \
+                (name, n)
+
+
+@pytest.mark.parametrize("n, max_len", [(-1, 4), (2, -1)])
+def test_brute_growth_refuses_negative_sizes(sig1, n, max_len):
+    # no pool or word has a negative size, so such a count would be 0 on nothing
+    message = "^need n >= 0$" if n < 0 else "^max_len must be nonnegative$"
+    with pytest.raises(InputError, match=message):
+        brute_growth(parse("x < y", sig1), sig1, ("x", "y"), n, max_len)
 
 
 def test_witness_dump_mentions_pool(sig1):
@@ -185,7 +196,9 @@ def test_random_formula_sweep():
         rep = minimal_reparameterization(f, sig, variables)
         assert check_reparameterization(rep, 4), render(f)
         assert check_canonical_form(rep, 4), render(f)
-        assert growth_upper_check(f, sig, variables, 4, 4), render(f)
+        upper = minimal_reparameterization(f, sig, variables, refine=False)
+        assert brute_growth(f, sig, variables, 4, 4) <= upper.bound * 4 ** upper.dimension, \
+            render(f)
         d = rep.dimension
         if rep.bound == 0:
             with pytest.raises(InputError):

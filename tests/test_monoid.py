@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, compile, preimage_ranks
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import parse
+from chainrep.formula import parse, render
 from chainrep.monoid import (is_pumpable, mark_shadow, ramsey_bound,
                              transition_monoid)
 from chainrep.randgen import formula_batch
@@ -51,6 +52,26 @@ def test_witnesses_map_back(sig1):
             assert m.image_of_word(m.nonempty_witness[a]) == a
     # identity: empty witness, and nonempty realizability is separate
     assert m.witness[m.identity] == ()
+
+
+def test_witnesses_are_shortlex_least():
+    # witness and nonempty_witness are the least words, shorter first, then
+    # letter by letter, that realize each element: brute force over every
+    # word up to the monoid's size, which bounds the length of both
+    elements = 0
+    for sig, variables, f in formula_batch(3, 30):
+        m = TypeAlgebra.build(f, variables, Query(sig, DEFAULT_STATE_BUDGET)).monoid
+        least, nonempty = {}, {}
+        for length in range(m.size + 1):
+            for w in itertools.product(range(m.dfa.n_letters), repeat=length):
+                a = m.image_of_word(w)
+                least.setdefault(a, w)
+                if w:
+                    nonempty.setdefault(a, w)
+        assert m.witness == [least[a] for a in range(m.size)], render(f)
+        assert m.nonempty_witness == [nonempty.get(a) for a in range(m.size)], render(f)
+        elements += m.size
+    assert elements == 68
 
 
 def test_idempotents(sig1):

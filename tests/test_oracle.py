@@ -359,7 +359,8 @@ def _reference_answer(f, word, variables):
 def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
     # answered_words shares an answer between words that agree on every
     # label its formula reads, and satisfying_tuples reads the same memo;
-    # each shared answer must be the one evaluate finds on the word itself
+    # each shared answer must be the one evaluate finds on the word itself,
+    # and a word gets None exactly when an earlier word had its list
     questions = {sig1: [], sig2: []}
     for sig, fo, f in formula_batch(1, 150):
         questions[sig].append((f, fo))
@@ -379,12 +380,22 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
             leaf_reads |= {(sig.k, oracle._program(leaf, sig).reads) for leaf in leaves}
     assert {(1, 0), (2, 0b10)} <= leaf_reads
     assert [len(questions[sig]) for sig in (sig1, sig2)] == [90, 70]
+    # every question at once, and the last alone, whose lists repeat
+    repeats = 0
     for sig, asked in questions.items():
-        words = []
-        for word, answers in answered_words(sig, 4, asked):
-            words.append(word)
-            assert answers == [_reference_answer(f, word, fo) for f, fo in asked], word
-        assert words == list(all_words(sig, 4))
+        for asked in (asked, asked[-1:]):
+            words, handed = [], set()
+            for word, answers in answered_words(sig, 4, asked):
+                words.append(word)
+                want = [_reference_answer(f, word, fo) for f, fo in asked]
+                key = tuple(map(tuple, want))
+                assert (answers is None) == (key in handed), word
+                if answers is not None:
+                    assert answers == want, word
+                    handed.add(key)
+            assert words == list(all_words(sig, 4))
+            repeats += len(words) - len(handed)
+    assert repeats > 0
 
 
 def test_the_answer_memo_keeps_one_length_per_variable_list(sig2):

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from chainrep.compiler import compile, dfa_equivalent, dfa_to_formula, max_fiber
+from chainrep.compiler import compile, dfa_to_formula, max_fiber
 from chainrep.errors import InputError
 from chainrep.formula import (And, Less, Run, all_vars, conj, expand_macros,
                               free_set_variables, free_variables, map_subformulas,
@@ -15,7 +15,7 @@ from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import MarkedWord, all_words
-from conftest import GROUP_TEXT
+from conftest import GROUP_TEXT, dfa_equivalent
 
 
 def marked_dfas():
