@@ -10,11 +10,15 @@ first-order track of the formula carries a single mark and the formula
 holds.  Widening an automaton to more tracks only relabels its letters and
 leaves the new tracks unconstrained, so validity is enforced only where it
 would otherwise be lost: a disjunction enforces it on the tracks just one
-side has, a first-order quantifier on a variable its body does not mention,
-a complement and a Run leaf on all their tracks, and publishing on the
-marked variables.  A conjunction needs nothing, as each side enforces its
-own tracks.  Track projection is the one subset construction, and it
-runs under the state budget.  The product, the subset construction,
+side has, a complement and a Run leaf on all their tracks, each by one
+product with an automaton that reads every such track's marks, and
+publishing on the marked variables.  A conjunction needs nothing, as each
+side enforces its own tracks.  A quantifier on a variable that no track of
+its body reads adds no track, since the body holds at every value or at
+none: ex v. g is g's automaton times one that accepts the words of length
+at least 1, atleast c v. g (c >= 1, v not free in g) the same for length
+c, and EX S. g is g's automaton.  Track projection is the one subset
+construction, and it runs under the state budget.  The product, the subset construction,
 the publish walk, minimization and reparam's guard automata are each one
 breadth-first walk (explore) that one builder method (minimal) refines
 into a minimal automaton.  The walk owns the one dead state: the product
@@ -26,8 +30,8 @@ ones.
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
 a later build that meets the same object reads that automaton; a counting
-quantifier is expanded where the build meets it, so no object above it is
-replaced.  So the source of a reparameterization is built once, by
+quantifier on a variable its body reads is expanded where the build meets
+it, so no object above it is replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
 reads and the map (Query.map_automaton of source & h, the source's
 automaton times h's) all start from it.  Query.keep_image builds each
@@ -228,6 +232,27 @@ class _Builder:
             a.delta[2][letter] = 2
         return a
 
+    def marked_once(self, fo, so, tracks) -> _Auto:
+        """Each of the tracks carries exactly one mark: state `seen` is the
+        bit set of the tracks marked so far, and a second mark on one of
+        them leads to the dead state 1 << len(tracks)."""
+        dead = 1 << len(tracks)
+        a = self._fresh(fo, so, dead + 1, 0, {dead - 1})
+        bits = [a.fo_bit(v) for v in tracks]
+        marks = [sum(1 << j for j, b in enumerate(bits) if letter >> b & 1)
+                 for letter in range(a.n_letters)]
+        for seen in range(dead):
+            a.delta[seen] = [dead if m & seen else seen | m for m in marks]
+        a.delta[dead] = [dead] * a.n_letters
+        return a
+
+    def longer(self, fo, so, count: int) -> _Auto:
+        """The words of at least count letters."""
+        a = self._fresh(fo, so, count + 1, 0, {count})
+        for q in range(count + 1):
+            a.delta[q] = [min(q + 1, count)] * a.n_letters
+        return a
+
     def atom_less(self, x: str, y: str) -> _Auto:
         fo = tuple(sorted({x, y}))
         if x == y:
@@ -272,9 +297,7 @@ class _Builder:
 
     def valid(self, a: _Auto, tracks) -> _Auto:
         """a restricted to a single mark on each of the first-order tracks."""
-        for v in tracks:
-            a = self.product(a, self.single_mark(a.fo, a.so, (v,)), "and")
-        return a
+        return self.product(a, self.marked_once(a.fo, a.so, tracks), "and") if tracks else a
 
     def extend(self, a: _Auto, fo_add=(), so_add=(), merge=None) -> _Auto:
         """a over more tracks, which it reads but leaves unconstrained; a
@@ -423,6 +446,10 @@ class _Builder:
                 return self.single_mark((x,), (s,), (x,), 1 << (self.sig.k + 1))
             case Run(dfa, vs):
                 return self.keep(f, self.run_leaf(dfa, vs))
+            case AtLeast(count, v, g) if count and (v, False, True) not in occurrences(g):
+                # g does not read v: it holds at every position or at none
+                a = self.built(g)
+                return self.product(a, self.longer(a.fo, a.so, count), "and")
             case AtLeast():
                 return self.build(check_depth(expand_macros(f), self.stage, self.known))
             case Not(g):
@@ -440,13 +467,16 @@ class _Builder:
             case ExistsFO(v, g):
                 a = self.built(g)
                 if v not in a.fo:
-                    a = self.valid(self.extend(a, fo_add=(v,)), (v,))
+                    # no track of g reads v: some position exists and g holds
+                    return self.product(a, self.longer(a.fo, a.so, 1), "and")
                 return self.project(a, "fo", v)
             case ForallFO(v, g):
                 return self.build(Not(ExistsFO(v, Not(g))))
             case ExistsSO(s, g):
-                a = self.extend(self.built(g), so_add=(s,))
-                return self.project(a, "so", s)
+                # the empty set exists on every word: a set that no track of
+                # g reads changes nothing
+                a = self.built(g)
+                return self.project(a, "so", s) if s in a.so else a
             case ForallSO(s, g):
                 return self.build(Not(ExistsSO(s, Not(g))))
         raise InputError(f"cannot compile {f!r}")

@@ -9,14 +9,28 @@ Each formula object is compiled once per signature into a tree of closures,
 one per node, which every later call runs directly (Feeley and Lapalme,
 "Using closures for code generation", Computer Languages 1987).  The
 compiled program is found by the formula's id and lives exactly as long as
-the formula.  Every public call is one search through it: load the word,
-search, and empty the call's memos in a `finally`; `evaluate` is the
-search over no variables, under the caller's assignments.  Quantifiers
-update the variable environment in place and restore it.  A quantifier or
-automaton leaf memoizes its truth by the values of its free variables; the
-memos last for one public call, on one word.  Only the answer memo below
-outlasts a call.  So one formula object is evaluated by one call at a
-time: the oracle is single-threaded.
+the formula.  Every public call is one search through it: load the word
+and search; `evaluate` is the search over no variables, under the
+caller's assignments.  Quantifiers update the variable environment in
+place and restore it.  A quantifier on a variable its body does not read
+runs the body once, when some value exists, since the body then holds for
+every value or for none: ex holds on a nonempty word where the body does,
+all on the empty word or where the body does, atleast c on a word of c
+positions or more where the body does (atleast 0 always), and a set
+quantifier, whose empty set always exists, where the body does.
+
+A quantifier, an ex block or an automaton leaf memoizes its truth by the
+values of its free variables.  That truth depends on nothing else but the
+word's length and the labels the node reads (the coincidence lemma
+below), so a quantifier or ex block that reads fewer labels than its
+whole formula keeps its memo across calls: one memo per projection of the
+word onto the labels it reads, all emptied when the word length changes.
+Every other node starts a fresh memo in each call: one that reads all of
+its formula's labels would meet a new projection in every search, which
+the answer memo below already hands it, and an automaton leaf's memo kept
+across calls measured no faster on the interpretation checks.  So one
+formula object is evaluated by one call at a time: the oracle is
+single-threaded.
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -132,8 +146,10 @@ class _Program(NamedTuple):
     variables on the values, or on the word's positions when values is
     None, under the assignments fo and so, building the variables' plan the
     first time they are searched; over no variables it is 1 when the
-    formula holds and 0 when not.  Each call loads the word and empties its
-    subformula memos when it returns: those last one call.
+    formula holds and 0 when not.  Each call loads the word; a subformula
+    memo lasts one call, or, for a quantifier or ex block that reads fewer
+    labels than the formula, every call on a word of one length, by the
+    word's projection onto the labels the node reads.
 
     answers is the answer memo, which outlasts the call: variable list ->
     (length, projection -> satisfying tuples), for the last word length
@@ -181,12 +197,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
-    used_memos: list[dict] = []
+    calls = 0
     # variables searched -> their _levels, built with those variables bound
     plans: dict[tuple[str, ...], tuple[Callable | None, Callable | None, int]] = {}
 
     def search(word, variables, values, fo, so, out=None):
-        nonlocal letters, n, positions
+        nonlocal letters, n, positions, calls
         plan = plans.get(variables)
         if plan is None:
             # the search binds its variables to positions of the word or of
@@ -196,40 +212,65 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         letters = word.letters
         n = len(letters)
         positions = range(n)
-        try:
-            return _search(plan, positions if values is None else values, fo, so, out)
-        finally:
-            if used_memos:
-                for memo in used_memos:
-                    memo.clear()
-                used_memos.clear()
+        calls += 1
+        return _search(plan, positions if values is None else values, fo, so, out)
 
-    def memoized(compute, fo_vars, so_vars):
+    def memoized(compute, fo_vars, so_vars, node_reads=None):
         # a subformula's truth depends only on the values of its own free
-        # variables, so repeated assignments (as in satisfying_tuples, which
-        # varies every variable while a quantifier reads few of them) are
-        # computed once per call
-        memo: dict = {}
+        # variables, on the word's length and on the labels it reads, so
+        # repeated assignments (as in satisfying_tuples, which varies every
+        # variable while a quantifier reads few of them) are computed once
+        # per call; a node that reads fewer labels than the formula keeps
+        # its memo across calls, by projection, for the last length
         fo_key = itemgetter(*fo_vars) if fo_vars else lambda fo: ()
         so_key = itemgetter(*so_vars) if so_vars else None
+        memo: dict = {}
+        kept: dict[tuple[int, ...], dict] = {}
+        stamp = length = -1
 
         def fn(fo, so):
+            nonlocal memo, stamp, length
             try:
                 key = fo_key(fo) if so_key is None else (fo_key(fo), so_key(so))
             except KeyError as e:
                 raise InputError(f"unbound variable {e.args[0]!r}") from None
+            if stamp != calls:
+                # first use in this call: reads is the whole formula's by now
+                stamp = calls
+                if node_reads is None or node_reads == reads:
+                    memo = {}
+                else:
+                    if length != n:
+                        kept.clear()
+                        length = n
+                    memo = kept.setdefault(tuple([a & node_reads for a in letters]), {})
             hit = memo.get(key)
             if hit is None:
-                if not memo:
-                    used_memos.append(memo)
                 hit = memo[key] = compute(fo, so)
             return hit
         return fn
 
-    def quantifier(v, body, need, want, over_sets):
+    def reading(make, *args):
+        """(make(*args), the labels that the closures it builds read)."""
+        nonlocal reads
+        outer, reads = reads, 0
+        built = make(*args)
+        inner, reads = reads, reads | outer
+        return built, inner
+
+    def quantifier(v, body, need, want, over_sets, vacuous):
         # counts the values of v that make the body equal `want`, up to
         # `need`: ex is (1, True), atleast c is (c, True), and all is
         # (1, False), true when no such value exists
+        if vacuous:
+            # the body does not read v, so it holds for every value or for
+            # none: it runs once, when some value exists, as the loop's first
+            def once(fo, so):
+                size = 1 << n if over_sets else n
+                hits = size if size and body(fo, so) == want else 0
+                return (hits >= need) == want
+            return once
+
         def fn(fo, so):
             env, values = (so, range(1 << n)) if over_sets else (fo, positions)
             old = env.get(v, _UNSET)
@@ -249,7 +290,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
 
     def exists_block(vs, body, bound_fo, bound_so):
         # ex v1 ... ex vk. body holds when the search finds one tuple
-        parts = built_conjuncts(body, bound_fo | set(vs), bound_so)
+        parts, node_reads = reading(built_conjuncts, body, bound_fo | set(vs), bound_so)
         plan = _levels(vs, parts, first=True)
         names = tuple(dict.fromkeys(vs))
         ffo, fso = _free(parts)
@@ -264,7 +305,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 else:
                     fo[v] = was
             return hits > 0
-        return memoized(fn, ffo, fso), ffo, fso
+        return memoized(fn, ffo, fso, node_reads), ffo, fso
 
     def built_conjuncts(node, bound_fo, bound_so):
         """build() of each conjunct of node, in written order."""
@@ -330,18 +371,20 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                     g = g.body
                 return exists_block(tuple(block), g, bound_fo, bound_so)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
-                body, ffo, fso = build(g, bound_fo | {v}, bound_so)
+                (body, ffo, fso), node_reads = reading(build, g, bound_fo | {v}, bound_so)
+                vacuous = v not in ffo
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
-                    fn = quantifier(v, body, node.count, True, False)
+                    fn = quantifier(v, body, node.count, True, False, vacuous)
                 else:
-                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
-                return memoized(fn, ffo, fso), ffo, fso
+                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False, vacuous)
+                return memoized(fn, ffo, fso, node_reads), ffo, fso
             case ExistsSO(s, g) | ForallSO(s, g):
-                body, ffo, fso = build(g, bound_fo, bound_so | {s})
+                (body, ffo, fso), node_reads = reading(build, g, bound_fo, bound_so | {s})
+                vacuous = s not in fso
                 fso = tuple(x for x in fso if x != s)
-                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
-                return memoized(fn, ffo, fso), ffo, fso
+                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True, vacuous)
+                return memoized(fn, ffo, fso, node_reads), ffo, fso
             case Run(dfa, vs):
                 same_sig = dfa.sig == sig
                 reads |= _table_reads(dfa.delta, sig.k) if same_sig else every

@@ -8,8 +8,8 @@ from chainrep.compiler import (DEFAULT_STATE_BUDGET, Dfa, Query, compile, dfa_em
                                dfa_to_formula, first_fiber, max_fiber, minimize_dfa,
                                preimage_ranks)
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import (Less, Run, Signature, conj, exists_wrap, order_case_split,
-                              parse, render)
+from chainrep.formula import (Less, Run, Signature, conj, exists_wrap, expand_macros,
+                              order_case_split, parse, render)
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
@@ -502,3 +502,61 @@ def test_compiled_bytes_are_pinned():
     assert len(dumps) == 82
     digest = hashlib.sha1("\n".join(dumps).encode()).hexdigest()
     assert digest == "b93a6a6eb6d88fab603fa745f932f3c3a23a9d53"
+
+
+def test_random_formulas_compile_to_pinned_bytes():
+    # four batches with many quantifiers on variables their bodies do not
+    # read: the shortcuts for those publish the general construction's bytes
+    dumps = [compile(f, sig, fo).dump()
+             for seed in (20260814, 1, 2, 3) for sig, fo, f in formula_batch(seed, 50)]
+    digest = hashlib.sha1("\n".join(dumps).encode()).hexdigest()
+    assert digest == "0181674b12faa712b7f22df2c30519c44c96be13"
+
+
+# bodies, with their free variables, that read neither z nor Z
+_VACUOUS_BODIES = (("ex q. (P1(q) & ~P2(q))", ()), ("P2(x)", ("x",)),
+                   ("x < y & P1(y)", ("x", "y")), ("EX Y. (Y(x) & ~P1(x))", ("x",)))
+
+
+@pytest.mark.parametrize("kind", ["ex z", "all z"] + [f"atleast {c} z" for c in range(4)]
+                         + ["EX Z", "ALL Z"])
+def test_vacuous_quantifiers_agree_in_both_routes(sig2, kind):
+    # on every word up to length 3, the empty one too, and every assignment:
+    # the oracle on the formula and on its expansion, and the automaton on
+    # each ascending marking
+    for body, fo in _VACUOUS_BODIES:
+        f = parse(f"{kind}. ({body})", sig2)
+        expanded = expand_macros(f)
+        dfa = compile(f, sig2, fo)
+        for w in all_words(sig2, 3):
+            for tup in itertools.product(range(len(w)), repeat=len(fo)):
+                env = dict(zip(fo, tup))
+                want = evaluate(f, w, env)
+                assert evaluate(expanded, w, env) is want, (kind, body, w, tup)
+                if all(a < b for a, b in zip(tup, tup[1:])):
+                    assert dfa.run(MarkedWord(w, tup)) is want, (kind, body, w, tup)
+
+
+@pytest.mark.parametrize("body, fo", _VACUOUS_BODIES)
+def test_vacuous_quantifiers_compile_to_the_general_constructions_bytes(sig2, body, fo):
+    # the shortcut against the route it skips: the counting expansion, a
+    # projection of a track that z = z or an empty In test adds
+    for c in range(4):
+        f = parse(f"atleast {c} z. ({body})", sig2)
+        assert compile(f, sig2, fo) == compile(expand_macros(f), sig2, fo), c
+    assert compile(parse(f"ex z. ({body})", sig2), sig2, fo) == \
+        compile(parse(f"ex z. (({body}) & z = z)", sig2), sig2, fo)
+    assert compile(parse(f"EX Z. ({body})", sig2), sig2, fo) == \
+        compile(parse(f"EX Z. (({body}) & ~ex q. (Z(q) & ~Z(q)))", sig2), sig2, fo)
+
+
+def test_valid_is_one_product_for_all_tracks(sig2):
+    # one product with the each-track-once automaton gives the automaton
+    # that one product per track with a single-mark automaton gives
+    b = Query(sig2, DEFAULT_STATE_BUDGET).builder("compile")
+    for text in ("P1(x) | P2(y)", "~(x < y & P1(z))", "EX Z. (Z(x) -> Z(y))", "true"):
+        a = b.extend(b.build(parse(text, sig2)), fo_add=("w",))
+        want = a
+        for v in a.fo:
+            want = b.product(want, b.single_mark(a.fo, a.so, (v,)), "and")
+        assert b.valid(a, a.fo) == want, text

@@ -11,7 +11,8 @@ import pytest
 
 from chainrep import compiler, growth, monoid, oracle, reparam
 from chainrep.errors import InputError
-from chainrep.formula import ExistsFO, Pred, Run, Signature, map_subformulas, parse
+from chainrep.formula import (And, ExistsFO, ForallFO, Pred, Run, Signature, map_subformulas,
+                              parse)
 from chainrep.interp import parse_interpretation, reduce_interpretation
 from chainrep.oracle import (answered_words, check_canonical_form, check_reparameterization,
                              count_in_set, evaluate, satisfying_tuples)
@@ -286,6 +287,47 @@ def test_vacuous_quantifiers_keep_their_errors_lazy(sig1):
         for w in (empty, one):
             with pytest.raises(InputError, match="^unbound variable 'v'$"):
                 evaluate(f, w)
+
+
+def test_a_vacuous_quantifier_keeps_the_error_order(sig2):
+    # the body runs only when some position exists: a search over x finds
+    # none on the empty word, so nothing reads the unbound y there
+    f = parse("ex q. y < x", sig2)
+    assert count_in_set(f, Word(sig2, ()), (), ("x",)) == 0
+    for letters in ((0,), (1, 2)):
+        w = Word(sig2, letters)
+        with pytest.raises(InputError, match="^unbound variable 'y'$"):
+            count_in_set(f, w, range(len(w)), ("x",))
+    # evaluated as a whole, the quantifier's memo reports y on every word
+    for letters in ((), (0,)):
+        with pytest.raises(InputError, match="^unbound variable 'y'$"):
+            evaluate(f, Word(sig2, letters), fo={"x": 0})
+
+
+class _CountedStates(frozenset):
+    """Accepting states that count the runs asking about them."""
+
+    runs = 0
+
+    def __contains__(self, q):
+        type(self).runs += 1
+        return frozenset.__contains__(self, q)
+
+
+def test_a_node_reading_fewer_labels_keeps_its_memo_across_words(sig2):
+    # all z. Run(every, (x, z)) reads no label while the formula reads both:
+    # its memo, keyed by the projection onto no label, lasts over the words
+    # of one length, so on all 256 words of length 4 its body runs once per
+    # value of (x, z)
+    _CountedStates.runs = 0
+    every = compiler.Dfa(sig2, True, 0, ((0,) * 16,), _CountedStates({0}), tracks=2)
+    f = And((Pred("P1", "x"), Pred("P2", "y"), ForallFO("z", Run(every, ("x", "z")))))
+    plain = parse("P1(x) & P2(y)", sig2)
+    words = [w for w in all_words(sig2, 4) if len(w) == 4]
+    assert len(words) == 256
+    for w in words:
+        assert satisfying_tuples(f, w, ("x", "y")) == satisfying_tuples(plain, w, ("x", "y"))
+    assert _CountedStates.runs == 4 * 4
 
 
 def _rep_with(text, **changes):
