@@ -162,18 +162,25 @@ def _cmd_growth(run: _Run):
     rep = run.minrep(f, sig, variables)
     n = run.args.n if run.args.n is not None else 3
     max_len = run.args.max_len if run.args.max_len is not None else 6
+    if n < 1:
+        raise InputError("need n >= 1")
     result = {"degree": rep.dimension, "bound": rep.bound}
-    lower = growth_lower_witness(f, sig, variables, n,
-                                 budget_states=run.args.budget_states)
-    witness = result["lower_witness"] = _witness_dict(lower)
+    if rep.bound:
+        witness = _witness_dict(growth_lower_witness(
+            f, sig, variables, n, budget_states=run.args.budget_states))
+        floor = n ** rep.dimension
+    else:
+        # no tuple satisfies f on any word: no witness, and every count is 0
+        witness, floor = {"absent": "formula is unsatisfiable"}, 0
+    result["lower_witness"] = witness
     got = brute_growth(f, sig, variables, n, max_len)
     ceiling = rep.bound * n ** rep.dimension
     result["sandwich"] = {
         "n": n, "max_len": max_len,
-        "lower": n ** rep.dimension,
+        "lower": floor,
         "brute": got,
         "upper": ceiling,
-        "ok": witness["oracle_count"] >= n ** rep.dimension and got <= ceiling,
+        "ok": witness.get("oracle_count", 0) >= floor and got <= ceiling,
     }
     return run.report("growth", result), 0 if result["sandwich"]["ok"] else 1
 

@@ -12,25 +12,19 @@ compiled program is found by the formula's id and lives exactly as long as
 the formula.  Every public call is one search through it: load the word
 and search; `evaluate` is the search over no variables, under the
 caller's assignments.  Quantifiers update the variable environment in
-place and restore it.  A quantifier on a variable its body does not read
-runs the body once, when some value exists, since the body then holds for
-every value or for none: ex holds on a nonempty word where the body does,
-all on the empty word or where the body does, atleast c on a word of c
-positions or more where the body does (atleast 0 always), and a set
-quantifier, whose empty set always exists, where the body does.
+place and restore it.
 
-A quantifier, an ex block or an automaton leaf memoizes its truth by the
-values of its free variables.  That truth depends on nothing else but the
-word's length and the labels the node reads (the coincidence lemma
-below), so a quantifier or ex block that reads fewer labels than its
-whole formula keeps its memo across calls: one memo per projection of the
-word onto the labels it reads, all emptied when the word length changes.
-Every other node starts a fresh memo in each call: one that reads all of
-its formula's labels would meet a new projection in every search, which
-the answer memo below already hands it, and an automaton leaf's memo kept
-across calls measured no faster on the interpretation checks.  So one
-formula object is evaluated by one call at a time: the oracle is
-single-threaded.
+A quantifier or an automaton leaf memoizes its truth by the values of its
+free variables.  That truth depends on nothing else but the word's length
+and the labels the node reads (the coincidence lemma below), so a
+quantifier that reads fewer labels than its whole formula keeps its memo
+across calls: one memo per projection of the word onto the labels it
+reads, all emptied when the word length changes.  Every other node starts
+a fresh memo in each call: one that reads all of its formula's labels
+would meet a new projection in every search, which the answer memo below
+already hands it, and an automaton leaf's memo kept across calls measured
+no faster on the interpretation checks.  So one formula object is
+evaluated by one call at a time: the oracle is single-threaded.
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -39,33 +33,30 @@ or on one track per variable, as the automaton reads them.
 Nothing of the compiler is used for that: the leaf's automaton is part of
 the map under test, so a wrong one still fails the checks below.
 
-Tuples are enumerated by one search, `_search`, which `satisfying_tuples`,
-`count_in_set` and every block `ex v1 ... ex vk. body` with k >= 2 share.
-It runs one loop per variable, in lexicographic order.  The loops of a
-plan are compiled once into a nest of closures, one per variable, each
-calling the next for every value that passes its tests; the innermost
-counts the tuples or appends them.  Each conjunct of the flattened body is
-tested at the loop that binds the last of its variables, so a failed
-conjunct prunes every tuple that extends the prefix
+Tuples are enumerated by one search, `_search`, which `satisfying_tuples`
+and `count_in_set` share.  It runs one loop per variable, in lexicographic
+order.  The loops of a plan are compiled once into a nest of closures, one
+per variable, each calling the next for every value that passes its
+tests; the innermost counts the tuples or appends them.  Each conjunct of
+the flattened body is tested at the loop that binds the last of its
+variables, so a failed conjunct prunes every tuple that extends the prefix
 (selection pushdown in nested-loop evaluation; Ullman, "Principles of
 Database and Knowledge-Base Systems", 1988).  The levels only grow in
 written order: no conjunct is tested ahead of one written before it.  The
 conjuncts of each tuple are therefore tried in the same order as by
 evaluating the whole formula on it, which keeps the answers, their order
 and the first error.  The conjuncts of one level are fused into one
-closure, so a candidate value costs one call.  A loop whose value no
-deeper conjunct reads stops descending once the loops below it have found
-nothing, as the memo of a nested quantifier would.
+closure, so a candidate value costs one call.
 
 The plan of a search is built once per list of variables searched, from
 closures compiled with those variables counted as bound: the search sets
-them only to positions of the word or of a pool checked to lie in it, so
-their atoms read them directly.  An atom on variables that neither the
-formula nor the search binds reads their values directly and range-checks
-them; only when one is missing or out of range does it take the slow path,
-which raises for the first variable read.  A `<` or `=` atom on two bound
-variables compares their values directly, with no call but its own: it is
-the most frequent test of every search.
+them only to positions of the word or of a pool checked to lie in it.  A
+`<` or `=` atom on two bound variables compares their values directly,
+with no call but its own: it is the most frequent test of every search.
+A predicate atom, and a `<` or `=` atom on some other variable, reads its
+values directly and range-checks them; only when one is missing or out of
+range does it take the slow path, which raises for the first variable
+read.
 
 A formula's truth on a word depends only on the word's length and on the
 labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
@@ -147,9 +138,9 @@ class _Program(NamedTuple):
     None, under the assignments fo and so, building the variables' plan the
     first time they are searched; over no variables it is 1 when the
     formula holds and 0 when not.  Each call loads the word; a subformula
-    memo lasts one call, or, for a quantifier or ex block that reads fewer
-    labels than the formula, every call on a word of one length, by the
-    word's projection onto the labels the node reads.
+    memo lasts one call, or, for a quantifier that reads fewer labels than
+    the formula, every call on a word of one length, by the word's
+    projection onto the labels the node reads.
 
     answers is the answer memo, which outlasts the call: variable list ->
     (length, projection -> satisfying tuples), for the last word length
@@ -206,7 +197,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         plan = plans.get(variables)
         if plan is None:
             # the search binds its variables to positions of the word or of
-            # a validated pool, so their atoms may read them directly
+            # a validated pool, so their < and = atoms may read them directly
             parts = built_conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
             plan = plans[variables] = _levels(variables, parts)
         letters = word.letters
@@ -221,7 +212,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         # repeated assignments (as in satisfying_tuples, which varies every
         # variable while a quantifier reads few of them) are computed once
         # per call; a node that reads fewer labels than the formula keeps
-        # its memo across calls, by projection, for the last length
+        # its memo across calls, by projection, for the last length (with a
+        # fresh memo in every call, an oracle-check pass ran about 12% slower)
         fo_key = itemgetter(*fo_vars) if fo_vars else lambda fo: ()
         so_key = itemgetter(*so_vars) if so_vars else None
         memo: dict = {}
@@ -258,19 +250,10 @@ def _compile(f: Formula, sig: Signature) -> _Program:
         inner, reads = reads, reads | outer
         return built, inner
 
-    def quantifier(v, body, need, want, over_sets, vacuous):
+    def quantifier(v, body, need, want, over_sets):
         # counts the values of v that make the body equal `want`, up to
         # `need`: ex is (1, True), atleast c is (c, True), and all is
         # (1, False), true when no such value exists
-        if vacuous:
-            # the body does not read v, so it holds for every value or for
-            # none: it runs once, when some value exists, as the loop's first
-            def once(fo, so):
-                size = 1 << n if over_sets else n
-                hits = size if size and body(fo, so) == want else 0
-                return (hits >= need) == want
-            return once
-
         def fn(fo, so):
             env, values = (so, range(1 << n)) if over_sets else (fo, positions)
             old = env.get(v, _UNSET)
@@ -288,25 +271,6 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return (hits >= need) == want
         return fn
 
-    def exists_block(vs, body, bound_fo, bound_so):
-        # ex v1 ... ex vk. body holds when the search finds one tuple
-        parts, node_reads = reading(built_conjuncts, body, bound_fo | set(vs), bound_so)
-        plan = _levels(vs, parts, first=True)
-        names = tuple(dict.fromkeys(vs))
-        ffo, fso = _free(parts)
-        ffo = tuple(x for x in ffo if x not in names)
-
-        def fn(fo, so):
-            old = [fo.get(v, _UNSET) for v in names]
-            hits = _search(plan, positions, fo, so)
-            for v, was in zip(names, old):
-                if was is _UNSET:
-                    fo.pop(v, None)
-                else:
-                    fo[v] = was
-            return hits > 0
-        return memoized(fn, ffo, fso, node_reads), ffo, fso
-
     def built_conjuncts(node, bound_fo, bound_so):
         """build() of each conjunct of node, in written order."""
         return [build(g, bound_fo, bound_so) for g in conjuncts(node)]
@@ -320,6 +284,8 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             case Less(a, b) | Equal(a, b):
                 op = lt if isinstance(node, Less) else eq
                 if a in bound_fo and b in bound_fo:
+                    # read unchecked: with the range-checked closure below,
+                    # an oracle-check pass ran up to about 3% slower
                     fn = (lambda fo, so: fo[a] < fo[b]) if op is lt else \
                         (lambda fo, so: fo[a] == fo[b])
                 else:
@@ -339,12 +305,10 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 else:
                     bit = 1 << sig.index(name)
                     reads |= bit
-                    if v in bound_fo:
-                        fn = lambda fo, so: letters[fo[v]] & bit != 0
-                    else:
-                        def fn(fo, so):
-                            p = fo.get(v, -1)
-                            return letters[p if 0 <= p < n else _pos(fo, v, n)] & bit != 0
+
+                    def fn(fo, so):
+                        p = fo.get(v, -1)
+                        return letters[p if 0 <= p < n else _pos(fo, v, n)] & bit != 0
                 return fn, (v,), ()
             case In(s, v):
                 def fn(fo, so):
@@ -361,29 +325,18 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return _every([build(g, bound_fo, bound_so) for g in parts], True)
             case Implies(a, b):
                 return build(Or((Not(a), b)), bound_fo, bound_so)
-            case ExistsFO(v, ExistsFO() as g):
-                # a block of two or more ex is one search, which can test a
-                # conjunct between its loops; a single ex has nothing to test
-                # there and is a plain quantifier, which runs faster
-                block = [v]
-                while isinstance(g, ExistsFO):
-                    block.append(g.var)
-                    g = g.body
-                return exists_block(tuple(block), g, bound_fo, bound_so)
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
                 (body, ffo, fso), node_reads = reading(build, g, bound_fo | {v}, bound_so)
-                vacuous = v not in ffo
                 ffo = tuple(x for x in ffo if x != v)
                 if isinstance(node, AtLeast):
-                    fn = quantifier(v, body, node.count, True, False, vacuous)
+                    fn = quantifier(v, body, node.count, True, False)
                 else:
-                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False, vacuous)
+                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
                 return memoized(fn, ffo, fso, node_reads), ffo, fso
             case ExistsSO(s, g) | ForallSO(s, g):
                 (body, ffo, fso), node_reads = reading(build, g, bound_fo, bound_so | {s})
-                vacuous = s not in fso
                 fso = tuple(x for x in fso if x != s)
-                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True, vacuous)
+                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
                 return memoized(fn, ffo, fso, node_reads), ffo, fso
             case Run(dfa, vs):
                 same_sig = dfa.sig == sig
@@ -433,7 +386,9 @@ def _every(parts, some=False):
 
     The closure tests the parts left to right and stops at the first that
     fails, as `and` does, or with some set at the first that holds.  Two
-    parts are one lambda, more one loop, never one call per part nested.
+    parts are one lambda, more one loop, never one call per part nested
+    (run by the loop, two parts cost an oracle-check pass +0.2% by CPU time
+    and +8% by wall clock on 2 shared vCPUs: no clear cost either way).
     """
     tests = [p[0] for p in parts]
     if len(tests) == 1:
@@ -463,7 +418,7 @@ def _free(parts):
             tuple(dict.fromkeys(x for p in parts for x in p[2])))
 
 
-def _levels(variables, parts, first=False) -> tuple[Callable | None, Callable | None, int]:
+def _levels(variables, parts) -> tuple[Callable | None, Callable | None, int]:
     """(top, nest, k): the plan for searching the k variables with the parts.
 
     top is the conjunction, as _every tests it, of the parts written before
@@ -473,8 +428,7 @@ def _levels(variables, parts, first=False) -> tuple[Callable | None, Callable | 
     and tup[i] and tests the parts whose last variable it binds (a repeated
     name is bound by its last loop), never ahead of a part written before
     it.  The innermost loop counts each value that passes and appends the
-    tuple to out when out is given; with first set, every loop stops at the
-    first tuple.
+    tuple to out when out is given.
     """
     bound_at = {v: i for i, v in enumerate(variables, 1)}
     levels: list[list] = [[] for _ in range(len(variables) + 1)]
@@ -483,19 +437,16 @@ def _levels(variables, parts, first=False) -> tuple[Callable | None, Callable | 
         level = max([level] + [bound_at.get(v, 0) for v in part[1]])
         levels[level].append(part)
     checks = [_every(at)[0] if at else None for at in levels]
-    nest, below = None, set()
+    nest = None
     for i in reversed(range(len(variables))):
         if nest is None:
-            nest = _innermost(i, variables[i], checks[i + 1], first)
+            nest = _innermost(i, variables[i], checks[i + 1])
         else:
-            # no part tested below loop i reads its variable
-            blind = variables[i] not in below
-            nest = _outer(i, variables[i], checks[i + 1], blind, first, nest)
-        below.update(*(part[1] for part in levels[i + 1]))
+            nest = _outer(i, variables[i], checks[i + 1], nest)
     return checks[0], nest, len(variables)
 
 
-def _innermost(i, v, test, first):
+def _innermost(i, v, test):
     def loop(values, fo, so, out, tup):
         hits = 0
         for value in values:
@@ -505,31 +456,18 @@ def _innermost(i, v, test, first):
                 if out is not None:
                     tup[i] = value
                     out.append(tuple(tup))
-                if first:
-                    break
         return hits
     return loop
 
 
-def _outer(i, v, test, blind, first, inner):
-    # when the loops below a blind loop find no tuple, they would find none
-    # for any other value of it either, so the rest of its values only run
-    # its own test, which may still raise, and no longer descend
+def _outer(i, v, test, inner):
     def loop(values, fo, so, out, tup):
         hits = 0
-        spent = False
         for value in values:
             fo[v] = value
-            if test is not None and not test(fo, so) or spent:
-                continue
-            tup[i] = value
-            found = inner(values, fo, so, out, tup)
-            if found:
-                if first:
-                    return found
-                hits += found
-            else:
-                spent = blind
+            if test is None or test(fo, so):
+                tup[i] = value
+                hits += inner(values, fo, so, out, tup)
         return hits
     return loop
 
@@ -565,6 +503,8 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
     if prog.so_vars:
         raise InputError("formula has free set variables")
     variables = prog.fo_vars if variables is None else tuple(variables)
+    # accepted spares the subset test on every later call with these
+    # variables (without it, an interp-reduce pass measured within noise)
     if variables not in prog.accepted:
         if not prog.fo_set.issubset(variables):
             missing = [v for v in prog.fo_vars if v not in variables]
@@ -651,6 +591,8 @@ def answered_words(sig: Signature, max_len: int, questions):
             length = len(letters)
             memos = [None if mask == every else _answer_memo(prog, variables, length)
                      for prog, variables, mask in asked]
+        # questions of one mask share its projection (projecting once per
+        # question, an interp-reduce pass ran about 9% slower)
         projections: dict[int, tuple[int, ...]] = {}
         answers = []
         for (prog, variables, mask), memo in zip(asked, memos):

@@ -356,6 +356,20 @@ def test_growth_on_a_diagonal_formula(capsys):
     assert report["result"]["lower_witness"]["oracle_count"] >= 1
 
 
+@pytest.mark.parametrize("text", ["x < x", "ex z. z < z"])
+def test_growth_on_an_unsatisfiable_formula(capsys, text):
+    # no tuple ever satisfies it: no witness, and every count is 0
+    status, report, _ = run_json(capsys, "growth", "--sig", "P1", "--formula", text)
+    assert status == 0
+    result = report["result"]
+    assert (result["degree"], result["bound"]) == (0, 0)
+    assert result["lower_witness"] == {"absent": "formula is unsatisfiable"}
+    assert result["sandwich"] == {"n": 3, "max_len": 6, "lower": 0, "brute": 0,
+                                  "upper": 0, "ok": True}
+    status, _, err = run(capsys, "growth", "--sig", "P1", "--formula", text, "--n", "0")
+    assert status == 2 and "need n >= 1" in err
+
+
 def test_exit_codes(capsys):
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x <")
     assert status == 2 and "position" in err
