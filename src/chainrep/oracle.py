@@ -14,17 +14,21 @@ and search; `evaluate` is the search over no variables, under the
 caller's assignments.  Quantifiers update the variable environment in
 place and restore it.
 
-A quantifier or an automaton leaf memoizes its truth by the values of its
-free variables.  That truth depends on nothing else but the word's length
-and the labels the node reads (the coincidence lemma below), so a
-quantifier that reads fewer labels than its whole formula keeps its memo
-across calls: one memo per projection of the word onto the labels it
-reads, all emptied when the word length changes.  Every other node starts
-a fresh memo in each call: one that reads all of its formula's labels
-would meet a new projection in every search, which the answer memo below
-already hands it, and an automaton leaf's memo kept across calls measured
-no faster on the interpretation checks.  So one formula object is
-evaluated by one call at a time: the oracle is single-threaded.
+A formula's truth on a word depends only on the word's length and on the
+labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
+"Finite Model Theory", 1995), and the oracle keeps one memo on that
+ground.  Each quantifier, each automaton leaf and each question, a
+(formula, variables) pair, owns a table keyed by the word's projection
+onto the labels it reads.  A node's entry maps the values of its free
+variables to its truth; a question's entry is its list of satisfying
+tuples.  A table holds one word length: a key of another length empties
+it, and so does every new key of a table whose projection is the whole
+word, which no other word shares (`_keep`).  So words that agree on what
+a node or a question reads share its answer, within a call and across
+calls, and a sweep that asks word after word in shortlex order, as the
+keystone cross-validation does, searches once per projection.  The tables
+outlast the call, so one formula object is evaluated by one call at a
+time: the oracle is single-threaded.
 
 An automaton leaf Run(dfa, vars), which the pipeline puts into the maps and
 selectors it builds, is evaluated by reading the word through the leaf's own
@@ -58,31 +62,22 @@ values directly and range-checks them; only when one is missing or out of
 range does it take the slow path, which raises for the first variable
 read.
 
-A formula's truth on a word depends only on the word's length and on the
-labels the formula reads (the coincidence lemma; Ebbinghaus and Flum,
-"Finite Model Theory", 1995), so a question, a (formula, variables) pair,
-is answered once per length and projection of the word onto those labels,
-and words that agree there share the answer.  The answers live in the
-program's answer memo, which lasts past the call: for each variable list,
-the answers at the last word length it was asked at, by projection.
-`satisfying_tuples` reads and fills it and hands the caller a copy, so a
-sweep that asks word after word in shortlex order, as the keystone
-cross-validation does, searches once per projection.  The checks ask
-their questions through `answered_words`, which walks every word up to a
-length, reads the same memo and hands out its lists.  A question asked
-at a new length starts that list's memo afresh, so a walk keeps at most
-one length's answers.  The labels read are the formula's own `reads`,
-gathered while its closures are compiled: a predicate reads its label, an
-automaton leaf the labels its transition table tells apart (the bits b
-for which some row sends letters a and a ^ (1 << b) to different
-states), and an unknown predicate or a leaf over another signature every
-label, so such a question is asked on every word.  The projection comes
-from the syntax and from the leaf's table read as data, as the leaf's
-evaluation reads it, so the oracle still shares no code with the
-compiler.  A check's verdict on a word depends only on its answer list,
-so `answered_words` hands out each distinct list, compared by value, once:
-a later word with an earlier word's list comes with None in its place, and
-the checks count it and pass it as that word passed.
+`satisfying_tuples` reads and fills its question's table and hands the
+caller a copy.  The checks ask their questions through `answered_words`,
+which walks every word up to a length and reads the same tables.  The
+labels a node reads are gathered while its closures are compiled: a
+predicate reads its label, an automaton leaf the labels its transition
+table tells apart (the bits b for which some row sends letters a and
+a ^ (1 << b) to different states), and an unknown predicate or a leaf
+over another signature every label; a quantifier or a formula reads what
+its parts read.  A question that reads every label is thus asked on
+every word.  The projection comes from the syntax and from the leaf's
+table read as data, as the leaf's evaluation reads it, so the oracle
+still shares no code with the compiler.  A check's verdict on a word
+depends only on its answer list, so `answered_words` hands out each
+distinct list, compared by value, once: a later word with an earlier
+word's list comes with None in its place, and the checks count it and
+pass it as that word passed.
 """
 
 from __future__ import annotations
@@ -128,34 +123,29 @@ class _Program(NamedTuple):
     """A formula compiled for words over one signature.
 
     fo_vars and so_vars are the formula's free variables in order of first
-    occurrence, fo_set holds fo_vars as a set, and accepted the variable
-    lists that satisfying_tuples has found to cover fo_vars.  reads holds
-    the bit of every label the closures read: each predicate's, the bits
-    an automaton leaf's transition table tells apart, or all of them for
-    an unknown predicate or a leaf over another signature.  search(word,
-    variables, values, fo, so, out=None) -> int runs _search over the
-    variables on the values, or on the word's positions when values is
-    None, under the assignments fo and so, building the variables' plan the
-    first time they are searched; over no variables it is 1 when the
-    formula holds and 0 when not.  Each call loads the word; a subformula
-    memo lasts one call, or, for a quantifier that reads fewer labels than
-    the formula, every call on a word of one length, by the word's
-    projection onto the labels the node reads.
+    occurrence.  reads holds the bit of every label the closures read:
+    each predicate's, the bits an automaton leaf's transition table tells
+    apart, or all of them for an unknown predicate or a leaf over another
+    signature.  search(word, variables, values, fo, so, out=None) -> int
+    runs _search over the variables on the values, or on the word's
+    positions when values is None, under the assignments fo and so,
+    building the variables' plan the first time they are searched; over
+    no variables it is 1 when the formula holds and 0 when not.  Each call
+    loads the word, and each quantifier and automaton leaf finds its
+    table's entry for the word's projection.
 
-    answers is the answer memo, which outlasts the call: variable list ->
-    (length, projection -> satisfying tuples), for the last word length
-    the list was asked at.  satisfying_tuples and answered_words read and
-    fill it; a program that reads every label keeps nothing in it.
+    answers maps each variable list that satisfying_tuples has found to
+    cover fo_vars to its question's table: projection of the word onto
+    reads -> satisfying tuples, for one word length (_keep).
+    satisfying_tuples and answered_words read and fill it.
     """
 
     sig: Signature
     fo_vars: tuple[str, ...]
-    fo_set: frozenset[str]
     so_vars: tuple[str, ...]
-    accepted: set[tuple[str, ...]]
     reads: int
     search: Callable
-    answers: dict[tuple[str, ...], tuple[int, dict]]
+    answers: dict[tuple[str, ...], dict[tuple[int, ...], list]]
 
 
 def _program(f: Formula, sig: Signature) -> _Program:
@@ -188,94 +178,60 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
-    calls = 0
     # variables searched -> their _levels, built with those variables bound
     plans: dict[tuple[str, ...], tuple[Callable | None, Callable | None, int]] = {}
 
     def search(word, variables, values, fo, so, out=None):
-        nonlocal letters, n, positions, calls
+        nonlocal letters, n, positions
         plan = plans.get(variables)
         if plan is None:
             # the search binds its variables to positions of the word or of
             # a validated pool, so their < and = atoms may read them directly
-            parts = built_conjuncts(formula(), frozenset(variables), frozenset()) if variables else top
+            parts = built_conjuncts(formula(), frozenset(variables)) if variables else top
             plan = plans[variables] = _levels(variables, parts)
         letters = word.letters
         n = len(letters)
         positions = range(n)
-        calls += 1
         return _search(plan, positions if values is None else values, fo, so, out)
 
-    def memoized(compute, fo_vars, so_vars, node_reads=None):
+    def memoized(compute, fo_vars, so_vars, node_reads):
         # a subformula's truth depends only on the values of its own free
         # variables, on the word's length and on the labels it reads, so
         # repeated assignments (as in satisfying_tuples, which varies every
         # variable while a quantifier reads few of them) are computed once
-        # per call; a node that reads fewer labels than the formula keeps
-        # its memo across calls, by projection, for the last length (with a
-        # fresh memo in every call, an oracle-check pass ran about 12% slower)
+        # per projection of the word onto those labels
         fo_key = itemgetter(*fo_vars) if fo_vars else lambda fo: ()
         so_key = itemgetter(*so_vars) if so_vars else None
-        memo: dict = {}
-        kept: dict[tuple[int, ...], dict] = {}
-        stamp = length = -1
+        table: dict[tuple[int, ...], dict] = {}
+        whole = node_reads == every
+        entry: dict = {}
+        seen: tuple[int, ...] | None = None
 
         def fn(fo, so):
-            nonlocal memo, stamp, length
+            nonlocal entry, seen
             try:
                 key = fo_key(fo) if so_key is None else (fo_key(fo), so_key(so))
             except KeyError as e:
                 raise InputError(f"unbound variable {e.args[0]!r}") from None
-            if stamp != calls:
-                # first use in this call: reads is the whole formula's by now
-                stamp = calls
-                if node_reads is None or node_reads == reads:
-                    memo = {}
-                else:
-                    if length != n:
-                        kept.clear()
-                        length = n
-                    memo = kept.setdefault(tuple([a & node_reads for a in letters]), {})
-            hit = memo.get(key)
+            if seen is not letters:
+                # first use on this word: find its entry (seen holds the
+                # letters, so no other word can come with the same object)
+                seen = letters
+                projection = letters if whole else tuple([a & node_reads for a in letters])
+                entry = table.get(projection)
+                if entry is None:
+                    entry = _keep(table, projection, {}, whole)
+            hit = entry.get(key)
             if hit is None:
-                hit = memo[key] = compute(fo, so)
+                hit = entry[key] = compute(fo, so)
             return hit
         return fn
 
-    def reading(make, *args):
-        """(make(*args), the labels that the closures it builds read)."""
-        nonlocal reads
-        outer, reads = reads, 0
-        built = make(*args)
-        inner, reads = reads, reads | outer
-        return built, inner
-
-    def quantifier(v, body, need, want, over_sets):
-        # counts the values of v that make the body equal `want`, up to
-        # `need`: ex is (1, True), atleast c is (c, True), and all is
-        # (1, False), true when no such value exists
-        def fn(fo, so):
-            env, values = (so, range(1 << n)) if over_sets else (fo, positions)
-            old = env.get(v, _UNSET)
-            hits = 0
-            for value in values:
-                env[v] = value
-                if body(fo, so) == want:
-                    hits += 1
-                    if hits >= need:
-                        break
-            if old is _UNSET:
-                env.pop(v, None)
-            else:
-                env[v] = old
-            return (hits >= need) == want
-        return fn
-
-    def built_conjuncts(node, bound_fo, bound_so):
+    def built_conjuncts(node, bound_fo):
         """build() of each conjunct of node, in written order."""
-        return [build(g, bound_fo, bound_so) for g in conjuncts(node)]
+        return [build(g, bound_fo) for g in conjuncts(node)]
 
-    def build(node, bound_fo, bound_so):
+    def build(node, bound_fo):
         """(closure, free FO variables, free set variables) of node."""
         nonlocal reads
         match node:
@@ -317,30 +273,50 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                     return so[s] >> _pos(fo, v, n) & 1 == 1
                 return fn, (v,), (s,)
             case Not(g):
-                fg, ffo, fso = build(g, bound_fo, bound_so)
+                fg, ffo, fso = build(g, bound_fo)
                 return (lambda fo, so: not fg(fo, so)), ffo, fso
             case And():
-                return _every(built_conjuncts(node, bound_fo, bound_so))
+                return _every(built_conjuncts(node, bound_fo))
             case Or(parts):
-                return _every([build(g, bound_fo, bound_so) for g in parts], True)
+                return _every([build(g, bound_fo) for g in parts], True)
             case Implies(a, b):
-                return build(Or((Not(a), b)), bound_fo, bound_so)
-            case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g):
-                (body, ffo, fso), node_reads = reading(build, g, bound_fo | {v}, bound_so)
-                ffo = tuple(x for x in ffo if x != v)
-                if isinstance(node, AtLeast):
-                    fn = quantifier(v, body, node.count, True, False)
+                return build(Or((Not(a), b)), bound_fo)
+            case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g) | ExistsSO(v, g) | ForallSO(v, g):
+                over_sets = isinstance(node, (ExistsSO, ForallSO))
+                # the node reads the labels its body reads
+                outer, reads = reads, 0
+                body, ffo, fso = build(g, bound_fo if over_sets else bound_fo | {v})
+                node_reads, reads = reads, reads | outer
+                if over_sets:
+                    fso = tuple(x for x in fso if x != v)
                 else:
-                    fn = quantifier(v, body, 1, isinstance(node, ExistsFO), False)
-                return memoized(fn, ffo, fso, node_reads), ffo, fso
-            case ExistsSO(s, g) | ForallSO(s, g):
-                (body, ffo, fso), node_reads = reading(build, g, bound_fo, bound_so | {s})
-                fso = tuple(x for x in fso if x != s)
-                fn = quantifier(s, body, 1, isinstance(node, ExistsSO), True)
+                    ffo = tuple(x for x in ffo if x != v)
+                # fn counts the values of v that make the body equal `want`,
+                # up to `need`: ex is (1, True), atleast c is (c, True), and
+                # all is (1, False), true when no such value exists
+                need = node.count if isinstance(node, AtLeast) else 1
+                want = not isinstance(node, (ForallFO, ForallSO))
+
+                def fn(fo, so):
+                    env, values = (so, range(1 << n)) if over_sets else (fo, positions)
+                    old = env.get(v, _UNSET)
+                    hits = 0
+                    for value in values:
+                        env[v] = value
+                        if body(fo, so) == want:
+                            hits += 1
+                            if hits >= need:
+                                break
+                    if old is _UNSET:
+                        env.pop(v, None)
+                    else:
+                        env[v] = old
+                    return (hits >= need) == want
                 return memoized(fn, ffo, fso, node_reads), ffo, fso
             case Run(dfa, vs):
                 same_sig = dfa.sig == sig
-                reads |= _table_reads(dfa.delta, sig.k) if same_sig else every
+                node_reads = _table_reads(dfa.delta, sig.k) if same_sig else every
+                reads |= node_reads
                 ffo = tuple(dict.fromkeys(vs))
                 delta, accepting, init = dfa.delta, dfa.accepting, dfa.init
                 # the mark bit each variable sets: shared, or one per track
@@ -356,12 +332,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                     for mask, mark in zip(letters, marks):
                         q = delta[q][mask | mark]
                     return q in accepting
-                return memoized(fn, ffo, ()), ffo, ()
+                return memoized(fn, ffo, (), node_reads), ffo, ()
         raise InputError(f"not a formula: {node!r}")
 
-    top = built_conjuncts(f, frozenset(), frozenset())
+    top = built_conjuncts(f, frozenset())
     fo_vars, so_vars = _free(top)
-    return _Program(sig, fo_vars, frozenset(fo_vars), so_vars, set(), reads, search, {})
+    return _Program(sig, fo_vars, so_vars, reads, search, {})
 
 
 def _table_reads(delta, k: int) -> int:
@@ -385,18 +361,13 @@ def _every(parts, some=False):
     or with some set of a disjunction.
 
     The closure tests the parts left to right and stops at the first that
-    fails, as `and` does, or with some set at the first that holds.  Two
-    parts are one lambda, more one loop, never one call per part nested
-    (run by the loop, two parts cost an oracle-check pass +0.2% by CPU time
-    and +8% by wall clock on 2 shared vCPUs: no clear cost either way).
+    fails, as `and` does, or with some set at the first that holds: one
+    part is its own closure, more are one loop, never one call per part
+    nested.
     """
     tests = [p[0] for p in parts]
     if len(tests) == 1:
         fn = tests[0]
-    elif len(tests) == 2:
-        a, b = tests
-        fn = (lambda fo, so: a(fo, so) or b(fo, so)) if some else \
-            (lambda fo, so: a(fo, so) and b(fo, so))
     elif some:
         def fn(fo, so):
             for test in tests:
@@ -495,30 +466,28 @@ def satisfying_tuples(f: Formula, word: Word, variables=None) -> list[tuple[int,
 
     Variables default to the free variables of f in first-occurrence order.
     Extra variables are allowed; missing ones are an error, as are free set
-    variables.  The answer is looked up in, or added to, the program's
-    answer memo by the word's projection onto the labels f reads, and the
-    caller gets its own copy.
+    variables.  The answer is looked up in, or added to, the question's
+    table by the word's projection onto the labels f reads, and the caller
+    gets its own copy.
     """
     prog = _program(f, word.sig)
     if prog.so_vars:
         raise InputError("formula has free set variables")
     variables = prog.fo_vars if variables is None else tuple(variables)
-    # accepted spares the subset test on every later call with these
-    # variables (without it, an interp-reduce pass measured within noise)
-    if variables not in prog.accepted:
-        if not prog.fo_set.issubset(variables):
-            missing = [v for v in prog.fo_vars if v not in variables]
+    table = prog.answers.get(variables)
+    if table is None:
+        # a variable list gets its table once it is found to cover fo_vars
+        missing = [v for v in prog.fo_vars if v not in variables]
+        if missing:
             raise InputError(f"unassigned free variables {missing}")
-        prog.accepted.add(variables)
-    mask = prog.reads
-    if mask == (1 << prog.sig.k) - 1:
-        return _answer(prog, word, variables)
-    letters = word.letters
-    memo = _answer_memo(prog, variables, len(letters))
-    key = tuple([a & mask for a in letters])
-    answer = memo.get(key)
+        table = prog.answers[variables] = {}
+    mask, letters = prog.reads, word.letters
+    whole = mask == (1 << word.sig.k) - 1
+    # Word keeps its letters in range, so they are their whole projection
+    key = letters if whole else tuple([a & mask for a in letters])
+    answer = table.get(key)
     if answer is None:
-        answer = memo[key] = _answer(prog, word, variables)
+        answer = _keep(table, key, _answer(prog, word, variables), whole)
     return answer.copy()
 
 
@@ -530,13 +499,18 @@ def _answer(prog: _Program, word: Word, variables: tuple[str, ...]) -> list[tupl
     return out
 
 
-def _answer_memo(prog: _Program, variables: tuple[str, ...], length: int) -> dict:
-    """The program's answers over the variables on words of the length, by
-    projection; a new length replaces the last one's."""
-    held = prog.answers.get(variables)
-    if held is None or held[0] != length:
-        held = prog.answers[variables] = (length, {})
-    return held[1]
+def _keep(table: dict, key: tuple[int, ...], value, whole: bool):
+    """Add value to the table under key, a word's projection, and return it.
+
+    This is the one retention rule of the oracle's memo: a table holds
+    entries for one word length, so a key of another length empties it
+    first, and a whole table, one keyed by the whole word, holds one entry,
+    since no other word can hit it.
+    """
+    if table and (whole or len(next(iter(table))) != len(key)):
+        table.clear()
+    table[key] = value
+    return value
 
 
 def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
@@ -558,17 +532,13 @@ def answered_words(sig: Signature, max_len: int, questions):
     questions is a list of (formula, variables) pairs, and answers[i] is
     satisfying_tuples of the i-th on the word; answers is None when an
     earlier word of this walk had the same list, compared by value, so a
-    reader decides each distinct list once.  A formula's truth depends
-    only on the word's length and on the labels it reads, so an answer is
-    computed once per length and projection of the word onto those labels
-    and kept in the program's answer memo, which lasts past this call for
-    the last length asked; every later word with the same key, here or in
-    a later call, gets the same list object: no reader may mutate it.  A
-    question that reads every label is asked on every word and keeps
-    nothing.  The empty word comes first and answers every question in
-    order through satisfying_tuples, which compiles and validates them, so
-    the first error is the one that asking each question on each word
-    would raise.
+    reader decides each distinct list once.  Each answer is read from, or
+    added to, its question's table, the one satisfying_tuples reads, so a
+    later word with the same projection, here or in a later call, gets the
+    same list object: no reader may mutate it.  The empty word comes first
+    and answers every question in order through satisfying_tuples, which
+    compiles and validates them, so the first error is the one that asking
+    each question on each word would raise.
     """
     every = (1 << sig.k) - 1
     words = all_words(sig, max_len)
@@ -581,30 +551,21 @@ def answered_words(sig: Signature, max_len: int, questions):
     asked = []
     for f, variables in questions:
         prog = _program(f, sig)
-        asked.append((prog, prog.fo_vars if variables is None else tuple(variables), prog.reads))
-    memos: list[dict | None] = []
-    length = 0
+        variables = prog.fo_vars if variables is None else tuple(variables)
+        asked.append((prog, variables, prog.reads, prog.answers[variables]))
     for word in words:
         letters = word.letters
-        if len(letters) != length:
-            # all_words is in shortlex order: no shorter word comes again
-            length = len(letters)
-            memos = [None if mask == every else _answer_memo(prog, variables, length)
-                     for prog, variables, mask in asked]
         # questions of one mask share its projection (projecting once per
         # question, an interp-reduce pass ran about 9% slower)
         projections: dict[int, tuple[int, ...]] = {}
         answers = []
-        for (prog, variables, mask), memo in zip(asked, memos):
-            if memo is None:
-                answers.append(_answer(prog, word, variables))
-                continue
+        for prog, variables, mask, table in asked:
             key = projections.get(mask)
             if key is None:
                 key = projections[mask] = tuple([a & mask for a in letters])
-            answer = memo.get(key)
+            answer = table.get(key)
             if answer is None:
-                answer = memo[key] = _answer(prog, word, variables)
+                answer = _keep(table, key, _answer(prog, word, variables), mask == every)
             answers.append(answer)
         key = tuple(map(tuple, answers))
         if key in seen:

@@ -1,11 +1,13 @@
 import ast
 import gc
 import hashlib
+import io
 import itertools
+import tokenize
 import weakref
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
+from types import CellType, SimpleNamespace
 
 import pytest
 
@@ -443,7 +445,7 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
 def test_the_answer_memo_keeps_one_length_per_variable_list(sig2):
     # a formula that reads P1 alone keeps one answer per projection onto P1
     # of the last length asked, 2^6 of the 4^6 words; one that reads every
-    # label keeps none
+    # label keeps the last word's alone
     f = parse("ex z. (x < z & P1(z))", sig2)
     every = parse("P1(x) & ~P2(x)", sig2)
     for word in all_words(sig2, 6):
@@ -451,16 +453,54 @@ def test_the_answer_memo_keeps_one_length_per_variable_list(sig2):
         satisfying_tuples(every, word)
     answers = oracle._program(f, sig2).answers
     assert answers.keys() == {("x",)}
-    length, memo = answers[("x",)]
-    assert length == 6 and len(memo) == 2 ** 6
-    assert oracle._program(every, sig2).answers == {}
+    table = answers[("x",)]
+    assert {len(key) for key in table} == {6} and len(table) == 2 ** 6
+    assert oracle._program(every, sig2).answers == {("x",): {word.letters: []}}
     # the caller's list is its own: mutating it changes no later answer
     w = Word(sig2, (1, 2, 1))
     for _ in range(2):
         got = satisfying_tuples(f, w, ("x",))
         assert got == [(0,), (1,)]
         got.append((2,))
-    assert oracle._program(f, sig2).answers[("x",)][0] == 3
+    assert list(oracle._program(f, sig2).answers[("x",)]) == [(1, 0, 1)]
+
+
+def _node_tables(f, sig):
+    """The tables of f's memoized nodes, found through the closures that
+    its program's plans reach."""
+    tables, seen = [], set()
+    todo = list(oracle._program(f, sig).search.__closure__)
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, CellType):
+            todo.append(item.cell_contents)
+        elif callable(item) and getattr(item, "__closure__", None):
+            names = item.__code__.co_freevars
+            tables += [c.cell_contents for name, c in zip(names, item.__closure__) if name == "table"]
+            todo += item.__closure__
+        elif isinstance(item, (list, tuple)):
+            todo += item
+        elif isinstance(item, dict):
+            todo += item.values()
+    return tables
+
+
+def test_a_node_table_keeps_the_last_length(sig2):
+    # after a walk to length 6, a quantifier that reads P1 alone keeps one
+    # entry per projection onto P1 of the words of length 6, and one that
+    # reads both labels the last word's alone
+    f = parse("(ex z. (x < z & P1(z))) & ex z. (z < x & P1(z) & P2(z))", sig2)
+    last = None
+    for last, _ in answered_words(sig2, 6, [(f, ("x",))]):
+        pass
+    # the nodes compiled for the search over no variables are never run
+    tables = [table for table in _node_tables(f, sig2) if table]
+    assert sorted(len(table) for table in tables) == [1, 2 ** 6]
+    assert all(len(key) == 6 for table in tables for key in table)
+    assert [list(table) for table in tables if len(table) == 1] == [[last.letters]]
 
 
 def test_reads_are_the_labels_the_closures_read(sig1, sig2):
@@ -564,7 +604,7 @@ def test_errors_stay_lazy(sig1):
 
 def test_shadowed_variable_is_restored(sig1):
     w = Word(sig1, (1, 0, 1))
-    # a single quantifier, and an ex block searched for its first tuple
+    # a single quantifier, and two nested ones
     for text in ("(ex x. ~P1(x)) & P1(x)", "(ex x. ex y. (x < y & ~P1(x))) & P1(x)"):
         f = parse(text, sig1)
         assert [evaluate(f, w, fo={"x": p}) for p in range(3)] == [True, False, True]
@@ -627,6 +667,30 @@ def test_oracle_never_imports_the_compiler():
                 assert not node.module.startswith("chainrep"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("chainrep") for a in node.names)
+
+
+def _code_lines(source):
+    """The lines of source that hold code: not blank, not only a comment,
+    and not in a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return lines - docstrings
+
+
+def test_the_oracle_stays_a_small_reference():
+    # the oracle is the naive route that every answer of the pipeline is
+    # checked against; its code may shrink but not grow past this count
+    sample = 'x = 1\n\n# note\ndef f():\n    """doc"""\n    return (1,\n            2)\n'
+    assert sorted(_code_lines(sample)) == [1, 4, 6, 7]
+    assert len(_code_lines(Path(oracle.__file__).read_text())) <= 390
 
 
 def _oracle_imports(module):
