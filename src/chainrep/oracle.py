@@ -52,15 +52,12 @@ evaluating the whole formula on it, which keeps the answers, their order
 and the first error.  The conjuncts of one level are fused into one
 closure, so a candidate value costs one call.
 
-The plan of a search is built once per list of variables searched, from
-closures compiled with those variables counted as bound: the search sets
-them only to positions of the word or of a pool checked to lie in it.  A
-`<` or `=` atom on two bound variables compares their values directly,
-with no call but its own: it is the most frequent test of every search.
-A predicate atom, and a `<` or `=` atom on some other variable, reads its
-values directly and range-checks them; only when one is missing or out of
-range does it take the slow path, which raises for the first variable
-read.
+The plan of a search is built once per list of variables searched, over
+the program's one tree of closures, which `evaluate` runs too: each
+quantifier and each automaton leaf is one closure with one table, whatever
+question reaches it.  An atom reads its variables' values directly and
+range-checks them; only when one is missing or out of range does it take
+the slow path, which raises for the first variable read.
 
 `satisfying_tuples` reads and fills its question's table and hands the
 caller a copy.  The checks ask their questions through `answered_words`,
@@ -129,10 +126,11 @@ class _Program(NamedTuple):
     signature.  search(word, variables, values, fo, so, out=None) -> int
     runs _search over the variables on the values, or on the word's
     positions when values is None, under the assignments fo and so,
-    building the variables' plan the first time they are searched; over
-    no variables it is 1 when the formula holds and 0 when not.  Each call
-    loads the word, and each quantifier and automaton leaf finds its
-    table's entry for the word's projection.
+    building the variables' plan over the one closure tree the first time
+    they are searched; over no variables it is 1 when the formula holds
+    and 0 when not.  Every plan runs the same quantifier and automaton
+    leaf closures, so each has one table; each call loads the word, and
+    each such closure finds its table's entry for the word's projection.
 
     answers maps each variable list that satisfying_tuples has found to
     cover fo_vars to its question's table: projection of the word onto
@@ -167,28 +165,23 @@ def _compile(f: Formula, sig: Signature) -> _Program:
     """Compile f into closures fn(fo, so) -> bool.
 
     The closures capture node fields, never a node, so the program does not
-    keep its formula alive; search() reaches it by a weak reference, which
-    holds while the program is found, since the program dies with it.  The
-    closures read the word's letters from this frame, which search() sets
-    for each public call.
+    keep its formula alive.  They are built once, and every plan runs the
+    same tree.  The closures read the word's letters from this frame, which
+    search() sets for each public call.
     """
-    formula = weakref.ref(f)
     every = (1 << sig.k) - 1
     reads = 0
     letters: tuple[int, ...] = ()
     n = 0
     positions = range(0)
-    # variables searched -> their _levels, built with those variables bound
+    # variables searched -> their _levels over top
     plans: dict[tuple[str, ...], tuple[Callable | None, Callable | None, int]] = {}
 
     def search(word, variables, values, fo, so, out=None):
         nonlocal letters, n, positions
         plan = plans.get(variables)
         if plan is None:
-            # the search binds its variables to positions of the word or of
-            # a validated pool, so their < and = atoms may read them directly
-            parts = built_conjuncts(formula(), frozenset(variables)) if variables else top
-            plan = plans[variables] = _levels(variables, parts)
+            plan = plans[variables] = _levels(variables, top)
         letters = word.letters
         n = len(letters)
         positions = range(n)
@@ -227,11 +220,11 @@ def _compile(f: Formula, sig: Signature) -> _Program:
             return hit
         return fn
 
-    def built_conjuncts(node, bound_fo):
+    def built_conjuncts(node):
         """build() of each conjunct of node, in written order."""
-        return [build(g, bound_fo) for g in conjuncts(node)]
+        return [build(g) for g in conjuncts(node)]
 
-    def build(node, bound_fo):
+    def build(node):
         """(closure, free FO variables, free set variables) of node."""
         nonlocal reads
         match node:
@@ -239,17 +232,12 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return (lambda fo, so: value), (), ()
             case Less(a, b) | Equal(a, b):
                 op = lt if isinstance(node, Less) else eq
-                if a in bound_fo and b in bound_fo:
-                    # read unchecked: with the range-checked closure below,
-                    # an oracle-check pass ran up to about 3% slower
-                    fn = (lambda fo, so: fo[a] < fo[b]) if op is lt else \
-                        (lambda fo, so: fo[a] == fo[b])
-                else:
-                    def fn(fo, so):
-                        p, q = fo.get(a, -1), fo.get(b, -1)
-                        if 0 <= p < n and 0 <= q < n:
-                            return op(p, q)
-                        return op(_pos(fo, a, n), _pos(fo, b, n))
+
+                def fn(fo, so):
+                    p, q = fo.get(a, -1), fo.get(b, -1)
+                    if 0 <= p < n and 0 <= q < n:
+                        return op(p, q)
+                    return op(_pos(fo, a, n), _pos(fo, b, n))
                 return fn, (a,) if a == b else (a, b), ()
             case Pred(name, v):
                 if name not in sig.preds:
@@ -273,19 +261,19 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                     return so[s] >> _pos(fo, v, n) & 1 == 1
                 return fn, (v,), (s,)
             case Not(g):
-                fg, ffo, fso = build(g, bound_fo)
+                fg, ffo, fso = build(g)
                 return (lambda fo, so: not fg(fo, so)), ffo, fso
             case And():
-                return _every(built_conjuncts(node, bound_fo))
+                return _every(built_conjuncts(node))
             case Or(parts):
-                return _every([build(g, bound_fo) for g in parts], True)
+                return _every([build(g) for g in parts], True)
             case Implies(a, b):
-                return build(Or((Not(a), b)), bound_fo)
+                return build(Or((Not(a), b)))
             case ExistsFO(v, g) | ForallFO(v, g) | AtLeast(_, v, g) | ExistsSO(v, g) | ForallSO(v, g):
                 over_sets = isinstance(node, (ExistsSO, ForallSO))
                 # the node reads the labels its body reads
                 outer, reads = reads, 0
-                body, ffo, fso = build(g, bound_fo if over_sets else bound_fo | {v})
+                body, ffo, fso = build(g)
                 node_reads, reads = reads, reads | outer
                 if over_sets:
                     fso = tuple(x for x in fso if x != v)
@@ -335,7 +323,7 @@ def _compile(f: Formula, sig: Signature) -> _Program:
                 return memoized(fn, ffo, (), node_reads), ffo, ()
         raise InputError(f"not a formula: {node!r}")
 
-    top = built_conjuncts(f, frozenset())
+    top = built_conjuncts(f)
     fo_vars, so_vars = _free(top)
     return _Program(sig, fo_vars, so_vars, reads, search, {})
 

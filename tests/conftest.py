@@ -3,7 +3,8 @@ import random
 import pytest
 
 from chainrep.compiler import _Builder
-from chainrep.formula import Signature, parse
+from chainrep.formula import Signature, parse, render
+from chainrep.interp import parse_interpretation
 
 
 @pytest.fixture
@@ -103,4 +104,51 @@ def guard_batch(seed: int, count: int):
 
         text = " & ".join(part() for _ in range(rng.randint(2, 4)))
         out.append((sig, xs, parse(text, sig)))
+    return out
+
+
+# the atoms of interp_batch's rule bodies and its one-variable universes
+_RULE_ATOMS = ("P", "~P", "<", "=", "succ", "first", "last")
+
+
+def interp_batch(seed: int, count: int):
+    """count seeded interpretation specs whose first component often needs
+    guards to reduce.
+
+    Component a has the variables and signature of a guard_batch formula,
+    conjoined with probability 1/2 with one endpoint disjunction on two of
+    them, as in GROUP_TEXT; component b has one variable and one atom.
+    Each spec has one or two rules, over a, over b, or over both, whose
+    bodies conjoin one or two rank-1 atoms on the rule's coordinates: P(v),
+    ~P(v), v < w, v = w, w the successor of v, v first or v last.
+    Universes and bodies name their coordinates first, as vacuous atoms
+    v = v, so each uses exactly its dimension's variables in order."""
+    rng = random.Random(seed)
+    out = []
+    for sig, xs, f in guard_batch(seed, count):
+        def atom(vs):
+            v, w = rng.sample(vs, 2) if len(vs) > 1 else vs * 2
+            p = rng.choice(sig.preds)
+            return {"P": f"{p}({v})", "~P": f"~{p}({v})", "<": f"{v} < {w}", "=": f"{v} = {w}",
+                    "succ": f"({v} < {w} & ~ex q. ({v} < q & q < {w}))",
+                    "first": f"(~ex q. q < {v})", "last": f"(~ex q. {v} < q)",
+                    }[rng.choice(_RULE_ATOMS)]
+
+        def pinned(vs, parts):
+            return " & ".join([f"{v} = {v}" for v in vs] + parts)
+
+        ends = []
+        if rng.random() < 0.5:
+            v, w = rng.sample(xs, 2)
+            ends = [f"((~ex q. q < {v}) | (~ex q. {w} < q))"]
+        dims = {"a": len(xs), "b": 1}
+        lines = [f"signature {' '.join(sig.preds)}",
+                 f"component a dim={len(xs)}", f"universe {pinned(xs, ends + [f'({render(f)})'])}",
+                 "component b dim=1", f"universe {pinned(('x',), [atom(('x',))])}"]
+        combos = [("a",), ("b",), ("a", "b"), ("b", "a"), ("b", "b")]
+        for r, on in enumerate(rng.sample(combos, rng.randint(1, 2))):
+            vs = ("x", "y", "z", "u", "v", "w")[:sum(dims[q] for q in on)]
+            body = pinned(vs, [atom(vs) for _ in range(rng.randint(1, 2))])
+            lines.append(f"relation R{r}/{len(on)} on ({', '.join(on)}) := {body}")
+        out.append(parse_interpretation("\n".join(lines)))
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chainrep import interp, oracle
+from chainrep import interp, oracle, reparam
 from chainrep.compiler import Query
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
 from chainrep.formula import Signature
@@ -16,7 +16,7 @@ from chainrep.interp import (apply_interpretation, check_equivalence,
 from chainrep.oracle import check_canonical_form, check_reparameterization
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
-from conftest import FIRST_PAIR_TEXT, GROUP_TEXT
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, interp_batch
 from test_acceptance import SPECS
 
 SUCC = """
@@ -251,6 +251,30 @@ def test_reduce_builds_each_map_once(monkeypatch):
     assert (want.bound, want.provenance.kind) == (3, "refine")
     assert all((p.rep.bound, p.rep.provenance) == (want.bound, want.provenance)
                for p in red.parts)
+
+
+def test_random_sweep_reduces_every_spec(monkeypatch):
+    # random specs over a guard-split component and a one-variable one:
+    # every reduction passes the two-route check, the sweep builds at least
+    # 10 guard automata, and it lowers a three-variable component and
+    # relates copies of two components
+    guards = []
+    real = reparam._type_tuple_dfa
+
+    def spy(algebra, i, query):
+        guards.append(i)
+        return real(algebra, i, query)
+
+    monkeypatch.setattr(reparam, "_type_tuple_dfa", spy)
+    lowered, spanning = 0, 0
+    for spec in interp_batch(20260814, 40):
+        red = reduce_interpretation(spec, max(c.dim for c in spec.components))
+        assert check_equivalence(spec, red, 3), spec.dump()
+        lowered += any(len(p.rep.domain_vars) == 3 > p.rep.dimension for p in red.parts)
+        spanning += any(len({red.part(q).source for q in r.components}) == 2
+                        for r in red.spec.rules)
+    assert len(guards) >= 10
+    assert lowered and spanning
 
 
 def test_reduce_names_the_stage_that_runs_out(sig1):

@@ -496,11 +496,52 @@ def test_a_node_table_keeps_the_last_length(sig2):
     last = None
     for last, _ in answered_words(sig2, 6, [(f, ("x",))]):
         pass
-    # the nodes compiled for the search over no variables are never run
+    # the walk's search runs the program's one closure tree: one table per
+    # quantifier
     tables = [table for table in _node_tables(f, sig2) if table]
     assert sorted(len(table) for table in tables) == [1, 2 ** 6]
     assert all(len(key) == 6 for table in tables for key in table)
     assert [list(table) for table in tables if len(table) == 1] == [[last.letters]]
+
+
+def test_every_question_shares_one_table_per_node(sig2):
+    # two searches over different variables and an evaluate run the same
+    # closures, so the formula's two quantifiers keep one table each
+    f = parse("(ex z. (x < z & P1(z))) & ex z. (z < x & P1(z) & P2(z))", sig2)
+    w = Word(sig2, (3, 1, 3))
+    assert satisfying_tuples(f, w, ("x",)) == [(1,)]
+    assert len(satisfying_tuples(f, w, ("x", "y"))) == 3
+    assert evaluate(f, w, {"x": 1})
+    tables = _node_tables(f, sig2)
+    assert len(tables) == 2 and all(tables)
+
+
+def test_shared_tables_keep_answers_and_errors_in_any_order():
+    # evaluate reads the tables a search fills: before and after the search,
+    # every marking, and one with the last variable unbound or past the
+    # end, gets the answer or the error of a program compiled for it alone
+    def outcome(run, f, word, fo):
+        try:
+            return run(f, word, fo)
+        except InputError as e:
+            return str(e)
+
+    def fresh(f, word, fo):
+        return oracle._compile(f, word.sig).search(word, (), None, dict(fo), {}) > 0
+
+    errors = set()
+    for sig, fo, f in formula_batch(505, 50):
+        for word in all_words(sig, 3):
+            markings = [dict(zip(fo, tup))
+                        for tup in itertools.product(range(len(word)), repeat=len(fo))]
+            if fo:
+                markings += [dict.fromkeys(fo[:-1], 0), {**dict.fromkeys(fo, 0), fo[-1]: len(word)}]
+            want = [outcome(fresh, f, word, m) for m in markings]
+            assert [outcome(evaluate, f, word, m) for m in markings] == want
+            satisfying_tuples(f, word, fo)
+            assert [outcome(evaluate, f, word, m) for m in markings] == want
+            errors |= {x.split()[0] for x in want if isinstance(x, str)}
+    assert errors == {"unbound", "position"}
 
 
 def test_reads_are_the_labels_the_closures_read(sig1, sig2):
@@ -690,7 +731,7 @@ def test_the_oracle_stays_a_small_reference():
     # checked against; its code may shrink but not grow past this count
     sample = 'x = 1\n\n# note\ndef f():\n    """doc"""\n    return (1,\n            2)\n'
     assert sorted(_code_lines(sample)) == [1, 4, 6, 7]
-    assert len(_code_lines(Path(oracle.__file__).read_text())) <= 390
+    assert len(_code_lines(Path(oracle.__file__).read_text())) <= 384
 
 
 def _oracle_imports(module):
