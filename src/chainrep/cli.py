@@ -158,12 +158,12 @@ def _cmd_decide(run: _Run):
 
 
 def _cmd_growth(run: _Run):
-    sig, f, variables = run.formula()
-    rep = run.minrep(f, sig, variables)
     n = run.args.n if run.args.n is not None else 3
     max_len = run.args.max_len if run.args.max_len is not None else 6
     if n < 1:
         raise InputError("need n >= 1")
+    sig, f, variables = run.formula()
+    rep = run.minrep(f, sig, variables)
     result = {"degree": rep.dimension, "bound": rep.bound}
     if rep.bound:
         witness = _witness_dict(growth_lower_witness(

@@ -58,17 +58,16 @@ def growth_degree(f: Formula, sig: Signature, variables, *,
 def brute_growth(f: Formula, sig: Signature, variables, n: int, max_len: int) -> int:
     """Exact maximum of tuple counts over words up to max_len and pools up to n.
 
-    The count depends only on the word's tuples, so a word whose answer
-    list an earlier word had, which answered_words hands out as None, is
-    skipped.
+    The count depends only on the word's tuples, so only the first word
+    of each answer list is counted (answered_words).
     """
     if n < 0:
         raise InputError("need n >= 0")
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     best = 0
-    for word, answers in answered_words(sig, max_len, [(f, tuple(variables))]):
-        if not answers or not answers[0]:
+    for _, word, answers in answered_words(sig, max_len, [(f, tuple(variables))]):
+        if not answers[0]:
             continue
         supports = [frozenset(t) for t in answers[0]]
         pool = range(len(word))

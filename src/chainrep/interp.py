@@ -43,9 +43,9 @@ each question once per length and projection of the word onto the labels
 its formula reads, in order of first asking, and the plans read the
 answers by number, so the per-word loop does only per-word work.  The
 verdict on a word depends only on its answer list, and the walk hands out
-each distinct list, compared by value, once: a word whose list an earlier
-word had comes without it, is counted and gets that word's verdict, a
-pass, without its structures being built again.
+each distinct list, compared by value, once, with its first word's
+position: a later word with that list would get the same verdict, a
+pass, so its structures are never built.
 apply_interpretation, fibers and bijection run the same helpers on one
 word.
 """
@@ -63,7 +63,7 @@ from .formula import (Formula, NameSupply, Run, Signature, all_vars, conj, exist
 from .compiler import DEFAULT_STATE_BUDGET, PreimageRanks, Query
 from .oracle import CheckReport, answered_words, satisfying_tuples
 from .reparam import Reparameterization, refine_with_ranks, reparameterize
-from .words import Word
+from .words import Word, walk_length
 
 # components with more preimage copies than this produce unusably wide
 # reduced specs long before they produce answers
@@ -506,11 +506,12 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     Every (formula object, variables) that they ask about is evaluated once
     per word projection, so a universe that is also its own map's g, as a
     dimension-0 one can be, costs one search, not three, and words that
-    agree on every label it reads share that search.  A word whose answer
-    list equals an earlier word's, which answered_words hands out as None,
-    counts in words_checked but is not decided again: it would pass as
-    that word did, with the same fibers, so the first failure and
-    max_fiber are those of deciding every word.
+    agree on every label it reads share that search.  Only the first word
+    of each answer list is decided (answered_words): a later word would
+    pass as it did, with the same fibers, so the first failure and
+    max_fiber are those of deciding every word.  words_checked is the
+    failing word's position in shortlex order, or the number of words up
+    to max_len (walk_length).
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
@@ -530,35 +531,31 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
     for name, rep in reps.items():
         g, variables, k = _fiber_formula(rep)
         maps[name] = questions.ask(g, variables), k
-    words = 0
     max_fiber = 0
-    for word, answers in answered_words(spec.signature, max_len, questions.asked):
-        words += 1
-        if answers is None:
-            continue
+    for walked, word, answers in answered_words(spec.signature, max_len, questions.asked):
         a_elements, a_relations = _structure(source, answers)
         b_elements, b_relations = _structure(target, answers)
         fibers = {name: _fibers(answers[q], k) for name, (q, k) in maps.items()}
         try:
             pi = _bijection(parts, b_elements, fibers)
         except ChainrepError as e:
-            return CheckReport(False, words, max_fiber, f"word {word}: {e}")
+            return CheckReport(False, walked, max_fiber, f"word {word}: {e}")
         for name, rep in reps.items():
             largest = max(map(len, fibers[name].values()), default=0)
             max_fiber = max(max_fiber, largest)
             if largest > rep.bound:
-                return CheckReport(False, words, max_fiber,
+                return CheckReport(False, walked, max_fiber,
                                    f"word {word}: component {name!r} has a "
                                    f"fiber of {largest}, bound {rep.bound}")
         image = set(pi.values())
         if len(image) != len(pi):
-            return CheckReport(False, words, max_fiber,
+            return CheckReport(False, walked, max_fiber,
                                f"word {word}: bijection is not injective")
         if image != set(a_elements):
-            return CheckReport(False, words, max_fiber,
+            return CheckReport(False, walked, max_fiber,
                                f"word {word}: bijection misses source elements")
         if len(b_elements) != len(pi):
-            return CheckReport(False, words, max_fiber,
+            return CheckReport(False, walked, max_fiber,
                                f"word {word}: unmapped reduced elements")
         for name in source.relations:
             want = a_relations[name]
@@ -567,7 +564,7 @@ def check_equivalence(spec: InterpretationSpec, reduced: ReducedInterpretation,
             got = {tuple(map(pi.__getitem__, tup)) for tup in b_relations.get(name, ())}
             if want != got:
                 return CheckReport(
-                    False, words, max_fiber,
+                    False, walked, max_fiber,
                     f"word {word}: relation {name!r} differs "
                     f"(missing {sorted(want - got)}, extra {sorted(got - want)})")
-    return CheckReport(True, words, max_fiber)
+    return CheckReport(True, walk_length(spec.signature, max_len), max_fiber)

@@ -61,7 +61,7 @@ the slow path, which raises for the first variable read.
 
 `satisfying_tuples` reads and fills its question's table and hands the
 caller a copy.  The checks ask their questions through `answered_words`,
-which walks every word up to a length and reads the same tables.  The
+which walks the words up to a length and reads the same tables.  The
 labels a node reads are gathered while its closures are compiled: a
 predicate reads its label, an automaton leaf the labels its transition
 table tells apart (the bits b for which some row sends letters a and
@@ -72,13 +72,18 @@ every word.  The projection comes from the syntax and from the leaf's
 table read as data, as the leaf's evaluation reads it, so the oracle
 still shares no code with the compiler.  A check's verdict on a word
 depends only on its answer list, so `answered_words` hands out each
-distinct list, compared by value, once: a later word with an earlier
-word's list comes with None in its place, and the checks count it and
-pass it as that word passed.
+distinct list, compared by value, once, with the position of its first
+word in shortlex order; the checks report that position.  A word has the
+answers of its projection onto the labels its questions read, a word of
+the same length that comes no later, so the walk visits only the words
+whose letters carry no other label: a question that reads no label is
+asked on one word of each length.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import weakref
 from dataclasses import dataclass
 from operator import eq, itemgetter, lt
@@ -88,7 +93,7 @@ from .errors import InputError
 from .formula import (AtLeast, And, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred,
                       Run, Signature, check_depth, conjuncts)
-from .words import Word, all_words
+from .words import Word, walk_length
 
 
 def evaluate(f: Formula, word: Word, fo: dict[str, int] | None = None,
@@ -515,12 +520,16 @@ def count_in_set(f: Formula, word: Word, positions, variables=None) -> int:
 
 
 def answered_words(sig: Signature, max_len: int, questions):
-    """Yield (word, answers) for every word of all_words(sig, max_len).
+    """Yield (walked, word, answers) for each word of all_words(sig, max_len)
+    whose answer list no earlier word had, compared by value.
 
-    questions is a list of (formula, variables) pairs, and answers[i] is
-    satisfying_tuples of the i-th on the word; answers is None when an
-    earlier word of this walk had the same list, compared by value, so a
-    reader decides each distinct list once.  Each answer is read from, or
+    questions is a list of (formula, variables) pairs, answers[i] is
+    satisfying_tuples of the i-th on the word, and walked is the word's
+    1-based position in all_words.  A word's answers depend only on its
+    projection onto the labels its questions read, and the projection has
+    the same length and comes no later in shortlex order, so the walk
+    visits only the words whose letters carry no other label: the first
+    word of each answer list is among them.  Each answer is read from, or
     added to, its question's table, the one satisfying_tuples reads, so a
     later word with the same projection, here or in a later call, gets the
     same list object: no reader may mutate it.  The empty word comes first
@@ -528,39 +537,42 @@ def answered_words(sig: Signature, max_len: int, questions):
     compiles and validates them, so the first error is the one that asking
     each question on each word would raise.
     """
-    every = (1 << sig.k) - 1
-    words = all_words(sig, max_len)
-    empty = next(words, None)
-    if empty is None:
+    if max_len < 0:
         return
+    empty = Word(sig, ())
     answers = [satisfying_tuples(f, empty, variables) for f, variables in questions]
     seen = {tuple(map(tuple, answers))}
-    yield empty, answers
-    asked = []
+    yield 1, empty, answers
+    every, union, asked = (1 << sig.k) - 1, 0, []
     for f, variables in questions:
         prog = _program(f, sig)
         variables = prog.fo_vars if variables is None else tuple(variables)
         asked.append((prog, variables, prog.reads, prog.answers[variables]))
-    for word in words:
-        letters = word.letters
-        # questions of one mask share its projection (projecting once per
-        # question, an interp-reduce pass ran about 9% slower)
-        projections: dict[int, tuple[int, ...]] = {}
-        answers = []
-        for prog, variables, mask, table in asked:
-            key = projections.get(mask)
-            if key is None:
-                key = projections[mask] = tuple([a & mask for a in letters])
-            answer = table.get(key)
-            if answer is None:
-                answer = _keep(table, key, _answer(prog, word, variables), mask == every)
-            answers.append(answer)
-        key = tuple(map(tuple, answers))
-        if key in seen:
-            yield word, None
-        else:
-            seen.add(key)
-            yield word, answers
+        union |= prog.reads
+    alphabet = [a for a in range(every + 1) if not a & ~union]
+    for length in range(1, max_len + 1):
+        before = walk_length(sig, length - 1)
+        for letters in itertools.product(alphabet, repeat=length):
+            word = Word(sig, letters)
+            # questions of one mask share its projection (projecting once
+            # per question, an interp-reduce pass ran about 9% slower)
+            projections: dict[int, tuple[int, ...]] = {}
+            answers = []
+            for prog, variables, mask, table in asked:
+                key = projections.get(mask)
+                if key is None:
+                    key = projections[mask] = tuple([a & mask for a in letters])
+                answer = table.get(key)
+                if answer is None:
+                    answer = _keep(table, key, _answer(prog, word, variables), mask == every)
+                answers.append(answer)
+            key = tuple(map(tuple, answers))
+            if key not in seen:
+                seen.add(key)
+                # the letters, read as base-2^k digits, rank the word
+                # among the words of its length
+                rank = functools.reduce(lambda r, a: r << sig.k | a, letters, 0)
+                yield before + rank + 1, word, answers
 
 
 @dataclass(frozen=True)
@@ -581,45 +593,43 @@ def check_reparameterization(rep, max_len: int = 4) -> CheckReport:
     enumeration: every assignment satisfying g also satisfies the source,
     every assignment satisfying the source extends to exactly one image
     tuple, and no image tuple is shared by more than `bound` assignments.
-    Stops at the first violation.  A word whose two answer lists an earlier
-    word had is counted and not checked again (answered_words).
+    Stops at the first violation.  Only the first word of each pair of
+    answer lists is checked (answered_words): a later word would pass as
+    it did.  words_checked is the failing word's position in shortlex
+    order, or the number of words up to max_len (walk_length).
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     xs = tuple(rep.domain_vars)
     ys = tuple(rep.image_vars)
     k = len(xs)
-    words = 0
     max_fiber = 0
-    for word, answers in answered_words(rep.signature, max_len,
-                                        [(rep.source, xs), (rep.g, xs + ys)]):
-        words += 1
-        if answers is None:
-            continue
+    for walked, word, answers in answered_words(rep.signature, max_len,
+                                                [(rep.source, xs), (rep.g, xs + ys)]):
         sat, pairs = set(answers[0]), answers[1]
         images: dict[tuple, set] = {}
         fibers: dict[tuple, set] = {}
         for tup in pairs:
             x, y = tup[:k], tup[k:]
             if x not in sat:
-                return CheckReport(False, words, max_fiber,
+                return CheckReport(False, walked, max_fiber,
                                    f"word {word}: g holds at {x} + {y} but the source fails at {x}")
             images.setdefault(x, set()).add(y)
             fibers.setdefault(y, set()).add(x)
         for x in sat:
             n = len(images.get(x, ()))
             if n == 0:
-                return CheckReport(False, words, max_fiber,
+                return CheckReport(False, walked, max_fiber,
                                    f"word {word}: no image tuple for {x}")
             if n > 1:
-                return CheckReport(False, words, max_fiber,
+                return CheckReport(False, walked, max_fiber,
                                    f"word {word}: {n} image tuples for {x}")
         for y, xs_here in fibers.items():
             max_fiber = max(max_fiber, len(xs_here))
             if len(xs_here) > rep.bound:
-                return CheckReport(False, words, max_fiber,
+                return CheckReport(False, walked, max_fiber,
                                    f"word {word}: image {y} has {len(xs_here)} preimages, bound is {rep.bound}")
-    return CheckReport(True, words, max_fiber)
+    return CheckReport(True, walk_length(rep.signature, max_len), max_fiber)
 
 
 def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
@@ -627,24 +637,21 @@ def check_canonical_form(rep, max_len: int = 4) -> CheckReport:
 
     Reparameterizations built here never invent positions: images are made
     of the tuple's own coordinates, which keeps them usable as point
-    interpretations.  A word whose answer list an earlier word had is
-    counted and not checked again (answered_words).
+    interpretations.  Only the first word of each answer list is checked
+    (answered_words), and words_checked counts as check_reparameterization's
+    does.
     """
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
     xs = tuple(rep.domain_vars)
     ys = tuple(rep.image_vars)
     k = len(xs)
-    words = 0
-    for word, answers in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
-        words += 1
-        if answers is None:
-            continue
+    for walked, word, answers in answered_words(rep.signature, max_len, [(rep.g, xs + ys)]):
         for tup in answers[0]:
             x, y = tup[:k], tup[k:]
             stray = [b for b in y if b not in x]
             if stray:
-                return CheckReport(False, words, 0,
+                return CheckReport(False, walked, 0,
                                    f"word {word}: image {y} of {x} uses "
                                    f"positions {stray} outside the tuple")
-    return CheckReport(True, words, 0)
+    return CheckReport(True, walk_length(rep.signature, max_len), 0)

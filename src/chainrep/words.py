@@ -139,3 +139,8 @@ def all_words(sig: Signature, max_len: int):
     for length in range(max_len + 1):
         for letters in itertools.product(range(base), repeat=length):
             yield Word(sig, letters)
+
+
+def walk_length(sig: Signature, max_len: int) -> int:
+    """The number of words all_words(sig, max_len) yields: 0 below length 0."""
+    return sum((1 << sig.k) ** n for n in range(max_len + 1))

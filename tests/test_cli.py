@@ -370,6 +370,17 @@ def test_growth_on_an_unsatisfiable_formula(capsys, text):
     assert status == 2 and "need n >= 1" in err
 
 
+def test_growth_checks_n_before_the_search(capsys, monkeypatch):
+    # a bad --n is an input error, whatever budget the search would have
+    # run out of, and it costs no search
+    status, _, err = run(capsys, "growth", "--sig", "P1", "--formula", "x<y",
+                         "--n", "0", "--budget-states", "1")
+    assert status == 2 and "need n >= 1" in err
+    monkeypatch.setattr(chainrep.cli, "minimal_reparameterization", None)
+    status, _, err = run(capsys, "growth", "--sig", "P1", "--formula", "x<y", "--n", "-1")
+    assert status == 2 and "need n >= 1" in err
+
+
 def test_exit_codes(capsys):
     status, _, err = run(capsys, "mindim", "--sig", "P1", "--formula", "x <")
     assert status == 2 and "position" in err

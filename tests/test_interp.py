@@ -492,16 +492,16 @@ def test_equivalence_asks_each_question_once_per_word_projection(monkeypatch):
 
 
 def test_equivalence_structures_each_answer_list_once(monkeypatch):
-    # a word whose answer list an earlier word had comes without it and gets
-    # that word's verdict: both structures are built once per distinct
-    # list, yet every word counts
+    # a word whose answer list an earlier word had is never handed out and
+    # would get that word's verdict: both structures are built once per
+    # distinct list, yet every word counts
     yielded, built = [], []
     real_answered, real_structure = interp.answered_words, interp._structure
 
     def answered(*args):
-        for word, answers in real_answered(*args):
-            yielded.append(None if answers is None else tuple(map(tuple, answers)))
-            yield word, answers
+        for walked, word, answers in real_answered(*args):
+            yielded.append(tuple(map(tuple, answers)))
+            yield walked, word, answers
 
     def structure(plan, answers):
         built.append((id(plan), tuple(map(tuple, answers))))
@@ -517,14 +517,13 @@ def test_equivalence_structures_each_answer_list_once(monkeypatch):
         built.clear()
         report = check_equivalence(spec, red, 4)
         assert report.ok
-        assert report.words_checked == len(yielded) == len(list(all_words(spec.signature, 4)))
+        assert report.words_checked == len(list(all_words(spec.signature, 4)))
         # each distinct list is handed out once, and the source's and the
         # reduced spec's structure are built once per list
-        lists = [key for key in yielded if key is not None]
-        assert len(lists) == len(set(lists))
-        assert len(built) == len(set(built)) == 2 * len(lists)
-        assert {key for _, key in built} == set(lists)
-        counts[name] = (len(yielded), len(lists))
+        assert len(yielded) == len(set(yielded))
+        assert len(built) == len(set(built)) == 2 * len(yielded)
+        assert {key for _, key in built} == set(yielded)
+        counts[name] = (report.words_checked, len(yielded))
     # the two label-free specs have one answer list per length
     assert counts == {"successor pairs": (31, 5),
                       "labelled elements with marker": (341, 60),

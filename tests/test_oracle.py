@@ -20,7 +20,7 @@ from chainrep.oracle import (answered_words, check_canonical_form, check_reparam
                              count_in_set, evaluate, satisfying_tuples)
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
-from chainrep.words import Word, all_words
+from chainrep.words import Word, all_words, walk_length
 
 from conftest import GROUP_TEXT, guard_batch
 from test_acceptance import SPECS
@@ -375,9 +375,13 @@ def _g_without_its_source():
 ], ids=["source-fails", "no-image", "two-images", "stray-position", "over-bound",
         "late-over-bound", "late-stray-position"])
 def test_checks_report_each_failure(check, rep, failure):
-    report = check(rep(), 3)
+    rep = rep()
+    report = check(rep, 3)
     assert not report
     assert report.failure == failure
+    # words_checked is the failing word's position in shortlex order
+    words = [f"word {w}:" for w in all_words(rep.signature, 3)]
+    assert report.words_checked == words.index(failure[:failure.index(":") + 1]) + 1
 
 
 def _leaves(f):
@@ -404,7 +408,8 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
     # answered_words shares an answer between words that agree on every
     # label its formula reads, and satisfying_tuples reads the same memo;
     # each shared answer must be the one evaluate finds on the word itself,
-    # and a word gets None exactly when an earlier word had its list
+    # and each distinct list comes once, with the first word of all_words
+    # that has it and that word's position
     questions = {sig1: [], sig2: []}
     for sig, fo, f in formula_batch(1, 150):
         questions[sig].append((f, fo))
@@ -428,17 +433,13 @@ def test_projected_answers_are_the_answers_on_each_word(sig1, sig2):
     repeats = 0
     for sig, asked in questions.items():
         for asked in (asked, asked[-1:]):
-            words, handed = [], set()
-            for word, answers in answered_words(sig, 4, asked):
-                words.append(word)
+            first = {}
+            for walked, word in enumerate(all_words(sig, 4), 1):
                 want = [_reference_answer(f, word, fo) for f, fo in asked]
-                key = tuple(map(tuple, want))
-                assert (answers is None) == (key in handed), word
-                if answers is not None:
-                    assert answers == want, word
-                    handed.add(key)
-            assert words == list(all_words(sig, 4))
-            repeats += len(words) - len(handed)
+                first.setdefault(tuple(map(tuple, want)), (walked, word, want))
+            handed = list(answered_words(sig, 4, asked))
+            assert handed == list(first.values())
+            repeats += walk_length(sig, 4) - len(handed)
     assert repeats > 0
 
 
@@ -488,14 +489,41 @@ def _node_tables(f, sig):
     return tables
 
 
+def test_a_label_free_question_is_asked_on_one_word_per_length(sig2, monkeypatch):
+    # x < y reads no label, so each word has the answers of the word of its
+    # length that carries none: the walk builds that word alone, 7 words
+    # where all_words has 5,461
+    built = []
+
+    def word(sig, letters=()):
+        built.append(letters)
+        return Word(sig, letters)
+
+    monkeypatch.setattr(oracle, "Word", word)
+    handed = list(answered_words(sig2, 6, [(parse("x < y", sig2), ("x", "y"))]))
+    assert built == [(0,) * n for n in range(7)]
+    # lengths 0 and 1 share the empty list; each longer length brings a new one
+    assert [(walked, len(w)) for walked, w, _ in handed] == \
+        [(1, 0), (6, 2), (22, 3), (86, 4), (342, 5), (1366, 6)]
+
+
+def test_checks_report_every_word_of_a_long_label_free_walk(sig2):
+    # a map that reads no label checks one word per length, yet reports
+    # every word up to length 12 over P1, P2: (4^13 - 1) / 3 of them
+    rep = minimal_reparameterization(parse("x<y & y<z", sig2), sig2, ("x", "y", "z"))
+    for check in (check_reparameterization, check_canonical_form):
+        report = check(rep, 12)
+        assert report.ok and report.words_checked == 22_369_621
+
+
 def test_a_node_table_keeps_the_last_length(sig2):
     # after a walk to length 6, a quantifier that reads P1 alone keeps one
     # entry per projection onto P1 of the words of length 6, and one that
     # reads both labels the last word's alone
     f = parse("(ex z. (x < z & P1(z))) & ex z. (z < x & P1(z) & P2(z))", sig2)
-    last = None
-    for last, _ in answered_words(sig2, 6, [(f, ("x",))]):
+    for _ in answered_words(sig2, 6, [(f, ("x",))]):
         pass
+    *_, last = all_words(sig2, 6)
     # the walk's search runs the program's one closure tree: one table per
     # quantifier
     tables = [table for table in _node_tables(f, sig2) if table]
@@ -731,7 +759,7 @@ def test_the_oracle_stays_a_small_reference():
     # checked against; its code may shrink but not grow past this count
     sample = 'x = 1\n\n# note\ndef f():\n    """doc"""\n    return (1,\n            2)\n'
     assert sorted(_code_lines(sample)) == [1, 4, 6, 7]
-    assert len(_code_lines(Path(oracle.__file__).read_text())) <= 384
+    assert len(_code_lines(Path(oracle.__file__).read_text())) <= 379
 
 
 def _oracle_imports(module):

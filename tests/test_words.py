@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from chainrep.errors import InputError
-from chainrep.words import MarkedWord, Word, all_words
+from chainrep.formula import Signature
+from chainrep.words import MarkedWord, Word, all_words, walk_length
 
 
 def test_letter_masks(sig2):
@@ -93,3 +94,10 @@ def test_all_words_counts(sig1, sig2):
     lens = [len(w) for w in all_words(sig1, 2)]
     assert lens == sorted(lens)  # shortlex: lengths ascend
     assert sum(1 for w in all_words(sig1, 2) if len(w) >= 1) == 6
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_walk_length_counts_all_words(k):
+    sig = Signature(tuple(f"P{i}" for i in range(1, k + 1)))
+    for max_len in range(-1, 6):
+        assert walk_length(sig, max_len) == len(list(all_words(sig, max_len)))
