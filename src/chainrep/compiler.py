@@ -34,14 +34,16 @@ quantifier on a variable its body reads is expanded where the build meets
 it, so no object above it is replaced.  So the source of a reparameterization is built once, by
 Query.realizable_cases, and its order cases, the images that the search
 reads and the map (Query.map_automaton of source & h, the source's
-automaton times h's) all start from it.  Query.keep_image builds each
-elimination image's automaton from its case's by track operations
-(projection and renaming) and keeps it before the search compiles the
-image, so the search compiles no text.
+automaton times h's) all start from it.  An elimination image ex x.
+source keeps the source's other variables under their own names, so its
+build is one projection of the automaton kept for source (or, when source
+does not read x, one product with the words of length at least 1), and
+the search compiles no text.
 compile alone publishes the automata that the search's type algebras
-read: given the query, it publishes the automaton kept for a case formula
-or an image, and builds the growth witness's image ex xs. g from the
-automaton kept for g.  Nothing is kept across calls.
+read: given the query, it publishes the automaton kept for a case formula,
+builds each elimination image from the automaton kept for its source, and
+builds the growth witness's image ex xs. g from the automaton kept for g.
+Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
 over an alphabet with ONE shared mark bit: the i-th marked position, left
@@ -581,22 +583,6 @@ class Query:
 
         return [(ranks, functools.partial(keep, ranks))
                 for ranks in _realizable_ranks(builder.extend(source, fo_add=xs), xs)]
-
-    def keep_image(self, image: Formula, source: Formula, xs, rename) -> None:
-        """Keep as image's automaton that of ex xs. (source & eqs), where
-        eqs are the equalities u = x of rename, x -> u, each x among xs,
-        made from source's automaton by track operations under stage
-        compile: each x that source does not mention gets a single-mark
-        track, each x that rename drops is projected, and each kept x's
-        track is renamed to its u."""
-        b = self.builder("compile")
-        a = b.built(source)
-        missing = [x for x in xs if x not in a.fo]
-        a = b.valid(b.extend(a, fo_add=missing), missing)
-        for x in xs:
-            if x not in rename:
-                a = b.project(a, "fo", x)
-        b.keep(image, b.extend(a, fo_add=rename.values(), merge=rename))
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
         """The automaton of the map g from xs to ys; for a map source & h of

@@ -399,8 +399,6 @@ class _Parser:
             raise ParseError(f"unexpected token {name!r}", self.text, pos)
         if name in ("true", "false"):
             return TRUE if name == "true" else FALSE
-        if name in KEYWORDS:
-            raise ParseError(f"unexpected keyword {name!r}", self.text, pos)
         if self.peek() == "(":
             if not name[0].isupper():
                 raise ParseError(f"{name!r} cannot be applied, predicates and set variables are uppercase", self.text, pos)

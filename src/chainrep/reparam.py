@@ -27,11 +27,11 @@ number of families, which grows like n**k.
 
 The search, reparameterize, runs in its caller's compiler.Query, which
 keeps the automata of f, of its order cases and of the images, so each
-image `ex xs. (case & eqs)` and the map `source & h` start from one build.
-An image's automaton is made from its case's by track operations
-(compiler.Query.keep_image), never by compiling its text.  Every type
-algebra gets its automaton from compiler.compile, given that Query, and its
-monoid runs under the Query's budget.
+image `ex x. source` and the map `source & h` start from one build.  An
+image keeps the source's other variables under their own names, so its
+automaton is one projection of its source's, never a build of its text.
+Every type algebra gets its automaton from compiler.compile, given that
+Query, and its monoid runs under the Query's budget.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import functools
 from dataclasses import dataclass, replace
 
 from .errors import InputError, ResourceLimitError
-from .formula import (FALSE, TRUE, And, Equal, Formula, NameSupply, Run, Signature,
-                      all_vars, check_depth, conj, conjuncts, disj, exists_wrap,
-                      free_variables, one_point, order_case_split, substitute)
+from .formula import (FALSE, TRUE, And, Equal, ExistsFO, Formula, NameSupply, Run,
+                      Signature, all_vars, check_depth, conj, conjuncts, disj,
+                      free_variables, order_case_split, substitute)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
                        compile as compile_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
@@ -216,8 +216,7 @@ class Reparameterization:
     assignment of source gets exactly one image, only satisfying
     assignments get one, and at most `bound` of them share it.  g is
     `source & h`, whose selector h holds only order-case constraints,
-    guards, image equalities and the `ex` over them; the empty map has both
-    false.
+    guards and image equalities; the empty map has both false.
     """
 
     source: Formula
@@ -256,45 +255,38 @@ def local_normal_form(algebra: TypeAlgebra) -> tuple[tuple[tuple, tuple], ...]:
 
 
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
-                       n_families: int, monoid_size: int,
-                       supply: NameSupply) -> Reparameterization:
-    """One elimination step: drop the index-th domain variable (1-based).
+                       n_families: int, monoid_size: int, supply: NameSupply,
+                       query: Query) -> Reparameterization:
+    """One elimination step: drop the index-th domain variable (1-based) and
+    reduce the image, glued into one map; fibers multiply.
 
-    The map keeps the others in fresh variables drawn from supply, u_j =
-    x_j below the index and u_j = x_{j+1} from it on.  Valid when no
-    family of source pumps at that mark; the fiber over an image is then
-    below n_families * ramsey_bound(monoid_size), since a longer run of
-    candidate positions for the dropped mark would yield a pumping
-    idempotent for the adjacent segment pair.
+    The image psi = ex x_index. source keeps the other domain variables
+    under their own names, so its j-th coordinate is x_j below the index
+    and x_{j+1} from it on.  The step is valid when no family of source
+    pumps at that mark; its fiber over an image is then below n_families *
+    ramsey_bound(monoid_size), since a longer run of candidate positions
+    for the dropped mark would yield a pumping idempotent for the adjacent
+    segment pair.  The step's domain tuples are ascending under the order
+    case that guards them, and so are their images, so the ascending case
+    of psi, which holds every image, is the only one reduced.  psi's
+    automaton is one projection of the source's, which query keeps.
     """
     domain_vars = tuple(domain_vars)
     k = len(domain_vars)
     if not 1 <= index <= k:
         raise InputError(f"index {index} out of range for {k} variables")
-    us = tuple(supply.fresh("u") for _ in range(k - 1))
-    eqs = [Equal(us[j], domain_vars[j] if j < index - 1 else domain_vars[j + 1])
-           for j in range(k - 1)]
+    kept = domain_vars[:index - 1] + domain_vars[index:]
+    psi = ExistsFO(domain_vars[index - 1], source)
+    inner = (_case_rep(psi, kept, tuple((v,) for v in kept), psi,
+                       TypeAlgebra.build(psi, kept, query), supply, query)
+             if kept else _minrep(psi, (), supply, query))
     bound = n_families * ramsey_bound(monoid_size)
-    return Reparameterization(source, sig, domain_vars, us, conj(eqs), bound,
-                              Step("eliminate", f"variable {index} of {k}; bound "
-                                                f"{n_families} families x B({monoid_size})"))
-
-
-def compose(first: Reparameterization, second: Reparameterization) -> Reparameterization:
-    """first then second; fibers multiply.
-
-    second's domain must be first's image, and second's source must hold
-    of first's images, as `ex xs. first.g` does, so h is `ex mids. (h1 &
-    h2)`, simplified by the one-point rule.
-    """
-    mids = tuple(first.image_vars)
-    if tuple(second.domain_vars) != mids:
-        raise InputError("composition: second's domain is not first's image")
-    h = one_point(exists_wrap(mids, conj(conjuncts(first.h) + conjuncts(second.h))))
-    return Reparameterization(first.source, first.signature, first.domain_vars,
-                              second.image_vars, h, first.bound * second.bound,
-                              Step("compose", f"{first.bound} x {second.bound}",
-                                   (first.provenance, second.provenance)))
+    step = Step("eliminate", f"variable {index} of {k}; bound "
+                             f"{n_families} families x B({monoid_size})")
+    return Reparameterization(source, sig, domain_vars, inner.image_vars, inner.h,
+                              bound * inner.bound,
+                              Step("compose", f"{bound} x {inner.bound}",
+                                   (step, inner.provenance)))
 
 
 def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
@@ -410,9 +402,8 @@ def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgeb
     # a mark is eliminable in every family when no edge into its layer pumps
     elif shared := [i for i in range(1, kc + 1) if all(
             e is None for edges in algebra.graph[i - 1].values() for _, e in edges.values())]:
-        step = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
-                                  algebra.monoid.size, supply)
-        inner = _descend(step, supply, query)
+        inner = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
+                                   algebra.monoid.size, supply, query)
     else:
         # no mark is eliminable across every family: split the families by
         # their first eliminable mark and guard each group by its type tuples
@@ -421,34 +412,13 @@ def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgeb
             n = n_families(_stops_at(i))
             if n:
                 gamma = Run(_type_tuple_dfa(algebra, i, query), ys)
-                step = eliminate_variable(And((case_formula, gamma)), sig, ys, i, n,
-                                          algebra.monoid.size, supply)
-                parts.append((gamma, _descend(step, supply, query)))
+                parts.append((gamma, eliminate_variable(
+                    And((case_formula, gamma)), sig, ys, i, n, algebra.monoid.size,
+                    supply, query)))
         inner = combine_disjuncts(case_formula, sig, ys, parts, supply)
     pattern = "<".join("=".join(c) for c in classes)
     return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
                               Step("case", pattern, (inner.provenance,)))
-
-
-def _descend(step: Reparameterization, supply: NameSupply,
-             query: Query) -> Reparameterization:
-    """Recurse on the image of one elimination step and glue the maps.
-
-    The step's domain tuples are ascending under the order case that guards
-    them, and their images are subsequences of them, so the ascending case
-    of the image, which holds every such image, is the only one that needs
-    a map.  The image psi = ex xs. (source & eqs) is not compiled as text:
-    query.keep_image makes its automaton from the source's by track
-    operations and keeps it as psi's, so compile only publishes it.
-    """
-    psi = exists_wrap(step.domain_vars, step.g)
-    us = step.image_vars
-    if not us:
-        return compose(step, _minrep(psi, us, supply, query))
-    query.keep_image(psi, step.source, step.domain_vars,
-                     {eq.right: eq.left for eq in conjuncts(step.h)})
-    return compose(step, _case_rep(psi, us, tuple((u,) for u in us), psi,
-                                   TypeAlgebra.build(psi, us, query), supply, query))
 
 
 def _minrep(f: Formula, xs, supply: NameSupply, query: Query) -> Reparameterization:

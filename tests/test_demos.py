@@ -13,7 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_SHA1 = {
     "01_compile_and_check.py": "76737f8859dc5cce86a78f554c840980c531ed60",
     "02_type_monoid.py": "264891576f203d73e5d190cbb1486dc2b935cc20",
-    "03_minimal_dimension.py": "91d815721b86e827a11f5bab353aa96c83322ca1",
+    "03_minimal_dimension.py": "3b681691a02cfe04202957ae7e2ed11f8de2b53b",
     "04_growth_witnesses.py": "3a7bf8dfd1fc927a56a3c22d3b9251f31aa1e161",
     "05_interpretation_reduction.py": "71f80135b5f73e2a42f4b9eef00dca429cb1764b",
 }

@@ -63,6 +63,24 @@ def test_parse_errors(sig1):
         assert e.pos >= 0
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("ex x P1(x)", "expected '.', found 'P1'", 5),
+    ("EX x. P1(x)", "expected a set variable, found 'x'", 3),
+    ("EX P1. x<y", "'P1' is reserved for predicates", 3),
+    ("atleast x y. P1(y)", "expected a count, found 'x'", 8),
+    ("atleast 2 X. P1(x)", "expected a first-order variable, found 'X'", 10),
+    ("x < y & & x<y", "unexpected token '&'", 8),
+    ("x(y)", "'x' cannot be applied, predicates and set variables are uppercase", 0),
+    ("X & x<y", "set variable 'X' must be applied to a position", 0),
+    ("x P1", "expected '<' or '=' after 'x', found 'P1'", 2),
+])
+def test_parse_refusals_name_the_token(sig1, text, message, pos):
+    with pytest.raises(ParseError) as refused:
+        parse(text, sig1)
+    assert str(refused.value) == f"{message} (at position {pos})"
+    assert (refused.value.text, refused.value.pos) == (text, pos)
+
+
 def test_free_variables_first_occurrence(sig1):
     f = parse("y < x & (ex z. z < x)", sig1)
     assert free_variables(f) == ("y", "x")

@@ -79,6 +79,35 @@ def test_parse_errors():
             parse_interpretation(text)
 
 
+A_SPEC = "signature P1\ncomponent a dim=1\nuniverse P1(x)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (A_SPEC + "relation R/1 on (b) := P1(x)", "unknown component 'b'"),
+    ("signature P1\ncomponent a dim=-1\nuniverse P1(x)",
+     "component 'a' has negative dimension"),
+    (A_SPEC + "relation R/1 on (a) := P1(x)\nrelation R/2 on (a, a) := x < y",
+     "relation 'R' used at two arities"),
+    (A_SPEC + "relation R/1 on (a) := P1(x)\nrelation R/1 on (a) := ~P1(x)",
+     "relation 'R' on ('a',) given twice"),
+    (A_SPEC + "relation R/1 on (a) := Z(x)", "relation 'R' has free set variables"),
+    ("signature P1\ncomponent a dim=1\ncomponent b dim=1\nuniverse P1(x)",
+     "component 'a' has no universe line"),
+    ("signature P1\ncomponent a\nuniverse P1(x)", "bad component line: 'component a'"),
+    ("signature P1\ncomponent a dim=two\nuniverse P1(x)",
+     "bad dimension in 'component a dim=two'"),
+    (A_SPEC + "relation R/1 on (a) P1(x)",
+     "relation line misses ':=': 'relation R/1 on (a) P1(x)'"),
+    (A_SPEC + "relation R on (a) := P1(x)",
+     "bad relation line: 'relation R on (a) := P1(x)'"),
+    ("# no lines but this one", "no signature given"),
+])
+def test_spec_refusals_name_the_fault(text, message):
+    with pytest.raises(InputError) as refused:
+        parse_interpretation(text)
+    assert str(refused.value) == message
+
+
 def test_apply_single_component(sig1):
     spec = parse_interpretation(
         "signature P1\ncomponent a dim=1\nuniverse P1(x)\n"

@@ -600,6 +600,21 @@ def test_reads_are_the_labels_the_closures_read(sig1, sig2):
     assert reads("P1(x)", sig1) == 0b1
 
 
+def test_both_routes_refuse_foreign_input_alike(sig1, sig2):
+    # compile refuses when it builds the input; the oracle when a search
+    # reads it, so it is asked on a nonempty word
+    foreign = Run(compiler.compile(parse("P1(x)", sig2), sig2, ("x",)), ("x",))
+    word = Word(sig1, (1,))
+    for f, message in ((Pred("P2", "x"), "unknown predicate 'P2'"),
+                       (foreign, "automaton leaf is over another signature")):
+        for call in (lambda: compiler.compile(f, sig1, ("x",)),
+                     lambda: evaluate(f, word, fo={"x": 0}),
+                     lambda: satisfying_tuples(f, word, ("x",))):
+            with pytest.raises(InputError) as refused:
+                call()
+            assert str(refused.value) == message
+
+
 def test_a_check_asks_each_question_once_per_projection(monkeypatch):
     # the ordered pair's source and map read no label, so each is asked once
     # per length: 2 x 5 calls at max_len 4, where every word would take 2 x 31

@@ -18,7 +18,7 @@ from chainrep.monoid import is_pumpable
 from chainrep.oracle import (check_canonical_form, check_reparameterization,
                              evaluate, satisfying_tuples)
 from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
-                              combine_disjuncts, compose, eliminate_variable,
+                              combine_disjuncts, eliminate_variable,
                               local_normal_form, minimal_reparameterization)
 from chainrep.randgen import formula_batch
 from chainrep.words import MarkedWord, all_words
@@ -250,9 +250,9 @@ P3FL = ("P1(x)&P1(y)&P1(z)&(~ex q. q < v)&(~ex q. u < q)", "xyzvu")
 
 
 def test_images_are_the_compiled_text(sig1, monkeypatch):
-    # the search builds each image ex xs. (source & eqs) by track
-    # operations on the source's automaton; its published automaton is the
-    # one that compiling the text afresh gives
+    # the search builds each image ex x. source from the automaton kept
+    # for its source; its published automaton is the one that compiling the
+    # text afresh gives
     images = []
     real = TypeAlgebra.build.__func__
 
@@ -693,9 +693,16 @@ def test_guards_are_the_family_list_guards(sig1, sig2, monkeypatch):
             assert sum(counts[0].values()) == len(groups[i])
 
 
+# the guard automata, the guarded maps, the total length and SHA-1 of the
+# maps' texts and the sum of their bounds in the guard sweep
+GUARDED_MAPS = (72, 20, 201_400, "8f0f6a7b9bcff32aaca0ee83c8011f42a1b01f1f",
+                19_944_292_459_449_648_135)
+
+
 def test_random_sweep_reaches_the_guard_split(monkeypatch):
     # random formulas that split families by guards: the sweep builds at
-    # least 50 guard automata, and every guarded map passes the oracle
+    # least 50 guard automata, every guarded map passes the oracle, and the
+    # maps, whose eliminations read `case & gamma`, are pinned
     guards = []
     real = reparam._type_tuple_dfa
 
@@ -714,31 +721,36 @@ def test_random_sweep_reaches_the_guard_split(monkeypatch):
         assert check_reparameterization(rep, 4), render(rep.source)
         assert check_canonical_form(rep, 4), render(rep.source)
     assert len(guards) >= 50
+    blob = "\n".join(render(rep.g) for rep in guarded)
+    assert (len(guards), len(guarded), len(blob), hashlib.sha1(blob.encode()).hexdigest(),
+            sum(rep.bound for rep in guarded)) == GUARDED_MAPS
 
 
 def test_eliminate_variable_equalities(sig1):
-    # dropping x_i: the image keeps the other coordinates in order
+    # dropping x_i: the image keeps the other coordinates in order, under
+    # their own names
     f = parse("(x < y) & (y < z)", sig1)
-    rep = eliminate_variable(f, sig1, ("x", "y", "z"), 2, n_families=1,
-                             monoid_size=2, supply=NameSupply(all_vars(f)))
+    rep = eliminate_variable(f, sig1, ("x", "y", "z"), 2, n_families=1, monoid_size=2,
+                             supply=NameSupply(all_vars(f)),
+                             query=Query(sig1, DEFAULT_STATE_BUDGET))
     assert rep.dimension == 2
-    assert rep.bound == 1 * 6  # families x ramsey_bound(2)
     for w in all_words(sig1, 4):
-        for tup in satisfying_tuples(rep.g, w, rep.domain_vars + rep.image_vars):
-            x, u = tup[:3], tup[3:]
-            assert u == (x[0], x[2])
+        related = satisfying_tuples(rep.g, w, rep.domain_vars + rep.image_vars)
+        assert sorted(related) == sorted(
+            x + (x[0], x[2]) for x in satisfying_tuples(f, w, rep.domain_vars))
 
 
 def test_compose_multiplies_bounds(sig1):
+    # the step's bound (families x ramsey_bound(2) = 6) times its image's (1)
     f = parse("(x < y) & (y < z)", sig1)
-    first = eliminate_variable(f, sig1, ("x", "y", "z"), 2, 1, 2, NameSupply(all_vars(f)))
-    u0, u1 = first.image_vars
-    inner = minimal_reparameterization(parse(f"{u0} < {u1}", sig1), sig1,
-                                       first.image_vars, refine=False)
-    both = compose(first, inner)
-    assert both.bound == first.bound * inner.bound
-    assert both.domain_vars == first.domain_vars
-    assert both.image_vars == inner.image_vars
+    rep = eliminate_variable(f, sig1, ("x", "y", "z"), 2, 1, 2, NameSupply(all_vars(f)),
+                             Query(sig1, DEFAULT_STATE_BUDGET))
+    assert rep.bound == 6 * 1
+    both = rep.provenance
+    assert (both.kind, both.detail) == ("compose", "6 x 1")
+    assert [(c.kind, c.detail) for c in both.children] == [
+        ("eliminate", "variable 2 of 3; bound 1 families x B(2)"), ("case", "x<z")]
+    assert rep.domain_vars == ("x", "y", "z")
 
 
 def test_combine_disjuncts_bounds_add(sig1):
