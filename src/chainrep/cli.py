@@ -1,9 +1,15 @@
 """Command-line front end: one binary over the whole pipeline.
 
+COMMANDS declares each command once: its handler and the flags it reads,
+each with its default or REQUIRED.  The parser gives each command those
+flags plus --budget-states and --format, and refuses every other flag.
+
 Every run produces a single self-contained report.  The JSON form is the
 primary artifact (deterministic, sorted keys, no timestamps); the human
-form is rendered from the same document.  Exit codes: 0 success, 1 negative
-decision or failed check, 2 bad input, 3 resource budget exceeded.
+form is rendered from the same document.  Its config records the value
+each flag had in the run, or null for the flags the command does not have.
+Exit codes: 0 success, 1 negative decision or failed check, 2 bad input
+(refused flags included), 3 resource budget exceeded.
 """
 
 import argparse
@@ -40,10 +46,8 @@ BATTERY = (
 )
 
 
-def _mentions_eliminate(step) -> bool:
-    if step.kind in ("eliminate", "refine"):
-        return True
-    return any(_mentions_eliminate(c) for c in step.children)
+def _eliminates(step) -> bool:
+    return step.kind == "eliminate" or any(_eliminates(c) for c in step.children)
 
 
 def _rep_dict(rep) -> dict:
@@ -93,15 +97,14 @@ class _Run:
         return sig
 
     def formula_text(self) -> str:
-        if self.args.formula is not None:
+        path = self.args.formula_file
+        if path is None:
             return self.args.formula
-        if self.args.formula_file is not None:
-            try:
-                with open(self.args.formula_file) as fh:
-                    return fh.read()
-            except OSError as e:
-                raise InputError(f"cannot read {self.args.formula_file}: {e}")
-        raise InputError("need --formula or --formula-file")
+        try:
+            with open(path) as fh:
+                return fh.read()
+        except OSError as e:
+            raise InputError(f"cannot read {path}: {e}")
 
     def formula(self):
         """(sig, f, variables): the signature, checked before the formula
@@ -110,30 +113,23 @@ class _Run:
         f = parse(self.formula_text(), sig)
         return sig, f, free_variables(f)
 
-    def minrep(self, f, sig, variables, refine=True):
-        rep = minimal_reparameterization(
-            f, sig, variables, refine=refine,
-            budget_states=self.args.budget_states)
-        if _mentions_eliminate(rep.provenance):
-            self.notes.extend(n for n in ERRATUM_NOTES if n not in self.notes)
+    def note(self, rep):
+        """rep, after embedding the erratum notes if it eliminated a variable."""
+        if _eliminates(rep.provenance):
+            self.notes = sorted(ERRATUM_NOTES)
         return rep
 
+    def minrep(self, f, sig, variables, refine=True):
+        return self.note(minimal_reparameterization(
+            f, sig, variables, refine=refine,
+            budget_states=self.args.budget_states))
+
     def report(self, command: str, result: dict) -> dict:
-        config = {
-            "sig": self.args.sig,
-            "formula": self.args.formula,
-            "formula_file": self.args.formula_file,
-            "dim": getattr(self.args, "dim", None),
-            "n": getattr(self.args, "n", None),
-            "max_len": getattr(self.args, "max_len", None),
-            "budget_states": self.args.budget_states,
-            "seed": self.args.seed,
-        }
         return {
             "tool": {"name": "chainrep", "version": __version__},
             "command": command,
-            "config": config,
-            "notes": sorted(self.notes),
+            "config": {key: getattr(self.args, key, None) for key in _CONFIG_KEYS},
+            "notes": self.notes,
             "result": result,
         }
 
@@ -145,8 +141,6 @@ def _cmd_mindim(run: _Run):
 
 
 def _cmd_decide(run: _Run):
-    if run.args.dim is None:
-        raise InputError("decide needs --dim")
     if run.args.dim < 0:
         raise InputError("dimension must be nonnegative")
     sig, f, variables = run.formula()
@@ -158,8 +152,7 @@ def _cmd_decide(run: _Run):
 
 
 def _cmd_growth(run: _Run):
-    n = run.args.n if run.args.n is not None else 3
-    max_len = run.args.max_len if run.args.max_len is not None else 6
+    n, max_len = run.args.n, run.args.max_len
     if n < 1:
         raise InputError("need n >= 1")
     sig, f, variables = run.formula()
@@ -231,7 +224,7 @@ def _witness_or_absent(build, *args, **budgets) -> dict:
 
 def _cmd_witness(run: _Run):
     sig, f, variables = run.formula()
-    n = run.args.n if run.args.n is not None else 2
+    n = run.args.n
     if n < 1:
         raise InputError("witness needs --n of at least 1")
     budgets = dict(budget_states=run.args.budget_states)
@@ -249,9 +242,8 @@ def _cmd_witness(run: _Run):
 def _cmd_oracle_check(run: _Run):
     sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
-    max_len = run.args.max_len if run.args.max_len is not None else 4
-    contract = check_reparameterization(rep, max_len)
-    canonical = check_canonical_form(rep, max_len)
+    contract = check_reparameterization(rep, run.args.max_len)
+    canonical = check_canonical_form(rep, run.args.max_len)
     result = {"reparameterization": _rep_dict(rep),
               "contract": _check_dict(contract),
               "canonical": _check_dict(canonical)}
@@ -260,19 +252,13 @@ def _cmd_oracle_check(run: _Run):
 
 
 def _cmd_interp_reduce(run: _Run):
-    if run.args.formula_file is None:
-        raise InputError("interp-reduce reads the spec with --formula-file")
     sig = Signature.from_text(run.args.sig) if run.args.sig else None
     spec = parse_interpretation(run.formula_text(), sig)
-    if run.args.dim is None:
-        raise InputError("interp-reduce needs --dim")
     reduced = reduce_interpretation(spec, run.args.dim,
                                     budget_states=run.args.budget_states)
     for part in reduced.parts:
-        if _mentions_eliminate(part.rep.provenance):
-            run.notes.extend(n for n in ERRATUM_NOTES if n not in run.notes)
-    max_len = run.args.max_len if run.args.max_len is not None else 3
-    check = check_equivalence(spec, reduced, max_len)
+        run.note(part.rep)
+    check = check_equivalence(spec, reduced, run.args.max_len)
     result = {
         "components": [{"name": p.name, "source": p.source, "index": p.index,
                         "dimension": p.rep.dimension, "bound": p.rep.bound}
@@ -395,17 +381,39 @@ def _cmd_selftest(run: _Run):
     return run.report("selftest", result), 0 if ok else 1
 
 
-_COMMANDS = {
-    "mindim": _cmd_mindim,
-    "decide": _cmd_decide,
-    "growth": _cmd_growth,
-    "monoid": _cmd_monoid,
-    "normalform": _cmd_normalform,
-    "witness": _cmd_witness,
-    "oracle-check": _cmd_oracle_check,
-    "interp-reduce": _cmd_interp_reduce,
-    "selftest": _cmd_selftest,
+REQUIRED = "required"
+
+# the flags each command reads besides --budget-states and --format, each
+# with its default or REQUIRED; a pair of flags is a choice of one, and
+# exactly one of the two must be given.  Every other flag is refused.
+_FORMULA = {"--sig": None, ("--formula", "--formula-file"): REQUIRED}
+COMMANDS = {
+    "mindim": (_cmd_mindim, _FORMULA),
+    "decide": (_cmd_decide, {**_FORMULA, "--dim": REQUIRED}),
+    "growth": (_cmd_growth, {**_FORMULA, "--n": 3, "--max-len": 6}),
+    "monoid": (_cmd_monoid, _FORMULA),
+    "normalform": (_cmd_normalform, _FORMULA),
+    "witness": (_cmd_witness, {**_FORMULA, "--n": 2}),
+    "oracle-check": (_cmd_oracle_check, {**_FORMULA, "--max-len": 4}),
+    "interp-reduce": (_cmd_interp_reduce, {"--sig": None, "--formula-file": REQUIRED,
+                                           "--dim": REQUIRED, "--max-len": 3}),
+    "selftest": (_cmd_selftest, {"--seed": 0}),
 }
+
+# a report's config: the value of each flag the command read, None for the
+# flags it does not have
+_CONFIG_KEYS = ("sig", "formula", "formula_file", "dim", "n", "max_len",
+               "budget_states", "seed")
+
+# the flags that take text, with their help; every other flag takes an int
+_TEXT_FLAGS = {"--sig": "comma-separated predicate names, e.g. P1,P2",
+               "--formula": None,
+               "--formula-file": "file with the formula (or the interpretation spec)"}
+
+
+def _add_flag(parser, flag, **kwargs):
+    parser.add_argument(flag, type=str if flag in _TEXT_FLAGS else int,
+                        help=_TEXT_FLAGS.get(flag), **kwargs)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -413,20 +421,20 @@ def _parser() -> argparse.ArgumentParser:
         prog="chainrep",
         description="bounded reparameterizations of formulas over words")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--sig", default=None,
-                       help="comma-separated predicate names, e.g. P1,P2")
-        g = s.add_mutually_exclusive_group()
-        g.add_argument("--formula", default=None)
-        g.add_argument("--formula-file", default=None,
-                       help="file with the formula (or the interpretation spec)")
-        s.add_argument("--dim", type=int, default=None)
-        s.add_argument("--n", type=int, default=None)
-        s.add_argument("--max-len", type=int, default=None)
+    for name, (_, flags) in COMMANDS.items():
+        # no abbreviations: interp-reduce would read --formula as --formula-file
+        s = sub.add_parser(name, allow_abbrev=False)
+        for flag, default in flags.items():
+            if isinstance(flag, tuple):
+                one = s.add_mutually_exclusive_group(required=True)
+                for choice in flag:
+                    _add_flag(one, choice)
+            elif default is REQUIRED:
+                _add_flag(s, flag, required=True)
+            else:
+                _add_flag(s, flag, default=default)
         s.add_argument("--budget-states", type=int, default=DEFAULT_STATE_BUDGET)
         s.add_argument("--format", choices=("human", "json"), default="human")
-        s.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -472,9 +480,9 @@ def main(argv=None) -> int:
         _apply_memory_cap()
         if args.budget_states <= 0:
             raise InputError("--budget-states must be positive")
-        if args.max_len is not None and args.max_len < 0:
+        if getattr(args, "max_len", 0) < 0:
             raise InputError("--max-len must be nonnegative")
-        report, status = _COMMANDS[args.command](_Run(args))
+        report, status = COMMANDS[args.command][0](_Run(args))
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3

@@ -579,7 +579,7 @@ class NameSupply:
         self._avoid = set(avoid)
         self._counters: dict[str, int] = {}
 
-    def fresh(self, prefix: str = "u") -> str:
+    def fresh(self, prefix: str) -> str:
         n = self._counters.get(prefix, 0)
         while True:
             cand = f"{prefix}{n}"
@@ -674,12 +674,14 @@ def exists_wrap(variables, body: Formula) -> Formula:
     return body
 
 
-def expand_macros(f: Formula, supply: NameSupply | None = None) -> Formula:
+def expand_macros(f: Formula) -> Formula:
     """Rewrite every counting quantifier into plain nested quantifiers.
 
-    New names come from supply, by default one avoiding every name in f,
-    made when the first counting quantifier needs it.
+    New names come from one supply avoiding every name in f, made when the
+    first counting quantifier needs it.
     """
+    supply = None
+
     def expand(g):
         nonlocal supply
         if not isinstance(g, AtLeast):

@@ -13,6 +13,11 @@ from .formula import (FALSE, TRUE, And, AtLeast, Equal, ExistsFO, ExistsSO, Fora
 BOUND_FO = ("z", "p", "q", "r", "s")
 BOUND_SO = ("Z", "Y", "W")
 
+# the chance that a set quantifier, once drawn, stays one (else it becomes
+# `ex`), and the most free first-order variables of a random instance
+SO_PROB = 0.15
+MAX_FREE = 2
+
 _KINDS = (("not", 2), ("and", 3), ("or", 3), ("implies", 1),
           ("ex", 4), ("all", 2), ("atleast", 1), ("EX", 1), ("ALL", 1))
 
@@ -44,11 +49,12 @@ def _atom(rng, sig, fo, so) -> Formula:
 
 
 def random_formula(rng: random.Random, sig: Signature, fo_vars=(), *,
-                   rank: int = 3, so_prob: float = 0.15) -> Formula:
+                   rank: int = 3) -> Formula:
     """One random formula with free FO variables among fo_vars.
 
-    rank caps quantifier nesting; set quantifiers appear with probability
-    so_prob at each quantifier choice and never leave free set variables.
+    rank caps quantifier nesting; a drawn set quantifier stays one with
+    probability SO_PROB (else it becomes `ex`), and set quantifiers never
+    leave free set variables.
     """
     def go(r, fo, so):
         if r == 0 or rng.random() < 0.3:
@@ -56,7 +62,7 @@ def random_formula(rng: random.Random, sig: Signature, fo_vars=(), *,
         names = [k for k, _ in _KINDS]
         weights = [w for _, w in _KINDS]
         kind = rng.choices(names, weights)[0]
-        if kind in ("EX", "ALL") and rng.random() > so_prob:
+        if kind in ("EX", "ALL") and rng.random() > SO_PROB:
             kind = "ex"
         match kind:
             case "not":
@@ -85,11 +91,10 @@ def random_formula(rng: random.Random, sig: Signature, fo_vars=(), *,
     return go(rank, tuple(fo_vars), ())
 
 
-def random_instance(rng: random.Random, *, max_preds: int = 2,
-                    max_free: int = 2, rank: int = 3):
+def random_instance(rng: random.Random, *, max_preds: int = 2, rank: int = 3):
     """(signature, free variables, formula) with small everything."""
     sig = Signature(tuple(f"P{i + 1}" for i in range(rng.randint(1, max_preds))))
-    fo = ("x", "y")[:rng.randint(0, max_free)]
+    fo = ("x", "y")[:rng.randint(0, MAX_FREE)]
     return sig, fo, random_formula(rng, sig, fo, rank=rank)
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import pytest
 
 import chainrep
 from chainrep import interp
-from chainrep.cli import main
-from chainrep.compiler import Query, compile, preimage_ranks
+from chainrep.cli import COMMANDS, REQUIRED, _parser, _Run, main
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, compile, preimage_ranks
 from chainrep.errors import ResourceLimitError
 from chainrep.formula import MAX_DEPTH, Signature, parse
 from chainrep.growth import WitnessStructure
@@ -44,7 +46,7 @@ def test_mindim_example(capsys):
     assert report["result"]["dimension"] == 1
     assert report["tool"]["name"] == "chainrep"
     assert report["tool"]["version"]
-    assert report["config"]["seed"] == 0
+    assert report["config"]["seed"] is None  # mindim has no --seed
 
 
 def test_mindim_refines_the_guard_split(capsys):
@@ -242,6 +244,16 @@ def test_oracle_check_embeds_notes(capsys):
     assert report["result"]["contract"]["ok"] is True
     assert report["result"]["canonical"]["ok"] is True
     assert len(report["notes"]) == 2  # elimination ran: indexing notes embed
+
+
+def test_notes_only_when_an_elimination_fires(capsys):
+    # the map refines, combines and splits order cases, but eliminates nothing
+    status, report, _ = run_json(capsys, "mindim", "--sig", "P1", "--formula",
+                                 "(x=y & y<z & P1(x)) | (x<y & y=z & ~P1(x))")
+    assert status == 0 and report["result"]["dimension"] == 2
+    kinds = {line.split(":")[0].strip() for line in report["result"]["provenance"]}
+    assert kinds == {"refine", "combine", "case", "rigid"}
+    assert report["notes"] == []
 
 
 def test_interp_reduce(tmp_path, capsys):
@@ -463,3 +475,138 @@ def test_selftest_deterministic(capsys):
     assert report["result"]["ok"] is True
     names = [c["name"] for c in report["result"]["checks"]]
     assert "compiler-vs-oracle" in names and "dimension-battery" in names
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mindim", "--sig", ",", "--formula", "P1(x)"), "error: signature has no predicates\n"),
+    (("mindim", "--sig", "P1", "--formula-file", "MISSING"), "error: cannot read MISSING: "),
+], ids=["empty-signature", "missing-file"])
+def test_refusals_name_the_fault(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.txt")
+    status, out, err = run(capsys, *(missing if a == "MISSING" else a for a in argv))
+    assert status == 2 and not out
+    assert err.startswith(message.replace("MISSING", missing))
+
+
+def _choice(key):
+    """The flags of a key of a COMMANDS row: both of a choice, else the one."""
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _flags(row):
+    return [f for key in row for f in _choice(key)]
+
+
+ALL_FLAGS = sorted({f for _, row in COMMANDS.values() for f in _flags(row)})
+
+
+def _parse(capsys, argv):
+    """(namespace, "") for argv, or (exit code, stderr) when it is refused."""
+    try:
+        return _parser().parse_args(argv), ""
+    except SystemExit as e:
+        return e.code, capsys.readouterr().err
+
+
+def _required(row, but=None):
+    """argv giving each required flag of a COMMANDS row the value 1, all but
+    the flag but (or the choice that holds it)."""
+    out = []
+    for key, default in row.items():
+        if default is REQUIRED and but not in _choice(key):
+            out += [_choice(key)[0], "1"]
+    return out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_exactly_its_flags(capsys, command):
+    row = COMMANDS[command][1]
+    for flag in ALL_FLAGS:
+        if flag in _flags(row):
+            ns, err = _parse(capsys, [command, *_required(row, flag), flag, "1"])
+            assert not err, (flag, err)
+            text = flag in ("--sig", "--formula", "--formula-file")
+            assert getattr(ns, flag[2:].replace("-", "_")) == ("1" if text else 1)
+        else:
+            code, err = _parse(capsys, [command, *_required(row), flag, "1"])
+            assert code == 2 and err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    # a missing required flag is refused by name
+    for key, default in row.items():
+        if default is REQUIRED:
+            code, err = _parse(capsys, [command, *_required(row, _choice(key)[0])])
+            assert code == 2 and "required" in err
+            assert all(f in err.splitlines()[-1] for f in _choice(key))
+    # --help lists those flags and no other
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert done.value.code == 0
+    assert listed == {*_flags(row), "--budget-states", "--format", "--help"}
+
+
+def _config(**used):
+    keys = ("sig", "formula", "formula_file", "dim", "n", "max_len", "seed")
+    return {**dict.fromkeys(keys), "budget_states": DEFAULT_STATE_BUDGET, **used}
+
+
+FORMULA = ("--sig", "P1", "--formula", "P1(x)")
+# each command given only what it requires, and the config its report records
+CONFIGS = (
+    (("mindim", *FORMULA), _config(sig="P1", formula="P1(x)")),
+    (("decide", *FORMULA, "--dim", "1"), _config(sig="P1", formula="P1(x)", dim=1)),
+    (("growth", *FORMULA), _config(sig="P1", formula="P1(x)", n=3, max_len=6)),
+    (("monoid", *FORMULA), _config(sig="P1", formula="P1(x)")),
+    (("normalform", "--formula-file", "f.txt"), _config(formula_file="f.txt")),
+    (("witness", *FORMULA), _config(sig="P1", formula="P1(x)", n=2)),
+    (("oracle-check", *FORMULA), _config(sig="P1", formula="P1(x)", max_len=4)),
+    (("interp-reduce", "--formula-file", "f.txt", "--dim", "0"),
+     _config(formula_file="f.txt", dim=0, max_len=3)),
+    (("selftest",), _config(seed=0)),
+)
+
+
+@pytest.mark.parametrize("argv, config", CONFIGS, ids=[argv[0] for argv, _ in CONFIGS])
+def test_config_records_the_values_used(argv, config):
+    assert _Run(_parser().parse_args(argv)).report(argv[0], {})["config"] == config
+
+
+def test_a_default_growth_run_reports_what_it_ran(capsys):
+    status, report, _ = run_json(capsys, "growth", "--sig", "P1", "--formula", "x < x")
+    assert status == 0
+    sandwich = report["result"]["sandwich"]
+    assert report["config"] == _config(sig="P1", formula="x < x", n=3, max_len=6)
+    assert (sandwich["n"], sandwich["max_len"]) == (3, 6)
+
+
+def _chainrep(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(chainrep.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "chainrep", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_the_entry_point_answers_and_refuses():
+    done = _chainrep("mindim", "--sig", "P1", "--formula", "P1(x)")
+    assert (done.returncode, done.stderr) == (0, "") and "dimension: 1" in done.stdout
+    done = _chainrep("mindim", "--sig", "P1", "--formula", "P1(x)", "--max-len", "3")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: unrecognized arguments: --max-len 3\n")
+    done = _chainrep("decide", "--sig", "P1", "--formula", "P1(x)")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: the following arguments are required: --dim\n")
+
+
+def _flag_text(key, default):
+    if isinstance(key, tuple):
+        return " or ".join(f"`{f}`" for f in key) + f" (one {default})"
+    return f"`{key}`" + ("" if default is None else f" ({default})")
+
+
+def test_the_readme_lists_each_commands_flags():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | flags (default) |")
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command.strip("`")] = flags
+    assert rows == {command: ", ".join(_flag_text(key, default) for key, default in row.items())
+                    for command, (_, row) in COMMANDS.items()}

@@ -146,6 +146,12 @@ def test_reduce_successor_pairs():
     assert check_equivalence(spec, red, 4)
 
 
+def test_reduce_refuses_a_negative_dimension():
+    with pytest.raises(InputError) as refused:
+        reduce_interpretation(parse_interpretation(SUCC), -1)
+    assert str(refused.value) == "dimension must be nonnegative"
+
+
 def test_reduce_two_components():
     spec = parse_interpretation(TWO)
     red = reduce_interpretation(spec, 1)

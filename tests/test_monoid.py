@@ -163,3 +163,13 @@ def test_ramsey_bounds():
     assert [ramsey_bound(c) for c in (1, 2, 3, 4)] == [3, 6, 17, 66]
     with pytest.raises(Exception):
         ramsey_bound(0)
+
+
+def test_witness_word_refuses_an_element_without_a_nonempty_witness(sig1):
+    # the formula holds on every nonempty word: the empty word alone maps to
+    # the identity
+    m = build(sig1, "ex v. v = v")
+    assert m.witness_word(0).letters == ()
+    with pytest.raises(InputError) as refused:
+        m.witness_word(0, nonempty=True)
+    assert str(refused.value) == "element 0 has no nonempty witness"

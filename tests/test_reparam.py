@@ -21,7 +21,7 @@ from chainrep.reparam import (ERRATUM_NOTES, TypeAlgebra, _refine_bound,
                               combine_disjuncts, eliminate_variable,
                               local_normal_form, minimal_reparameterization)
 from chainrep.randgen import formula_batch
-from chainrep.words import MarkedWord, all_words
+from chainrep.words import MarkedWord, Word, all_words
 from conftest import (BATTERY, FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text,
                       guard_batch)
 
@@ -523,6 +523,19 @@ def test_segment_types_shape(sig1):
         for marks in itertools.combinations(range(len(w)), 2):
             taus = algebra.segment_types(MarkedWord(w, marks))
             assert len(taus) == 3
+
+
+@pytest.mark.parametrize("ask, message", [
+    (lambda a, sig: a.segment_types(MarkedWord(Word(sig, (0, 1)), (1,))),
+     "expected 2 marks, got 1"),
+    (lambda a, sig: a.accepts_chain((0, 0)), "expected 3 types, got 2"),
+])
+def test_algebra_refuses_the_wrong_arity(sig1, ask, message):
+    algebra = TypeAlgebra.build(parse("x < y", sig1), ("x", "y"),
+                                Query(sig1, DEFAULT_STATE_BUDGET))
+    with pytest.raises(InputError) as refused:
+        ask(algebra, sig1)
+    assert str(refused.value) == message
 
 
 def test_accepts_chain_matches_oracle():

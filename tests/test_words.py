@@ -88,6 +88,18 @@ def test_marked_render(sig1):
     assert MarkedWord.parse("[P1, .*]", sig1) == mw
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (Word.parse, "[P3]", "unknown label 'P3'"),
+    (Word.parse, "[P1+P1]", "repeated label 'P1'"),
+    (Word.parse, "P1", "bad word text 'P1'"),
+    (MarkedWord.parse, "P1*", "bad word text 'P1*'"),
+])
+def test_parse_refusals_name_the_text(sig2, parse, text, message):
+    with pytest.raises(InputError) as refused:
+        parse(text, sig2)
+    assert str(refused.value) == message
+
+
 def test_all_words_counts(sig1, sig2):
     assert sum(1 for _ in all_words(sig1, 3)) == 1 + 2 + 4 + 8
     assert sum(1 for _ in all_words(sig2, 2)) == 1 + 4 + 16
