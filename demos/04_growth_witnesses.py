@@ -27,8 +27,8 @@ print(pump_witness(parse("P1(x)", sig), sig, "x", 3).dump())
 print()
 print(no_decrement_witness(f, sig, ("x", "y"), 2).dump())
 
-# the lower-bound construction slides marks over pumped copies; counting
-# tuples inside its pool beats n^d
+# the lower-bound construction repeats the words of the automaton's chain
+# of IDA pairs n times each; counting tuples on the word beats n^d
 print()
 w = growth_lower_witness(f, sig, ("x", "y"), 3)
 print(w.dump())

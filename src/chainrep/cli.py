@@ -20,7 +20,7 @@ import random
 import sys
 
 from . import __version__
-from .compiler import DEFAULT_STATE_BUDGET, Query, compile as compile_dfa
+from .compiler import DEFAULT_STATE_BUDGET, Query, ambiguity_degree, compile as compile_dfa
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import Signature, free_variables, parse, render
 from .growth import (brute_growth, growth_lower_witness, no_decrement_witness,
@@ -89,7 +89,7 @@ class _Run:
         self.notes: list[str] = []
 
     def signature(self) -> Signature:
-        if not self.args.sig:
+        if self.args.sig is None:
             raise InputError("--sig is required for this command")
         sig = Signature.from_text(self.args.sig)
         if not sig.preds:
@@ -157,7 +157,9 @@ def _cmd_growth(run: _Run):
         raise InputError("need n >= 1")
     sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
-    result = {"degree": rep.dimension, "bound": rep.bound}
+    # the degree a second time, from the ambiguity of f's automaton
+    ambiguity = ambiguity_degree(f, sig, variables, run.args.budget_states).degree
+    result = {"degree": rep.dimension, "ambiguity_degree": ambiguity, "bound": rep.bound}
     if rep.bound:
         witness = _witness_dict(growth_lower_witness(
             f, sig, variables, n, budget_states=run.args.budget_states))
@@ -175,7 +177,8 @@ def _cmd_growth(run: _Run):
         "upper": ceiling,
         "ok": witness.get("oracle_count", 0) >= floor and got <= ceiling,
     }
-    return run.report("growth", result), 0 if result["sandwich"]["ok"] else 1
+    ok = result["sandwich"]["ok"] and ambiguity == rep.dimension
+    return run.report("growth", result), 0 if ok else 1
 
 
 def _cmd_monoid(run: _Run):
@@ -252,8 +255,11 @@ def _cmd_oracle_check(run: _Run):
 
 
 def _cmd_interp_reduce(run: _Run):
-    sig = Signature.from_text(run.args.sig) if run.args.sig else None
+    sig = run.signature() if run.args.sig is not None else None
     spec = parse_interpretation(run.formula_text(), sig)
+    if sig is not None and spec.signature != sig:
+        raise InputError(f"--sig {','.join(sig.preds)} differs from the spec's "
+                         f"signature {','.join(spec.signature.preds)}")
     reduced = reduce_interpretation(spec, run.args.dim,
                                     budget_states=run.args.budget_states)
     for part in reduced.parts:

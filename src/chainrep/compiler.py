@@ -41,8 +41,7 @@ does not read x, one product with the words of length at least 1), and
 the search compiles no text.
 compile alone publishes the automata that the search's type algebras
 read: given the query, it publishes the automaton kept for a case formula,
-builds each elimination image from the automaton kept for its source, and
-builds the growth witness's image ex xs. g from the automaton kept for g.
+and builds each elimination image from the automaton kept for its source.
 Nothing is kept across calls.
 
 Publicly, automata for a formula with marked variables x1..xm read words
@@ -63,23 +62,27 @@ track, so an automaton the pipeline already holds never goes back through
 MSO.
 
 A map is built once, over one track per domain and image variable.  The
-lexicographically least fiber over an image tuple (first_fiber) and the
 counting construction that gives its largest fiber and its preimage ranks
 (preimage_ranks, which publishes rank automata only when asked for them)
-read that one automaton.  Its image ex xs. g, compiled given the query,
-starts from g's automaton, which the map's build keeps.
+reads that one automaton.
+
+The growth degree has a second route through the compiler alone:
+ambiguity_degree erases the variables' tracks of f's automaton and finds
+its longest chain of IDA pairs, whose words the growth lower witness
+repeats.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .formula import (And, AtLeast, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
                       check_depth, check_variables, expand_macros, occurrences, rank_classes)
-from .words import MarkedWord, Word, render_letter
+from .words import MarkedWord, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -586,13 +589,11 @@ class Query:
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:
         """The automaton of the map g from xs to ys; for a map source & h of
-        this Query's call, the source's automaton times h's.  g's automaton
-        is kept, so compile, given this query, builds g's image ex xs. g
-        from it."""
+        this Query's call, the source's automaton times h's."""
         xs, ys = tuple(xs), tuple(ys)
         builder = self.builder("map automaton")
         _check(g, xs + ys, builder)
-        a = builder.keep(g, builder.built(g))
+        a = builder.built(g)
         unused = [v for v in xs + ys if v not in a.fo]
         a = builder.valid(builder.extend(a, fo_add=unused), unused)
         return MapAutomaton(builder, a, xs, ys)
@@ -705,8 +706,8 @@ def _check(f: Formula, marked_vars: tuple[str, ...], builder: _Builder):
 @dataclass(frozen=True)
 class MapAutomaton:
     """A map g built once: the minimal automaton of g over one track per
-    variable of xs + ys, each carrying a single mark, and its builder.  The
-    count and the fiber search read this one automaton."""
+    variable of xs + ys, each carrying a single mark, and its builder, which
+    the count reads."""
 
     builder: _Builder
     auto: _Auto
@@ -828,48 +829,123 @@ def max_fiber(g: Formula, sig: Signature, xs, ys, cap: int,
     return preimage_ranks(m, cap).largest_fiber
 
 
-def first_fiber(m: MapAutomaton, word: Word, image):
-    """The lexicographically least xs tuple that the map m relates to ys
-    placed at the positions image on word, or None when there is none.
+@dataclass(frozen=True)
+class IdaChain:
+    """A longest chain of IDA pairs of an automaton whose variables' tracks
+    are erased: pairs[i] = (p, q) with its word loops[i], on which p reaches
+    p, p reaches q and q reaches q, and the words links, on which the
+    initial state reaches the first p, each q the next p, and the last q
+    (the initial state, with no pair) acceptance.  An automaton that
+    accepts nothing has no links.  Words are tuples of label letters."""
 
-    The xs are fixed one at a time: a backward pass collects, per position,
-    the states from which the rest of the word can still accept with this
-    and the later xs left open, and a forward subset pass over the prefix
-    places the variable at the first position from which one of them is
-    reached.  The automaton keeps every track to a single mark, so an open
-    track is marked exactly once on any accepted run.
+    pairs: tuple[tuple[int, int], ...]
+    loops: tuple[tuple[int, ...], ...]
+    links: tuple[tuple[int, ...], ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.pairs)
+
+
+def ambiguity_degree(f: Formula, sig: Signature, variables,
+                     budget_states: int = DEFAULT_STATE_BUDGET) -> IdaChain:
+    """The degree of ambiguity of f's automaton over variables with their
+    tracks erased, and one chain of IDA pairs that realizes it.
+
+    The automaton is f's, built in one Query, widened to one track per
+    variable and restricted to a single mark on each.  It is deterministic
+    over marked letters, so distinct accepting runs of its erasure on a word
+    are distinct satisfying tuples, and the tuples on a word are at most a
+    constant times its runs.  An IDA pair is two states p != q and a word v
+    with p ->v p, p ->v q and q ->v q; Weber and Seidl (TCS 1991) show that
+    the runs of a trim automaton grow as Theta(n**d) in the word length n,
+    d the most IDA pairs on one path, when they grow polynomially, as tuple
+    counts do.  Only states that reach acceptance take part.  A pair is
+    tested by a breadth-first search in the triple product (Allauzen, Mohri
+    and Rastogi, DLT 2008) from (p, p, q) to (p, q, q), its coordinates kept
+    in p's component, in the states that p reaches and that reach q, and in
+    q's component; the triples that all the searches visit count against
+    the budget under stage ambiguity.  The longest chain is a memoized walk
+    over reachability, pairs in order.  Each link is the shortlex-least word
+    between its ends, read off the subset construction of the erasure from
+    its start, which counts its own sets under that stage.
     """
-    a, xs = m.auto, m.xs
-    if word.sig is not a.sig and word.sig != a.sig:
-        raise InputError("word and automaton use different signatures")
-    letters = list(word.letters)
-    for v, p in zip(m.ys, image):
-        letters[p] |= 1 << a.fo_bit(v)
-    fiber = []
-    for i in range(len(xs) + 1):
-        later = [0]
-        for v in xs[i + 1:]:
-            later += [x | 1 << a.fo_bit(v) for x in later]
-        bit = 1 << a.fo_bit(xs[i]) if i < len(xs) else 0
-        live = [a.accepting]
-        for letter in reversed(letters):
-            after = live[-1]
-            reads = [letter | b | x for b in {0, bit} for x in later]
-            live.append({q for q, row in enumerate(a.delta)
-                         if any(row[r] in after for r in reads)})
-        live.reverse()
-        if a.init not in live[0]:
-            return None
-        if i == len(xs):
-            return tuple(fiber)
-        cur = {a.init}
-        j = 0
-        while not any(a.delta[q][letters[j] | bit | x] in live[j + 1]
-                      for q in cur for x in later):
-            cur = {a.delta[q][letters[j] | x] for q in cur for x in later}
-            j += 1
-        letters[j] |= bit
-        fiber.append(j)
+    variables = tuple(variables)
+    b = Query(sig, budget_states).builder("compile")
+    _check(f, variables, b)
+    a = b.valid(b.extend(b.built(f), fo_add=variables), variables)
+    labels = range(1 << sig.k)
+    marks = [m << sig.k for m in range(1 << len(a.fo))]
+    succ = [[{row[letter | m] for m in marks} for letter in labels] for row in a.delta]
+    nexts = [sorted(set().union(*row)) for row in succ]
+    # reach[q]: the states that q reaches, as a bit mask; back[q]: the live
+    # ones that reach q
+    reach = [sum(1 << t for t in b.explore(q, nexts.__getitem__)[0]) for q in range(a.n)]
+    live = [q for q in range(a.n) if any(reach[q] >> t & 1 for t in a.accepting)]
+    back = [sum(1 << t for t in live if reach[t] >> q & 1) for q in range(a.n)]
+    # an IDA pair's p and q lie on cycles, in different components, the
+    # first reaching the second
+    cyclic = [q for q in live if any(reach[t] >> q & 1 for t in nexts[q])]
+    candidates = [(p, q) for p in cyclic for q in cyclic
+                  if reach[p] >> q & 1 and not reach[q] >> p & 1]
+    search = _Builder(sig, budget_states, "ambiguity", {})
+    visited = 0
+
+    @functools.cache
+    def loop(p, q):
+        """The word v of the IDA pair (p, q), or None."""
+        nonlocal visited
+        keep = (reach[p] & back[p], reach[p] & back[q], reach[q] & back[q])
+        words, todo = {(p, p, q): ()}, [(p, p, q)]
+        for st in todo:
+            for letter in labels:
+                for t in itertools.product(*([r for r in succ[s][letter] if mask >> r & 1]
+                                             for s, mask in zip(st, keep))):
+                    if t not in words:
+                        words[t] = words[st] + (letter,)
+                        visited += 1
+                        search._check(visited)
+                        if t == (p, q, q):
+                            return words[t]
+                        todo.append(t)
+        return None
+
+    @functools.cache
+    def longest(s):
+        """The longest chain of IDA pairs whose first p s reaches."""
+        chains = [((p, q),) + longest(q) for p, q in candidates
+                  if reach[s] >> p & 1 and loop(p, q) is not None]
+        return max(chains, key=len, default=())
+
+    def link(start, targets):
+        order, rows = search.explore(frozenset({start}), lambda states: [
+            frozenset().union(*(succ[q][letter] for q in states)) for letter in labels])
+        return min((w for st, w in zip(order, _shortlex_words(rows)) if st & targets),
+                   key=lambda w: (len(w), w))
+
+    if a.init not in live:
+        return IdaChain((), (), ())
+    pairs = longest(a.init)
+    starts = [a.init] + [q for _, q in pairs]
+    ends = [{p} for p, _ in pairs] + [a.accepting]
+    return IdaChain(pairs, tuple(loop(p, q) for p, q in pairs), tuple(map(link, starts, ends)))
+
+
+def _shortlex_words(rows, nonempty: bool = False) -> list:
+    """Per state of _Builder.explore's rows, the shortlex-least word, a tuple of
+    letters, that leads to it from state 0, or None where none does; with
+    nonempty, the least nonempty word, so state 0 has one only on a cycle.
+    Breadth-first with letters in order, as explore numbered the states."""
+    words: list = [None] * len(rows)
+    if not nonempty:
+        words[0] = ()
+    queue = [(0, ())]
+    for q, word in queue:
+        for a, t in enumerate(rows[q]):
+            if words[t] is None:
+                words[t] = word + (a,)
+                queue.append((t, words[t]))
+    return words
 
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:

@@ -31,7 +31,7 @@ class ResourceLimitError(ChainrepError):
     Carries the budget, its subject ("states", "transitions", "nesting
     depth", ...), the size reached and, for all but copy caps, the stage
     that ran out: parse, compile, oracle, monoid, map automaton, preimage
-    ranks or guard, which prefixes the message.
+    ranks, guard or ambiguity, which prefixes the message.
     """
 
     def __init__(self, message: str, budget=None, subject=None, stage=None,

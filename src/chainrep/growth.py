@@ -4,7 +4,10 @@ For f(x1..xk) and a set S of positions, count the satisfying tuples drawn
 entirely from S.  The maximum over words and pools of size at most n grows
 like n**d where d is the minimal reparameterization dimension; the
 constructions here produce concrete words and pools witnessing the lower
-side, and a brute-force counter bounds the upper side on small words.
+side, and a brute-force counter bounds the upper side on small words.  The
+lower witness reads the chain of IDA pairs of f's automaton
+(compiler.ambiguity_degree); the pumping and no-decrement witnesses read a
+type algebra's rigid family.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ChainrepError, InputError
-from .formula import Formula, Signature, exists_wrap
-from .compiler import DEFAULT_STATE_BUDGET, Query, first_fiber
+from .errors import InputError
+from .formula import Formula, Signature
+from .compiler import DEFAULT_STATE_BUDGET, Query, ambiguity_degree
 from .oracle import answered_words, count_in_set
-from .reparam import TypeAlgebra, minimal_reparameterization, reparameterize
+from .reparam import TypeAlgebra, minimal_reparameterization
 from .words import Word
 
 
@@ -145,79 +148,33 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
 
 def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
                          budget_states: int = DEFAULT_STATE_BUDGET) -> WitnessStructure:
-    """A word and pool of size O(n) carrying at least n**d satisfying tuples.
+    """A word of O(n) letters carrying at least n**d satisfying tuples.
 
-    d is the minimal reparameterization dimension.  Follows the image of a
-    minimal map: some image family pumps at every mark, so each of its d
-    marks slides over n extra idempotent copies independently, and the
-    fibers transport along.  The pool keeps, in every copy, the offsets one
-    base fiber occupies, plus its fixed positions outside the copy runs.
-    The search's Query builds the map's automaton once, from its build of
-    f, and keeps g's automaton: the image algebra is compiled from that, as
-    ex xs. g given the Query, and that fiber, the least domain tuple the
-    map relates to the base marks, is read off the map's automaton
-    (compiler.first_fiber).  The whole witness is built on the automaton
-    route, and oracle_count() recounts it by enumeration.  Dimension 0 is
-    the same construction with no marks: the image is the sentence
-    ex xs. g, its first family's witness is its shortlex-least accepted
-    word, and the fiber the least satisfying tuple on that word.
+    d is the degree of ambiguity of f's automaton with the variables'
+    tracks erased (compiler.ambiguity_degree), which is the minimal
+    reparameterization dimension.  Its chain of d IDA pairs (p_i, q_i), each
+    with its word v_i, and the links u_0 .. u_d give the word
+    u_0 v_1^n u_1 .. v_d^n u_d: in block i a run can leave p_i for q_i in
+    any of the n copies of v_i, so the word has n**d accepting runs, and
+    distinct runs are distinct satisfying tuples.  The pool is the whole
+    word, and oracle_count() recounts it by enumeration.  At dimension 0
+    the word is u_0, the shortlex-least word with a satisfying tuple.
     """
     variables = tuple(variables)
-    k = len(variables)
     if n < 1:
         raise InputError("need n >= 1")
-    query = Query(sig, budget_states)
-    rep = reparameterize(f, variables, query)
-    if rep.bound == 0:
+    chain = ambiguity_degree(f, sig, variables, budget_states)
+    if not chain.links:
         raise InputError("formula is unsatisfiable")
-    d = rep.dimension
-    auto = query.map_automaton(rep.g, rep.domain_vars, rep.image_vars)
-    algebra = TypeAlgebra.build(exists_wrap(rep.domain_vars, rep.g), rep.image_vars, query)
-    if algebra.rigid is None:
-        raise InputError("minimal image admits no family pumping at every mark")
-    types, es = algebra.rigid
-    monoid = algebra.monoid
-    m = 2 * k + 3
-    r = k + 2
-    # base word with m copies per block; marks at the r-th copy starts
-    base_letters, base_geom = _blocks_word(monoid, types, es, m)
-    base = Word(sig, tuple(base_letters))
-    marks = tuple(run + (r - 1) * unit for run, unit, _ in base_geom)
-    fiber = first_fiber(auto, base, marks)
-    if fiber is None:
-        raise ChainrepError("image family has no fiber on its base word")
-    # classify the base fiber: offsets inside copy runs recur in every
-    # copy of the grown word, positions outside shift with their block
-    grown_letters, grown_geom = _blocks_word(monoid, types, es, m + n)
-    copy_offsets = [set() for _ in range(d)]
-    pool = set()
-    for a in fiber:
-        for i, (run, unit, tail) in enumerate(base_geom):
-            if run <= a < tail:
-                copy_offsets[i].add((a - run) % unit)
-                break
-        else:
-            pool.add(_shifted(a, base_geom, n))
-    for i, (run, unit, _) in enumerate(grown_geom):
-        for c in range(m + n):
-            for o in copy_offsets[i]:
-                pool.add(run + c * unit + o)
+    letters = list(chain.links[0])
+    for v, u in zip(chain.loops, chain.links[1:]):
+        letters += v * n + u
+    d = chain.degree
     if d:
-        construction = (f"image family {types}: {d} blocks of {m + n} idempotent "
-                        f"copies; marks slide over the last {n} copies per block "
-                        f"and fibers follow")
+        construction = (f"IDA chain {list(chain.pairs)}, loop words of "
+                        f"{[len(v) for v in chain.loops]} letters each repeated {n} "
+                        f"times: a run leaves each p for its q in any copy")
     else:
-        construction = (f"image family {types}: no marks; the word is the "
-                        f"family's witness and the pool its least fiber")
-    return WitnessStructure(
-        f, variables, Word(sig, tuple(grown_letters)), tuple(sorted(pool)),
-        n ** d, construction)
-
-
-def _shifted(a: int, base_geom, n: int) -> int:
-    """Position of a base point outside all copy runs once each run grows by n."""
-    out = a
-    for _, unit, tail in base_geom:
-        if a >= tail:
-            out += n * unit
-    return out
+        construction = "no IDA pair: the shortlex-least word with a satisfying tuple"
+    return WitnessStructure(f, variables, Word(sig, tuple(letters)),
+                            tuple(range(len(letters))), n ** d, construction)

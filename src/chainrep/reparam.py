@@ -55,9 +55,10 @@ ERRATUM_NOTES = (
     " (tau[i-1], tau[i]), the two intervals meeting at that mark; indexing"
     " the test as (tau[i], tau[i+1]) runs out of range at the last mark and"
     " pairs each mark with the wrong intervals.",
-    "After deleting the i-th variable the image equalities read u_j = x_j"
-    " for j < i and u_j = x_{j+1} for j >= i; the variant u_j = x_{j-1} for"
-    " j > i leaves u_i unconstrained and refers to the deleted variable.",
+    "After deleting the i-th variable the image ex x_i. phi keeps the other"
+    " variables' names in order: its j-th coordinate is x_j for j < i and"
+    " x_{j+1} for j >= i; reading x_{j-1} for j > i leaves the i-th"
+    " coordinate unconstrained and refers to the deleted variable.",
 )
 
 

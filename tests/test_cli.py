@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,7 +14,8 @@ import pytest
 import chainrep
 from chainrep import interp
 from chainrep.cli import COMMANDS, REQUIRED, _parser, _Run, main
-from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, compile, preimage_ranks
+from chainrep.compiler import (DEFAULT_STATE_BUDGET, Query, ambiguity_degree, compile,
+                               preimage_ranks)
 from chainrep.errors import ResourceLimitError
 from chainrep.formula import MAX_DEPTH, Signature, parse
 from chainrep.growth import WitnessStructure
@@ -80,9 +82,26 @@ def test_growth_report(capsys):
                                  "--formula", "P1(x)", "--n", "2",
                                  "--max-len", "5")
     assert status == 0
-    assert report["result"]["degree"] == 1
+    assert report["result"]["degree"] == report["result"]["ambiguity_degree"] == 1
     assert report["result"]["sandwich"]["ok"] is True
     assert report["result"]["lower_witness"]["oracle_count"] >= 2
+    assert report["result"]["lower_witness"]["word"] == "[P1, P1]"
+
+
+def test_growth_fails_when_the_degrees_differ(capsys, monkeypatch):
+    # the degree by ambiguity checks the pipeline's: one off, the run fails
+    real = chainrep.cli.ambiguity_degree
+
+    def off_by_one(*args):
+        chain = real(*args)
+        return dataclasses.replace(chain, pairs=chain.pairs + ((0, 0),))
+
+    monkeypatch.setattr(chainrep.cli, "ambiguity_degree", off_by_one)
+    status, report, _ = run_json(capsys, "growth", "--sig", "P1", "--formula", "P1(x)")
+    assert status == 1
+    result = report["result"]
+    assert (result["degree"], result["ambiguity_degree"]) == (1, 2)
+    assert result["sandwich"]["ok"] is True
 
 
 def test_growth_and_selftest_count_each_witness_once(capsys, monkeypatch):
@@ -181,13 +200,13 @@ def test_witness_rejects_nonpositive_n(capsys):
 
 
 def test_witness_names_the_stage_that_runs_out(capsys):
-    # the minimal map fits in 8 states, the automaton it is built into for
-    # the growth witness needs 9
-    argv = ("witness", "--sig", "P1", "--formula", "P1(x)&P1(y)&(~ex q. q < v)", "--n", "2")
-    status, out, err = run(capsys, *argv, "--budget-states", "8")
-    assert status == 3 and not out
-    assert "map automaton: state budget exceeded (9 > 8)" in err
+    # the automaton of the ordered triple fits in 9 states, the growth
+    # witness's search for its IDA pairs visits 10 triples of states
+    argv = ("witness", "--sig", "P1", "--formula", "x < y & y < z", "--n", "2")
     status, out, err = run(capsys, *argv, "--budget-states", "9")
+    assert status == 3 and not out
+    assert "ambiguity: state budget exceeded (10 > 9)" in err
+    status, out, err = run(capsys, *argv, "--budget-states", "10")
     assert status == 0 and out and not err
 
 
@@ -220,6 +239,8 @@ STARVED_STAGES = (
     ("preimage ranks", 6, 5,
      lambda: preimage_ranks(Query(P1, 5).map_automaton(parse("x < y", P1), ("x",), ("y",)),
                             3)),
+    ("ambiguity", 10, 9,
+     lambda: ambiguity_degree(parse("x<y & y<z", P1), P1, ("x", "y", "z"), 9)),
     ("guard", 13, 12,
      lambda: minimal_reparameterization(parse(GROUP_TEXT, P1), P1, ("x", "y"),
                                         budget_states=12)),
@@ -266,6 +287,23 @@ def test_interp_reduce(tmp_path, capsys):
         {"name": "pairs.1", "source": "pairs", "index": 1,
          "dimension": 1, "bound": 1}]
     assert report["result"]["equivalence"]["ok"] is True
+
+
+@pytest.mark.parametrize("sig, message", [
+    ("P2", "error: --sig P2 differs from the spec's signature P1\n"),
+    ("P1,P2", "error: --sig P1,P2 differs from the spec's signature P1\n"),
+    (",", "error: signature has no predicates\n"),
+])
+def test_interp_reduce_refuses_another_sig(tmp_path, capsys, sig, message):
+    # the spec's signature line is the one the reduction reads: a --sig
+    # that names another is refused, not recorded and ignored
+    path = tmp_path / "succ.interp"
+    path.write_text(SUCC)
+    argv = ("interp-reduce", "--formula-file", str(path), "--dim", "1")
+    status, out, err = run(capsys, *argv, "--sig", sig)
+    assert (status, out, err) == (2, "", message)
+    status, report, _ = run_json(capsys, *argv, "--sig", "P1")
+    assert status == 0 and report["config"]["sig"] == "P1"
 
 
 def test_interp_reduce_insufficient_dim(tmp_path, capsys):
@@ -374,7 +412,7 @@ def test_growth_on_an_unsatisfiable_formula(capsys, text):
     status, report, _ = run_json(capsys, "growth", "--sig", "P1", "--formula", text)
     assert status == 0
     result = report["result"]
-    assert (result["degree"], result["bound"]) == (0, 0)
+    assert (result["degree"], result["ambiguity_degree"], result["bound"]) == (0, 0, 0)
     assert result["lower_witness"] == {"absent": "formula is unsatisfiable"}
     assert result["sandwich"] == {"n": 3, "max_len": 6, "lower": 0, "brute": 0,
                                   "upper": 0, "ok": True}
@@ -470,7 +508,7 @@ def test_selftest_deterministic(capsys):
     assert status1 == status2 == 0
     assert out1 == out2
     assert hashlib.sha1(out1.encode()).hexdigest() == \
-        "138e4b75727b83d7abd5b409bea437f8052c5f37"
+        "63fcc23fe2ff40891106f3269d8e5fe54b97c37b"
     report = json.loads(out1)
     assert report["result"]["ok"] is True
     names = [c["name"] for c in report["result"]["checks"]]

@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from chainrep import compiler
-from chainrep.compiler import (DEFAULT_STATE_BUDGET, Dfa, Query, compile, dfa_empty,
-                               dfa_to_formula, first_fiber, max_fiber, minimize_dfa,
+from chainrep.compiler import (DEFAULT_STATE_BUDGET, Dfa, Query, ambiguity_degree, compile,
+                               dfa_empty, dfa_to_formula, max_fiber, minimize_dfa,
                                preimage_ranks)
 from chainrep.errors import InputError, ResourceLimitError
 from chainrep.formula import (Less, Run, Signature, conj, exists_wrap, expand_macros,
@@ -370,33 +370,40 @@ def test_max_fiber_counts_preimages(sig1):
             max_fiber(parse("y < x | y = x", sig1), sig1, ("x",), ("y",), cap=cap)
 
 
-def test_first_fiber_is_the_least_preimage(sig1):
-    # against the enumeration: the first xs tuple, in itertools.product
-    # order, that satisfies g with ys placed at the image
-    for sig, fo, g in formula_batch(11, 30, max_preds=1, rank=2):
-        for xs, ys in [(fo[:i], fo[i:]) for i in range(len(fo) + 1)]:
-            m = Query(sig, DEFAULT_STATE_BUDGET).map_automaton(g, xs, ys)
-            for w in all_words(sig, 3):
-                for image in itertools.product(range(len(w)), repeat=len(ys)):
-                    fixed = dict(zip(ys, image))
-                    want = next((t for t in itertools.product(range(len(w)), repeat=len(xs))
-                                 if evaluate(g, w, fo={**fixed, **dict(zip(xs, t))})), None)
-                    assert first_fiber(m, w, image) == want, (render(g), xs, w, image)
-    w = Word(sig1, (0,) * 5)
-    g = parse("x < y & y < z", sig1)
-    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(g, ("x", "z"), ("y",))
-    assert first_fiber(m, w, (3,)) == (0, 4)
-    assert first_fiber(m, w, (4,)) is None
-    with pytest.raises(ResourceLimitError, match="^map automaton: state budget"):
-        Query(sig1, 2).map_automaton(g, ("x", "z"), ("y",))
+def test_ambiguity_chain_is_a_path_of_ida_pairs():
+    # on f's automaton with its tracks erased: each pair's word loops at p,
+    # leads p to q and loops at q, and the links lead from the initial
+    # state to the first p, from each q to the next p and from the last q
+    # to acceptance
+    texts = [(FIRST_PAIR_TEXT, "xyv"), (GROUP_TEXT, "xy"), (endpoints_text("xyz"), "xyz"),
+             ("P1(x) & y < x", "xyz")]
+    p1 = Signature(("P1",))
+    cases = [(name, sig, f, xs) for name, sig, f, xs, _ in battery()]
+    cases += [(text, p1, parse(text, p1), tuple(xs)) for text, xs in texts]
+    for name, sig, f, xs in cases:
+        chain = ambiguity_degree(f, sig, xs)
+        if name == "unsatisfiable":
+            assert chain == compiler.IdaChain((), (), ())
+            continue
+        b = Query(sig, DEFAULT_STATE_BUDGET).builder("compile")
+        a = b.valid(b.extend(b.built(f), fo_add=xs), xs)
 
+        def after(states, word):
+            for letter in word:
+                states = {a.delta[q][letter | m << sig.k]
+                          for q in states for m in range(1 << len(xs))}
+            return states
 
-def test_first_fiber_rejects_a_word_over_another_signature(sig1, sig2):
-    # over P1, P2 the letter P2 would set the bit of x's track
-    m = Query(sig1, DEFAULT_STATE_BUDGET).map_automaton(parse("x = y", sig1), ("x",), ("y",))
-    with pytest.raises(InputError, match="^word and automaton use different signatures$"):
-        first_fiber(m, Word(sig2, (2, 0)), (1,))
-    assert first_fiber(m, Word(sig1, (0, 0)), (1,)) == (1,)
+        for (p, q), v in zip(chain.pairs, chain.loops):
+            assert p != q and v, name
+            assert {p, q} <= after({p}, v) and q in after({q}, v), name
+        starts = [a.init] + [q for _, q in chain.pairs]
+        ends = [{p} for p, _ in chain.pairs] + [a.accepting]
+        assert len(chain.links) == len(starts) == chain.degree + 1
+        for start, end, u in zip(starts, ends, chain.links):
+            assert after({start}, u) & end, name
+    # the degree counts a variable that f does not read
+    assert ambiguity_degree(parse("P1(x)", p1), p1, ("x", "y")).degree == 2
 
 
 def ranked_maps():

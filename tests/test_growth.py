@@ -1,20 +1,21 @@
+import functools
 import hashlib
 import itertools
 
 import pytest
 
-from chainrep import compiler, reparam
-from chainrep.compiler import Query
+from chainrep import reparam
+from chainrep.compiler import Query, ambiguity_degree
 from chainrep.errors import ChainrepError, InputError
-from chainrep.formula import exists_wrap, parse, render
+from chainrep.formula import Signature, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              no_decrement_witness, pump_witness)
 from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
                              satisfying_tuples)
 from chainrep.randgen import formula_batch
-from chainrep.reparam import minimal_reparameterization
+from chainrep.reparam import TypeAlgebra, minimal_reparameterization
 from chainrep.words import all_words
-from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, battery, endpoints_text, guard_batch
 
 
 def test_growth_degree_matches_dimension():
@@ -131,17 +132,17 @@ def test_lower_witness_guarded_map(sig1):
 
 def test_lower_witness_shifts_points_after_the_blocks(sig1):
     # v is pinned to the last position, after every block's copies: the
-    # grown word shifts it by the copies added, and the pool follows
+    # last link ends the word there, and the pool is the whole word
     f = parse("P1(x) & ~ex q. v < q", sig1)
     for n in (1, 2, 3):
         w = growth_lower_witness(f, sig1, ("x", "v"), n)
         assert w.oracle_count() >= n
-        assert len(w.word) - 1 in w.positions
+        assert w.positions == tuple(range(len(w.word)))
 
 
 def test_lower_witness_on_set_quantified_map(sig1):
-    # the base fiber is read off the map's automaton, which compiles set
-    # quantifiers like any other node
+    # the chain is read off f's automaton, which compiles set quantifiers
+    # like any other node
     f = parse("EX X. (X(x) & P1(x))", sig1)
     for n in (2, 4, 8):
         w = growth_lower_witness(f, sig1, ("x",), n)
@@ -151,8 +152,8 @@ def test_lower_witness_on_set_quantified_map(sig1):
 
 def test_lower_witness_on_diagonal_tuples(sig1):
     # dimension 0 with every satisfying tuple on a diagonal: no ascending
-    # tuple satisfies the formula, and the map's automaton, which reads
-    # one track per variable, still finds the least tuple
+    # tuple satisfies the formula, and f's automaton, which reads one track
+    # per variable, still accepts the shortlex-least word with a tuple
     batch = formula_batch(1, 150, rank=2)
     cases = [batch[45], batch[78],
              (sig1, ("x", "y"), parse("x = y & all z. z = x", sig1))]
@@ -164,8 +165,8 @@ def test_lower_witness_on_diagonal_tuples(sig1):
 
 def test_dimension_0_witness_is_the_enumerations_first():
     # the second route to a dimension-0 witness: the first word, in
-    # all_words order, that has a satisfying tuple, and as pool the
-    # positions of its least tuple
+    # all_words order, that has a satisfying tuple, and as pool the whole
+    # word
     checked = 0
     for sig, variables, f in formula_batch(1, 150, rank=2) + formula_batch(3, 120):
         try:
@@ -177,8 +178,7 @@ def test_dimension_0_witness_is_the_enumerations_first():
         word = next(v for v in all_words(sig, len(w.word))
                     if satisfying_tuples(f, v, variables))
         assert w.word == word, render(f)
-        least = min(satisfying_tuples(f, word, variables))
-        assert w.positions == tuple(sorted(set(least))), render(f)
+        assert w.positions == tuple(range(len(word))), render(f)
         checked += 1
     assert checked == 63
 
@@ -219,48 +219,27 @@ def test_random_formula_sweep():
         assert bool(found) == (d == len(variables) > 0), render(f)
 
 
-def test_witness_builds_each_map_once(sig1, monkeypatch):
-    # the image algebra and the base fiber both read the one automaton of
-    # the map: ex xs. g is compiled only given the witness's Query, whose
-    # map build kept g's automaton, so g is built once, at dimension 0 too
-    queries, compiled, built = [], [], []
-    real_map, real_compile = Query.map_automaton, reparam.compile_dfa
-    real_build = compiler._Builder.build
+def test_witness_builds_no_map(sig1, monkeypatch):
+    # the witness reads the IDA chain of f's automaton: it runs no search,
+    # builds no map and no type algebra, at dimension 0 too
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness went through the pipeline")
 
-    def map_automaton(query, *args):
-        queries.append(query)
-        return real_map(query, *args)
-
-    def compile_dfa(f, *args, query=None, **kwargs):
-        compiled.append((f, query))
-        return real_compile(f, *args, query=query, **kwargs)
-
-    def build(self, g):
-        built.append(g)
-        return real_build(self, g)
-
-    # every map, public or inside a query, is built by Query.map_automaton
-    monkeypatch.setattr(Query, "map_automaton", map_automaton)
-    monkeypatch.setattr(reparam, "compile_dfa", compile_dfa)
-    monkeypatch.setattr(compiler._Builder, "build", build)
+    monkeypatch.setattr(reparam, "reparameterize", refuse)
+    monkeypatch.setattr(Query, "map_automaton", refuse)
+    monkeypatch.setattr(TypeAlgebra, "build", refuse)
     for text, variables, d in ((FIRST_PAIR_TEXT, ("x", "y", "v"), 2),
+                               (GROUP_TEXT, ("x", "y"), 1),
                                ("x = y & all z. z = x", ("x", "y"), 0)):
-        f = parse(text, sig1)
-        rep = minimal_reparameterization(f, sig1, variables, refine=False)
-        for log in (queries, compiled, built):
-            log.clear()
-        w = growth_lower_witness(f, sig1, variables, 3)
+        w = growth_lower_witness(parse(text, sig1), sig1, variables, 3)
+        assert w.claimed_tuple_count == 3 ** d
         assert w.oracle_count() >= 3 ** d
-        assert len(queries) == 1
-        image = exists_wrap(rep.domain_vars, rep.g)
-        assert [q for g, q in compiled if g == image] == queries
-        assert sum(g == rep.g for g in built) == 1
 
 
 # the witnesses of formula_batch(3, 120) at n = 3, or the error text where
 # the witness raises: their count, total length and SHA-1; the 25
-# dimension-0 witnesses say that they have no marks
-WITNESS_DUMPS = (120, 21_479, "396caa6516fcb352cad1c06d8e4ac08965129504")
+# dimension-0 witnesses say that they have no IDA pair
+WITNESS_DUMPS = (120, 15_576, "27190fda25d643f4768ff66cde9fe1f6c4b3b6e2")
 
 
 def test_witness_dumps_are_pinned():
@@ -273,3 +252,49 @@ def test_witness_dumps_are_pinned():
     blob = "\n".join(outs)
     assert (len(outs), len(blob), hashlib.sha1(blob.encode()).hexdigest()) == \
         WITNESS_DUMPS
+
+
+@functools.cache
+def ambiguity_sweep():
+    """The formulas of the ambiguity sweep, as (sig, variables, formula,
+    minimal dimension, bound): BATTERY, E^4, E^5, formula_batch seeds 1-3 (50
+    each), guard_batch(8, 150), P1^4, P1^4 F, the 5-chain, G P1^2 and E^6,
+    where F pins v to the first position and G is GROUP_TEXT."""
+    p1 = Signature(("P1",))
+    first = "(~ex q. q < v)"
+    named = [(endpoints_text("xyzw"), "xyzw"), (endpoints_text("xyzwv"), "xyzwv"),
+             ("P1(x)&P1(y)&P1(z)&P1(w)", "xyzw"), (f"P1(x)&P1(y)&P1(z)&P1(w)&{first}", "xyzwv"),
+             ("x<y & y<z & z<w & w<v", "xyzwv"), (f"{GROUP_TEXT}&P1(z)&P1(w)", "xyzw"),
+             (endpoints_text("xyzwvu"), "xyzwvu")]
+    cases = [(sig, variables, f) for _, sig, f, variables, _ in battery()]
+    cases += [(p1, tuple(xs), parse(text, p1)) for text, xs in named]
+    for seed in (1, 2, 3):
+        cases += formula_batch(seed, 50)
+    cases += guard_batch(8, 150)
+    reps = [(sig, variables, f, minimal_reparameterization(f, sig, variables, refine=False))
+            for sig, variables, f in cases]
+    return [(sig, variables, f, rep.dimension, rep.bound) for sig, variables, f, rep in reps]
+
+
+def test_ambiguity_degree_is_the_dimension():
+    # the degree of ambiguity of f's automaton is the growth degree, found
+    # without the monoid, the type algebra or the elimination: it checks
+    # the pipeline's dimension at every word length
+    cases = ambiguity_sweep()
+    assert len(cases) == 314
+    for sig, variables, f, d, _ in cases:
+        assert ambiguity_degree(f, sig, variables).degree == d, (render(f), variables)
+
+
+def test_chain_witnesses_hold_n_to_the_d_tuples():
+    # u0 v1^n u1 .. vd^n ud: n**d runs, so at least n**d tuples, on a word
+    # of at most 5n + 3 letters, for every formula of the sweep on at most
+    # three variables
+    for sig, variables, f, d, bound in ambiguity_sweep():
+        if len(variables) > 3 or not bound:
+            continue
+        for n in (2, 3, 4):
+            w = growth_lower_witness(f, sig, variables, n)
+            assert w.claimed_tuple_count == n ** d, render(f)
+            assert w.oracle_count() >= n ** d, (render(f), n)
+            assert len(w.word) <= 5 * n + 3, (render(f), n)

@@ -798,13 +798,14 @@ def test_pipeline_never_imports_the_oracle():
     # growth counts by enumeration in brute_growth and in each witness's
     # oracle_count(); its witnesses themselves come from the automata
     assert _oracle_imports(growth) == {"answered_words", "count_in_set"}
-    # and every witness, dimension 0 included, from the map's automaton;
-    # reparam's guard tables go through the builder, not its private _Auto
+    # and the lower witness, dimension 0 included, from the IDA chain of
+    # f's automaton; reparam's guard tables go through the builder, not its
+    # private _Auto
     imported = {growth: {}, reparam: {}}
     for module, names in imported.items():
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             if isinstance(node, ast.ImportFrom):
                 names.setdefault(node.module, set()).update(a.name for a in node.names)
-    assert imported[growth]["compiler"] == {"DEFAULT_STATE_BUDGET", "Query", "first_fiber"}
+    assert imported[growth]["compiler"] == {"DEFAULT_STATE_BUDGET", "Query", "ambiguity_degree"}
     assert "order_case_split" not in set().union(*imported[growth].values())
     assert "_Auto" not in imported[reparam]["compiler"]
