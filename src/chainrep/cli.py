@@ -23,8 +23,8 @@ from . import __version__
 from .compiler import DEFAULT_STATE_BUDGET, Query, ambiguity_degree, compile as compile_dfa
 from .errors import ChainrepError, InputError, ResourceLimitError
 from .formula import Signature, free_variables, parse, render
-from .growth import (brute_growth, growth_lower_witness, no_decrement_witness,
-                     pump_witness)
+from .growth import (brute_growth, chain_witness, growth_lower_witness,
+                     no_decrement_witness, pump_witness)
 from .interp import check_equivalence, parse_interpretation, reduce_interpretation
 from .monoid import ramsey_bound
 from .oracle import check_canonical_form, check_reparameterization, evaluate
@@ -157,12 +157,12 @@ def _cmd_growth(run: _Run):
         raise InputError("need n >= 1")
     sig, f, variables = run.formula()
     rep = run.minrep(f, sig, variables)
-    # the degree a second time, from the ambiguity of f's automaton
-    ambiguity = ambiguity_degree(f, sig, variables, run.args.budget_states).degree
-    result = {"degree": rep.dimension, "ambiguity_degree": ambiguity, "bound": rep.bound}
+    # the degree a second time, from the ambiguity of f's automaton, whose
+    # IDA chain also gives the lower witness
+    chain = ambiguity_degree(f, sig, variables, run.args.budget_states)
+    result = {"degree": rep.dimension, "ambiguity_degree": chain.degree, "bound": rep.bound}
     if rep.bound:
-        witness = _witness_dict(growth_lower_witness(
-            f, sig, variables, n, budget_states=run.args.budget_states))
+        witness = _witness_dict(chain_witness(f, sig, variables, chain, n))
         floor = n ** rep.dimension
     else:
         # no tuple satisfies f on any word: no witness, and every count is 0
@@ -177,7 +177,7 @@ def _cmd_growth(run: _Run):
         "upper": ceiling,
         "ok": witness.get("oracle_count", 0) >= floor and got <= ceiling,
     }
-    ok = result["sandwich"]["ok"] and ambiguity == rep.dimension
+    ok = result["sandwich"]["ok"] and chain.degree == rep.dimension
     return run.report("growth", result), 0 if ok else 1
 
 

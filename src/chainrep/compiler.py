@@ -18,14 +18,16 @@ its body reads adds no track, since the body holds at every value or at
 none: ex v. g is g's automaton times one that accepts the words of length
 at least 1, atleast c v. g (c >= 1, v not free in g) the same for length
 c, and EX S. g is g's automaton.  Track projection is the one subset
-construction, and it runs under the state budget.  The product, the subset construction,
-the publish walk, minimization and reparam's guard automata are each one
-breadth-first walk (explore) that one builder method (minimal) refines
-into a minimal automaton.  The walk owns the one dead state: the product
-sends there every pair that can no longer accept (a side in its rejecting
-sink for a conjunction, both sides for a disjunction), and the publish
-walk its dead pairs, so neither holds more than one state beyond its live
-ones.
+construction, and it runs under the state budget.  The product, the subset
+construction, the publish walk, minimization and reparam's guard automata
+are each one breadth-first walk (explore) that one builder method
+(minimal) refines into a minimal automaton; the preimage count, the
+transition monoid, the emptiness test and ambiguity_degree's reach sets
+are explore walks that nothing refines.  The walk owns the one dead
+state: the product sends there every pair that can no longer accept (a
+side in its rejecting sink for a conjunction, both sides for a
+disjunction), and the publish walk its dead pairs, so neither holds more
+than one state beyond its live ones.
 
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
@@ -68,8 +70,9 @@ reads that one automaton.
 
 The growth degree has a second route through the compiler alone:
 ambiguity_degree erases the variables' tracks of f's automaton and finds
-its longest chain of IDA pairs, whose words the growth lower witness
-repeats.
+its longest chain of IDA pairs, each by a search in the triple product,
+linked by shortlex-least words that a walk over single states finds; the
+growth lower witness repeats the chain's words.
 """
 
 from __future__ import annotations
@@ -626,10 +629,11 @@ def compile(f: Formula, sig: Signature, marked_vars=(),
 def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
     """The rank tuples of the weak orderings of xs that words accepted by a
     realize, sorted.  A weak ordering is the sequence of track sets that a
-    word's marked positions mark.  A backward pass finds, per set of tracks
-    used, the states from which some word marks each other track once and
-    accepts; a forward search over sets of states follows only those.  Sets
-    of states are bit masks, ORed in plain loops."""
+    word's marked positions mark.  A forward search over sets of states
+    follows each ordering, one track set at a time; it drops a set that
+    holds only rejecting sinks, and keeps an ordering of every track whose
+    set meets the accepting states, so a need not be minimal.  Sets of
+    states are bit masks, ORed in plain loops."""
     k, full = a.sig.k, (1 << len(xs)) - 1
     # still[q]: the states that words marking no track (letters below
     # 1 << k) lead to from q
@@ -640,10 +644,7 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
             new = set(a.delta[todo.pop()][:1 << k]) - seen
             seen |= new
             todo += new
-        mask = 0
-        for r in seen:
-            mask |= 1 << r
-        still.append(mask)
+        still.append(sum(1 << r for r in seen))
     # after[q][t]: the same after a letter marking exactly the tracks t,
     # whose letters are the slice of q's row from t << k
     after = []
@@ -655,27 +656,15 @@ def _realizable_ranks(a: _Auto, xs) -> list[tuple[int, ...]]:
                 mask |= still[r]
             masks.append(mask)
         after.append(masks)
-    # live[used]: the states with a letter marking some tracks t outside
-    # used into live[used | t], and live[full] the accepting ones; a set of
-    # the search is closed under words marking no track, so it can still
-    # accept exactly when it meets live[used]
-    live = [0] * (full + 1)
-    for q in a.accepting:
-        live[full] |= 1 << q
-    for used in reversed(range(full)):
-        targets = [(t, live[used | t]) for t in range(1, full + 1) if not t & used]
-        for q, masks in enumerate(after):
-            for t, target in targets:
-                if masks[t] & target:
-                    live[used] |= 1 << q
-                    break
+    sinks = sum(1 << q for q in _sinks(a))
+    accepting = sum(1 << q for q in a.accepting)
     patterns = []
 
     def search(states, used, pattern):
-        if not states & live[used]:
-            return
-        if used == full:
+        if used == full and states & accepting:
             patterns.append(pattern)
+        if used == full or not states & ~sinks:
+            return
         rows = [masks for q, masks in enumerate(after) if states >> q & 1]
         for t in range(1, full + 1):
             if not t & used:
@@ -867,8 +856,8 @@ def ambiguity_degree(f: Formula, sig: Signature, variables,
     q's component; the triples that all the searches visit count against
     the budget under stage ambiguity.  The longest chain is a memoized walk
     over reachability, pairs in order.  Each link is the shortlex-least word
-    between its ends, read off the subset construction of the erasure from
-    its start, which counts its own sets under that stage.
+    between its ends, found by a breadth-first walk over single states of
+    the erasure, letters in order, which counts against no budget.
     """
     variables = tuple(variables)
     b = Query(sig, budget_states).builder("compile")
@@ -918,10 +907,17 @@ def ambiguity_degree(f: Formula, sig: Signature, variables,
         return max(chains, key=len, default=())
 
     def link(start, targets):
-        order, rows = search.explore(frozenset({start}), lambda states: [
-            frozenset().union(*(succ[q][letter] for q in states)) for letter in labels])
-        return min((w for st, w in zip(order, _shortlex_words(rows)) if st & targets),
-                   key=lambda w: (len(w), w))
+        """The shortlex-least word from start into targets: states leave
+        the queue in the shortlex order of their least words."""
+        words, todo = {start: ()}, [start]
+        for q in todo:
+            if q in targets:
+                return words[q]
+            for letter in labels:
+                for t in succ[q][letter]:
+                    if t not in words:
+                        words[t] = words[q] + (letter,)
+                        todo.append(t)
 
     if a.init not in live:
         return IdaChain((), (), ())
@@ -929,23 +925,6 @@ def ambiguity_degree(f: Formula, sig: Signature, variables,
     starts = [a.init] + [q for _, q in pairs]
     ends = [{p} for p, _ in pairs] + [a.accepting]
     return IdaChain(pairs, tuple(loop(p, q) for p, q in pairs), tuple(map(link, starts, ends)))
-
-
-def _shortlex_words(rows, nonempty: bool = False) -> list:
-    """Per state of _Builder.explore's rows, the shortlex-least word, a tuple of
-    letters, that leads to it from state 0, or None where none does; with
-    nonempty, the least nonempty word, so state 0 has one only on a cycle.
-    Breadth-first with letters in order, as explore numbered the states."""
-    words: list = [None] * len(rows)
-    if not nonempty:
-        words[0] = ()
-    queue = [(0, ())]
-    for q, word in queue:
-        for a, t in enumerate(rows[q]):
-            if words[t] is None:
-                words[t] = word + (a,)
-                queue.append((t, words[t]))
-    return words
 
 
 def minimize_dfa(dfa: Dfa, budget_states: int = DEFAULT_STATE_BUDGET) -> Dfa:

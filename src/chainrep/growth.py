@@ -148,22 +148,27 @@ def no_decrement_witness(f: Formula, sig: Signature, variables, N: int, *,
 
 def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
                          budget_states: int = DEFAULT_STATE_BUDGET) -> WitnessStructure:
-    """A word of O(n) letters carrying at least n**d satisfying tuples.
-
-    d is the degree of ambiguity of f's automaton with the variables'
-    tracks erased (compiler.ambiguity_degree), which is the minimal
-    reparameterization dimension.  Its chain of d IDA pairs (p_i, q_i), each
-    with its word v_i, and the links u_0 .. u_d give the word
-    u_0 v_1^n u_1 .. v_d^n u_d: in block i a run can leave p_i for q_i in
-    any of the n copies of v_i, so the word has n**d accepting runs, and
-    distinct runs are distinct satisfying tuples.  The pool is the whole
-    word, and oracle_count() recounts it by enumeration.  At dimension 0
-    the word is u_0, the shortlex-least word with a satisfying tuple.
-    """
+    """A word of O(n) letters carrying at least n**d satisfying tuples:
+    chain_witness of the IDA chain of f's automaton over variables with
+    their tracks erased (compiler.ambiguity_degree), whose degree d is the
+    minimal reparameterization dimension."""
     variables = tuple(variables)
+    return chain_witness(f, sig, variables, ambiguity_degree(f, sig, variables, budget_states), n)
+
+
+def chain_witness(f: Formula, sig: Signature, variables, chain, n: int) -> WitnessStructure:
+    """The word u_0 v_1^n u_1 .. v_d^n u_d of chain, the IDA chain of f's
+    automaton over variables (compiler.ambiguity_degree).
+
+    Its d IDA pairs (p_i, q_i), each with its word v_i, and the links u_0
+    .. u_d give that word: in block i a run can leave p_i for q_i in any of
+    the n copies of v_i, so the word has n**d accepting runs, and distinct
+    runs are distinct satisfying tuples.  The pool is the whole word, and
+    oracle_count() recounts it by enumeration.  At degree 0 the word is
+    u_0, the shortlex-least word with a satisfying tuple.
+    """
     if n < 1:
         raise InputError("need n >= 1")
-    chain = ambiguity_degree(f, sig, variables, budget_states)
     if not chain.links:
         raise InputError("formula is unsatisfiable")
     letters = list(chain.links[0])
@@ -176,5 +181,5 @@ def growth_lower_witness(f: Formula, sig: Signature, variables, n: int, *,
                         f"times: a run leaves each p for its q in any copy")
     else:
         construction = "no IDA pair: the shortlex-least word with a satisfying tuple"
-    return WitnessStructure(f, variables, Word(sig, tuple(letters)),
+    return WitnessStructure(f, tuple(variables), Word(sig, tuple(letters)),
                             tuple(range(len(letters))), n ** d, construction)

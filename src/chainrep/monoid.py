@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .words import Word, render_letter
-from .compiler import DEFAULT_STATE_BUDGET, Dfa, _Builder, _shortlex_words
+from .compiler import DEFAULT_STATE_BUDGET, Dfa, _Builder
 
 
 @dataclass
@@ -125,6 +125,23 @@ def transition_monoid(dfa: Dfa, budget: int = DEFAULT_STATE_BUDGET) -> TypeMonoi
     index = {e: i for i, e in enumerate(elements)}
     return TypeMonoid(dfa, elements, index, _shortlex_words(rows),
                       _shortlex_words(rows, nonempty=True), rows[0])
+
+
+def _shortlex_words(rows, nonempty: bool = False) -> list:
+    """Per state of _Builder.explore's rows, the shortlex-least word, a tuple of
+    letters, that leads to it from state 0, or None where none does; with
+    nonempty, the least nonempty word, so state 0 has one only on a cycle.
+    Breadth-first with letters in order, as explore numbered the states."""
+    words: list = [None] * len(rows)
+    if not nonempty:
+        words[0] = ()
+    queue = [(0, ())]
+    for q, word in queue:
+        for a, t in enumerate(rows[q]):
+            if words[t] is None:
+                words[t] = word + (a,)
+                queue.append((t, words[t]))
+    return words
 
 
 def mark_shadow(dfa: Dfa) -> Dfa:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from .errors import InputError, ResourceLimitError
 from .formula import (FALSE, TRUE, And, Equal, ExistsFO, Formula, NameSupply, Run,
                       Signature, all_vars, check_depth, conj, conjuncts, disj,
-                      free_variables, order_case_split, substitute)
+                      free_variables, order_case_split)
 from .compiler import (DEFAULT_STATE_BUDGET, Dfa, PreimageRanks, Query,
                        compile as compile_dfa, preimage_ranks)
 from .monoid import TypeMonoid, is_pumpable, mark_shadow, ramsey_bound, transition_monoid
@@ -256,10 +256,12 @@ def local_normal_form(algebra: TypeAlgebra) -> tuple[tuple[tuple, tuple], ...]:
 
 
 def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
-                       n_families: int, monoid_size: int, supply: NameSupply,
+                       n_families: int, monoid_size: int, image,
                        query: Query) -> Reparameterization:
     """One elimination step: drop the index-th domain variable (1-based) and
-    reduce the image, glued into one map; fibers multiply.
+    reduce the image, glued into one map; fibers multiply.  The map's image
+    variables are a prefix of image, at least k - 1 names fresh against
+    source and domain_vars, as reparameterize draws them.
 
     The image psi = ex x_index. source keeps the other domain variables
     under their own names, so its j-th coordinate is x_j below the index
@@ -279,8 +281,8 @@ def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
     kept = domain_vars[:index - 1] + domain_vars[index:]
     psi = ExistsFO(domain_vars[index - 1], source)
     inner = (_case_rep(psi, kept, tuple((v,) for v in kept), psi,
-                       TypeAlgebra.build(psi, kept, query), supply, query)
-             if kept else _minrep(psi, (), supply, query))
+                       TypeAlgebra.build(psi, kept, query), image, query)
+             if kept else _minrep(psi, (), image, query))
     bound = n_families * ramsey_bound(monoid_size)
     step = Step("eliminate", f"variable {index} of {k}; bound "
                              f"{n_families} families x B({monoid_size})")
@@ -290,8 +292,8 @@ def eliminate_variable(source: Formula, sig: Signature, domain_vars, index: int,
                                    (step, inner.provenance)))
 
 
-def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
-                      supply: NameSupply) -> Reparameterization:
+def combine_disjuncts(source: Formula, sig: Signature, domain_vars,
+                      parts) -> Reparameterization:
     """Union of guarded reparameterizations over one domain.
 
     parts are one or more (guard, rep) pairs whose guards cover the source
@@ -301,27 +303,28 @@ def combine_disjuncts(source: Formula, sig: Signature, domain_vars, parts,
     constraints, one per realizable weak ordering, and `_case_rep` by
     type-tuple automata of disjoint family groups, since each marking has
     exactly one tuple of segment types; every family of its realizable case
-    falls in one nonempty group.  All branches share one image tuple of the widest width:
-    narrower images are padded by repeating their last variable, and a
-    zero-width satisfiable branch pins every image variable to the first
-    domain variable.  Bounds add up.
+    falls in one nonempty group.  Every part's image is a prefix of the
+    widest part's, which is the map's: as the search draws one image tuple,
+    no branch is renamed.  Narrower images are padded by repeating their
+    last variable, and a zero-width satisfiable branch pins every image
+    variable to the first domain variable.  Bounds add up.
     """
     parts = list(parts)
     domain_vars = tuple(domain_vars)
     if not domain_vars:
         raise InputError("combine needs at least one domain variable")
+    ys = max((rep.image_vars for _, rep in parts), key=len)
     for _, rep in parts:
         if tuple(rep.domain_vars) != domain_vars:
             raise InputError("parts disagree on domain variables")
-    width = max(len(rep.image_vars) for _, rep in parts)
-    ys = tuple(supply.fresh("y") for _ in range(width))
+        if ys[:len(rep.image_vars)] != rep.image_vars:
+            raise InputError("parts' images are not prefixes of one tuple")
     branches = []
     for guard, rep in parts:
         mj = len(rep.image_vars)
-        hj = substitute(rep.h, dict(zip(rep.image_vars, ys[:mj])), supply)
         base = ys[mj - 1] if mj else domain_vars[0]
-        branches.append(conj(conjuncts(guard) + conjuncts(hj)
-                             + [Equal(ys[t], base) for t in range(mj, width)]))
+        branches.append(conj(conjuncts(guard) + conjuncts(rep.h)
+                             + [Equal(ys[t], base) for t in range(mj, len(ys))]))
     return Reparameterization(source, sig, domain_vars, ys, disj(branches),
                               sum(rep.bound for _, rep in parts),
                               Step("combine", f"{len(parts)} guarded branches",
@@ -378,12 +381,12 @@ def _type_tuple_dfa(algebra: TypeAlgebra, i: int, query: Query) -> Dfa:
 
 
 def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgebra,
-              supply: NameSupply, query: Query) -> Reparameterization:
+              image, query: Query) -> Reparameterization:
     """The map of one nonempty order case of f over xs, under its constraint:
     classes are its equality classes in ascending order, case_formula
     mentions only their first members, and algebra is its type algebra.
     The case is reduced from its algebra, valid under its ascending
-    pattern."""
+    pattern, and its image is a prefix of the names image."""
     sig = query.sig
     ys = algebra.variables
     kc = len(ys)
@@ -396,7 +399,7 @@ def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgeb
         # like n**kc, so the identity map is as small as it gets; for a
         # strict case of the top-level formula, kc is the arity and
         # _minrep stops here
-        img = tuple(supply.fresh("y") for _ in range(kc))
+        img = image[:kc]
         inner = Reparameterization(case_formula, sig, ys, img, conj(map(Equal, img, ys)), 1,
                                    Step("rigid", f"family {algebra.rigid[0]} pumps at every "
                                                  f"mark; width {kc} is minimal"))
@@ -404,7 +407,7 @@ def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgeb
     elif shared := [i for i in range(1, kc + 1) if all(
             e is None for edges in algebra.graph[i - 1].values() for _, e in edges.values())]:
         inner = eliminate_variable(case_formula, sig, ys, shared[0], n_families(),
-                                   algebra.monoid.size, supply, query)
+                                   algebra.monoid.size, image, query)
     else:
         # no mark is eliminable across every family: split the families by
         # their first eliminable mark and guard each group by its type tuples
@@ -415,20 +418,20 @@ def _case_rep(f: Formula, xs, classes, case_formula: Formula, algebra: TypeAlgeb
                 gamma = Run(_type_tuple_dfa(algebra, i, query), ys)
                 parts.append((gamma, eliminate_variable(
                     And((case_formula, gamma)), sig, ys, i, n, algebra.monoid.size,
-                    supply, query)))
-        inner = combine_disjuncts(case_formula, sig, ys, parts, supply)
+                    image, query)))
+        inner = combine_disjuncts(case_formula, sig, ys, parts)
     pattern = "<".join("=".join(c) for c in classes)
     return Reparameterization(f, sig, xs, inner.image_vars, inner.h, inner.bound,
                               Step("case", pattern, (inner.provenance,)))
 
 
-def _minrep(f: Formula, xs, supply: NameSupply, query: Query) -> Reparameterization:
+def _minrep(f: Formula, xs, image, query: Query) -> Reparameterization:
     """The map of f over xs, glued from the order cases that one build of f
     (compiler.Query.realizable_cases) finds realizable; only those cases
     are substituted and reduced, each from its automaton, which the query
     keeps for its formula.  The strict cases are tested for rigidity first,
-    which draws no names, so a rigid one is found before any case is
-    reduced."""
+    so a rigid one is found before any case is reduced.  The map's image
+    is a prefix of the names image."""
     sig = query.sig
     xs = tuple(xs)
     split = order_case_split(f, xs)
@@ -451,15 +454,15 @@ def _minrep(f: Formula, xs, supply: NameSupply, query: Query) -> Reparameterizat
         if algebra.rigid is not None:
             # only a rigid strict case keeps width k: the dimension is k, and
             # the domain tuple in the case's ascending order is its own image
-            lifted = _case_rep(f, xs, case.classes, case.formula, algebra, supply, query)
+            lifted = _case_rep(f, xs, case.classes, case.formula, algebra, image, query)
             return replace(lifted, provenance=Step(
                 "identity", f"width {len(xs)} is the arity: the image is the domain "
                             "tuple in ascending order", (lifted.provenance,)))
     parts = [(case.constraint, _case_rep(f, xs, case.classes, case.formula, algebra,
-                                         supply, query))
+                                         image, query))
              for case, algebra in map(case_algebra, keeps)]
     # f implies the constraint of its only realizable case
-    return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts, supply)
+    return parts[0][1] if len(parts) == 1 else combine_disjuncts(f, sig, xs, parts)
 
 
 def refine_with_ranks(rep: Reparameterization,
@@ -509,11 +512,14 @@ def reparameterize(f: Formula, marked_vars, query: Query) -> Reparameterization:
     stays rigid at the full width k stops the split: the answer is the
     identity map, image variables equal to the domain variables in that
     case's ascending order, with bound 1.  Otherwise the bound is a
-    product/sum certificate.
+    product/sum certificate.  The image variables are drawn once, fresh
+    against f and the marked variables: every map reads a prefix of y0,
+    y1, ... (or the next free names of that form).
     """
     check_depth(f, "compile")  # before the first walk over f
     marked_vars = free_variables(f) if marked_vars is None else tuple(marked_vars)
-    return _minrep(f, marked_vars, NameSupply(all_vars(f) | set(marked_vars)), query)
+    supply = NameSupply(all_vars(f) | set(marked_vars))
+    return _minrep(f, marked_vars, tuple(supply.fresh("y") for _ in marked_vars), query)
 
 
 def minimal_reparameterization(f: Formula, sig: Signature, marked_vars=None, *,

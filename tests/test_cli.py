@@ -60,7 +60,7 @@ def test_mindim_refines_the_guard_split(capsys):
     # the map text is the one the unrefined map had
     text = report["result"]["map"]
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "b0630a74c51252493e6a33250bea44afa6abe63a"
+        "f97bd5d3df8269d331e93b9568cd48c15f45c176"
 
 
 def test_decide_negative_reports_minimal_dimension(capsys):
@@ -86,6 +86,23 @@ def test_growth_report(capsys):
     assert report["result"]["sandwich"]["ok"] is True
     assert report["result"]["lower_witness"]["oracle_count"] >= 2
     assert report["result"]["lower_witness"]["word"] == "[P1, P1]"
+
+
+def test_growth_builds_its_ida_chain_once(capsys, monkeypatch):
+    # one chain gives both the ambiguity degree and the lower witness
+    calls = []
+    real = ambiguity_degree
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chainrep.cli, "ambiguity_degree", spy)
+    monkeypatch.setattr(chainrep.growth, "ambiguity_degree", spy)
+    status, report, _ = run_json(capsys, "growth", "--sig", "P1",
+                                 "--formula", "P1(x)&P1(y)&(~ex q. q < v)")
+    assert status == 0 and len(calls) == 1
+    assert report["result"]["ambiguity_degree"] == 2
 
 
 def test_growth_fails_when_the_degrees_differ(capsys, monkeypatch):

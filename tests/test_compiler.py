@@ -214,6 +214,16 @@ def test_realizable_cases_run_under_the_compile_budget(sig1):
     assert len(Query(sig1, 17).realizable_cases(f, ("x", "y", "z"))) == 7
 
 
+def test_realizable_cases_check_acceptance_on_a_non_minimal_automaton(sig1):
+    # a sentence whose automaton swaps two rejecting states on every
+    # letter: neither is a sink, so the search does not stop at them, and
+    # as no word is accepted it keeps no case
+    f = Run(Dfa(sig1, False, 0, ((1, 1), (0, 0)), frozenset()), ())
+    assert Query(sig1, DEFAULT_STATE_BUDGET).realizable_cases(f, ()) == []
+    rep = minimal_reparameterization(f, sig1, ())
+    assert (rep.dimension, rep.bound, rep.provenance.kind) == (0, 0, "empty")
+
+
 def test_products_explore_one_dead_pair(monkeypatch):
     # a pair with a side in its rejecting sink, for and, or both sides, for
     # or, accepts nothing from then on: every product explores all such

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from chainrep import reparam
-from chainrep.compiler import Query, ambiguity_degree
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query, ambiguity_degree
 from chainrep.errors import ChainrepError, InputError
 from chainrep.formula import Signature, parse, render
 from chainrep.growth import (brute_growth, growth_degree, growth_lower_witness,
                              no_decrement_witness, pump_witness)
+from chainrep.monoid import _shortlex_words
 from chainrep.oracle import (check_canonical_form, check_reparameterization, count_in_set,
                              satisfying_tuples)
 from chainrep.randgen import formula_batch
@@ -276,14 +277,42 @@ def ambiguity_sweep():
     return [(sig, variables, f, rep.dimension, rep.bound) for sig, variables, f, rep in reps]
 
 
+def subset_walk_links(f, sig, variables, chain):
+    """The reference links of chain: per link, the shortlex-least word
+    whose set of states, in the subset construction of f's erased
+    automaton from the link's start, meets the link's end."""
+    b = Query(sig, DEFAULT_STATE_BUDGET).builder("reference")
+    a = b.valid(b.extend(b.built(f), fo_add=variables), variables)
+    marks = [m << sig.k for m in range(1 << len(a.fo))]
+
+    def successors(states):
+        return [frozenset(a.delta[q][letter | m] for q in states for m in marks)
+                for letter in range(1 << sig.k)]
+
+    starts = [a.init] + [q for _, q in chain.pairs]
+    ends = [{p} for p, _ in chain.pairs] + [a.accepting]
+    links = []
+    for start, end in zip(starts, ends):
+        order, rows = b.explore(frozenset({start}), successors)
+        links.append(min((w for st, w in zip(order, _shortlex_words(rows)) if st & end),
+                         key=lambda w: (len(w), w)))
+    return tuple(links)
+
+
 def test_ambiguity_degree_is_the_dimension():
     # the degree of ambiguity of f's automaton is the growth degree, found
     # without the monoid, the type algebra or the elimination: it checks
-    # the pipeline's dimension at every word length
+    # the pipeline's dimension at every word length; each link, which a
+    # walk over single states finds, is the subset construction's
     cases = ambiguity_sweep()
     assert len(cases) == 314
-    for sig, variables, f, d, _ in cases:
-        assert ambiguity_degree(f, sig, variables).degree == d, (render(f), variables)
+    for sig, variables, f, d, bound in cases:
+        chain = ambiguity_degree(f, sig, variables)
+        assert chain.degree == d, (render(f), variables)
+        if bound:
+            assert chain.links == subset_walk_links(f, sig, variables, chain), render(f)
+        else:
+            assert chain.links == ()
 
 
 def test_chain_witnesses_hold_n_to_the_d_tuples():

@@ -8,15 +8,15 @@ from pathlib import Path
 import pytest
 
 from chainrep import interp, oracle, reparam
-from chainrep.compiler import Query
+from chainrep.compiler import DEFAULT_STATE_BUDGET, Query
 from chainrep.errors import ChainrepError, InputError, ResourceLimitError
-from chainrep.formula import Signature
+from chainrep.formula import ExistsFO, Run, Signature
 from chainrep.interp import (apply_interpretation, check_equivalence,
                              parse_interpretation, reduce_interpretation)
 from chainrep.oracle import check_canonical_form, check_reparameterization
 from chainrep.reparam import minimal_reparameterization
 from chainrep.words import Word, all_words
-from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, interp_batch
+from conftest import FIRST_PAIR_TEXT, GROUP_TEXT, dfa_equivalent, interp_batch
 from test_acceptance import SPECS
 
 SUCC = """
@@ -265,6 +265,37 @@ def test_reduce_guard_split_selectors_stay_small():
     assert [p.name for p in red.parts] == ["g.1", "g.2", "g.3"]
     assert len(red.spec.dump()) < 100_000
     assert check_equivalence(spec, red, 4)
+
+
+def one_track_each(f, sig, tracks):
+    """f's minimal automaton over one track per variable of tracks, each
+    track carrying a single mark."""
+    b = Query(sig, DEFAULT_STATE_BUDGET).builder("compile")
+    return b.publish(b.valid(b.extend(b.built(f), fo_add=tracks), tracks), True, len(tracks))
+
+
+def test_printed_selectors_build_their_leaves():
+    # interp-reduce prints each selector leaf as its MSO export (Run.mso());
+    # read back from the printed spec, under its component's domain
+    # quantifiers, every export builds the leaf's language over one track
+    # per variable, at all word lengths
+    checked = 0
+    for name, dim, text in SPECS + (("guard split", 1, GUARD_SPLIT),):
+        red = reduce_interpretation(parse_interpretation(text), dim)
+        printed = parse_interpretation(red.spec.dump())
+        for part, component in zip(red.parts, printed.components):
+            assert component.name == part.name
+            if not isinstance(part.selector, Run):
+                continue
+            export = component.universe
+            for v in part.rep.domain_vars:
+                assert isinstance(export, ExistsFO) and export.var == v, part.name
+                export = export.body
+            sig, tracks = printed.signature, part.selector.vars
+            assert dfa_equivalent(one_track_each(export, sig, tracks),
+                                  one_track_each(part.selector, sig, tracks)), part.name
+            checked += 1
+    assert checked == 5
 
 
 def test_reduce_builds_each_map_once(monkeypatch):
