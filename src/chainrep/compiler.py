@@ -15,28 +15,31 @@ product with an automaton that reads every such track's marks, and
 publishing on the marked variables.  A conjunction needs nothing, as each
 side enforces its own tracks.  A quantifier on a variable that no track of
 its body reads adds no track, since the body holds at every value or at
-none: ex v. g is g's automaton times one that accepts the words of length
-at least 1, atleast c v. g (c >= 1, v not free in g) the same for length
-c, and EX S. g is g's automaton.  Track projection is the one subset
-construction, and it runs under the state budget.  The product, the subset
-construction, the publish walk, minimization and reparam's guard automata
-are each one breadth-first walk (explore) that one builder method
-(minimal) refines into a minimal automaton; the preimage count, the
-transition monoid, the emptiness test and ambiguity_degree's reach sets
-are explore walks that nothing refines.  The walk owns the one dead
-state: the product sends there every pair that can no longer accept (a
-side in its rejecting sink for a conjunction, both sides for a
-disjunction), and the publish walk its dead pairs, so neither holds more
-than one state beyond its live ones.
+none: atleast c v. g (c >= 1; ex v. g is c = 1) is g's automaton times
+one that accepts the words of length at least c, and EX S. g is g's
+automaton.  Otherwise the quantifier is one projection of its variable's
+track: a counting subset construction that counts, capped at c, the
+markings of the track that reach each state (Klaedtke and Rueß, ICALP
+2003), so atleast c v. g is built once, not as c copies of g; ex v. g and
+EX S. g count to 1, and atleast 0 v. g is true.  Projection runs under
+the state budget.  The product, the projection, the publish walk,
+minimization and reparam's guard automata are each one breadth-first
+walk (explore) that one builder method (minimal) refines into a minimal
+automaton; the preimage count, the transition monoid, the emptiness test
+and ambiguity_degree's reach sets are explore walks that nothing refines.
+The walk owns the one dead state: the product sends there every pair
+that can no longer accept (a side in its rejecting sink for a
+conjunction, both sides for a disjunction), and the publish walk its dead
+pairs, so neither holds more than one state beyond its live ones.
 
 The builds of one public call share a Query: every formula that it
 compiles keeps its automaton under the identity of the formula object, and
-a later build that meets the same object reads that automaton; a counting
-quantifier on a variable its body reads is expanded where the build meets
-it, so no object above it is replaced.  So the source of a reparameterization is built once, by
-Query.realizable_cases, and its order cases, the images that the search
-reads and the map (Query.map_automaton of source & h, the source's
-automaton times h's) all start from it.  An elimination image ex x.
+a later build that meets the same object reads that automaton, a counting
+quantifier's too, as the compiler rewrites no formula.  So the source of a
+reparameterization is built once, by Query.realizable_cases, and its
+order cases, the images that the search reads and the map
+(Query.map_automaton of source & h, the source's automaton times h's)
+all start from it.  An elimination image ex x.
 source keeps the source's other variables under their own names, so its
 build is one projection of the automaton kept for source (or, when source
 does not read x, one product with the words of length at least 1), and
@@ -84,7 +87,7 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .formula import (And, AtLeast, Const, Equal, ExistsFO, ExistsSO, ForallFO,
                       ForallSO, Formula, Implies, In, Less, Not, Or, Pred, Run, Signature,
-                      check_depth, check_variables, expand_macros, occurrences, rank_classes)
+                      check_depth, check_variables, occurrences)
 from .words import MarkedWord, render_letter
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -395,7 +398,14 @@ class _Builder:
         # and numbered the same
         return self.valid(out, a.fo) if a.fo else out
 
-    def project(self, a: _Auto, kind: str, name: str) -> _Auto:
+    def project(self, a: _Auto, kind: str, name: str, count: int = 1) -> _Auto:
+        """The minimal automaton of the words on which at least count
+        markings of the track of name lead a to acceptance, that track
+        erased.  A counting subset construction: a state is the sorted tuple
+        of (state of a, number of markings of the erased track that reach
+        it, capped at count); the states of a's rejecting sinks drop out.  a
+        is deterministic, so distinct markings are distinct runs; on a
+        first-order track a accepts only single marks, one per position."""
         if kind == "fo":
             bit = a.fo_bit(name)
             fo, so = tuple(v for v in a.fo if v != name), a.so
@@ -407,12 +417,25 @@ class _Builder:
         for letter in range(a.n_letters >> 1):
             l0 = (letter & low) | ((letter & ~low) << 1)
             groups.append((l0, l0 | 1 << bit))
-        # subset construction: new letter j reads either letter of groups[j]
+        sinks = _sinks(a)
+
+        def successors(cur):
+            # new letter j reads either letter of groups[j]
+            row = []
+            for group in groups:
+                counts: dict[int, int] = {}
+                for q, c in cur:
+                    for letter in group:
+                        t = a.delta[q][letter]
+                        if t not in sinks:
+                            counts[t] = min(count, counts.get(t, 0) + c)
+                row.append(tuple(sorted(counts.items())))
+            return row
+
         return self.minimal(
-            frozenset({a.init}),
-            lambda cur: [frozenset(a.delta[q][letter] for q in cur for letter in group)
-                         for group in groups],
-            lambda cur: cur & a.accepting, len(groups), None, fo, so)
+            () if a.init in sinks else ((a.init, 1),), successors,
+            lambda cur: sum(c for q, c in cur if q in a.accepting) >= count,
+            len(groups), None, fo, so)
 
     def refine(self, a: _Auto, rows=None) -> _Auto:
         """The minimal automaton of a, whose states explore numbered: all
@@ -454,14 +477,6 @@ class _Builder:
                 return self.single_mark((x,), (s,), (x,), 1 << (self.sig.k + 1))
             case Run(dfa, vs):
                 return self.keep(f, self.run_leaf(dfa, vs))
-            case AtLeast(count, v, g) if count and (v, False, True) not in occurrences(g):
-                # g does not read v: it holds at every position or at none
-                # (built by the general constructions instead, this and ex v.
-                # g below, an oracle-check pass ran about 9% slower)
-                a = self.built(g)
-                return self.product(a, self.longer(a.fo, a.so, count), "and")
-            case AtLeast():
-                return self.build(check_depth(expand_macros(f), self.stage, self.known))
             case Not(g):
                 return self.complement(self.built(g))
             case And(parts) | Or(parts):
@@ -474,12 +489,17 @@ class _Builder:
                 return a
             case Implies(l, r):
                 return self.build(Or((Not(l), r)))
-            case ExistsFO(v, g):
+            case ExistsFO(v, g) | AtLeast(_, v, g):
+                count = f.count if isinstance(f, AtLeast) else 1
+                if not count:
+                    return self._fresh((), (), 1, 0, {0})
                 a = self.built(g)
                 if v not in a.fo:
-                    # no track of g reads v: some position exists and g holds
-                    return self.product(a, self.longer(a.fo, a.so, 1), "and")
-                return self.project(a, "fo", v)
+                    # no track of g reads v: g holds at every position or at
+                    # none (with a track added for v and projected instead, an
+                    # oracle-check pass ran about 9% slower)
+                    return self.product(a, self.longer(a.fo, a.so, count), "and")
+                return self.project(a, "fo", v, count)
             case ForallFO(v, g):
                 return self.build(Not(ExistsFO(v, Not(g))))
             case ExistsSO(s, g):
@@ -570,24 +590,24 @@ class Query:
 
     def realizable_cases(self, f: Formula, xs):
         """The order cases of f over xs that some word realizes, as (rank
-        tuple, keep) pairs in rank tuple order, where keep(formula), given
-        the case's formula, keeps the case's automaton as that formula's, so
-        that compile, given this query, publishes it.  f is built once,
-        under stage compile, over one track per variable it has free, and
-        kept as f's; a case's automaton is f's with each class's tracks
-        merged into its representative's, its classes derived from its
-        rank tuple only when keep runs."""
+        tuple, keep) pairs in rank tuple order, where keep(case), given the
+        case's formula.OrderCase, keeps the case's automaton as its
+        formula's, so that compile, given this query, publishes it.  f is
+        built once, under stage compile, over one track per variable it has
+        free, and kept as f's; a case's automaton is f's with each class's
+        tracks merged into its representative's."""
         xs = tuple(xs)
         builder = self.builder("compile")
         _check(f, xs, builder)
         source = builder.keep(f, builder.built(f))
 
-        def keep(ranks, formula):
-            merge = {v: c[0] for c in rank_classes(xs, ranks) for v in c[1:]}
-            builder.keep(formula, builder.extend(
+        def keep(case):
+            merge = {v: rep for c, rep in zip(case.classes, case.representatives)
+                     for v in c if v != rep}
+            builder.keep(case.formula, builder.extend(
                 source, fo_add=[merge[v] for v in source.fo if v in merge], merge=merge))
 
-        return [(ranks, functools.partial(keep, ranks))
+        return [(ranks, keep)
                 for ranks in _realizable_ranks(builder.extend(source, fo_add=xs), xs)]
 
     def map_automaton(self, g: Formula, xs, ys) -> MapAutomaton:

@@ -674,33 +674,6 @@ def exists_wrap(variables, body: Formula) -> Formula:
     return body
 
 
-def expand_macros(f: Formula) -> Formula:
-    """Rewrite every counting quantifier into plain nested quantifiers.
-
-    New names come from one supply avoiding every name in f, made when the
-    first counting quantifier needs it.
-    """
-    supply = None
-
-    def expand(g):
-        nonlocal supply
-        if not isinstance(g, AtLeast):
-            return map_subformulas(g, expand)
-        n, v, body = g.count, g.var, expand(g.body)
-        if n == 0:
-            return TRUE
-        if n == 1:
-            return ExistsFO(v, body)
-        if supply is None:
-            supply = NameSupply(all_vars(f))
-        names = [supply.fresh(v) for _ in range(n)]
-        parts = [Less(a, b) for a, b in zip(names, names[1:])]
-        parts += [substitute(body, {v: w}, supply) for w in names]
-        return exists_wrap(names, conj(parts))
-
-    return expand(f)
-
-
 @dataclass(frozen=True)
 class OrderCase:
     """One weak ordering of a variable tuple.

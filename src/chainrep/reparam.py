@@ -446,7 +446,7 @@ def _minrep(f: Formula, xs, image, query: Query) -> Reparameterization:
     @functools.cache
     def case_algebra(ranks):
         case = split.case(ranks)
-        keeps[ranks](case.formula)
+        keeps[ranks](case)
         return case, TypeAlgebra.build(case.formula, case.representatives, query)
 
     strict = [ranks for ranks in keeps if len(set(ranks)) == len(xs)]

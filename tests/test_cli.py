@@ -472,10 +472,15 @@ def test_mindim_answers_wide_connectives(capsys, op, width):
 
 
 def test_nesting_past_the_limit_exits_3(capsys):
-    for text, stage in (("~" * 2000 + "P1(x)", "parse"), ("atleast 200 x. P1(x)", "compile")):
-        status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", text)
-        assert status == 3 and not out
-        assert err == f"resource limit: {stage}: formula nests deeper than {MAX_DEPTH} levels\n"
+    status, out, err = run(capsys, "mindim", "--sig", "P1", "--formula", "~" * 2000 + "P1(x)")
+    assert status == 3 and not out
+    assert err == f"resource limit: parse: formula nests deeper than {MAX_DEPTH} levels\n"
+    # a counting quantifier nests as deep as its text: one projection
+    # builds it, whatever its count
+    status, report, _ = run_json(capsys, "mindim", "--sig", "P1", "--formula",
+                                 "atleast 200 x. P1(x)")
+    assert status == 0
+    assert (report["result"]["dimension"], report["result"]["bound"]) == (0, 1)
 
 
 def test_oracle_check_answers_at_the_limit(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -8,8 +9,8 @@ from chainrep.compiler import (DEFAULT_STATE_BUDGET, Dfa, Query, ambiguity_degre
                                dfa_empty, dfa_to_formula, max_fiber, minimize_dfa,
                                preimage_ranks)
 from chainrep.errors import InputError, ResourceLimitError
-from chainrep.formula import (Less, Run, Signature, conj, exists_wrap, expand_macros,
-                              order_case_split, parse, render)
+from chainrep.formula import (TRUE, And, AtLeast, Less, NameSupply, Run, Signature, all_vars,
+                              conj, exists_wrap, order_case_split, parse, render, substitute)
 from chainrep.oracle import evaluate, satisfying_tuples
 from chainrep.randgen import formula_batch
 from chainrep.reparam import minimal_reparameterization
@@ -198,7 +199,7 @@ def test_realizable_cases_are_the_nonempty_order_cases(sig1):
         published = []
         for ranks, keep in q.realizable_cases(f, xs):
             case = split.case(ranks)
-            keep(case.formula)
+            keep(case)
             assert q.known[id(case.formula)][0] is case.formula
             published.append((ranks, compile(case.formula, sig, case.representatives,
                                               query=q)))
@@ -530,6 +531,61 @@ def test_random_formulas_compile_to_pinned_bytes():
     assert digest == "0181674b12faa712b7f22df2c30519c44c96be13"
 
 
+def nested_ex(f: AtLeast):
+    """atleast c v. g written out: c nested ex over c ascending positions,
+    each with its own copy of g; true for c = 0."""
+    if not f.count:
+        return TRUE
+    supply = NameSupply(all_vars(f))
+    names = [supply.fresh(f.var) for _ in range(f.count)]
+    parts = [Less(a, b) for a, b in zip(names, names[1:])]
+    parts += [substitute(f.body, {f.var: w}, supply) for w in names]
+    return exists_wrap(names, conj(parts))
+
+
+def test_counting_is_its_nested_ex_expansion(sig2):
+    # the counting projection against c nested projections over c copies
+    # of the body, byte for byte; a Run leaf's automaton has a rejecting
+    # sink, which the count drops
+    leaf = Run(compile(parse("x < v & ~P2(v)", sig2), sig2, ("x", "v")), ("x", "v"))
+    bodies = [(parse(text, sig2), fo) for text, fo in (
+        ("P1(v)", ()), ("x < v & P1(v)", ("x",)),
+        ("EX S. (S(v) & ~S(x) & all u. (S(u) -> P2(u)))", ("x",)))]
+    for body, fo in bodies + [(leaf, ("x",))]:
+        for c in range(5):
+            f = AtLeast(c, "v", body)
+            assert compile(f, sig2, fo) == compile(nested_ex(f), sig2, fo), (render(f), c)
+
+
+def test_a_counting_quantifier_builds_its_body_once(sig1, monkeypatch):
+    # no copy of the body is made: the one And built is the body object
+    ands = []
+    real = compiler._Builder.build
+
+    def build(self, g):
+        if isinstance(g, And):
+            ands.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(compiler._Builder, "build", build)
+    f = parse("atleast 3 v. (x < v & P1(v))", sig1)
+    compile(f, sig1, ("x",))
+    assert len(ands) == 1 and ands[0] is f.body
+
+
+def test_large_counts_compile_at_once(sig1):
+    # one state per count reached: the projection's size grows with c, not
+    # the c copies' product
+    f = parse("atleast 16 v. (x < v & P1(v))", sig1)
+    t0 = time.perf_counter()
+    dfa = compile(f, sig1, ("x",))
+    assert time.perf_counter() - t0 < 1
+    assert dfa.n_states == 19
+    word = Word(sig1, (0,) + (1,) * 16)
+    assert dfa.run(MarkedWord(word, (0,)))
+    assert not dfa.run(MarkedWord(word, (1,)))
+
+
 # bodies, with their free variables, that read neither z nor Z
 _VACUOUS_BODIES = (("ex q. (P1(q) & ~P2(q))", ()), ("P2(x)", ("x",)),
                    ("x < y & P1(y)", ("x", "y")), ("EX Y. (Y(x) & ~P1(x))", ("x",)))
@@ -539,28 +595,27 @@ _VACUOUS_BODIES = (("ex q. (P1(q) & ~P2(q))", ()), ("P2(x)", ("x",)),
                          + ["EX Z", "ALL Z"])
 def test_vacuous_quantifiers_agree_in_both_routes(sig2, kind):
     # on every word up to length 3, the empty one too, and every assignment:
-    # the oracle on the formula and on its expansion, and the automaton on
-    # each ascending marking
+    # the oracle on the formula, and the automaton on each ascending marking
     for body, fo in _VACUOUS_BODIES:
         f = parse(f"{kind}. ({body})", sig2)
-        expanded = expand_macros(f)
         dfa = compile(f, sig2, fo)
         for w in all_words(sig2, 3):
             for tup in itertools.product(range(len(w)), repeat=len(fo)):
                 env = dict(zip(fo, tup))
                 want = evaluate(f, w, env)
-                assert evaluate(expanded, w, env) is want, (kind, body, w, tup)
                 if all(a < b for a, b in zip(tup, tup[1:])):
                     assert dfa.run(MarkedWord(w, tup)) is want, (kind, body, w, tup)
 
 
 @pytest.mark.parametrize("body, fo", _VACUOUS_BODIES)
 def test_vacuous_quantifiers_compile_to_the_general_constructions_bytes(sig2, body, fo):
-    # the shortcut against the route it skips: the counting expansion, a
-    # projection of a track that z = z or an empty In test adds
+    # the shortcut against the route it skips, a projection of a track that
+    # z = z or an empty In test adds, and against the nested-ex expansion
     for c in range(4):
         f = parse(f"atleast {c} z. ({body})", sig2)
-        assert compile(f, sig2, fo) == compile(expand_macros(f), sig2, fo), c
+        assert compile(f, sig2, fo) == compile(nested_ex(f), sig2, fo), c
+        assert compile(f, sig2, fo) == \
+            compile(parse(f"atleast {c} z. (({body}) & z = z)", sig2), sig2, fo), c
     assert compile(parse(f"ex z. ({body})", sig2), sig2, fo) == \
         compile(parse(f"ex z. (({body}) & z = z)", sig2), sig2, fo)
     assert compile(parse(f"EX Z. ({body})", sig2), sig2, fo) == \

@@ -14,7 +14,7 @@ from chainrep.errors import InputError, ParseError, ResourceLimitError
 from chainrep.formula import (FALSE, MAX_DEPTH, TRUE, And, AtLeast, Const, Equal, ExistsFO,
                               ExistsSO, ForallFO, ForallSO, Formula, Implies, In, Less,
                               NameSupply, Not, Or, Pred, Run, Signature, all_vars, conj, disj,
-                              exists_wrap, expand_macros, free_set_variables,
+                              exists_wrap, free_set_variables,
                               free_variables, map_subformulas, one_point,
                               order_case_split, parse, render, substitute)
 from chainrep.growth import growth_degree, growth_lower_witness
@@ -151,15 +151,6 @@ def test_conj_disj_units(sig1):
 def test_exists_wrap(sig1):
     f = exists_wrap(("x", "y"), Less("x", "y"))
     assert f == ExistsFO("x", ExistsFO("y", Less("x", "y")))
-
-
-def test_expand_macros_atleast(sig1):
-    f = expand_macros(AtLeast(2, "v", Pred("P1", "v")))
-    w1 = Word(sig1, (1, 1))
-    w2 = Word(sig1, (1, 0))
-    assert evaluate(f, w1, {}) is True
-    assert evaluate(f, w2, {}) is False
-    assert expand_macros(AtLeast(0, "v", FALSE)) == TRUE
 
 
 def test_name_supply_fresh():
@@ -390,11 +381,9 @@ def test_every_node_reaches_every_walker(sig1):
             closed = f
             for s in so:
                 closed = ExistsSO(s, closed)
-            expanded = expand_macros(closed)
             dfa = compile(closed, sig1, fo)
             for w in all_words(sig1, 3):
                 for marks in itertools.combinations(range(len(w)), len(fo)):
                     env = dict(zip(fo, marks))
                     want = evaluate(closed, w, env)
-                    assert evaluate(expanded, w, env) == want, (render(f), str(w))
                     assert dfa.run(MarkedWord(w, marks)) == want, (render(f), str(w))

@@ -139,8 +139,8 @@ def test_the_source_is_built_once(sig1, monkeypatch):
     # compiles and the map that refinement counts: each of those builds
     # meets the source object and reads the automaton kept for it.  The
     # reduction and the growth witness build their maps in the Query of
-    # their search, and an atleast is expanded where the build meets it, so
-    # no object above it is replaced: f and each of its conjuncts are built
+    # their search, and an atleast is one projection of its body, so the
+    # compiler replaces no object: f and each of its conjuncts are built
     # once in every call
     texts = {name: text for name, _, text, _, _ in BATTERY}
     subjects = ((GROUP_TEXT, "xy"), (FIRST_PAIR_TEXT, "xyv"),
@@ -304,8 +304,8 @@ def test_the_search_compiles_no_text(sig1, monkeypatch):
 
 def test_classes_are_derived_for_the_kept_case(sig1, monkeypatch):
     # the labelled quadruple realizes 75 order cases, and only its first
-    # strict case is reduced: that one's classes are derived twice, for its
-    # formula and for its automaton, and no other case's
+    # strict case is reduced: that one's classes are derived once, and its
+    # formula and its automaton both read them, and no other case's are
     calls = []
     real = formula.rank_classes
 
@@ -314,11 +314,10 @@ def test_classes_are_derived_for_the_kept_case(sig1, monkeypatch):
         return real(variables, ranks)
 
     monkeypatch.setattr(formula, "rank_classes", rank_classes)
-    monkeypatch.setattr(compiler, "rank_classes", rank_classes)
     rep = minimal_reparameterization(parse("P1(x)&P1(y)&P1(z)&P1(w)", sig1), sig1,
                                      tuple("xyzw"))
     assert rep.provenance.kind == "identity"
-    assert calls == [(0, 1, 2, 3)] * 2
+    assert calls == [(0, 1, 2, 3)]
 
 
 def test_nothing_outlives_a_call(sig1):
@@ -431,6 +430,18 @@ def test_full_width_is_the_identity(sig1, monkeypatch):
     red = reduce_interpretation(quad, 4)
     assert [(p.name, p.rep.bound) for p in red.parts] == [("quad.1", 1)]
     assert check_equivalence(quad, red, 3)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_every_strict_case_is_tested_for_rigidity(sig1, refine):
+    # x < y holds with x first, so that case has width 1; the rigid case is
+    # the second strict one, y < x
+    f = parse("(x < y & ~ex z. z < x) | y < x", sig1)
+    rep = minimal_reparameterization(f, sig1, ("x", "y"), refine=refine)
+    assert (rep.dimension, rep.bound, rep.provenance.kind) == (2, 1, "identity")
+    case = rep.provenance.children[0]
+    assert (case.kind, case.detail) == ("case", "y<x")
+    assert render(rep.h) == "y0 = y & y1 = x"
 
 
 @functools.cache
